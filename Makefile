@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race bench bench-json bench-diff profile live-smoke obs-smoke shard-smoke rack-smoke hier-smoke
+.PHONY: all build fmt vet lint test race bench bench-json bench-diff profile perfbench live-smoke obs-smoke shard-smoke rack-smoke hier-smoke
 
 # Pinned so CI and local runs agree on what "clean" means.
 STATICCHECK_VERSION = 2025.1.1
@@ -136,3 +136,11 @@ profile:
 		-cpuprofile $(PROFILE_DIR)/cpu.prof -memprofile $(PROFILE_DIR)/mem.prof .
 	$(GO) tool pprof -top -nodecount=10 $(PROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects $(PROFILE_DIR)/mem.prof
+
+# perfbench builds and runs the benchmark BENCHMARK.json declares
+# (perfbench/run.sh), passing ARGS through, e.g.
+#   make perfbench ARGS="--workload dc-1000-sharded --seed 42 --seconds 30 --trace 0"
+ARGS ?=
+
+perfbench:
+	bash perfbench/run.sh $(ARGS)

@@ -15,41 +15,61 @@ func marginalAllocsPerRequest(t *testing.T, run func(measure int)) float64 {
 	return (bigAllocs - baseAllocs) / float64(big-base)
 }
 
-// TestClusterAllocsPerRequest pins the single-engine cluster path: pooled
-// cluster requests plus the pooled machine path underneath. The measured
-// marginal cost is ~0.32 allocations per request — five recorders' worth
-// (four nodes plus the balancer) of amortized epoch-timeline sample growth,
-// nothing O(1) per request — so the budget sits at 0.5: any real
-// per-request allocation reads ≥1.0.
-func TestClusterAllocsPerRequest(t *testing.T) {
-	per := marginalAllocsPerRequest(t, func(measure int) {
-		cfg := baseConfig(4, JSQ{D: 2}, 0.6)
-		cfg.Measure = measure
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if per > 0.5 {
-		t.Errorf("cluster steady-state allocations per request = %.4f, budget 0.5", per)
+// allocCase is one topology an alloc-budget test runs at two lengths.
+type allocCase struct {
+	name   string
+	cfg    func() Config
+	budget float64
+}
+
+func checkAllocBudgets(t *testing.T, cases []allocCase) {
+	t.Helper()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			per := marginalAllocsPerRequest(t, func(measure int) {
+				cfg := c.cfg()
+				cfg.Measure = measure
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if per > c.budget {
+				t.Errorf("steady-state allocations per request = %.4f, budget %.1f", per, c.budget)
+			}
+		})
 	}
+}
+
+// TestClusterAllocsPerRequest pins the single-engine path: pooled request
+// trackers plus the pooled machine path underneath. The measured marginal
+// cost is ~0.32 allocations per request flat (four nodes plus the balancer)
+// and ~0.53 two-tier (eight nodes in two racks) — the recorders' amortized
+// epoch-timeline sample growth, nothing O(1) per request — so any real
+// per-request allocation reads ≥1.0 against the budgets.
+func TestClusterAllocsPerRequest(t *testing.T) {
+	checkAllocBudgets(t, []allocCase{
+		{"flat", func() Config { return baseConfig(4, JSQ{D: 2}, 0.6) }, 0.5},
+		{"two-tier", func() Config { return hierConfig(8, 2, JSQ{D: FullScan}, JSQ{D: 2}, 0.6) }, 0.8},
+	})
 }
 
 // TestShardedAllocsPerRequest pins the sharded round loop. The parallel path
 // pays per-round costs the serial path does not (barrier wakeups, channel
 // operations in the goroutine runtime), and rounds scale with simulated time
-// — measured ~0.70 per request with two shards — so the budget is looser,
-// but still close enough to one that the pooled shardReq/doneEvt exchange
-// cannot silently start allocating per message.
+// — measured ~0.70 per request flat with two shards and ~0.72 two-tier with
+// one shard per rack — so the budget is looser, but still close enough to
+// one that the pooled exchange cannot silently start allocating per message.
 func TestShardedAllocsPerRequest(t *testing.T) {
-	per := marginalAllocsPerRequest(t, func(measure int) {
-		cfg := baseConfig(4, JSQ{D: 2}, 0.6)
-		cfg.Shards = 2
-		cfg.Measure = measure
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
+	checkAllocBudgets(t, []allocCase{
+		{"flat", func() Config {
+			cfg := baseConfig(4, JSQ{D: 2}, 0.6)
+			cfg.Shards = 2
+			return cfg
+		}, 1.2},
+		{"two-tier", func() Config {
+			cfg := hierConfig(8, 2, JSQ{D: FullScan}, JSQ{D: 2}, 0.6)
+			cfg.Shards = 2
+			return cfg
+		}, 1.2},
 	})
-	if per > 1.2 {
-		t.Errorf("sharded steady-state allocations per request = %.4f, budget 1.2", per)
-	}
 }

@@ -359,3 +359,38 @@ func TestHierGlobalScrape(t *testing.T) {
 		t.Fatal("scraped global view indistinguishable from live view")
 	}
 }
+
+// TestHierShardedRackCompletions: on the racks-as-shards engine each rack
+// balancer must learn of a completion the instant its node drains, exactly
+// as on the serial engine — only the global tier's feedback crosses the
+// network. Under a global policy that ignores depths, no decision depends on
+// that one-hop delay, so the sharded run must reproduce the serial run's
+// per-node and per-rack completions and its latency summary. A rack tier
+// that never hears of completions decides on cumulative dispatch counts and
+// diverges under every queue-aware rack policy.
+func TestHierShardedRackCompletions(t *testing.T) {
+	for _, global := range []Policy{Random{}, &RoundRobin{}} {
+		for _, rackPol := range []Policy{JSQ{D: 2}, JSQ{D: FullScan}, &BoundedLoad{Factor: 1.25}} {
+			t.Run(fmt.Sprintf("%s/%s", global, rackPol), func(t *testing.T) {
+				t.Parallel()
+				runAt := func(shards int) Result {
+					c := hierConfig(8, 4, global.Clone(), rackPol.Clone(), 0.8)
+					c.Warmup = 200
+					c.Measure = 3000
+					c.Shards = shards
+					return run(t, c)
+				}
+				serial, sharded := runAt(1), runAt(4)
+				if !reflect.DeepEqual(sharded.NodeCompleted, serial.NodeCompleted) {
+					t.Errorf("node completions: sharded %v, serial %v", sharded.NodeCompleted, serial.NodeCompleted)
+				}
+				if !reflect.DeepEqual(sharded.RackCompleted, serial.RackCompleted) {
+					t.Errorf("rack completions: sharded %v, serial %v", sharded.RackCompleted, serial.RackCompleted)
+				}
+				if sharded.Latency != serial.Latency {
+					t.Errorf("latency: sharded %+v, serial %+v", sharded.Latency, serial.Latency)
+				}
+			})
+		}
+	}
+}

@@ -13,22 +13,18 @@ import (
 // nonzero sampling period the depths are stale snapshots, modeling the
 // telemetry delay a real rack-scale balancer pays; with live sampling it is
 // the cluster-level analogue of the paper's NI occupancy feedback.
+//
+// Only the balancer's own view implements View: the unexported index method
+// hands the whole-cluster policies (full JSQ, BoundedLoad) the incremental
+// depth index (index.go) they decide over in O(N/64), so no unindexed view
+// can reach a policy. policy_equiv_test.go keeps the O(N) reference scans
+// and checks the indexed picks against them.
 type View interface {
 	// Nodes reports the cluster size.
 	Nodes() int
 	// Depth reports the (possibly stale) queue depth of node i: RPCs
 	// dispatched to it and not yet completed.
 	Depth(i int) int
-}
-
-// depthIndexed is the fast-path contract the balancer's own view satisfies:
-// a View whose depths are additionally indexed by the incremental depth
-// bitmap (index.go). The whole-cluster policies (full JSQ, BoundedLoad) use
-// it to decide in O(N/64); any other View implementation falls back to the
-// reference O(N) scans, which the equivalence grid (policy_equiv_test.go)
-// proves pick-identical and RNG-draw-identical.
-type depthIndexed interface {
-	View
 	index() *depthIndex
 }
 
@@ -73,8 +69,8 @@ func (p *RoundRobin) Clone() Policy  { return &RoundRobin{} }
 func (p *RoundRobin) String() string { return "rr" }
 
 // FullScan, used as JSQ.D, selects whole-cluster join-shortest-queue at any
-// cluster size ("jsqfull" in reports): the decision considers every node, via
-// the depth index when the view provides one.
+// cluster size ("jsqfull" in reports): the decision considers every node,
+// through the view's depth index.
 const FullScan = math.MaxInt32
 
 // JSQ is join-shortest-queue over d sampled nodes (power-of-d-choices). With
@@ -90,23 +86,9 @@ func (p JSQ) Pick(v View, r *rng.Source) int {
 	n := v.Nodes()
 	d := p.D
 	if d >= n {
-		// Full scan: one draw for the tie-break offset, then the first
-		// minimum-depth node circularly from it. On an indexed view that is
-		// a find-first-set over the min-depth bitmap row; otherwise the
-		// reference wrap-around strict-min scan. Identical picks, same
-		// single IntN draw (policy_equiv_test.go).
-		start := r.IntN(n)
-		if ix, ok := v.(depthIndexed); ok {
-			return ix.index().firstAtMin(start)
-		}
-		best := start
-		for i := 1; i < n; i++ {
-			c := (start + i) % n
-			if v.Depth(c) < v.Depth(best) {
-				best = c
-			}
-		}
-		return best
+		// Full scan: one draw for the tie-break offset, then a
+		// find-first-set over the min-depth bitmap row from it.
+		return v.index().firstAtMin(r.IntN(n))
 	}
 	best := r.IntN(n)
 	for k := 1; k < d; k++ {
@@ -144,39 +126,19 @@ func loadBound(factor float64, total, n int) int {
 }
 
 func (p *BoundedLoad) Pick(v View, _ *rng.Source) int {
+	// The index's running total gives the mean depth; the rotation takes
+	// the first node under the bound from the cursor, or, with every node
+	// over it, the min row's first node from the cursor — the circular
+	// first argmin.
 	n := v.Nodes()
 	start := p.next % n
-	if ix, ok := v.(depthIndexed); ok {
-		// Indexed path: the running total replaces the O(N) depth sum, the
-		// under-bound rotation scan becomes a bitmap-row pass, and the
-		// everyone-over-bound fallback is the min-row's first node from the
-		// cursor — exactly the reference scan's circular-first argmin.
-		x := ix.index()
-		c := x.firstUnder(loadBound(p.Factor, x.total, n), start)
-		if c < 0 {
-			c = x.firstAtMin(start)
-		}
-		p.next = (c + 1) % n
-		return c
+	x := v.index()
+	c := x.firstUnder(loadBound(p.Factor, x.total, n), start)
+	if c < 0 {
+		c = x.firstAtMin(start)
 	}
-	total := 0
-	for i := 0; i < n; i++ {
-		total += v.Depth(i)
-	}
-	bound := loadBound(p.Factor, total, n)
-	least := start
-	for i := 0; i < n; i++ {
-		c := (start + i) % n
-		if v.Depth(c) < v.Depth(least) {
-			least = c
-		}
-		if v.Depth(c) < bound {
-			p.next = (c + 1) % n
-			return c
-		}
-	}
-	p.next = (least + 1) % n
-	return least
+	p.next = (c + 1) % n
+	return c
 }
 
 func (p *BoundedLoad) Clone() Policy  { return &BoundedLoad{Factor: p.Factor} }

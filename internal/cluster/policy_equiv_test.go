@@ -7,13 +7,50 @@ import (
 	"rpcvalet/internal/rng"
 )
 
-// plainView strips the depthIndexed fast path off a view, exposing only the
-// public View surface. Policies picking through it run their reference O(N)
-// scans against the exact same depths the indexed twin sees.
-type plainView struct{ v View }
-
-func (p plainView) Nodes() int      { return p.v.Nodes() }
-func (p plainView) Depth(i int) int { return p.v.Depth(i) }
+// refPick is the O(N) reference the indexed picks are checked against: the
+// wrap-around strict-min scan for full JSQ and the depth-summing rotation
+// scan for BoundedLoad, each reading only the public View surface and
+// consuming exactly the RNG draws and cursor updates the production pick
+// does. Policies without an indexed path pick as in production.
+func refPick(pol Policy, v View, r *rng.Source) int {
+	n := v.Nodes()
+	switch p := pol.(type) {
+	case JSQ:
+		if p.D < n {
+			break
+		}
+		start := r.IntN(n)
+		best := start
+		for i := 1; i < n; i++ {
+			c := (start + i) % n
+			if v.Depth(c) < v.Depth(best) {
+				best = c
+			}
+		}
+		return best
+	case *BoundedLoad:
+		start := p.next % n
+		total := 0
+		for i := 0; i < n; i++ {
+			total += v.Depth(i)
+		}
+		bound := loadBound(p.Factor, total, n)
+		least := start
+		for i := 0; i < n; i++ {
+			c := (start + i) % n
+			if v.Depth(c) < v.Depth(least) {
+				least = c
+			}
+			if v.Depth(c) < bound {
+				p.next = (c + 1) % n
+				return c
+			}
+		}
+		p.next = (least + 1) % n
+		return least
+	}
+	return pol.Pick(v, r)
+}
 
 // equivPolicies is the grid's policy set: every policy with an indexed fast
 // path plus the untouched ones (their presence proves the index can't
@@ -31,12 +68,13 @@ func equivPolicies(nodes int) []Policy {
 	}
 }
 
-// TestPolicyIndexEquivalence is the tentpole's correctness contract: across
-// policy × cluster size × load level × view staleness, the indexed pick and
-// the brute-force reference pick must agree decision by decision, and both
-// policy instances must leave their RNGs in identical states (same draw
-// count). The churn covers idle, steady-state, and clamp-saturating loads
-// (depths past the 63-deep bitmap rows) plus stale-view snapshots mid-run.
+// TestPolicyIndexEquivalence is the depth index's correctness contract:
+// across policy × cluster size × load level × view staleness, the indexed
+// pick and the brute-force reference pick (refPick) must agree decision by
+// decision, and both policy instances must leave their RNGs in identical
+// states (same draw count). The churn covers idle, steady-state, and
+// clamp-saturating loads (depths past the 63-deep bitmap rows) plus
+// stale-view snapshots mid-run.
 func TestPolicyIndexEquivalence(t *testing.T) {
 	type level struct {
 		name string
@@ -61,7 +99,7 @@ func TestPolicyIndexEquivalence(t *testing.T) {
 						switch {
 						case len(inflight) < target && churn.IntN(3) > 0, len(inflight) == 0:
 							got := indexed.Pick(v, rIdx)
-							want := naive.Pick(plainView{v}, rNaive)
+							want := refPick(naive, v, rNaive)
 							if got != want {
 								t.Fatalf("%s nodes=%d level=%s live=%v step %d: indexed pick %d, naive pick %d",
 									pol, nodes, lv.name, live, step, got, want)

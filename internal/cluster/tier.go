@@ -2,9 +2,9 @@ package cluster
 
 // tier.go: the composable dispatch tier behind every balancer in the
 // package. A tier is one balancing stage — a Policy deciding over a depth
-// view of E endpoints: machines for the flat cluster balancer (cluster.go,
-// shard.go) and for each rack balancer, whole racks for the global balancer
-// of a two-tier datacenter (hier.go). The depth index rides inside the view,
+// view of E endpoints: machines for the flat cluster balancer and for each
+// rack balancer, whole racks for the global balancer of a two-tier
+// datacenter (run.go). The depth index rides inside the view,
 // so the O(N/64) indexed policies work unchanged at either tier.
 //
 // The property that makes tiers stack is that a tier also *exposes* the
@@ -54,55 +54,26 @@ func (t *tier) depth(i int) int { return t.v.Depth(i) }
 // staleness, exactly as real telemetry pipelines compound.
 func (t *tier) aggregate() int { return t.v.idx.total }
 
-// scheduleRefresh installs the tier's periodic stale-view snapshot on eng
-// (no-op for a live view): every `every`, the visible depths are reset to
-// the tier's own outstanding truth.
-func (t *tier) scheduleRefresh(eng *sim.Engine, every sim.Duration) {
-	if t.v.live {
-		return
-	}
-	var refresh func()
-	refresh = func() {
-		t.v.snapshot()
-		eng.Schedule(every, refresh)
-	}
-	eng.Schedule(every, refresh)
-}
-
-// scheduleScrape installs a periodic snapshot that refreshes the stale view
-// from an external depth source instead of the tier's own accounting — the
-// global tier scraping each rack balancer's published aggregate. Endpoints
-// dispatched to since the last scrape still count live (view.sent), so the
-// tier never forgets its own in-flight decisions; what the scrape can miss
-// is requests still crossing the global hop at snapshot time, an undercount
+// scheduleRefresh installs the tier's periodic stale-view refresh on eng
+// (no-op for a live view). Every `every`, the visible depths are reset to
+// the tier's own outstanding truth or, with scrape set, to an external depth
+// source — the global tier scraping each rack balancer's published
+// aggregate. Endpoints dispatched to since the last refresh still count live
+// (view.sent), so the tier never forgets its own in-flight decisions; what a
+// scrape can miss is requests still crossing the global hop, an undercount
 // bounded by rate × GlobalHop.
-func (t *tier) scheduleScrape(eng *sim.Engine, every sim.Duration, depth func(i int) int) {
+func (t *tier) scheduleRefresh(eng *sim.Engine, every sim.Duration, scrape func(i int) int) {
 	if t.v.live {
 		return
 	}
 	var refresh func()
 	refresh = func() {
-		t.v.snapshotFrom(depth)
+		if scrape != nil {
+			t.v.snapshotFrom(scrape)
+		} else {
+			t.v.snapshot()
+		}
 		eng.Schedule(every, refresh)
 	}
 	eng.Schedule(every, refresh)
-}
-
-// rackGeometry resolves the rack partition of a validated hierarchical
-// config: each rack's node count and starting global node index. Racks are
-// contiguous: rack r owns nodes [start[r], start[r]+size[r]).
-func rackGeometry(cfg Config) (size, start []int) {
-	size = make([]int, cfg.Racks)
-	start = make([]int, cfg.Racks)
-	at := 0
-	for r := 0; r < cfg.Racks; r++ {
-		if len(cfg.RackNodes) > 0 {
-			size[r] = cfg.RackNodes[r]
-		} else {
-			size[r] = cfg.Nodes / cfg.Racks
-		}
-		start[r] = at
-		at += size[r]
-	}
-	return size, start
 }
