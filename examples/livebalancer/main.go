@@ -1,7 +1,7 @@
 // Live balancer: the paper's queueing argument demonstrated with *real*
 // goroutines instead of the simulator — a single shared queue versus
-// statically partitioned per-worker queues, plus the repository's real MCS
-// lock guarding a shared queue.
+// statically partitioned per-worker queues, plus a mutex-guarded shared
+// queue that idle workers poll (the software single queue of §6.2).
 //
 // Caveat (and the reason the reproduction's measured results come from the
 // discrete-event simulator instead): Go's scheduler, timer granularity, and

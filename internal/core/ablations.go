@@ -148,26 +148,22 @@ func ablationPolicy(o Options) (Figure, error) {
 	wl := workload.SyntheticGEV()
 	cap := CapacityMRPS(machine.Defaults(), wl)
 	rate := cap * 0.8
-	policies := []struct {
-		name string
-		mk   func() ni.Policy
-	}{
-		{"first-available", func() ni.Policy { return ni.FirstAvailable{} }},
-		{"round-robin", func() ni.Policy { return &ni.RoundRobin{} }},
-		{"least-outstanding-rr", func() ni.Policy { return &ni.LeastOutstandingRR{} }},
-	}
 	tbl := report.NewTable("Ablation: dispatch policy (synthetic-gev @80% load)",
 		"policy", "thr_mrps", "p99_ns")
 	var p99s []float64
-	for _, pol := range policies {
+	for _, name := range []string{"first-available", "round-robin", "least-outstanding-rr"} {
+		spec, err := ni.SpecByName(name)
+		if err != nil {
+			return Figure{}, err
+		}
 		cfg := machineBase(o, wl, machine.ModeSingleQueue)
-		cfg.Params.Policy = pol.mk()
+		cfg.Params.Plan = &machine.Plan{Groups: 1, Policy: spec}
 		cfg.RateMRPS = rate
 		res, err := machine.Run(cfg)
 		if err != nil {
 			return Figure{}, err
 		}
-		tbl.AddRowf(pol.name, res.ThroughputMRPS, res.Latency.P99)
+		tbl.AddRowf(name, res.ThroughputMRPS, res.Latency.P99)
 		p99s = append(p99s, res.Latency.P99)
 	}
 	blindBest := p99s[0]

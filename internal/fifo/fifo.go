@@ -1,71 +1,76 @@
-// Package fifo provides the amortized-compaction FIFO queue used on the
-// simulator's hot paths: a growable slice with a head index, where Pop
-// advances the head instead of re-slicing, and the consumed prefix is
-// reclaimed only once it is both larger than a threshold and at least half
-// of the backing array. Push and Pop are amortized O(1) with no per-element
-// allocation in steady state, and popped slots are zeroed so the queue never
-// pins dead references.
+// Package fifo provides the one FIFO queue in the simulator: a ring over a
+// slice that doubles only when full. Push and Pop are O(1) with no
+// per-element allocation once the ring has reached its steady-state size,
+// and popped slots are zeroed so the queue never pins dead references.
 //
-// The machine model's per-core completion queues, the software single
-// queue, the idle-core list, and the NI dispatcher's shared CQ all use this
-// one implementation (they used to hand-roll four copies of it).
+// Every queue in RPCValet has a known bound (§4.2–4.3): the shared and
+// per-core CQs never hold more than N×S messages, and a source's slot set
+// never holds more than S. Grow pre-sizes a ring to such a bound, after
+// which it never reallocates. The machine model's per-core CQs, free-slot
+// sets, software queue and idle-core list, the NI dispatcher's shared CQ,
+// and the queueing model's stations all use this one implementation.
 package fifo
 
-// DefaultCompactAfter is the compaction threshold used when CompactAfter is
-// left zero: small enough to bound waste on per-core queues, large enough
-// that compaction cost stays amortized away.
-const DefaultCompactAfter = 256
+// minCap is the ring size the first Push of a zero-value queue allocates.
+const minCap = 4
 
-// Queue is a FIFO over a growable slice. The zero value is an empty queue
-// with the default compaction threshold; set CompactAfter before first use
-// to tune how much consumed prefix may accumulate before it is reclaimed.
-// Queue is not safe for concurrent use.
+// Queue is a FIFO ring buffer. The zero value is an empty queue. Queue is
+// not safe for concurrent use.
 type Queue[T any] struct {
-	// CompactAfter is the minimum consumed-prefix length before Pop
-	// considers compacting (0 means DefaultCompactAfter). Compaction also
-	// requires the prefix to cover at least half the backing slice, which
-	// keeps the copy cost amortized O(1) per element.
-	CompactAfter int
-
 	buf  []T
-	head int
+	head int // index of the oldest element
+	n    int // number of queued elements
 }
 
-// Push appends v to the tail.
-func (q *Queue[T]) Push(v T) { q.buf = append(q.buf, v) }
-
-// Grow pre-sizes the backing slice to hold at least n elements, so a queue
-// whose steady-state occupancy (live elements plus the compaction
-// threshold's consumed prefix) is known up front never reallocates on the
-// hot path. It never shrinks and never moves queued elements.
-func (q *Queue[T]) Grow(n int) {
-	if n <= cap(q.buf) {
-		return
+// Push appends v to the tail, doubling the ring first if it is full.
+func (q *Queue[T]) Push(v T) {
+	if q.n == len(q.buf) {
+		q.resize(max(2*len(q.buf), minCap))
 	}
-	buf := make([]T, len(q.buf), n)
-	copy(buf, q.buf)
-	q.buf = buf
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = v
+	q.n++
+}
+
+// Grow sizes the ring to exactly n when it holds fewer than n slots, keeping
+// the queued elements in order, so a queue whose occupancy bound is known up
+// front never reallocates on the hot path. It never shrinks the ring.
+func (q *Queue[T]) Grow(n int) {
+	if n > len(q.buf) {
+		q.resize(n)
+	}
+}
+
+// resize moves the queued elements, oldest first, into a new ring of n
+// slots (n >= q.n).
+func (q *Queue[T]) resize(n int) {
+	buf := make([]T, n)
+	if end := q.head + q.n; end <= len(q.buf) {
+		copy(buf, q.buf[q.head:end])
+	} else {
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:end-len(q.buf)])
+	}
+	q.buf, q.head = buf, 0
 }
 
 // Pop removes and returns the head element, reporting false on an empty
 // queue.
 func (q *Queue[T]) Pop() (T, bool) {
 	var zero T
-	if q.head >= len(q.buf) {
+	if q.n == 0 {
 		return zero, false
 	}
 	v := q.buf[q.head]
 	q.buf[q.head] = zero // drop the reference for the garbage collector
 	q.head++
-	after := q.CompactAfter
-	if after <= 0 {
-		after = DefaultCompactAfter
-	}
-	if q.head > after && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
+	if q.head == len(q.buf) {
 		q.head = 0
 	}
+	q.n--
 	return v, true
 }
 
@@ -73,15 +78,14 @@ func (q *Queue[T]) Pop() (T, bool) {
 // empty queue.
 func (q *Queue[T]) Peek() (T, bool) {
 	var zero T
-	if q.head >= len(q.buf) {
+	if q.n == 0 {
 		return zero, false
 	}
 	return q.buf[q.head], true
 }
 
 // Len reports the number of queued elements.
-func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
+func (q *Queue[T]) Len() int { return q.n }
 
-// Cap reports the capacity of the backing slice — exposed for tests that
-// assert the consumed prefix is actually reclaimed.
-func (q *Queue[T]) Cap() int { return cap(q.buf) }
+// Cap reports the number of slots in the ring.
+func (q *Queue[T]) Cap() int { return len(q.buf) }

@@ -1,11 +1,16 @@
 package fifo
 
-import "testing"
+import (
+	"testing"
+	"testing/quick"
+
+	"rpcvalet/internal/rng"
+)
 
 func TestEmpty(t *testing.T) {
 	var q Queue[int]
-	if q.Len() != 0 {
-		t.Fatalf("zero-value Len = %d", q.Len())
+	if q.Len() != 0 || q.Cap() != 0 {
+		t.Fatalf("zero-value Len = %d, Cap = %d", q.Len(), q.Cap())
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty queue reported ok")
@@ -37,11 +42,59 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
+// TestRingBasics: a ring pre-sized to 3 fills to exactly 3 without growing,
+// doubles on the fourth push, and still hands elements back in order.
+func TestRingBasics(t *testing.T) {
+	var q Queue[int]
+	q.Grow(3)
+	if q.Len() != 0 || q.Cap() != 3 {
+		t.Fatalf("fresh ring: Len = %d, Cap = %d", q.Len(), q.Cap())
+	}
+	for i := 1; i <= 3; i++ {
+		q.Push(i)
+	}
+	if q.Cap() != 3 {
+		t.Fatalf("Cap = %d after filling to the bound, want 3", q.Cap())
+	}
+	q.Push(4)
+	if q.Cap() != 6 {
+		t.Fatalf("Cap = %d after overfilling, want 6", q.Cap())
+	}
+	if v, ok := q.Peek(); !ok || v != 1 {
+		t.Fatalf("Peek = %v, %v", v, ok)
+	}
+	for i := 1; i <= 4; i++ {
+		if v, ok := q.Pop(); !ok || v != i {
+			t.Fatalf("Pop = %v, %v, want %d", v, ok, i)
+		}
+	}
+	if _, ok := q.Pop(); ok {
+		t.Fatal("Pop on drained ring reported ok")
+	}
+}
+
+// TestRingWrapAround: a two-slot ring cycles its head and tail through the
+// slice end many times without growing.
+func TestRingWrapAround(t *testing.T) {
+	var q Queue[int]
+	q.Grow(2)
+	q.Push(-1)
+	for i := 0; i < 100; i++ {
+		q.Push(i)
+		if v, ok := q.Pop(); !ok || v != i-1 {
+			t.Fatalf("Pop = %v, %v, want %d", v, ok, i-1)
+		}
+	}
+	if q.Cap() != 2 || q.Len() != 1 {
+		t.Fatalf("Cap = %d, Len = %d, want 2 and 1", q.Cap(), q.Len())
+	}
+}
+
 // TestInterleaved exercises the steady-state producer/consumer pattern the
-// simulator generates: pushes and pops interleave and the queue stays short,
-// so the backing slice must not grow without bound.
+// simulator generates: pushes and pops interleave, the queue slowly deepens,
+// and the ring grows through many wrapped states without reordering.
 func TestInterleaved(t *testing.T) {
-	q := Queue[int]{CompactAfter: 64}
+	var q Queue[int]
 	next, want := 0, 0
 	for round := 0; round < 10000; round++ {
 		q.Push(next)
@@ -66,46 +119,41 @@ func TestInterleaved(t *testing.T) {
 	}
 }
 
-// TestCompactionReclaims: after consuming a long prefix the backing slice
-// must shrink back instead of retaining every element ever pushed.
-func TestCompactionReclaims(t *testing.T) {
-	q := Queue[int]{CompactAfter: 128}
-	const n = 1 << 16
-	for i := 0; i < n; i++ {
+// TestDepthOneCapBounded: a queue that never holds more than one element
+// keeps its first ring however many elements pass through it.
+func TestDepthOneCapBounded(t *testing.T) {
+	var q Queue[int]
+	for i := 0; i < 1<<16; i++ {
 		q.Push(i)
-		q.Pop()
+		if v, _ := q.Pop(); v != i {
+			t.Fatalf("Pop = %d, want %d", v, i)
+		}
 	}
-	if q.Cap() >= n {
-		t.Fatalf("backing slice grew to %d for a queue that never exceeded depth 1", q.Cap())
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d", q.Len())
+	if q.Cap() > 4 || q.Len() != 0 {
+		t.Fatalf("Cap = %d, Len = %d after depth-1 cycling, want Cap <= 4 and Len 0", q.Cap(), q.Len())
 	}
 }
 
-// TestCompactionThresholdRespected: compaction must not fire while the
-// consumed prefix is at or below CompactAfter, and must fire once the prefix
-// is past the threshold and covers half the slice.
-func TestCompactionThresholdRespected(t *testing.T) {
-	q := Queue[int]{CompactAfter: 8}
-	for i := 0; i < 9; i++ {
-		q.Push(i)
+// TestGrowKeepsCap: a ring pre-sized by Grow(n) holds exactly n slots for as
+// long as occupancy stays at or below n, and Grow never shrinks it.
+func TestGrowKeepsCap(t *testing.T) {
+	const n = 32
+	var q Queue[int]
+	q.Grow(n)
+	src := rng.New(7)
+	for step := 0; step < 10000; step++ {
+		if q.Len() < n && (q.Len() == 0 || src.IntN(2) == 0) {
+			q.Push(step)
+		} else {
+			q.Pop()
+		}
+		if q.Cap() != n {
+			t.Fatalf("step %d: Cap = %d at Len %d, want %d", step, q.Cap(), q.Len(), n)
+		}
 	}
-	for i := 0; i < 8; i++ {
-		q.Pop()
-	}
-	if q.head != 8 {
-		t.Fatalf("head = %d before crossing threshold, want 8", q.head)
-	}
-	q.Push(100) // len 10, next pop makes head 9 > 8 and 9*2 >= 10
-	if v, _ := q.Pop(); v != 8 {
-		t.Fatalf("pop = %d, want 8", v)
-	}
-	if q.head != 0 {
-		t.Fatalf("head = %d after compaction, want 0", q.head)
-	}
-	if v, _ := q.Pop(); v != 100 {
-		t.Fatalf("post-compaction order broken: got %d", v)
+	q.Grow(n / 2)
+	if q.Cap() != n {
+		t.Fatalf("Grow(%d) shrank the ring to %d", n/2, q.Cap())
 	}
 }
 
@@ -120,19 +168,52 @@ func TestPointerSlotsZeroed(t *testing.T) {
 	}
 }
 
-func TestDefaultThreshold(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i <= DefaultCompactAfter; i++ {
-		q.Push(i)
+// TestPropertyRingFIFO: under random Push, Pop, Peek and Grow the queue
+// behaves exactly like an unbounded slice-backed FIFO, through wrap-around
+// and growth, and its ring grows only when full or when Grow asks for more.
+func TestPropertyRingFIFO(t *testing.T) {
+	f := func(seed uint64, presize uint8) bool {
+		var q Queue[int]
+		q.Grow(int(presize % 16))
+		var model []int
+		src := rng.New(seed)
+		for step := 0; step < 500; step++ {
+			capBefore := q.Cap()
+			switch op := src.IntN(8); {
+			case op < 4:
+				v := src.IntN(1000)
+				q.Push(v)
+				model = append(model, v)
+				want := capBefore
+				if len(model) > capBefore {
+					want = max(2*capBefore, minCap)
+				}
+				if q.Cap() != want {
+					return false
+				}
+			case op < 7:
+				v, ok := q.Pop()
+				if ok != (len(model) > 0) || (ok && v != model[0]) {
+					return false
+				}
+				if ok {
+					model = model[1:]
+				}
+			default:
+				n := src.IntN(capBefore + 16)
+				q.Grow(n)
+				if q.Cap() != max(capBefore, n) {
+					return false
+				}
+			}
+			v, ok := q.Peek()
+			if ok != (len(model) > 0) || (ok && v != model[0]) || q.Len() != len(model) {
+				return false
+			}
+		}
+		return true
 	}
-	for i := 0; i < DefaultCompactAfter; i++ {
-		q.Pop()
-	}
-	if q.head == 0 {
-		t.Fatal("compacted at the threshold; must only compact past it")
-	}
-	q.Pop() // head crosses DefaultCompactAfter and covers the whole slice
-	if q.head != 0 {
-		t.Fatalf("head = %d, want compaction past the default threshold", q.head)
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
+	"rpcvalet/internal/sim"
 	"rpcvalet/internal/workload"
 )
 
@@ -45,5 +47,29 @@ func TestSteadyStateAllocsPerRequest(t *testing.T) {
 				t.Errorf("steady-state allocations per request = %.4f, budget 0.15", per)
 			}
 		})
+	}
+}
+
+// TestNodeSetupBytes pins the per-node construction footprint: the bytes one
+// NewShared allocates on Defaults(), which a 1000-node cluster pays a
+// thousand times before simulating anything. The bounded queues are sized to
+// their bounds (a free-slot set to Slots, a core's CQ to its outstanding
+// threshold), so what remains is mostly the soNUMA receive and send buffers.
+func TestNodeSetupBytes(t *testing.T) {
+	const builds, budget = 8, 640 << 10
+	cfg := Config{Params: Defaults(), Workload: workload.HERD(), Seed: 1}
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	for range builds {
+		if _, err := NewShared(cfg, sim.New()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / builds; per > budget {
+		t.Errorf("setup allocates %d KiB per node, budget %d KiB", per>>10, budget>>10)
+	} else {
+		t.Logf("setup allocates %d KiB per node", per>>10)
 	}
 }

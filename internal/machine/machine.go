@@ -29,11 +29,10 @@ type request struct {
 	class    int
 	svcNanos float64  // handler time, sampled at admission for determinism
 	arrive   sim.Time // message fully received at the NI (measurement start)
-	// onDone, when non-nil, fires at completion time. Externally injected
-	// requests (multi-node simulations) carry their measurement callback
-	// here instead of using the machine's internal counters. onDoneFn is the
-	// allocation-free form: onDoneFn(onDoneArg, class, measured).
-	onDone    func(class int, measured bool)
+	// onDoneFn, when non-nil, fires at completion time as
+	// onDoneFn(onDoneArg, class, measured). Externally injected requests
+	// (multi-node simulations) carry their measurement callback here
+	// instead of using the machine's internal counters.
 	onDoneFn  func(arg any, class int, measured bool)
 	onDoneArg any
 
@@ -237,7 +236,7 @@ func New(cfg Config) (*Machine, error) {
 // NewShared wires a machine onto an existing engine, for multi-node
 // simulations (internal/cluster) that run several servers under one virtual
 // clock. A shared machine generates no arrivals of its own — drive it with
-// Inject — and never stops the engine; cfg.RateMRPS, Warmup, Measure, and
+// InjectArg — and never stops the engine; cfg.RateMRPS, Warmup, Measure, and
 // MaxSimTime are ignored.
 func NewShared(cfg Config, eng *sim.Engine) (*Machine, error) {
 	if err := cfg.Params.Validate(); err != nil {
@@ -315,20 +314,15 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 
 	m.bindCallbacks()
 
-	// Pre-size the steady-state queues so warmup is the only growth phase:
-	// occupancy bound plus the compaction threshold's consumed prefix.
-	const margin = fifo.DefaultCompactAfter + 2
-	m.swQueue.CompactAfter = 1024
-	cqDepth := m.plan.threshold
-	if cqDepth > p.Domain.TotalSlots() {
-		cqDepth = p.Domain.TotalSlots()
-	}
+	// Pre-size the bounded queues to their bounds so they never grow: a
+	// core's CQ holds at most threshold (and never more than N×S) requests.
+	cqDepth := min(m.plan.threshold, p.Domain.TotalSlots())
 	for i := 0; i < p.Cores; i++ {
 		c := &core{id: i, tile: p.Mesh.TileCoord(i)}
-		c.cq.Grow(cqDepth + margin)
+		c.cq.Grow(cqDepth)
 		m.cores = append(m.cores, c)
 	}
-	m.idleCores.Grow(p.Cores + margin)
+	m.idleCores.Grow(p.Cores)
 	// Backends sit on the left mesh edge, one per group of rows.
 	for b := 0; b < p.Backends; b++ {
 		m.backends = append(m.backends, sim.NewServer(m.eng))
@@ -346,7 +340,7 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	m.pendingBySrc = make([]fifo.Queue[*request], p.Domain.Nodes)
 	m.replyWaiters = make([]fifo.Queue[*request], p.Domain.Nodes)
 	for n := range m.freeSlots {
-		m.freeSlots[n].Grow(p.Domain.Slots + margin)
+		m.freeSlots[n].Grow(p.Domain.Slots)
 		for s := 0; s < p.Domain.Slots; s++ {
 			m.freeSlots[n].Push(s)
 		}
@@ -404,7 +398,6 @@ func (m *Machine) decRef(req *request) {
 	if req.refs > 0 {
 		return
 	}
-	req.onDone = nil
 	req.onDoneFn = nil
 	req.onDoneArg = nil
 	req.core = nil
@@ -438,8 +431,7 @@ func (m *Machine) wireDispatchers() error {
 		}
 		tile := m.backendTile[g*p.Backends/m.plan.groups]
 		var policy ni.Policy
-		switch {
-		case m.plan.policy.New != nil:
+		if m.plan.policy.New != nil {
 			// Every dispatcher gets a fresh, deterministically seeded
 			// instance: policies carry state (rotation counters, RNG
 			// streams) that must not be entangled across groups.
@@ -450,9 +442,7 @@ func (m *Machine) wireDispatchers() error {
 				MeshWidth: p.Mesh.Width,
 				Seed:      policySeed(m.cfg.Seed, g),
 			})
-		case p.Policy != nil:
-			policy = p.Policy
-		default:
+		} else {
 			// Default to occupancy-feedback dispatch: idle cores first,
 			// rotating among equals. With the outstanding threshold at 2
 			// a blind arbiter would queue requests behind long-running
@@ -522,28 +512,23 @@ func (m *Machine) scheduleArrival() {
 // selfArrival is the open-loop generator's event: inject one RPC, schedule
 // the next gap.
 func (m *Machine) selfArrival(any) {
-	m.inject(nil, nil, nil)
+	m.inject(nil, nil)
 	m.scheduleArrival()
 }
 
-// Inject admits one externally generated RPC as if it had just arrived from
-// the cluster network. onDone, if non-nil, fires at the RPC's completion
-// with its class index and whether that class is latency-measured. This is
-// the entry point multi-node simulations drive in place of the machine's
-// own Poisson process.
-func (m *Machine) Inject(onDone func(class int, measured bool)) {
-	m.inject(onDone, nil, nil)
-}
-
-// InjectArg is Inject's allocation-free form: fn(arg, class, measured) fires
-// at completion. fn should be a long-lived function value bound once by the
-// owning simulation; arg carries the per-request state (a pointer boxes into
-// the interface without allocating).
+// InjectArg admits one externally generated RPC as if it had just arrived
+// from the cluster network. fn, if non-nil, fires at the RPC's completion as
+// fn(arg, class, measured), with the RPC's class index and whether that
+// class is latency-measured. This is the entry point multi-node simulations
+// drive in place of the machine's own Poisson process. fn should be a
+// long-lived function value bound once by the owning simulation; arg carries
+// the per-request state (a pointer boxes into the interface without
+// allocating).
 func (m *Machine) InjectArg(fn func(arg any, class int, measured bool), arg any) {
-	m.inject(nil, fn, arg)
+	m.inject(fn, arg)
 }
 
-func (m *Machine) inject(onDone func(class int, measured bool), onDoneFn func(arg any, class int, measured bool), onDoneArg any) {
+func (m *Machine) inject(onDoneFn func(arg any, class int, measured bool), onDoneArg any) {
 	src := sonuma.NodeID(m.srcBatch.Next())
 	class := m.wl.PickClassAt(m.classBatch.Next() * m.classTotal)
 	req := m.getRequest()
@@ -551,7 +536,6 @@ func (m *Machine) inject(onDone func(class int, measured bool), onDoneFn func(ar
 	req.src = src
 	req.class = class
 	req.svcNanos = m.wl.Classes[class].Service.Sample(m.svcRNG)
-	req.onDone = onDone
 	req.onDoneFn = onDoneFn
 	req.onDoneArg = onDoneArg
 	if m.slow != 1 {
@@ -785,8 +769,6 @@ func (m *Machine) complete(req *request, replySlot int) {
 	m.completed++
 	if req.onDoneFn != nil {
 		req.onDoneFn(req.onDoneArg, req.class, m.wl.Classes[req.class].Measured)
-	} else if req.onDone != nil {
-		req.onDone(req.class, m.wl.Classes[req.class].Measured)
 	}
 	if !m.external && m.completed == m.cfg.Warmup+1 {
 		m.rec.OpenWindow(now)

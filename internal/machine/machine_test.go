@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rpcvalet/internal/arrival"
-	"rpcvalet/internal/ni"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/trace"
 	"rpcvalet/internal/workload"
@@ -440,7 +439,7 @@ func TestEightBackends(t *testing.T) {
 // TestCustomPolicyInjection: a caller-supplied policy is honored.
 func TestCustomPolicyInjection(t *testing.T) {
 	cfg := testConfig(ModeSingleQueue, workload.HERD(), 3)
-	cfg.Params.Policy = ni.FirstAvailable{}
+	cfg.Params.Plan = &Plan{Groups: 1, Policy: mustSpec("first-available")}
 	cfg.Warmup, cfg.Measure = 300, 3000
 	res := mustRun(t, cfg)
 	// First-available concentrates work: core 0 must be the busiest.

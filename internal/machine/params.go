@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"rpcvalet/internal/mem"
-	"rpcvalet/internal/ni"
 	"rpcvalet/internal/noc"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/sonuma"
@@ -77,8 +76,7 @@ type Params struct {
 	// policy × outstanding threshold × queue placement). See Plan.
 	Mode      Mode
 	Plan      *Plan
-	Threshold int       // outstanding requests per core (§4.3; paper default 2)
-	Policy    ni.Policy // dispatch policy shared by all dispatchers; nil = per-dispatcher default (ni.LeastOutstandingRR). Prefer Plan.Policy, which gives each dispatcher a fresh instance.
+	Threshold int // outstanding requests per core (§4.3; paper default 2)
 
 	// RSSByFlow makes ModePartitioned key its static hash on the source
 	// node (true flow affinity, like real RSS). When false, each message

@@ -39,9 +39,8 @@ type Plan struct {
 	Threshold int
 
 	// Policy selects the arbiter each dispatcher runs; every dispatcher
-	// gets its own instance via Spec.New. The zero Spec falls back to
-	// Params.Policy when set, else the default occupancy-feedback arbiter
-	// (ni.LeastOutstandingRR).
+	// gets its own instance via Spec.New. The zero Spec selects the default
+	// occupancy-feedback arbiter (ni.LeastOutstandingRR).
 	Policy ni.Spec
 
 	// Route chooses how a backend forwards a completion token to a
@@ -292,7 +291,7 @@ type execPlan struct {
 	threshold int
 	route     Route
 	software  bool
-	policy    ni.Spec // zero Spec = legacy fallback (Params.Policy or default)
+	policy    ni.Spec // zero Spec = the default arbiter
 	label     string
 }
 

@@ -210,7 +210,6 @@ func NewDispatcher(cores []int, threshold int, policy Policy) (*Dispatcher, erro
 		outstanding: make([]int, len(cores)),
 		threshold:   threshold,
 		policy:      policy,
-		queue:       fifo.Queue[Msg]{CompactAfter: 1024},
 		avail:       make([]int, 0, len(cores)),
 		availOut:    make([]int, 0, len(cores)),
 	}

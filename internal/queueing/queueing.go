@@ -20,6 +20,7 @@ import (
 
 	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/dist"
+	"rpcvalet/internal/fifo"
 	"rpcvalet/internal/metrics"
 	"rpcvalet/internal/rng"
 	"rpcvalet/internal/sim"
@@ -78,29 +79,9 @@ type Result struct {
 
 // station is one FIFO queue with U servers.
 type station struct {
-	idle int
-	fifo []sim.Time // arrival times of waiting requests
-	head int
+	idle    int
+	waiting fifo.Queue[sim.Time] // arrival times of waiting requests
 }
-
-func (st *station) push(t sim.Time) { st.fifo = append(st.fifo, t) }
-
-func (st *station) pop() (sim.Time, bool) {
-	if st.head >= len(st.fifo) {
-		return 0, false
-	}
-	v := st.fifo[st.head]
-	st.head++
-	// Compact occasionally so memory stays bounded.
-	if st.head > 1024 && st.head*2 >= len(st.fifo) {
-		n := copy(st.fifo, st.fifo[st.head:])
-		st.fifo = st.fifo[:n]
-		st.head = 0
-	}
-	return v, true
-}
-
-func (st *station) depth() int { return len(st.fifo) - st.head }
 
 // Run simulates the configured Q×U system and returns its Result. It panics
 // only on programmer error (invalid config is returned as an error).
@@ -151,14 +132,14 @@ func Run(cfg Config) (Result, error) {
 				LatencyNs: eng.Now().Sub(arrived).Nanos(),
 				WaitNs:    began.Sub(arrived).Nanos(),
 				ServiceNs: -1,
-				Depth:     st.depth(),
+				Depth:     st.waiting.Len(),
 			})
 			if completed == target {
 				rec.CloseWindow(eng.Now())
 				eng.Stop()
 			}
 			st.idle++
-			if next, ok := st.pop(); ok {
+			if next, ok := st.waiting.Pop(); ok {
 				startService(st, next)
 			}
 		})
@@ -171,7 +152,7 @@ func Run(cfg Config) (Result, error) {
 		if st.idle > 0 {
 			startService(st, now)
 		} else {
-			st.push(now)
+			st.waiting.Push(now)
 		}
 		eng.Schedule(arr.Next(arrivalRNG), arrive)
 	}

@@ -11,117 +11,6 @@ func domain() DomainConfig {
 	return DomainConfig{Nodes: 4, Slots: 3, MaxMsgSize: 512, MTU: 64}
 }
 
-func TestOpCodeString(t *testing.T) {
-	cases := map[OpCode]string{
-		OpRead: "read", OpWrite: "write", OpSend: "send", OpReplenish: "replenish",
-		OpInvalid: "opcode(0)",
-	}
-	for op, want := range cases {
-		if op.String() != want {
-			t.Errorf("OpCode(%d).String() = %q, want %q", op, op.String(), want)
-		}
-	}
-}
-
-func TestRingBasics(t *testing.T) {
-	r := NewRing[int](3)
-	if !r.Empty() || r.Full() || r.Len() != 0 || r.Cap() != 3 {
-		t.Fatal("fresh ring state wrong")
-	}
-	for i := 1; i <= 3; i++ {
-		if !r.Push(i) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	if !r.Full() || r.Push(4) {
-		t.Fatal("overfull push succeeded")
-	}
-	if v, ok := r.Peek(); !ok || v != 1 {
-		t.Fatalf("peek = %v,%v", v, ok)
-	}
-	for i := 1; i <= 3; i++ {
-		v, ok := r.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop = %v,%v, want %d", v, ok, i)
-		}
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("pop from empty succeeded")
-	}
-	if _, ok := r.Peek(); ok {
-		t.Fatal("peek on empty succeeded")
-	}
-}
-
-func TestRingWrapAround(t *testing.T) {
-	r := NewRing[int](2)
-	for i := 0; i < 100; i++ {
-		if !r.Push(i) {
-			t.Fatalf("push %d failed", i)
-		}
-		v, ok := r.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop = %v, want %d", v, i)
-		}
-	}
-}
-
-func TestRingPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRing(0) did not panic")
-		}
-	}()
-	NewRing[int](0)
-}
-
-// Property: a ring behaves exactly like a bounded FIFO queue.
-func TestPropertyRingFIFO(t *testing.T) {
-	f := func(seed uint64, capacity uint8) bool {
-		capn := int(capacity%16) + 1
-		r := NewRing[int](capn)
-		var model []int
-		src := rng.New(seed)
-		for step := 0; step < 500; step++ {
-			if src.IntN(2) == 0 {
-				v := src.IntN(1000)
-				pushed := r.Push(v)
-				if pushed != (len(model) < capn) {
-					return false
-				}
-				if pushed {
-					model = append(model, v)
-				}
-			} else {
-				v, ok := r.Pop()
-				if ok != (len(model) > 0) {
-					return false
-				}
-				if ok {
-					if v != model[0] {
-						return false
-					}
-					model = model[1:]
-				}
-			}
-			if r.Len() != len(model) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewQP(t *testing.T) {
-	qp := NewQP(8)
-	if qp.WQ.Cap() != 8 || qp.CQ.Cap() != 8 {
-		t.Fatal("QP depth wrong")
-	}
-}
-
 func TestDomainValidate(t *testing.T) {
 	good := domain()
 	if err := good.Validate(); err != nil {

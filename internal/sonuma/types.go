@@ -1,140 +1,12 @@
-// Package sonuma models the Scale-Out NUMA protocol substrate that RPCValet
-// extends (§4): queue pairs (QPs) for CPU–NI interaction, one-sided remote
-// read/write operations, and the paper's lightweight native-messaging
-// extension — the send and replenish operations, messaging domains, and the
-// send/receive buffer provisioning that lets multi-packet messages be
-// reassembled without NI-side reassembly state.
+// Package sonuma models the Scale-Out NUMA messaging substrate that RPCValet
+// extends (§4): the paper's lightweight native-messaging extension —
+// messaging domains and the send/receive buffer provisioning that lets
+// multi-packet messages be reassembled without NI-side reassembly state.
 //
 // The package is a set of protocol state machines with no notion of time;
 // the NI and machine models (internal/ni, internal/machine) drive it from
 // the discrete-event simulator and attach latencies to each transition.
 package sonuma
 
-import "fmt"
-
 // NodeID identifies a node in the cluster (0-based).
 type NodeID int
-
-// OpCode enumerates the protocol operations a work-queue entry can carry.
-type OpCode uint8
-
-// Protocol operations. Read and Write are soNUMA's original one-sided
-// operations. Send and Replenish are the paper's messaging extension: a send
-// is a remote write with two-sided semantics the NI can recognize and load
-// balance; a replenish frees the corresponding send-buffer slot at the
-// sender and signals request completion to the NI dispatcher.
-const (
-	OpInvalid OpCode = iota
-	OpRead
-	OpWrite
-	OpSend
-	OpReplenish
-)
-
-func (o OpCode) String() string {
-	switch o {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpSend:
-		return "send"
-	case OpReplenish:
-		return "replenish"
-	default:
-		return fmt.Sprintf("opcode(%d)", uint8(o))
-	}
-}
-
-// WQE is a work-queue entry: a command written by a core for its NI.
-type WQE struct {
-	Op   OpCode
-	Dest NodeID // target node
-	Slot int    // destination receive-slot index (send) or remote send-slot to free (replenish)
-	Size int    // payload size in bytes (send); 0 for replenish
-}
-
-// CQE is a completion-queue entry: a notification written by the NI for a
-// core. For an incoming send, Slot names the receive-buffer slot holding the
-// fully assembled message.
-type CQE struct {
-	Slot int
-	Src  NodeID
-	Size int
-}
-
-// Ring is a bounded FIFO ring buffer used for WQs, CQs and the NI
-// dispatcher's shared CQ. The zero value is unusable; create rings with
-// NewRing so capacity is explicit.
-type Ring[T any] struct {
-	buf        []T
-	head, tail int
-	n          int
-}
-
-// NewRing returns a ring with the given capacity. It panics on a
-// non-positive capacity, which would make every Push fail.
-func NewRing[T any](capacity int) *Ring[T] {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("sonuma: ring capacity %d must be positive", capacity))
-	}
-	return &Ring[T]{buf: make([]T, capacity)}
-}
-
-// Len reports the number of queued entries.
-func (r *Ring[T]) Len() int { return r.n }
-
-// Cap reports the ring's capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
-// Full reports whether the ring has no free entries.
-func (r *Ring[T]) Full() bool { return r.n == len(r.buf) }
-
-// Empty reports whether the ring has no queued entries.
-func (r *Ring[T]) Empty() bool { return r.n == 0 }
-
-// Push appends v. It reports false (leaving the ring unchanged) when full —
-// queue-full is back-pressure, not an error, in the protocol.
-func (r *Ring[T]) Push(v T) bool {
-	if r.Full() {
-		return false
-	}
-	r.buf[r.tail] = v
-	r.tail = (r.tail + 1) % len(r.buf)
-	r.n++
-	return true
-}
-
-// Pop removes and returns the oldest entry.
-func (r *Ring[T]) Pop() (T, bool) {
-	var zero T
-	if r.n == 0 {
-		return zero, false
-	}
-	v := r.buf[r.head]
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return v, true
-}
-
-// Peek returns the oldest entry without removing it.
-func (r *Ring[T]) Peek() (T, bool) {
-	var zero T
-	if r.n == 0 {
-		return zero, false
-	}
-	return r.buf[r.head], true
-}
-
-// QP is a queue pair: the per-core virtual interface of the VIA programming
-// model. The core writes WQEs into WQ; the NI writes CQEs into CQ.
-type QP struct {
-	WQ *Ring[WQE]
-	CQ *Ring[CQE]
-}
-
-// NewQP returns a QP whose queues each hold depth entries.
-func NewQP(depth int) *QP {
-	return &QP{WQ: NewRing[WQE](depth), CQ: NewRing[CQE](depth)}
-}
