@@ -22,6 +22,7 @@ import (
 // the hot path's arg-form events need, replacing per-event closures; every
 // stage field is written before the stage that reads it.
 type request struct {
+	ref      int32 // index in Machine.reqs, fixed when first allocated
 	id       uint64
 	src      sonuma.NodeID
 	pairSlot int // slot within the (src → us) slot set
@@ -79,15 +80,19 @@ type Machine struct {
 
 	// Inflight tracking: a dense table keyed by receive-buffer slot (unique
 	// per admitted request — §4.2's N×S flow control guarantees a slot is
-	// never reused before its replenish) plus a plain counter covering both
-	// admitted and flow-control-parked requests, preserving the depth
-	// semantics of the hashmap this replaces.
-	reqBySlot     []*request
+	// never reused before its replenish) holding 1 + the occupant's ref, 0
+	// when the slot is free, plus a plain counter covering both admitted
+	// and flow-control-parked requests: the depth signal InFlight reports.
+	reqBySlot     []int32
+	reqs          []*request // every request allocated, indexed by its ref
 	inflightCount int
 	pool          []*request // recycled request objects
 
-	freeSlots    []fifo.Queue[int]      // per source node: free per-pair slots, FIFO ring order
-	pendingBySrc []fifo.Queue[*request] // arrivals blocked on slot flow control
+	// Per source node: free per-pair slots in FIFO ring order, and arrivals
+	// blocked on slot flow control. The blocked queues, like replyWaiters,
+	// are allocated on a source's first park; most sources never park.
+	freeSlots    []fifo.Queue[uint16]
+	pendingBySrc []*fifo.Queue[*request]
 
 	// Software single-queue state.
 	swQueue    fifo.Queue[*request]
@@ -95,7 +100,7 @@ type Machine struct {
 	idleCores  fifo.Queue[int]
 	lock       *sim.Server
 
-	replyWaiters []fifo.Queue[*request] // indexed by requester node
+	replyWaiters []*fifo.Queue[*request] // indexed by requester node
 
 	arr    arrival.Process
 	nextID uint64
@@ -271,7 +276,7 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 		classRNG:  root.Split(),
 		svcRNG:    root.Split(),
 		rssRNG:    root.Split(),
-		reqBySlot: make([]*request, p.Domain.TotalSlots()),
+		reqBySlot: make([]int32, p.Domain.TotalSlots()),
 		target:    cfg.Warmup + cfg.Measure,
 		slow:      1,
 		sampleN:   1,
@@ -336,13 +341,13 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	if m.replyBuf, err = sonuma.NewSendBuffer(p.Domain); err != nil {
 		return nil, err
 	}
-	m.freeSlots = make([]fifo.Queue[int], p.Domain.Nodes)
-	m.pendingBySrc = make([]fifo.Queue[*request], p.Domain.Nodes)
-	m.replyWaiters = make([]fifo.Queue[*request], p.Domain.Nodes)
+	m.freeSlots = make([]fifo.Queue[uint16], p.Domain.Nodes)
+	m.pendingBySrc = make([]*fifo.Queue[*request], p.Domain.Nodes)
+	m.replyWaiters = make([]*fifo.Queue[*request], p.Domain.Nodes)
 	for n := range m.freeSlots {
 		m.freeSlots[n].Grow(p.Domain.Slots)
 		for s := 0; s < p.Domain.Slots; s++ {
-			m.freeSlots[n].Push(s)
+			m.freeSlots[n].Push(uint16(s)) // Domain.Validate caps Slots at 1<<16
 		}
 	}
 
@@ -379,15 +384,36 @@ func (m *Machine) bindCallbacks() {
 	m.fnLockDone = m.lockDone
 }
 
-// getRequest pops a recycled request from the pool, or allocates one while
-// the pool is still warming up. The caller overwrites every live field.
+// getRequest pops a recycled request from the pool, or allocates one (and
+// gives it the next ref) while the pool is still warming up. The caller
+// overwrites every live field.
 func (m *Machine) getRequest() *request {
 	if n := len(m.pool); n > 0 {
 		req := m.pool[n-1]
 		m.pool = m.pool[:n-1]
 		return req
 	}
-	return &request{}
+	req := &request{ref: int32(len(m.reqs))}
+	m.reqs = append(m.reqs, req)
+	return req
+}
+
+// park appends req to the source's queue in qs, allocating the queue on the
+// source's first park.
+func park(qs []*fifo.Queue[*request], src sonuma.NodeID, req *request) {
+	if qs[src] == nil {
+		qs[src] = new(fifo.Queue[*request])
+	}
+	qs[src].Push(req)
+}
+
+// unpark pops the oldest request parked in the source's queue in qs,
+// reporting false when none is.
+func unpark(qs []*fifo.Queue[*request], src sonuma.NodeID) (*request, bool) {
+	if q := qs[src]; q != nil {
+		return q.Pop()
+	}
+	return nil, false
 }
 
 // decRef drops one trailing-event reference; at zero the request returns to
@@ -548,7 +574,7 @@ func (m *Machine) inject(onDoneFn func(arg any, class int, measured bool), onDon
 	m.inflightCount++
 	if m.freeSlots[src].Len() == 0 {
 		m.blockedArrivals++
-		m.pendingBySrc[src].Push(req)
+		park(m.pendingBySrc, src, req)
 		return
 	}
 	m.admit(req)
@@ -584,9 +610,9 @@ func (m *Machine) admit(req *request) {
 	if !ok {
 		panic(fmt.Sprintf("machine: admit from node %d with no free slot", req.src))
 	}
-	req.pairSlot = slot
+	req.pairSlot = int(slot)
 	req.slot = m.p.Domain.RecvSlotIndex(req.src, req.pairSlot)
-	m.reqBySlot[req.slot] = req
+	m.reqBySlot[req.slot] = req.ref + 1
 
 	b := req.slot % len(m.backends)
 	switch m.p.Domain.Classify(m.wl.RequestBytes) {
@@ -697,10 +723,11 @@ func (m *Machine) dispatcherFor(req *request, b int) int {
 // receive slot is unique among admitted requests, and the Tag cross-check
 // turns any slot-identity violation into a loud failure.
 func (m *Machine) deliver(di int, d ni.Dispatch) {
-	req := m.reqBySlot[d.Msg.Slot]
-	if req == nil || req.id != d.Msg.Tag {
+	r := m.reqBySlot[d.Msg.Slot]
+	if r == 0 || m.reqs[r-1].id != d.Msg.Tag {
 		panic(fmt.Sprintf("machine: dispatch of unknown request %d (slot %d)", d.Msg.Tag, d.Msg.Slot))
 	}
+	req := m.reqs[r-1]
 	c := m.cores[d.Core]
 	m.record(req.id, trace.PhaseDispatch, d.Core, -1)
 	req.core = c
@@ -748,10 +775,10 @@ func (m *Machine) finishReq(arg any) { m.finish(arg.(*request)) }
 // send and replenish. The reply consumes a send slot toward the requester;
 // if none is free the core stalls (flow control) until a credit returns.
 func (m *Machine) finish(req *request) {
-	slot, ok := m.replyBuf.Acquire(req.src, req.id, m.wl.ReplyBytes)
+	slot, ok := m.replyBuf.Acquire(req.src, m.wl.ReplyBytes)
 	if !ok {
 		m.replyStalls++
-		m.replyWaiters[req.src].Push(req)
+		park(m.replyWaiters, req.src, req)
 		return
 	}
 	m.complete(req, slot)
@@ -803,7 +830,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 	if err := m.recvBuf.Free(req.slot); err != nil {
 		panic(fmt.Sprintf("machine: replenish: %v", err))
 	}
-	m.reqBySlot[req.slot] = nil
+	m.reqBySlot[req.slot] = 0
 	m.inflightCount--
 	m.eng.ScheduleArg(m.p.NetRTT/2, m.fnReplenish, req)
 
@@ -840,8 +867,8 @@ func (m *Machine) replyCredit(arg any) {
 		panic(fmt.Sprintf("machine: reply credit return: %v", err))
 	}
 	m.decRef(req)
-	if w, ok := m.replyWaiters[src].Pop(); ok {
-		s, ok := m.replyBuf.Acquire(src, w.id, m.wl.ReplyBytes)
+	if w, ok := unpark(m.replyWaiters, src); ok {
+		s, ok := m.replyBuf.Acquire(src, m.wl.ReplyBytes)
 		if !ok {
 			panic("machine: freed reply slot immediately unavailable")
 		}
@@ -855,8 +882,8 @@ func (m *Machine) replenish(arg any) {
 	req := arg.(*request)
 	src, pairSlot := req.src, req.pairSlot
 	m.decRef(req)
-	m.freeSlots[src].Push(pairSlot)
-	if next, ok := m.pendingBySrc[src].Pop(); ok {
+	m.freeSlots[src].Push(uint16(pairSlot))
+	if next, ok := unpark(m.pendingBySrc, src); ok {
 		m.admit(next)
 	}
 }

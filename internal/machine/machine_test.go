@@ -6,6 +6,7 @@ import (
 
 	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/sim"
+	"rpcvalet/internal/sonuma"
 	"rpcvalet/internal/trace"
 	"rpcvalet/internal/workload"
 )
@@ -54,6 +55,33 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
+		}
+	}
+}
+
+// TestNewRejectsOversizedDomain: a domain whose per-pair slot numbers
+// overflow 16 bits, or whose N×S receive-slot indices overflow int32, would
+// wrap the machine's narrowed slot tables; New and NewShared refuse it with
+// the soNUMA domain's own error, surfaced through Params.Validate.
+func TestNewRejectsOversizedDomain(t *testing.T) {
+	for name, mutate := range map[string]func(*sonuma.DomainConfig){
+		"slotsOver16Bit": func(d *sonuma.DomainConfig) { d.Slots = 1<<16 + 1 },
+		"totalOverInt32": func(d *sonuma.DomainConfig) { d.Nodes, d.Slots = math.MaxInt32/1024+1, 1024 },
+	} {
+		cfg := testConfig(ModeSingleQueue, workload.HERD(), 5)
+		mutate(&cfg.Params.Domain)
+		want := cfg.Params.Domain.Validate()
+		if want == nil {
+			t.Fatalf("%s: domain %+v accepted", name, cfg.Params.Domain)
+		}
+		if err := cfg.Params.Validate(); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: Params.Validate() = %v, want %v", name, err, want)
+		}
+		if _, err := New(cfg); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: New() = %v, want %v", name, err, want)
+		}
+		if _, err := NewShared(cfg, sim.New()); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: NewShared() = %v, want %v", name, err, want)
 		}
 	}
 }

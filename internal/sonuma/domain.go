@@ -1,6 +1,9 @@
 package sonuma
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Delivery is how a message is carried to the receiver.
 type Delivery int
@@ -37,6 +40,11 @@ type DomainConfig struct {
 	MTU        int // link-layer packet payload, bytes (64 for soNUMA)
 }
 
+// maxSlots is the largest S a domain may provision: per-pair slot numbers
+// must fit in 16 bits. Validate also caps N×S at math.MaxInt32, so a global
+// receive-slot index fits in 32 bits.
+const maxSlots = 1 << 16
+
 // Validate reports whether the configuration is usable.
 func (c DomainConfig) Validate() error {
 	switch {
@@ -44,6 +52,10 @@ func (c DomainConfig) Validate() error {
 		return fmt.Errorf("sonuma: domain needs at least 1 node, got %d", c.Nodes)
 	case c.Slots <= 0:
 		return fmt.Errorf("sonuma: domain needs at least 1 slot per node, got %d", c.Slots)
+	case c.Slots > maxSlots:
+		return fmt.Errorf("sonuma: %d slots per node pair exceeds the maximum %d", c.Slots, maxSlots)
+	case c.Nodes > math.MaxInt32/c.Slots:
+		return fmt.Errorf("sonuma: %d nodes × %d slots exceeds %d receive slots", c.Nodes, c.Slots, math.MaxInt32)
 	case c.MaxMsgSize <= 0:
 		return fmt.Errorf("sonuma: max message size %d must be positive", c.MaxMsgSize)
 	case c.MTU <= 0:
@@ -107,7 +119,8 @@ func (c DomainConfig) SlotOwner(index int) (NodeID, int) {
 //
 // 32 bytes of send-slot bookkeeping per slot, plus a receive slot sized for
 // the payload and a full cache block for the packet counter (overprovisioned
-// to keep payloads aligned).
+// to keep payloads aligned). This is the hardware's footprint, not the
+// simulator's: SendBuffer and ReceiveBuffer model no payload bytes.
 func (c DomainConfig) FootprintBytes() int {
 	ns := c.Nodes * c.Slots
 	return 32*ns + (c.MaxMsgSize+64)*ns
