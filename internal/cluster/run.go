@@ -137,8 +137,8 @@ func Run(cfg Config) (Result, error) {
 	// min(Shards, Nodes) contiguous slices flat — with group g owning nodes
 	// [bounds[g], bounds[g+1]).
 	size, start := rackGeometry(cfg)
-	front := &shard{eng: sim.New(), emit: record}
-	groups := []*shard{front}
+	var front *shard
+	var groups []*shard
 	bounds := []int{0, cfg.Nodes}
 	if sharded {
 		front = newBufferedShard(tracing)
@@ -155,6 +155,9 @@ func Run(cfg Config) (Result, error) {
 		for g := range groups {
 			groups[g] = newBufferedShard(tracing)
 		}
+	} else {
+		front = &shard{eng: sim.New(), emit: record}
+		groups = []*shard{front}
 	}
 
 	faultByNode, balPauses, rackLabel := expandFaults(cfg, size, start)

@@ -54,11 +54,18 @@ func TestSteadyStateAllocsPerRequest(t *testing.T) {
 // NewShared allocates on Defaults(), which a 1000-node cluster pays a
 // thousand times before simulating anything. Per-slot state is what the
 // protocol needs: a valid bit per send slot, receive state for occupied
-// slots only, and narrow slot tables. Of the ~60 KiB measured, most is the
-// N×S int32 reqBySlot table (25.6 KB) and the 200 uint16 free-slot rings
-// (12.8 KB of ring plus 8 KB of ring headers).
+// slots only, and one uint16 per free slot. Of the ~24 KiB measured:
+//   - the flat N×S free-slot array: 12.8 KB (13.3 KB after size-class
+//     rounding);
+//   - the 200 send-buffer valid-bit words: 1.6 KB;
+//   - the 200 per-source ring heads and lengths: 1.2 KB;
+//   - the rest, about 7 KB: the Machine itself, 16 cores with their CQs,
+//     the RNG batches, the dispatchers, the metrics recorder and the
+//     receive table's first 16 entries.
+//
+// The parking queues are not built until a node first parks.
 func TestNodeSetupBytes(t *testing.T) {
-	const builds, budget = 8, 64 << 10
+	const builds, budget = 8, 32 << 10
 	cfg := Config{Params: Defaults(), Workload: workload.HERD(), Seed: 1}
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()

@@ -16,8 +16,12 @@ import (
 // stops. It stops on MaxSimTime, between events, rather than on the
 // completion target, whose last request stops the engine mid-completion.
 // The audit:
-//   - every occupied receive slot has exactly one owner in reqBySlot, and
-//     that owner records the slot as its own;
+//   - every occupied receive slot is held by exactly one admitted request
+//     (one whose slot is not -1), and that slot is the receive index of the
+//     request's source and pair slot;
+//   - for every source, its free-slot ring together with the pair slots of
+//     its admitted requests and of its completed requests whose replenish
+//     is still in flight holds each of 0..S-1 exactly once;
 //   - every reply credit in flight is held by exactly one request;
 //   - every request ever allocated is exactly one of admitted, parked,
 //     holding a credit, or pooled, and inflightCount counts the first two.
@@ -63,23 +67,35 @@ func auditSlots(t *testing.T, m *Machine) {
 		seen[req.ref] = as
 	}
 
+	dom := m.p.Domain
+	// pairs[n][s] counts the places pair slot s of source n is found.
+	pairs := make([][]int, dom.Nodes)
+	for n := range pairs {
+		pairs[n] = make([]int, dom.Slots)
+	}
 	admitted := 0
-	for slot, r := range m.reqBySlot {
-		if r == 0 {
+	owner := map[int]int32{} // receive slot -> ref of the admitted request holding it
+	for _, req := range m.reqs {
+		if req.slot < 0 {
 			continue
 		}
-		req := m.reqs[r-1]
-		if req.slot != slot {
-			t.Fatalf("reqBySlot[%d] holds ref %d, whose slot is %d", slot, req.ref, req.slot)
+		if o, dup := owner[req.slot]; dup {
+			t.Fatalf("receive slot %d held by refs %d and %d", req.slot, o, req.ref)
 		}
-		if !m.recvBuf.Busy(slot) {
-			t.Fatalf("receive slot %d owned by ref %d but not busy", slot, req.ref)
+		owner[req.slot] = req.ref
+		if want := dom.RecvSlotIndex(req.src, req.pairSlot); req.slot != want {
+			t.Fatalf("ref %d holds receive slot %d, want %d for node %d pair slot %d",
+				req.ref, req.slot, want, req.src, req.pairSlot)
 		}
+		if !m.recvBuf.Busy(req.slot) {
+			t.Fatalf("receive slot %d held by ref %d but not busy", req.slot, req.ref)
+		}
+		pairs[req.src][req.pairSlot]++
 		account(req, "admitted")
 		admitted++
 	}
 	if got := m.recvBuf.InUse(); got != admitted {
-		t.Fatalf("receive buffer has %d slots in use, reqBySlot owns %d", got, admitted)
+		t.Fatalf("receive buffer has %d slots in use, admitted requests hold %d", got, admitted)
 	}
 
 	parked := 0
@@ -107,6 +123,11 @@ func auditSlots(t *testing.T, m *Machine) {
 		if req.refs == 0 {
 			continue
 		}
+		if req.refs == 2 {
+			// Completed, its replenish not yet fired: the pair slot is
+			// on its way back to the source's ring.
+			pairs[req.src][req.pairSlot]++
+		}
 		c := credit{req.src, req.replySlot}
 		if held[c] || !m.replyBuf.Valid(c.dest, c.slot) {
 			t.Fatalf("ref %d claims reply slot %d toward node %d: duplicate or not in flight", req.ref, c.slot, c.dest)
@@ -122,7 +143,25 @@ func auditSlots(t *testing.T, m *Machine) {
 		t.Fatalf("%d reply credits in flight, %d requests hold one", inFlight, len(held))
 	}
 
+	for n := range dom.Nodes {
+		if h, l := int(m.freeHead[n]), int(m.freeLen[n]); h >= dom.Slots || l < 0 || l > dom.Slots {
+			t.Fatalf("node %d ring head %d, length %d: want head < %d, 0 ≤ length ≤ %[4]d", n, h, l, dom.Slots)
+		}
+		ring := m.freeSlots[n*dom.Slots : (n+1)*dom.Slots]
+		for i := range int(m.freeLen[n]) {
+			pairs[n][ring[(int(m.freeHead[n])+i)%dom.Slots]]++
+		}
+		for s, k := range pairs[n] {
+			if k != 1 {
+				t.Fatalf("node %d pair slot %d found %d times among its ring, admitted requests and pending replenishes", n, s, k)
+			}
+		}
+	}
+
 	for _, req := range m.pool {
+		if req.slot != -1 {
+			t.Fatalf("pooled ref %d still holds receive slot %d", req.ref, req.slot)
+		}
 		account(req, "pooled")
 	}
 	for ref, as := range seen {

@@ -26,7 +26,7 @@ type request struct {
 	id       uint64
 	src      sonuma.NodeID
 	pairSlot int // slot within the (src → us) slot set
-	slot     int // global receive-buffer slot index
+	slot     int // global receive-buffer slot index while admitted, else -1
 	class    int
 	svcNanos float64  // handler time, sampled at admission for determinism
 	arrive   sim.Time // message fully received at the NI (measurement start)
@@ -78,20 +78,24 @@ type Machine struct {
 	recvBuf  *sonuma.ReceiveBuffer
 	replyBuf *sonuma.SendBuffer
 
-	// Inflight tracking: a dense table keyed by receive-buffer slot (unique
-	// per admitted request — §4.2's N×S flow control guarantees a slot is
-	// never reused before its replenish) holding 1 + the occupant's ref, 0
-	// when the slot is free, plus a plain counter covering both admitted
-	// and flow-control-parked requests: the depth signal InFlight reports.
-	reqBySlot     []int32
-	reqs          []*request // every request allocated, indexed by its ref
+	// Inflight tracking: every request allocated, indexed by its ref (the
+	// ref travels to the dispatcher and back in ni.Msg.Tag), plus a plain
+	// counter covering both admitted and flow-control-parked requests: the
+	// depth signal InFlight reports.
+	reqs          []*request
 	inflightCount int
 	pool          []*request // recycled request objects
 
-	// Per source node: free per-pair slots in FIFO ring order, and arrivals
-	// blocked on slot flow control. The blocked queues, like replyWaiters,
-	// are allocated on a source's first park; most sources never park.
-	freeSlots    []fifo.Queue[uint16]
+	// Free per-pair slots, one FIFO ring per source node in one flat array:
+	// source n's ring is freeSlots[n*S, (n+1)*S), its oldest entry at
+	// freeHead[n], freeLen[n] entries long.
+	freeSlots []uint16
+	freeHead  []uint16
+	freeLen   []int32
+
+	// Arrivals blocked on slot flow control, per source node. Like
+	// replyWaiters, nil until the machine's first park, and each source's
+	// queue nil until that source's first park; most nodes never park.
 	pendingBySrc []*fifo.Queue[*request]
 
 	// Software single-queue state.
@@ -100,7 +104,7 @@ type Machine struct {
 	idleCores  fifo.Queue[int]
 	lock       *sim.Server
 
-	replyWaiters []*fifo.Queue[*request] // indexed by requester node
+	replyWaiters []*fifo.Queue[*request] // indexed by requester node; see pendingBySrc
 
 	arr    arrival.Process
 	nextID uint64
@@ -265,21 +269,20 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	}
 	root := rng.New(cfg.Seed)
 	m := &Machine{
-		p:         p,
-		plan:      plan,
-		wl:        cfg.Workload,
-		cfg:       cfg,
-		eng:       eng,
-		external:  external,
-		arrRNG:    root.Split(),
-		srcRNG:    root.Split(),
-		classRNG:  root.Split(),
-		svcRNG:    root.Split(),
-		rssRNG:    root.Split(),
-		reqBySlot: make([]int32, p.Domain.TotalSlots()),
-		target:    cfg.Warmup + cfg.Measure,
-		slow:      1,
-		sampleN:   1,
+		p:        p,
+		plan:     plan,
+		wl:       cfg.Workload,
+		cfg:      cfg,
+		eng:      eng,
+		external: external,
+		arrRNG:   root.Split(),
+		srcRNG:   root.Split(),
+		classRNG: root.Split(),
+		svcRNG:   root.Split(),
+		rssRNG:   root.Split(),
+		target:   cfg.Warmup + cfg.Measure,
+		slow:     1,
+		sampleN:  1,
 	}
 	if cfg.TraceSample > 1 {
 		m.sampleN = uint64(cfg.TraceSample)
@@ -341,14 +344,17 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	if m.replyBuf, err = sonuma.NewSendBuffer(p.Domain); err != nil {
 		return nil, err
 	}
-	m.freeSlots = make([]fifo.Queue[uint16], p.Domain.Nodes)
-	m.pendingBySrc = make([]*fifo.Queue[*request], p.Domain.Nodes)
-	m.replyWaiters = make([]*fifo.Queue[*request], p.Domain.Nodes)
-	for n := range m.freeSlots {
-		m.freeSlots[n].Grow(p.Domain.Slots)
-		for s := 0; s < p.Domain.Slots; s++ {
-			m.freeSlots[n].Push(uint16(s)) // Domain.Validate caps Slots at 1<<16
+	// Every ring starts full, in slot order. Domain.Validate caps Slots at
+	// 1<<16, so slots and head positions fit uint16.
+	m.freeSlots = make([]uint16, p.Domain.TotalSlots())
+	m.freeHead = make([]uint16, p.Domain.Nodes)
+	m.freeLen = make([]int32, p.Domain.Nodes)
+	for n := range m.freeLen {
+		ring := m.freeSlots[n*p.Domain.Slots : (n+1)*p.Domain.Slots]
+		for s := range ring {
+			ring[s] = uint16(s)
 		}
+		m.freeLen[n] = int32(p.Domain.Slots)
 	}
 
 	if err := m.wireDispatchers(); err != nil {
@@ -386,32 +392,37 @@ func (m *Machine) bindCallbacks() {
 
 // getRequest pops a recycled request from the pool, or allocates one (and
 // gives it the next ref) while the pool is still warming up. The caller
-// overwrites every live field.
+// overwrites every live field; a new request holds no slot.
 func (m *Machine) getRequest() *request {
 	if n := len(m.pool); n > 0 {
 		req := m.pool[n-1]
 		m.pool = m.pool[:n-1]
 		return req
 	}
-	req := &request{ref: int32(len(m.reqs))}
+	req := &request{ref: int32(len(m.reqs)), slot: -1}
 	m.reqs = append(m.reqs, req)
 	return req
 }
 
-// park appends req to the source's queue in qs, allocating the queue on the
-// source's first park.
-func park(qs []*fifo.Queue[*request], src sonuma.NodeID, req *request) {
-	if qs[src] == nil {
-		qs[src] = new(fifo.Queue[*request])
+// park appends req to the source's queue in *qs, allocating the per-source
+// array on the machine's first park and the queue on the source's first.
+func (m *Machine) park(qs *[]*fifo.Queue[*request], src sonuma.NodeID, req *request) {
+	if *qs == nil {
+		*qs = make([]*fifo.Queue[*request], m.p.Domain.Nodes)
 	}
-	qs[src].Push(req)
+	q := (*qs)[src]
+	if q == nil {
+		q = new(fifo.Queue[*request])
+		(*qs)[src] = q
+	}
+	q.Push(req)
 }
 
 // unpark pops the oldest request parked in the source's queue in qs,
-// reporting false when none is.
+// reporting false when none is; a nil qs holds no queues.
 func unpark(qs []*fifo.Queue[*request], src sonuma.NodeID) (*request, bool) {
-	if q := qs[src]; q != nil {
-		return q.Pop()
+	if qs != nil && qs[src] != nil {
+		return qs[src].Pop()
 	}
 	return nil, false
 }
@@ -572,9 +583,9 @@ func (m *Machine) inject(onDoneFn func(arg any, class int, measured bool), onDon
 	}
 	m.nextID++
 	m.inflightCount++
-	if m.freeSlots[src].Len() == 0 {
+	if m.freeLen[src] == 0 {
 		m.blockedArrivals++
-		park(m.pendingBySrc, src, req)
+		m.park(&m.pendingBySrc, src, req)
 		return
 	}
 	m.admit(req)
@@ -606,13 +617,19 @@ func (m *Machine) Timeline() metrics.Timeline { return m.rec.Timeline() }
 // (§4.2's per-destination head/tail pointers); this also spreads messages
 // evenly over the address-interleaved NI backends.
 func (m *Machine) admit(req *request) {
-	slot, ok := m.freeSlots[req.src].Pop()
-	if !ok {
+	n, size := int(req.src), m.p.Domain.Slots
+	if m.freeLen[n] == 0 {
 		panic(fmt.Sprintf("machine: admit from node %d with no free slot", req.src))
 	}
-	req.pairSlot = int(slot)
+	h := int(m.freeHead[n])
+	req.pairSlot = int(m.freeSlots[n*size+h])
+	h++
+	if h == size {
+		h = 0
+	}
+	m.freeHead[n] = uint16(h)
+	m.freeLen[n]--
 	req.slot = m.p.Domain.RecvSlotIndex(req.src, req.pairSlot)
-	m.reqBySlot[req.slot] = req.ref + 1
 
 	b := req.slot % len(m.backends)
 	switch m.p.Domain.Classify(m.wl.RequestBytes) {
@@ -698,7 +715,7 @@ func (m *Machine) routeWire(arg any) {
 // on the shared CQ and deliver any dispatch it triggers.
 func (m *Machine) routeSubmit(arg any) {
 	req := arg.(*request)
-	msg := ni.Msg{Slot: req.slot, Src: req.src, Size: m.wl.RequestBytes, Tag: req.id}
+	msg := ni.Msg{Slot: req.slot, Src: req.src, Size: m.wl.RequestBytes, Tag: uint64(req.ref)}
 	if d, ok := m.dispatchers[req.disp].Enqueue(msg); ok {
 		m.deliver(req.disp, d)
 	}
@@ -719,15 +736,15 @@ func (m *Machine) dispatcherFor(req *request, b int) int {
 }
 
 // deliver carries a dispatch decision to the chosen core's private CQ. The
-// inflight request is found through the dense slot table: the message's
-// receive slot is unique among admitted requests, and the Tag cross-check
-// turns any slot-identity violation into a loud failure.
+// message's Tag is the request's ref, and that request must still hold the
+// message's receive slot (unique among admitted requests — §4.2's N×S flow
+// control never reuses a slot before its replenish), so any slot-identity
+// violation fails loudly.
 func (m *Machine) deliver(di int, d ni.Dispatch) {
-	r := m.reqBySlot[d.Msg.Slot]
-	if r == 0 || m.reqs[r-1].id != d.Msg.Tag {
+	if d.Msg.Tag >= uint64(len(m.reqs)) || m.reqs[d.Msg.Tag].slot != d.Msg.Slot {
 		panic(fmt.Sprintf("machine: dispatch of unknown request %d (slot %d)", d.Msg.Tag, d.Msg.Slot))
 	}
-	req := m.reqs[r-1]
+	req := m.reqs[d.Msg.Tag]
 	c := m.cores[d.Core]
 	m.record(req.id, trace.PhaseDispatch, d.Core, -1)
 	req.core = c
@@ -778,7 +795,7 @@ func (m *Machine) finish(req *request) {
 	slot, ok := m.replyBuf.Acquire(req.src, m.wl.ReplyBytes)
 	if !ok {
 		m.replyStalls++
-		park(m.replyWaiters, req.src, req)
+		m.park(&m.replyWaiters, req.src, req)
 		return
 	}
 	m.complete(req, slot)
@@ -830,7 +847,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 	if err := m.recvBuf.Free(req.slot); err != nil {
 		panic(fmt.Sprintf("machine: replenish: %v", err))
 	}
-	m.reqBySlot[req.slot] = 0
+	req.slot = -1
 	m.inflightCount--
 	m.eng.ScheduleArg(m.p.NetRTT/2, m.fnReplenish, req)
 
@@ -882,7 +899,13 @@ func (m *Machine) replenish(arg any) {
 	req := arg.(*request)
 	src, pairSlot := req.src, req.pairSlot
 	m.decRef(req)
-	m.freeSlots[src].Push(uint16(pairSlot))
+	n, size := int(src), m.p.Domain.Slots
+	t := int(m.freeHead[n]) + int(m.freeLen[n])
+	if t >= size {
+		t -= size
+	}
+	m.freeSlots[n*size+t] = uint16(pairSlot)
+	m.freeLen[n]++
 	if next, ok := unpark(m.pendingBySrc, src); ok {
 		m.admit(next)
 	}

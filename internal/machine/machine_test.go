@@ -2,9 +2,11 @@ package machine
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rpcvalet/internal/arrival"
+	"rpcvalet/internal/ni"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/sonuma"
 	"rpcvalet/internal/trace"
@@ -479,6 +481,52 @@ func TestCustomPolicyInjection(t *testing.T) {
 	}
 	if max != 0 {
 		t.Fatalf("busiest core = %d, want 0 under first-available", max)
+	}
+}
+
+// TestDeliverRejectsUnknownRequest: a dispatch's Tag is the request's slab
+// ref, and deliver must refuse a Tag outside the slab or naming a request
+// that does not hold the message's receive slot, while accepting a request
+// at its own slot.
+func TestDeliverRejectsUnknownRequest(t *testing.T) {
+	cfg := testConfig(ModeSingleQueue, workload.HERD(), 5)
+	cfg.Warmup, cfg.Measure = 0, 200
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var held *request
+	for _, req := range m.reqs {
+		if req.slot >= 0 {
+			held = req
+			break
+		}
+	}
+	if held == nil {
+		t.Fatal("no admitted request left when the run stopped")
+	}
+	m.deliver(0, ni.Dispatch{Msg: ni.Msg{Slot: held.slot, Tag: uint64(held.ref)}})
+
+	for _, tc := range []struct {
+		name string
+		msg  ni.Msg
+	}{
+		{"tag past the slab", ni.Msg{Slot: held.slot, Tag: uint64(len(m.reqs))}},
+		{"tag at the top of uint64", ni.Msg{Slot: held.slot, Tag: math.MaxUint64}},
+		{"request not holding the slot", ni.Msg{Slot: held.slot + 1, Tag: uint64(held.ref)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "dispatch of unknown request") {
+					t.Fatalf("deliver(%+v) panicked with %q, want a dispatch of unknown request", tc.msg, msg)
+				}
+			}()
+			m.deliver(0, ni.Dispatch{Msg: tc.msg})
+		})
 	}
 }
 

@@ -34,7 +34,7 @@ type Msg struct {
 	Slot int           // receive-buffer slot index
 	Src  sonuma.NodeID // sending node
 	Size int           // payload bytes
-	Tag  uint64        // opaque correlation token (measurement, RPC type)
+	Tag  uint64        // opaque correlation token; machines carry the request's slab index
 }
 
 // Dispatch is a decision to deliver msg to a core's private CQ.

@@ -25,8 +25,9 @@
 package pdes
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rpcvalet/internal/sim"
 )
@@ -145,11 +146,11 @@ func Gather[T any](dst []Msg[T], boxes ...*Mailbox[T]) []Msg[T] {
 		dst = append(dst, b.msgs...)
 		b.msgs = b.msgs[:0]
 	}
-	sort.Slice(dst, func(i, j int) bool {
-		if dst[i].At != dst[j].At {
-			return dst[i].At < dst[j].At
+	slices.SortFunc(dst, func(a, b Msg[T]) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		return dst[i].Seq < dst[j].Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	return dst
 }

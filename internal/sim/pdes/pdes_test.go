@@ -38,6 +38,30 @@ func TestGatherMergeOrder(t *testing.T) {
 	}
 }
 
+// TestGatherAllocs: the exchange runs Gather every round on the serial
+// path, so a Gather into a reused slice must not allocate, however much
+// sorting its input needs.
+func TestGatherAllocs(t *testing.T) {
+	var a, b, c Mailbox[int]
+	dst := make([]Msg[int], 0, 96)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range 32 {
+			a.Send(sim.Time(96-i), uint64(i), i)
+			b.Send(sim.Time(64-i), uint64(i), i)
+			c.Send(sim.Time(64-i), uint64(i+32), i)
+		}
+		dst = Gather(dst, &a, &b, &c)
+	})
+	if allocs != 0 {
+		t.Fatalf("Gather into a reused slice: %v allocs per call, want 0", allocs)
+	}
+	for i := 1; i < len(dst); i++ {
+		if p, q := dst[i-1], dst[i]; p.At > q.At || p.At == q.At && p.Seq >= q.Seq {
+			t.Fatalf("messages %d and %d out of (At, Seq) order: %+v, %+v", i-1, i, p, q)
+		}
+	}
+}
+
 // TestRunPingPong drives two shards that volley a counter through mailboxes
 // with one-window lookahead and checks the exchange sees the deadlines in
 // order, every delivery lands strictly inside the next round, and the full
