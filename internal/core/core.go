@@ -290,32 +290,38 @@ func machineCapSimTime(cfg machine.Config, rate float64) sim.Duration {
 // and returns the curve in rate order.
 func MachineSweep(base machine.Config, rates []float64, label string, workers int) (Curve, error) {
 	points, err := runPoints(len(rates), workers, func(i int) (CurvePoint, error) {
-		rate := rates[i]
-		cfg := base
-		cfg.RateMRPS = rate
-		cfg.Seed = base.Seed + uint64(i)*1_000_003
-		if cfg.MaxSimTime == 0 {
-			cfg.MaxSimTime = machineCapSimTime(cfg, rate)
-		}
-		res, err := machine.Run(cfg)
-		if err != nil {
-			return CurvePoint{}, fmt.Errorf("sweep %s at %.2f MRPS: %w", label, rate, err)
-		}
-		return CurvePoint{
-			RateMRPS:       rate,
-			ThroughputMRPS: res.ThroughputMRPS,
-			P50:            res.Latency.P50,
-			P99:            res.Latency.P99,
-			Mean:           res.Latency.Mean,
-			SLONanos:       res.SLONanos,
-			MeetsSLO:       res.MeetsSLO,
-			ServiceMean:    res.ServiceMeanNanos,
-		}, nil
+		return machinePoint(base, rates[i], i, label)
 	})
 	if err != nil {
 		return Curve{}, err
 	}
 	return Curve{Label: label, Points: points}, nil
+}
+
+// machinePoint runs base at one offered rate as point i of a sweep: point i
+// draws seed base.Seed + i·1_000_003, so a point's result depends only on
+// its place in its own curve, never on which pool ran it.
+func machinePoint(base machine.Config, rate float64, i int, label string) (CurvePoint, error) {
+	cfg := base
+	cfg.RateMRPS = rate
+	cfg.Seed = base.Seed + uint64(i)*1_000_003
+	if cfg.MaxSimTime == 0 {
+		cfg.MaxSimTime = machineCapSimTime(cfg, rate)
+	}
+	res, err := machine.Run(cfg)
+	if err != nil {
+		return CurvePoint{}, fmt.Errorf("sweep %s at %.2f MRPS: %w", label, rate, err)
+	}
+	return CurvePoint{
+		RateMRPS:       rate,
+		ThroughputMRPS: res.ThroughputMRPS,
+		P50:            res.Latency.P50,
+		P99:            res.Latency.P99,
+		Mean:           res.Latency.Mean,
+		SLONanos:       res.SLONanos,
+		MeetsSLO:       res.MeetsSLO,
+		ServiceMean:    res.ServiceMeanNanos,
+	}, nil
 }
 
 // ratioClaim builds a Claim comparing a measured ratio against an expected

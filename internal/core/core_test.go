@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -228,6 +229,51 @@ func TestFigClusterDeterministic(t *testing.T) {
 		if a.Claims[i] != b.Claims[i] {
 			t.Fatalf("claim %d differs across worker caps:\n  %s\n  %s", i, a.Claims[i], b.Claims[i])
 		}
+	}
+}
+
+// TestSweepModesDeterministic: pooling every mode's grid points and then
+// every mode's knee bisection must give the curves and knees of running the
+// modes one after another, at any worker cap.
+func TestSweepModesDeterministic(t *testing.T) {
+	o := tinyOptions()
+	o.Points = 3
+	o.Measure = 2000
+	o.KneeIters = 2
+	wl := workload.HERD()
+	run := func(workers int) map[machine.Mode]Curve {
+		o := o
+		o.Workers = workers
+		curves, _, err := sweepModes(o, wl, hwModes, 0.3, 1.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return curves
+	}
+	a, b := run(1), run(8)
+	rates := RateGrid(CapacityMRPS(machine.Defaults(), wl), 0.3, 1.02, o.Points)
+	knees := 0
+	for _, mode := range hwModes {
+		base := machineBase(o, wl, mode)
+		serial, err := MachineSweep(base, rates, modeShort(mode), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial, err = RefineKnee(base, serial, o.KneeIters, 1); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a[mode], b[mode]) {
+			t.Fatalf("mode %s differs across worker caps:\n  %+v\n  %+v", modeShort(mode), a[mode], b[mode])
+		}
+		if !reflect.DeepEqual(a[mode], serial) {
+			t.Fatalf("mode %s differs from a serial sweep:\n  %+v\n  %+v", modeShort(mode), a[mode], serial)
+		}
+		if serial.Knee != nil {
+			knees++
+		}
+	}
+	if knees == 0 {
+		t.Fatal("no mode found a knee to refine; the test does not cover bisection")
 	}
 }
 

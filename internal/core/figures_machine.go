@@ -51,21 +51,34 @@ func modeShort(m machine.Mode) string {
 
 // sweepModes runs one workload across several modes on a shared rate grid,
 // then bisects each curve's SLO knee so throughput-under-SLO comparisons are
-// not limited to the grid's resolution.
+// not limited to the grid's resolution. Every mode's grid shares one worker
+// pool, and so do the modes' bisections, so no mode's serial bisection
+// leaves a worker idle while another mode could use it.
 func sweepModes(o Options, wl workload.Profile, modes []machine.Mode, loFrac, hiFrac float64) (map[machine.Mode]Curve, []float64, error) {
 	cap := CapacityMRPS(machine.Defaults(), wl)
 	rates := RateGrid(cap, loFrac, hiFrac, o.Points)
+	n := len(rates)
+	bases := make([]machine.Config, len(modes))
+	for m, mode := range modes {
+		bases[m] = machineBase(o, wl, mode)
+	}
+	grid, err := runPoints(len(modes)*n, o.Workers, func(i int) (CurvePoint, error) {
+		m, r := i/n, i%n
+		return machinePoint(bases[m], rates[r], r, modeShort(modes[m]))
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	curves, err := runPoints(len(modes), o.Workers, func(m int) (Curve, error) {
+		c := Curve{Label: modeShort(modes[m]), Points: grid[m*n : (m+1)*n : (m+1)*n]}
+		return RefineKnee(bases[m], c, o.KneeIters, 1)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	out := make(map[machine.Mode]Curve, len(modes))
-	for _, mode := range modes {
-		base := machineBase(o, wl, mode)
-		c, err := MachineSweep(base, rates, modeShort(mode), o.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		if c, err = RefineKnee(base, c, o.KneeIters, o.Workers); err != nil {
-			return nil, nil, err
-		}
-		out[mode] = c
+	for m, mode := range modes {
+		out[mode] = curves[m]
 	}
 	return out, rates, nil
 }

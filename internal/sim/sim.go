@@ -15,6 +15,8 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -98,148 +100,143 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 func (t Time) String() string { return fmt.Sprintf("%.3fns", t.Nanos()) }
 
-// Event is a scheduled callback. The zero value is not useful; events are
-// created by Engine.Schedule and friends.
-//
-// Fired (and cancelled) Event structs are recycled by later Schedule calls
-// through the engine's free list, so a simulation's hot loop schedules
-// without allocating. The pointer returned by Schedule is therefore only
-// meaningful until the event fires: retaining it past that point and
-// passing it to Cancel later may target an unrelated, recycled event. Hold
-// Event pointers only for events you know are still pending.
-type Event struct {
+// entry is one pending event as the heap holds it: 16 bytes and no
+// pointers, so sifting moves plain words (no GC write barriers) and the
+// garbage collector never scans the heap. key packs the event's FIFO
+// sequence number above its callback's arena slot; seq is unique, so
+// ordering by key orders by seq, and (at, key) is the strict total order
+// (at, seq).
+type entry struct {
 	at  Time
-	seq uint64 // tie-break: FIFO among events with equal time
-	fn  func()
-	// Arg-carrying form (ScheduleArg): afn is a long-lived function value
-	// (typically a method value bound once at setup) and arg its payload for
-	// this firing. Splitting the callback this way keeps per-event closure
-	// allocation off the simulation hot path: boxing a pointer-shaped arg
-	// into the interface field allocates nothing.
-	afn  func(any)
-	arg  any
-	idx  int // heap index, -1 when not queued
-	dead bool
+	key uint64 // seq<<slotBits | slot
 }
 
-// Time returns the virtual time at which the event will fire.
-func (e *Event) Time() Time { return e.at }
+// Packing limits of entry.key. One engine may fire at most 2^40 events
+// (1.1×10^12) and hold at most 2^24 (16.7M) pending at once; both are far
+// beyond any run here, and exceeding either panics rather than reorder.
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	maxSeq   = 1 << (64 - slotBits)
+)
 
-// eventQueue is a 4-ary min-heap of events ordered by (time, seq). It is
+// less reports whether a pops before b. It compares (at, key) as one
+// 128-bit unsigned number, which compiles to a subtract-with-borrow
+// instead of branches; at is never negative, since nothing can be
+// scheduled before time zero.
+func (a entry) less(b entry) bool {
+	_, borrow := bits.Sub64(a.key, b.key, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow != 0
+}
+
+// bit is 1 for true and 0 for false, without a branch.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// call is a pending event's callback, parked in the engine's arena at the
+// slot its heap entry names. It is written once at schedule time and read
+// and cleared once when the event fires.
+type call struct {
+	fn  func(any)
+	arg any
+}
+
+// callFunc adapts the plain func() form to the arena's func(any) shape: the
+// func() travels as arg. A func value is pointer-shaped, so boxing it into
+// the interface allocates nothing.
+func callFunc(a any) { a.(func())() }
+
+// eventHeap is a 4-ary min-heap of entries ordered by (at, key). It is
 // hand-rolled rather than built on container/heap: the interface-dispatched
-// Less/Swap calls of the generic heap dominated simulation CPU profiles, and
-// (at, seq) is a strict total order — seq is unique — so any correct
-// priority queue pops events in exactly the same sequence. Switching the
-// heap's shape or sift implementation therefore cannot perturb event order,
-// which keeps every determinism pin byte-identical. Arity 4 roughly halves
-// tree depth versus a binary heap and keeps sibling keys on one cache line.
-type eventQueue []*Event
+// Less/Swap calls of the generic heap dominated simulation CPU profiles.
+// (at, seq) is a strict total order, so any correct priority queue pops
+// events in exactly the same sequence: the heap's shape cannot perturb
+// event order, which keeps every determinism pin byte-identical. Arity 4
+// roughly halves tree depth versus a binary heap, and a node's four
+// 16-byte children are 64 contiguous bytes.
+type eventHeap []entry
 
 const heapArity = 4
 
-// siftUp moves q[i] toward the root until its parent is smaller. The moving
-// event's key is held in registers; displaced parents shift down in place.
-func (q eventQueue) siftUp(i int) {
-	ev := q[i]
-	at, seq := ev.at, ev.seq
+// siftUp places x at hole i, moving it toward the root until its parent is
+// smaller. Displaced parents shift down in place.
+func (h eventHeap) siftUp(i int, x entry) {
 	for i > 0 {
 		p := (i - 1) / heapArity
-		pe := q[p]
-		if pe.at < at || (pe.at == at && pe.seq < seq) {
+		if h[p].less(x) {
 			break
 		}
-		q[i] = pe
-		pe.idx = i
+		h[i] = h[p]
 		i = p
 	}
-	q[i] = ev
-	ev.idx = i
+	h[i] = x
 }
 
-// siftDown moves q[i] toward the leaves, swapping with its smallest child
-// while that child is smaller.
-func (q eventQueue) siftDown(i int) {
-	n := len(q)
-	ev := q[i]
-	at, seq := ev.at, ev.seq
+// siftDown fills hole i with x. It first walks the hole down to a leaf,
+// always promoting the smallest child, then sifts x up from there. x is
+// the heap's old last entry, which usually belongs near the leaves, so
+// this skips the per-level comparison against x that a top-down sift pays
+// (Floyd's bottom-up heapsort trick).
+func (h eventHeap) siftDown(i int, x entry) {
+	n := len(h)
 	for {
 		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		m, me := first, q[first]
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			ce := q[c]
-			if ce.at < me.at || (ce.at == me.at && ce.seq < me.seq) {
-				m, me = c, ce
+		if first+heapArity > n {
+			// Only the last internal node has fewer than four children.
+			if first < n {
+				m := first
+				for c := first + 1; c < n; c++ {
+					if h[c].less(h[m]) {
+						m = c
+					}
+				}
+				h[i] = h[m]
+				i = m
 			}
-		}
-		if at < me.at || (at == me.at && seq < me.seq) {
 			break
 		}
-		q[i] = me
-		me.idx = i
-		i = m
+		// The smallest of four children, picked without a branch: the
+		// winners of two pairs, then the winner of those. In a simulation
+		// which child wins is close to a coin flip, so a branch here
+		// mispredicts often. (A loop that pops the entry it just pushed
+		// retraces one path, which a branch predictor learns; there the
+		// branchy form is faster.)
+		c := h[first : first+heapArity : first+heapArity]
+		a := bit(c[1].less(c[0]))
+		b := 2 + bit(c[3].less(c[2]))
+		m := a + (b-a)*bit(c[b&3].less(c[a&3]))
+		h[i] = c[m&3]
+		i = first + m
 	}
-	q[i] = ev
-	ev.idx = i
+	h.siftUp(i, x)
 }
 
-// push appends ev and restores heap order.
-func (e *Engine) push(ev *Event) {
-	ev.idx = len(e.queue)
-	e.queue = append(e.queue, ev)
-	e.queue.siftUp(ev.idx)
-}
-
-// pop removes and returns the minimum event.
-func (e *Engine) pop() *Event {
-	q := e.queue
-	top := q[0]
-	top.idx = -1
-	n := len(q) - 1
-	last := q[n]
-	q[n] = nil
-	q = q[:n]
-	e.queue = q
-	if n > 0 {
-		q[0] = last
-		last.idx = 0
-		q.siftDown(0)
+// grow returns s with room for at least one more element. It doubles the
+// capacity rather than leaving growth to append, whose ~1.25× steps for
+// large slices allocate several times the final size in total.
+func grow[S ~[]E, E any](s S) S {
+	if len(s) < cap(s) {
+		return s
 	}
-	return top
-}
-
-// remove deletes the event at heap index i (for Cancel).
-func (e *Engine) remove(i int) {
-	q := e.queue
-	n := len(q) - 1
-	q[i].idx = -1
-	last := q[n]
-	q[n] = nil
-	e.queue = q[:n]
-	if i < n {
-		q = e.queue
-		q[i] = last
-		last.idx = i
-		q.siftDown(i)
-		if q[i] == last {
-			q.siftUp(i)
-		}
-	}
+	return slices.Grow(s, max(cap(s), 64))
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 // Engine is not safe for concurrent use; an entire simulation runs on one
 // goroutine, which is what keeps it deterministic.
+//
+// Scheduled events cannot be cancelled: nothing in the model needs it, and
+// without it a pending event is just a heap entry plus an arena slot.
 type Engine struct {
 	now     Time
-	queue   eventQueue
-	free    []*Event // fired/cancelled events awaiting reuse
+	heap    eventHeap
+	calls   []call  // callback arena, indexed by an entry's slot
+	free    []int32 // vacant arena slots
 	seq     uint64
 	fired   uint64
 	stopped bool
@@ -255,25 +252,18 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled but not yet executed.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Schedule runs fn after delay d (relative to the current time). A negative
-// delay is treated as zero. It returns the Event, which may be passed to
-// Cancel while the event is still pending; once it fires the struct may be
-// recycled for a later Schedule (see Event), so do not retain it past then.
-func (e *Engine) Schedule(d Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.ScheduleAt(e.now.Add(d), fn)
+// delay is treated as zero.
+func (e *Engine) Schedule(d Duration, fn func()) {
+	e.push(e.now.Add(max(d, 0)), callFunc, fn)
 }
 
 // ScheduleAt runs fn at absolute time t. Scheduling in the past panics: it
 // would silently corrupt causality, which in a simulator is always a bug.
-func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
-	ev := e.next(t)
-	ev.fn = fn
-	return ev
+func (e *Engine) ScheduleAt(t Time, fn func()) {
+	e.push(t, callFunc, fn)
 }
 
 // ScheduleArg runs fn(arg) after delay d. Unlike Schedule, the callback and
@@ -281,54 +271,41 @@ func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
 // method value bound once at setup) and arg the per-firing payload, so the
 // simulation hot path schedules without allocating a closure. A negative
 // delay is treated as zero.
-func (e *Engine) ScheduleArg(d Duration, fn func(any), arg any) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.ScheduleArgAt(e.now.Add(d), fn, arg)
+func (e *Engine) ScheduleArg(d Duration, fn func(any), arg any) {
+	e.push(e.now.Add(max(d, 0)), fn, arg)
 }
 
 // ScheduleArgAt runs fn(arg) at absolute time t. Scheduling in the past
 // panics, exactly as ScheduleAt.
-func (e *Engine) ScheduleArgAt(t Time, fn func(any), arg any) *Event {
-	ev := e.next(t)
-	ev.afn, ev.arg = fn, arg
-	return ev
+func (e *Engine) ScheduleArgAt(t Time, fn func(any), arg any) {
+	e.push(t, fn, arg)
 }
 
-// next recycles (or allocates) an Event at time t and queues it with the
-// next FIFO sequence number; the caller fills in the callback fields.
-func (e *Engine) next(t Time) *Event {
+// push parks fn(arg) in a vacant arena slot and queues it at time t with
+// the next FIFO sequence number.
+func (e *Engine) push(t Time, fn func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%v) is before now (%v)", t, e.now))
 	}
-	var ev *Event
+	if e.seq >= maxSeq {
+		panic(fmt.Sprintf("sim: engine exhausted its %d event sequence numbers", uint64(maxSeq)))
+	}
+	var slot int32
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
+		slot = e.free[n-1]
 		e.free = e.free[:n-1]
-		*ev = Event{at: t, seq: e.seq}
 	} else {
-		ev = &Event{at: t, seq: e.seq}
+		if len(e.calls) > slotMask {
+			panic(fmt.Sprintf("sim: more than %d events pending on one engine", slotMask+1))
+		}
+		slot = int32(len(e.calls))
+		e.calls = append(grow(e.calls), call{})
 	}
+	e.calls[slot] = call{fn, arg}
+	x := entry{at: t, key: e.seq<<slotBits | uint64(slot)}
 	e.seq++
-	e.push(ev)
-	return ev
-}
-
-// Cancel removes a scheduled event. Cancelling an event that already fired or
-// was already cancelled is a no-op as long as the struct has not been
-// recycled by a later Schedule (see Event). It reports whether the event was
-// actually descheduled by this call.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.dead || ev.idx < 0 {
-		return false
-	}
-	ev.dead = true
-	e.remove(ev.idx)
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
-	e.free = append(e.free, ev)
-	return true
+	e.heap = append(grow(e.heap), x)
+	e.heap.siftUp(len(e.heap)-1, x)
 }
 
 // Stop makes the currently executing Run return after the current event
@@ -338,21 +315,23 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the single earliest pending event. It reports false when the
 // queue is empty.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	h := e.heap
+	if len(h) == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
-	e.fired++
-	ev.dead = true
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
-	e.free = append(e.free, ev)
-	if afn != nil {
-		afn(arg)
-	} else {
-		fn()
+	top := h[0]
+	n := len(h) - 1
+	if n > 0 {
+		h[:n].siftDown(0, h[n])
 	}
+	e.heap = h[:n]
+	e.now = top.at
+	e.fired++
+	slot := int32(top.key & slotMask)
+	c := e.calls[slot]
+	e.calls[slot] = call{}
+	e.free = append(grow(e.free), slot)
+	c.fn(c.arg)
 	return true
 }
 
@@ -368,7 +347,7 @@ func (e *Engine) Run() {
 // exactly at the deadline do fire.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
+	for !e.stopped && len(e.heap) > 0 && e.heap[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

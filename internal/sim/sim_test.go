@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -140,57 +143,6 @@ func TestScheduleAtPastPanics(t *testing.T) {
 		}
 	}()
 	e.ScheduleAt(5, func() {})
-}
-
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	if !e.Cancel(ev) {
-		t.Fatal("Cancel returned false for a pending event")
-	}
-	if e.Cancel(ev) {
-		t.Fatal("double Cancel returned true")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if e.Cancel(nil) {
-		t.Fatal("Cancel(nil) returned true")
-	}
-}
-
-func TestCancelAfterFire(t *testing.T) {
-	e := New()
-	ev := e.Schedule(1, func() {})
-	e.Run()
-	if e.Cancel(ev) {
-		t.Fatal("Cancel after fire returned true")
-	}
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	e := New()
-	var fired []int
-	var evs []*Event
-	for i := 0; i < 20; i++ {
-		i := i
-		evs = append(evs, e.Schedule(Duration(i)*Nanosecond, func() { fired = append(fired, i) }))
-	}
-	// Cancel every third event.
-	for i := 0; i < 20; i += 3 {
-		e.Cancel(evs[i])
-	}
-	e.Run()
-	for _, v := range fired {
-		if v%3 == 0 {
-			t.Fatalf("cancelled event %d fired", v)
-		}
-	}
-	if len(fired) != 20-7 {
-		t.Fatalf("fired %d events, want 13", len(fired))
-	}
 }
 
 func TestStop(t *testing.T) {
@@ -427,7 +379,7 @@ func TestPropertyServerLindley(t *testing.T) {
 }
 
 // BenchmarkEngineSchedule measures the Schedule→fire cycle in steady state;
-// run with -benchmem to see the free list holding allocs/op at zero.
+// run with -benchmem to see the warm arena holding allocs/op at zero.
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := New()
 	fn := func() {}
@@ -446,6 +398,33 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineHold is the classic hold model: at a fixed number of
+// pending events, schedule one at a random delay and fire the earliest.
+// Unlike a loop that pops the event it just pushed, its sift paths vary
+// from pop to pop, as a simulation's do.
+func BenchmarkEngineHold(b *testing.B) {
+	for _, depth := range []int{64, 6400} {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			e := New()
+			r := rng.New(1)
+			var delays [4096]Duration
+			for i := range delays {
+				delays[i] = Duration(r.IntN(2000)) * Nanosecond
+			}
+			fn := func(any) {}
+			for i := 0; i < depth; i++ {
+				e.ScheduleArg(delays[i&4095], fn, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.ScheduleArg(delays[i&4095], fn, nil)
+				e.Step()
+			}
+		})
+	}
+}
+
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := New()
 	r := rng.New(1)
@@ -459,78 +438,214 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	e.Run()
 }
 
-func TestEventTimeAccessor(t *testing.T) {
-	e := New()
-	ev := e.Schedule(7*Nanosecond, func() {})
-	if ev.Time() != Time(7*Nanosecond) {
-		t.Fatalf("Event.Time() = %v", ev.Time())
-	}
-}
-
-// Property: interleaved Schedule/Cancel/Step sequences never violate clock
-// monotonicity and never execute a cancelled event. Because fired Event
-// structs are recycled by later Schedule calls, the test tracks each
-// struct's *current occupant*: a successful Cancel always belongs to the
-// logical event most recently scheduled into that struct.
-func TestPropertyCancelNeverFires(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		e := New()
-		fired := map[int]bool{}
-		cancelled := map[int]bool{}
-		occupant := map[*Event]int{}
-		var evs []*Event
-		id := 0
-		for step := 0; step < 300; step++ {
-			switch r.IntN(3) {
-			case 0:
-				myID := id
-				id++
-				ev := e.Schedule(Duration(r.IntN(100)), func() { fired[myID] = true })
-				occupant[ev] = myID
-				evs = append(evs, ev)
-			case 1:
-				if len(evs) > 0 {
-					ev := evs[r.IntN(len(evs))]
-					if e.Cancel(ev) {
-						cancelled[occupant[ev]] = true
-					}
-				}
-			case 2:
-				before := e.Now()
-				e.Step()
-				if e.Now() < before {
-					return false
-				}
-			}
-		}
-		e.Run()
-		for i := range cancelled {
-			if fired[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestScheduleReusesFiredEvents: once the free list is warm, the
-// Schedule→fire cycle must not allocate at all.
+// TestScheduleReusesFiredEvents: once the arena and heap are warm, the
+// Schedule→fire cycle allocates nothing, in both the func() form and the
+// ScheduleArg form.
 func TestScheduleReusesFiredEvents(t *testing.T) {
 	e := New()
 	fn := func() {}
+	afn := func(any) {}
+	arg := new(int)
 	for i := 0; i < 64; i++ {
 		e.Schedule(Duration(i), fn)
 	}
 	e.Run()
-	allocs := testing.AllocsPerRun(200, func() {
+	if allocs := testing.AllocsPerRun(200, func() {
 		e.Schedule(1, fn)
 		e.Run()
-	})
-	if allocs > 0 {
+	}); allocs > 0 {
 		t.Fatalf("Schedule allocates %v objects/op after warmup, want 0", allocs)
 	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		e.ScheduleArg(1, afn, arg)
+		e.Run()
+	}); allocs > 0 {
+		t.Fatalf("ScheduleArg allocates %v objects/op after warmup, want 0", allocs)
+	}
+}
+
+// TestSequenceExhaustionPanics: the heap key holds 40 bits of sequence
+// number; the engine refuses to wrap it, since a wrapped seq would fire
+// later events before earlier ones at equal times.
+func TestSequenceExhaustionPanics(t *testing.T) {
+	e := New()
+	e.seq = maxSeq - 1
+	e.Schedule(1, func() {}) // the last sequence number is still usable
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling past the last sequence number did not panic")
+		}
+	}()
+	e.Schedule(1, func() {})
+}
+
+// firing is one event firing as the reference model sees it.
+type firing struct {
+	at Time
+	id int
+}
+
+// orderModel replays a schedule/step program on an Engine and on a
+// reference that keeps pending events in a slice and fires the least
+// (at, seq) each time, and reports the first divergence.
+type orderModel struct {
+	e       *Engine
+	pending []firing // reference queue, in scheduling (seq) order
+	got     []firing
+	nextID  int
+}
+
+func newOrderModel() *orderModel { return &orderModel{e: New()} }
+
+func (m *orderModel) record(id int) { m.got = append(m.got, firing{m.e.Now(), id}) }
+
+func (m *orderModel) recordArg(a any) { m.record(a.(int)) }
+
+// schedule queues one event through the form op%4 selects, at delay d.
+func (m *orderModel) schedule(op int, d Duration) {
+	id := m.nextID
+	m.nextID++
+	at := m.e.Now().Add(max(d, 0))
+	m.pending = append(m.pending, firing{at, id})
+	switch op % 4 {
+	case 0:
+		m.e.Schedule(d, func() { m.record(id) })
+	case 1:
+		m.e.ScheduleAt(at, func() { m.record(id) })
+	case 2:
+		m.e.ScheduleArg(d, m.recordArg, id)
+	case 3:
+		m.e.ScheduleArgAt(at, m.recordArg, id)
+	}
+}
+
+// popRef removes and returns the reference's least (at, seq) event, or
+// reports false when none is due by deadline. Seq order is slice order, so
+// the first of the earliest wins.
+func (m *orderModel) popRef(deadline Time) (firing, bool) {
+	best := -1
+	for i, f := range m.pending {
+		if f.at <= deadline && (best < 0 || f.at < m.pending[best].at) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return firing{}, false
+	}
+	f := m.pending[best]
+	m.pending = slices.Delete(m.pending, best, best+1)
+	return f, true
+}
+
+// step fires one event on both sides.
+func (m *orderModel) step() error {
+	want, ok := m.popRef(math.MaxInt64)
+	if got := m.e.Step(); got != ok {
+		return fmt.Errorf("Step() = %v, want %v", got, ok)
+	}
+	if !ok {
+		return nil
+	}
+	if g := m.got[len(m.got)-1]; g != want {
+		return fmt.Errorf("Step fired %+v, want %+v", g, want)
+	}
+	return m.checkPending()
+}
+
+// runUntil fires every event at or before deadline on both sides.
+func (m *orderModel) runUntil(deadline Time) error {
+	var want []firing
+	for f, ok := m.popRef(deadline); ok; f, ok = m.popRef(deadline) {
+		want = append(want, f)
+	}
+	before := len(m.got)
+	m.e.RunUntil(deadline)
+	if !slices.Equal(m.got[before:], want) {
+		return fmt.Errorf("RunUntil(%v) fired %+v, want %+v", deadline, m.got[before:], want)
+	}
+	if m.e.Now() != deadline {
+		return fmt.Errorf("RunUntil(%v) left the clock at %v", deadline, m.e.Now())
+	}
+	return m.checkPending()
+}
+
+func (m *orderModel) checkPending() error {
+	if m.e.Pending() != len(m.pending) {
+		return fmt.Errorf("Pending() = %d, want %d", m.e.Pending(), len(m.pending))
+	}
+	return nil
+}
+
+// drain runs the engine dry and checks the tail of the order.
+func (m *orderModel) drain() error {
+	for len(m.pending) > 0 {
+		if err := m.step(); err != nil {
+			return err
+		}
+	}
+	if m.e.Step() {
+		return fmt.Errorf("Step() fired an event the reference does not hold")
+	}
+	return nil
+}
+
+// exec decodes one program byte: the low two bits pick scheduling (with
+// the form and a small delay from the rest, so timestamps collide often),
+// Step, or RunUntil a short way ahead.
+func (m *orderModel) exec(b byte) error {
+	switch b & 3 {
+	case 0, 1:
+		m.schedule(int(b>>2), Duration(b>>4)-2) // some delays negative
+	case 2:
+		return m.step()
+	case 3:
+		return m.runUntil(m.e.Now().Add(Duration(b >> 5)))
+	}
+	return nil
+}
+
+// TestPropertyPopOrder: random interleavings of all four Schedule forms,
+// Step and RunUntil, over a handful of distinct delays, fire in exactly the
+// (at, seq) order of the reference model.
+func TestPropertyPopOrder(t *testing.T) {
+	f := func(seed uint64, n16 uint16) bool {
+		r := rng.New(seed)
+		prog := make([]byte, int(n16)%4000)
+		for i := range prog {
+			prog[i] = byte(r.IntN(256))
+		}
+		m := newOrderModel()
+		for _, b := range prog {
+			if err := m.exec(b); err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		if err := m.drain(); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzEngineOrder decodes its bytes into a schedule/step program and checks
+// every firing against the (at, seq) reference model.
+func FuzzEngineOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 4, 5, 2, 3, 0x40, 0x81, 2, 2, 0xff})
+	f.Add([]byte{0x10, 0x14, 0x18, 0x1c, 0x10, 3, 3, 0xe3, 2})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		m := newOrderModel()
+		for _, b := range prog {
+			if err := m.exec(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.drain(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -99,17 +99,18 @@ func (s *Sample) Quantile(p float64) float64 {
 		sort.Float64s(s.values)
 		s.sorted = true
 	}
+	return s.values[rank(p, len(s.values))]
+}
+
+// rank is the nearest-rank index of the p-quantile among n sorted values.
+func rank(p float64, n int) int {
 	if p <= 0 {
-		return s.values[0]
+		return 0
 	}
 	if p >= 1 {
-		return s.values[len(s.values)-1]
+		return n - 1
 	}
-	rank := int(math.Ceil(p*float64(len(s.values)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s.values[rank]
+	return max(int(math.Ceil(p*float64(n)))-1, 0)
 }
 
 // P99 is shorthand for Quantile(0.99), the paper's tail-latency metric.
@@ -125,8 +126,8 @@ func (s *Sample) Reset() {
 	s.sum, s.sumSq, s.min, s.max = 0, 0, 0, 0
 }
 
-// Values returns a copy of the recorded observations (sorted if a quantile
-// has been computed). The copy is the caller's to keep: mutating it cannot
+// Values returns a copy of the recorded observations, in no promised order
+// (sorted once Quantile has been called). The copy is the caller's to keep: mutating it cannot
 // corrupt the collector's internal state.
 func (s *Sample) Values() []float64 {
 	out := make([]float64, len(s.values))
@@ -162,17 +163,38 @@ type Summary struct {
 	StdDev         float64
 }
 
-// Summarize computes a Summary from the sample.
+// summaryQuantiles are the percentiles a Summary reports, ascending.
+var summaryQuantiles = [...]float64{0.50, 0.90, 0.99, 0.999}
+
+// Summarize computes a Summary from the sample. Its percentiles equal
+// Quantile's exactly, but an unsorted sample finds them by selection, each
+// over the suffix past the previous rank, instead of sorting every value.
 func (s *Sample) Summarize() Summary {
+	var q [len(summaryQuantiles)]float64
+	if n := len(s.values); n > 0 && !s.sorted {
+		from := 0
+		for i, p := range summaryQuantiles {
+			r := rank(p, n)
+			if r >= from {
+				selectRank(s.values[from:], r-from)
+				from = r + 1
+			}
+			q[i] = s.values[r]
+		}
+	} else {
+		for i, p := range summaryQuantiles {
+			q[i] = s.Quantile(p)
+		}
+	}
 	return Summary{
 		Count:  s.Count(),
 		Mean:   s.Mean(),
 		Min:    s.Min(),
 		Max:    s.Max(),
-		P50:    s.Quantile(0.50),
-		P90:    s.Quantile(0.90),
-		P99:    s.Quantile(0.99),
-		P999:   s.Quantile(0.999),
+		P50:    q[0],
+		P90:    q[1],
+		P99:    q[2],
+		P999:   q[3],
 		StdDev: s.StdDev(),
 	}
 }

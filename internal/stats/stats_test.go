@@ -380,3 +380,83 @@ func TestHistogramMerge(t *testing.T) {
 		t.Fatal("merge across precisions accepted")
 	}
 }
+
+// nearestRank is the reference quantile: sort a copy, then index it.
+func nearestRank(sorted []float64, p float64) float64 {
+	n := len(sorted)
+	switch {
+	case p <= 0:
+		return sorted[0]
+	case p >= 1:
+		return sorted[n-1]
+	}
+	r := int(math.Ceil(p*float64(n))) - 1
+	if r < 0 {
+		r = 0
+	}
+	return sorted[r]
+}
+
+// TestPropertySummarizeMatchesSort: Summarize's selection must return the
+// very values sort-then-index gives, on sizes around the insertion-sort
+// cutoff and far past it, and on the input shapes that break naive
+// quickselects. Quantile must stay exact after Summarize has permuted the
+// values.
+func TestPropertySummarizeMatchesSort(t *testing.T) {
+	r := rng.New(7)
+	shapes := map[string]func(i, n int) float64{
+		"random":     func(i, n int) float64 { return r.Float64() * 1e4 },
+		"duplicates": func(i, n int) float64 { return float64(r.IntN(5)) },
+		"all-equal":  func(i, n int) float64 { return 42 },
+		"sorted":     func(i, n int) float64 { return float64(i) },
+		"reverse":    func(i, n int) float64 { return float64(n - i) },
+		"organ-pipe": func(i, n int) float64 { return float64(min(i, n-i)) },
+	}
+	probes := []float64{0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 0.9999, 1}
+	for name, gen := range shapes {
+		for _, n := range []int{1, 2, 3, 17, 1000, 240000} {
+			var s Sample
+			for i := 0; i < n; i++ {
+				s.Add(gen(i, n))
+			}
+			sorted := s.Values()
+			sort.Float64s(sorted)
+			got := s.Summarize()
+			want := Summary{
+				Count: n, Mean: s.Mean(), Min: sorted[0], Max: sorted[n-1],
+				P50: nearestRank(sorted, 0.50), P90: nearestRank(sorted, 0.90),
+				P99: nearestRank(sorted, 0.99), P999: nearestRank(sorted, 0.999),
+				StdDev: s.StdDev(),
+			}
+			if got != want {
+				t.Fatalf("%s n=%d: Summarize = %+v, want %+v", name, n, got, want)
+			}
+			if again := s.Summarize(); again != want {
+				t.Fatalf("%s n=%d: second Summarize = %+v, want %+v", name, n, again, want)
+			}
+			for _, p := range probes {
+				if q, w := s.Quantile(p), nearestRank(sorted, p); q != w {
+					t.Fatalf("%s n=%d: Quantile(%v) after Summarize = %v, want %v", name, n, p, q, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSummarize measures one Summarize of a run-sized unsorted sample.
+func BenchmarkSummarize(b *testing.B) {
+	r := rng.New(1)
+	vals := make([]float64, 240000)
+	for i := range vals {
+		vals[i] = r.Float64() * 1e4
+	}
+	var s Sample
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+		for _, v := range vals {
+			s.Add(v)
+		}
+		s.Summarize()
+	}
+}
