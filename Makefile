@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race bench bench-json bench-diff profile perfbench live-smoke obs-smoke shard-smoke rack-smoke hier-smoke
+.PHONY: all build fmt vet lint test race bench profile perfbench live-smoke obs-smoke shard-smoke rack-smoke hier-smoke
 
 # Pinned so CI and local runs agree on what "clean" means.
 STATICCHECK_VERSION = 2025.1.1
@@ -70,59 +70,6 @@ hier-smoke:
 # counter. See scripts/obs_smoke.sh.
 obs-smoke:
 	./scripts/obs_smoke.sh
-
-# bench-json emits machine-readable benchmark results (BENCH_*.json) for the
-# performance trajectory: the engine's scheduling hot path, the
-# figure-regeneration benches that exercise the dispatch-plan,
-# transient-telemetry, cluster, anatomy, and live layers end to end, the
-# sharded-engine (nodes × shards) throughput matrix, the live runtime's
-# wall-clock shape comparison, the rack-scale balancer decision engine
-# (ns per 1000-node policy pick plus end-to-end 1000-node runs), and the
-# two-tier datacenter path (hier figure regeneration plus end-to-end
-# 1000-node serial and racks-as-shards runs). CI uploads these as artifacts.
-bench-json:
-	$(GO) test -run='^$$' -bench='^BenchmarkEngineSchedule$$' -benchmem ./internal/sim \
-		| $(GO) run ./cmd/benchjson > BENCH_engine.json
-	$(GO) test -run='^$$' -bench='^(BenchmarkFigPolicyPlans|BenchmarkFigTransient|BenchmarkFigCluster|BenchmarkFigLive|BenchmarkFigAnatomy)$$' -benchtime=1x . \
-		| $(GO) run ./cmd/benchjson > BENCH_figures.json
-	$(GO) test -run='^$$' -bench='^BenchmarkClusterSharded$$' -benchtime=5x ./internal/cluster \
-		| $(GO) run ./cmd/benchjson > BENCH_cluster.json
-	$(GO) test -run='^$$' -bench='^BenchmarkLiveShapes$$' -benchtime=1x ./internal/live \
-		| $(GO) run ./cmd/benchjson > BENCH_live.json
-	{ $(GO) test -run='^$$' -bench='^BenchmarkTraceOverhead$$' -benchmem ./internal/machine; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkLiveTraceOverhead$$' -benchtime=1x ./internal/live; } \
-		| $(GO) run ./cmd/benchjson > BENCH_obs.json
-	$(GO) test -run='^$$' -bench='$(HOTPATH_BENCHES)' -benchmem . \
-		| $(GO) run ./cmd/benchjson > BENCH_machine.json
-	{ $(GO) test -run='^$$' -bench='^BenchmarkPolicyPick$$' -benchmem ./internal/cluster; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkClusterRack$$' -benchtime=2x ./internal/cluster; } \
-		| $(GO) run ./cmd/benchjson > BENCH_rack.json
-	{ $(GO) test -run='^$$' -bench='^BenchmarkFigHier$$' -benchtime=1x .; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkClusterHier$$' -benchtime=2x ./internal/cluster; } \
-		| $(GO) run ./cmd/benchjson > BENCH_hier.json
-
-# The hot-path benchmark set: steady-state per-request cost (allocs/op reads
-# as allocations per simulated request) and simulator throughput (sim_mrps).
-HOTPATH_BENCHES = ^(BenchmarkMachineSteadyState|BenchmarkClusterSteadyState|BenchmarkMachineThroughput|BenchmarkSweepParallel)$$
-
-# bench-diff regenerates the hot-path benchmark set and compares it against
-# the committed BENCH_machine.json snapshot, flagging any directional metric
-# (ns/op, B/op, allocs/op, sim_mrps) that moved past the threshold. Override
-# OLD/NEW to diff arbitrary snapshots, THRESHOLD to tune sensitivity.
-BENCH_DIFF_OLD ?= BENCH_machine.json
-BENCH_DIFF_NEW ?= /tmp/BENCH_machine.new.json
-BENCH_DIFF_THRESHOLD ?= 20
-
-bench-diff:
-	$(GO) test -run='^$$' -bench='$(HOTPATH_BENCHES)' -benchmem . \
-		| $(GO) run ./cmd/benchjson > $(BENCH_DIFF_NEW)
-	$(GO) run ./cmd/benchdiff -threshold $(BENCH_DIFF_THRESHOLD) $(BENCH_DIFF_OLD) $(BENCH_DIFF_NEW)
-	$(GO) test -run='^$$' -bench='^BenchmarkPolicyPick$$' -benchmem ./internal/cluster \
-		| $(GO) run ./cmd/benchjson > /tmp/BENCH_rack.new.json
-	$(GO) run ./cmd/benchdiff -threshold $(BENCH_DIFF_THRESHOLD) BENCH_rack.json /tmp/BENCH_rack.new.json
-	$(GO) test -run='^$$' -bench='^BenchmarkClusterHier$$' -benchtime=2x ./internal/cluster \
-		| $(GO) run ./cmd/benchjson > /tmp/BENCH_hier.new.json
-	$(GO) run ./cmd/benchdiff -threshold $(BENCH_DIFF_THRESHOLD) BENCH_hier.json /tmp/BENCH_hier.new.json
 
 # profile captures CPU and heap profiles of the heaviest end-to-end figure
 # (figCluster) and prints the top flat-cost functions of each — the data

@@ -10,9 +10,12 @@ package rpcvalet_test
 // Full-scale regeneration (larger samples, denser grids) is done by
 // cmd/rpcvalet-bench; EXPERIMENTS.md records its output. The benchmarks
 // here exist so `go test -bench` exercises every experiment end to end.
+//
+// Simulator speed is not measured here: `make perfbench` (BENCHMARK.json)
+// reports sim_mrps, setup cost and per-layer costs on calibrated workloads,
+// and the AllocsPerRequest tests hold the per-request allocation budgets.
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 
@@ -91,89 +94,6 @@ func BenchmarkAblationPolicy(b *testing.B)         { regen(b, "ablation-policy")
 
 // --- Simulator micro-benchmarks -------------------------------------------
 
-// reportSimRate attaches the simulator-speed metric shared by the hot-path
-// benchmarks: simulated completions per wall-clock second, in millions
-// (sim_mrps). completions is the total the run simulated (warmup included —
-// the simulator pays for every one).
-func reportSimRate(b *testing.B, completions int) {
-	b.Helper()
-	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(completions)/s/1e6, "sim_mrps")
-	}
-}
-
-// BenchmarkMachineThroughput measures simulator speed itself: simulated
-// RPCs per wall-clock second for the full 1×16 machine.
-func BenchmarkMachineThroughput(b *testing.B) {
-	cfg := rpcvalet.Config{
-		Params:   rpcvalet.DefaultParams(),
-		Workload: rpcvalet.HERD(),
-		RateMRPS: 20,
-		Warmup:   100,
-		Seed:     7,
-	}
-	cfg.Measure = b.N
-	if cfg.Measure < 1000 {
-		cfg.Measure = 1000
-	}
-	b.ReportAllocs()
-	res, err := rpcvalet.Run(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.Latency.P99, "p99_ns")
-	reportSimRate(b, cfg.Warmup+cfg.Measure)
-}
-
-// BenchmarkMachineSteadyState is the single-node hot-path benchmark: one
-// long machine run with tracing off, so with -benchmem the allocs/op column
-// reads as allocations per simulated request (b.N requests measured; the
-// pooled request path should hold it at ~0) and sim_mrps reads the
-// simulator's own throughput.
-func BenchmarkMachineSteadyState(b *testing.B) {
-	cfg := rpcvalet.Config{
-		Params:   rpcvalet.DefaultParams(),
-		Workload: rpcvalet.HERD(),
-		RateMRPS: 20,
-		Warmup:   2000,
-		Seed:     11,
-	}
-	cfg.Measure = b.N
-	if cfg.Measure < 2000 {
-		cfg.Measure = 2000
-	}
-	b.ReportAllocs()
-	res, err := rpcvalet.Run(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.Latency.P99, "p99_ns")
-	reportSimRate(b, cfg.Warmup+cfg.Measure)
-}
-
-// BenchmarkClusterSteadyState is the rack-level hot-path benchmark: four
-// RPCValet nodes behind the JSQ balancer on the single-engine path, measured
-// the same way (allocs/op ≈ allocations per simulated request).
-func BenchmarkClusterSteadyState(b *testing.B) {
-	policy, err := rpcvalet.ClusterPolicyByName("jsq2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := rpcvalet.DefaultCluster(4, rpcvalet.HERD(), policy)
-	cfg.Warmup = 2000
-	cfg.Measure = b.N
-	if cfg.Measure < 2000 {
-		cfg.Measure = 2000
-	}
-	b.ReportAllocs()
-	res, err := rpcvalet.RunCluster(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.Latency.P99, "p99_ns")
-	reportSimRate(b, cfg.Warmup+cfg.Measure)
-}
-
 // BenchmarkModeComparison reports the p99 each mode delivers at a fixed
 // mid-saturation load, as a quick regression canary on the headline result.
 func BenchmarkModeComparison(b *testing.B) {
@@ -229,26 +149,4 @@ func mustSynthetic(b *testing.B, kind string) rpcvalet.Profile {
 		b.Fatal(err)
 	}
 	return p
-}
-
-// BenchmarkSweepParallel measures the harness's parallel sweep machinery:
-// sim_mrps aggregates the simulated completions of every point in the sweep
-// against the wall-clock of the whole fan-out.
-func BenchmarkSweepParallel(b *testing.B) {
-	cfg := rpcvalet.Config{
-		Params:   rpcvalet.DefaultParams(),
-		Workload: rpcvalet.HERD(),
-		Warmup:   200,
-		Measure:  2000,
-		Seed:     5,
-	}
-	const points = 4
-	cap := rpcvalet.CapacityMRPS(cfg.Params, cfg.Workload)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := rpcvalet.Sweep(cfg, rpcvalet.RateGrid(cap, 0.2, 0.9, points), strconv.Itoa(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSimRate(b, b.N*points*(cfg.Warmup+cfg.Measure))
 }

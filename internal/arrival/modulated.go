@@ -32,9 +32,13 @@ type Envelope interface {
 	String() string
 }
 
+// validFactor reports whether f is a usable rate factor: positive and
+// finite.
+func validFactor(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
+
 func checkFactor(what string, f float64) {
-	if !(f > 0) {
-		panic(fmt.Sprintf("arrival: %s factor %g must be positive", what, f))
+	if !validFactor(f) {
+		panic(fmt.Sprintf("arrival: %s factor %g must be positive and finite", what, f))
 	}
 }
 
@@ -342,7 +346,7 @@ func ParseEnvelope(spec string) (Envelope, error) {
 		return nil, fmt.Errorf("arrival: envelope %q missing \":x<factor>\"", spec)
 	}
 	factor, err := strconv.ParseFloat(factorStr[1:], 64)
-	if err != nil || !(factor > 0) {
+	if err != nil || !validFactor(factor) {
 		return nil, fmt.Errorf("arrival: bad envelope factor %q", factorStr)
 	}
 	dur := func(s string) (float64, error) {

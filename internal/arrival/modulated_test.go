@@ -181,6 +181,9 @@ func TestParseEnvelope(t *testing.T) {
 		"", "step", "step@400us", "step@400us:y2", "step@400us:x0", "step@zz:x2",
 		"pulse@400us:x2", "pulse@400us+0:x2", "ramp@1us+0:x2",
 		"square@50us/50us:x2", "square@50us+10us:x2", "sine@50us:x2",
+		"step@NaN:x2", "step@inf:x2", "step@1e30s:x2", "pulse@NaN+1us:x2",
+		"ramp@1us+inf:x2", "step@400us:xNaN", "step@400us:xInf",
+		"square@200us/50us:xInf", "pulse@1us+1us:x+Inf",
 	} {
 		if _, err := ParseEnvelope(bad); err == nil {
 			t.Errorf("ParseEnvelope(%q) accepted", bad)
@@ -214,4 +217,30 @@ func TestParseEnvelopeRejectsTrailingGarbage(t *testing.T) {
 			t.Errorf("ParseEnvelope(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseEnvelope checks that no spec panics the parser and that every
+// accepted spec's String() parses back to an equal Envelope.
+func FuzzParseEnvelope(f *testing.F) {
+	for _, seed := range []string{
+		"step@400us:x2", "pulse@400us+200us:x2", "ramp@100us+500us:x3",
+		"square@200us/50us:x2.5", "step@1000:x0.5",
+		"step@NaN:x2", "step@1e30s:x2", "square@200us/50us:xInf",
+		"step@999999999999.999999ns:x2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		e, err := ParseEnvelope(spec)
+		if err != nil {
+			return
+		}
+		back, err := ParseEnvelope(e.String())
+		if err != nil {
+			t.Fatalf("ParseEnvelope(%q) = %v, which does not parse back: %v", spec, e, err)
+		}
+		if back != e {
+			t.Fatalf("ParseEnvelope(%q) = %#v, String %q parses back to %#v", spec, e, e, back)
+		}
+	})
 }

@@ -11,8 +11,8 @@ import (
 // whole-rack JSQ off its depth index — so sim_mrps reads the simulator's
 // datacenter throughput with both dispatch tiers on the arrival path. The
 // serial engine and the racks-as-shards PDES engine run as subtests: the
-// serial cell is the tier abstraction's overhead against BenchmarkClusterRack
-// (same nodes, one tier fewer), the sharded cell is the parallel path whose
+// serial cell is the single-engine 1000-node path to profile when per-event
+// cost at scale is the question, the sharded cell is the parallel path whose
 // lookahead is the global hop.
 func BenchmarkClusterHier(b *testing.B) {
 	const nodes, racks = 1000, 8

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"runtime"
 	"testing"
 
 	"rpcvalet/internal/rng"
@@ -11,9 +10,9 @@ import (
 // policies (random, rr), sampled JSQ(2), and the two whole-cluster policies
 // (full-scan JSQ, bounded-load) whose decision cost is the point of the
 // depth-index engine. Names are fixed strings, not Policy.String(), so the
-// benchmark identity survives policy-labeling changes and benchdiff can
-// compare snapshots across them.
-func rackPolicies(nodes int) []struct {
+// benchmark identity survives policy-labeling changes and results stay
+// comparable across them.
+func rackPolicies() []struct {
 	name string
 	mk   func() Policy
 } {
@@ -38,7 +37,7 @@ func rackPolicies(nodes int) []struct {
 // decision at steady state.
 func BenchmarkPolicyPick(b *testing.B) {
 	const nodes = 1000
-	for _, pc := range rackPolicies(nodes) {
+	for _, pc := range rackPolicies() {
 		b.Run("policy="+pc.name+"/nodes=1000", func(b *testing.B) {
 			v := newView(nodes, true)
 			r := rng.New(1)
@@ -62,43 +61,6 @@ func BenchmarkPolicyPick(b *testing.B) {
 					pos = 0
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkClusterRack is the end-to-end 1000-node steady-state benchmark:
-// one full cluster.Run per iteration on the serial engine, so sim_mrps reads
-// the simulator's whole-rack throughput with the decision engine on the
-// arrival path. jsq2 rides along as the control: its pick cost is O(1), so
-// any movement there is simulator noise, while jsqfull and bounded isolate
-// the O(N)-scan-versus-index difference.
-func BenchmarkClusterRack(b *testing.B) {
-	const nodes = 1000
-	for _, pc := range rackPolicies(nodes) {
-		switch pc.name {
-		case "jsq2", "jsqfull", "bounded":
-		default:
-			continue
-		}
-		b.Run("policy="+pc.name+"/nodes=1000", func(b *testing.B) {
-			cfg := baseConfig(nodes, pc.mk(), 0.8)
-			cfg.Warmup = 2000
-			cfg.Measure = 30000
-			total := cfg.Warmup + cfg.Measure
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := cfg
-				c.Policy = cfg.Policy.Clone()
-				res, err := Run(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Completed != total {
-					b.Fatalf("completed %d of %d", res.Completed, total)
-				}
-			}
-			b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds()/1e6, "sim_mrps")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 		})
 	}
 }

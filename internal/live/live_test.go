@@ -219,33 +219,3 @@ func TestParseEmulation(t *testing.T) {
 		t.Fatal("bad emulation accepted")
 	}
 }
-
-// BenchmarkLiveShapes is the live counterpart of the figure benchmarks: one
-// short run per shape, reporting completion throughput. CI pipes it through
-// cmd/benchjson into BENCH_live.json.
-func BenchmarkLiveShapes(b *testing.B) {
-	for _, plan := range []string{"1x16", "16x1", "jbsq2"} {
-		b.Run(plan, func(b *testing.B) {
-			pl, err := machine.ParsePlan(plan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := Config{
-				Plan:     pl,
-				Workload: workload.SyntheticExp(),
-				Workers:  4,
-				Duration: 100 * time.Millisecond,
-				Seed:     42,
-			}
-			cfg.RateMRPS = 0.5 * CapacityMRPS(cfg)
-			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Completed), "completions")
-				b.ReportMetric(res.ThroughputMRPS*1e6, "rps")
-			}
-		})
-	}
-}

@@ -120,7 +120,7 @@ func TestLiveObsHooks(t *testing.T) {
 // instruments all on. Compare the rps metrics across sub-benchmarks — the
 // instrumented run's throughput should sit within ~2% of baseline (the
 // serving path only gains one integer per completion record and a few
-// atomics). CI pipes this through cmd/benchjson into BENCH_obs.json.
+// atomics). perfbench does not cover the live runtime, so this stays.
 func BenchmarkLiveTraceOverhead(b *testing.B) {
 	base := func(b *testing.B) Config {
 		pl, err := machine.ParsePlan("1x16")

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -18,8 +19,11 @@ type Pause struct {
 	Dur   sim.Duration
 }
 
+// String writes both durations in plain decimal µs: an exponent's "+"
+// (1e+06us) would collide with the START+DUR separator.
 func (p Pause) String() string {
-	return fmt.Sprintf("pause@%gus+%gus", p.Start.Micros(), p.Dur.Micros())
+	us := func(d sim.Duration) string { return strconv.FormatFloat(d.Micros(), 'f', -1, 64) }
+	return "pause@" + us(p.Start) + "us+" + us(p.Dur) + "us"
 }
 
 // PauseStall returns how long work beginning at time t must stall to clear
@@ -79,17 +83,18 @@ func (f Fault) String() string {
 // ParseFault parses the degradation grammar shared by the CLIs' -degrade
 // flags: a comma-separated list of terms, each either a slowdown factor
 // "x1.5" or a stall window "pause@START+DUR" with durations in the
-// sim.ParseDuration grammar (e.g. "pause@200us+100us").
+// sim.ParseDuration grammar (e.g. "pause@200us+100us"). "healthy", the
+// String of the zero Fault, parses back to it.
 func ParseFault(spec string) (Fault, error) {
 	var f Fault
 	for _, term := range strings.Split(spec, ",") {
 		term = strings.TrimSpace(term)
 		switch {
-		case term == "":
+		case term == "" || term == "healthy":
 			continue
 		case strings.HasPrefix(term, "x"):
 			v, err := strconv.ParseFloat(term[1:], 64)
-			if err != nil || v <= 0 {
+			if err != nil || !(v > 0) || math.IsInf(v, 1) {
 				return Fault{}, fmt.Errorf("machine: bad slowdown %q (want e.g. x1.5)", term)
 			}
 			f.Slowdown = v

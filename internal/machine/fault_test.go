@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"rpcvalet/internal/sim"
@@ -23,7 +24,17 @@ func TestParseFault(t *testing.T) {
 	if err != nil || f.Slowdown != 2 || len(f.Pauses) != 2 {
 		t.Fatalf("combined -> %+v, %v", f, err)
 	}
-	for _, bad := range []string{"y1.5", "x0", "x-1", "pause@50us", "pause@+10us", "pause@zz+10us", "1.5"} {
+	// Spans of a second or more print without an exponent, whose "+" would
+	// split the window in the wrong place.
+	f, err = ParseFault("pause@1s+2s")
+	if err != nil || f.String() != "pause@1000000us+2000000us" {
+		t.Fatalf("pause@1s+2s -> %v, %v", f, err)
+	}
+	for _, bad := range []string{
+		"y1.5", "x0", "x-1", "pause@50us", "pause@+10us", "pause@zz+10us", "1.5",
+		"xNaN", "xnan", "xInf", "x+Inf", "x-Inf", "x1e400",
+		"pause@NaN+1us", "pause@1us+inf", "pause@1e30s+1us",
+	} {
 		if _, err := ParseFault(bad); err == nil {
 			t.Errorf("ParseFault(%q) accepted", bad)
 		}
@@ -167,4 +178,37 @@ func TestTimelineDeterministic(t *testing.T) {
 			t.Fatalf("epoch %d differs between identical runs", i)
 		}
 	}
+}
+
+// FuzzParseFault checks that no spec panics the parser and that every
+// accepted spec's String() parses back to an equal Fault (slowdown 0 and 1
+// both mean full speed, so String writes neither).
+func FuzzParseFault(f *testing.F) {
+	for _, seed := range []string{
+		"", "healthy", "x1", "x1.5", "pause@200us+100us",
+		"x2,pause@50us+10us,pause@500us+10us",
+		"xNaN", "xInf", "pause@NaN+1us", "pause@1us+1e30s", "pause@1s+0",
+		"pause@999999999999.999999ns+1000s",
+	} {
+		f.Add(seed)
+	}
+	norm := func(f Fault) Fault {
+		if f.Slowdown == 1 {
+			f.Slowdown = 0
+		}
+		return f
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		got, err := ParseFault(spec)
+		if err != nil {
+			return
+		}
+		back, err := ParseFault(got.String())
+		if err != nil {
+			t.Fatalf("ParseFault(%q) = %v, which does not parse back: %v", spec, got, err)
+		}
+		if !reflect.DeepEqual(norm(back), norm(got)) {
+			t.Fatalf("ParseFault(%q) = %+v, String %q parses back to %+v", spec, got, got, back)
+		}
+	})
 }

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -58,10 +59,17 @@ func FromNanos(ns float64) Duration {
 // FromMicros converts a duration expressed in microseconds to a Duration.
 func FromMicros(us float64) Duration { return FromNanos(us * 1e3) }
 
+// maxSpan is the longest span ParseDuration accepts. Below 2^50 ps, a span
+// written back as the shortest float64 decimal in ns or µs (as the fault and
+// envelope specs' String methods do) parses to the same picosecond count;
+// past it, that text can land a picosecond or more away.
+const maxSpan = 1000 * Second
+
 // ParseDuration parses a virtual-time span written with an optional unit
 // suffix: "500ns", "50us", "1.5ms", "2s", or a bare number meaning
 // nanoseconds ("500"). It is the shared grammar of every CLI flag and spec
-// string that names a simulated time.
+// string that names a simulated time. NaN, infinities, negative spans and
+// spans past 1000 s (maxSpan) are errors.
 func ParseDuration(s string) (Duration, error) {
 	str := strings.TrimSpace(s)
 	unit := 1.0 // ns
@@ -77,11 +85,14 @@ func ParseDuration(s string) (Duration, error) {
 		str, unit = str[:len(str)-1], 1e9
 	}
 	v, err := strconv.ParseFloat(str, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("sim: bad duration %q (want e.g. 500ns, 50us, 1.5ms)", s)
 	}
 	if v < 0 {
 		return 0, fmt.Errorf("sim: negative duration %q", s)
+	}
+	if v*unit*float64(Nanosecond) > float64(maxSpan) {
+		return 0, fmt.Errorf("sim: duration %q exceeds %gs", s, maxSpan.Seconds())
 	}
 	return FromNanos(v * unit), nil
 }

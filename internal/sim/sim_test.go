@@ -38,6 +38,32 @@ func TestUnits(t *testing.T) {
 	}
 }
 
+func TestParseDuration(t *testing.T) {
+	for spec, want := range map[string]Duration{
+		"500":    500 * Nanosecond,
+		"500ns":  500 * Nanosecond,
+		"50us":   50 * Microsecond,
+		"50µs":   50 * Microsecond,
+		"1.5ms":  1500 * Microsecond,
+		"2s":     2 * Second,
+		" 0.5ns": 500 * Picosecond,
+		"1000s":  maxSpan,
+	} {
+		if got, err := ParseDuration(spec); err != nil || got != want {
+			t.Errorf("ParseDuration(%q) = %d, %v; want %d", spec, got, err, want)
+		}
+	}
+	for _, bad := range []string{
+		"", "us", "zz", "-1ns", "1.5xs",
+		"NaN", "nan", "inf", "+Inf", "-Inf", "NaNus", "infs",
+		"1e30s", "1e400", "9223372036854776ns", "1000.001s", "1e6s",
+	} {
+		if got, err := ParseDuration(bad); err == nil {
+			t.Errorf("ParseDuration(%q) = %d, want an error", bad, got)
+		}
+	}
+}
+
 func TestTimeArithmetic(t *testing.T) {
 	t0 := Time(0).Add(5 * Nanosecond)
 	if t0 != Time(5000) {
@@ -378,26 +404,6 @@ func TestPropertyServerLindley(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineSchedule measures the Schedule→fire cycle in steady state;
-// run with -benchmem to see the warm arena holding allocs/op at zero.
-func BenchmarkEngineSchedule(b *testing.B) {
-	e := New()
-	fn := func() {}
-	for i := 0; i < 1024; i++ {
-		e.Schedule(Duration(i), fn)
-	}
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(Duration(i&1023), fn)
-		if i&1023 == 1023 {
-			e.Run()
-		}
-	}
-	e.Run()
-}
-
 // BenchmarkEngineHold is the classic hold model: at a fixed number of
 // pending events, schedule one at a random delay and fire the earliest.
 // Unlike a loop that pops the event it just pushed, its sift paths vary
@@ -423,19 +429,6 @@ func BenchmarkEngineHold(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	e := New()
-	r := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(Duration(r.IntN(1000)), func() {})
-		if i%1024 == 0 {
-			e.Run()
-		}
-	}
-	e.Run()
 }
 
 // TestScheduleReusesFiredEvents: once the arena and heap are warm, the

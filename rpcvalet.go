@@ -256,7 +256,7 @@ const (
 )
 
 // ParseDuration parses a virtual-time span with an optional unit suffix:
-// "500ns", "50us", "1.5ms", "2s", or a bare nanosecond count.
+// "500ns", "50us", "1.5ms", "2s", or a bare nanosecond count, up to 1000 s.
 func ParseDuration(s string) (Duration, error) { return sim.ParseDuration(s) }
 
 // Envelope is a deterministic rate-modulation profile over virtual time — a
