@@ -32,12 +32,8 @@ type Envelope interface {
 	String() string
 }
 
-// validFactor reports whether f is a usable rate factor: positive and
-// finite.
-func validFactor(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
-
 func checkFactor(what string, f float64) {
-	if !validFactor(f) {
+	if !sim.ValidFactor(f) {
 		panic(fmt.Sprintf("arrival: %s factor %g must be positive and finite", what, f))
 	}
 }
@@ -78,7 +74,9 @@ func (e Step) Advance(t, area float64) float64 {
 
 func (e Step) Name() string { return "step" }
 
-func (e Step) String() string { return fmt.Sprintf("step@%gns:x%g", e.AtNanos, e.Factor) }
+func (e Step) String() string {
+	return fmt.Sprintf("step@%s:x%g", sim.FormatSpan(e.AtNanos, "ns"), e.Factor)
+}
 
 // --- Pulse ------------------------------------------------------------------
 
@@ -132,7 +130,7 @@ func (e Pulse) Advance(t, area float64) float64 {
 func (e Pulse) Name() string { return "pulse" }
 
 func (e Pulse) String() string {
-	return fmt.Sprintf("pulse@%gns+%gns:x%g", e.StartNanos, e.DurNanos, e.Factor)
+	return fmt.Sprintf("pulse@%s+%s:x%g", sim.FormatSpan(e.StartNanos, "ns"), sim.FormatSpan(e.DurNanos, "ns"), e.Factor)
 }
 
 // --- Ramp -------------------------------------------------------------------
@@ -206,7 +204,7 @@ func (e Ramp) Advance(t, area float64) float64 {
 func (e Ramp) Name() string { return "ramp" }
 
 func (e Ramp) String() string {
-	return fmt.Sprintf("ramp@%gns+%gns:x%g", e.StartNanos, e.DurNanos, e.Factor)
+	return fmt.Sprintf("ramp@%s+%s:x%g", sim.FormatSpan(e.StartNanos, "ns"), sim.FormatSpan(e.DurNanos, "ns"), e.Factor)
 }
 
 // --- SquareWave ---------------------------------------------------------
@@ -269,7 +267,7 @@ func (e SquareWave) Advance(t, area float64) float64 {
 func (e SquareWave) Name() string { return "square" }
 
 func (e SquareWave) String() string {
-	return fmt.Sprintf("square@%gns/%gns:x%g", e.PeriodNanos, e.HighNanos, e.Factor)
+	return fmt.Sprintf("square@%s/%s:x%g", sim.FormatSpan(e.PeriodNanos, "ns"), sim.FormatSpan(e.HighNanos, "ns"), e.Factor)
 }
 
 // mod wraps math.Mod for positive operands.
@@ -346,7 +344,7 @@ func ParseEnvelope(spec string) (Envelope, error) {
 		return nil, fmt.Errorf("arrival: envelope %q missing \":x<factor>\"", spec)
 	}
 	factor, err := strconv.ParseFloat(factorStr[1:], 64)
-	if err != nil || !validFactor(factor) {
+	if err != nil || !sim.ValidFactor(factor) {
 		return nil, fmt.Errorf("arrival: bad envelope factor %q", factorStr)
 	}
 	dur := func(s string) (float64, error) {

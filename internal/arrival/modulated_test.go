@@ -166,6 +166,10 @@ func TestParseEnvelope(t *testing.T) {
 		"ramp@100us+500us:x3":    "ramp@100000ns+500000ns:x3",
 		"square@200us/50us:x2.5": "square@200000ns/50000ns:x2.5",
 		"step@1000:x0.5":         "step@1000ns:x0.5",
+		"step@1.5ms:x2":          "step@1500000ns:x2",
+		"pulse@1ms+1us:x2":       "pulse@1000000ns+1000ns:x2",
+		"ramp@2ms+1us:x3":        "ramp@2000000ns+1000ns:x3",
+		"square@2ms/1ms:x2":      "square@2000000ns/1000000ns:x2",
 	}
 	for spec, want := range cases {
 		e, err := ParseEnvelope(spec)
@@ -226,7 +230,7 @@ func FuzzParseEnvelope(f *testing.F) {
 		"step@400us:x2", "pulse@400us+200us:x2", "ramp@100us+500us:x3",
 		"square@200us/50us:x2.5", "step@1000:x0.5",
 		"step@NaN:x2", "step@1e30s:x2", "square@200us/50us:xInf",
-		"step@999999999999.999999ns:x2",
+		"step@999999999999.999999ns:x2", "pulse@1ms+1us:x2", "ramp@2ms+1us:x3",
 	} {
 		f.Add(seed)
 	}

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -19,11 +18,8 @@ type Pause struct {
 	Dur   sim.Duration
 }
 
-// String writes both durations in plain decimal µs: an exponent's "+"
-// (1e+06us) would collide with the START+DUR separator.
 func (p Pause) String() string {
-	us := func(d sim.Duration) string { return strconv.FormatFloat(d.Micros(), 'f', -1, 64) }
-	return "pause@" + us(p.Start) + "us+" + us(p.Dur) + "us"
+	return "pause@" + sim.FormatSpan(p.Start.Micros(), "us") + "+" + sim.FormatSpan(p.Dur.Micros(), "us")
 }
 
 // PauseStall returns how long work beginning at time t must stall to clear
@@ -94,7 +90,7 @@ func ParseFault(spec string) (Fault, error) {
 			continue
 		case strings.HasPrefix(term, "x"):
 			v, err := strconv.ParseFloat(term[1:], 64)
-			if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			if err != nil || !sim.ValidFactor(v) {
 				return Fault{}, fmt.Errorf("machine: bad slowdown %q (want e.g. x1.5)", term)
 			}
 			f.Slowdown = v

@@ -188,7 +188,7 @@ func FuzzParseFault(f *testing.F) {
 		"", "healthy", "x1", "x1.5", "pause@200us+100us",
 		"x2,pause@50us+10us,pause@500us+10us",
 		"xNaN", "xInf", "pause@NaN+1us", "pause@1us+1e30s", "pause@1s+0",
-		"pause@999999999999.999999ns+1000s",
+		"pause@999999999999.999999ns+1000s", "pause@1000s+1ms",
 	} {
 		f.Add(seed)
 	}

@@ -60,10 +60,22 @@ func FromNanos(ns float64) Duration {
 func FromMicros(us float64) Duration { return FromNanos(us * 1e3) }
 
 // maxSpan is the longest span ParseDuration accepts. Below 2^50 ps, a span
-// written back as the shortest float64 decimal in ns or µs (as the fault and
-// envelope specs' String methods do) parses to the same picosecond count;
-// past it, that text can land a picosecond or more away.
+// written back by FormatSpan in ns or µs (as the fault and envelope specs'
+// String methods do) parses to the same picosecond count; past it, that
+// text can land a picosecond or more away.
 const maxSpan = 1000 * Second
+
+// FormatSpan writes v, a span in the given ParseDuration unit ("ns", "us",
+// "ms" or "s"), as the shortest plain decimal that reads back to v. It never
+// writes an exponent, whose "+" (1e+06ns) would collide with the START+DUR
+// separator of the fault and envelope specs.
+func FormatSpan(v float64, unit string) string {
+	return strconv.FormatFloat(v, 'f', -1, 64) + unit
+}
+
+// ValidFactor reports whether f is a usable rate or slowdown multiplier
+// (the "x1.5" term of the fault and envelope specs): positive and finite.
+func ValidFactor(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
 
 // ParseDuration parses a virtual-time span written with an optional unit
 // suffix: "500ns", "50us", "1.5ms", "2s", or a bare number meaning

@@ -64,6 +64,28 @@ func TestParseDuration(t *testing.T) {
 	}
 }
 
+func TestFormatSpan(t *testing.T) {
+	for _, c := range []struct {
+		d    Duration
+		unit string
+		v    float64
+		want string
+	}{
+		{Millisecond, "ns", Millisecond.Nanos(), "1000000ns"},
+		{1500 * Picosecond, "ns", (1500 * Picosecond).Nanos(), "1.5ns"},
+		{maxSpan, "us", maxSpan.Micros(), "1000000000us"},
+		{maxSpan - Picosecond, "ns", (maxSpan - Picosecond).Nanos(), "999999999999.999ns"},
+	} {
+		got := FormatSpan(c.v, c.unit)
+		if got != c.want {
+			t.Errorf("FormatSpan(%v, %q) = %q, want %q", c.v, c.unit, got, c.want)
+		}
+		if back, err := ParseDuration(got); err != nil || back != c.d {
+			t.Errorf("ParseDuration(%q) = %d, %v; want %d", got, back, err, c.d)
+		}
+	}
+}
+
 func TestTimeArithmetic(t *testing.T) {
 	t0 := Time(0).Add(5 * Nanosecond)
 	if t0 != Time(5000) {
