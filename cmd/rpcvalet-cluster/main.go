@@ -227,7 +227,7 @@ func main() {
 		cfg.Shards = *shards
 		capacity = rpcvalet.ClusterCapacityMRPS(cfg)
 		if loads == nil {
-			loads = fractions(*lo, *hi, *points)
+			loads = rpcvalet.RateGrid(1, *lo, *hi, *points)
 		}
 		rates := make([]float64, len(loads))
 		for i, f := range loads {
@@ -286,13 +286,18 @@ func main() {
 		// (round-robin rotation, bounded-load counters), so give the rerun a
 		// fresh instance rather than the swept one.
 		lastCfg.Policy = lastCfg.Policy.Clone()
-		lastCfg.TailSamples = *tailK
+		var tail *rpcvalet.TailSampler
 		var collector *rpcvalet.TraceCollector
+		var sinks []rpcvalet.TraceRecorder
+		if *tailK > 0 {
+			tail = rpcvalet.NewTailSampler(*tailK)
+			sinks = append(sinks, tail)
+		}
 		if *traceJSONL != "" {
 			collector = rpcvalet.NewTraceCollector()
-			lastCfg.Trace = collector
-			lastCfg.TraceSample = *traceSample
+			sinks = append(sinks, rpcvalet.SampleTrace(collector, *traceSample))
 		}
+		lastCfg.Trace = rpcvalet.TeeTrace(sinks...)
 		res, err := rpcvalet.RunCluster(lastCfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
@@ -312,9 +317,9 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if *tailK > 0 {
+		if tail != nil {
 			fmt.Printf("# slowest requests: policy %s at %.1f MRPS\n\n", curves[0].Label, lastCfg.RateMRPS)
-			if err := report.SpanTable("slowest requests", res.TailSpans).WriteText(os.Stdout); err != nil {
+			if err := report.SpanTable("slowest requests", tail.Spans()).WriteText(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -334,16 +339,4 @@ func main() {
 			fmt.Printf("\nnode %d (%s, %s): %s\n", i, res.NodeDispatch[i], res.NodeFaults[i], report.TimelineSpark(tl))
 		}
 	}
-}
-
-// fractions builds n evenly spaced load fractions in [lo, hi].
-func fractions(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		return []float64{hi}
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + (hi-lo)*float64(i)/float64(n-1)
-	}
-	return out
 }

@@ -99,7 +99,6 @@ func main() {
 	if base.RateMRPS <= 0 {
 		base.RateMRPS = 0.65 * rpcvalet.LiveCapacityMRPS(base)
 	}
-	base.TailSamples = *tailK
 
 	var reg *rpcvalet.ObsRegistry
 	if *obsAddr != "" {
@@ -120,7 +119,13 @@ func main() {
 		defer jsonl.Close()
 	}
 
-	var results []rpcvalet.LiveResult
+	// Each plan's result carries its tail spans (nil without -tail), which
+	// JSON output embeds as TailSpans.
+	type planResult struct {
+		rpcvalet.LiveResult
+		TailSpans []rpcvalet.Span
+	}
+	var results []planResult
 	for _, spec := range strings.Split(*plans, ",") {
 		pl, err := rpcvalet.ParseDispatchPlan(strings.TrimSpace(spec))
 		if err != nil {
@@ -131,12 +136,18 @@ func main() {
 		if reg != nil {
 			cfg.Obs = rpcvalet.NewObsRunMetrics(reg, rpcvalet.ObsLabels{"plan": pl.Name})
 		}
+		var tail *rpcvalet.TailSampler
 		var collector *rpcvalet.TraceCollector
+		var sinks []rpcvalet.TraceRecorder
+		if *tailK > 0 {
+			tail = rpcvalet.NewTailSampler(*tailK)
+			sinks = append(sinks, tail)
+		}
 		if jsonl != nil {
 			collector = rpcvalet.NewTraceCollector()
-			cfg.Trace = collector
-			cfg.TraceSample = *traceSample
+			sinks = append(sinks, rpcvalet.SampleTrace(collector, *traceSample))
 		}
+		cfg.Trace = rpcvalet.TeeTrace(sinks...)
 		res, err := rpcvalet.RunLive(cfg)
 		if err != nil {
 			fail(err)
@@ -146,7 +157,11 @@ func main() {
 				fail(err)
 			}
 		}
-		results = append(results, res)
+		pr := planResult{LiveResult: res}
+		if tail != nil {
+			pr.TailSpans = tail.Spans()
+		}
+		results = append(results, pr)
 	}
 
 	if *format == "json" {

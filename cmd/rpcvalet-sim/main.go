@@ -148,13 +148,20 @@ func main() {
 		}
 		cfg.Epoch = d
 	}
-	cfg.TailSamples = *tailK
+	// The tail sampler sees every request, the JSONL collector one in
+	// -trace-sample.
+	var tail *rpcvalet.TailSampler
 	var collector *rpcvalet.TraceCollector
+	var sinks []rpcvalet.TraceRecorder
+	if *tailK > 0 {
+		tail = rpcvalet.NewTailSampler(*tailK)
+		sinks = append(sinks, tail)
+	}
 	if *traceJSONL != "" {
 		collector = rpcvalet.NewTraceCollector()
-		cfg.Trace = collector
-		cfg.TraceSample = *traceSample
+		sinks = append(sinks, rpcvalet.SampleTrace(collector, *traceSample))
 	}
+	cfg.Trace = rpcvalet.TeeTrace(sinks...)
 
 	res, err := rpcvalet.Run(cfg)
 	if err != nil {
@@ -178,10 +185,18 @@ func main() {
 		}
 	}
 
+	var tailSpans []rpcvalet.Span
+	if tail != nil {
+		tailSpans = tail.Spans()
+	}
 	if *format == "json" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+		out := struct {
+			rpcvalet.Result
+			TailSpans []rpcvalet.Span
+		}{res, tailSpans}
+		if err := enc.Encode(out); err != nil {
 			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
 			os.Exit(1)
 		}
@@ -237,9 +252,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *tailK > 0 {
+	if tail != nil {
 		fmt.Println()
-		if err := report.SpanTable("slowest requests", res.TailSpans).WriteText(os.Stdout); err != nil {
+		if err := report.SpanTable("slowest requests", tailSpans).WriteText(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

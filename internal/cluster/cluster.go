@@ -86,16 +86,11 @@ type Config struct {
 	// the balancer's hop milestones (balancer-recv, forward) plus every
 	// node's machine events, with request IDs remapped to cluster-wide
 	// sequence numbers and the serving node stamped on each event — one
-	// causally ordered stream per request across the whole rack.
+	// causally ordered stream per request across the whole rack. A
+	// trace.TailSampler here keeps the K slowest requests end to end, hop
+	// included; trace.Sample thins by cluster sequence number. Passive:
+	// result streams stay byte-identical.
 	Trace trace.Recorder
-	// TraceSample records only every Nth request (by cluster sequence
-	// number) to Trace; 0 and 1 both mean every request. Sampling gates
-	// Trace only, never the tail sampler.
-	TraceSample int
-	// TailSamples, when positive, retains the K slowest requests
-	// (end-to-end, hop included) on Result.TailSpans with full span
-	// breakdowns. Passive: healthy result streams stay byte-identical.
-	TailSamples int
 	// Shards splits the simulation across parallel event engines: the
 	// node set is partitioned into Shards contiguous groups, each with its
 	// own clock and goroutine, plus the balancer on its own shard, all
@@ -337,12 +332,6 @@ type Result struct {
 	// with NodeCompleted.
 	Timeline      metrics.Timeline
 	NodeTimelines []metrics.Timeline
-
-	// TailSpans holds the Config.TailSamples slowest requests of the run,
-	// slowest first, spans spliced across the balancer hop and the serving
-	// node (balancer-recv → forward → arrive → dispatch → start →
-	// complete). Nil unless TailSamples was set.
-	TailSpans []trace.Span
 }
 
 func (r Result) String() string {

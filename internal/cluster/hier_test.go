@@ -87,28 +87,31 @@ func TestHierDeterminism(t *testing.T) {
 	base := hierConfig(8, 4, JSQ{D: FullScan}, JSQ{D: 2}, 0.7)
 	base.Warmup = 200
 	base.Measure = 4000
-	base.TailSamples = 8
 	base.SampleEvery = base.Hop
 	base.GlobalSampleEvery = 2 * base.Hop
 
-	runTraced := func(seed uint64) (Result, []trace.Event) {
+	runTraced := func(seed uint64) (Result, []trace.Event, []trace.Span) {
 		c := base
 		c.Seed = seed
 		c.Policy = base.Policy.Clone()
 		c.GlobalPolicy = base.GlobalPolicy.Clone()
 		var events []trace.Event
-		c.Trace = trace.Func(func(e trace.Event) { events = append(events, e) })
-		return run(t, c), events
+		tail := trace.NewTailSampler(8)
+		c.Trace = trace.Tee(tail, trace.Func(func(e trace.Event) { events = append(events, e) }))
+		return run(t, c), events, tail.Spans()
 	}
-	a, aev := runTraced(1)
-	b, bev := runTraced(1)
+	a, aev, atail := runTraced(1)
+	b, bev, btail := runTraced(1)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\n%v\n%v", a, b)
 	}
 	if !reflect.DeepEqual(aev, bev) {
 		t.Fatalf("trace streams diverged: %d vs %d events", len(aev), len(bev))
 	}
-	if c, _ := runTraced(2); c.Latency == a.Latency {
+	if !reflect.DeepEqual(atail, btail) {
+		t.Fatal("tail spans diverged")
+	}
+	if c, _, _ := runTraced(2); c.Latency == a.Latency {
 		t.Fatal("different seeds produced identical hierarchical results")
 	}
 	if a.Racks != 4 || a.GlobalPolicy == "" || len(a.RackCompleted) != 4 {
@@ -187,24 +190,27 @@ func TestHierShardedDeterminism(t *testing.T) {
 	base.Warmup = 200
 	base.Measure = 3000
 	base.Shards = 4
-	base.TailSamples = 8
 	base.SampleEvery = base.Hop
 
-	runTraced := func() (Result, []trace.Event) {
+	runTraced := func() (Result, []trace.Event, []trace.Span) {
 		c := base
 		c.Policy = base.Policy.Clone()
 		c.GlobalPolicy = base.GlobalPolicy.Clone()
 		var events []trace.Event
-		c.Trace = trace.Func(func(e trace.Event) { events = append(events, e) })
-		return run(t, c), events
+		tail := trace.NewTailSampler(8)
+		c.Trace = trace.Tee(tail, trace.Func(func(e trace.Event) { events = append(events, e) }))
+		return run(t, c), events, tail.Spans()
 	}
-	a, aev := runTraced()
-	b, bev := runTraced()
+	a, aev, atail := runTraced()
+	b, bev, btail := runTraced()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("sharded hier run diverged:\n%v\n%v", a, b)
 	}
 	if !reflect.DeepEqual(aev, bev) {
 		t.Fatalf("sharded hier trace streams diverged: %d vs %d events", len(aev), len(bev))
+	}
+	if !reflect.DeepEqual(atail, btail) {
+		t.Fatal("sharded hier tail spans diverged")
 	}
 }
 

@@ -111,24 +111,10 @@ func Run(cfg Config) (Result, error) {
 		polRNG[r] = root.Split()
 	}
 
-	// Tracing sinks: tail sees every request (exact K-slowest); the user
-	// Recorder sees one request in TraceSample. With both off no trace code
-	// touches the run — byte-identical streams.
-	var tail *trace.TailSampler
-	if cfg.TailSamples > 0 {
-		tail = trace.NewTailSampler(cfg.TailSamples)
-	}
-	sampleN := uint64(max(cfg.TraceSample, 1))
+	// With Trace nil no trace code touches the run — byte-identical streams.
 	var record func(trace.Event)
-	if cfg.Trace != nil || tail != nil {
-		record = func(e trace.Event) {
-			if tail != nil {
-				tail.Record(e)
-			}
-			if cfg.Trace != nil && e.ReqID%sampleN == 0 {
-				cfg.Trace.Record(e)
-			}
-		}
+	if cfg.Trace != nil {
+		record = cfg.Trace.Record
 	}
 	tracing := record != nil
 
@@ -182,8 +168,6 @@ func Run(cfg Config) (Result, error) {
 		if tracing {
 			tracers[i] = &nodeTracer{node: i, emit: sh.emit}
 			ncfg.Trace = tracers[i]
-			ncfg.TraceSample = 0 // sampling happens on cluster IDs
-			ncfg.TailSamples = 0 // the cluster-level tail splices the hops in
 		}
 		m, err := machine.NewShared(ncfg, sh.eng)
 		if err != nil {
@@ -406,7 +390,7 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, sh.err
 		}
 	}
-	return assemble(cfg, rec, tail, nodes, faultByNode, rackLabel, nodeCompleted, rackCompleted, completed, timedOut), nil
+	return assemble(cfg, rec, nodes, faultByNode, rackLabel, nodeCompleted, rackCompleted, completed, timedOut), nil
 }
 
 // runRounds drives a sharded run: every shard advances one lookahead-wide
@@ -517,7 +501,7 @@ func expandFaults(cfg Config, size, start []int) (faultByNode []machine.Fault, b
 
 // assemble builds the Result from a finished run's recorders and machines.
 // The two-tier fields are set only on two-tier runs.
-func assemble(cfg Config, rec *metrics.Recorder, tail *trace.TailSampler,
+func assemble(cfg Config, rec *metrics.Recorder,
 	nodes []*machine.Machine, faultByNode, rackLabel []machine.Fault,
 	nodeCompleted, rackCompleted []int, completed int, timedOut bool) Result {
 	res := Result{
@@ -540,9 +524,6 @@ func assemble(cfg Config, rec *metrics.Recorder, tail *trace.TailSampler,
 		for _, l := range rackLabel {
 			res.RackFaults = append(res.RackFaults, l.String())
 		}
-	}
-	if tail != nil {
-		res.TailSpans = tail.Spans()
 	}
 	if start, end := rec.Window(); end > start {
 		res.ThroughputMRPS = float64(cfg.Measure-1) / end.Sub(start).Nanos() * 1000

@@ -100,23 +100,26 @@ func TestShardedDeterminism(t *testing.T) {
 	cfg.Warmup = 200
 	cfg.Measure = 4000
 	cfg.Shards = 4
-	cfg.TailSamples = 8
 	cfg.SampleEvery = cfg.Hop // stale view exercises the snapshot loop too
 
-	runTraced := func() (Result, []trace.Event) {
+	runTraced := func() (Result, []trace.Event, []trace.Span) {
 		c := cfg
 		c.Policy = cfg.Policy.Clone()
 		var events []trace.Event
-		c.Trace = trace.Func(func(e trace.Event) { events = append(events, e) })
-		return run(t, c), events
+		tail := trace.NewTailSampler(8)
+		c.Trace = trace.Tee(tail, trace.Func(func(e trace.Event) { events = append(events, e) }))
+		return run(t, c), events, tail.Spans()
 	}
-	a, aev := runTraced()
-	b, bev := runTraced()
+	a, aev, atail := runTraced()
+	b, bev, btail := runTraced()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same (seed, shards) diverged:\n%v\n%v", a, b)
 	}
 	if !reflect.DeepEqual(aev, bev) {
 		t.Fatalf("trace streams diverged: %d vs %d events", len(aev), len(bev))
+	}
+	if !reflect.DeepEqual(atail, btail) {
+		t.Fatal("tail spans diverged")
 	}
 	// Different seeds must still decorrelate.
 	c := cfg

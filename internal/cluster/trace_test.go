@@ -199,9 +199,9 @@ func TestHierTraceCausality(t *testing.T) {
 				cfg.GlobalHop = 300 * sim.Nanosecond
 				cfg.Warmup = 50
 				cfg.Measure = 300
-				cfg.TailSamples = 8
 				var events []trace.Event
-				cfg.Trace = trace.Func(func(e trace.Event) { events = append(events, e) })
+				tail := trace.NewTailSampler(8)
+				cfg.Trace = trace.Tee(tail, trace.Func(func(e trace.Event) { events = append(events, e) }))
 				res := run(t, cfg)
 
 				byReq := make(map[uint64][]trace.Event)
@@ -214,7 +214,7 @@ func TestHierTraceCausality(t *testing.T) {
 				if completed := checkHierLifecycles(t, cfg, byReq); completed < res.Completed {
 					t.Fatalf("%d fully traced completions for %d completed requests", completed, res.Completed)
 				}
-				checkHierSpanLegs(t, cfg, res.TailSpans)
+				checkHierSpanLegs(t, cfg, tail.Spans())
 			})
 		}
 	}
@@ -243,9 +243,9 @@ func TestHierShardedTraceCausality(t *testing.T) {
 				cfg.GlobalHop = 300 * sim.Nanosecond
 				cfg.Warmup = 50
 				cfg.Measure = 400
-				cfg.TailSamples = 8
 				var events []trace.Event
-				cfg.Trace = trace.Func(func(e trace.Event) { events = append(events, e) })
+				tail := trace.NewTailSampler(8)
+				cfg.Trace = trace.Tee(tail, trace.Func(func(e trace.Event) { events = append(events, e) }))
 				res := run(t, cfg)
 
 				byReq := make(map[uint64][]trace.Event)
@@ -255,7 +255,7 @@ func TestHierShardedTraceCausality(t *testing.T) {
 				if completed := checkHierLifecycles(t, cfg, byReq); completed < res.Completed {
 					t.Fatalf("%d fully traced completions for %d completed requests", completed, res.Completed)
 				}
-				checkHierSpanLegs(t, cfg, res.TailSpans)
+				checkHierSpanLegs(t, cfg, tail.Spans())
 			})
 		}
 	}
@@ -281,9 +281,10 @@ func TestShardedTraceCausality(t *testing.T) {
 			cfg.Shards = 4
 			cfg.Warmup = 50
 			cfg.Measure = 800
-			cfg.TailSamples = 16
+			const tailK = 16
 			var events []trace.Event
-			cfg.Trace = trace.Func(func(e trace.Event) { events = append(events, e) })
+			tail := trace.NewTailSampler(tailK)
+			cfg.Trace = trace.Tee(tail, trace.Func(func(e trace.Event) { events = append(events, e) }))
 			res := run(t, cfg)
 
 			byReq := make(map[uint64][]trace.Event)
@@ -328,10 +329,11 @@ func TestShardedTraceCausality(t *testing.T) {
 				t.Fatalf("%d fully traced completions for %d completed requests", completed, res.Completed)
 			}
 
-			if len(res.TailSpans) != cfg.TailSamples {
-				t.Fatalf("tail spans = %d, want %d", len(res.TailSpans), cfg.TailSamples)
+			spans := tail.Spans()
+			if len(spans) != tailK {
+				t.Fatalf("tail spans = %d, want %d", len(spans), tailK)
 			}
-			for i, s := range res.TailSpans {
+			for i, s := range spans {
 				milestones := []struct {
 					phase string
 					at    sim.Time
@@ -369,12 +371,14 @@ func TestClusterTailSpans(t *testing.T) {
 	cfg := baseConfig(4, JSQ{D: 2}, 0.7)
 	cfg.Warmup = 50
 	cfg.Measure = 1000
-	cfg.TailSamples = 8
+	tail := trace.NewTailSampler(8)
+	cfg.Trace = tail
 	res := run(t, cfg)
-	if len(res.TailSpans) != 8 {
-		t.Fatalf("tail spans = %d, want 8", len(res.TailSpans))
+	spans := tail.Spans()
+	if len(spans) != 8 {
+		t.Fatalf("tail spans = %d, want 8", len(spans))
 	}
-	for i, s := range res.TailSpans {
+	for i, s := range spans {
 		if !s.Completed() {
 			t.Fatalf("tail span %d incomplete: %v", i, s)
 		}
@@ -387,35 +391,36 @@ func TestClusterTailSpans(t *testing.T) {
 		if s.HopNs() < cfg.Hop.Nanos() {
 			t.Fatalf("tail span %d hop %.0fns < configured %.0fns", i, s.HopNs(), cfg.Hop.Nanos())
 		}
-		if i > 0 && s.TotalNs() > res.TailSpans[i-1].TotalNs() {
+		if i > 0 && s.TotalNs() > spans[i-1].TotalNs() {
 			t.Fatal("tail spans not slowest-first")
 		}
 	}
 	// The slowest span must be at least as slow as the measured p99: the
 	// tail sampler saw every request, the summary only the window.
-	if res.TailSpans[0].TotalNs() < res.Latency.P99 {
-		t.Fatalf("slowest span %.0fns below p99 %.0fns", res.TailSpans[0].TotalNs(), res.Latency.P99)
+	if spans[0].TotalNs() < res.Latency.P99 {
+		t.Fatalf("slowest span %.0fns below p99 %.0fns", spans[0].TotalNs(), res.Latency.P99)
 	}
 }
 
-// TestClusterTraceSampling: sampling thins the user stream without touching
-// results or the tail.
+// TestClusterTraceSampling: a sampled recorder beside the tail sampler sees
+// one request in 8 by cluster ID, without touching results or the tail.
 func TestClusterTraceSampling(t *testing.T) {
 	cfg := baseConfig(2, Random{}, 0.5)
 	cfg.Warmup = 20
 	cfg.Measure = 400
-	cfg.TailSamples = 4
+	fullTail := trace.NewTailSampler(4)
+	cfg.Trace = fullTail
 
 	full := run(t, cfg)
 
 	var sampled int
-	cfg.TraceSample = 8
-	cfg.Trace = trace.Func(func(e trace.Event) {
+	tail := trace.NewTailSampler(4)
+	cfg.Trace = trace.Tee(tail, trace.Sample(trace.Func(func(e trace.Event) {
 		if e.ReqID%8 != 0 {
 			t.Fatalf("sampled stream leaked req %d", e.ReqID)
 		}
 		sampled++
-	})
+	}), 8))
 	got := run(t, cfg)
 	if sampled == 0 {
 		t.Fatal("sampling recorded nothing")
@@ -423,11 +428,12 @@ func TestClusterTraceSampling(t *testing.T) {
 	if got.Latency != full.Latency {
 		t.Fatal("tracing perturbed the measured latency stream")
 	}
-	if len(got.TailSpans) != len(full.TailSpans) {
+	gotSpans, fullSpans := tail.Spans(), fullTail.Spans()
+	if len(gotSpans) != len(fullSpans) {
 		t.Fatal("sampling changed the tail set size")
 	}
-	for i := range got.TailSpans {
-		if got.TailSpans[i] != full.TailSpans[i] {
+	for i := range gotSpans {
+		if gotSpans[i] != fullSpans[i] {
 			t.Fatalf("sampling changed tail span %d", i)
 		}
 	}
@@ -442,8 +448,7 @@ func TestClusterTracingOffIsByteIdentical(t *testing.T) {
 	plain := run(t, cfg)
 
 	cfg.Policy = cfg.Policy.Clone() // RoundRobin carries rotation state
-	cfg.TailSamples = 16
-	cfg.Trace = trace.Func(func(trace.Event) {})
+	cfg.Trace = trace.Tee(trace.NewTailSampler(16), trace.Func(func(trace.Event) {}))
 	traced := run(t, cfg)
 	if plain.Latency != traced.Latency || plain.ThroughputMRPS != traced.ThroughputMRPS {
 		t.Fatal("tracing changed the simulation")

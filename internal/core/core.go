@@ -274,16 +274,17 @@ func runPoints[P any](n, workers int, point func(i int) (P, error)) ([]P, error)
 	return points, nil
 }
 
-// machineCapSimTime caps a sweep point's virtual time generously: ten times
-// the time the run needs at its actual completion rate — the offered rate
-// below saturation, the capacity above it.
-func machineCapSimTime(cfg machine.Config, rate float64) sim.Duration {
-	est := CapacityMRPS(cfg.Params, cfg.Workload)
-	if rate < est {
-		est = rate
-	}
-	need := float64(cfg.Warmup+cfg.Measure) / est * 1000 // ns
+// capSimTime caps a sweep point's virtual time generously: ten times the
+// time its completions take at the actual completion rate — the offered
+// rate below saturation, the capacity above it.
+func capSimTime(capacity, rate float64, completions int) sim.Duration {
+	need := float64(completions) / min(rate, capacity) * 1000 // ns
 	return sim.FromNanos(need * 10)
+}
+
+// machineCapSimTime is capSimTime for one machine run.
+func machineCapSimTime(cfg machine.Config, rate float64) sim.Duration {
+	return capSimTime(CapacityMRPS(cfg.Params, cfg.Workload), rate, cfg.Warmup+cfg.Measure)
 }
 
 // MachineSweep runs the machine at every rate (concurrently, on runPoints)

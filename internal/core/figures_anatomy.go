@@ -32,7 +32,8 @@ const anatomyLoad = 0.75
 // tailAnatomy aggregates a tail-sample set into its wait/service split.
 type tailAnatomy struct {
 	res       machine.Result
-	waitShare float64 // Σ queue-wait / Σ (arrive→complete) over the tail set
+	tail      []trace.Span // the run's anatomyTailK slowest, slowest first
+	waitShare float64      // Σ queue-wait / Σ (arrive→complete) over the tail set
 	svcShare  float64
 }
 
@@ -69,14 +70,16 @@ func figAnatomy(o Options) (Figure, error) {
 		cfg := machineBase(o, wl, machine.ModeSingleQueue)
 		cfg.Params.Plan = pl
 		cfg.RateMRPS = rate
-		cfg.TailSamples = anatomyTailK
+		sampler := trace.NewTailSampler(anatomyTailK)
+		cfg.Trace = sampler
 		cfg.MaxSimTime = machineCapSimTime(cfg, rate)
 		res, err := machine.Run(cfg)
 		if err != nil {
 			return tailAnatomy{}, fmt.Errorf("anatomy %s: %w", anatomyPlans[i], err)
 		}
-		w, s := tailShares(res.TailSpans)
-		return tailAnatomy{res: res, waitShare: w, svcShare: s}, nil
+		tail := sampler.Spans()
+		w, s := tailShares(tail)
+		return tailAnatomy{res: res, tail: tail, waitShare: w, svcShare: s}, nil
 	})
 	if err != nil {
 		return Figure{}, err
@@ -93,21 +96,21 @@ func figAnatomy(o Options) (Figure, error) {
 	for i, spec := range anatomyPlans {
 		r := runs[i]
 		slowest := trace.Span{}
-		if len(r.res.TailSpans) > 0 {
-			slowest = r.res.TailSpans[0]
+		if len(r.tail) > 0 {
+			slowest = r.tail[0]
 		}
 		summary.AddRow(spec,
 			fmt.Sprintf("%.3f", rate),
 			fmt.Sprintf("%.3f", r.res.ThroughputMRPS),
 			fmt.Sprintf("%.0f", r.res.Latency.P99),
 			fmt.Sprintf("%.0f", r.res.Latency.P999),
-			fmt.Sprint(len(r.res.TailSpans)),
+			fmt.Sprint(len(r.tail)),
 			fmt.Sprintf("%.3f", r.waitShare),
 			fmt.Sprintf("%.3f", r.svcShare),
 			fmt.Sprintf("%.0f", slowest.TotalNs()),
 			fmt.Sprintf("%.0f", slowest.QueueWaitNs()),
 		)
-		top := r.res.TailSpans
+		top := r.tail
 		if len(top) > 8 {
 			top = top[:8]
 		}

@@ -57,12 +57,7 @@ func ClusterSweep(base cluster.Config, rates []float64, label string, workers in
 			cfg.GlobalPolicy = base.GlobalPolicy.Clone()
 		}
 		if cfg.MaxSimTime == 0 {
-			est := ClusterCapacityMRPS(cfg)
-			if rate < est {
-				est = rate
-			}
-			need := float64(cfg.Warmup+cfg.Measure) / est * 1000 // ns
-			cfg.MaxSimTime = sim.FromNanos(need * 10)
+			cfg.MaxSimTime = capSimTime(ClusterCapacityMRPS(cfg), rate, cfg.Warmup+cfg.Measure)
 		}
 		res, err := cluster.Run(cfg)
 		if err != nil {

@@ -213,21 +213,15 @@ type Config struct {
 	Epoch     sim.Duration
 	MaxEpochs int
 
-	// Trace, when non-nil, receives wall-clock lifecycle events
-	// (arrive/start/complete; the live runtime has no dispatch timestamp)
-	// for every TraceSample'th request. The events are assembled after the
-	// run from the per-worker completion buffers the runtime already
-	// keeps, so the serving path records nothing extra — tracing costs the
-	// hot path nothing beyond one integer field per completion record.
-	// Timestamps are nanoseconds since run start on the sim.Time axis.
+	// Trace, when non-nil, receives every completed request's wall-clock
+	// lifecycle events (arrive/start/complete; the live runtime has no
+	// dispatch timestamp), keyed by sequence number, with the serving
+	// worker as Core. The events are replayed after the run from the
+	// per-worker completion buffers the runtime already keeps, so the
+	// serving path records nothing extra — tracing costs the hot path
+	// nothing beyond one integer field per completion record. Timestamps
+	// are nanoseconds since run start on the sim.Time axis.
 	Trace trace.Recorder
-	// TraceSample forwards only every Nth request (by sequence number) to
-	// Trace; 0 and 1 both mean every request.
-	TraceSample int
-	// TailSamples, when positive, retains the K slowest completed
-	// requests on Result.TailSpans — selected from the full completion
-	// set, never sampled.
-	TailSamples int
 
 	// Obs, when non-nil, streams run progress into the observability
 	// instrument set (internal/obs) *while the run is in flight*: the
@@ -327,12 +321,6 @@ type Result struct {
 	ElapsedNanos  float64 // wall time until the backlog drained
 
 	Timeline metrics.Timeline
-
-	// TailSpans holds the Config.TailSamples slowest requests of the run,
-	// slowest first, on the wall clock: scheduled arrival, service start,
-	// and completion (the live runtime has no dispatch timestamp), with
-	// the serving worker as Core. Nil unless TailSamples was set.
-	TailSpans []trace.Span
 }
 
 func (r Result) String() string {
@@ -707,56 +695,15 @@ func assemble(cfg Config, shape Shape, bound int, em Emulation, scale, spinsNs f
 	}
 	recorder.CloseWindow(at(winEnd))
 
-	// liveSpan reconstructs a request's wall-clock span from its completion
-	// record: arrive = complete − latency, start = arrive + wait. Dispatch
-	// has no live timestamp and stays Unset.
-	liveSpan := func(r wrec) trace.Span {
-		arriveNs := r.atNs - r.latNs
-		return trace.Span{
-			ReqID: r.seq, Node: 0, Core: r.worker, Rack: -1,
-			DepthAtArrival: -1, DepthAtForward: -1, DepthAtGlobalForward: -1,
-			GlobalRecv: trace.Unset, GlobalForward: trace.Unset,
-			BalancerRecv: trace.Unset, Forward: trace.Unset, Dispatch: trace.Unset,
-			Arrive:   at(arriveNs),
-			Start:    at(arriveNs + r.waitNs),
-			Complete: at(r.atNs),
-		}
-	}
-
-	var tailSpans []trace.Span
-	if cfg.TailSamples > 0 && len(all) > 0 {
-		// Select on the measured latency (exact), then materialize spans.
-		byLat := append([]wrec(nil), all...)
-		sort.Slice(byLat, func(i, j int) bool {
-			if byLat[i].latNs != byLat[j].latNs {
-				return byLat[i].latNs > byLat[j].latNs
-			}
-			return byLat[i].seq < byLat[j].seq
-		})
-		k := cfg.TailSamples
-		if k > len(byLat) {
-			k = len(byLat)
-		}
-		for _, r := range byLat[:k] {
-			tailSpans = append(tailSpans, liveSpan(r))
-		}
-	}
-
 	if cfg.Trace != nil {
-		// Replay the sampled requests' lifecycles in completion order. This
-		// is the post-run export pass; the serving path never sees it.
-		sampleN := uint64(1)
-		if cfg.TraceSample > 1 {
-			sampleN = uint64(cfg.TraceSample)
-		}
+		// Replay every request's lifecycle in completion order: arrive =
+		// complete − latency, start = arrive + wait. This is the post-run
+		// export pass; the serving path never sees it.
 		for _, r := range all {
-			if r.seq%sampleN != 0 {
-				continue
-			}
-			s := liveSpan(r)
-			cfg.Trace.Record(trace.Event{ReqID: r.seq, Phase: trace.PhaseArrive, At: s.Arrive, Core: -1, Depth: -1})
-			cfg.Trace.Record(trace.Event{ReqID: r.seq, Phase: trace.PhaseStart, At: s.Start, Core: r.worker, Depth: -1})
-			cfg.Trace.Record(trace.Event{ReqID: r.seq, Phase: trace.PhaseComplete, At: s.Complete, Core: r.worker, Depth: -1})
+			arriveNs := r.atNs - r.latNs
+			cfg.Trace.Record(trace.Event{ReqID: r.seq, Phase: trace.PhaseArrive, At: at(arriveNs), Core: -1, Depth: -1})
+			cfg.Trace.Record(trace.Event{ReqID: r.seq, Phase: trace.PhaseStart, At: at(arriveNs + r.waitNs), Core: r.worker, Depth: -1})
+			cfg.Trace.Record(trace.Event{ReqID: r.seq, Phase: trace.PhaseComplete, At: at(r.atNs), Core: r.worker, Depth: -1})
 		}
 	}
 
@@ -789,7 +736,6 @@ func assemble(cfg Config, shape Shape, bound int, em Emulation, scale, spinsNs f
 		DurationNanos:    float64(cfg.Duration.Nanoseconds()),
 		ElapsedNanos:     float64(elapsed.Nanoseconds()),
 		Timeline:         recorder.Timeline(),
-		TailSpans:        tailSpans,
 	}
 	for i, name := range classes {
 		res.ClassLatency[name] = recorder.Class(i)

@@ -16,15 +16,17 @@ import (
 // latencies — so scheduler noise cannot flake CI.
 func TestLiveTailSpans(t *testing.T) {
 	cfg := smokeConfig("1x16", t)
-	cfg.TailSamples = 8
+	tail := trace.NewTailSampler(8)
+	cfg.Trace = tail
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.TailSpans) != 8 {
-		t.Fatalf("tail spans = %d, want 8", len(res.TailSpans))
+	spans := tail.Spans()
+	if len(spans) != 8 {
+		t.Fatalf("tail spans = %d, want 8", len(spans))
 	}
-	for i, s := range res.TailSpans {
+	for i, s := range spans {
 		if !s.Completed() {
 			t.Fatalf("span %d incomplete", i)
 		}
@@ -40,13 +42,13 @@ func TestLiveTailSpans(t *testing.T) {
 		if got, want := s.QueueWaitNs()+s.ServiceNs(), s.TotalNs(); got != want {
 			t.Fatalf("span %d legs don't add up: wait+svc=%v total=%v", i, got, want)
 		}
-		if i > 0 && s.TotalNs() > res.TailSpans[i-1].TotalNs() {
+		if i > 0 && s.TotalNs() > spans[i-1].TotalNs() {
 			t.Fatal("tail not slowest-first")
 		}
 	}
 	// The slowest retained span is the run's maximum latency.
-	if res.TailSpans[0].TotalNs() < res.Latency.P99 {
-		t.Fatalf("slowest span %.0fns below p99 %.0fns", res.TailSpans[0].TotalNs(), res.Latency.P99)
+	if spans[0].TotalNs() < res.Latency.P99 {
+		t.Fatalf("slowest span %.0fns below p99 %.0fns", spans[0].TotalNs(), res.Latency.P99)
 	}
 }
 
@@ -54,9 +56,8 @@ func TestLiveTailSpans(t *testing.T) {
 // rate and stays causally ordered per request.
 func TestLiveTraceSampling(t *testing.T) {
 	cfg := smokeConfig("jbsq2", t)
-	cfg.TraceSample = 4
 	var events []trace.Event
-	cfg.Trace = trace.Func(func(e trace.Event) { events = append(events, e) })
+	cfg.Trace = trace.Sample(trace.Func(func(e trace.Event) { events = append(events, e) }), 4)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +156,7 @@ func BenchmarkLiveTraceOverhead(b *testing.B) {
 	})
 	b.Run("traced-1in1024", func(b *testing.B) {
 		run(b, func(cfg *Config) {
-			cfg.TailSamples = 64
-			cfg.TraceSample = 1024
-			cfg.Trace = trace.Func(func(trace.Event) {})
+			cfg.Trace = trace.Tee(trace.NewTailSampler(64), trace.Sample(trace.Func(func(trace.Event) {}), 1024))
 			cfg.Obs = obs.NewRunMetrics(obs.NewRegistry(), obs.Labels{"plan": "1x16"})
 		})
 	})

@@ -81,7 +81,7 @@ type Machine struct {
 	// Inflight tracking: every request allocated, indexed by its ref (the
 	// ref travels to the dispatcher and back in ni.Msg.Tag), plus a plain
 	// counter covering both admitted and flow-control-parked requests: the
-	// depth signal InFlight reports.
+	// depth-at-arrival signal arrive events carry.
 	reqs          []*request
 	inflightCount int
 	pool          []*request // recycled request objects
@@ -137,12 +137,6 @@ type Machine struct {
 	fnSWEnqueue   func(any)
 	fnLockDone    func(any)
 
-	// Tracing: tail retains the K slowest spans (always unsampled);
-	// sampleN gates cfg.Trace to one request in N. Both nil/1 by default —
-	// the hot path stays allocation-free and byte-identical when off.
-	tail    *trace.TailSampler
-	sampleN uint64
-
 	// external marks a machine embedded in a larger simulation
 	// (internal/cluster): arrivals are injected by the owner, and the
 	// machine neither measures nor stops the shared engine itself.
@@ -179,19 +173,12 @@ type Config struct {
 	// MaxSimTime aborts the run after this much virtual time (0 = none),
 	// a safety valve for overload points that crawl toward completion.
 	MaxSimTime sim.Duration
-	// Trace, when non-nil, receives per-request lifecycle events
+	// Trace, when non-nil, receives every request's lifecycle events
 	// (arrive/dispatch/start/complete). It runs inline on the simulation
-	// path; use a bounded trace.Buffer for long runs.
+	// path; compose tail capture and sampling with the trace package's
+	// TailSampler, Sample and Tee. Passive: it never perturbs the run's RNG
+	// streams or event order.
 	Trace trace.Recorder
-	// TraceSample records only every Nth request (by request ID) to Trace;
-	// 0 and 1 both mean every request. Sampling gates Trace only — the
-	// tail sampler below always sees the full stream, so the retained
-	// K-slowest set stays exact at any sampling rate.
-	TraceSample int
-	// TailSamples, when positive, retains the K slowest requests of the
-	// run with full span breakdowns on Result.TailSpans. Passive: it never
-	// perturbs the simulation's RNG streams or event order.
-	TailSamples int
 	// Slowdown multiplies every sampled handler service time — a degraded
 	// (thermally throttled, misconfigured) server. 0 and 1 both mean full
 	// speed, byte-for-byte reproducing historical result streams.
@@ -282,13 +269,6 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 		rssRNG:   root.Split(),
 		target:   cfg.Warmup + cfg.Measure,
 		slow:     1,
-		sampleN:  1,
-	}
-	if cfg.TraceSample > 1 {
-		m.sampleN = uint64(cfg.TraceSample)
-	}
-	if cfg.TailSamples > 0 {
-		m.tail = trace.NewTailSampler(cfg.TailSamples)
 	}
 	if cfg.Slowdown > 0 {
 		m.slow = cfg.Slowdown
@@ -502,22 +482,14 @@ func (m *Machine) wireDispatchers() error {
 	return nil
 }
 
-// record emits a lifecycle event to the tracing sinks. The tail sampler sees
-// every request; the user Recorder sees one in sampleN. depth carries the
-// queue-depth signal for arrive events (-1 elsewhere). With tracing off both
-// branches fall through without constructing the event — zero allocations,
-// zero side effects.
+// record emits a lifecycle event to cfg.Trace. depth carries the queue-depth
+// signal for arrive events (-1 elsewhere). With tracing off it returns
+// without constructing the event — zero allocations, zero side effects.
 func (m *Machine) record(id uint64, phase trace.Phase, core, depth int) {
-	if m.cfg.Trace == nil && m.tail == nil {
+	if m.cfg.Trace == nil {
 		return
 	}
-	e := trace.Event{ReqID: id, Phase: phase, At: m.eng.Now(), Core: core, Depth: depth}
-	if m.tail != nil {
-		m.tail.Record(e)
-	}
-	if m.cfg.Trace != nil && id%m.sampleN == 0 {
-		m.cfg.Trace.Record(e)
-	}
+	m.cfg.Trace.Record(trace.Event{ReqID: id, Phase: phase, At: m.eng.Now(), Core: core, Depth: depth})
 }
 
 // ctrlBytes is the size of control messages (completion tokens, CQEs,
@@ -590,11 +562,6 @@ func (m *Machine) inject(onDoneFn func(arg any, class int, measured bool), onDon
 	}
 	m.admit(req)
 }
-
-// InFlight reports the number of RPCs admitted (or parked on flow control)
-// but not yet completed — the queue-depth signal a cluster-level balancer
-// samples when comparing nodes.
-func (m *Machine) InFlight() int { return m.inflightCount }
 
 // DispatchLabel names the resolved dispatch plan driving this machine
 // ("rpcvalet-1x16", "jbsq2", "plan-2x8/random2", ...).

@@ -224,7 +224,9 @@ func (pl *Plan) validate(p Params) error {
 	if err != nil {
 		return err
 	}
-	if pl.groupSize != 0 && groups*pl.groupSize != p.Cores {
+	// resolveGroups guarantees groups divides Cores; comparing by division
+	// cannot wrap the way groups*groupSize does for a huge literal M.
+	if pl.groupSize != 0 && pl.groupSize != p.Cores/groups {
 		return fmt.Errorf("machine: plan %s: %d groups × %d cores ≠ %d machine cores",
 			pl.label(p), groups, pl.groupSize, p.Cores)
 	}

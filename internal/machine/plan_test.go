@@ -180,7 +180,8 @@ func TestPlanValidation(t *testing.T) {
 	bad := map[string]*Plan{
 		"unsplittable groups": {Groups: 3},
 		"too many groups":     {Groups: 32},
-		"literal mismatch":    {Groups: 2, groupSize: 4}, // 2×4 ≠ 16 cores
+		"literal mismatch":    {Groups: 2, groupSize: 4},          // 2×4 ≠ 16 cores
+		"wrapping literal":    {Groups: 16, groupSize: 1<<60 + 1}, // 16×M wraps to 16
 		"negative threshold":  {Groups: 1, Threshold: -1},
 		"bad route":           {Groups: 1, Route: Route(9)},
 		"starving local":      {Groups: 16, Threshold: ni.Unlimited, Route: RouteLocal},
@@ -215,4 +216,42 @@ func TestPlanLabels(t *testing.T) {
 			t.Errorf("label = %q, want %q", got, want)
 		}
 	}
+}
+
+// FuzzParsePlan checks that no spec panics the parser, and that every
+// accepted spec either fails to build on Defaults() or builds with its
+// dispatcher groups × group size equal to the machine's cores.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		"1x16", "4x4", "16x1", "sw", "jbsq2", "2x8:random2", "5x3", "0x16", "sw:local",
+		"16x1152921504606846977", "8x2305843009213693954",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pl, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		cfg := testConfig(ModeSingleQueue, workload.SyntheticFixed(), 1)
+		cfg.Params.Plan = pl
+		m, err := New(cfg)
+		if err != nil || pl.Software {
+			return
+		}
+		cores := cfg.Params.Cores
+		size := make([]int, len(m.dispatchers))
+		for _, g := range m.coreDisp {
+			size[g]++
+		}
+		for g, n := range size {
+			if n == 0 || (pl.groupSize != 0 && n != pl.groupSize) {
+				t.Fatalf("%q: group %d has %d cores, want %d", spec, g, n, pl.groupSize)
+			}
+		}
+		// Both factors are at most cores here, so the product cannot wrap.
+		if pl.groupSize != 0 && (pl.groupSize > cores || len(size) > cores || len(size)*pl.groupSize != cores) {
+			t.Fatalf("%q: built %d groups × %d cores on a %d-core machine", spec, len(size), pl.groupSize, cores)
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"rpcvalet/internal/metrics"
 	"rpcvalet/internal/stats"
-	"rpcvalet/internal/trace"
 )
 
 // Result is the measured outcome of one machine run.
@@ -46,12 +45,6 @@ type Result struct {
 	// window; the timeline is where transients — load steps, bursts, pause
 	// windows — become visible.
 	Timeline metrics.Timeline
-
-	// TailSpans holds the Config.TailSamples slowest requests of the run,
-	// slowest first, each with its full span breakdown (queue wait,
-	// dispatch, service, depth at arrival, serving core) — the anatomy of
-	// the tail. Nil unless TailSamples was set.
-	TailSpans []trace.Span
 }
 
 func (r Result) String() string {
@@ -116,9 +109,6 @@ func (m *Machine) result() Result {
 	}
 	if m.swMaxDepth > r.DispatcherMaxDepth {
 		r.DispatcherMaxDepth = m.swMaxDepth
-	}
-	if m.tail != nil {
-		r.TailSpans = m.tail.Spans()
 	}
 	return r
 }

@@ -13,12 +13,14 @@ import (
 func TestMachineTailSpans(t *testing.T) {
 	cfg := testConfig(ModeSingleQueue, workload.HERD(), 8)
 	cfg.Warmup, cfg.Measure = 100, 2000
-	cfg.TailSamples = 16
+	tail := trace.NewTailSampler(16)
+	cfg.Trace = tail
 	res := mustRun(t, cfg)
-	if len(res.TailSpans) != 16 {
-		t.Fatalf("tail spans = %d, want 16", len(res.TailSpans))
+	spans := tail.Spans()
+	if len(spans) != 16 {
+		t.Fatalf("tail spans = %d, want 16", len(spans))
 	}
-	for i, s := range res.TailSpans {
+	for i, s := range spans {
 		if !s.Completed() {
 			t.Fatalf("span %d incomplete", i)
 		}
@@ -31,33 +33,34 @@ func TestMachineTailSpans(t *testing.T) {
 		if s.Dispatch == trace.Unset || s.Start == trace.Unset {
 			t.Fatalf("span %d missing milestones: %+v", i, s)
 		}
-		if i > 0 && s.TotalNs() > res.TailSpans[i-1].TotalNs() {
+		if i > 0 && s.TotalNs() > spans[i-1].TotalNs() {
 			t.Fatal("tail not slowest-first")
 		}
 	}
-	if res.TailSpans[0].TotalNs() < res.Latency.P99 {
+	if spans[0].TotalNs() < res.Latency.P99 {
 		t.Fatalf("slowest span %.0fns below p99 %.0fns",
-			res.TailSpans[0].TotalNs(), res.Latency.P99)
+			spans[0].TotalNs(), res.Latency.P99)
 	}
 }
 
-// TestMachineTraceSampling: TraceSample thins the user stream by request ID
-// while leaving results and the tail set untouched.
+// TestMachineTraceSampling: a sampled recorder beside the tail sampler sees
+// one request in 16 by ID, while results and the tail set stay untouched.
 func TestMachineTraceSampling(t *testing.T) {
 	base := testConfig(ModeSingleQueue, workload.SyntheticFixed(), 3)
 	base.Warmup, base.Measure = 50, 1000
-	base.TailSamples = 8
+	fullTail := trace.NewTailSampler(8)
+	base.Trace = fullTail
 	full := mustRun(t, base)
 
 	sampled := 0
 	cfg := base
-	cfg.TraceSample = 16
-	cfg.Trace = trace.Func(func(e trace.Event) {
+	tail := trace.NewTailSampler(8)
+	cfg.Trace = trace.Tee(tail, trace.Sample(trace.Func(func(e trace.Event) {
 		if e.ReqID%16 != 0 {
 			t.Fatalf("sampled stream leaked req %d", e.ReqID)
 		}
 		sampled++
-	})
+	}), 16))
 	got := mustRun(t, cfg)
 	if sampled == 0 {
 		t.Fatal("sampling recorded nothing")
@@ -65,11 +68,12 @@ func TestMachineTraceSampling(t *testing.T) {
 	if got.Latency != full.Latency || got.ThroughputMRPS != full.ThroughputMRPS {
 		t.Fatal("tracing perturbed the result stream")
 	}
-	if len(got.TailSpans) != len(full.TailSpans) {
-		t.Fatalf("tail size changed under sampling: %d vs %d", len(got.TailSpans), len(full.TailSpans))
+	gotSpans, fullSpans := tail.Spans(), fullTail.Spans()
+	if len(gotSpans) != len(fullSpans) {
+		t.Fatalf("tail size changed under sampling: %d vs %d", len(gotSpans), len(fullSpans))
 	}
-	for i := range got.TailSpans {
-		if got.TailSpans[i] != full.TailSpans[i] {
+	for i := range gotSpans {
+		if gotSpans[i] != fullSpans[i] {
 			t.Fatalf("tail span %d changed under sampling", i)
 		}
 	}
@@ -126,13 +130,10 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		bench(b, func(c *Config) { c.Trace = trace.NewBuffer(1 << 10) })
 	})
 	b.Run("sampled-1in1024", func(b *testing.B) {
-		bench(b, func(c *Config) {
-			c.Trace = trace.NewBuffer(1 << 10)
-			c.TraceSample = 1024
-		})
+		bench(b, func(c *Config) { c.Trace = trace.Sample(trace.NewBuffer(1<<10), 1024) })
 	})
 	b.Run("tail64", func(b *testing.B) {
-		bench(b, func(c *Config) { c.TailSamples = 64 })
+		bench(b, func(c *Config) { c.Trace = trace.NewTailSampler(64) })
 	})
 }
 

@@ -33,35 +33,11 @@ func (h Hierarchy) cycles(n int) sim.Duration {
 	return sim.FromNanos(float64(n) / h.FreqGHz)
 }
 
-// L1 returns the L1 hit latency.
-func (h Hierarchy) L1() sim.Duration { return h.cycles(h.L1Cycles) }
-
 // LLC returns the latency of an LLC access whose bank is bankHops mesh hops
 // away, each hop costing hopLatency (taken from the NOC model so the two
 // stay consistent).
 func (h Hierarchy) LLC(bankHops int, hopLatency sim.Duration) sim.Duration {
 	return h.cycles(h.LLCCycles) + sim.Duration(bankHops)*hopLatency
-}
-
-// DRAM returns the DRAM access latency.
-func (h Hierarchy) DRAM() sim.Duration { return sim.FromNanos(h.DRAMNanos) }
-
-// Blocks returns how many cache blocks a payload of n bytes occupies. A
-// zero-byte payload still occupies one block (headers travel somewhere).
-func (h Hierarchy) Blocks(n int) int {
-	if n <= 0 {
-		return 1
-	}
-	return (n + h.BlockBytes - 1) / h.BlockBytes
-}
-
-// CacheLineTransfer returns the cost of moving one dirty cache line between
-// two cores' private caches via the coherence protocol — the dominant cost
-// of lock handoffs and shared-queue manipulation in the software
-// load-balancing baseline (§6.2). First order: an LLC directory access plus
-// the round trip between the two tiles.
-func (h Hierarchy) CacheLineTransfer(hops int, hopLatency sim.Duration) sim.Duration {
-	return h.cycles(h.LLCCycles) + 2*sim.Duration(hops)*hopLatency
 }
 
 func (h Hierarchy) String() string {

@@ -15,9 +15,6 @@ func TestDefaultMatchesTable1(t *testing.T) {
 
 func TestLatencies(t *testing.T) {
 	h := Default()
-	if got := h.L1(); got != sim.FromNanos(1.5) {
-		t.Fatalf("L1 = %v, want 1.5ns", got)
-	}
 	// LLC local bank: 6 cycles = 3ns.
 	if got := h.LLC(0, sim.FromNanos(1.5)); got != sim.FromNanos(3) {
 		t.Fatalf("LLC local = %v, want 3ns", got)
@@ -25,34 +22,6 @@ func TestLatencies(t *testing.T) {
 	// LLC 2 hops away: 3ns + 2×1.5ns = 6ns.
 	if got := h.LLC(2, sim.FromNanos(1.5)); got != sim.FromNanos(6) {
 		t.Fatalf("LLC remote = %v, want 6ns", got)
-	}
-	if got := h.DRAM(); got != sim.FromNanos(50) {
-		t.Fatalf("DRAM = %v, want 50ns", got)
-	}
-}
-
-func TestBlocks(t *testing.T) {
-	h := Default()
-	cases := []struct{ bytes, want int }{
-		{0, 1}, {-5, 1}, {1, 1}, {64, 1}, {65, 2}, {512, 8}, {513, 9},
-	}
-	for _, c := range cases {
-		if got := h.Blocks(c.bytes); got != c.want {
-			t.Errorf("Blocks(%d) = %d, want %d", c.bytes, got, c.want)
-		}
-	}
-}
-
-func TestCacheLineTransfer(t *testing.T) {
-	h := Default()
-	hop := sim.FromNanos(1.5)
-	// 6 cycles (3ns) + 2×3 hops×1.5ns = 12ns.
-	if got := h.CacheLineTransfer(3, hop); got != sim.FromNanos(12) {
-		t.Fatalf("transfer = %v, want 12ns", got)
-	}
-	// Transfers between distant tiles cost more.
-	if !(h.CacheLineTransfer(6, hop) > h.CacheLineTransfer(1, hop)) {
-		t.Fatal("transfer cost not monotone in distance")
 	}
 }
 

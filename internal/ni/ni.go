@@ -225,15 +225,8 @@ func NewDispatcher(cores []int, threshold int, policy Policy) (*Dispatcher, erro
 	return d, nil
 }
 
-// Cores returns the dispatcher's core group.
-func (d *Dispatcher) Cores() []int { return d.cores }
-
-// Outstanding reports the outstanding count for a core ID. It panics if the
-// core is not in this dispatcher's group (a wiring bug).
-func (d *Dispatcher) Outstanding(core int) int {
-	return d.outstanding[d.mustIndex(core)]
-}
-
+// mustIndex maps a core ID to its group index. It panics if the core is not
+// in this dispatcher's group (a wiring bug).
 func (d *Dispatcher) mustIndex(core int) int {
 	if core < 0 || core >= len(d.indexOf) || d.indexOf[core] < 0 {
 		panic(fmt.Sprintf("ni: core %d not in dispatcher group %v", core, d.cores))

@@ -8,6 +8,9 @@ import (
 	"rpcvalet/internal/rng"
 )
 
+// outstanding reads a core's outstanding count.
+func outstanding(d *Dispatcher, core int) int { return d.outstanding[d.mustIndex(core)] }
+
 func mustDispatcher(t *testing.T, cores []int, threshold int, p Policy) *Dispatcher {
 	t.Helper()
 	d, err := NewDispatcher(cores, threshold, p)
@@ -35,8 +38,8 @@ func TestImmediateDispatchWhenIdle(t *testing.T) {
 	if !ok || dis.Core != 0 || dis.Msg.Slot != 7 {
 		t.Fatalf("dispatch = %+v ok=%v", dis, ok)
 	}
-	if d.Outstanding(0) != 1 {
-		t.Fatalf("outstanding = %d", d.Outstanding(0))
+	if outstanding(d, 0) != 1 {
+		t.Fatalf("outstanding = %d", outstanding(d, 0))
 	}
 }
 
@@ -49,8 +52,8 @@ func TestThresholdGate(t *testing.T) {
 			t.Fatalf("message %d not dispatched", i)
 		}
 	}
-	if d.Outstanding(0) != 2 || d.Outstanding(1) != 2 {
-		t.Fatalf("outstanding = %d,%d", d.Outstanding(0), d.Outstanding(1))
+	if outstanding(d, 0) != 2 || outstanding(d, 1) != 2 {
+		t.Fatalf("outstanding = %d,%d", outstanding(d, 0), outstanding(d, 1))
 	}
 	// The 5th queues.
 	if _, ok := d.Enqueue(Msg{Slot: 4}); ok {
@@ -97,7 +100,7 @@ func TestOutstandingPanicsOnForeignCore(t *testing.T) {
 			t.Fatal("foreign core did not panic")
 		}
 	}()
-	d.Outstanding(5)
+	d.Complete(5)
 }
 
 func TestUnlimitedThresholdNeverQueues(t *testing.T) {
@@ -107,8 +110,8 @@ func TestUnlimitedThresholdNeverQueues(t *testing.T) {
 			t.Fatalf("message %d queued under Unlimited threshold", i)
 		}
 	}
-	if d.Outstanding(3) != 1000 {
-		t.Fatalf("outstanding = %d", d.Outstanding(3))
+	if outstanding(d, 3) != 1000 {
+		t.Fatalf("outstanding = %d", outstanding(d, 3))
 	}
 	if d.QueueDepth() != 0 {
 		t.Fatal("queue should stay empty")
@@ -193,8 +196,8 @@ func TestLeastOutstandingRRPrefersIdle(t *testing.T) {
 	if !ok {
 		t.Fatal("fourth dispatch blocked below threshold")
 	}
-	if d.Outstanding(fourth.Core) != 2 {
-		t.Fatalf("fourth core outstanding = %d", d.Outstanding(fourth.Core))
+	if outstanding(d, fourth.Core) != 2 {
+		t.Fatalf("fourth core outstanding = %d", outstanding(d, fourth.Core))
 	}
 }
 
@@ -281,7 +284,7 @@ func TestPropertyDispatcherInvariants(t *testing.T) {
 				}
 			}
 			for _, c := range cores {
-				if got := d.Outstanding(c); got > thr || got != inFlight[c] {
+				if got := outstanding(d, c); got > thr || got != inFlight[c] {
 					return false
 				}
 			}

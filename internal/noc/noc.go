@@ -45,14 +45,6 @@ func (m Mesh) TileCoord(tile int) Coord {
 	return Coord{X: tile % m.Width, Y: tile / m.Width}
 }
 
-// TileIndex maps a coordinate back to its row-major tile index.
-func (m Mesh) TileIndex(c Coord) int {
-	if c.X < 0 || c.X >= m.Width || c.Y < 0 || c.Y >= m.Height {
-		panic(fmt.Sprintf("noc: coord %+v outside %dx%d mesh", c, m.Width, m.Height))
-	}
-	return c.Y*m.Width + c.X
-}
-
 // Hops returns the dimension-ordered (XY) routing distance between tiles.
 func (m Mesh) Hops(a, b Coord) int {
 	dx := a.X - b.X
@@ -85,6 +77,3 @@ func (m Mesh) Latency(a, b Coord, payloadBytes int) sim.Duration {
 	}
 	return m.cycles(hops*m.CyclesPerHop + (flits - 1))
 }
-
-// MaxHops returns the mesh diameter (corner to corner).
-func (m Mesh) MaxHops() int { return m.Width - 1 + m.Height - 1 }

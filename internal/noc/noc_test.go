@@ -19,16 +19,13 @@ func TestDefaultMatchesTable1(t *testing.T) {
 	if got := m.HopLatency(); got != sim.FromNanos(1.5) {
 		t.Fatalf("hop latency = %v, want 1.5ns", got)
 	}
-	if m.MaxHops() != 6 {
-		t.Fatalf("diameter = %d, want 6", m.MaxHops())
-	}
 }
 
 func TestTileCoordRoundTrip(t *testing.T) {
 	m := Default()
 	for i := 0; i < m.Tiles(); i++ {
-		if got := m.TileIndex(m.TileCoord(i)); got != i {
-			t.Fatalf("round trip %d -> %d", i, got)
+		if c := m.TileCoord(i); c.Y*m.Width+c.X != i {
+			t.Fatalf("round trip %d -> %+v", i, c)
 		}
 	}
 }
@@ -45,16 +42,6 @@ func TestTileCoordPanics(t *testing.T) {
 			m.TileCoord(bad)
 		}()
 	}
-}
-
-func TestTileIndexPanics(t *testing.T) {
-	m := Default()
-	defer func() {
-		if recover() == nil {
-			t.Error("TileIndex outside mesh did not panic")
-		}
-	}()
-	m.TileIndex(Coord{X: 4, Y: 0})
 }
 
 func TestHops(t *testing.T) {

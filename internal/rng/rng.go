@@ -133,14 +133,3 @@ func (s *Source) NormFloat64() float64 {
 		}
 	}
 }
-
-// Perm returns a pseudo-random permutation of the integers [0, n) as a slice.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.IntN(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

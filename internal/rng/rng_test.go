@@ -158,26 +158,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed uint64, n8 uint8) bool {
-		n := int(n8 % 64)
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		x, y, hi, lo uint64

@@ -13,7 +13,6 @@ package sim
 type Server struct {
 	eng       *Engine
 	busyUntil Time
-	jobs      uint64
 	busy      Duration // cumulative busy time, for utilization reporting
 }
 
@@ -51,7 +50,6 @@ func (s *Server) occupy(service Duration) Time {
 	}
 	end := start.Add(service)
 	s.busyUntil = end
-	s.jobs++
 	s.busy += service
 	return end
 }
@@ -63,12 +61,6 @@ func (s *Server) Delay() Duration {
 	}
 	return s.busyUntil.Sub(s.eng.Now())
 }
-
-// Jobs reports the number of jobs submitted so far.
-func (s *Server) Jobs() uint64 { return s.jobs }
-
-// BusyTime reports the cumulative service time of all submitted jobs.
-func (s *Server) BusyTime() Duration { return s.busy }
 
 // Utilization reports the fraction of virtual time the server has been busy,
 // measured against the engine's current clock. It returns 0 before any time

@@ -25,11 +25,6 @@ func (d Delivery) String() string {
 	return "inline"
 }
 
-// RendezvousDescriptorBytes is the size of the descriptor exchanged for
-// oversized messages: remote address (8), length (8), plus context/key
-// metadata rounded to 32 bytes.
-const RendezvousDescriptorBytes = 32
-
 // DomainConfig describes a messaging domain (§4.2): N nodes that may
 // exchange messages, S send/receive slots per node pair, a maximum inline
 // message size, and the link MTU (one cache block for integrated NIs).

@@ -184,37 +184,35 @@ func Spans(events []Event) []Span {
 // SortSlowestFirst orders spans by descending total latency, request ID
 // breaking ties deterministically.
 func SortSlowestFirst(spans []Span) {
-	sort.Slice(spans, func(i, j int) bool {
-		ti, tj := spans[i].TotalNs(), spans[j].TotalNs()
-		if ti != tj {
-			return ti > tj
-		}
-		return spans[i].ReqID < spans[j].ReqID
-	})
+	sort.Slice(spans, func(i, j int) bool { return slower(spans[i], spans[j]) })
 }
 
-// spanHeap is a min-heap on total latency (ties broken by descending request
-// ID so the eviction order is deterministic), keeping the K slowest spans.
+// slower reports whether a ranks ahead of b in the tail: higher total
+// latency first, the lower request ID on equal totals.
+func slower(a, b Span) bool {
+	ta, tb := a.TotalNs(), b.TotalNs()
+	if ta != tb {
+		return ta > tb
+	}
+	return a.ReqID < b.ReqID
+}
+
+// spanHeap is a min-heap in tail order (its top is the span the tail would
+// drop first), keeping the K slowest spans.
 type spanHeap []Span
 
-func (h spanHeap) Len() int { return len(h) }
-func (h spanHeap) Less(i, j int) bool {
-	ti, tj := h[i].TotalNs(), h[j].TotalNs()
-	if ti != tj {
-		return ti < tj
-	}
-	return h[i].ReqID > h[j].ReqID
-}
+func (h spanHeap) Len() int           { return len(h) }
+func (h spanHeap) Less(i, j int) bool { return slower(h[j], h[i]) }
 func (h spanHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *spanHeap) Push(x any)        { *h = append(*h, x.(Span)) }
 func (h *spanHeap) Pop() any          { old := *h; n := len(old); s := old[n-1]; *h = old[:n-1]; return s }
-func (h spanHeap) peekTotal() float64 { return h[0].TotalNs() }
 
 // TailSampler is a Recorder retaining the K slowest completed requests of a
 // run with their full span breakdowns — the anatomy of the tail. It consumes
-// the full event stream (never sample it: a sampled stream would miss tail
-// requests), assembles spans request by request, and keeps a bounded heap,
-// so memory is O(K + in-flight), independent of run length.
+// the full event stream (never behind Sample: a sampled stream would miss
+// tail requests), assembles spans request by request, and keeps a bounded
+// heap, so memory is O(K + in-flight), independent of run length. Its set
+// equals the first K of SortSlowestFirst over every completed span.
 type TailSampler struct {
 	k         int
 	open      map[uint64]Span
@@ -248,7 +246,7 @@ func (t *TailSampler) Record(e Event) {
 		heap.Push(&t.tail, sp)
 		return
 	}
-	if sp.TotalNs() > t.tail.peekTotal() {
+	if slower(sp, t.tail[0]) {
 		t.tail[0] = sp
 		heap.Fix(&t.tail, 0)
 	}
@@ -267,8 +265,7 @@ func (t *TailSampler) Spans() []Span {
 
 // Collector is a Recorder assembling every completed span, in completion
 // order — the export path behind JSONL trace dumps. Unlike TailSampler it
-// grows with the run; pair it with sampling (machine/cluster/live
-// TraceSample) on long runs.
+// grows with the run; put it behind Sample on long runs.
 type Collector struct {
 	open map[uint64]Span
 	done []Span
@@ -296,7 +293,9 @@ func (c *Collector) Record(e Event) {
 // array; callers that mutate should copy).
 func (c *Collector) Spans() []Span { return c.done }
 
-// Tee fans one event stream out to several recorders (nils are skipped).
+// Tee fans one event stream out to several recorders. Nil recorders are
+// skipped; with none left Tee returns nil (tracing off), with one it returns
+// that recorder itself.
 func Tee(recorders ...Recorder) Recorder {
 	var live []Recorder
 	for _, r := range recorders {
@@ -304,8 +303,31 @@ func Tee(recorders ...Recorder) Recorder {
 			live = append(live, r)
 		}
 	}
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return live[0]
+	}
 	return Func(func(e Event) {
 		for _, r := range live {
+			r.Record(e)
+		}
+	})
+}
+
+// Sample thins a stream to one request in n: r sees every event of the
+// requests whose ID is a multiple of n, and nothing of the rest. n ≤ 1
+// returns r unchanged. Sampling by ID keeps each kept request's lifecycle
+// whole, and it draws no randomness, so a sampled run matches an unsampled
+// one event for event.
+func Sample(r Recorder, n int) Recorder {
+	if r == nil || n <= 1 {
+		return r
+	}
+	every := uint64(n)
+	return Func(func(e Event) {
+		if e.ReqID%every == 0 {
 			r.Record(e)
 		}
 	})

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"cmp"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"rpcvalet/internal/sim"
@@ -193,8 +196,8 @@ func TestTailSamplerDeterministicTies(t *testing.T) {
 			t.Fatalf("tie-break nondeterministic: %v vs %v", a, b)
 		}
 	}
-	// All totals equal: lowest request IDs survive (later equal spans never
-	// displace the retained ones), slowest-first sort then orders by ID.
+	// All totals equal: lowest request IDs survive (an equal span with a
+	// higher ID never displaces a retained one), ordered by ID.
 	if a[0] != 0 || a[1] != 1 {
 		t.Fatalf("tie retention: %v", a)
 	}
@@ -234,6 +237,9 @@ func TestTeeFansOut(t *testing.T) {
 	if b1.Total() != 1 || b2.Total() != 1 {
 		t.Fatalf("tee totals: %d %d", b1.Total(), b2.Total())
 	}
+	if Tee(nil, nil) != nil || Tee(nil, b1) != Recorder(b1) {
+		t.Fatal("Tee of no recorders must be nil, of one that recorder")
+	}
 }
 
 func TestSortSlowestFirstTieBreak(t *testing.T) {
@@ -245,5 +251,58 @@ func TestSortSlowestFirstTieBreak(t *testing.T) {
 	SortSlowestFirst(spans)
 	if spans[0].ReqID != 9 || spans[1].ReqID != 2 || spans[2].ReqID != 5 {
 		t.Fatalf("sort order: %v", spans)
+	}
+}
+
+// TestTailSamplerMatchesSortedCollector: on streams with equal totals and
+// completions out of request order, the sampler keeps exactly the first K
+// of SortSlowestFirst over every completed span.
+func TestTailSamplerMatchesSortedCollector(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 11))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.IntN(40)
+		k := 1 + r.IntN(8)
+		var evs []Event
+		for _, id := range r.Perm(n) {
+			arrive := int64(r.IntN(50)) * 1000
+			// Few distinct totals, so equal-latency ties are common.
+			complete := arrive + int64(1+r.IntN(4))*100_000
+			evs = append(evs, machineLifecycle(uint64(id), arrive, arrive+10, arrive+20, complete, 0, 0)...)
+		}
+		// Deliver in time order, so completions interleave across requests.
+		slices.SortStableFunc(evs, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
+		ts, c := NewTailSampler(k), NewCollector()
+		for _, e := range evs {
+			ts.Record(e)
+			c.Record(e)
+		}
+		want := append([]Span(nil), c.Spans()...)
+		SortSlowestFirst(want)
+		want = want[:min(k, len(want))]
+		if got := ts.Spans(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d k=%d): tail %v, want %v", trial, n, k, got, want)
+		}
+	}
+}
+
+func TestSampleKeepsWholeRequests(t *testing.T) {
+	b := NewBuffer(64)
+	r := Sample(b, 4)
+	for id := uint64(0); id < 10; id++ {
+		for _, e := range machineLifecycle(id, 0, 1, 2, 3, 0, 0) {
+			r.Record(e)
+		}
+	}
+	byReq := b.ByRequest()
+	if len(byReq) != 3 {
+		t.Fatalf("sampled requests %d, want 3 (0, 4, 8)", len(byReq))
+	}
+	for _, id := range []uint64{0, 4, 8} {
+		if len(byReq[id]) != 4 {
+			t.Fatalf("request %d kept %d of 4 events", id, len(byReq[id]))
+		}
+	}
+	if Sample(b, 1) != Recorder(b) || Sample(b, 0) != Recorder(b) || Sample(nil, 4) != nil {
+		t.Fatal("Sample with n <= 1 or a nil recorder must pass it through")
 	}
 }

@@ -13,6 +13,11 @@
 // service components. TailSampler retains the K slowest spans of a run —
 // the anatomy of the tail — and Collector keeps every completed span for
 // offline export (JSONL via internal/obs).
+//
+// Every runtime emits its whole stream to one Recorder, its Config.Trace,
+// and does nothing else with it. Which events a run keeps is decided here:
+// Tee fans the stream out, Sample thins it to one request in N, so a tail
+// sampler next to a sampled export is Tee(tail, Sample(collector, n)).
 package trace
 
 import (

@@ -87,14 +87,16 @@
 //
 // # Observability
 //
-// Every runtime can explain its tail request by request. Setting
-// Config.TailSamples (or the cluster/live equivalents) retains the K slowest
-// requests as Spans — per-request latency decomposed into balancer hop,
-// queue wait, dispatch, and service legs, with core/node attribution and the
-// queue depth each request arrived into — on Result.TailSpans. A
-// TraceRecorder on Config.Trace streams every lifecycle event (sampled 1-in-N
-// via TraceSample); tracing is passive, costs zero allocations when disabled,
-// and never perturbs the simulated schedule — traced and untraced runs are
+// Every runtime can explain its tail request by request. Each streams every
+// lifecycle event to the one TraceRecorder on its Config.Trace (Cluster.Trace,
+// LiveConfig.Trace). A TailSampler there (NewTailSampler) retains the K
+// slowest requests as Spans — per-request latency decomposed into balancer
+// hop, queue wait, dispatch, and service legs, with core/node attribution and
+// the queue depth each request arrived into. SampleTrace thins a recorder to
+// one request in N, and TeeTrace combines recorders, so a run keeps an exact
+// tail beside a sampled export with TeeTrace(tail, SampleTrace(collector, n)).
+// Tracing is passive, costs zero allocations when disabled, and never
+// perturbs the simulated schedule — traced and untraced runs are
 // byte-identical. The obs exports serve live runs' counters and latency
 // histograms in Prometheus text format (ServeObs: /metrics, /healthz,
 // /debug/pprof), and WriteSpansJSONL exports span sets for offline analysis.
@@ -503,9 +505,24 @@ const (
 const TraceUnset = trace.Unset
 
 // TraceRecorder consumes lifecycle events. Set one on Config.Trace,
-// Cluster.Trace, or LiveConfig.Trace; thin the stream with the matching
-// TraceSample field (1-in-N by request ID).
+// Cluster.Trace, or LiveConfig.Trace; combine several with TeeTrace and thin
+// one with SampleTrace.
 type TraceRecorder = trace.Recorder
+
+// TeeTrace fans one event stream out to several recorders, skipping nils; it
+// returns nil (tracing off) when none is left.
+func TeeTrace(recorders ...TraceRecorder) TraceRecorder { return trace.Tee(recorders...) }
+
+// SampleTrace forwards to r every event of one request in n (by request ID);
+// n ≤ 1 forwards every request.
+func SampleTrace(r TraceRecorder, n int) TraceRecorder { return trace.Sample(r, n) }
+
+// TailSampler is a TraceRecorder retaining a run's K slowest requests as
+// Spans, slowest first. Give it the whole stream, never a sampled one.
+type TailSampler = trace.TailSampler
+
+// NewTailSampler builds a sampler keeping the k slowest requests (k > 0).
+func NewTailSampler(k int) *TailSampler { return trace.NewTailSampler(k) }
 
 // TraceFunc adapts a function to a TraceRecorder.
 type TraceFunc = trace.Func
