@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"rpcvalet/internal/core"
 	"rpcvalet/internal/dist"
 	"rpcvalet/internal/queueing"
 	"rpcvalet/internal/report"
@@ -62,7 +63,7 @@ func main() {
 			loads[i] = 0.05 + 0.90*float64(i)/float64(*points-1)
 		}
 		label := fmt.Sprintf("%dx%d-%s", *q, *u, *distStr)
-		curve, err := queueing.Sweep(cfg, loads, label)
+		curve, err := core.QueueingSweep(cfg, loads, 10, label, 0)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qtheory: %v\n", err)
 			os.Exit(1)
@@ -70,14 +71,14 @@ func main() {
 		tbl := report.NewTable(fmt.Sprintf("Model %dx%d, %s service (latency in ×S̄)", *q, *u, *distStr),
 			"load", "throughput", "mean", "p50", "p99")
 		for _, p := range curve.Points {
-			tbl.AddRowf(p.Load, p.Throughput, p.Mean, p.P50, p.P99)
+			tbl.AddRowf(p.RateMRPS, p.ThroughputMRPS/1000, p.Mean, p.P50, p.P99)
 		}
 		if err := tbl.WriteText(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Printf("\nthroughput under 10×S̄ SLO: %.3f servers' worth\n",
-			queueing.ThroughputUnderSLO(curve, 10))
+			curve.ThroughputUnderSLO()/1000)
 		return
 	}
 

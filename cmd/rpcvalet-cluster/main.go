@@ -184,7 +184,7 @@ func main() {
 	}
 
 	names := strings.Split(*policies, ",")
-	curves := make([]rpcvalet.ClusterCurve, 0, len(names))
+	curves := make([]rpcvalet.Curve, 0, len(names))
 	var loads []float64
 	var capacity float64
 	var lastCfg rpcvalet.Cluster // first policy's config, for -timeline
@@ -255,7 +255,7 @@ func main() {
 	}
 	fmt.Printf("# cluster: %d × %s nodes%s, %s workload, capacity ≈ %.1f MRPS, hop %.0f ns, seed %d\n\n",
 		*nodes, dispLabel, topo, wl.Name, capacity, *hop, *seed)
-	emit := func(title string, value func(rpcvalet.ClusterPoint) float64) {
+	emit := func(title string, value func(rpcvalet.CurvePoint) float64) {
 		cols := []string{"load", "rate_mrps"}
 		for _, c := range curves {
 			cols = append(cols, c.Label)
@@ -274,10 +274,10 @@ func main() {
 		}
 		fmt.Println()
 	}
-	emit("p99 latency (ns) by policy", func(p rpcvalet.ClusterPoint) float64 { return p.P99 })
+	emit("p99 latency (ns) by policy", func(p rpcvalet.CurvePoint) float64 { return p.P99 })
 	if *detail {
-		emit("throughput (MRPS) by policy", func(p rpcvalet.ClusterPoint) float64 { return p.ThroughputMRPS })
-		emit("completion imbalance (max/mean) by policy", func(p rpcvalet.ClusterPoint) float64 { return p.Imbalance })
+		emit("throughput (MRPS) by policy", func(p rpcvalet.CurvePoint) float64 { return p.ThroughputMRPS })
+		emit("completion imbalance (max/mean) by policy", func(p rpcvalet.CurvePoint) float64 { return p.Imbalance })
 	}
 
 	if *timeline || *tailK > 0 || *traceJSONL != "" {

@@ -417,21 +417,3 @@ func (v *view) snapshotFrom(depth func(i int) int) {
 	}
 	v.idx.rebuild(v.stale)
 }
-
-// Point is one (rate, tail) observation of a cluster latency-throughput
-// curve.
-type Point struct {
-	RateMRPS       float64
-	ThroughputMRPS float64
-	P50, P99, Mean float64 // ns
-	Imbalance      float64
-	MeetsSLO       bool
-}
-
-// Curve is a labeled series of Points for one policy/configuration.
-// Curves are produced by the experiment harness's ClusterSweep
-// (internal/core), which runs points concurrently with decorrelated seeds.
-type Curve struct {
-	Label  string
-	Points []Point
-}

@@ -180,11 +180,41 @@ func TestPolicyByName(t *testing.T) {
 	if p, err := PolicyByName("jsq5"); err != nil || p.(JSQ).D != 5 {
 		t.Fatalf("jsq5 => %v, %v", p, err)
 	}
-	for _, bad := range []string{"", "jsq", "jsq1", "jsqx", "leastconn"} {
+	if p, err := PolicyByName("bounded1.5"); err != nil || p.(*BoundedLoad).Factor != 1.5 {
+		t.Fatalf("bounded1.5 => %v, %v", p, err)
+	}
+	for _, bad := range []string{"", "jsq", "jsq1", "jsqx", "leastconn",
+		"bounded0.5", "boundedNaN", "boundedInf", "bounded-1", "boundedx"} {
 		if _, err := PolicyByName(bad); err == nil {
 			t.Errorf("%q: accepted", bad)
 		}
 	}
+}
+
+// FuzzPolicyByName checks that no name panics PolicyByName and that every
+// accepted policy's String() — the name Result.Policy reports — parses back
+// to an equal policy.
+func FuzzPolicyByName(f *testing.F) {
+	for _, seed := range []string{
+		"random", "rr", "jsq2", "jsq5", "jsqfull", "bounded", "bounded1.25",
+		"bounded1", "bounded0.99", "boundedNaN", "boundedInf", "bounded1e308",
+		"jsq1", "jsq99999999999", "jsq+3", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		p, err := PolicyByName(name)
+		if err != nil {
+			return
+		}
+		back, err := PolicyByName(p.String())
+		if err != nil {
+			t.Fatalf("PolicyByName(%q) = %v, which does not parse back: %v", name, p, err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("PolicyByName(%q) = %#v, String %q parses back to %#v", name, p, p, back)
+		}
+	})
 }
 
 func TestPolicyPickBounds(t *testing.T) {

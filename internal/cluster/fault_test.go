@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -198,4 +199,46 @@ func TestPausedNodeVisibleInNodeTimeline(t *testing.T) {
 	if pThr > 0.5*hThr {
 		t.Fatalf("paused node throughput %.2f not depressed vs healthy %.2f", pThr, hThr)
 	}
+}
+
+// FuzzParseFaults checks that no spec panics the -degrade parser and that
+// every accepted spec's entries, written back with String() and joined by
+// ";", parse back to equal faults (slowdown 0 and 1 both mean full speed,
+// so String writes neither).
+func FuzzParseFaults(f *testing.F) {
+	for _, seed := range []string{
+		"", ";", "0:x1.5", "0:x2,pause@1ms+200us;3:pause@500us+100us",
+		"rack0:pause@1ms+500us", "rack-1:x2", "+3:x1", "2:healthy", "0:x1",
+		"0", "x:x2", "0:xNaN", "1:pause@1000s+1ms", "0:x2:x3",
+	} {
+		f.Add(seed)
+	}
+	write := func(fs []NodeFault) string {
+		parts := make([]string, len(fs))
+		for i, nf := range fs {
+			parts[i] = nf.String()
+		}
+		return strings.Join(parts, ";")
+	}
+	norm := func(fs []NodeFault) []NodeFault {
+		for i := range fs {
+			if fs[i].Slowdown == 1 {
+				fs[i].Slowdown = 0
+			}
+		}
+		return fs
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		got, err := ParseFaults(spec)
+		if err != nil {
+			return
+		}
+		back, err := ParseFaults(write(got))
+		if err != nil {
+			t.Fatalf("ParseFaults(%q) = %v, which does not parse back: %v", spec, got, err)
+		}
+		if !reflect.DeepEqual(norm(back), norm(got)) {
+			t.Fatalf("ParseFaults(%q) = %+v, %q parses back to %+v", spec, got, write(got), back)
+		}
+	})
 }

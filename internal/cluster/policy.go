@@ -146,9 +146,10 @@ func (p *BoundedLoad) String() string { return fmt.Sprintf("bounded%g", p.Factor
 
 // PolicyByName builds a fresh policy instance from its report name:
 // "random", "rr", "jsqD" for any d ≥ 2 (e.g. "jsq2"), "jsqfull"
-// (whole-cluster JSQ at any size), or "bounded" (Factor 1.25). Each call
-// returns new state, so callers can hand every simulation its own rotation
-// position.
+// (whole-cluster JSQ at any size), "bounded" (Factor 1.25) or "boundedF"
+// for a finite factor F ≥ 1 (e.g. "bounded1.5"). Every policy's String()
+// parses back to an equal policy. Each call returns new state, so callers
+// can hand every simulation its own rotation position.
 func PolicyByName(name string) (Policy, error) {
 	switch {
 	case name == "random":
@@ -157,6 +158,12 @@ func PolicyByName(name string) (Policy, error) {
 		return &RoundRobin{}, nil
 	case name == "bounded":
 		return &BoundedLoad{Factor: 1.25}, nil
+	case strings.HasPrefix(name, "bounded"):
+		f, err := strconv.ParseFloat(name[len("bounded"):], 64)
+		if err != nil || !(f >= 1) || math.IsInf(f, 1) {
+			return nil, fmt.Errorf("cluster: bad bounded-load factor in %q (want boundedF, finite F ≥ 1)", name)
+		}
+		return &BoundedLoad{Factor: f}, nil
 	case name == "jsqfull":
 		return JSQ{D: FullScan}, nil
 	case strings.HasPrefix(name, "jsq"):
@@ -164,9 +171,10 @@ func PolicyByName(name string) (Policy, error) {
 		if err != nil || d < 2 {
 			return nil, fmt.Errorf("cluster: bad JSQ choices in %q (want jsq2, jsq3, ..., jsqfull)", name)
 		}
-		return JSQ{D: d}, nil
+		// Any d past FullScan already samples the whole cluster.
+		return JSQ{D: min(d, FullScan)}, nil
 	default:
-		return nil, fmt.Errorf("cluster: unknown policy %q (want random, rr, jsqD, jsqfull, bounded)", name)
+		return nil, fmt.Errorf("cluster: unknown policy %q (want random, rr, jsqD, jsqfull, bounded, boundedF)", name)
 	}
 }
 

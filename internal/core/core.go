@@ -17,6 +17,7 @@ import (
 
 	"rpcvalet/internal/cluster"
 	"rpcvalet/internal/machine"
+	"rpcvalet/internal/queueing"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/workload"
@@ -80,24 +81,29 @@ type Figure struct {
 	Claims []Claim
 }
 
-// CurvePoint is one measured point of a latency-throughput curve.
-type CurvePoint struct {
+// Point is one measured point of a latency-throughput curve: a machine,
+// cluster or queueing-model run at one offered rate.
+type Point struct {
+	// RateMRPS is the offered rate; for a queueing model it is the offered
+	// load ρ, and ThroughputMRPS is completions per thousand service-time
+	// units.
 	RateMRPS       float64
 	ThroughputMRPS float64
 	P50, P99, Mean float64 // ns
 	SLONanos       float64
 	MeetsSLO       bool
 	ServiceMean    float64 // ns
+	Imbalance      float64 // cluster completions, max/mean; 0 elsewhere
 }
 
 // Curve is a labeled series of points for one configuration.
 type Curve struct {
 	Label  string
-	Points []CurvePoint
+	Points []Point
 	// Knee, if non-nil, is a bisection-refined point at the highest
-	// offered rate that still meets the SLO (see RefineKnee). It sharpens
+	// offered rate that still meets the SLO (see refineKnee). It sharpens
 	// ThroughputUnderSLO beyond the coarse grid's resolution.
-	Knee *CurvePoint
+	Knee *Point
 }
 
 // ThroughputUnderSLO returns the best throughput among points meeting their
@@ -113,45 +119,6 @@ func (c Curve) ThroughputUnderSLO() float64 {
 		best = c.Knee.ThroughputMRPS
 	}
 	return best
-}
-
-// RefineKnee bisects between the curve's last SLO-meeting grid rate and the
-// first violating one, running `iters` extra simulations to localize the
-// knee. The coarse grid bounds throughput-under-SLO to one grid step; the
-// paper's 1.1–1.4× mode ratios need finer resolution than a 10-point grid
-// provides. The refined point is stored on the returned curve.
-func RefineKnee(base machine.Config, c Curve, iters, workers int) (Curve, error) {
-	lastOK, firstBad := -1, -1
-	for i, p := range c.Points {
-		if p.MeetsSLO {
-			lastOK = i
-		} else if lastOK == i-1 && lastOK >= 0 && firstBad == -1 {
-			firstBad = i
-		}
-	}
-	if lastOK == -1 || firstBad == -1 {
-		// Nothing to refine: either no point meets the SLO or the whole
-		// grid does (the knee lies beyond the grid).
-		return c, nil
-	}
-	lo, hi := c.Points[lastOK].RateMRPS, c.Points[firstBad].RateMRPS
-	best := c.Points[lastOK]
-	for it := 0; it < iters; it++ {
-		mid := (lo + hi) / 2
-		pts, err := MachineSweep(base, []float64{mid}, c.Label+"-knee", workers)
-		if err != nil {
-			return c, err
-		}
-		p := pts.Points[0]
-		if p.MeetsSLO {
-			best = p
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	c.Knee = &best
-	return c, nil
 }
 
 // MaxTailRatioVs returns the largest p99(other)/p99(c) over point pairs at
@@ -244,10 +211,10 @@ func BudgetWorkers(workers, costPerRun int) int {
 	return max(workers, 1)
 }
 
-// runPoints is the shared worker pool behind every sweep in the harness: it
-// evaluates point(i) for i in [0, n) concurrently — each point is an
-// independent, single-threaded, deterministic simulation — and returns the
-// results in index order. The first error aborts the whole sweep.
+// runPoints is the worker pool behind every simulation fan-out in the
+// harness: it evaluates point(i) for i in [0, n) concurrently — each point
+// is an independent, single-threaded, deterministic simulation — and
+// returns the results in index order. The first error aborts the whole run.
 func runPoints[P any](n, workers int, point func(i int) (P, error)) ([]P, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -274,6 +241,95 @@ func runPoints[P any](n, workers int, point func(i int) (P, error)) ([]P, error)
 	return points, nil
 }
 
+// series is one curve to sweep: its label, its offered rates in order, and
+// point, which measures rate as the curve's i-th point. point owns the
+// series' seed rule, so a result depends only on (rate, i), never on which
+// pool ran it or alongside what.
+type series struct {
+	label string
+	rates []float64
+	point func(rate float64, i int) (Point, error)
+}
+
+// sweep measures every series' curve. All (series, rate) points run on one
+// runPoints pool of `workers`; then, with kneeIters > 0, every curve's SLO
+// knee is bisected on a second pool (each bisection is serial in itself).
+// A bisection step measures point(mid, 0), the series' base seed.
+func sweep(workers, kneeIters int, ss ...series) ([]Curve, error) {
+	type job struct{ s, i int }
+	var jobs []job
+	for s := range ss {
+		for i := range ss[s].rates {
+			jobs = append(jobs, job{s, i})
+		}
+	}
+	points, err := runPoints(len(jobs), workers, func(j int) (Point, error) {
+		s := ss[jobs[j].s]
+		return s.point(s.rates[jobs[j].i], jobs[j].i)
+	})
+	if err != nil {
+		return nil, err
+	}
+	curves := make([]Curve, len(ss))
+	for s := range ss {
+		n := len(ss[s].rates)
+		curves[s] = Curve{Label: ss[s].label, Points: points[:n:n]}
+		points = points[n:]
+	}
+	if kneeIters <= 0 {
+		return curves, nil
+	}
+	return runPoints(len(ss), workers, func(s int) (Curve, error) {
+		return refineKnee(curves[s], kneeIters, ss[s].point)
+	})
+}
+
+// only unwraps a one-series sweep.
+func only(curves []Curve, err error) (Curve, error) {
+	if err != nil {
+		return Curve{}, err
+	}
+	return curves[0], nil
+}
+
+// refineKnee bisects between the curve's last SLO-meeting grid rate and the
+// first violating one, measuring point(mid, 0) `iters` times to localize the
+// knee. The coarse grid bounds throughput-under-SLO to one grid step; the
+// paper's 1.1–1.4× mode ratios need finer resolution than a 10-point grid
+// provides. The refined point is stored on the returned curve.
+func refineKnee(c Curve, iters int, point func(rate float64, i int) (Point, error)) (Curve, error) {
+	lastOK, firstBad := -1, -1
+	for i, p := range c.Points {
+		if p.MeetsSLO {
+			lastOK = i
+		} else if lastOK == i-1 && lastOK >= 0 && firstBad == -1 {
+			firstBad = i
+		}
+	}
+	if lastOK == -1 || firstBad == -1 {
+		// Nothing to refine: either no point meets the SLO or the whole
+		// grid does (the knee lies beyond the grid).
+		return c, nil
+	}
+	lo, hi := c.Points[lastOK].RateMRPS, c.Points[firstBad].RateMRPS
+	best := c.Points[lastOK]
+	for it := 0; it < iters; it++ {
+		mid := (lo + hi) / 2
+		p, err := point(mid, 0)
+		if err != nil {
+			return c, err
+		}
+		if p.MeetsSLO {
+			best = p
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	c.Knee = &best
+	return c, nil
+}
+
 // capSimTime caps a sweep point's virtual time generously: ten times the
 // time its completions take at the actual completion rate — the offered
 // rate below saturation, the capacity above it.
@@ -287,22 +343,22 @@ func machineCapSimTime(cfg machine.Config, rate float64) sim.Duration {
 	return capSimTime(CapacityMRPS(cfg.Params, cfg.Workload), rate, cfg.Warmup+cfg.Measure)
 }
 
-// MachineSweep runs the machine at every rate (concurrently, on runPoints)
-// and returns the curve in rate order.
+// MachineSweep runs the machine at every rate (concurrently) and returns the
+// curve in rate order.
 func MachineSweep(base machine.Config, rates []float64, label string, workers int) (Curve, error) {
-	points, err := runPoints(len(rates), workers, func(i int) (CurvePoint, error) {
-		return machinePoint(base, rates[i], i, label)
-	})
-	if err != nil {
-		return Curve{}, err
-	}
-	return Curve{Label: label, Points: points}, nil
+	return only(sweep(workers, 0, machineSeries(base, rates, label)))
+}
+
+// machineSeries sweeps base over rates with machinePoint's seed rule.
+func machineSeries(base machine.Config, rates []float64, label string) series {
+	return series{label, rates, func(rate float64, i int) (Point, error) {
+		return machinePoint(base, rate, i, label)
+	}}
 }
 
 // machinePoint runs base at one offered rate as point i of a sweep: point i
-// draws seed base.Seed + i·1_000_003, so a point's result depends only on
-// its place in its own curve, never on which pool ran it.
-func machinePoint(base machine.Config, rate float64, i int, label string) (CurvePoint, error) {
+// draws seed base.Seed + i·1_000_003.
+func machinePoint(base machine.Config, rate float64, i int, label string) (Point, error) {
 	cfg := base
 	cfg.RateMRPS = rate
 	cfg.Seed = base.Seed + uint64(i)*1_000_003
@@ -311,9 +367,9 @@ func machinePoint(base machine.Config, rate float64, i int, label string) (Curve
 	}
 	res, err := machine.Run(cfg)
 	if err != nil {
-		return CurvePoint{}, fmt.Errorf("sweep %s at %.2f MRPS: %w", label, rate, err)
+		return Point{}, fmt.Errorf("sweep %s at %.2f MRPS: %w", label, rate, err)
 	}
-	return CurvePoint{
+	return Point{
 		RateMRPS:       rate,
 		ThroughputMRPS: res.ThroughputMRPS,
 		P50:            res.Latency.P50,
@@ -322,6 +378,89 @@ func machinePoint(base machine.Config, rate float64, i int, label string) (Curve
 		SLONanos:       res.SLONanos,
 		MeetsSLO:       res.MeetsSLO,
 		ServiceMean:    res.ServiceMeanNanos,
+	}, nil
+}
+
+// ClusterSweep runs the cluster at every aggregate rate (concurrently) and
+// returns the curve in rate order. When base is sharded, each point is
+// itself a team of goroutines, so the fan-out narrows to keep `workers` the
+// cap on total goroutines.
+func ClusterSweep(base cluster.Config, rates []float64, label string, workers int) (Curve, error) {
+	return only(sweep(BudgetWorkers(workers, RunCost(base)), 0, clusterSeries(base, rates, label)))
+}
+
+// clusterSeries sweeps base over aggregate rates. Point i draws seed
+// base.Seed + i·1_000_003 and gets freshly cloned policies (rack and, when
+// hierarchical, global), so rotation state never leaks across points or
+// goroutines.
+func clusterSeries(base cluster.Config, rates []float64, label string) series {
+	return series{label, rates, func(rate float64, i int) (Point, error) {
+		cfg := base
+		cfg.RateMRPS = rate
+		cfg.Seed = base.Seed + uint64(i)*1_000_003
+		cfg.Policy = base.Policy.Clone()
+		if base.GlobalPolicy != nil {
+			cfg.GlobalPolicy = base.GlobalPolicy.Clone()
+		}
+		if cfg.MaxSimTime == 0 {
+			cfg.MaxSimTime = capSimTime(ClusterCapacityMRPS(cfg), rate, cfg.Warmup+cfg.Measure)
+		}
+		res, err := cluster.Run(cfg)
+		if err != nil {
+			return Point{}, fmt.Errorf("cluster sweep %s at %.2f MRPS: %w", label, rate, err)
+		}
+		return Point{
+			RateMRPS:       rate,
+			ThroughputMRPS: res.ThroughputMRPS,
+			P50:            res.Latency.P50,
+			P99:            res.Latency.P99,
+			Mean:           res.Latency.Mean,
+			SLONanos:       res.SLONanos,
+			MeetsSLO:       res.MeetsSLO,
+			Imbalance:      res.Imbalance,
+		}, nil
+	}}
+}
+
+// QueueingSweep runs the queueing model cfg at every offered load
+// (concurrently) and returns the curve in load order, judging each point
+// against a p99 bound of slo service-time units.
+func QueueingSweep(cfg queueing.Config, loads []float64, slo float64, label string, workers int) (Curve, error) {
+	return only(sweep(workers, 0, queueingSeries(cfg, loads, slo, label)))
+}
+
+// queueingSeries sweeps the queueing model cfg over offered loads. Point i
+// draws seed cfg.Seed + 1e9·i(i+1)/2: the serial sweep this replaced added
+// i·1e9 to a running seed, and keeping its triangular rule keeps the Fig
+// 2a–2c tables byte-identical. The SLO is an argument rather than 10× the
+// distribution's mean, which for a normalized distribution need not be
+// exactly 1.
+func queueingSeries(cfg queueing.Config, loads []float64, slo float64, label string) series {
+	return series{label, loads, func(load float64, i int) (Point, error) {
+		c := cfg
+		c.Load = load
+		c.Seed = cfg.Seed + uint64(i*(i+1)/2)*1e9
+		return queueingPoint(c, slo, label)
+	}}
+}
+
+// queueingPoint runs cfg, its load and seed already set, as one curve
+// point at offered rate cfg.Load, with throughput scaled ×1000 (per µs when
+// the service times are in ns).
+func queueingPoint(cfg queueing.Config, slo float64, label string) (Point, error) {
+	res, err := queueing.Run(cfg)
+	if err != nil {
+		return Point{}, fmt.Errorf("sweep %s at load %v: %w", label, cfg.Load, err)
+	}
+	return Point{
+		RateMRPS:       cfg.Load,
+		ThroughputMRPS: res.Throughput * 1000,
+		P50:            res.Latency.P50,
+		P99:            res.Latency.P99,
+		Mean:           res.Latency.Mean,
+		SLONanos:       slo,
+		MeetsSLO:       res.Latency.P99 <= slo,
+		ServiceMean:    res.MeanSvc,
 	}, nil
 }
 

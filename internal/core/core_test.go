@@ -10,7 +10,9 @@ import (
 
 	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/cluster"
+	"rpcvalet/internal/dist"
 	"rpcvalet/internal/machine"
+	"rpcvalet/internal/queueing"
 	"rpcvalet/internal/workload"
 )
 
@@ -43,7 +45,7 @@ func TestRateGrid(t *testing.T) {
 }
 
 func TestCurveHelpers(t *testing.T) {
-	c := Curve{Points: []CurvePoint{
+	c := Curve{Points: []Point{
 		{RateMRPS: 1, ThroughputMRPS: 1, P99: 100, MeetsSLO: true},
 		{RateMRPS: 2, ThroughputMRPS: 2, P99: 200, MeetsSLO: true},
 		{RateMRPS: 3, ThroughputMRPS: 2.5, P99: 900, MeetsSLO: false},
@@ -51,7 +53,7 @@ func TestCurveHelpers(t *testing.T) {
 	if got := c.ThroughputUnderSLO(); got != 2 {
 		t.Fatalf("thr under SLO = %v", got)
 	}
-	other := Curve{Points: []CurvePoint{
+	other := Curve{Points: []Point{
 		{RateMRPS: 1, P99: 400}, {RateMRPS: 2, P99: 500}, {RateMRPS: 3, P99: 1000},
 	}}
 	if got := c.MaxTailRatioVs(other); got != 4 {
@@ -141,12 +143,6 @@ func TestFigureStructure(t *testing.T) {
 	}
 }
 
-// TestRunPointsHonorsWorkerCap is the oversubscription regression test: an
-// atomic high-water-mark counter in the point fn proves Options.Workers is a
-// true cap on concurrently running simulations. (figCluster once spawned a
-// goroutine per (mode, policy) cell around a parallel ClusterSweep,
-// multiplying concurrency to cells × Workers; every sweep now runs through
-// this one pool.)
 // concurrencyHighWater runs n points through runPoints at the given cap,
 // with each point holding its slot for `hold` so any overlap beyond the cap
 // would register, and returns the atomic high-water mark of concurrently
@@ -172,6 +168,12 @@ func concurrencyHighWater(t *testing.T, n, workers int, hold time.Duration) int 
 	return int(high.Load())
 }
 
+// TestRunPointsHonorsWorkerCap is the oversubscription regression test: an
+// atomic high-water-mark counter in the point fn proves Options.Workers is a
+// true cap on concurrently running simulations. (figCluster once spawned a
+// goroutine per (mode, policy) cell around a parallel ClusterSweep,
+// multiplying concurrency to cells × Workers; every sweep now runs through
+// this one pool.)
 func TestRunPointsHonorsWorkerCap(t *testing.T) {
 	const workers = 3
 	got := concurrencyHighWater(t, 24, workers, 2*time.Millisecond)
@@ -191,82 +193,73 @@ func TestRunPointsDefaultCap(t *testing.T) {
 	}
 }
 
-// TestFigClusterDeterministic: the flattened figCluster must produce
-// identical tables and claims for any worker cap — the property that made
-// flattening the per-cell goroutine pool result-identical.
-func TestFigClusterDeterministic(t *testing.T) {
+// checkWorkerInvariant regenerates figure id at tiny scale with Workers 1
+// and 8 and requires equal tables and claims: every (series, rate) point of
+// a figure's sweep depends only on its own seed rule, never on the pool.
+func checkWorkerInvariant(t *testing.T, id string) {
+	t.Helper()
 	o := tinyOptions()
 	o.Points = 2
 	o.Measure = 2000
+	o.KneeIters = 2
 	run := func(workers int) Figure {
 		o := o
 		o.Workers = workers
-		fig, err := figCluster(o)
+		fig, err := Figures[id](o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fig
 	}
 	a, b := run(1), run(8)
-	if len(a.Tables) != len(b.Tables) {
-		t.Fatalf("table count differs: %d vs %d", len(a.Tables), len(b.Tables))
+	if !reflect.DeepEqual(a.Tables, b.Tables) {
+		t.Fatalf("%s: tables differ across worker caps:\n  %+v\n  %+v", id, a.Tables, b.Tables)
 	}
-	for ti := range a.Tables {
-		at, bt := a.Tables[ti], b.Tables[ti]
-		if len(at.Rows) != len(bt.Rows) {
-			t.Fatalf("table %q row count differs", at.Title)
-		}
-		for ri := range at.Rows {
-			for ci := range at.Rows[ri] {
-				if at.Rows[ri][ci] != bt.Rows[ri][ci] {
-					t.Fatalf("table %q cell [%d][%d] differs across worker caps: %v vs %v",
-						at.Title, ri, ci, at.Rows[ri][ci], bt.Rows[ri][ci])
-				}
-			}
-		}
+	if !reflect.DeepEqual(a.Claims, b.Claims) {
+		t.Fatalf("%s: claims differ across worker caps:\n  %v\n  %v", id, a.Claims, b.Claims)
 	}
-	for i := range a.Claims {
-		if a.Claims[i] != b.Claims[i] {
-			t.Fatalf("claim %d differs across worker caps:\n  %s\n  %s", i, a.Claims[i], b.Claims[i])
-		}
+}
+
+// TestFigClusterDeterministic: figCluster pools every (mode, policy) cell's
+// points, where its cells once ran a goroutine each around a parallel sweep.
+func TestFigClusterDeterministic(t *testing.T) { checkWorkerInvariant(t, "cluster") }
+
+// TestFiguresWorkerInvariant covers the other figures whose curves run on
+// the shared sweep pool. The queueing figures ran serially before.
+func TestFiguresWorkerInvariant(t *testing.T) {
+	for _, id := range []string{"2a", "2c", "8", "9", "policy", "burst"} {
+		t.Run(id, func(t *testing.T) { checkWorkerInvariant(t, id) })
 	}
 }
 
 // TestSweepModesDeterministic: pooling every mode's grid points and then
-// every mode's knee bisection must give the curves and knees of running the
+// every mode's knee bisection must give the curves and knees of sweeping the
 // modes one after another, at any worker cap.
 func TestSweepModesDeterministic(t *testing.T) {
 	o := tinyOptions()
 	o.Points = 3
 	o.Measure = 2000
 	o.KneeIters = 2
-	wl := workload.HERD()
-	run := func(workers int) map[machine.Mode]Curve {
-		o := o
-		o.Workers = workers
-		curves, _, err := sweepModes(o, wl, hwModes, 0.3, 1.02)
+	ss := hwSeries(o, workload.HERD(), 0.3, 1.02)
+	run := func(workers int) []Curve {
+		curves, err := sweep(workers, o.KneeIters, ss...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return curves
 	}
 	a, b := run(1), run(8)
-	rates := RateGrid(CapacityMRPS(machine.Defaults(), wl), 0.3, 1.02, o.Points)
 	knees := 0
-	for _, mode := range hwModes {
-		base := machineBase(o, wl, mode)
-		serial, err := MachineSweep(base, rates, modeShort(mode), 1)
+	for m, s := range ss {
+		serial, err := only(sweep(1, o.KneeIters, s))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if serial, err = RefineKnee(base, serial, o.KneeIters, 1); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(a[m], b[m]) {
+			t.Fatalf("mode %s differs across worker caps:\n  %+v\n  %+v", s.label, a[m], b[m])
 		}
-		if !reflect.DeepEqual(a[mode], b[mode]) {
-			t.Fatalf("mode %s differs across worker caps:\n  %+v\n  %+v", modeShort(mode), a[mode], b[mode])
-		}
-		if !reflect.DeepEqual(a[mode], serial) {
-			t.Fatalf("mode %s differs from a serial sweep:\n  %+v\n  %+v", modeShort(mode), a[mode], serial)
+		if !reflect.DeepEqual(a[m], serial) {
+			t.Fatalf("mode %s differs from a serial sweep:\n  %+v\n  %+v", s.label, a[m], serial)
 		}
 		if serial.Knee != nil {
 			knees++
@@ -350,11 +343,12 @@ func TestRefineKnee(t *testing.T) {
 	o := tinyOptions()
 	base := machineBase(o, workload.HERD(), machine.ModeSingleQueue)
 	cap := CapacityMRPS(base.Params, base.Workload)
-	coarse, err := MachineSweep(base, RateGrid(cap, 0.3, 1.05, 4), "knee", 2)
+	s := machineSeries(base, RateGrid(cap, 0.3, 1.05, 4), "knee")
+	coarse, err := only(sweep(2, 0, s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := RefineKnee(base, coarse, 3, 2)
+	refined, err := refineKnee(coarse, 3, s.point)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +369,7 @@ func TestRefineKneeNoCrossing(t *testing.T) {
 	o := tinyOptions()
 	base := machineBase(o, workload.HERD(), machine.ModeSingleQueue)
 	cap := CapacityMRPS(base.Params, base.Workload)
-	coarse, err := MachineSweep(base, RateGrid(cap, 0.1, 0.4, 3), "low", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined, err := RefineKnee(base, coarse, 3, 2)
+	refined, err := only(sweep(2, 3, machineSeries(base, RateGrid(cap, 0.1, 0.4, 3), "low")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,13 +380,12 @@ func TestRefineKneeNoCrossing(t *testing.T) {
 
 // TestRefineKneeEdgeCases exercises the refinement's degenerate inputs with
 // synthetic curves: every early-return path must leave the curve untouched
-// (and run zero extra simulations — these paths return before any sweep).
+// and measure no point.
 func TestRefineKneeEdgeCases(t *testing.T) {
-	base := machineBase(tinyOptions(), workload.HERD(), machine.ModeSingleQueue)
 	mk := func(meets ...bool) Curve {
 		c := Curve{Label: "synthetic"}
 		for i, m := range meets {
-			c.Points = append(c.Points, CurvePoint{
+			c.Points = append(c.Points, Point{
 				RateMRPS: float64(i + 1), ThroughputMRPS: float64(i + 1),
 				P99: 100 * float64(i+1), SLONanos: 250, MeetsSLO: m,
 			})
@@ -411,20 +400,18 @@ func TestRefineKneeEdgeCases(t *testing.T) {
 		"emptyCurve":     mk(),
 	}
 	for name, c := range cases {
-		refined, err := RefineKnee(base, c, 5, 1)
+		refined, err := refineKnee(c, 5, func(rate float64, i int) (Point, error) {
+			t.Fatalf("%s: refinement measured rate %v", name, rate)
+			return Point{}, nil
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if refined.Knee != nil {
 			t.Errorf("%s: refinement invented a knee", name)
 		}
-		if len(refined.Points) != len(c.Points) {
+		if !reflect.DeepEqual(refined.Points, c.Points) {
 			t.Errorf("%s: points changed", name)
-		}
-		for i := range c.Points {
-			if refined.Points[i] != c.Points[i] {
-				t.Errorf("%s: point %d mutated", name, i)
-			}
 		}
 	}
 }
@@ -440,7 +427,7 @@ func TestRefineKneeAtGridEdge(t *testing.T) {
 	cap := CapacityMRPS(base.Params, base.Workload)
 
 	// Grid confined below the knee: every point meets, edge case.
-	low, err := MachineSweep(base, RateGrid(cap, 0.2, 0.5, 3), "low", 2)
+	low, err := only(sweep(2, 3, machineSeries(base, RateGrid(cap, 0.2, 0.5, 3), "low")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,21 +436,18 @@ func TestRefineKneeAtGridEdge(t *testing.T) {
 			t.Skipf("low-load grid unexpectedly violated SLO at tiny scale: %+v", p)
 		}
 	}
-	refined, err := RefineKnee(base, low, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refined.Knee != nil {
+	if low.Knee != nil {
 		t.Fatal("knee refined despite the whole grid meeting the SLO")
 	}
 
 	// Grid crossing saturation: the knee must land inside the crossing
 	// bracket and meet the SLO.
-	wide, err := MachineSweep(base, RateGrid(cap, 0.5, 1.3, 4), "wide", 2)
+	s := machineSeries(base, RateGrid(cap, 0.5, 1.3, 4), "wide")
+	wide, err := only(sweep(2, 0, s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err = RefineKnee(base, wide, 3, 2)
+	refined, err := refineKnee(wide, 3, s.point)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -982,5 +966,71 @@ func TestHierSmoke(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// qConfig is a small M/M/1 queueing model for the queueing-series tests.
+func qConfig() queueing.Config {
+	return queueing.Config{
+		Queues: 1, ServersPerQueue: 1,
+		Service: dist.Exponential{MeanValue: 1},
+		Warmup:  500, Measure: 5000, Seed: 1,
+	}
+}
+
+func TestQueueingSweepAndSLO(t *testing.T) {
+	cfg := qConfig()
+	cfg.Queues, cfg.ServersPerQueue = 1, 16
+	curve, err := QueueingSweep(cfg, []float64{0.2, 0.5, 0.8}, 10, "1x16", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curve.Points) != 3 || curve.Label != "1x16" {
+		t.Fatalf("curve malformed: %+v", curve)
+	}
+	// SLO of 10×mean service (=10) should be met at least at the low loads.
+	if curve.ThroughputUnderSLO() <= 0 {
+		t.Fatal("no point met a 10x SLO at low load")
+	}
+	// An impossible SLO yields zero.
+	if c, err := QueueingSweep(cfg, []float64{0.2, 0.5, 0.8}, 0.0001, "1x16", 2); err != nil || c.ThroughputUnderSLO() != 0 {
+		t.Fatalf("impossible SLO: throughput %v, err %v", c.ThroughputUnderSLO(), err)
+	}
+}
+
+func TestQueueingSweepPropagatesError(t *testing.T) {
+	if _, err := QueueingSweep(qConfig(), []float64{-1}, 10, "bad", 1); err == nil {
+		t.Fatal("expected error from invalid load")
+	}
+}
+
+// TestQueueingSeriesSeeds pins the queueing series' triangular seed rule:
+// point i is queueing.Run at Seed + 1e9·i(i+1)/2, the seed the retired
+// serial sweep's running sum reached, not Seed + i·1e9.
+func TestQueueingSeriesSeeds(t *testing.T) {
+	cfg := qConfig()
+	cfg.ServersPerQueue = 4
+	loads := []float64{0.3, 0.5, 0.7, 0.9}
+	curve, err := QueueingSweep(cfg, loads, 10, "1x4", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(load float64, seed uint64) float64 {
+		c := cfg
+		c.Load, c.Seed = load, seed
+		res, err := queueing.Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Latency.P99
+	}
+	for i, load := range loads {
+		want := run(load, cfg.Seed+uint64(i*(i+1)/2)*1e9)
+		if got := curve.Points[i].P99; got != want {
+			t.Fatalf("point %d p99 = %v, want %v (queueing.Run at the triangular seed)", i, got, want)
+		}
+	}
+	if run(loads[2], cfg.Seed+2e9) == curve.Points[2].P99 {
+		t.Fatal("point 2 also matches seed+2e9; the test cannot tell the seed rules apart")
 	}
 }

@@ -57,35 +57,20 @@ func figBurst(o Options) (Figure, error) {
 		}
 	}
 
-	points, err := runPoints(len(combos), o.Workers, func(i int) (CurvePoint, error) {
-		c := combos[i]
+	// Every combo is a one-point series, so each runs at its base seed: the
+	// comparison is paired — each (mode, arrival) cell sees statistically
+	// identical draws.
+	ss := make([]series, len(combos))
+	for i, c := range combos {
 		cfg := machineBase(o, wl, c.mode)
 		arr, err := arrival.ByName(c.kind, rate)
 		if err != nil {
-			return CurvePoint{}, err
+			return Figure{}, err
 		}
 		cfg.Arrival = arr
-		cfg.RateMRPS = rate
-		// Same seed for every combo: the comparison is paired — each
-		// (mode, arrival) cell sees statistically identical draws.
-		if cfg.MaxSimTime == 0 {
-			cfg.MaxSimTime = machineCapSimTime(cfg, rate)
-		}
-		res, err := machine.Run(cfg)
-		if err != nil {
-			return CurvePoint{}, fmt.Errorf("burst %s/%s: %w", modeShort(c.mode), c.kind, err)
-		}
-		return CurvePoint{
-			RateMRPS:       rate,
-			ThroughputMRPS: res.ThroughputMRPS,
-			P50:            res.Latency.P50,
-			P99:            res.Latency.P99,
-			Mean:           res.Latency.Mean,
-			SLONanos:       res.SLONanos,
-			MeetsSLO:       res.MeetsSLO,
-			ServiceMean:    res.ServiceMeanNanos,
-		}, nil
-	})
+		ss[i] = machineSeries(cfg, []float64{rate}, modeShort(c.mode)+"/"+c.kind)
+	}
+	curves, err := sweep(o.Workers, 0, ss...)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -96,8 +81,8 @@ func figBurst(o Options) (Figure, error) {
 			p99[c.mode] = map[string]float64{}
 			mean[c.mode] = map[string]float64{}
 		}
-		p99[c.mode][c.kind] = points[i].P99
-		mean[c.mode][c.kind] = points[i].Mean
+		p99[c.mode][c.kind] = curves[i].Points[0].P99
+		mean[c.mode][c.kind] = curves[i].Points[0].Mean
 	}
 
 	fig := Figure{

@@ -40,45 +40,6 @@ func clusterBase(o Options, wl workload.Profile, mode machine.Mode, pol cluster.
 	}
 }
 
-// ClusterSweep runs the cluster at every aggregate rate (concurrently, on
-// runPoints) and returns the curve in rate order. Each point gets freshly
-// cloned policies (rack and, when hierarchical, global), so rotation state
-// never leaks across points or goroutines. When base is sharded, each point
-// is itself a team of goroutines, so the fan-out narrows to keep `workers`
-// the cap on total goroutines.
-func ClusterSweep(base cluster.Config, rates []float64, label string, workers int) (cluster.Curve, error) {
-	points, err := runPoints(len(rates), BudgetWorkers(workers, RunCost(base)), func(i int) (cluster.Point, error) {
-		rate := rates[i]
-		cfg := base
-		cfg.RateMRPS = rate
-		cfg.Seed = base.Seed + uint64(i)*1_000_003
-		cfg.Policy = base.Policy.Clone()
-		if base.GlobalPolicy != nil {
-			cfg.GlobalPolicy = base.GlobalPolicy.Clone()
-		}
-		if cfg.MaxSimTime == 0 {
-			cfg.MaxSimTime = capSimTime(ClusterCapacityMRPS(cfg), rate, cfg.Warmup+cfg.Measure)
-		}
-		res, err := cluster.Run(cfg)
-		if err != nil {
-			return cluster.Point{}, fmt.Errorf("cluster sweep %s at %.2f MRPS: %w", label, rate, err)
-		}
-		return cluster.Point{
-			RateMRPS:       rate,
-			ThroughputMRPS: res.ThroughputMRPS,
-			P50:            res.Latency.P50,
-			P99:            res.Latency.P99,
-			Mean:           res.Latency.Mean,
-			Imbalance:      res.Imbalance,
-			MeetsSLO:       res.MeetsSLO,
-		}, nil
-	})
-	if err != nil {
-		return cluster.Curve{}, err
-	}
-	return cluster.Curve{Label: label, Points: points}, nil
-}
-
 // ClusterCapacityMRPS estimates the cluster's aggregate saturation
 // throughput: node count × single-node capacity.
 func ClusterCapacityMRPS(cfg cluster.Config) float64 {
@@ -99,39 +60,31 @@ func figCluster(o Options) (Figure, error) {
 		policy string
 	}
 	var cells []key
+	var ss []series
 	for _, mode := range hwModes {
 		for _, polName := range cluster.PolicyNames {
+			pol, err := cluster.PolicyByName(polName)
+			if err != nil {
+				return Figure{}, err
+			}
+			base := clusterBase(o, wl, mode, pol)
+			rates := make([]float64, len(loads))
+			for j, f := range loads {
+				rates[j] = f * ClusterCapacityMRPS(base)
+			}
 			cells = append(cells, key{mode, polName})
+			ss = append(ss, clusterSeries(base, rates, polName+"/"+modeShort(mode)))
 		}
 	}
-	// One layer of concurrency: runPoints fans out over the (mode, policy)
-	// cells and each cell runs its sweep sequentially (workers=1), so
-	// o.Workers caps the number of in-flight simulations exactly. (An
-	// earlier version spawned a goroutine per cell around a parallel
-	// ClusterSweep, multiplying concurrency to cells × o.Workers.)
-	// ClusterSweep's points are deterministic for any worker count, so the
-	// flattening is result-identical. With Options.Shards > 1 every in-flight
-	// simulation is a team of goroutines, so the cell fan-out narrows by the
-	// team size — o.Workers keeps bounding total goroutines either way.
-	cellWorkers := BudgetWorkers(o.Workers,
-		RunCost(cluster.Config{Nodes: ClusterNodes, Shards: o.Shards}))
-	cellCurves, err := runPoints(len(cells), cellWorkers, func(i int) (cluster.Curve, error) {
-		c := cells[i]
-		pol, err := cluster.PolicyByName(c.policy)
-		if err != nil {
-			return cluster.Curve{}, err
-		}
-		base := clusterBase(o, wl, c.mode, pol)
-		rates := make([]float64, len(loads))
-		for j, f := range loads {
-			rates[j] = f * ClusterCapacityMRPS(base)
-		}
-		return ClusterSweep(base, rates, c.policy+"/"+modeShort(c.mode), 1)
-	})
+	// Every cell's points share one pool. With Options.Shards > 1 every
+	// in-flight simulation is a team of goroutines, so the fan-out narrows
+	// by the team size and o.Workers keeps bounding total goroutines.
+	cellCurves, err := sweep(BudgetWorkers(o.Workers,
+		RunCost(cluster.Config{Nodes: ClusterNodes, Shards: o.Shards})), 0, ss...)
 	if err != nil {
 		return Figure{}, err
 	}
-	curves := make(map[key]cluster.Curve, len(cells))
+	curves := make(map[key]Curve, len(cells))
 	for i, c := range cells {
 		curves[c] = cellCurves[i]
 	}
@@ -162,7 +115,7 @@ func figCluster(o Options) (Figure, error) {
 	// saturation): mid-load points separate the policies by less than
 	// sampling noise, so that is where the comparison means something.
 	hi := len(loads) - 1
-	at := func(mode machine.Mode, pol string) cluster.Point {
+	at := func(mode machine.Mode, pol string) Point {
 		return curves[key{mode, pol}].Points[hi]
 	}
 	jsqP99 := at(machine.ModeSingleQueue, "jsq2").P99

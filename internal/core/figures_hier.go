@@ -68,10 +68,9 @@ func hierConfigAt(o Options, n int, global, rack string) (cluster.Config, error)
 		cfg.GlobalPolicy = gpol
 		cfg.GlobalHop = HierGlobalHop
 	}
-	rate := HierLoad * ClusterCapacityMRPS(cfg)
-	cfg.RateMRPS = rate
-	need := float64(cfg.Warmup+cfg.Measure) / rate * 1000 // ns
-	cfg.MaxSimTime = sim.FromNanos(need * 10)
+	capacity := ClusterCapacityMRPS(cfg)
+	cfg.RateMRPS = HierLoad * capacity
+	cfg.MaxSimTime = capSimTime(capacity, cfg.RateMRPS, cfg.Warmup+cfg.Measure)
 	return cfg, nil
 }
 

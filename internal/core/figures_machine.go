@@ -49,85 +49,65 @@ func modeShort(m machine.Mode) string {
 	return m.String()
 }
 
-// sweepModes runs one workload across several modes on a shared rate grid,
-// then bisects each curve's SLO knee so throughput-under-SLO comparisons are
-// not limited to the grid's resolution. Every mode's grid shares one worker
-// pool, and so do the modes' bisections, so no mode's serial bisection
-// leaves a worker idle while another mode could use it.
-func sweepModes(o Options, wl workload.Profile, modes []machine.Mode, loFrac, hiFrac float64) (map[machine.Mode]Curve, []float64, error) {
-	cap := CapacityMRPS(machine.Defaults(), wl)
-	rates := RateGrid(cap, loFrac, hiFrac, o.Points)
-	n := len(rates)
-	bases := make([]machine.Config, len(modes))
+// modeSeries builds one machine series per mode over a shared rate grid,
+// each labeled with the mode's short name.
+func modeSeries(o Options, wl workload.Profile, modes []machine.Mode, rates []float64) []series {
+	ss := make([]series, len(modes))
 	for m, mode := range modes {
-		bases[m] = machineBase(o, wl, mode)
+		ss[m] = machineSeries(machineBase(o, wl, mode), rates, modeShort(mode))
 	}
-	grid, err := runPoints(len(modes)*n, o.Workers, func(i int) (CurvePoint, error) {
-		m, r := i/n, i%n
-		return machinePoint(bases[m], rates[r], r, modeShort(modes[m]))
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	curves, err := runPoints(len(modes), o.Workers, func(m int) (Curve, error) {
-		c := Curve{Label: modeShort(modes[m]), Points: grid[m*n : (m+1)*n : (m+1)*n]}
-		return RefineKnee(bases[m], c, o.KneeIters, 1)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make(map[machine.Mode]Curve, len(modes))
-	for m, mode := range modes {
-		out[mode] = curves[m]
-	}
-	return out, rates, nil
+	return ss
 }
 
-// curveTable renders p99-vs-throughput series for several modes.
-func curveTable(title string, modes []machine.Mode, curves map[machine.Mode]Curve) *report.Table {
+// hwSeries is modeSeries over hwModes on a RateGrid spanning loFrac..hiFrac
+// of the workload's capacity; the swept curves come back as 16x1, 4x4, 1x16.
+func hwSeries(o Options, wl workload.Profile, loFrac, hiFrac float64) []series {
+	rates := RateGrid(CapacityMRPS(machine.Defaults(), wl), loFrac, hiFrac, o.Points)
+	return modeSeries(o, wl, hwModes, rates)
+}
+
+// curveTable renders p99-vs-throughput series for several curves.
+func curveTable(title string, curves []Curve) *report.Table {
 	cols := []string{"rate_mrps"}
-	for _, m := range modes {
-		cols = append(cols, "thr_"+modeShort(m), "p99ns_"+modeShort(m))
+	for _, c := range curves {
+		cols = append(cols, "thr_"+c.Label, "p99ns_"+c.Label)
 	}
 	tbl := report.NewTable(title, cols...)
-	n := len(curves[modes[0]].Points)
-	for i := 0; i < n; i++ {
-		row := []any{curves[modes[0]].Points[i].RateMRPS}
-		for _, m := range modes {
-			p := curves[m].Points[i]
-			row = append(row, p.ThroughputMRPS, p.P99)
+	for i, p := range curves[0].Points {
+		row := []any{p.RateMRPS}
+		for _, c := range curves {
+			row = append(row, c.Points[i].ThroughputMRPS, c.Points[i].P99)
 		}
 		tbl.AddRowf(row...)
 	}
 	return tbl
 }
 
-// sloTable summarizes throughput under SLO per mode.
-func sloTable(title string, modes []machine.Mode, curves map[machine.Mode]Curve) *report.Table {
+// sloTable summarizes throughput under SLO per curve.
+func sloTable(title string, curves []Curve) *report.Table {
 	tbl := report.NewTable(title, "mode", "thr_under_slo_mrps", "slo_ns", "mean_service_ns")
-	for _, m := range modes {
-		c := curves[m]
+	for _, c := range curves {
 		last := c.Points[len(c.Points)-1]
-		tbl.AddRowf(modeShort(m), c.ThroughputUnderSLO(), last.SLONanos, last.ServiceMean)
+		tbl.AddRowf(c.Label, c.ThroughputUnderSLO(), last.SLONanos, last.ServiceMean)
 	}
 	return tbl
 }
 
 // fig7a reproduces Fig 7a: HERD under the three hardware configurations.
 func fig7a(o Options) (Figure, error) {
-	curves, _, err := sweepModes(o, workload.HERD(), hwModes, 0.1, 1.02)
+	curves, err := sweep(o.Workers, o.KneeIters, hwSeries(o, workload.HERD(), 0.1, 1.02)...)
 	if err != nil {
 		return Figure{}, err
 	}
-	sq, gr, pt := curves[machine.ModeSingleQueue], curves[machine.ModeGrouped], curves[machine.ModePartitioned]
+	pt, gr, sq := curves[0], curves[1], curves[2]
 	sThr, gThr, pThr := sq.ThroughputUnderSLO(), gr.ThroughputUnderSLO(), pt.ThroughputUnderSLO()
 
 	fig := Figure{
 		ID:    "7a",
 		Title: "Fig 7a: HERD, hardware queuing systems",
 		Tables: []*report.Table{
-			curveTable("Fig 7a: HERD p99 vs throughput", hwModes, curves),
-			sloTable("Fig 7a summary: throughput under 10×S̄ SLO", hwModes, curves),
+			curveTable("Fig 7a: HERD p99 vs throughput", curves),
+			sloTable("Fig 7a summary: throughput under 10×S̄ SLO", curves),
 		},
 	}
 	sbar := sq.Points[0].ServiceMean
@@ -147,25 +127,25 @@ func fig7a(o Options) (Figure, error) {
 
 // fig7b reproduces Fig 7b: Masstree gets with 1% scan interference.
 func fig7b(o Options) (Figure, error) {
-	curves, rates, err := sweepModes(o, workload.Masstree(), hwModes, 0.15, 0.92)
+	curves, err := sweep(o.Workers, o.KneeIters, hwSeries(o, workload.Masstree(), 0.15, 0.92)...)
 	if err != nil {
 		return Figure{}, err
 	}
-	sq, gr, pt := curves[machine.ModeSingleQueue], curves[machine.ModeGrouped], curves[machine.ModePartitioned]
+	pt, gr, sq := curves[0], curves[1], curves[2]
 
 	fig := Figure{
 		ID:    "7b",
 		Title: "Fig 7b: Masstree (99% gets + 1% scans), 12.5µs SLO on gets",
 		Tables: []*report.Table{
-			curveTable("Fig 7b: Masstree get p99 vs throughput", hwModes, curves),
-			sloTable("Fig 7b summary: throughput under 12.5µs SLO", hwModes, curves),
+			curveTable("Fig 7b: Masstree get p99 vs throughput", curves),
+			sloTable("Fig 7b summary: throughput under 12.5µs SLO", curves),
 		},
 	}
 	fig.Claims = []Claim{
 		{
 			Name:     "16x1 violates the SLO even at the lowest load",
 			Paper:    "cannot meet SLO even at 2 MRPS",
-			Measured: fmt.Sprintf("p99=%.1fµs at %.1f MRPS", pt.Points[0].P99/1000, rates[0]),
+			Measured: fmt.Sprintf("p99=%.1fµs at %.1f MRPS", pt.Points[0].P99/1000, pt.Points[0].RateMRPS),
 			Ok:       !pt.Points[0].MeetsSLO,
 		},
 		// Our 4×4 degrades harder than the paper's: with only four cores
@@ -198,19 +178,25 @@ func fig7c(o Options) (Figure, error) {
 		"fixed": {"1.13×", "1.2×", 1.0, 1.4, 1.05, 1.8},
 		"gev":   {"1.17×", "1.4×", 1.0, 1.6, 1.1, 4.5},
 	}
-	for _, kind := range []string{"fixed", "gev"} {
+	kinds := []string{"fixed", "gev"}
+	var ss []series
+	for _, kind := range kinds {
 		wl, err := workload.Synthetic(kind)
 		if err != nil {
 			return Figure{}, err
 		}
-		curves, _, err := sweepModes(o, wl, hwModes, 0.1, 1.02)
-		if err != nil {
-			return Figure{}, err
-		}
-		sq, gr, pt := curves[machine.ModeSingleQueue], curves[machine.ModeGrouped], curves[machine.ModePartitioned]
+		ss = append(ss, hwSeries(o, wl, 0.1, 1.02)...)
+	}
+	all, err := sweep(o.Workers, o.KneeIters, ss...)
+	if err != nil {
+		return Figure{}, err
+	}
+	for k, kind := range kinds {
+		curves := all[3*k : 3*k+3]
+		pt, gr, sq := curves[0], curves[1], curves[2]
 		fig.Tables = append(fig.Tables,
-			curveTable(fmt.Sprintf("Fig 7c (%s): p99 vs throughput", kind), hwModes, curves),
-			sloTable(fmt.Sprintf("Fig 7c (%s) summary", kind), hwModes, curves),
+			curveTable(fmt.Sprintf("Fig 7c (%s): p99 vs throughput", kind), curves),
+			sloTable(fmt.Sprintf("Fig 7c (%s) summary", kind), curves),
 		)
 		e := expect[kind]
 		fig.Claims = append(fig.Claims,
@@ -233,6 +219,7 @@ func fig7c(o Options) (Figure, error) {
 func fig8(o Options) (Figure, error) {
 	fig := Figure{ID: "8", Title: "Fig 8: 1x16 hardware vs software (MCS) load balancing"}
 	modes := []machine.Mode{machine.ModeSingleQueue, machine.ModeSoftware}
+	var ss []series
 	for _, kind := range distOrder {
 		wl, err := workload.Synthetic(kind)
 		if err != nil {
@@ -241,23 +228,18 @@ func fig8(o Options) (Figure, error) {
 		// Geometric spacing: the software system saturates near the MCS
 		// lock's ≈5.3 MRPS ceiling, far below chip capacity, so the
 		// interesting region is the low-rate end.
-		cap := CapacityMRPS(machine.Defaults(), wl)
-		rates := GeometricRateGrid(cap, 0.05, 0.95, o.Points)
-		curves := make(map[machine.Mode]Curve, len(modes))
-		for _, mode := range modes {
-			base := machineBase(o, wl, mode)
-			c, err := MachineSweep(base, rates, modeShort(mode), o.Workers)
-			if err != nil {
-				return Figure{}, err
-			}
-			if c, err = RefineKnee(base, c, o.KneeIters, o.Workers); err != nil {
-				return Figure{}, err
-			}
-			curves[mode] = c
-		}
-		hw, sw := curves[machine.ModeSingleQueue], curves[machine.ModeSoftware]
+		rates := GeometricRateGrid(CapacityMRPS(machine.Defaults(), wl), 0.05, 0.95, o.Points)
+		ss = append(ss, modeSeries(o, wl, modes, rates)...)
+	}
+	all, err := sweep(o.Workers, o.KneeIters, ss...)
+	if err != nil {
+		return Figure{}, err
+	}
+	for k, kind := range distOrder {
+		curves := all[2*k : 2*k+2]
+		hw, sw := curves[0], curves[1]
 		fig.Tables = append(fig.Tables,
-			curveTable(fmt.Sprintf("Fig 8 (%s): p99 vs throughput, hw vs sw", kind), modes, curves))
+			curveTable(fmt.Sprintf("Fig 8 (%s): p99 vs throughput, hw vs sw", kind), curves))
 		// The paper measures 2.3–2.7×. Our hardware path has lower fixed
 		// overhead than the authors', so it sustains SLO closer to its
 		// physical capacity and the measured ratio runs higher; the
@@ -276,50 +258,58 @@ func fig8(o Options) (Figure, error) {
 // a fixed remainder S̄−D.
 func fig9(o Options) (Figure, error) {
 	fig := Figure{ID: "9", Title: "Fig 9: RPCValet vs theoretical 1x16 queueing model"}
-	unit := unitDists()
-	for _, kind := range distOrder {
+	cores := machine.Defaults().Cores
+	sims := make([]series, len(distOrder))
+	for k, kind := range distOrder {
 		wl, err := workload.Synthetic(kind)
 		if err != nil {
 			return Figure{}, err
 		}
-		cap := CapacityMRPS(machine.Defaults(), wl)
-		rates := RateGrid(cap, 0.1, 0.95, o.Points)
-		simCurve, err := MachineSweep(machineBase(o, wl, machine.ModeSingleQueue), rates, kind, o.Workers)
-		if err != nil {
-			return Figure{}, err
-		}
-		sbar := simCurve.Points[0].ServiceMean
+		rates := RateGrid(CapacityMRPS(machine.Defaults(), wl), 0.1, 0.95, o.Points)
+		sims[k] = machineSeries(machineBase(o, wl, machine.ModeSingleQueue), rates, kind)
+	}
+	simCurves, err := sweep(o.Workers, 0, sims...)
+	if err != nil {
+		return Figure{}, err
+	}
 
-		// Model: D = 300 ns distributed per §5's construction; the rest
-		// of S̄ is fixed (the paper's conservative assumption).
-		svc := queueing.SplitService(unit[kind], workload.SyntheticExtra, sbar)
+	// Model: D = 300 ns distributed per §5's construction; the rest of S̄
+	// is fixed (the paper's conservative assumption). The model runs at
+	// the machine's offered load, capped below saturation, and point i
+	// draws seed Seed + i.
+	load := func(rate, sbar float64) float64 { return min(rate*sbar/1000/float64(cores), 0.99) }
+	unit := unitDists()
+	models := make([]series, len(distOrder))
+	for k, kind := range distOrder {
+		sbar := simCurves[k].Points[0].ServiceMean
+		cfg := queueing.Config{
+			Queues: 1, ServersPerQueue: cores,
+			Service: queueing.SplitService(unit[kind], workload.SyntheticExtra, sbar),
+			Warmup:  o.QGen / 10, Measure: o.QGen,
+		}
+		label := kind + "-model"
+		models[k] = series{label, sims[k].rates, func(rate float64, i int) (Point, error) {
+			c := cfg
+			c.Load = load(rate, sbar)
+			c.Seed = o.Seed + uint64(i)
+			p, err := queueingPoint(c, 10*sbar, label)
+			p.RateMRPS = rate
+			return p, err
+		}}
+	}
+	modelCurves, err := sweep(o.Workers, 0, models...)
+	if err != nil {
+		return Figure{}, err
+	}
+
+	for k, kind := range distOrder {
+		simCurve, modelCurve := simCurves[k], modelCurves[k]
+		sbar := simCurve.Points[0].ServiceMean
 		tbl := report.NewTable(
 			fmt.Sprintf("Fig 9 (%s): p99 (ns) vs load, machine vs model (S̄=%.0fns)", kind, sbar),
 			"load", "machine_p99", "model_p99")
-		var modelCurve Curve
-		for i, r := range rates {
-			rho := r * sbar / 1000 / float64(machine.Defaults().Cores)
-			if rho >= 0.99 {
-				rho = 0.99
-			}
-			res, err := queueing.Run(queueing.Config{
-				Queues: 1, ServersPerQueue: machine.Defaults().Cores,
-				Service: svc, Load: rho,
-				Warmup: o.QGen / 10, Measure: o.QGen,
-				Seed: o.Seed + uint64(i),
-			})
-			if err != nil {
-				return Figure{}, err
-			}
-			mp := CurvePoint{
-				RateMRPS:       r,
-				ThroughputMRPS: res.Throughput * 1000,
-				P99:            res.Latency.P99,
-				SLONanos:       10 * sbar,
-				MeetsSLO:       res.Latency.P99 <= 10*sbar,
-			}
-			modelCurve.Points = append(modelCurve.Points, mp)
-			tbl.AddRowf(rho, simCurve.Points[i].P99, mp.P99)
+		for i, p := range simCurve.Points {
+			tbl.AddRowf(load(p.RateMRPS, sbar), p.P99, modelCurve.Points[i].P99)
 		}
 		fig.Tables = append(fig.Tables, tbl)
 

@@ -55,11 +55,10 @@ func figPolicy(o Options) (Figure, error) {
 	}
 
 	type key struct{ wl, plan string }
-	curves := make(map[key]Curve)
+	var ss []series
 	for _, w := range policyWorkloads {
 		wl := w.profile()
-		cap := CapacityMRPS(machine.Defaults(), wl)
-		rates := RateGrid(cap, w.lo, w.hi, o.Points)
+		rates := RateGrid(CapacityMRPS(machine.Defaults(), wl), w.lo, w.hi, o.Points)
 		for _, spec := range policyPlans {
 			pl, err := machine.ParsePlan(spec)
 			if err != nil {
@@ -67,11 +66,17 @@ func figPolicy(o Options) (Figure, error) {
 			}
 			base := machineBase(o, wl, machine.ModeSingleQueue)
 			base.Params.Plan = pl
-			c, err := MachineSweep(base, rates, spec, o.Workers)
-			if err != nil {
-				return Figure{}, fmt.Errorf("policy %s/%s: %w", w.kind, spec, err)
-			}
-			curves[key{w.kind, spec}] = c
+			ss = append(ss, machineSeries(base, rates, w.kind+"/"+spec))
+		}
+	}
+	all, err := sweep(o.Workers, 0, ss...)
+	if err != nil {
+		return Figure{}, fmt.Errorf("policy: %w", err)
+	}
+	curves := make(map[key]Curve, len(all))
+	for wi, w := range policyWorkloads {
+		for pi, spec := range policyPlans {
+			curves[key{w.kind, spec}] = all[wi*len(policyPlans)+pi]
 		}
 
 		cols := []string{"rate_mrps"}
@@ -79,7 +84,7 @@ func figPolicy(o Options) (Figure, error) {
 			cols = append(cols, "p99ns_"+spec)
 		}
 		tbl := report.NewTable(fmt.Sprintf("Policy study (%s): p99 (ns) vs offered load", w.kind), cols...)
-		for i, r := range rates {
+		for i, r := range ss[wi*len(policyPlans)].rates {
 			row := []any{r}
 			for _, spec := range policyPlans {
 				row = append(row, curves[key{w.kind, spec}].Points[i].P99)

@@ -49,18 +49,18 @@ func fig2a(o Options) (Figure, error) {
 
 	tbl := report.NewTable("Fig 2a: p99 latency (×S̄) vs load, exponential service",
 		"load", "1x16", "2x8", "4x4", "8x2", "16x1")
-	curves := make([]queueing.Curve, len(shapes))
+	ss := make([]series, len(shapes))
 	for i, s := range shapes {
 		cfg := queueing.Config{
 			Queues: s.q, ServersPerQueue: s.u,
 			Service: dist.Exponential{MeanValue: 1},
 			Warmup:  o.QGen / 10, Measure: o.QGen, Seed: o.Seed,
 		}
-		c, err := queueing.Sweep(cfg, loads, fmt.Sprintf("%dx%d", s.q, s.u))
-		if err != nil {
-			return Figure{}, err
-		}
-		curves[i] = c
+		ss[i] = queueingSeries(cfg, loads, 10, fmt.Sprintf("%dx%d", s.q, s.u))
+	}
+	curves, err := sweep(o.Workers, 0, ss...)
+	if err != nil {
+		return Figure{}, err
 	}
 	for li, load := range loads {
 		row := []any{load}
@@ -99,17 +99,29 @@ func fig2bc(o Options, q, u int, id, title string) (Figure, error) {
 	dists := unitDists()
 
 	tbl := report.NewTable(title, append([]string{"load"}, distOrder...)...)
-	curves := map[string]queueing.Curve{}
-	for _, name := range distOrder {
-		cfg := queueing.Config{
-			Queues: q, ServersPerQueue: u, Service: dists[name],
-			Warmup: o.QGen / 10, Measure: o.QGen, Seed: o.Seed,
+	// 2c also sweeps every distribution on 1×16, for the throughput-loss
+	// claims below; those curves share the pool.
+	shapes := [][2]int{{q, u}}
+	if id == "2c" {
+		shapes = append(shapes, [2]int{1, 16})
+	}
+	var ss []series
+	for _, shape := range shapes {
+		for _, name := range distOrder {
+			cfg := queueing.Config{
+				Queues: shape[0], ServersPerQueue: shape[1], Service: dists[name],
+				Warmup: o.QGen / 10, Measure: o.QGen, Seed: o.Seed,
+			}
+			ss = append(ss, queueingSeries(cfg, loads, 10, name))
 		}
-		c, err := queueing.Sweep(cfg, loads, name)
-		if err != nil {
-			return Figure{}, err
-		}
-		curves[name] = c
+	}
+	all, err := sweep(o.Workers, 0, ss...)
+	if err != nil {
+		return Figure{}, err
+	}
+	curves := map[string]Curve{}
+	for i, name := range distOrder {
+		curves[name] = all[i]
 	}
 	for li, load := range loads {
 		row := []any{load}
@@ -153,17 +165,9 @@ func fig2bc(o Options, q, u int, id, title string) (Figure, error) {
 			"exp":     {35, 80},
 			"gev":     {60, 100},
 		}
-		for _, name := range distOrder {
-			cfg := queueing.Config{
-				Queues: 1, ServersPerQueue: 16, Service: dists[name],
-				Warmup: o.QGen / 10, Measure: o.QGen, Seed: o.Seed,
-			}
-			single, err := queueing.Sweep(cfg, loads, name)
-			if err != nil {
-				return Figure{}, err
-			}
-			sThr := queueing.ThroughputUnderSLO(single, 10)
-			pThr := queueing.ThroughputUnderSLO(curves[name], 10)
+		for i, name := range distOrder {
+			sThr := all[len(distOrder)+i].ThroughputUnderSLO()
+			pThr := curves[name].ThroughputUnderSLO()
 			if sThr <= 0 {
 				continue
 			}

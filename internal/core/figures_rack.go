@@ -48,11 +48,7 @@ func figRack(o Options) (Figure, error) {
 func figRackOver(o Options, ns []int) (Figure, error) {
 	wl := workload.SyntheticExp()
 
-	type cell struct {
-		p99       float64
-		imbalance float64
-	}
-	cells := make(map[int]map[string]cell, len(ns))
+	cells := make(map[int]map[string]Point, len(ns))
 	for _, n := range ns {
 		pols := rackPolicyNames
 		// Cap concurrent runs so at most ~1500 node models are live at once
@@ -60,26 +56,24 @@ func figRackOver(o Options, ns []int) (Figure, error) {
 		// narrow further if the engine itself is parallel.
 		memCap := max(1, 1500/n)
 		workers := min(memCap, BudgetWorkers(o.Workers, RunCost(cluster.Config{Nodes: n, Shards: o.Shards})))
-		results, err := runPoints(len(pols), workers, func(i int) (cluster.Point, error) {
-			pol, err := cluster.PolicyByName(pols[i])
+		ss := make([]series, len(pols))
+		for i, name := range pols {
+			pol, err := cluster.PolicyByName(name)
 			if err != nil {
-				return cluster.Point{}, err
+				return Figure{}, err
 			}
 			base := clusterBase(o, wl, machine.ModeSingleQueue, pol)
 			base.Nodes = n
 			rate := RackLoad * ClusterCapacityMRPS(base)
-			curve, err := ClusterSweep(base, []float64{rate}, fmt.Sprintf("%s/n%d", pols[i], n), 1)
-			if err != nil {
-				return cluster.Point{}, err
-			}
-			return curve.Points[0], nil
-		})
+			ss[i] = clusterSeries(base, []float64{rate}, fmt.Sprintf("%s/n%d", name, n))
+		}
+		curves, err := sweep(workers, 0, ss...)
 		if err != nil {
 			return Figure{}, err
 		}
-		group := make(map[string]cell, len(pols))
+		group := make(map[string]Point, len(pols))
 		for i, name := range pols {
-			group[name] = cell{p99: results[i].P99, imbalance: results[i].Imbalance}
+			group[name] = curves[i].Points[0]
 		}
 		cells[n] = group
 	}
@@ -100,8 +94,8 @@ func figRackOver(o Options, ns []int) (Figure, error) {
 	for _, n := range ns {
 		p99Row, imbRow := []any{n}, []any{n}
 		for _, name := range rackPolicyNames {
-			p99Row = append(p99Row, cells[n][name].p99)
-			imbRow = append(imbRow, cells[n][name].imbalance)
+			p99Row = append(p99Row, cells[n][name].P99)
+			imbRow = append(imbRow, cells[n][name].Imbalance)
 		}
 		p99Tbl.AddRowf(p99Row...)
 		imbTbl.AddRowf(imbRow...)
@@ -112,23 +106,23 @@ func figRackOver(o Options, ns []int) (Figure, error) {
 	// hold from Quick to Default scales (absolute thresholds would drown in
 	// sampling noise at smoke-test completion counts).
 	top := ns[len(ns)-1]
-	at := func(pol string) cell { return cells[top][pol] }
+	at := func(pol string) Point { return cells[top][pol] }
 	claims := []struct {
 		name, paper string
 		a, b        float64
 	}{
 		{fmt.Sprintf("rack jsqfull p99 <= random p99 (%d nodes)", top),
 			"full queue-state awareness tames the tail at rack scale",
-			at("jsqfull").p99, at("random").p99},
+			at("jsqfull").P99, at("random").P99},
 		{fmt.Sprintf("rack jsq2 p99 <= random p99 (%d nodes)", top),
 			"power-of-d choices captures most of full JSQ's win",
-			at("jsq2").p99, at("random").p99},
+			at("jsq2").P99, at("random").P99},
 		{fmt.Sprintf("rack bounded p99 <= random p99 (%d nodes)", top),
 			"bounded-load rotation avoids blind balancing's deep queues",
-			at("bounded").p99, at("random").p99},
+			at("bounded").P99, at("random").P99},
 		{fmt.Sprintf("rack rr imbalance <= random imbalance (%d nodes)", top),
 			"deterministic rotation beats blind sampling on arrival spread",
-			at("rr").imbalance, at("random").imbalance},
+			at("rr").Imbalance, at("random").Imbalance},
 	}
 	for _, c := range claims {
 		fig.Claims = append(fig.Claims, Claim{

@@ -172,56 +172,6 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// Point is one (load, tail latency) observation on a latency-throughput curve.
-type Point struct {
-	Load       float64 // offered load in (0,1)
-	Throughput float64 // measured completions per ns
-	P99        float64 // 99th-percentile sojourn time, ns
-	P50        float64
-	Mean       float64
-}
-
-// Curve is a latency-vs-load series for one system configuration, the unit
-// of data behind every figure in §2.2 and §6.3.
-type Curve struct {
-	Label  string
-	Points []Point
-}
-
-// Sweep runs cfg at each offered load and collects the curve. Loads must be
-// ascending for readable output but the function does not require it.
-func Sweep(cfg Config, loads []float64, label string) (Curve, error) {
-	c := Curve{Label: label}
-	for i, load := range loads {
-		cfg.Load = load
-		cfg.Seed = cfg.Seed + uint64(i)*1e9 // decorrelate points
-		res, err := Run(cfg)
-		if err != nil {
-			return Curve{}, fmt.Errorf("sweep %s at load %v: %w", label, load, err)
-		}
-		c.Points = append(c.Points, Point{
-			Load:       load,
-			Throughput: res.Throughput,
-			P99:        res.Latency.P99,
-			P50:        res.Latency.P50,
-			Mean:       res.Latency.Mean,
-		})
-	}
-	return c, nil
-}
-
-// ThroughputUnderSLO returns the highest measured throughput whose p99 meets
-// slo, scanning the curve. It returns 0 if no point meets the SLO.
-func ThroughputUnderSLO(c Curve, slo float64) float64 {
-	best := 0.0
-	for _, p := range c.Points {
-		if p.P99 <= slo && p.Throughput > best {
-			best = p.Throughput
-		}
-	}
-	return best
-}
-
 // SplitService builds the §6.3 service-time construction: a fraction of the
 // mean (distributedMean) follows the shape of d, and the remainder
 // (totalMean − distributedMean) is fixed. This mirrors how the paper makes

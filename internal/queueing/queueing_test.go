@@ -260,35 +260,6 @@ func TestLatencyAtLeastService(t *testing.T) {
 	}
 }
 
-func TestSweepAndSLO(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Queues, cfg.ServersPerQueue = 1, 16
-	cfg.Measure = 30000
-	curve, err := Sweep(cfg, []float64{0.2, 0.5, 0.8}, "1x16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve.Points) != 3 || curve.Label != "1x16" {
-		t.Fatalf("curve malformed: %+v", curve)
-	}
-	// SLO of 10×mean service (=10ns) should be met at least at the low loads.
-	thr := ThroughputUnderSLO(curve, 10)
-	if thr <= 0 {
-		t.Fatal("no point met a 10x SLO at low load")
-	}
-	// An impossible SLO yields zero.
-	if ThroughputUnderSLO(curve, 0.0001) != 0 {
-		t.Fatal("impossible SLO should yield 0")
-	}
-}
-
-func TestSweepPropagatesError(t *testing.T) {
-	cfg := baseConfig()
-	if _, err := Sweep(cfg, []float64{-1}, "bad"); err == nil {
-		t.Fatal("expected error from invalid load")
-	}
-}
-
 func TestSplitService(t *testing.T) {
 	d := SplitService(dist.Exponential{MeanValue: 1}, 330, 550)
 	if math.Abs(d.Mean()-550) > 1e-9 {

@@ -1,12 +1,8 @@
 // Package stats collects latency samples and computes the tail statistics
 // the paper reports (99th-percentile latency as a function of throughput).
 //
-// Two collectors are provided. Sample keeps every observation and computes
-// exact order statistics; it is the default for experiment-sized runs
-// (hundreds of thousands of samples). Histogram is an HDR-style
-// logarithmically-bucketed histogram with bounded memory and a configurable
-// relative error, for very long runs. The test suite cross-validates the two
-// against each other.
+// Sample keeps every observation and computes exact order statistics; it
+// serves experiment-sized runs (hundreds of thousands of samples).
 package stats
 
 import (
@@ -202,162 +198,4 @@ func (s *Sample) Summarize() Summary {
 func (m Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%.1f p99=%.1f p99.9=%.1f max=%.1f",
 		m.Count, m.Mean, m.P50, m.P99, m.P999, m.Max)
-}
-
-// Histogram is a log-bucketed histogram with bounded relative error,
-// in the spirit of HdrHistogram. Values are assigned to buckets whose
-// boundaries grow geometrically, so quantile estimates carry a relative
-// error of at most the configured precision.
-type Histogram struct {
-	min, max    float64
-	growth      float64 // bucket boundary growth factor (1 + 2·precision)
-	logGrowth   float64
-	counts      []uint64
-	total       uint64
-	underflow   uint64
-	overflow    uint64
-	sum         float64
-	observedMax float64
-	observedMin float64
-}
-
-// NewHistogram creates a Histogram covering [min, max] with the given
-// relative precision (e.g. 0.01 for 1%). It panics on invalid bounds, since
-// a histogram with a broken domain would silently corrupt results.
-func NewHistogram(min, max, precision float64) *Histogram {
-	if !(min > 0) || !(max > min) || !(precision > 0 && precision < 1) {
-		panic(fmt.Sprintf("stats: invalid histogram domain [%g,%g] precision %g", min, max, precision))
-	}
-	growth := 1 + 2*precision
-	n := int(math.Ceil(math.Log(max/min)/math.Log(growth))) + 1
-	return &Histogram{
-		min:       min,
-		max:       max,
-		growth:    growth,
-		logGrowth: math.Log(growth),
-		counts:    make([]uint64, n),
-	}
-}
-
-// bucket returns the bucket index for v, assuming min ≤ v ≤ max.
-func (h *Histogram) bucket(v float64) int {
-	idx := int(math.Log(v/h.min) / h.logGrowth)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.counts) {
-		idx = len(h.counts) - 1
-	}
-	return idx
-}
-
-// Add records one observation. Out-of-domain values are tallied in
-// underflow/overflow counters rather than dropped.
-func (h *Histogram) Add(v float64) {
-	if h.total == 0 || v > h.observedMax {
-		h.observedMax = v
-	}
-	if h.total == 0 || v < h.observedMin {
-		h.observedMin = v
-	}
-	h.total++
-	h.sum += v
-	switch {
-	case v < h.min:
-		h.underflow++
-	case v > h.max:
-		h.overflow++
-	default:
-		h.counts[h.bucket(v)]++
-	}
-}
-
-// Count reports the number of observations recorded (including out-of-domain
-// ones).
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean returns the exact arithmetic mean of all recorded observations.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Max returns the largest observation recorded.
-func (h *Histogram) Max() float64 { return h.observedMax }
-
-// Min returns the smallest observation recorded.
-func (h *Histogram) Min() float64 { return h.observedMin }
-
-// Quantile estimates the p-quantile. Underflowed observations count as min,
-// overflowed ones as the observed maximum.
-func (h *Histogram) Quantile(p float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if p >= 1 {
-		return h.observedMax
-	}
-	target := uint64(math.Ceil(p * float64(h.total)))
-	if target == 0 {
-		target = 1
-	}
-	cum := h.underflow
-	if cum >= target {
-		return h.observedMin
-	}
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			// Geometric midpoint of the bucket bounds the relative error.
-			lo := h.min * math.Pow(h.growth, float64(i))
-			hi := lo * h.growth
-			return math.Sqrt(lo * hi)
-		}
-	}
-	return h.observedMax
-}
-
-// P99 is shorthand for Quantile(0.99).
-func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
-// Merge folds all of o's observations into h, as if every o.Add had been
-// replayed onto h. The two histograms must share a domain (min, max,
-// precision); merging across domains would silently redistribute mass, so it
-// is an error. o is unchanged; merging an empty histogram is a no-op.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil {
-		return nil
-	}
-	if o.min != h.min || o.max != h.max || o.growth != h.growth {
-		return fmt.Errorf("stats: merging histogram domain [%g,%g]×%g into [%g,%g]×%g",
-			o.min, o.max, o.growth, h.min, h.max, h.growth)
-	}
-	if o.total == 0 {
-		return nil
-	}
-	if h.total == 0 || o.observedMax > h.observedMax {
-		h.observedMax = o.observedMax
-	}
-	if h.total == 0 || o.observedMin < h.observedMin {
-		h.observedMin = o.observedMin
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	h.underflow += o.underflow
-	h.overflow += o.overflow
-	h.sum += o.sum
-	return nil
-}
-
-// Reset discards all observations, retaining the configured domain.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.underflow, h.overflow = 0, 0, 0
-	h.sum, h.observedMax, h.observedMin = 0, 0, 0
 }

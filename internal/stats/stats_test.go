@@ -128,121 +128,10 @@ func TestPropertySampleQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramPanicsOnBadDomain(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"minZero":   func() { NewHistogram(0, 10, 0.01) },
-		"maxBelow":  func() { NewHistogram(10, 5, 0.01) },
-		"precision": func() { NewHistogram(1, 10, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(1, 1e9, 0.01)
-	if h.Quantile(0.99) != 0 || h.Mean() != 0 || h.Count() != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramExactMean(t *testing.T) {
-	h := NewHistogram(1, 1e6, 0.01)
-	for i := 1; i <= 1000; i++ {
-		h.Add(float64(i))
-	}
-	if math.Abs(h.Mean()-500.5) > 1e-9 {
-		t.Fatalf("mean = %v, want 500.5 (mean must be exact)", h.Mean())
-	}
-	if h.Min() != 1 || h.Max() != 1000 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
-	}
-}
-
-func TestHistogramUnderOverflow(t *testing.T) {
-	h := NewHistogram(10, 100, 0.01)
-	h.Add(1)    // underflow
-	h.Add(1000) // overflow
-	h.Add(50)
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if q := h.Quantile(0.01); q != 1 {
-		t.Fatalf("low quantile = %v, want underflow min 1", q)
-	}
-	if q := h.Quantile(1); q != 1000 {
-		t.Fatalf("top quantile = %v, want observed max 1000", q)
-	}
-}
-
-// Property: histogram quantiles agree with exact quantiles within the
-// configured relative precision (plus bucket-midpoint slack).
-func TestPropertyHistogramVsExact(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		h := NewHistogram(1, 1e7, 0.01)
-		var s Sample
-		for i := 0; i < 5000; i++ {
-			// Log-uniform values spanning several decades.
-			v := math.Exp(r.Float64() * math.Log(1e6))
-			h.Add(v)
-			s.Add(v)
-		}
-		for _, p := range []float64{0.5, 0.9, 0.99} {
-			exact := s.Quantile(p)
-			est := h.Quantile(p)
-			if math.Abs(est-exact)/exact > 0.03 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram(1, 1e3, 0.01)
-	h.Add(5)
-	h.Add(2000)
-	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("reset did not clear histogram")
-	}
-	h.Add(10)
-	if h.Quantile(0.5) < 9 || h.Quantile(0.5) > 11 {
-		t.Fatalf("histogram unusable after reset: %v", h.Quantile(0.5))
-	}
-}
-
-func TestHistogramP99Alias(t *testing.T) {
-	h := NewHistogram(1, 1e3, 0.01)
-	for i := 1; i <= 100; i++ {
-		h.Add(float64(i))
-	}
-	if h.P99() != h.Quantile(0.99) {
-		t.Fatal("P99 alias mismatch")
-	}
-}
-
 func BenchmarkSampleAdd(b *testing.B) {
 	var s Sample
 	for i := 0; i < b.N; i++ {
 		s.Add(float64(i))
-	}
-}
-
-func BenchmarkHistogramAdd(b *testing.B) {
-	h := NewHistogram(1, 1e9, 0.01)
-	for i := 0; i < b.N; i++ {
-		h.Add(float64(i%100000 + 1))
 	}
 }
 
@@ -324,64 +213,6 @@ func TestSampleMerge(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge cross-validates Histogram.Merge against both a single
-// histogram and an exact Sample over the same observations.
-func TestHistogramMerge(t *testing.T) {
-	const prec = 0.01
-	r := rng.New(12)
-	whole := NewHistogram(1, 1e7, prec)
-	a := NewHistogram(1, 1e7, prec)
-	b := NewHistogram(1, 1e7, prec)
-	var exact Sample
-	for i := 0; i < 5000; i++ {
-		v := 100 * math.Exp(r.NormFloat64())
-		whole.Add(v)
-		exact.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	merged := NewHistogram(1, 1e7, prec)
-	if err := merged.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if merged.Count() != whole.Count() {
-		t.Fatalf("count = %d, want %d", merged.Count(), whole.Count())
-	}
-	// Summation order differs between the split and whole paths, so the
-	// means agree only to floating-point roundoff.
-	if rel := math.Abs(merged.Mean()-whole.Mean()) / whole.Mean(); rel > 1e-12 {
-		t.Fatalf("mean = %v, want %v (rel err %g)", merged.Mean(), whole.Mean(), rel)
-	}
-	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Fatalf("extrema = %v/%v, want %v/%v", merged.Min(), merged.Max(), whole.Min(), whole.Max())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if got, want := merged.Quantile(q), whole.Quantile(q); got != want {
-			t.Fatalf("q%.2f = %v, want %v (merge must be exact on equal domains)", q, got, want)
-		}
-		// And both must stay within the configured relative error of the
-		// exact order statistic.
-		got, want := merged.Quantile(q), exact.Quantile(q)
-		if rel := math.Abs(got-want) / want; rel > 2.5*prec {
-			t.Fatalf("q%.2f = %v vs exact %v (rel err %.4f)", q, got, want, rel)
-		}
-	}
-	// Mismatched domains must be rejected.
-	if err := merged.Merge(NewHistogram(1, 1e6, prec)); err == nil {
-		t.Fatal("merge across domains accepted")
-	}
-	if err := merged.Merge(NewHistogram(1, 1e7, 0.05)); err == nil {
-		t.Fatal("merge across precisions accepted")
-	}
-}
-
-// nearestRank is the reference quantile: sort a copy, then index it.
 func nearestRank(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	switch {

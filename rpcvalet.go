@@ -334,7 +334,7 @@ func ParseNodeFaults(spec string) ([]NodeFault, error) { return cluster.ParseFau
 type Curve = core.Curve
 
 // CurvePoint is one point of a Curve.
-type CurvePoint = core.CurvePoint
+type CurvePoint = core.Point
 
 // Sweep runs cfg at each offered rate (in MRPS) and returns the curve.
 // Points run concurrently on up to NumCPU workers; results are deterministic
@@ -378,16 +378,10 @@ type ClusterResult = cluster.Result
 // custom policies implement the interface directly.
 type ClusterPolicy = cluster.Policy
 
-// ClusterCurve is a measured latency-vs-load series for one cluster
-// configuration.
-type ClusterCurve = cluster.Curve
-
-// ClusterPoint is one point of a ClusterCurve.
-type ClusterPoint = cluster.Point
-
 // ClusterPolicyByName builds a fresh balancing policy: "random", "rr",
 // "jsqD" for any d ≥ 2 (e.g. "jsq2"), "jsqfull" (whole-cluster JSQ, served
-// by the balancer's depth index at O(N/64) per decision), or "bounded".
+// by the balancer's depth index at O(N/64) per decision), "bounded", or
+// "boundedF" for a finite load factor F ≥ 1 (e.g. "bounded1.5").
 func ClusterPolicyByName(name string) (ClusterPolicy, error) {
 	return cluster.PolicyByName(name)
 }
@@ -422,13 +416,13 @@ func RunCluster(cfg Cluster) (ClusterResult, error) { return cluster.Run(cfg) }
 // ClusterSweep runs cfg at each aggregate offered rate (in MRPS) and returns
 // the curve. Points run concurrently on up to NumCPU workers; results are
 // deterministic for a given seed regardless of the worker count.
-func ClusterSweep(cfg Cluster, ratesMRPS []float64, label string) (ClusterCurve, error) {
+func ClusterSweep(cfg Cluster, ratesMRPS []float64, label string) (Curve, error) {
 	return core.ClusterSweep(cfg, ratesMRPS, label, 0)
 }
 
 // ClusterSweepWorkers is ClusterSweep with an explicit cap on concurrently
 // running simulations (0 = NumCPU).
-func ClusterSweepWorkers(cfg Cluster, ratesMRPS []float64, label string, workers int) (ClusterCurve, error) {
+func ClusterSweepWorkers(cfg Cluster, ratesMRPS []float64, label string, workers int) (Curve, error) {
 	return core.ClusterSweep(cfg, ratesMRPS, label, workers)
 }
 
