@@ -219,3 +219,24 @@ func TestParseEmulation(t *testing.T) {
 		t.Fatal("bad emulation accepted")
 	}
 }
+
+// FuzzParseEmulation: no -emulation value panics the parser, and every
+// accepted value's String() parses back to the same Emulation.
+func FuzzParseEmulation(f *testing.F) {
+	for _, seed := range []string{"", "auto", "spin", "sleep", "warp", "Spin", " sleep", "emulation(1)"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseEmulation(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseEmulation(got.String())
+		if err != nil {
+			t.Fatalf("ParseEmulation(%q) = %v, which does not parse back: %v", s, got, err)
+		}
+		if back != got {
+			t.Fatalf("ParseEmulation(%q) = %v, String %q parses back to %v", s, got, got, back)
+		}
+	})
+}

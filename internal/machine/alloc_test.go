@@ -82,3 +82,54 @@ func TestNodeSetupBytes(t *testing.T) {
 		t.Logf("setup allocates %d KiB per node", per>>10)
 	}
 }
+
+// TestEventsPerCompletion pins the engine events one completed request costs
+// on a node, at low load where few requests are in flight when the run
+// stops. On a hardware plan the ten are:
+//  1. selfArrival: the open-loop generator injects the request;
+//  2. arrived: the backend has written the packets and the memory write has
+//     landed (the backend's own completion is folded into it, DESIGN.md §9);
+//  3. routeWire: the completion token reaches its dispatcher tile;
+//  4. routeSubmit: the dispatch stage has cycled the token;
+//  5. delivered: the dispatch lands in the core's private CQ;
+//  6. finish: the handler has run and the reply and replenish are posted;
+//  7. replyCredit: the reply's send-slot credit returns (the reply's
+//     backend completion is folded into it);
+//  8. replenish: the receive-slot credit returns to the sender;
+//  9. notifyWire: the core's completion notice reaches its dispatcher;
+//  10. notifyDone: the dispatcher has cycled the notice.
+//
+// The software plan has no dispatcher: 3–5 and 9–10 give way to swEnqueue
+// (the NI appends to the shared queue) and lockDone (a core's dequeue
+// critical section ends), seven in all.
+func TestEventsPerCompletion(t *testing.T) {
+	for _, tc := range []struct {
+		mode Mode
+		want float64
+	}{
+		{ModeSingleQueue, 10},
+		{ModeGrouped, 10},
+		{ModePartitioned, 10},
+		{ModeSoftware, 7},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			cfg := testConfig(tc.mode, workload.HERD(), 2)
+			cfg.Warmup = 500
+			cfg.Measure = 4000
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			per := float64(m.eng.Fired()) / float64(m.completed)
+			if per < tc.want-0.01 || per > tc.want+0.01 {
+				t.Errorf("%d events for %d completions = %.4f per completion, want %v ± 0.01",
+					m.eng.Fired(), m.completed, per, tc.want)
+			} else {
+				t.Logf("%.4f events per completion", per)
+			}
+		})
+	}
+}

@@ -123,13 +123,11 @@ type Machine struct {
 	// Hot-path event callbacks, bound once at build so steady-state
 	// scheduling allocates no closures (sim.Engine.ScheduleArg).
 	fnSelfArrival func(any)
-	fnIngested    func(any)
 	fnArrived     func(any)
 	fnRouteWire   func(any)
 	fnRouteSubmit func(any)
 	fnDelivered   func(any)
 	fnFinish      func(any)
-	fnReplySent   func(any)
 	fnReplyCredit func(any)
 	fnReplenish   func(any)
 	fnNotifyWire  func(any)
@@ -355,13 +353,11 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 // neither a closure nor an interface box (the args are pointers).
 func (m *Machine) bindCallbacks() {
 	m.fnSelfArrival = m.selfArrival
-	m.fnIngested = m.ingested
 	m.fnArrived = m.arrived
 	m.fnRouteWire = m.routeWire
 	m.fnRouteSubmit = m.routeSubmit
 	m.fnDelivered = m.delivered
 	m.fnFinish = m.finishReq
-	m.fnReplySent = m.replySent
 	m.fnReplyCredit = m.replyCredit
 	m.fnReplenish = m.replenish
 	m.fnNotifyWire = m.notifyWire
@@ -601,8 +597,13 @@ func (m *Machine) admit(req *request) {
 	b := req.slot % len(m.backends)
 	switch m.p.Domain.Classify(m.wl.RequestBytes) {
 	case sonuma.DeliveryInline:
+		// The backend writes the packets, then the memory write lands.
+		// Nothing reads the slot's receive counter before arrived fires,
+		// so arrived counts the packets and the backend's completion needs
+		// no event of its own (DESIGN.md §9, folding).
 		req.backend = b
-		m.backends[b].SubmitArg(sim.Duration(m.reqPkts)*m.p.PacketProc, m.fnIngested, req)
+		end := m.backends[b].Occupy(sim.Duration(m.reqPkts) * m.p.PacketProc)
+		m.eng.ScheduleArgAt(end.Add(m.p.MemWrite), m.fnArrived, req)
 	case sonuma.DeliveryRendezvous:
 		// Descriptor lands first — that is when the message is
 		// "received" and the latency clock starts. The NI then pulls
@@ -631,10 +632,10 @@ func (m *Machine) admit(req *request) {
 	}
 }
 
-// ingested runs when the NI backend has written the request's packets: mark
-// the message received, then charge the memory write before routing the
-// completion token.
-func (m *Machine) ingested(arg any) {
+// arrived runs once the NI backend has written the request's packets and
+// the memory write has landed: mark the message received, stamp the
+// measurement start and route the completion token.
+func (m *Machine) arrived(arg any) {
 	req := arg.(*request)
 	pkts := m.reqPkts
 	for i := 0; i < pkts; i++ {
@@ -646,12 +647,6 @@ func (m *Machine) ingested(arg any) {
 			panic("machine: receive counter out of sync")
 		}
 	}
-	m.eng.ScheduleArg(m.p.MemWrite, m.fnArrived, req)
-}
-
-// arrived stamps the measurement start and routes the completion token.
-func (m *Machine) arrived(arg any) {
-	req := arg.(*request)
 	req.arrive = m.eng.Now()
 	m.record(req.id, trace.PhaseArrive, -1, m.inflightCount-1)
 	m.routeCompletion(req, req.backend)
@@ -770,8 +765,8 @@ func (m *Machine) finish(req *request) {
 
 // complete finalizes a request: measurement, reply transmission, replenish
 // propagation, and moving the core onto its next unit of work. The request
-// stays alive (refs) until its two trailing events — the reply-credit return
-// and the replenish — have both fired, then returns to the pool.
+// stays alive (refs) until its two trailing events — the reply credit and
+// the replenish — have both fired, then returns to the pool.
 func (m *Machine) complete(req *request, replySlot int) {
 	c := req.core
 	now := m.eng.Now()
@@ -803,11 +798,13 @@ func (m *Machine) complete(req *request, replySlot int) {
 	}
 
 	// Reply transmission through this core's row backend; the remote node
-	// consumes it and returns the send-slot credit a round trip later.
+	// consumes it and returns the send-slot credit a round trip after the
+	// packets leave the backend.
 	req.replySlot = replySlot
-	req.refs = 2 // reply-credit chain + replenish
+	req.refs = 2 // reply credit + replenish
 	rb := c.id * len(m.backends) / len(m.cores)
-	m.backends[rb].SubmitArg(sim.Duration(m.replyPkts)*m.p.PacketProc, m.fnReplySent, req)
+	end := m.backends[rb].Occupy(sim.Duration(m.replyPkts) * m.p.PacketProc)
+	m.eng.ScheduleArgAt(end.Add(m.p.NetRTT), m.fnReplyCredit, req)
 
 	// Replenish: free the receive slot now; the sender regains the credit
 	// after the replenish message crosses the network.
@@ -834,12 +831,6 @@ func (m *Machine) complete(req *request, replySlot int) {
 	} else if m.plan.software {
 		m.swIdle(c)
 	}
-}
-
-// replySent runs when the reply's packets have left the backend: the remote
-// node consumes them and the send-slot credit returns a round trip later.
-func (m *Machine) replySent(arg any) {
-	m.eng.ScheduleArg(m.p.NetRTT, m.fnReplyCredit, arg)
 }
 
 // replyCredit returns the reply send-slot credit and unblocks a core stalled

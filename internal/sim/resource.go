@@ -22,7 +22,7 @@ func NewServer(eng *Engine) *Server { return &Server{eng: eng} }
 // Submit enqueues a job with the given service duration. done, if non-nil,
 // runs at the job's completion time. Submit returns the completion time.
 func (s *Server) Submit(service Duration, done func()) Time {
-	end := s.occupy(service)
+	end := s.Occupy(service)
 	if done != nil {
 		s.eng.ScheduleAt(end, done)
 	}
@@ -33,14 +33,17 @@ func (s *Server) Submit(service Duration, done func()) Time {
 // at completion. done should be a long-lived function value (see
 // Engine.ScheduleArg); arg carries the per-job state.
 func (s *Server) SubmitArg(service Duration, done func(any), arg any) Time {
-	end := s.occupy(service)
+	end := s.Occupy(service)
 	s.eng.ScheduleArgAt(end, done, arg)
 	return end
 }
 
-// occupy advances the server's busy horizon by one job of the given service
-// time and returns the job's completion time.
-func (s *Server) occupy(service Duration) Time {
+// Occupy advances the server's busy horizon by one job of the given service
+// time and returns the job's completion time, scheduling nothing. A caller
+// whose completion work is only "schedule the next stage a fixed delay
+// later" schedules that stage at the returned time directly, saving the
+// completion event (DESIGN.md §9, folding).
+func (s *Server) Occupy(service Duration) Time {
 	if service < 0 {
 		service = 0
 	}

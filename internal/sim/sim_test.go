@@ -423,6 +423,54 @@ func TestPropertyServerLindley(t *testing.T) {
 	}
 }
 
+// TestServerOccupy: Occupy is SubmitArg without the completion event. On
+// the same job sequence it returns the same end times and leaves the same
+// utilization behind, and it schedules nothing.
+func TestServerOccupy(t *testing.T) {
+	r := rng.New(5)
+	type job struct{ arrive, service Duration }
+	jobs := make([]job, 200)
+	var at Duration
+	for i := range jobs {
+		at += Duration(r.IntN(60)) * Nanosecond
+		jobs[i] = job{at, Duration(r.IntN(100)-10) * Nanosecond} // some negative: clamped
+	}
+	run := func(submit func(s *Server, e *Engine, service Duration) Time) ([]Time, []float64) {
+		e := New()
+		s := NewServer(e)
+		ends := make([]Time, len(jobs))
+		for i, j := range jobs {
+			e.ScheduleAt(Time(j.arrive), func() { ends[i] = submit(s, e, j.service) })
+		}
+		// Read utilization at fixed instants, every arrival included, and
+		// after the last job has drained.
+		var util []float64
+		for _, j := range jobs {
+			e.RunUntil(Time(j.arrive))
+			util = append(util, s.Utilization())
+		}
+		e.RunUntil(Time(at + 100*Microsecond))
+		util = append(util, s.Utilization())
+		return ends, util
+	}
+	noop := func(any) {}
+	wantEnds, wantUtil := run(func(s *Server, _ *Engine, d Duration) Time { return s.SubmitArg(d, noop, nil) })
+	gotEnds, gotUtil := run(func(s *Server, e *Engine, d Duration) Time {
+		before := e.Pending()
+		end := s.Occupy(d)
+		if e.Pending() != before {
+			t.Fatalf("Occupy changed Pending from %d to %d", before, e.Pending())
+		}
+		return end
+	})
+	if !slices.Equal(gotEnds, wantEnds) {
+		t.Fatalf("Occupy end times differ from SubmitArg's:\n got %v\nwant %v", gotEnds, wantEnds)
+	}
+	if !slices.Equal(gotUtil, wantUtil) {
+		t.Fatalf("Occupy utilization differs from SubmitArg's:\n got %v\nwant %v", gotUtil, wantUtil)
+	}
+}
+
 // BenchmarkEngineHold is the classic hold model: at a fixed number of
 // pending events, schedule one at a random delay and fire the earliest.
 // Unlike a loop that pops the event it just pushed, its sift paths vary
