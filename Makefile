@@ -38,21 +38,24 @@ bench:
 
 # live-smoke runs the live goroutine runtime's rate-limited smoke tests:
 # every queue shape end to end in ~100 ms windows, asserting completion
-# counts only, so it stays green on noisy or single-core machines.
+# counts only, so it stays green on noisy or single-core machines. CI's test
+# step runs every TestLive* (a superset) without -short.
 live-smoke:
 	$(GO) test -short -run 'TestLive' -v ./internal/live
 
 # shard-smoke runs a short sharded figCluster under the race detector: the
 # full harness path (budgeted fan-out → sharded cluster.Run → conservative
 # pdes rounds) with cross-shard traffic on every policy × mode cell, run
-# twice to smoke run-to-run determinism. CI's race job runs it.
+# twice to smoke run-to-run determinism. CI's race job runs it as part of
+# go test -race ./...; this target runs it alone.
 shard-smoke:
 	$(GO) test -race -run '^TestShardSmoke$$' -v ./internal/core
 
 # rack-smoke runs the rack figure at its full 1000-node width (reduced
 # completion counts) under the race detector, generated twice and compared
 # cell by cell: the depth-indexed balancer's determinism at the scale that
-# motivated it. CI's race job runs it.
+# motivated it. CI's race job runs it as part of go test -race ./...; this
+# target runs it alone.
 rack-smoke:
 	$(GO) test -race -run '^TestRackSmoke$$' -v ./internal/core
 
@@ -60,7 +63,8 @@ rack-smoke:
 # completion counts) under the race detector, generated twice and compared
 # cell by cell: the global balancer stacked over eight rack balancers —
 # including the degraded-rack and rack-failover studies — must stay
-# deterministic run to run. CI's race job runs it.
+# deterministic run to run. CI's race job runs it as part of
+# go test -race ./...; this target runs it alone.
 hier-smoke:
 	$(GO) test -race -run '^TestHierSmoke$$' -v ./internal/core
 

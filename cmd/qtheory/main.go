@@ -15,9 +15,9 @@ import (
 	"os"
 
 	"rpcvalet/internal/core"
-	"rpcvalet/internal/dist"
 	"rpcvalet/internal/queueing"
 	"rpcvalet/internal/report"
+	"rpcvalet/internal/workload"
 )
 
 func main() {
@@ -33,18 +33,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var service dist.Sampler
-	switch *distStr {
-	case "fixed":
-		service = dist.Fixed{Value: 1}
-	case "uniform":
-		service = dist.Uniform{Lo: 0, Hi: 2}
-	case "exp":
-		service = dist.Exponential{MeanValue: 1}
-	case "gev":
-		service = dist.Normalized(dist.GEV{Loc: 363, Scale: 100, Shape: 0.65})
-	default:
-		fmt.Fprintf(os.Stderr, "qtheory: unknown distribution %q\n", *distStr)
+	service, err := workload.Unit(*distStr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "qtheory: %v\n", err)
 		os.Exit(2)
 	}
 

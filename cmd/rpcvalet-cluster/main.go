@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	rpcvalet-cluster [-nodes 4] [-mode 1x16] [-dispatch jbsq2] [-workload exp]
+//	rpcvalet-cluster [-nodes 4] [-dispatch 1x16] [-workload exp]
 //	                 [-policies random,rr,jsq2,bounded] [-arrival poisson]
 //	                 [-points 8] [-lo 0.3] [-hi 0.9] [-hop 500] [-sample 0]
 //	                 [-racks 8] [-global-policy jsqfull] [-global-hop 500]
@@ -17,10 +17,9 @@
 //	                 [-warmup 2000] [-measure 20000] [-seed 1] [-workers N]
 //	                 [-shards N] [-format text|csv|json] [-detail]
 //
-// Modes name the per-node NI dispatch model: 1x16 (RPCValet), 4x4, 16x1
-// (RSS baseline), sw (MCS software queue). -dispatch overrides -mode with a
-// full dispatch plan ("1x16" | "4x4" | "16x1" | "sw" | "jbsqN" |
-// "GxM"[:policy]); a comma-separated list assigns plans node by node — a
+// -dispatch names the per-node NI dispatch plan: "1x16" (RPCValet, the
+// default), "4x4", "16x1" (RSS baseline), "sw" (MCS software queue), "jbsqN"
+// or "GxM"[:policy]; a comma-separated list assigns plans node by node — a
 // heterogeneous rack — and must name one plan per node (e.g. -nodes 2
 // -dispatch 1x16,16x1). Workloads: herd, masstree, fixed, uniform, exp,
 // gev. Arrivals shape the aggregate traffic: poisson (default), det,
@@ -64,15 +63,28 @@ import (
 	"strings"
 
 	"rpcvalet"
+	"rpcvalet/internal/obs"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/sim"
+	"rpcvalet/internal/workload"
 )
+
+// usage reports a bad flag value and exits 2 before anything is simulated.
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
+	os.Exit(2)
+}
+
+// fatal reports a failed run or write and exits 1.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
+	os.Exit(1)
+}
 
 func main() {
 	var (
 		nodes    = flag.Int("nodes", 4, "servers behind the balancer")
-		mode     = flag.String("mode", "1x16", "per-node dispatch mode: 1x16, 4x4, 16x1, sw")
-		dispatch = flag.String("dispatch", "", "dispatch plan(s), overriding -mode: one spec for all nodes, or a comma-separated per-node list")
+		dispatch = flag.String("dispatch", "1x16", "dispatch plan(s): one spec (1x16|4x4|16x1|sw|jbsqN|GxM[:policy]) for all nodes, or a comma-separated per-node list")
 		wlName   = flag.String("workload", "exp", "workload: herd, masstree, fixed, uniform, exp, gev")
 		policies = flag.String("policies", strings.Join(rpcvalet.ClusterPolicies(), ","),
 			"comma-separated balancing policies (random, rr, jsqD, jsqfull, bounded)")
@@ -104,82 +116,50 @@ func main() {
 	)
 	flag.Parse()
 
+	if *format != "text" && *format != "csv" && *format != "json" {
+		usage(fmt.Errorf("unknown format %q (want text, csv or json)", *format))
+	}
 	params := rpcvalet.DefaultParams()
-	switch *mode {
-	case "1x16":
-		params.Mode = rpcvalet.ModeSingleQueue
-	case "4x4":
-		params.Mode = rpcvalet.ModeGrouped
-	case "16x1":
-		params.Mode = rpcvalet.ModePartitioned
-	case "sw":
-		params.Mode = rpcvalet.ModeSoftware
-	default:
-		fmt.Fprintf(os.Stderr, "rpcvalet-cluster: unknown mode %q\n", *mode)
-		os.Exit(2)
-	}
-
 	var nodePlans []*rpcvalet.DispatchPlan
-	if *dispatch != "" {
-		specs := strings.Split(*dispatch, ",")
-		plans := make([]*rpcvalet.DispatchPlan, len(specs))
-		for i, spec := range specs {
-			pl, err := rpcvalet.ParseDispatchPlan(strings.TrimSpace(spec))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-				os.Exit(2)
-			}
-			plans[i] = pl
+	specs := strings.Split(*dispatch, ",")
+	plans := make([]*rpcvalet.DispatchPlan, len(specs))
+	for i, spec := range specs {
+		pl, err := rpcvalet.ParseDispatchPlan(strings.TrimSpace(spec))
+		if err != nil {
+			usage(err)
 		}
-		switch len(plans) {
-		case 1:
-			params.Plan = plans[0]
-		case *nodes:
-			nodePlans = plans
-		default:
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %d dispatch plans for %d nodes (want 1 or %d)\n",
-				len(plans), *nodes, *nodes)
-			os.Exit(2)
-		}
+		plans[i] = pl
+	}
+	switch len(plans) {
+	case 1:
+		params.Plan = plans[0]
+	case *nodes:
+		nodePlans = plans
+	default:
+		usage(fmt.Errorf("%d dispatch plans for %d nodes (want 1 or %d)", len(plans), *nodes, *nodes))
 	}
 
-	var wl rpcvalet.Profile
-	switch *wlName {
-	case "herd":
-		wl = rpcvalet.HERD()
-	case "masstree":
-		wl = rpcvalet.Masstree()
-	default:
-		var err error
-		wl, err = rpcvalet.Synthetic(*wlName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
-		}
+	wl, err := workload.ByName(*wlName)
+	if err != nil {
+		usage(err)
 	}
 
 	var faults []rpcvalet.NodeFault
 	if *degrade != "" {
-		var err error
 		if faults, err = rpcvalet.ParseNodeFaults(*degrade); err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
 	}
 	var env rpcvalet.Envelope
 	if *modulate != "" {
-		var err error
 		if env, err = rpcvalet.ParseEnvelope(*modulate); err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
 	}
 	var epochDur sim.Duration
 	if *epoch != "" {
-		var err error
 		if epochDur, err = sim.ParseDuration(*epoch); err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
 	}
 
@@ -192,8 +172,7 @@ func main() {
 		name = strings.TrimSpace(name)
 		pol, err := rpcvalet.ClusterPolicyByName(name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
 		cfg := rpcvalet.DefaultCluster(*nodes, wl, pol)
 		cfg.Node.Params = params
@@ -203,8 +182,7 @@ func main() {
 		// The sweep re-rates the process to each point's aggregate rate.
 		cfg.Arrival, err = rpcvalet.ArrivalByName(*arrName, cfg.RateMRPS)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
 		if env != nil {
 			cfg.Arrival = rpcvalet.ArrivalModulated(cfg.Arrival, env)
@@ -215,8 +193,7 @@ func main() {
 			cfg.Racks = *racks
 			cfg.GlobalPolicy, err = rpcvalet.ClusterPolicyByName(*gpolName)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-				os.Exit(2)
+				usage(err)
 			}
 			cfg.GlobalHop = sim.FromNanos(*ghop)
 			cfg.GlobalSampleEvery = sim.FromNanos(*gsample)
@@ -235,8 +212,7 @@ func main() {
 		}
 		curve, err := rpcvalet.ClusterSweepWorkers(cfg, rates, name, *workers)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		curves = append(curves, curve)
 		if pi == 0 {
@@ -245,16 +221,12 @@ func main() {
 		}
 	}
 
-	dispLabel := *mode
-	if *dispatch != "" {
-		dispLabel = *dispatch
-	}
 	topo := ""
 	if *racks > 0 {
 		topo = fmt.Sprintf(" in %d racks (%s global, %.0f ns global hop)", *racks, *gpolName, *ghop)
 	}
 	fmt.Printf("# cluster: %d × %s nodes%s, %s workload, capacity ≈ %.1f MRPS, hop %.0f ns, seed %d\n\n",
-		*nodes, dispLabel, topo, wl.Name, capacity, *hop, *seed)
+		*nodes, *dispatch, topo, wl.Name, capacity, *hop, *seed)
 	emit := func(title string, value func(rpcvalet.CurvePoint) float64) {
 		cols := []string{"load", "rate_mrps"}
 		for _, c := range curves {
@@ -269,8 +241,7 @@ func main() {
 			tbl.AddRowf(row...)
 		}
 		if err := tbl.Format(os.Stdout, *format); err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Println()
 	}
@@ -286,42 +257,21 @@ func main() {
 		// (round-robin rotation, bounded-load counters), so give the rerun a
 		// fresh instance rather than the swept one.
 		lastCfg.Policy = lastCfg.Policy.Clone()
-		var tail *rpcvalet.TailSampler
-		var collector *rpcvalet.TraceCollector
-		var sinks []rpcvalet.TraceRecorder
-		if *tailK > 0 {
-			tail = rpcvalet.NewTailSampler(*tailK)
-			sinks = append(sinks, tail)
-		}
-		if *traceJSONL != "" {
-			collector = rpcvalet.NewTraceCollector()
-			sinks = append(sinks, rpcvalet.SampleTrace(collector, *traceSample))
-		}
-		lastCfg.Trace = rpcvalet.TeeTrace(sinks...)
+		capture := obs.NewCapture(*tailK, *traceSample, *traceJSONL != "")
+		lastCfg.Trace = capture.Recorder()
 		res, err := rpcvalet.RunCluster(lastCfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
-		if collector != nil {
-			f, err := os.Create(*traceJSONL)
-			if err == nil {
-				if err = rpcvalet.WriteSpansJSONL(f, collector.Spans()); err == nil {
-					err = f.Close()
-				} else {
-					f.Close()
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-				os.Exit(1)
+		if *traceJSONL != "" {
+			if err := capture.WriteJSONLFile(*traceJSONL); err != nil {
+				fatal(err)
 			}
 		}
-		if tail != nil {
+		if *tailK > 0 {
 			fmt.Printf("# slowest requests: policy %s at %.1f MRPS\n\n", curves[0].Label, lastCfg.RateMRPS)
-			if err := report.SpanTable("slowest requests", tail.Spans()).WriteText(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := report.SpanTable("slowest requests", capture.TailSpans()).WriteText(os.Stdout); err != nil {
+				fatal(err)
 			}
 			fmt.Println()
 		}
@@ -332,8 +282,7 @@ func main() {
 		fmt.Println(report.TimelineSpark(res.Timeline))
 		fmt.Println()
 		if err := report.TimelineTable("aggregate timeline", res.Timeline).WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		for i, tl := range res.NodeTimelines {
 			fmt.Printf("\nnode %d (%s, %s): %s\n", i, res.NodeDispatch[i], res.NodeFaults[i], report.TimelineSpark(tl))

@@ -39,7 +39,9 @@ import (
 
 	"rpcvalet"
 	"rpcvalet/internal/live"
+	"rpcvalet/internal/obs"
 	"rpcvalet/internal/report"
+	"rpcvalet/internal/workload"
 )
 
 func fail(err error) {
@@ -67,17 +69,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var wl rpcvalet.Profile
-	switch *wlName {
-	case "herd":
-		wl = rpcvalet.HERD()
-	case "masstree":
-		wl = rpcvalet.Masstree()
-	default:
-		var err error
-		if wl, err = rpcvalet.Synthetic(*wlName); err != nil {
-			fail(err)
-		}
+	wl, err := workload.ByName(*wlName)
+	if err != nil {
+		fail(err)
 	}
 	em, err := live.ParseEmulation(*emu)
 	if err != nil {
@@ -136,32 +130,18 @@ func main() {
 		if reg != nil {
 			cfg.Obs = rpcvalet.NewObsRunMetrics(reg, rpcvalet.ObsLabels{"plan": pl.Name})
 		}
-		var tail *rpcvalet.TailSampler
-		var collector *rpcvalet.TraceCollector
-		var sinks []rpcvalet.TraceRecorder
-		if *tailK > 0 {
-			tail = rpcvalet.NewTailSampler(*tailK)
-			sinks = append(sinks, tail)
-		}
-		if jsonl != nil {
-			collector = rpcvalet.NewTraceCollector()
-			sinks = append(sinks, rpcvalet.SampleTrace(collector, *traceSample))
-		}
-		cfg.Trace = rpcvalet.TeeTrace(sinks...)
+		capture := obs.NewCapture(*tailK, *traceSample, jsonl != nil)
+		cfg.Trace = capture.Recorder()
 		res, err := rpcvalet.RunLive(cfg)
 		if err != nil {
 			fail(err)
 		}
-		if collector != nil {
-			if err := rpcvalet.WriteSpansJSONL(jsonl, collector.Spans()); err != nil {
+		if jsonl != nil {
+			if err := capture.WriteJSONL(jsonl); err != nil {
 				fail(err)
 			}
 		}
-		pr := planResult{LiveResult: res}
-		if tail != nil {
-			pr.TailSpans = tail.Spans()
-		}
-		results = append(results, pr)
+		results = append(results, planResult{LiveResult: res, TailSpans: capture.TailSpans()})
 	}
 
 	if *format == "json" {

@@ -4,19 +4,18 @@
 //
 // Usage:
 //
-//	rpcvalet-sim -mode 1x16 -workload herd -rate 10 [-measure 50000]
+//	rpcvalet-sim [-dispatch 1x16] -workload herd -rate 10 [-measure 50000]
 //	             [-arrival poisson] [-threshold 2] [-seed 1]
-//	             [-dispatch jbsq2] [-modulate pulse@400us+200us:x2]
+//	             [-modulate pulse@400us+200us:x2]
 //	             [-degrade x1.5] [-epoch 25us] [-timeline]
 //	             [-tail 32] [-trace-sample 1024] [-trace-jsonl spans.jsonl]
 //	             [-format text|json]
 //
-// Modes: 1x16 (RPCValet), 4x4, 16x1 (RSS baseline), sw (MCS software queue).
-// -dispatch overrides -mode with a full dispatch plan:
-// "1x16" | "4x4" | "16x1" | "sw" | "jbsqN" | "GxM", optionally ":policy"
-// (first-available, round-robin, least-outstanding, least-outstanding-rr,
-// randomN, local) — e.g. -dispatch 1x16:least-outstanding, -dispatch
-// 2x8:random2, -dispatch jbsq1.
+// -dispatch names the dispatch plan: "1x16" (RPCValet, the default), "4x4",
+// "16x1" (RSS baseline), "sw" (MCS software queue), "jbsqN" or "GxM",
+// optionally ":policy" (first-available, round-robin, least-outstanding,
+// least-outstanding-rr, randomN, local) — e.g. -dispatch 1x16:least-outstanding,
+// -dispatch 2x8:random2, -dispatch jbsq1.
 // Workloads: herd, masstree, fixed, uniform, exp, gev.
 // Arrivals: poisson (default), det, mmpp2, lognormal — same mean rate,
 // different burstiness.
@@ -42,14 +41,27 @@ import (
 	"sort"
 
 	"rpcvalet"
+	"rpcvalet/internal/obs"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/sim"
+	"rpcvalet/internal/workload"
 )
+
+// usage reports a bad flag value and exits 2 before anything is simulated.
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
+	os.Exit(2)
+}
+
+// fatal reports a failed run or write and exits 1.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
+	os.Exit(1)
+}
 
 func main() {
 	var (
-		mode      = flag.String("mode", "1x16", "load-balancing mode: 1x16, 4x4, 16x1, sw")
-		dispatch  = flag.String("dispatch", "", "dispatch plan (overrides -mode): 1x16|4x4|16x1|sw|jbsqN|GxM[:policy]")
+		dispatch  = flag.String("dispatch", "1x16", "dispatch plan: 1x16|4x4|16x1|sw|jbsqN|GxM[:policy]")
 		wlName    = flag.String("workload", "herd", "workload: herd, masstree, fixed, uniform, exp, gev")
 		rate      = flag.Float64("rate", 10, "offered load in MRPS")
 		arrName   = flag.String("arrival", "poisson", "arrival process: poisson, det, mmpp2, lognormal")
@@ -69,55 +81,30 @@ func main() {
 	)
 	flag.Parse()
 
+	if *format != "text" && *format != "json" {
+		usage(fmt.Errorf("unknown format %q (want text or json)", *format))
+	}
 	params := rpcvalet.DefaultParams()
-	switch *mode {
-	case "1x16":
-		params.Mode = rpcvalet.ModeSingleQueue
-	case "4x4":
-		params.Mode = rpcvalet.ModeGrouped
-	case "16x1":
-		params.Mode = rpcvalet.ModePartitioned
-	case "sw":
-		params.Mode = rpcvalet.ModeSoftware
-	default:
-		fmt.Fprintf(os.Stderr, "rpcvalet-sim: unknown mode %q\n", *mode)
-		os.Exit(2)
-	}
 	params.Threshold = *threshold
-	if *dispatch != "" {
-		pl, err := rpcvalet.ParseDispatchPlan(*dispatch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(2)
-		}
-		params.Plan = pl
+	pl, err := rpcvalet.ParseDispatchPlan(*dispatch)
+	if err != nil {
+		usage(err)
 	}
+	params.Plan = pl
 
-	var wl rpcvalet.Profile
-	switch *wlName {
-	case "herd":
-		wl = rpcvalet.HERD()
-	case "masstree":
-		wl = rpcvalet.Masstree()
-	default:
-		var err error
-		wl, err = rpcvalet.Synthetic(*wlName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(2)
-		}
+	wl, err := workload.ByName(*wlName)
+	if err != nil {
+		usage(err)
 	}
 
 	arr, err := rpcvalet.ArrivalByName(*arrName, *rate)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-		os.Exit(2)
+		usage(err)
 	}
 	if *modulate != "" {
 		env, err := rpcvalet.ParseEnvelope(*modulate)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
 		arr = rpcvalet.ArrivalModulated(arr, env)
 	}
@@ -134,8 +121,7 @@ func main() {
 	if *degrade != "" {
 		f, err := rpcvalet.ParseFault(*degrade)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
 		cfg.Slowdown = f.Slowdown
 		cfg.Pauses = f.Pauses
@@ -143,52 +129,24 @@ func main() {
 	if *epoch != "" {
 		d, err := sim.ParseDuration(*epoch)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
 		cfg.Epoch = d
 	}
-	// The tail sampler sees every request, the JSONL collector one in
-	// -trace-sample.
-	var tail *rpcvalet.TailSampler
-	var collector *rpcvalet.TraceCollector
-	var sinks []rpcvalet.TraceRecorder
-	if *tailK > 0 {
-		tail = rpcvalet.NewTailSampler(*tailK)
-		sinks = append(sinks, tail)
-	}
-	if *traceJSONL != "" {
-		collector = rpcvalet.NewTraceCollector()
-		sinks = append(sinks, rpcvalet.SampleTrace(collector, *traceSample))
-	}
-	cfg.Trace = rpcvalet.TeeTrace(sinks...)
+	capture := obs.NewCapture(*tailK, *traceSample, *traceJSONL != "")
+	cfg.Trace = capture.Recorder()
 
 	res, err := rpcvalet.Run(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	if collector != nil {
-		f, err := os.Create(*traceJSONL)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rpcvalet.WriteSpansJSONL(f, collector.Spans()); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(1)
+	if *traceJSONL != "" {
+		if err := capture.WriteJSONLFile(*traceJSONL); err != nil {
+			fatal(err)
 		}
 	}
 
-	var tailSpans []rpcvalet.Span
-	if tail != nil {
-		tailSpans = tail.Spans()
-	}
+	tailSpans := capture.TailSpans()
 	if *format == "json" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -197,8 +155,7 @@ func main() {
 			TailSpans []rpcvalet.Span
 		}{res, tailSpans}
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		return
 	}
@@ -217,8 +174,7 @@ func main() {
 	sum.AddRowf("reply stalls", res.ReplyStalls)
 	sum.AddRowf("timed out", res.TimedOut)
 	if err := sum.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Println()
 
@@ -235,8 +191,7 @@ func main() {
 		lat.AddRowf(name, s.Count, s.Mean, s.P50, s.P99, s.P999, s.Max)
 	}
 	if err := lat.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Println()
 
@@ -248,15 +203,13 @@ func main() {
 		util.AddRowf(fmt.Sprintf("backend %d", i), u)
 	}
 	if err := util.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
 
-	if tail != nil {
+	if *tailK > 0 {
 		fmt.Println()
 		if err := report.SpanTable("slowest requests", tailSpans).WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 
@@ -265,8 +218,7 @@ func main() {
 		fmt.Println(report.TimelineSpark(res.Timeline))
 		fmt.Println()
 		if err := report.TimelineTable("timeline", res.Timeline).WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"rpcvalet"
 	"rpcvalet/internal/dist"
 	"rpcvalet/internal/queueing"
+	"rpcvalet/internal/workload"
 )
 
 func main() {
@@ -44,16 +45,14 @@ func main() {
 	// Part 2: service-time variance. The same 1×16 system under the four
 	// paper distributions — variance drives the tail.
 	fmt.Println("\nFig 2b: p99 (×S̄) at load 0.7, Model 1x16, by distribution")
-	dists := map[string]dist.Sampler{
-		"fixed":   dist.Fixed{Value: 1},
-		"uniform": dist.Uniform{Lo: 0, Hi: 2},
-		"exp":     dist.Exponential{MeanValue: 1},
-		"gev":     dist.Normalized(dist.GEV{Loc: 363, Scale: 100, Shape: 0.65}),
-	}
-	for _, name := range []string{"fixed", "uniform", "exp", "gev"} {
+	for _, name := range workload.SyntheticKinds {
+		service, err := workload.Unit(name)
+		if err != nil {
+			log.Fatal(err)
+		}
 		res, err := rpcvalet.RunQueueModel(rpcvalet.QueueModel{
 			Queues: 1, ServersPerQueue: 16,
-			Service: dists[name],
+			Service: service,
 			Load:    0.7, Warmup: 5000, Measure: 60000, Seed: 2,
 		})
 		if err != nil {

@@ -26,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("configuration:   %s\n", res.Mode)
+	fmt.Printf("configuration:   %s\n", res.Dispatch)
 	fmt.Printf("offered load:    %.1f MRPS (capacity ≈ %.1f MRPS)\n",
 		cfg.RateMRPS, rpcvalet.CapacityMRPS(cfg.Params, cfg.Workload))
 	fmt.Printf("throughput:      %.2f MRPS\n", res.ThroughputMRPS)

@@ -220,7 +220,7 @@ func fig8(o Options) (Figure, error) {
 	fig := Figure{ID: "8", Title: "Fig 8: 1x16 hardware vs software (MCS) load balancing"}
 	modes := []machine.Mode{machine.ModeSingleQueue, machine.ModeSoftware}
 	var ss []series
-	for _, kind := range distOrder {
+	for _, kind := range workload.SyntheticKinds {
 		wl, err := workload.Synthetic(kind)
 		if err != nil {
 			return Figure{}, err
@@ -235,7 +235,7 @@ func fig8(o Options) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	for k, kind := range distOrder {
+	for k, kind := range workload.SyntheticKinds {
 		curves := all[2*k : 2*k+2]
 		hw, sw := curves[0], curves[1]
 		fig.Tables = append(fig.Tables,
@@ -259,8 +259,8 @@ func fig8(o Options) (Figure, error) {
 func fig9(o Options) (Figure, error) {
 	fig := Figure{ID: "9", Title: "Fig 9: RPCValet vs theoretical 1x16 queueing model"}
 	cores := machine.Defaults().Cores
-	sims := make([]series, len(distOrder))
-	for k, kind := range distOrder {
+	sims := make([]series, len(workload.SyntheticKinds))
+	for k, kind := range workload.SyntheticKinds {
 		wl, err := workload.Synthetic(kind)
 		if err != nil {
 			return Figure{}, err
@@ -278,13 +278,16 @@ func fig9(o Options) (Figure, error) {
 	// the machine's offered load, capped below saturation, and point i
 	// draws seed Seed + i.
 	load := func(rate, sbar float64) float64 { return min(rate*sbar/1000/float64(cores), 0.99) }
-	unit := unitDists()
-	models := make([]series, len(distOrder))
-	for k, kind := range distOrder {
+	models := make([]series, len(workload.SyntheticKinds))
+	for k, kind := range workload.SyntheticKinds {
+		unit, err := workload.Unit(kind)
+		if err != nil {
+			return Figure{}, err
+		}
 		sbar := simCurves[k].Points[0].ServiceMean
 		cfg := queueing.Config{
 			Queues: 1, ServersPerQueue: cores,
-			Service: queueing.SplitService(unit[kind], workload.SyntheticExtra, sbar),
+			Service: queueing.SplitService(unit, workload.SyntheticExtra, sbar),
 			Warmup:  o.QGen / 10, Measure: o.QGen,
 		}
 		label := kind + "-model"
@@ -302,7 +305,7 @@ func fig9(o Options) (Figure, error) {
 		return Figure{}, err
 	}
 
-	for k, kind := range distOrder {
+	for k, kind := range workload.SyntheticKinds {
 		simCurve, modelCurve := simCurves[k], modelCurves[k]
 		sbar := simCurve.Points[0].ServiceMean
 		tbl := report.NewTable(

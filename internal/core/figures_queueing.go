@@ -29,18 +29,6 @@ func theoryLoads(n int) []float64 {
 	return loads
 }
 
-// unitDists returns the four §2.2 service distributions normalized to mean 1.
-func unitDists() map[string]dist.Sampler {
-	return map[string]dist.Sampler{
-		"fixed":   dist.Fixed{Value: 1},
-		"uniform": dist.Uniform{Lo: 0, Hi: 2},
-		"exp":     dist.Exponential{MeanValue: 1},
-		"gev":     dist.Normalized(dist.GEV{Loc: 363, Scale: 100, Shape: 0.65}),
-	}
-}
-
-var distOrder = []string{"fixed", "uniform", "exp", "gev"}
-
 // fig2a reproduces Fig 2a: 99th-percentile latency versus load for five Q×U
 // systems under exponential service times (values in multiples of S̄).
 func fig2a(o Options) (Figure, error) {
@@ -96,9 +84,8 @@ func fig2a(o Options) (Figure, error) {
 // service distributions on one queueing shape.
 func fig2bc(o Options, q, u int, id, title string) (Figure, error) {
 	loads := theoryLoads(o.Points)
-	dists := unitDists()
 
-	tbl := report.NewTable(title, append([]string{"load"}, distOrder...)...)
+	tbl := report.NewTable(title, append([]string{"load"}, workload.SyntheticKinds...)...)
 	// 2c also sweeps every distribution on 1×16, for the throughput-loss
 	// claims below; those curves share the pool.
 	shapes := [][2]int{{q, u}}
@@ -107,9 +94,13 @@ func fig2bc(o Options, q, u int, id, title string) (Figure, error) {
 	}
 	var ss []series
 	for _, shape := range shapes {
-		for _, name := range distOrder {
+		for _, name := range workload.SyntheticKinds {
+			service, err := workload.Unit(name)
+			if err != nil {
+				return Figure{}, err
+			}
 			cfg := queueing.Config{
-				Queues: shape[0], ServersPerQueue: shape[1], Service: dists[name],
+				Queues: shape[0], ServersPerQueue: shape[1], Service: service,
 				Warmup: o.QGen / 10, Measure: o.QGen, Seed: o.Seed,
 			}
 			ss = append(ss, queueingSeries(cfg, loads, 10, name))
@@ -120,12 +111,12 @@ func fig2bc(o Options, q, u int, id, title string) (Figure, error) {
 		return Figure{}, err
 	}
 	curves := map[string]Curve{}
-	for i, name := range distOrder {
+	for i, name := range workload.SyntheticKinds {
 		curves[name] = all[i]
 	}
 	for li, load := range loads {
 		row := []any{load}
-		for _, name := range distOrder {
+		for _, name := range workload.SyntheticKinds {
 			row = append(row, curves[name].Points[li].P99)
 		}
 		tbl.AddRowf(row...)
@@ -134,9 +125,9 @@ func fig2bc(o Options, q, u int, id, title string) (Figure, error) {
 	// Claim: tail ordering by service-time variance at moderate load.
 	mid := len(loads) / 2
 	ordered := true
-	for i := 1; i < len(distOrder); i++ {
-		a := curves[distOrder[i-1]].Points[mid].P99
-		b := curves[distOrder[i]].Points[mid].P99
+	for i := 1; i < len(workload.SyntheticKinds); i++ {
+		a := curves[workload.SyntheticKinds[i-1]].Points[mid].P99
+		b := curves[workload.SyntheticKinds[i]].Points[mid].P99
 		if b < a*0.98 {
 			ordered = false
 		}
@@ -165,8 +156,8 @@ func fig2bc(o Options, q, u int, id, title string) (Figure, error) {
 			"exp":     {35, 80},
 			"gev":     {60, 100},
 		}
-		for i, name := range distOrder {
-			sThr := all[len(distOrder)+i].ThroughputUnderSLO()
+		for i, name := range workload.SyntheticKinds {
+			sThr := all[len(workload.SyntheticKinds)+i].ThroughputUnderSLO()
 			pThr := curves[name].ThroughputUnderSLO()
 			if sThr <= 0 {
 				continue
@@ -219,7 +210,7 @@ func fig6(o Options) (Figure, error) {
 	synth := report.NewTable("Fig 6a: synthetic PDFs (bin width 25ns)",
 		"bin_ns", "fixed", "uniform", "exp", "gev")
 	var cols [][]float64
-	for _, kind := range distOrder {
+	for _, kind := range workload.SyntheticKinds {
 		p, err := workload.Synthetic(kind)
 		if err != nil {
 			return Figure{}, err

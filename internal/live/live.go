@@ -91,8 +91,8 @@ const (
 	EmulationSpin
 	// EmulationSleep parks the goroutine on a timer. Queueing dynamics stay
 	// real wall-clock while service consumes no CPU, which is the only
-	// honest option when workers outnumber cores (the repo's livebalancer
-	// example documents the starvation trap this avoids).
+	// honest option when workers outnumber cores: spinning workers would
+	// starve each other, measuring the Go scheduler instead of the queues.
 	EmulationSleep
 )
 

@@ -10,10 +10,8 @@ import (
 // Result is the measured outcome of one machine run.
 type Result struct {
 	// Dispatch names the dispatch plan that ran ("rpcvalet-1x16", "jbsq2",
-	// "plan-2x8/random2", ...). Mode is the legacy enum and is meaningful
-	// only when the run was configured through it; Dispatch is always set.
+	// "plan-2x8/random2", ...).
 	Dispatch string
-	Mode     Mode
 	Workload string
 	RateMRPS float64 // offered load
 	Seed     uint64
@@ -56,7 +54,6 @@ func (r Result) String() string {
 func (m *Machine) result() Result {
 	r := Result{
 		Dispatch:     m.plan.label,
-		Mode:         m.p.Mode,
 		Workload:     m.wl.Name,
 		RateMRPS:     m.cfg.RateMRPS,
 		Seed:         m.cfg.Seed,

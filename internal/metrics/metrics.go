@@ -229,20 +229,6 @@ func (r *Recorder) Complete(t sim.Time, c Completion) {
 	}
 }
 
-// Depth records a standalone queue-depth observation at time t (for callers
-// that sample depth outside completion events).
-func (r *Recorder) Depth(t sim.Time, depth int) {
-	if depth < 0 {
-		return
-	}
-	e := r.epochAt(t)
-	e.depthSum += int64(depth)
-	e.depthN++
-	if depth > e.depthMax {
-		e.depthMax = depth
-	}
-}
-
 // Busy attributes d of busy time on serving unit `server` to the epoch
 // containing t (by convention the time the busy span was committed). Spans
 // are not split across epoch boundaries, so an epoch's utilization is a

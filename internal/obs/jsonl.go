@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"os"
 
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/trace"
@@ -75,4 +76,70 @@ func WriteSpansJSONL(w io.Writer, spans []trace.Span) error {
 		}
 	}
 	return nil
+}
+
+// Capture is one run's span capture behind the CLIs' -tail, -trace-sample
+// and -trace-jsonl flags: a tail sampler seeing every request beside a span
+// collector seeing one request in n, composed onto the one Recorder a
+// runtime's Config.Trace takes.
+type Capture struct {
+	tail  *trace.TailSampler
+	spans *trace.Collector
+	rec   trace.Recorder
+}
+
+// NewCapture keeps the tailK slowest requests (none when tailK ≤ 0) and,
+// when collect is set, the spans of one request in sample (every request
+// when sample ≤ 1) for WriteJSONL.
+func NewCapture(tailK, sample int, collect bool) *Capture {
+	c := &Capture{}
+	var sinks []trace.Recorder
+	if tailK > 0 {
+		c.tail = trace.NewTailSampler(tailK)
+		sinks = append(sinks, c.tail)
+	}
+	if collect {
+		c.spans = trace.NewCollector()
+		sinks = append(sinks, trace.Sample(c.spans, sample))
+	}
+	c.rec = trace.Tee(sinks...)
+	return c
+}
+
+// Recorder returns the composed sink, nil when the capture keeps nothing
+// (tracing off).
+func (c *Capture) Recorder() trace.Recorder { return c.rec }
+
+// TailSpans returns the retained tail, slowest first; nil without a tail.
+func (c *Capture) TailSpans() []trace.Span {
+	if c.tail == nil {
+		return nil
+	}
+	return c.tail.Spans()
+}
+
+// WriteJSONL writes the collected spans to w in WriteSpansJSONL's format. It
+// writes nothing when the capture collects no spans.
+func (c *Capture) WriteJSONL(w io.Writer) error {
+	if c.spans == nil {
+		return nil
+	}
+	return WriteSpansJSONL(w, c.spans.Spans())
+}
+
+// WriteJSONLFile creates (or truncates) path and writes the collected spans
+// to it. It touches no file when the capture collects no spans.
+func (c *Capture) WriteJSONLFile(path string) error {
+	if c.spans == nil {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := c.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

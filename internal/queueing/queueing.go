@@ -42,9 +42,6 @@ type Config struct {
 	Warmup  int // requests discarded before measuring
 	Measure int // requests measured
 	Seed    uint64
-	// Epoch sets the Result timeline's initial epoch length; 0 uses the
-	// metrics default (1 µs, doubling as the run outgrows it).
-	Epoch sim.Duration
 }
 
 func (c Config) validate() error {
@@ -71,10 +68,6 @@ type Result struct {
 	Wait       stats.Summary
 	Throughput float64 // completions per ns over the measurement window
 	MeanSvc    float64 // E[S] of the service distribution used
-	// Timeline is the epoch-sliced view of the whole run (warmup
-	// included): per-epoch throughput, sojourn/wait percentiles, queue
-	// depth, and server utilization.
-	Timeline metrics.Timeline
 }
 
 // station is one FIFO queue with U servers.
@@ -109,10 +102,7 @@ func Run(cfg Config) (Result, error) {
 
 	completed := 0
 	target := cfg.Warmup + cfg.Measure
-	rec := metrics.NewRecorder(metrics.Config{
-		Servers:    totalServers,
-		EpochNanos: cfg.Epoch.Nanos(),
-	})
+	rec := metrics.NewRecorder(metrics.Config{})
 	arr := arrival.ResolvePerNs(cfg.Arrival, lambda)
 
 	var startService func(st *station, arrived sim.Time)
@@ -120,7 +110,6 @@ func Run(cfg Config) (Result, error) {
 		st.idle--
 		began := eng.Now()
 		svc := sim.FromNanos(cfg.Service.Sample(svcRNG))
-		rec.Busy(began, 0, svc)
 		eng.Schedule(svc, func() {
 			completed++
 			if completed > cfg.Warmup && completed <= target && completed == cfg.Warmup+1 {
@@ -160,11 +149,10 @@ func Run(cfg Config) (Result, error) {
 	eng.Run()
 
 	res := Result{
-		Config:   cfg,
-		Latency:  rec.Latency(),
-		Wait:     rec.Wait(),
-		MeanSvc:  meanSvc,
-		Timeline: rec.Timeline(),
+		Config:  cfg,
+		Latency: rec.Latency(),
+		Wait:    rec.Wait(),
+		MeanSvc: meanSvc,
 	}
 	if start, end := rec.Window(); end > start {
 		res.Throughput = float64(cfg.Measure-1) / end.Sub(start).Nanos()

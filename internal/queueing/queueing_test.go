@@ -7,7 +7,6 @@ import (
 
 	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/dist"
-	"rpcvalet/internal/sim"
 )
 
 func run(t *testing.T, cfg Config) Result {
@@ -360,34 +359,5 @@ func TestDeterministicArrivalsTightenWait(t *testing.T) {
 	dmc := run(t, cfg)
 	if dmc.Wait.Mean >= mmc.Wait.Mean {
 		t.Fatalf("D/M/1 mean wait %v not below M/M/1's %v", dmc.Wait.Mean, mmc.Wait.Mean)
-	}
-}
-
-// TestTimelinePopulated: queueing runs carry an epoch timeline accounting
-// for every completion, with utilization tracking the offered load.
-func TestTimelinePopulated(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Load = 0.7
-	cfg.Warmup, cfg.Measure = 500, 20000
-	cfg.Epoch = 2000 * sim.Nanosecond
-	res := run(t, cfg)
-	tl := res.Timeline
-	if tl.EpochNanos <= 0 || len(tl.Epochs) == 0 {
-		t.Fatalf("timeline unpopulated: %+v", tl)
-	}
-	total := 0
-	var utilSum float64
-	for _, e := range tl.Epochs {
-		total += e.Completions
-		utilSum += e.Utilization
-	}
-	if total != cfg.Warmup+cfg.Measure {
-		t.Fatalf("timeline completions = %d, want %d", total, cfg.Warmup+cfg.Measure)
-	}
-	// Mean epoch utilization of an M/M/1 at load 0.7 must sit near 0.7
-	// (last epoch may be partial; allow slack).
-	meanUtil := utilSum / float64(len(tl.Epochs))
-	if meanUtil < 0.55 || meanUtil > 0.85 {
-		t.Fatalf("mean epoch utilization = %.3f, want ≈0.7", meanUtil)
 	}
 }

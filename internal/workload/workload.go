@@ -135,9 +135,16 @@ const SyntheticBase = 300.0
 // SyntheticExtra is the mean of the distributed component: 300 ns.
 const SyntheticExtra = 300.0
 
-// paperGEV is §5's GEV(363, 100, 0.65) in 2 GHz cycles, converted to ns
-// (divide by 2), giving a mean of ≈300 ns.
-var paperGEV = dist.GEV{Loc: 363.0 / 2, Scale: 100.0 / 2, Shape: 0.65}
+// paperGEVCycles is §5's GEV(363, 100, 0.65), in 2 GHz cycles.
+var paperGEVCycles = dist.GEV{Loc: 363, Scale: 100, Shape: 0.65}
+
+// paperGEV is paperGEVCycles converted to ns (divide by 2), giving a mean of
+// ≈300 ns.
+var paperGEV = dist.GEV{Loc: paperGEVCycles.Loc / 2, Scale: paperGEVCycles.Scale / 2, Shape: paperGEVCycles.Shape}
+
+// SyntheticKinds names the four §5 service shapes, in the paper's order of
+// increasing variance; Synthetic and Unit accept each.
+var SyntheticKinds = []string{"fixed", "uniform", "exp", "gev"}
 
 // SyntheticFixed is the fixed 600 ns profile (ideal for balancing).
 func SyntheticFixed() Profile {
@@ -175,6 +182,39 @@ func Synthetic(kind string) (Profile, error) {
 		return SyntheticGEV(), nil
 	default:
 		return Profile{}, fmt.Errorf("workload: unknown synthetic kind %q", kind)
+	}
+}
+
+// ByName resolves a workload name as the command-line tools spell it:
+// "herd", "masstree", or one of SyntheticKinds.
+func ByName(name string) (Profile, error) {
+	switch name {
+	case "herd":
+		return HERD(), nil
+	case "masstree":
+		return Masstree(), nil
+	}
+	p, err := Synthetic(name)
+	if err != nil {
+		return Profile{}, fmt.Errorf("workload: unknown workload %q (want herd, masstree, fixed, uniform, exp, or gev)", name)
+	}
+	return p, nil
+}
+
+// Unit returns the distributed component of a synthetic kind scaled to mean
+// 1 — the §2.2 service shapes the queueing models run in units of S̄.
+func Unit(kind string) (dist.Sampler, error) {
+	switch kind {
+	case "fixed":
+		return dist.Fixed{Value: 1}, nil
+	case "uniform":
+		return dist.Uniform{Lo: 0, Hi: 2}, nil
+	case "exp":
+		return dist.Exponential{MeanValue: 1}, nil
+	case "gev":
+		return dist.Normalized(paperGEVCycles), nil
+	default:
+		return nil, fmt.Errorf("workload: unknown service shape %q (want fixed, uniform, exp, or gev)", kind)
 	}
 }
 

@@ -185,3 +185,67 @@ func TestVarianceOrdering(t *testing.T) {
 		prev = v
 	}
 }
+
+// TestByName: every workload name the command-line tools accept resolves to
+// its profile, and anything else errors.
+func TestByName(t *testing.T) {
+	cases := map[string]string{
+		"herd":     "herd",
+		"masstree": "masstree",
+		"fixed":    "synthetic-fixed",
+		"uniform":  "synthetic-uniform",
+		"exp":      "synthetic-exp",
+		"gev":      "synthetic-gev",
+	}
+	if len(cases) != len(SyntheticKinds)+2 {
+		t.Fatalf("table covers %d names, want every synthetic kind plus herd and masstree", len(cases))
+	}
+	for name, want := range cases {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p.Name != want {
+			t.Errorf("%s resolved to %q, want %q", name, p.Name, want)
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for _, bad := range []string{"", "HERD", "gev2", "synthetic-exp"} {
+		if _, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) accepted", bad)
+		}
+	}
+}
+
+// TestUnit: every synthetic kind has a unit-mean service shape, unknown kinds
+// error, and the GEV shape is §5's GEV(363, 100, 0.65) normalized — the
+// same draws, bit for bit.
+func TestUnit(t *testing.T) {
+	for _, kind := range SyntheticKinds {
+		d, err := Unit(kind)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if m := d.Mean(); math.Abs(m-1) > 1e-12 {
+			t.Errorf("Unit(%q).Mean() = %v, want 1", kind, m)
+		}
+	}
+	for _, bad := range []string{"", "herd", "masstree", "normal"} {
+		if _, err := Unit(bad); err == nil {
+			t.Errorf("Unit(%q) accepted", bad)
+		}
+	}
+	got, err := Unit("gev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dist.Normalized(dist.GEV{Loc: 363, Scale: 100, Shape: 0.65})
+	rg, rw := rng.New(9), rng.New(9)
+	for i := 0; i < 10000; i++ {
+		if a, b := got.Sample(rg), want.Sample(rw); a != b {
+			t.Fatalf("draw %d: %v, want %v", i, a, b)
+		}
+	}
+}

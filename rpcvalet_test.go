@@ -225,7 +225,7 @@ func ExampleRun() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("mode=%s meets SLO=%v\n", res.Mode, res.MeetsSLO)
+	fmt.Printf("mode=%s meets SLO=%v\n", res.Dispatch, res.MeetsSLO)
 	// Output: mode=rpcvalet-1x16 meets SLO=true
 }
 
