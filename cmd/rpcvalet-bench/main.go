@@ -26,6 +26,12 @@ import (
 	"rpcvalet/internal/core"
 )
 
+// usage reports a bad flag value and exits 2 before anything is simulated.
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "rpcvalet-bench: %v\n", err)
+	os.Exit(2)
+}
+
 func main() {
 	var (
 		fig     = flag.String("fig", "", "figure to regenerate (e.g. 2a, 7c, table1); empty = all")
@@ -37,6 +43,19 @@ func main() {
 		shards  = flag.Int("shards", 0, "parallel engine shards per cluster simulation (0/1 = serial engine; cluster figures only)")
 	)
 	flag.Parse()
+
+	if *format != "text" && *format != "csv" && *format != "json" {
+		usage(fmt.Errorf("unknown format %q (want text, csv or json)", *format))
+	}
+	ids := core.FigureIDs
+	if *fig != "" {
+		ids = strings.Split(*fig, ",")
+	}
+	for _, id := range ids {
+		if _, ok := core.Figures[id]; !ok {
+			usage(fmt.Errorf("unknown figure %q (known: %s)", id, strings.Join(core.FigureIDs, ", ")))
+		}
+	}
 
 	opts := core.DefaultOptions()
 	if *quick {
@@ -51,20 +70,10 @@ func main() {
 	}
 	opts.Shards = *shards
 
-	ids := core.FigureIDs
-	if *fig != "" {
-		ids = strings.Split(*fig, ",")
-	}
 	exit := 0
 	for _, id := range ids {
-		gen, ok := core.Figures[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "rpcvalet-bench: unknown figure %q (known: %s)\n",
-				id, strings.Join(core.FigureIDs, ", "))
-			os.Exit(2)
-		}
 		start := time.Now()
-		f, err := gen(opts)
+		f, err := core.Figures[id](opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rpcvalet-bench: figure %s: %v\n", id, err)
 			os.Exit(1)

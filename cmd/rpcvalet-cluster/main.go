@@ -63,7 +63,6 @@ import (
 	"strings"
 
 	"rpcvalet"
-	"rpcvalet/internal/obs"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/workload"
@@ -164,17 +163,28 @@ func main() {
 	}
 
 	names := strings.Split(*policies, ",")
+	pols := make([]rpcvalet.ClusterPolicy, len(names))
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		if pols[i], err = rpcvalet.ClusterPolicyByName(names[i]); err != nil {
+			usage(err)
+		}
+	}
+	var gpol rpcvalet.ClusterPolicy
+	if *racks > 0 {
+		if gpol, err = rpcvalet.ClusterPolicyByName(*gpolName); err != nil {
+			usage(err)
+		}
+	}
+
 	curves := make([]rpcvalet.Curve, 0, len(names))
 	var loads []float64
 	var capacity float64
 	var lastCfg rpcvalet.Cluster // first policy's config, for -timeline
 	for pi, name := range names {
-		name = strings.TrimSpace(name)
-		pol, err := rpcvalet.ClusterPolicyByName(name)
-		if err != nil {
-			usage(err)
-		}
-		cfg := rpcvalet.DefaultCluster(*nodes, wl, pol)
+		// The sweep clones both policies for every point, so the curves
+		// can share the parsed instances.
+		cfg := rpcvalet.DefaultCluster(*nodes, wl, pols[pi])
 		cfg.Node.Params = params
 		cfg.NodePlans = nodePlans
 		cfg.Faults = faults
@@ -191,10 +201,7 @@ func main() {
 		cfg.SampleEvery = sim.FromNanos(*sample)
 		if *racks > 0 {
 			cfg.Racks = *racks
-			cfg.GlobalPolicy, err = rpcvalet.ClusterPolicyByName(*gpolName)
-			if err != nil {
-				usage(err)
-			}
+			cfg.GlobalPolicy = gpol
 			cfg.GlobalHop = sim.FromNanos(*ghop)
 			cfg.GlobalSampleEvery = sim.FromNanos(*gsample)
 		}
@@ -257,7 +264,7 @@ func main() {
 		// (round-robin rotation, bounded-load counters), so give the rerun a
 		// fresh instance rather than the swept one.
 		lastCfg.Policy = lastCfg.Policy.Clone()
-		capture := obs.NewCapture(*tailK, *traceSample, *traceJSONL != "")
+		capture := rpcvalet.NewCapture(*tailK, *traceSample, *traceJSONL != "")
 		lastCfg.Trace = capture.Recorder()
 		res, err := rpcvalet.RunCluster(lastCfg)
 		if err != nil {

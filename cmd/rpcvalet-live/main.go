@@ -39,7 +39,6 @@ import (
 
 	"rpcvalet"
 	"rpcvalet/internal/live"
-	"rpcvalet/internal/obs"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/workload"
 )
@@ -130,7 +129,7 @@ func main() {
 		if reg != nil {
 			cfg.Obs = rpcvalet.NewObsRunMetrics(reg, rpcvalet.ObsLabels{"plan": pl.Name})
 		}
-		capture := obs.NewCapture(*tailK, *traceSample, jsonl != nil)
+		capture := rpcvalet.NewCapture(*tailK, *traceSample, jsonl != nil)
 		cfg.Trace = capture.Recorder()
 		res, err := rpcvalet.RunLive(cfg)
 		if err != nil {

@@ -41,7 +41,6 @@ import (
 	"sort"
 
 	"rpcvalet"
-	"rpcvalet/internal/obs"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/workload"
@@ -123,8 +122,7 @@ func main() {
 		if err != nil {
 			usage(err)
 		}
-		cfg.Slowdown = f.Slowdown
-		cfg.Pauses = f.Pauses
+		cfg.Fault = f
 	}
 	if *epoch != "" {
 		d, err := sim.ParseDuration(*epoch)
@@ -133,7 +131,7 @@ func main() {
 		}
 		cfg.Epoch = d
 	}
-	capture := obs.NewCapture(*tailK, *traceSample, *traceJSONL != "")
+	capture := rpcvalet.NewCapture(*tailK, *traceSample, *traceJSONL != "")
 	cfg.Trace = capture.Recorder()
 
 	res, err := rpcvalet.Run(cfg)

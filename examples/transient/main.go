@@ -74,7 +74,7 @@ func main() {
 		Measure:  12000,
 		Seed:     1,
 		Epoch:    25 * rpcvalet.Microsecond,
-		Pauses:   []rpcvalet.Pause{{Start: 400 * rpcvalet.Microsecond, Dur: 100 * rpcvalet.Microsecond}},
+		Fault:    rpcvalet.Fault{Pauses: []rpcvalet.Pause{{Start: 400 * rpcvalet.Microsecond, Dur: 100 * rpcvalet.Microsecond}}},
 	}
 	paused := must(rpcvalet.Run(pausedCfg))
 	fmt.Printf("%s\n\n", report.TimelineSpark(paused.Timeline))
@@ -88,7 +88,7 @@ func main() {
 	for _, polName := range []string{"random", "jsq2"} {
 		pol := must(rpcvalet.ClusterPolicyByName(polName))
 		cfg := rpcvalet.DefaultCluster(4, wl, pol)
-		cfg.Faults = []rpcvalet.NodeFault{{Node: 0, Slowdown: 1.5}}
+		cfg.Faults = []rpcvalet.NodeFault{{Node: 0, Fault: rpcvalet.Fault{Slowdown: 1.5}}}
 		cfg.Measure = 16000
 		cfg.Epoch = 25 * rpcvalet.Microsecond
 		res := must(rpcvalet.RunCluster(cfg))

@@ -150,10 +150,9 @@ type Config struct {
 // reaching a paused rack balancer wait for the window to end before a node
 // is picked.
 type NodeFault struct {
-	Node     int     // node index, or rack index when Rack is set
-	Rack     bool    // scope Node as a rack index (needs Config.Racks >= 1)
-	Slowdown float64 // handler service-time multiplier (0 or 1 = none)
-	Pauses   []machine.Pause
+	Node int  // node index, or rack index when Rack is set
+	Rack bool // scope Node as a rack index (needs Config.Racks >= 1)
+	machine.Fault
 }
 
 func (f NodeFault) String() string {
@@ -161,7 +160,7 @@ func (f NodeFault) String() string {
 	if f.Rack {
 		scope = "rack"
 	}
-	return fmt.Sprintf("%s%d:%s", scope, f.Node, machine.Fault{Slowdown: f.Slowdown, Pauses: f.Pauses})
+	return fmt.Sprintf("%s%d:%s", scope, f.Node, f.Fault)
 }
 
 // ParseFaults parses the -degrade grammar: a semicolon-separated list of
@@ -197,7 +196,7 @@ func ParseFaults(spec string) ([]NodeFault, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, NodeFault{Node: node, Rack: rack, Slowdown: f.Slowdown, Pauses: f.Pauses})
+		out = append(out, NodeFault{Node: node, Rack: rack, Fault: f})
 	}
 	return out, nil
 }
@@ -337,83 +336,4 @@ type Result struct {
 func (r Result) String() string {
 	return fmt.Sprintf("%s×%d @%.2fMRPS: thr=%.2fMRPS p99=%.0fns imbalance=%.2f",
 		r.Policy, r.Nodes, r.RateMRPS, r.ThroughputMRPS, r.Latency.P99, r.Imbalance)
-}
-
-// view is the balancer's depth view over the node set. The balancer always
-// knows its own dispatches the instant it makes them (they happen here), so
-// Depth counts RPCs dispatched to a node and not yet known to be complete.
-// What staleness delays is the *completion* side: with a nonzero sampling
-// period, drains are only reflected at the periodic refresh, while new
-// dispatches keep counting live — the herding a delayed-feedback balancer
-// actually exhibits.
-type view struct {
-	live        bool
-	outstanding []int // truth: dispatched minus completed
-	stale       []int // outstanding as of the last refresh
-	sent        []int // dispatches since the last refresh (always known)
-	// idx mirrors Depth as an incremental per-depth bitmap index (index.go)
-	// so the whole-cluster policies decide in O(N/64) instead of O(N). Every
-	// mutation below keeps it in sync with the *visible* depths: dispatches
-	// always count immediately, completions only on a live view (a stale
-	// view learns of drains at the periodic snapshot, which rebuilds).
-	idx *depthIndex
-}
-
-func newView(nodes int, live bool) *view {
-	v := &view{live: live, outstanding: make([]int, nodes), idx: newDepthIndex(nodes)}
-	if !live {
-		v.stale = make([]int, nodes)
-		v.sent = make([]int, nodes)
-	}
-	return v
-}
-
-func (v *view) Nodes() int { return len(v.outstanding) }
-
-func (v *view) Depth(i int) int {
-	if v.live {
-		return v.outstanding[i]
-	}
-	return v.stale[i] + v.sent[i]
-}
-
-// index implements depthIndexed (policy.go), handing the whole-cluster
-// policies the fast decision path.
-func (v *view) index() *depthIndex { return v.idx }
-
-func (v *view) dispatched(i int) {
-	v.outstanding[i]++
-	if !v.live {
-		v.sent[i]++
-	}
-	v.idx.inc(i)
-}
-
-func (v *view) completed(i int) {
-	v.outstanding[i]--
-	if v.live {
-		v.idx.dec(i)
-	}
-}
-
-func (v *view) snapshot() {
-	copy(v.stale, v.outstanding)
-	for i := range v.sent {
-		v.sent[i] = 0
-	}
-	// Post-snapshot the visible depth of every node is exactly outstanding
-	// (stale == outstanding, sent == 0).
-	v.idx.rebuild(v.outstanding)
-}
-
-// snapshotFrom refreshes the stale view from an external depth source — the
-// global tier scraping each rack balancer's published aggregate — instead of
-// the view's own outstanding accounting. Dispatches since the scrape keep
-// counting live through sent, as in snapshot.
-func (v *view) snapshotFrom(depth func(i int) int) {
-	for i := range v.stale {
-		v.stale[i] = depth(i)
-		v.sent[i] = 0
-	}
-	v.idx.rebuild(v.stale)
 }

@@ -219,9 +219,9 @@ func FuzzPolicyByName(f *testing.F) {
 
 func TestPolicyPickBounds(t *testing.T) {
 	nodes := 5
-	v := newView(nodes, false)
-	copy(v.stale, []int{3, 0, 7, 2, 5})
-	v.idx.rebuild(v.stale) // poked depths directly; re-sync the index
+	depths := []int{3, 0, 7, 2, 5}
+	v := newDepthIndex(nodes)
+	v.rebuild(func(i int) int { return depths[i] })
 	r := rng.New(3)
 	for _, p := range []Policy{Random{}, &RoundRobin{}, JSQ{D: 2}, JSQ{D: 16}, &BoundedLoad{Factor: 1.25}} {
 		for i := 0; i < 200; i++ {
@@ -336,4 +336,95 @@ func TestNodePlansMatchUniformRun(t *testing.T) {
 		!reflect.DeepEqual(uniform.NodeCompleted, canned.NodeCompleted) {
 		t.Fatal("canned per-node plans diverge from the uniform run")
 	}
+}
+
+// fuzzPolicies are the built-in policies FuzzClusterConfig draws from.
+var fuzzPolicies = []string{"random", "rr", "jsq2", "jsq3", "jsqfull", "bounded", "bounded1.5"}
+
+// FuzzClusterConfig runs tiny configurations — at most 8 nodes and 2k
+// completions, any built-in policy, live or stale views, flat or two-tier,
+// serial or sharded, with or without a fault or a time cap — and checks
+// the conservation and determinism invariants every Result must keep: the
+// per-node counts sum to Completed, which is Warmup+Measure unless the run
+// timed out; each rack's nodes sum to its RackCompleted; and a rerun with
+// fresh policies is identical. Inputs that fail validate are skipped.
+func FuzzClusterConfig(f *testing.F) {
+	// nodes, racks, pol, gpol, shards, sampleNs, gsampleNs, hopNs, ghopNs,
+	// warmup, measure, load (% of capacity), fault, maxSimUs, seed.
+	f.Add(uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(0), uint16(500), uint16(0), uint16(200), uint16(1000), uint8(70), uint8(0), uint8(0), uint64(1))
+	f.Add(uint8(8), uint8(0), uint8(4), uint8(0), uint8(3), uint16(700), uint16(0), uint16(300), uint16(0), uint16(100), uint16(900), uint8(90), uint8(4*5+1), uint8(0), uint64(2))
+	f.Add(uint8(6), uint8(2), uint8(5), uint8(4), uint8(0), uint16(400), uint16(900), uint16(200), uint16(500), uint16(0), uint16(800), uint8(80), uint8(4*1+2), uint8(0), uint64(3))
+	f.Add(uint8(8), uint8(4), uint8(2), uint8(6), uint8(4), uint16(0), uint16(0), uint16(100), uint16(250), uint16(300), uint16(700), uint8(110), uint8(3), uint8(0), uint64(4))
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(7), uint8(2), uint16(1500), uint16(0), uint16(0), uint16(100), uint16(50), uint16(1000), uint8(60), uint8(4*2+3), uint8(5), uint64(5))
+	f.Fuzz(func(t *testing.T, nodes, racks, pol, gpol, shards uint8, sampleNs, gsampleNs, hopNs, ghopNs, warmup, measure uint16, load, fault, maxSimUs uint8, seed uint64) {
+		mk := func(i uint8) Policy {
+			p, err := PolicyByName(fuzzPolicies[int(i)%len(fuzzPolicies)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		cfg := baseConfig(int(nodes%9), mk(pol), float64(load%120+1)/100)
+		cfg.Shards = int(shards % 5)
+		cfg.SampleEvery = sim.Duration(sampleNs%2000) * sim.Nanosecond
+		cfg.Hop = sim.Duration(hopNs%1000) * sim.Nanosecond
+		cfg.Warmup = int(warmup % 1000)
+		cfg.Measure = int(measure % 1001)
+		cfg.Seed = seed
+		cfg.MaxSimTime = sim.Duration(maxSimUs) * sim.Microsecond
+		if cfg.Racks = int(racks % 5); cfg.Racks > 0 {
+			if g := int(gpol) % (len(fuzzPolicies) + 1); g < len(fuzzPolicies) {
+				cfg.GlobalPolicy = mk(uint8(g))
+			}
+			cfg.GlobalHop = sim.Duration(ghopNs%1000) * sim.Nanosecond
+			cfg.GlobalSampleEvery = sim.Duration(gsampleNs%2000) * sim.Nanosecond
+		}
+		pause := machine.Pause{Start: 5 * sim.Microsecond, Dur: 10 * sim.Microsecond}
+		switch target := int(fault / 4); fault % 4 {
+		case 1:
+			cfg.Faults = []NodeFault{{Node: target, Fault: machine.Fault{Slowdown: 2}}}
+		case 2:
+			cfg.Faults = []NodeFault{{Node: target, Rack: true, Fault: machine.Fault{Pauses: []machine.Pause{pause}}}}
+		case 3:
+			cfg.Faults = []NodeFault{{Node: target, Fault: machine.Fault{Slowdown: 1.5, Pauses: []machine.Pause{pause}}}}
+		}
+		if cfg.validate() != nil {
+			return
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("valid config failed: %v", err)
+		}
+		sum := 0
+		for _, c := range res.NodeCompleted {
+			sum += c
+		}
+		if sum != res.Completed {
+			t.Fatalf("Σ NodeCompleted = %d, Completed = %d", sum, res.Completed)
+		}
+		if !res.TimedOut && res.Completed != cfg.Warmup+cfg.Measure {
+			t.Fatalf("Completed = %d, want Warmup+Measure = %d", res.Completed, cfg.Warmup+cfg.Measure)
+		}
+		size, start := rackGeometry(cfg)
+		for r := range size {
+			sum := 0
+			for _, c := range res.NodeCompleted[start[r] : start[r]+size[r]] {
+				sum += c
+			}
+			if sum != res.RackCompleted[r] {
+				t.Fatalf("rack %d: nodes sum to %d, RackCompleted = %d", r, sum, res.RackCompleted[r])
+			}
+		}
+		cfg.Policy = cfg.Policy.Clone()
+		if cfg.GlobalPolicy != nil {
+			cfg.GlobalPolicy = cfg.GlobalPolicy.Clone()
+		}
+		again, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("rerun failed: %v", err)
+		}
+		if !reflect.DeepEqual(res, again) {
+			t.Fatalf("rerun with fresh policies differs:\n%v\n%v", res, again)
+		}
+	})
 }

@@ -68,7 +68,7 @@ func TestParseFaultsRack(t *testing.T) {
 // configs and must name a rack that exists.
 func TestRackFaultValidation(t *testing.T) {
 	flat := baseConfig(4, Random{}, 0.5)
-	flat.Faults = []NodeFault{{Node: 0, Rack: true, Slowdown: 1.5}}
+	flat.Faults = []NodeFault{{Node: 0, Rack: true, Fault: machine.Fault{Slowdown: 1.5}}}
 	if _, err := Run(flat); err == nil {
 		t.Error("rack-scoped fault accepted on a flat cluster")
 	}
@@ -76,11 +76,11 @@ func TestRackFaultValidation(t *testing.T) {
 	hier := baseConfig(4, Random{}, 0.5)
 	hier.Racks = 2
 	hier.GlobalPolicy = Random{}
-	hier.Faults = []NodeFault{{Node: 2, Rack: true, Slowdown: 1.5}}
+	hier.Faults = []NodeFault{{Node: 2, Rack: true, Fault: machine.Fault{Slowdown: 1.5}}}
 	if _, err := Run(hier); err == nil {
 		t.Error("out-of-range rack fault accepted")
 	}
-	hier.Faults = []NodeFault{{Node: -1, Rack: true, Slowdown: 1.5}}
+	hier.Faults = []NodeFault{{Node: -1, Rack: true, Fault: machine.Fault{Slowdown: 1.5}}}
 	if _, err := Run(hier); err == nil {
 		t.Error("negative rack fault accepted")
 	}
@@ -89,9 +89,9 @@ func TestRackFaultValidation(t *testing.T) {
 func TestFaultValidation(t *testing.T) {
 	good := baseConfig(2, Random{}, 0.5)
 	for name, faults := range map[string][]NodeFault{
-		"nodeOutOfRange": {{Node: 2, Slowdown: 1.5}},
-		"negativeNode":   {{Node: -1, Slowdown: 1.5}},
-		"negativeSlow":   {{Node: 0, Slowdown: -2}},
+		"nodeOutOfRange": {{Node: 2, Fault: machine.Fault{Slowdown: 1.5}}},
+		"negativeNode":   {{Node: -1, Fault: machine.Fault{Slowdown: 1.5}}},
+		"negativeSlow":   {{Node: 0, Fault: machine.Fault{Slowdown: -2}}},
 	} {
 		cfg := good
 		cfg.Faults = faults
@@ -107,7 +107,7 @@ func TestFaultValidation(t *testing.T) {
 // pays at the tail.
 func TestDegradedNodeShiftsLoadUnderJSQ(t *testing.T) {
 	jsq := baseConfig(4, JSQ{D: 2}, 0.6)
-	jsq.Faults = []NodeFault{{Node: 0, Slowdown: 1.5}}
+	jsq.Faults = []NodeFault{{Node: 0, Fault: machine.Fault{Slowdown: 1.5}}}
 	jres := run(t, jsq)
 
 	fair := float64(jres.Completed) / 4
@@ -140,7 +140,7 @@ func TestDegradedMarginWidens(t *testing.T) {
 		return rres.Latency.P99 / jres.Latency.P99
 	}
 	uniform := margin(nil)
-	degraded := margin([]NodeFault{{Node: 0, Slowdown: 1.5}})
+	degraded := margin([]NodeFault{{Node: 0, Fault: machine.Fault{Slowdown: 1.5}}})
 	if degraded <= uniform {
 		t.Fatalf("degraded margin %.2f not wider than uniform %.2f", degraded, uniform)
 	}
@@ -186,7 +186,7 @@ func TestPausedNodeVisibleInNodeTimeline(t *testing.T) {
 	cfg := baseConfig(2, &RoundRobin{}, 0.4)
 	cfg.Epoch = 50 * sim.Microsecond
 	pause := machine.Pause{Start: 200 * sim.Microsecond, Dur: 150 * sim.Microsecond}
-	cfg.Faults = []NodeFault{{Node: 1, Pauses: []machine.Pause{pause}}}
+	cfg.Faults = []NodeFault{{Node: 1, Fault: machine.Fault{Pauses: []machine.Pause{pause}}}}
 	res := run(t, cfg)
 
 	mid := pause.Start + pause.Dur/2

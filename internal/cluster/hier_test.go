@@ -222,8 +222,8 @@ func TestHierRackFaultScoping(t *testing.T) {
 	cfg.Warmup = 200
 	cfg.Measure = 2500
 	cfg.Faults = []NodeFault{
-		{Node: 1, Rack: true, Slowdown: 2},
-		{Node: 4, Slowdown: 3}, // node 4 is in rack 1: overrides the rack entry
+		{Node: 1, Rack: true, Fault: machine.Fault{Slowdown: 2}},
+		{Node: 4, Fault: machine.Fault{Slowdown: 3}}, // node 4 is in rack 1: overrides the rack entry
 	}
 	res := run(t, cfg)
 	wantNode := []string{"healthy", "healthy", "healthy", "x2", "x3", "x2"}
@@ -255,7 +255,7 @@ func TestHierBalancerPause(t *testing.T) {
 	paused.Policy = base.Policy.Clone()
 	paused.GlobalPolicy = base.GlobalPolicy.Clone()
 	paused.Faults = []NodeFault{{Node: 0, Rack: true,
-		Pauses: []machine.Pause{{Start: 50 * sim.Microsecond, Dur: 40 * sim.Microsecond}}}}
+		Fault: machine.Fault{Pauses: []machine.Pause{{Start: 50 * sim.Microsecond, Dur: 40 * sim.Microsecond}}}}}
 	pres := run(t, paused)
 
 	if pres.Latency.P999 <= healthy.Latency.P999 {
@@ -314,12 +314,12 @@ func TestHierValidation(t *testing.T) {
 		{"unevenRacks", func(c *Config) { c.Racks = 3; c.GlobalHop = 0 }, "evenly partition"},
 		{"rackSizesSum", func(c *Config) { c.RackNodes = []int{4, 5} }, "RackNodes sum"},
 		{"rackSizeZero", func(c *Config) { c.RackNodes = []int{8, 0} }, "rack 1 sized"},
-		{"rackFaultRange", func(c *Config) { c.Faults = []NodeFault{{Node: 2, Rack: true, Slowdown: 2}} }, "fault for rack"},
+		{"rackFaultRange", func(c *Config) { c.Faults = []NodeFault{{Node: 2, Rack: true, Fault: machine.Fault{Slowdown: 2}}} }, "fault for rack"},
 		{"rackFaultFlat", func(c *Config) {
 			c.Racks = 0
 			c.GlobalPolicy = nil
 			c.GlobalHop = 0
-			c.Faults = []NodeFault{{Node: 0, Rack: true, Slowdown: 2}}
+			c.Faults = []NodeFault{{Node: 0, Rack: true, Fault: machine.Fault{Slowdown: 2}}}
 		}, "needs Racks >= 1"},
 		{"shardsNoGlobalHop", func(c *Config) { c.Shards = 2; c.GlobalHop = 0 }, "positive GlobalHop"},
 		{"shardsScrape", func(c *Config) { c.Shards = 2; c.GlobalSampleEvery = c.Hop }, "cannot scrape"},

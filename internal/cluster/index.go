@@ -14,11 +14,13 @@ package cluster
 // (stale-view refresh); decisions become find-first-set scans over one or a
 // few []uint64 rows.
 //
+// The index is also the balancer's view: *depthIndex implements View, and
+// depth[] is the only store of the visible depths a policy reads. A tier
+// (tier.go) mutates it through inc/dec on dispatch and live completion, and
+// through rebuild at a stale tier's periodic refresh.
+//
 // Invariants (checked exhaustively by index_test.go):
 //
-//   - depth[i] always equals the balancer-view depth View.Depth(i); the view
-//     (cluster.go) funnels every mutation — dispatch, completion on a live
-//     view, snapshot on a stale one — through inc/dec/rebuild.
 //   - Node i's bit is set in exactly one row: rows[min(depth[i], clampDepth)].
 //     Rows above clampDepth collapse into the clamp row; exact depths are
 //     kept in depth[], so clamped states degrade to exact linear fallbacks
@@ -45,10 +47,10 @@ const clampDepth = 63
 const numDepthRows = clampDepth + 1
 
 // depthIndex is the incremental per-depth node index. It is owned by a
-// single balancer (one per view), mutated only between picks, and never
-// shared across goroutines.
+// single tier, mutated only between picks, and never shared across
+// goroutines.
 type depthIndex struct {
-	depth   []int      // exact per-node view depth (mirrors View.Depth)
+	depth   []int      // exact per-node visible depth: the view itself
 	rows    [][]uint64 // rows[d]: bitmap of nodes with min(depth, clampDepth) == d
 	count   []int      // set-bit count per row
 	backing []uint64   // the rows' shared storage, one allocation
@@ -79,6 +81,12 @@ func newDepthIndex(nodes int) *depthIndex {
 	x.count[0] = nodes
 	return x
 }
+
+// Nodes, Depth and index implement View: the index is the view a tier's
+// policy decides over.
+func (x *depthIndex) Nodes() int         { return len(x.depth) }
+func (x *depthIndex) Depth(i int) int    { return x.depth[i] }
+func (x *depthIndex) index() *depthIndex { return x }
 
 func clamp(d int) int {
 	if d > clampDepth {
@@ -117,9 +125,9 @@ func (x *depthIndex) setDepth(i, d int) {
 	}
 }
 
-// rebuild resets the index to the given depths — the stale view's periodic
-// snapshot, where every node's visible depth changes at once. O(N + rows).
-func (x *depthIndex) rebuild(depths []int) {
+// rebuild resets every node's depth to depth(i) — a stale tier's periodic
+// refresh, where every visible depth changes at once. O(N + rows).
+func (x *depthIndex) rebuild(depth func(i int) int) {
 	for i := range x.backing {
 		x.backing[i] = 0
 	}
@@ -128,7 +136,8 @@ func (x *depthIndex) rebuild(depths []int) {
 	}
 	x.total = 0
 	x.minD = clampDepth
-	for i, d := range depths {
+	for i := range x.depth {
+		d := depth(i)
 		x.depth[i] = d
 		x.total += d
 		c := clamp(d)

@@ -108,7 +108,7 @@ func TestDepthIndexInvariants(t *testing.T) {
 				for i := range depth {
 					depth[i] = r.IntN(clampDepth * 2)
 				}
-				x.rebuild(depth)
+				x.rebuild(func(i int) int { return depth[i] })
 			case op < 4:
 				// Completion on a random busy node.
 				i := r.IntN(n)

@@ -14,11 +14,11 @@ import (
 // telemetry delay a real rack-scale balancer pays; with live sampling it is
 // the cluster-level analogue of the paper's NI occupancy feedback.
 //
-// Only the balancer's own view implements View: the unexported index method
-// hands the whole-cluster policies (full JSQ, BoundedLoad) the incremental
-// depth index (index.go) they decide over in O(N/64), so no unindexed view
-// can reach a policy. policy_equiv_test.go keeps the O(N) reference scans
-// and checks the indexed picks against them.
+// Only the balancer's incremental depth index (index.go) implements View:
+// the unexported index method hands the whole-cluster policies (full JSQ,
+// BoundedLoad) the bitmap rows they decide over in O(N/64), so no unindexed
+// view can reach a policy. policy_equiv_test.go keeps the O(N) reference
+// scans and checks the indexed picks against them.
 type View interface {
 	// Nodes reports the cluster size.
 	Nodes() int

@@ -39,13 +39,14 @@ func BenchmarkPolicyPick(b *testing.B) {
 	const nodes = 1000
 	for _, pc := range rackPolicies() {
 		b.Run("policy="+pc.name+"/nodes=1000", func(b *testing.B) {
-			v := newView(nodes, true)
+			tr := newTier(nil, nil, nodes, true)
+			v := tr.index
 			r := rng.New(1)
 			pol := pc.mk()
 			ring := make([]int, 4*nodes)
 			for i := range ring {
 				c := pol.Pick(v, r)
-				v.dispatched(c)
+				tr.dispatched(c)
 				ring[i] = c
 			}
 			pos := 0
@@ -53,8 +54,8 @@ func BenchmarkPolicyPick(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c := pol.Pick(v, r)
-				v.dispatched(c)
-				v.completed(ring[pos])
+				tr.dispatched(c)
+				tr.completed(ring[pos])
 				ring[pos] = c
 				pos++
 				if pos == len(ring) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rpcvalet/internal/rng"
+	"rpcvalet/internal/sim"
 )
 
 // refPick is the O(N) reference the indexed picks are checked against: the
@@ -92,7 +93,13 @@ func TestPolicyIndexEquivalence(t *testing.T) {
 					rNaive := rng.New(seed)
 					churn := rng.New(seed + 1)
 
-					v := newView(nodes, live)
+					// A policy-less tier: the test picks with its own twin
+					// policies over the tier's index. A stale tier's
+					// refresh is the one event on eng; Step fires it.
+					eng := sim.New()
+					tr := newTier(nil, nil, nodes, live)
+					tr.scheduleRefresh(eng, 1, nil)
+					v := tr.index
 					var inflight []int
 					for step := 0; step < 600; step++ {
 						target := lv.out * nodes
@@ -104,16 +111,16 @@ func TestPolicyIndexEquivalence(t *testing.T) {
 								t.Fatalf("%s nodes=%d level=%s live=%v step %d: indexed pick %d, naive pick %d",
 									pol, nodes, lv.name, live, step, got, want)
 							}
-							v.dispatched(got)
+							tr.dispatched(got)
 							inflight = append(inflight, got)
 						default:
 							k := churn.IntN(len(inflight))
-							v.completed(inflight[k])
+							tr.completed(inflight[k])
 							inflight[k] = inflight[len(inflight)-1]
 							inflight = inflight[:len(inflight)-1]
 						}
 						if !live && churn.IntN(40) == 0 {
-							v.snapshot()
+							eng.Step()
 						}
 					}
 					// Same draws consumed: the streams must still be aligned.
@@ -151,7 +158,8 @@ func TestPolicyDrawCount(t *testing.T) {
 		r := rng.New(42)
 		twin := rng.New(42)
 		churn := rng.New(43)
-		v := newView(nodes, true)
+		tr := newTier(nil, nil, nodes, true)
+		v := tr.index
 		var inflight []int
 		for step := 0; step < 300; step++ {
 			got := c.pol.Pick(v, r)
@@ -164,11 +172,11 @@ func TestPolicyDrawCount(t *testing.T) {
 			if a, b := r.Uint64(), twin.Uint64(); a != b {
 				t.Fatalf("%s: draw count != %d per pick (streams diverged at step %d)", c.pol, c.draws, step)
 			}
-			v.dispatched(got)
+			tr.dispatched(got)
 			inflight = append(inflight, got)
 			if len(inflight) > 3*nodes {
 				k := churn.IntN(len(inflight))
-				v.completed(inflight[k])
+				tr.completed(inflight[k])
 				inflight[k] = inflight[len(inflight)-1]
 				inflight = inflight[:len(inflight)-1]
 			}
@@ -184,10 +192,11 @@ func TestCursorStaysBounded(t *testing.T) {
 	rr := &RoundRobin{}
 	bl := &BoundedLoad{Factor: 1.25}
 	r := rng.New(9)
-	v := newView(nodes, true)
+	tr := newTier(nil, nil, nodes, true)
+	v := tr.index
 	for step := 0; step < 5000; step++ {
-		v.dispatched(rr.Pick(v, r))
-		v.dispatched(bl.Pick(v, r))
+		tr.dispatched(rr.Pick(v, r))
+		tr.dispatched(bl.Pick(v, r))
 		if rr.next < 0 || rr.next >= nodes {
 			t.Fatalf("step %d: RoundRobin cursor %d out of [0,%d)", step, rr.next, nodes)
 		}
@@ -196,8 +205,8 @@ func TestCursorStaysBounded(t *testing.T) {
 		}
 		if step%3 == 0 {
 			for k := 0; k < 2; k++ {
-				if c := step % nodes; v.outstanding[c] > 0 {
-					v.completed(c)
+				if c := step % nodes; v.Depth(c) > 0 {
+					tr.completed(c)
 				}
 			}
 		}

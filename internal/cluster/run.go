@@ -99,7 +99,8 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	hier := cfg.Hierarchical()
-	sharded := cfg.Shards > 1 && (hier || cfg.Nodes > 1)
+	engines := Engines(cfg)
+	sharded := engines > 1
 
 	// RNG split order: arrivals, one policy stream per rack (a flat cluster
 	// is one rack), node seeds in node order, and the global tier last — so
@@ -119,8 +120,8 @@ func Run(cfg Config) (Result, error) {
 	tracing := record != nil
 
 	// Engines. Serial: one shard, recording inline. Sharded: the front tier
-	// on its own shard, the nodes in groups — one per rack two-tier,
-	// min(Shards, Nodes) contiguous slices flat — with group g owning nodes
+	// on its own shard, the nodes in engines-1 groups — one per rack
+	// two-tier, contiguous slices flat — with group g owning nodes
 	// [bounds[g], bounds[g+1]).
 	size, start := rackGeometry(cfg)
 	var front *shard
@@ -131,7 +132,7 @@ func Run(cfg Config) (Result, error) {
 		if hier {
 			bounds = append(append([]int(nil), start...), cfg.Nodes)
 		} else {
-			n := min(cfg.Shards, cfg.Nodes)
+			n := engines - 1
 			bounds = bounds[:0]
 			for s := 0; s <= n; s++ {
 				bounds = append(bounds, s*cfg.Nodes/n)
@@ -163,8 +164,7 @@ func Run(cfg Config) (Result, error) {
 		if len(cfg.NodePlans) > 0 && cfg.NodePlans[i] != nil {
 			ncfg.Params.Plan = cfg.NodePlans[i]
 		}
-		ncfg.Slowdown = faultByNode[i].Slowdown
-		ncfg.Pauses = faultByNode[i].Pauses
+		ncfg.Fault = faultByNode[i]
 		if tracing {
 			tracers[i] = &nodeTracer{node: i, emit: sh.emit}
 			ncfg.Trace = tracers[i]
@@ -205,7 +205,7 @@ func Run(cfg Config) (Result, error) {
 			racks = append(racks, rk)
 		}
 		ft = newTier(cfg.GlobalPolicy, globalRNG, cfg.Racks, cfg.GlobalSampleEvery == 0)
-		ft.scheduleRefresh(front.eng, cfg.GlobalSampleEvery, func(r int) int { return racks[r].t.aggregate() })
+		ft.scheduleRefresh(front.eng, cfg.GlobalSampleEvery, func(r int) int { return racks[r].t.index.total })
 		frontHop = cfg.GlobalHop
 	}
 
@@ -307,8 +307,8 @@ func Run(cfg Config) (Result, error) {
 		q.node = rk.start + local
 		if tracing {
 			now := eng.Now()
-			sh.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseBalancerRecv, At: now, Core: -1, Node: -1, Depth: rk.t.aggregate()})
-			sh.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseForward, At: now, Core: -1, Node: q.node, Depth: rk.t.depth(local)})
+			sh.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseBalancerRecv, At: now, Core: -1, Node: -1, Depth: rk.t.index.total})
+			sh.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseForward, At: now, Core: -1, Node: q.node, Depth: rk.t.index.Depth(local)})
 		}
 		rk.t.dispatched(local)
 		eng.ScheduleArg(cfg.Hop, inject, q)
@@ -336,10 +336,10 @@ func Run(cfg Config) (Result, error) {
 		e := 0 // a one-rack run may have no global policy: no draw
 		if ft.pol != nil {
 			e = ft.pick()
-			if e < 0 || e >= ft.v.Nodes() {
+			if e < 0 || e >= ft.index.Nodes() {
 				// A custom policy misbehaved; fail attributably rather
 				// than panicking deep inside a deferred engine callback.
-				front.fail(fmt.Errorf("cluster: %s %s picked %s %d of %d", who, ft.pol, what, e, ft.v.Nodes()))
+				front.fail(fmt.Errorf("cluster: %s %s picked %s %d of %d", who, ft.pol, what, e, ft.index.Nodes()))
 				return
 			}
 		}
@@ -348,7 +348,7 @@ func Run(cfg Config) (Result, error) {
 			// Depths are the front tier's pre-decision view: cluster-wide
 			// outstanding at ingress, the chosen endpoint's depth at forward.
 			front.emit(trace.Event{ReqID: id, Phase: recvPhase, At: now, Core: -1, Node: -1, Depth: totalOut})
-			front.emit(trace.Event{ReqID: id, Phase: fwdPhase, At: now, Core: -1, Node: e, Depth: ft.depth(e)})
+			front.emit(trace.Event{ReqID: id, Phase: fwdPhase, At: now, Core: -1, Node: e, Depth: ft.index.Depth(e)})
 		}
 		ft.dispatched(e)
 		totalOut++
@@ -457,6 +457,22 @@ func runRounds(front *shard, groups []*shard, lookahead sim.Duration,
 	pdes.Run(lookahead, rounds, exchange)
 }
 
+// Engines reports how many event engines one Run of a validated cfg uses:
+// 1 on the serial path, else the front tier's plus one per node group — a
+// group per rack two-tier, min(Shards, Nodes) contiguous groups flat. A
+// sharded run gives each engine its own goroutine each round.
+func Engines(cfg Config) int {
+	switch {
+	case cfg.Shards <= 1:
+		return 1
+	case cfg.Hierarchical():
+		return cfg.Racks + 1
+	case cfg.Nodes > 1:
+		return min(cfg.Shards, cfg.Nodes) + 1
+	}
+	return 1
+}
+
 // rackGeometry resolves the rack partition of a validated config: each
 // rack's node count and starting global node index (both empty when flat).
 // Racks are contiguous: rack r owns nodes [start[r], start[r]+size[r]).
@@ -484,17 +500,16 @@ func expandFaults(cfg Config, size, start []int) (faultByNode []machine.Fault, b
 	balPauses = make([][]machine.Pause, cfg.Racks)
 	rackLabel = make([]machine.Fault, cfg.Racks)
 	for _, f := range cfg.Faults {
-		mf := machine.Fault{Slowdown: f.Slowdown, Pauses: f.Pauses}
 		if !f.Rack {
-			faultByNode[f.Node] = mf
+			faultByNode[f.Node] = f.Fault
 			continue
 		}
 		r := f.Node
 		for i := start[r]; i < start[r]+size[r]; i++ {
-			faultByNode[i] = mf
+			faultByNode[i] = f.Fault
 		}
 		balPauses[r] = append(balPauses[r], f.Pauses...)
-		rackLabel[r] = mf
+		rackLabel[r] = f.Fault
 	}
 	return faultByNode, balPauses, rackLabel
 }

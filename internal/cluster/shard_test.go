@@ -138,7 +138,7 @@ func TestShardedFeaturesThread(t *testing.T) {
 	cfg.Measure = 2000
 	cfg.Shards = 3
 	cfg.SampleEvery = 2 * cfg.Hop
-	cfg.Faults = []NodeFault{{Node: 1, Slowdown: 2}}
+	cfg.Faults = []NodeFault{{Node: 1, Fault: machine.Fault{Slowdown: 2}}}
 	plans := make([]*machine.Plan, cfg.Nodes)
 	plans[5] = machine.PlanPartitioned()
 	cfg.NodePlans = plans

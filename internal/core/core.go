@@ -177,24 +177,11 @@ func GeometricRateGrid(capacity float64, lo, hi float64, n int) []float64 {
 	return rates
 }
 
-// RunCost reports how many goroutines one cluster.Run of cfg occupies: 1 on
-// the serial single-clock path, the whole shard team (node shards plus the
-// balancer shard) on the parallel path. A hierarchical sharded run teams one
-// engine per rack plus the global balancer's. Sweep layers divide their
-// worker cap by it so Options.Workers stays a true bound on total running
+// RunCost reports how many goroutines one cluster.Run of cfg occupies: one
+// per engine it runs on (cluster.Engines). Sweep layers divide their worker
+// cap by it so Options.Workers stays a true bound on total running
 // goroutines.
-func RunCost(cfg cluster.Config) int {
-	if cfg.Hierarchical() {
-		if cfg.Shards > 1 {
-			return cfg.Racks + 1
-		}
-		return 1
-	}
-	if shards := min(cfg.Shards, cfg.Nodes); shards > 1 {
-		return shards + 1
-	}
-	return 1
-}
+func RunCost(cfg cluster.Config) int { return cluster.Engines(cfg) }
 
 // BudgetWorkers converts a sweep-level worker cap (0 = NumCPU) into the
 // number of simulations allowed in flight when each simulation itself runs

@@ -134,7 +134,7 @@ func figHierOver(o Options, ns []int) (Figure, error) {
 	// rack is past saturation on its share, and only a global tier that
 	// watches rack aggregate depth sheds the excess.
 	top := ns[len(ns)-1]
-	slowFault := []cluster.NodeFault{{Node: 0, Rack: true, Slowdown: 2}}
+	slowFault := []cluster.NodeFault{{Node: 0, Rack: true, Fault: machine.Fault{Slowdown: 2}}}
 	degraded, err := runPoints(2, max(1, 1500/top), func(i int) (cluster.Result, error) {
 		global := []string{"jsqfull", "random"}[i]
 		cfg, err := hierConfigAt(o, top, global, "jsqfull")
@@ -161,7 +161,7 @@ func figHierOver(o Options, ns []int) (Figure, error) {
 		return Figure{}, err
 	}
 	pause := hierPause(failCfg)
-	failCfg.Faults = []cluster.NodeFault{{Node: 0, Rack: true, Pauses: []machine.Pause{pause}}}
+	failCfg.Faults = []cluster.NodeFault{{Node: 0, Rack: true, Fault: machine.Fault{Pauses: []machine.Pause{pause}}}}
 	failRes, err := cluster.Run(failCfg)
 	if err != nil {
 		return Figure{}, fmt.Errorf("hier failover at %d nodes: %w", top, err)

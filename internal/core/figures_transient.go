@@ -178,7 +178,7 @@ func figTransient(o Options) (Figure, error) {
 		base.RateMRPS = 0.7 * ClusterCapacityMRPS(base)
 		base.Epoch = TransientEpoch
 		if degraded {
-			base.Faults = []cluster.NodeFault{{Node: 0, Slowdown: 1.5}}
+			base.Faults = []cluster.NodeFault{{Node: 0, Fault: machine.Fault{Slowdown: 1.5}}}
 		}
 		est := ClusterCapacityMRPS(base)
 		need := float64(base.Warmup+base.Measure) / est * 1000

@@ -72,7 +72,7 @@ func TestSlowdownStretchesService(t *testing.T) {
 	cfg.Warmup, cfg.Measure = 500, 6000
 	healthy := mustRun(t, cfg)
 
-	cfg.Slowdown = 1.5
+	cfg.Fault.Slowdown = 1.5
 	slow := mustRun(t, cfg)
 
 	ratio := slow.ServiceMeanNanos / healthy.ServiceMeanNanos
@@ -94,7 +94,7 @@ func TestSlowdownOneIsHealthy(t *testing.T) {
 	cfg.Warmup, cfg.Measure = 300, 3000
 	base := mustRun(t, cfg)
 	for _, s := range []float64{0, 1} {
-		cfg.Slowdown = s
+		cfg.Fault.Slowdown = s
 		got := mustRun(t, cfg)
 		if got.Latency != base.Latency || got.ThroughputMRPS != base.ThroughputMRPS {
 			t.Fatalf("slowdown %g diverged from healthy run", s)
@@ -112,7 +112,7 @@ func TestPauseWindowBacklog(t *testing.T) {
 	base := mustRun(t, cfg)
 
 	pauseStart, pauseDur := 400*sim.Microsecond, 100*sim.Microsecond
-	cfg.Pauses = []Pause{{Start: pauseStart, Dur: pauseDur}}
+	cfg.Fault.Pauses = []Pause{{Start: pauseStart, Dur: pauseDur}}
 	paused := mustRun(t, cfg)
 
 	if paused.Latency.P99 <= base.Latency.P99 {

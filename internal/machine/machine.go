@@ -177,13 +177,12 @@ type Config struct {
 	// TailSampler, Sample and Tee. Passive: it never perturbs the run's RNG
 	// streams or event order.
 	Trace trace.Recorder
-	// Slowdown multiplies every sampled handler service time — a degraded
-	// (thermally throttled, misconfigured) server. 0 and 1 both mean full
-	// speed, byte-for-byte reproducing historical result streams.
-	Slowdown float64
-	// Pauses lists stall windows: a core beginning work inside one stalls
-	// until the window ends (GC pause, power event). See Pause.
-	Pauses []Pause
+	// Fault degrades the server: a handler service-time slowdown (a
+	// thermally throttled or misconfigured server) and/or stall windows in
+	// which a core beginning work stalls until the window ends (GC pause,
+	// power event). The zero value is a healthy server, byte-for-byte
+	// reproducing historical result streams.
+	Fault Fault
 	// Epoch sets the Result timeline's initial epoch length; 0 uses the
 	// metrics default (1 µs, doubling as the run outgrows it). MaxEpochs
 	// bounds the timeline's slice count (0 = metrics default, 64);
@@ -212,12 +211,9 @@ func (c Config) validate() error {
 	case c.MaxEpochs < 0:
 		return fmt.Errorf("machine: negative epoch bound")
 	default:
-		return c.fault().validate()
+		return c.Fault.validate()
 	}
 }
-
-// fault bundles the config's degradation fields.
-func (c Config) fault() Fault { return Fault{Slowdown: c.Slowdown, Pauses: c.Pauses} }
 
 // New wires up a machine for the given configuration.
 func New(cfg Config) (*Machine, error) {
@@ -239,7 +235,7 @@ func NewShared(cfg Config, eng *sim.Engine) (*Machine, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.fault().validate(); err != nil {
+	if err := cfg.Fault.validate(); err != nil {
 		return nil, err
 	}
 	return build(cfg, eng, true)
@@ -268,8 +264,8 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 		target:   cfg.Warmup + cfg.Measure,
 		slow:     1,
 	}
-	if cfg.Slowdown > 0 {
-		m.slow = cfg.Slowdown
+	if cfg.Fault.Slowdown > 0 {
+		m.slow = cfg.Fault.Slowdown
 	}
 	classes := make([]string, len(cfg.Workload.Classes))
 	for i, cl := range cfg.Workload.Classes {
@@ -737,7 +733,7 @@ func (m *Machine) begin(c *core, pollDelay sim.Duration) {
 	}
 	c.busy = true
 	now := m.eng.Now()
-	stall := pauseStall(m.cfg.Pauses, now)
+	stall := pauseStall(m.cfg.Fault.Pauses, now)
 	req.core = c
 	req.svcStart = now.Add(pollDelay + stall)
 	m.record(req.id, trace.PhaseStart, c.id, -1)

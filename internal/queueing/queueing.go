@@ -21,7 +21,6 @@ import (
 	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/dist"
 	"rpcvalet/internal/fifo"
-	"rpcvalet/internal/metrics"
 	"rpcvalet/internal/rng"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/stats"
@@ -100,9 +99,12 @@ func Run(cfg Config) (Result, error) {
 		stations[i] = &station{idle: cfg.ServersPerQueue}
 	}
 
+	// The measurement window holds completions Warmup+1 through target:
+	// it opens at the first and closes at the last, where the run stops.
 	completed := 0
 	target := cfg.Warmup + cfg.Measure
-	rec := metrics.NewRecorder(metrics.Config{})
+	var latency, wait stats.Sample
+	var winStart, winEnd sim.Time
 	arr := arrival.ResolvePerNs(cfg.Arrival, lambda)
 
 	var startService func(st *station, arrived sim.Time)
@@ -112,19 +114,16 @@ func Run(cfg Config) (Result, error) {
 		svc := sim.FromNanos(cfg.Service.Sample(svcRNG))
 		eng.Schedule(svc, func() {
 			completed++
-			if completed > cfg.Warmup && completed <= target && completed == cfg.Warmup+1 {
-				rec.OpenWindow(eng.Now())
+			now := eng.Now()
+			if completed > cfg.Warmup {
+				if completed == cfg.Warmup+1 {
+					winStart = now
+				}
+				latency.Add(now.Sub(arrived).Nanos())
+				wait.Add(began.Sub(arrived).Nanos())
 			}
-			rec.Complete(eng.Now(), metrics.Completion{
-				Class:     -1,
-				Measured:  true,
-				LatencyNs: eng.Now().Sub(arrived).Nanos(),
-				WaitNs:    began.Sub(arrived).Nanos(),
-				ServiceNs: -1,
-				Depth:     st.waiting.Len(),
-			})
 			if completed == target {
-				rec.CloseWindow(eng.Now())
+				winEnd = now
 				eng.Stop()
 			}
 			st.idle++
@@ -150,12 +149,12 @@ func Run(cfg Config) (Result, error) {
 
 	res := Result{
 		Config:  cfg,
-		Latency: rec.Latency(),
-		Wait:    rec.Wait(),
+		Latency: latency.Summarize(),
+		Wait:    wait.Summarize(),
 		MeanSvc: meanSvc,
 	}
-	if start, end := rec.Window(); end > start {
-		res.Throughput = float64(cfg.Measure-1) / end.Sub(start).Nanos()
+	if winEnd > winStart {
+		res.Throughput = float64(cfg.Measure-1) / winEnd.Sub(winStart).Nanos()
 	}
 	return res, nil
 }

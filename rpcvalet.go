@@ -65,7 +65,7 @@
 // and utilization — the time-resolved view that makes transients visible.
 // Two scenario axes drive them: ArrivalModulated wraps any arrival process
 // with a rate Envelope (Step, Pulse, Ramp, SquareWave), and degraded-node
-// injection (Config.Slowdown/Pauses on a machine, Cluster.Faults per node)
+// injection (Config.Fault on a machine, Cluster.Faults per node or rack)
 // models slow or stalling servers. The "transient" figure checks that
 // single-queue NI dispatch recovers from a 2× load pulse in fewer epochs
 // than the partitioned baseline, and that queue-aware cluster balancing
@@ -89,23 +89,21 @@
 //
 // Every runtime can explain its tail request by request. Each streams every
 // lifecycle event to the one TraceRecorder on its Config.Trace (Cluster.Trace,
-// LiveConfig.Trace). A TailSampler there (NewTailSampler) retains the K
-// slowest requests as Spans — per-request latency decomposed into balancer
-// hop, queue wait, dispatch, and service legs, with core/node attribution and
-// the queue depth each request arrived into. SampleTrace thins a recorder to
-// one request in N, and TeeTrace combines recorders, so a run keeps an exact
-// tail beside a sampled export with TeeTrace(tail, SampleTrace(collector, n)).
-// Tracing is passive, costs zero allocations when disabled, and never
+// LiveConfig.Trace). NewCapture(k, n, collect) builds the capture the CLIs
+// use: its Recorder keeps the K slowest requests as Spans (TailSpans) —
+// per-request latency decomposed into balancer hop, queue wait, dispatch, and
+// service legs, with core/node attribution and the queue depth each request
+// arrived into — beside, when collect is set, the spans of one request in N
+// for offline analysis (WriteJSONL, WriteJSONLFile: one JSON object per
+// line). Tracing is passive, costs zero allocations when disabled, and never
 // perturbs the simulated schedule — traced and untraced runs are
 // byte-identical. The obs exports serve live runs' counters and latency
 // histograms in Prometheus text format (ServeObs: /metrics, /healthz,
-// /debug/pprof), and WriteSpansJSONL exports span sets for offline analysis.
-// See DESIGN.md §7.
+// /debug/pprof). See DESIGN.md §7.
 package rpcvalet
 
 import (
 	"fmt"
-	"io"
 
 	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/cluster"
@@ -310,7 +308,7 @@ type Timeline = metrics.Timeline
 type EpochStats = metrics.EpochStats
 
 // Pause is a stall window: a core beginning work inside it stalls until the
-// window ends (a GC pause or power event). Set on Config.Pauses or a
+// window ends (a GC pause or power event). Set in a Fault on Config.Fault or a
 // cluster NodeFault.
 type Pause = machine.Pause
 
@@ -499,24 +497,21 @@ const (
 const TraceUnset = trace.Unset
 
 // TraceRecorder consumes lifecycle events. Set one on Config.Trace,
-// Cluster.Trace, or LiveConfig.Trace; combine several with TeeTrace and thin
-// one with SampleTrace.
+// Cluster.Trace, or LiveConfig.Trace — a Capture's Recorder, or your own.
 type TraceRecorder = trace.Recorder
 
-// TeeTrace fans one event stream out to several recorders, skipping nils; it
-// returns nil (tracing off) when none is left.
-func TeeTrace(recorders ...TraceRecorder) TraceRecorder { return trace.Tee(recorders...) }
+// Capture is one run's span capture: a tail of the slowest requests seeing
+// every request, beside a 1-in-N span collection for JSON-lines export.
+// Set its Recorder on a Config.Trace; after the run read TailSpans and write
+// the collection with WriteJSONL or WriteJSONLFile.
+type Capture = obs.Capture
 
-// SampleTrace forwards to r every event of one request in n (by request ID);
-// n ≤ 1 forwards every request.
-func SampleTrace(r TraceRecorder, n int) TraceRecorder { return trace.Sample(r, n) }
-
-// TailSampler is a TraceRecorder retaining a run's K slowest requests as
-// Spans, slowest first. Give it the whole stream, never a sampled one.
-type TailSampler = trace.TailSampler
-
-// NewTailSampler builds a sampler keeping the k slowest requests (k > 0).
-func NewTailSampler(k int) *TailSampler { return trace.NewTailSampler(k) }
+// NewCapture keeps the tailK slowest requests (none when tailK ≤ 0) and,
+// when collect is set, the spans of one request in sample (every request
+// when sample ≤ 1). A capture keeping nothing has a nil Recorder.
+func NewCapture(tailK, sample int, collect bool) *Capture {
+	return obs.NewCapture(tailK, sample, collect)
+}
 
 // TraceFunc adapts a function to a TraceRecorder.
 type TraceFunc = trace.Func
@@ -526,12 +521,6 @@ type TraceBuffer = trace.Buffer
 
 // NewTraceBuffer builds a trace ring holding the last capacity events.
 func NewTraceBuffer(capacity int) *TraceBuffer { return trace.NewBuffer(capacity) }
-
-// TraceCollector assembles a full event stream into completed Spans.
-type TraceCollector = trace.Collector
-
-// NewTraceCollector builds an empty span collector.
-func NewTraceCollector() *TraceCollector { return trace.NewCollector() }
 
 // AssembleSpans folds an event slice into Spans, one per request, in
 // first-seen order.
@@ -572,10 +561,6 @@ type ObsServer = obs.Server
 func ServeObs(addr string, reg *ObsRegistry, healthz func() error) (*ObsServer, error) {
 	return obs.Serve(addr, reg, healthz)
 }
-
-// WriteSpansJSONL writes spans one JSON object per line — the stable
-// offline-analysis export (unset milestones encode as -1).
-func WriteSpansJSONL(w io.Writer, spans []Span) error { return obs.WriteSpansJSONL(w, spans) }
 
 // QueueModel describes a theoretical Q×U queueing simulation (§2.2).
 type QueueModel = queueing.Config

@@ -254,8 +254,7 @@ func TestTransientAPI(t *testing.T) {
 		Measure:  6000,
 		Seed:     3,
 		Epoch:    epoch,
-		Slowdown: fault.Slowdown,
-		Pauses:   fault.Pauses,
+		Fault:    fault,
 	}
 	res, err := rpcvalet.Run(cfg)
 	if err != nil {
