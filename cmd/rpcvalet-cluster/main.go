@@ -32,7 +32,8 @@
 // policy (same grammar as -policies; the -policies list still names the
 // rack-level policy of each curve), -global-hop the global→rack network
 // latency in ns, and -global-sample a stale-scrape period for the global
-// depth view (0 = live). -racks 0 keeps the flat single-tier cluster.
+// depth view (0 = live). -racks 0 keeps the flat single-tier cluster, where
+// setting any -global-* flag is an error.
 //
 // -modulate wraps the aggregate arrival stream in a rate envelope
 // ("step@AT:xF", "pulse@START+DUR:xF", "ramp@START+DUR:xF",
@@ -170,11 +171,18 @@ func main() {
 			usage(err)
 		}
 	}
-	var gpol rpcvalet.ClusterPolicy
-	if *racks > 0 {
-		if gpol, err = rpcvalet.ClusterPolicyByName(*gpolName); err != nil {
-			usage(err)
-		}
+	gpol, err := rpcvalet.ClusterPolicyByName(*gpolName)
+	if err != nil {
+		usage(err)
+	}
+	if *racks <= 0 {
+		// The -global-* flags shape the global tier, which only -racks
+		// builds; set on a flat run they would be ignored without a word.
+		flag.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "global-") {
+				usage(fmt.Errorf("-%s needs -racks", f.Name))
+			}
+		})
 	}
 
 	curves := make([]rpcvalet.Curve, 0, len(names))

@@ -34,7 +34,7 @@ func checkAllocBudgets(t *testing.T, cases []allocCase) {
 				}
 			})
 			if per > c.budget {
-				t.Errorf("steady-state allocations per request = %.4f, budget %.1f", per, c.budget)
+				t.Errorf("steady-state allocations per request = %.4f, budget %g", per, c.budget)
 			}
 		})
 	}
@@ -42,34 +42,35 @@ func checkAllocBudgets(t *testing.T, cases []allocCase) {
 
 // TestClusterAllocsPerRequest pins the single-engine path: pooled request
 // trackers plus the pooled machine path underneath. The measured marginal
-// cost is ~0.32 allocations per request flat (four nodes plus the balancer)
-// and ~0.53 two-tier (eight nodes in two racks) — the recorders' amortized
-// epoch-timeline sample growth, nothing O(1) per request — so any real
-// per-request allocation reads ≥1.0 against the budgets.
+// cost is 0.0031 allocations per request flat (four nodes plus the balancer)
+// and 0.0039 two-tier (eight nodes in two racks). What is left is the
+// nodes' run logs growing with the run: a node inside a cluster cannot know
+// its share of the completions, so its log is not presized. The budgets are
+// about four times those figures, so any real per-request allocation reads
+// far above them.
 func TestClusterAllocsPerRequest(t *testing.T) {
 	checkAllocBudgets(t, []allocCase{
-		{"flat", func() Config { return baseConfig(4, JSQ{D: 2}, 0.6) }, 0.5},
-		{"two-tier", func() Config { return hierConfig(8, 2, JSQ{D: FullScan}, JSQ{D: 2}, 0.6) }, 0.8},
+		{"flat", func() Config { return baseConfig(4, JSQ{D: 2}, 0.6) }, 0.012},
+		{"two-tier", func() Config { return hierConfig(8, 2, JSQ{D: FullScan}, JSQ{D: 2}, 0.6) }, 0.016},
 	})
 }
 
-// TestShardedAllocsPerRequest pins the sharded round loop. The parallel path
-// pays per-round costs the serial path does not (barrier wakeups, channel
-// operations in the goroutine runtime), and rounds scale with simulated time
-// — measured ~0.70 per request flat with two shards and ~0.72 two-tier with
-// one shard per rack — so the budget is looser, but still close enough to
-// one that the pooled exchange cannot silently start allocating per message.
+// TestShardedAllocsPerRequest pins the sharded round loop: the pooled
+// exchange and the round barrier allocate nothing per message or round.
+// The measured marginal cost is 0.0027 allocations per request flat with
+// two shards and 0.0043 two-tier, the same node-log growth as the serial
+// path; the budget is about four times the larger.
 func TestShardedAllocsPerRequest(t *testing.T) {
 	checkAllocBudgets(t, []allocCase{
 		{"flat", func() Config {
 			cfg := baseConfig(4, JSQ{D: 2}, 0.6)
 			cfg.Shards = 2
 			return cfg
-		}, 1.2},
+		}, 0.018},
 		{"two-tier", func() Config {
 			cfg := hierConfig(8, 2, JSQ{D: FullScan}, JSQ{D: 2}, 0.6)
 			cfg.Shards = 2
 			return cfg
-		}, 1.2},
+		}, 0.018},
 	})
 }

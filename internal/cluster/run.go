@@ -219,7 +219,7 @@ func Run(cfg Config) (Result, error) {
 		halt          bool
 		pool          []*request
 	)
-	rec := metrics.NewRecorder(metrics.Config{EpochNanos: cfg.Epoch.Nanos(), MaxEpochs: cfg.MaxEpochs, Expect: cfg.Measure})
+	rec := metrics.NewRecorder(metrics.Config{EpochNanos: cfg.Epoch.Nanos(), MaxEpochs: cfg.MaxEpochs, Expect: cfg.Warmup + cfg.Measure})
 	stop := func() {
 		halt = true
 		front.eng.Stop()

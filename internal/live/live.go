@@ -652,8 +652,8 @@ func assemble(cfg Config, shape Shape, bound int, em Emulation, scale, spinsNs f
 		MaxEpochs:  cfg.MaxEpochs,
 	})
 
-	// Interleave the buffers into completion order so the recorder's window
-	// gating sees time-sorted events, as it would in a simulation.
+	// Interleave the buffers into completion order: the recorder takes
+	// observations in nondecreasing time, as a simulation makes them.
 	type wrec struct {
 		rec
 		worker int
@@ -667,8 +667,9 @@ func assemble(cfg Config, shape Shape, bound int, em Emulation, scale, spinsNs f
 	sort.Slice(all, func(i, j int) bool { return all[i].atNs < all[j].atNs })
 
 	// The window opens in event order, exactly as the simulators do it: the
-	// recorder gates summaries on a flag, so opening before the replay
-	// would let every pre-warmup completion contaminate them.
+	// window is the range of the recorder's log from OpenWindow on, so
+	// opening before the replay would let every pre-warmup completion
+	// contaminate it.
 	winStart := float64(warmup.Nanoseconds())
 	winEnd := winStart
 	inWindow := 0

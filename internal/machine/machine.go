@@ -273,7 +273,7 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	}
 	expect := 0
 	if !external {
-		expect = cfg.Measure
+		expect = cfg.Warmup + cfg.Measure
 	}
 	m.rec = metrics.NewRecorder(metrics.Config{
 		Classes:    classes,

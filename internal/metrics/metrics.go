@@ -1,38 +1,45 @@
 // Package metrics is the measurement layer shared by every simulator in the
 // repository: the machine model (internal/machine), the rack-scale cluster
-// (internal/cluster), and the queueing models (internal/queueing) all record
+// (internal/cluster) and the live runtime (internal/live) all record
 // through a Recorder instead of keeping ad-hoc sample fields.
 //
-// A Recorder collects two views of the same run:
+// A Recorder keeps one chronological run log per observed quantity — the
+// latency of each completion and its pre-service wait, warmup included —
+// and reads two views out of it:
 //
 //   - Summary statistics over the measurement window (warmup excluded):
-//     the headline latency sample, per-class latencies, pre-service wait,
-//     per-request service occupancy, and per-server busy time. These are
-//     exactly the collectors the simulators historically kept inline, fed
-//     the same values in the same order, so refactoring onto the Recorder
-//     is byte-identical for every existing result field.
+//     the headline latency, per-class latencies, pre-service wait, mean
+//     per-request service occupancy, and per-server busy time. The window
+//     is the range of the log between OpenWindow and CloseWindow; its
+//     summaries filter and add that range in log order, exactly as the
+//     collectors the simulators historically kept inline, so every result
+//     field is byte-identical to theirs.
 //
-//   - An epoch-sliced timeline over the whole run (warmup included): virtual
-//     time is cut into fixed-length epochs, and each epoch accumulates its
-//     own latency and wait samples, completion count, queue-depth
-//     observations, and busy time. The timeline is what makes transients
-//     visible — a load step, a burst, a degraded node — which a single
-//     steady-state window averages away.
+//   - An epoch-sliced timeline over the whole run: virtual time is cut into
+//     fixed-length epochs, and each epoch is a contiguous range of the log
+//     plus its running latency and wait sums (and sums of squares),
+//     completion count, queue-depth observations and busy time; an
+//     epoch's count, min, max and percentiles are read off its range. The
+//     timeline is what makes transients visible — a load step, a burst, a
+//     degraded node — which a single steady-state window averages away.
 //
+// An epoch is a contiguous range only because observations arrive in time
+// order: Complete and Busy panic on a time earlier than one already seen.
 // The slice count is bounded: when a run outgrows MaxEpochs slices, the
-// epoch length doubles and adjacent epochs merge pairwise
-// (stats.Sample.Merge), so the timeline stays a fixed number of rows for
-// any run length while every recorded observation remains attributed to the
-// slice containing it. Note the bound is on slice count, not bytes: epochs
-// keep exact-order-statistics samples, so total memory scales with the
-// completion count — the same order as the summary samples the simulators
-// have always kept (each observation is stored twice). The whole layer is
-// deterministic — it consumes no randomness and allocates no state that
-// depends on wall-clock time — so identical simulations produce identical
-// Timelines.
+// epoch length doubles and adjacent epochs merge pairwise — their sums add
+// as stats.Moments.Merge adds them and every other range boundary is
+// dropped, so a doubling copies no observation. Each observation is stored
+// once, in the log; a summary selects its percentiles over a reused scratch
+// copy, so the log is never reordered and Timeline may be called at any
+// time. The whole layer is deterministic — it consumes no randomness and
+// allocates no state that depends on wall-clock time — so identical
+// simulations produce identical Timelines.
 package metrics
 
 import (
+	"fmt"
+	"math"
+
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/stats"
 )
@@ -47,9 +54,14 @@ const (
 	DefaultMaxEpochs = 64
 )
 
+// firstEpochs is the epoch slice's first capacity. A node of a large
+// cluster built and run for a few µs touches three epochs; one
+// slice of four costs less than growing through one and two.
+const firstEpochs = 4
+
 // Config sizes a Recorder.
 type Config struct {
-	// Classes labels the per-class latency samples (may be empty).
+	// Classes names the request classes Class summarizes (may be empty).
 	Classes []string
 	// Servers is the busy-time capacity normalizer: the number of serving
 	// units (cores) whose combined busy time saturates an epoch's
@@ -60,9 +72,9 @@ type Config struct {
 	// MaxEpochs bounds the number of epoch slices (0 = DefaultMaxEpochs;
 	// values below 2 are raised to 2 so doubling can make progress).
 	MaxEpochs int
-	// Expect pre-sizes the summary samples for a run expected to record
-	// about this many completions, so steady-state recording never grows a
-	// slice. Zero leaves the samples growing on demand.
+	// Expect pre-sizes the run log for a run expected to record about this
+	// many completions, warmup included, so steady-state recording never
+	// grows a slice. Zero leaves the log growing on demand.
 	Expect int
 }
 
@@ -77,20 +89,30 @@ type Completion struct {
 	Depth     int     // queue-depth signal at completion; <0 = not observed
 }
 
-// epoch is one timeline slice's accumulators.
+// epoch is one timeline slice: where its entries start in each log, and
+// its accumulators. Its entries end where the next epoch's start. Of its
+// latency and wait moments it keeps only the sums: they are the moments
+// that depend on the order observations are added and merged in, while
+// count, min and max are read off the range.
 type epoch struct {
-	lat, wait   stats.Sample
-	completions int
-	depthSum    int64
-	depthN      int
-	depthMax    int
-	busy        sim.Duration
+	latLo, waitLo   int
+	latSum, latSq   float64 // measured latencies
+	waitSum, waitSq float64
+	completions     int
+	depthSum        int64
+	depthN          int
+	depthMax        int
+	busy            sim.Duration
 }
 
-// merge folds o into e (the epoch-doubling step).
+// merge folds o, the epoch after e, into e (the epoch-doubling step). The
+// sums add as stats.Moments.Merge adds them; adding an empty epoch's zero
+// sums changes no bit.
 func (e *epoch) merge(o *epoch) {
-	e.lat.Merge(&o.lat)
-	e.wait.Merge(&o.wait)
+	e.latSum += o.latSum
+	e.latSq += o.latSq
+	e.waitSum += o.waitSum
+	e.waitSq += o.waitSq
 	e.completions += o.completions
 	e.depthSum += o.depthSum
 	e.depthN += o.depthN
@@ -107,14 +129,28 @@ func (e *epoch) merge(o *epoch) {
 type Recorder struct {
 	cfg        Config
 	epochNanos float64
-	epochs     []*epoch
+	epochs     []epoch
+	last       sim.Time // the latest Complete or Busy time
 
-	// Summary collectors (measurement window only).
-	latency, wait, svc stats.Sample
-	class              []stats.Sample
-	busyTotal          []sim.Duration
-	winStart, winEnd   sim.Time
-	inWindow           bool
+	// The run log. lat holds every observed latency that is measured or
+	// belongs to a configured class; tag holds each one's class<<1 |
+	// measured (class -1 for none). tag stays nil while every entry has
+	// the tag plain, which is always so with no classes and, with one,
+	// while every entry is a measured completion of it.
+	lat     []float64
+	tag     []int32
+	plain   int32
+	wait    []float64
+	scratch []float64 // the copy summaries select over
+
+	// The summary window: a range of each log, open-ended while inWindow.
+	latLo, latHi     int
+	waitLo, waitHi   int
+	svcSum           float64
+	svcN             int
+	busyTotal        []sim.Duration
+	winStart, winEnd sim.Time
+	inWindow         bool
 }
 
 // NewRecorder builds a Recorder for one run.
@@ -131,29 +167,38 @@ func NewRecorder(cfg Config) *Recorder {
 	r := &Recorder{
 		cfg:        cfg,
 		epochNanos: cfg.EpochNanos,
-		class:      make([]stats.Sample, len(cfg.Classes)),
+		last:       math.MinInt64,
+		plain:      -1, // measured, no class
 		busyTotal:  make([]sim.Duration, cfg.Servers),
 	}
+	if len(cfg.Classes) == 1 {
+		r.plain = 1 // measured, class 0
+	}
 	if cfg.Expect > 0 {
-		r.latency.Grow(cfg.Expect)
-		r.wait.Grow(cfg.Expect)
-		r.svc.Grow(cfg.Expect)
-		for i := range r.class {
-			r.class[i].Grow(cfg.Expect)
-		}
+		r.lat = make([]float64, 0, cfg.Expect)
+		r.wait = make([]float64, 0, cfg.Expect)
+	}
+	if len(cfg.Classes) > 1 {
+		r.tag = make([]int32, 0, cfg.Expect)
 	}
 	return r
 }
 
-// OpenWindow starts the summary measurement window at time t (after warmup).
+// OpenWindow starts the summary measurement window at time t (after
+// warmup). A Recorder has one window: opening it again restarts it.
 func (r *Recorder) OpenWindow(t sim.Time) {
 	r.winStart = t
 	r.inWindow = true
+	r.latLo, r.waitLo = len(r.lat), len(r.wait)
+	r.svcSum, r.svcN = 0, 0
 }
 
 // CloseWindow ends the summary measurement window at time t.
 func (r *Recorder) CloseWindow(t sim.Time) {
 	r.winEnd = t
+	if r.inWindow {
+		r.latHi, r.waitHi = len(r.lat), len(r.wait)
+	}
 	r.inWindow = false
 }
 
@@ -161,8 +206,14 @@ func (r *Recorder) CloseWindow(t sim.Time) {
 func (r *Recorder) Window() (start, end sim.Time) { return r.winStart, r.winEnd }
 
 // epochAt returns the slice covering time t, doubling the epoch length (and
-// pairwise-merging existing slices) whenever t falls beyond MaxEpochs.
+// pairwise-merging existing slices) whenever t falls beyond MaxEpochs. It
+// panics when t precedes an earlier observation: the slices could then no
+// longer be contiguous log ranges.
 func (r *Recorder) epochAt(t sim.Time) *epoch {
+	if t < r.last {
+		panic(fmt.Sprintf("metrics: observation at %v precedes one at %v; Complete and Busy times must not decrease", t, r.last))
+	}
+	r.last = t
 	ns := t.Nanos()
 	if ns < 0 {
 		ns = 0
@@ -172,53 +223,59 @@ func (r *Recorder) epochAt(t sim.Time) *epoch {
 		r.double()
 		idx = int(ns / r.epochNanos)
 	}
-	for len(r.epochs) <= idx {
-		r.epochs = append(r.epochs, &epoch{})
+	if r.epochs == nil {
+		r.epochs = make([]epoch, 0, firstEpochs)
 	}
-	return r.epochs[idx]
+	for len(r.epochs) <= idx {
+		r.epochs = append(r.epochs, epoch{latLo: len(r.lat), waitLo: len(r.wait)})
+	}
+	return &r.epochs[idx]
 }
 
-// double doubles the epoch length and merges adjacent slices pairwise.
+// double doubles the epoch length and merges adjacent slices pairwise, in
+// place: each merged slice keeps its first half's range start.
 func (r *Recorder) double() {
 	r.epochNanos *= 2
-	half := (len(r.epochs) + 1) / 2
-	merged := make([]*epoch, half)
-	for i := 0; i < half; i++ {
+	n := len(r.epochs)
+	for i := 0; 2*i < n; i++ {
 		e := r.epochs[2*i]
-		if 2*i+1 < len(r.epochs) {
-			e.merge(r.epochs[2*i+1])
+		if 2*i+1 < n {
+			e.merge(&r.epochs[2*i+1])
 		}
-		merged[i] = e
+		r.epochs[i] = e
 	}
-	r.epochs = merged
+	r.epochs = r.epochs[:(n+1)/2]
 }
 
-// Complete records one finished request at virtual time t. The timeline
-// always records it; the summary collectors record it only while the
-// measurement window is open — the exact gating the simulators historically
-// applied inline.
+// Complete records one finished request at virtual time t, which must not
+// precede an earlier Complete or Busy time. The log and the timeline always
+// record it; the summaries see it only if it falls inside the measurement
+// window — the exact gating the simulators historically applied inline.
 func (r *Recorder) Complete(t sim.Time, c Completion) {
-	if r.inWindow {
-		if c.Measured && c.LatencyNs >= 0 {
-			r.latency.Add(c.LatencyNs)
-		}
-		if c.Class >= 0 && c.Class < len(r.class) && c.LatencyNs >= 0 {
-			r.class[c.Class].Add(c.LatencyNs)
-		}
-		if c.ServiceNs >= 0 {
-			r.svc.Add(c.ServiceNs)
-		}
-		if c.WaitNs >= 0 {
-			r.wait.Add(c.WaitNs)
-		}
-	}
 	e := r.epochAt(t)
 	e.completions++
-	if c.Measured && c.LatencyNs >= 0 {
-		e.lat.Add(c.LatencyNs)
+	if c.LatencyNs >= 0 {
+		tag := int32(-2) // no class, unmeasured: it feeds no summary
+		if c.Class >= 0 && c.Class < len(r.cfg.Classes) {
+			tag = int32(c.Class) << 1
+		}
+		if c.Measured {
+			tag |= 1
+			e.latSum += c.LatencyNs
+			e.latSq += c.LatencyNs * c.LatencyNs
+		}
+		if tag != -2 {
+			r.logLatency(c.LatencyNs, tag)
+		}
 	}
 	if c.WaitNs >= 0 {
-		e.wait.Add(c.WaitNs)
+		e.waitSum += c.WaitNs
+		e.waitSq += c.WaitNs * c.WaitNs
+		r.wait = append(r.wait, c.WaitNs)
+	}
+	if r.inWindow && c.ServiceNs >= 0 {
+		r.svcSum += c.ServiceNs
+		r.svcN++
 	}
 	if c.Depth >= 0 {
 		e.depthSum += int64(c.Depth)
@@ -229,11 +286,27 @@ func (r *Recorder) Complete(t sim.Time, c Completion) {
 	}
 }
 
+// logLatency appends one latency and its tag to the log, building the tag
+// column the first time a tag is not plain.
+func (r *Recorder) logLatency(v float64, tag int32) {
+	if r.tag == nil && tag != r.plain {
+		r.tag = make([]int32, len(r.lat), cap(r.lat))
+		for i := range r.tag {
+			r.tag[i] = r.plain
+		}
+	}
+	if r.tag != nil {
+		r.tag = append(r.tag, tag)
+	}
+	r.lat = append(r.lat, v)
+}
+
 // Busy attributes d of busy time on serving unit `server` to the epoch
-// containing t (by convention the time the busy span was committed). Spans
-// are not split across epoch boundaries, so an epoch's utilization is a
-// first-order attribution, not an integral; with epochs much longer than a
-// single span the distinction is negligible.
+// containing t (by convention the time the busy span was committed), which
+// must not precede an earlier Complete or Busy time. Spans are not split
+// across epoch boundaries, so an epoch's utilization is a first-order
+// attribution, not an integral; with epochs much longer than a single span
+// the distinction is negligible.
 func (r *Recorder) Busy(t sim.Time, server int, d sim.Duration) {
 	if server >= 0 && server < len(r.busyTotal) {
 		r.busyTotal[server] += d
@@ -262,19 +335,63 @@ func (r *Recorder) MeanUtilization(now sim.Time) float64 {
 	return float64(busy) / float64(now) / float64(len(r.busyTotal))
 }
 
+// collect copies into the scratch slice the entries of log[lo:hi] whose
+// latency tag passes keep (every entry when keep is nil), and adds their
+// moments in log order.
+func (r *Recorder) collect(log []float64, lo, hi int, keep func(tag int32) bool) ([]float64, stats.Moments) {
+	if cap(r.scratch) < hi-lo {
+		r.scratch = make([]float64, 0, hi-lo)
+	}
+	v := r.scratch[:0]
+	var m stats.Moments
+	for i := lo; i < hi; i++ {
+		if keep == nil || keep(r.tagAt(i)) {
+			m.Add(log[i])
+			v = append(v, log[i])
+		}
+	}
+	return v, m
+}
+
+// tagAt returns latency entry i's tag.
+func (r *Recorder) tagAt(i int) int32 {
+	if r.tag == nil {
+		return r.plain
+	}
+	return r.tag[i]
+}
+
+func measured(tag int32) bool { return tag&1 == 1 }
+
+// windowSummary summarizes the entries of log that the measurement window
+// holds: from lo to hi, or to the log's end while the window is open.
+func (r *Recorder) windowSummary(log []float64, lo, hi int, keep func(tag int32) bool) stats.Summary {
+	if r.inWindow {
+		hi = len(log)
+	}
+	return stats.Summarize(r.collect(log, lo, hi, keep))
+}
+
 // --- Summary accessors ----------------------------------------------------
 
-// Latency summarizes the headline (measured-class) latency sample.
-func (r *Recorder) Latency() stats.Summary { return r.latency.Summarize() }
+// Latency summarizes the headline (measured-class) latencies.
+func (r *Recorder) Latency() stats.Summary { return r.windowSummary(r.lat, r.latLo, r.latHi, measured) }
 
-// Class summarizes one request class's latency sample.
-func (r *Recorder) Class(i int) stats.Summary { return r.class[i].Summarize() }
+// Class summarizes one request class's latencies.
+func (r *Recorder) Class(i int) stats.Summary {
+	return r.windowSummary(r.lat, r.latLo, r.latHi, func(tag int32) bool { return tag>>1 == int32(i) })
+}
 
-// Wait summarizes the pre-service delay sample.
-func (r *Recorder) Wait() stats.Summary { return r.wait.Summarize() }
+// Wait summarizes the pre-service delays.
+func (r *Recorder) Wait() stats.Summary { return r.windowSummary(r.wait, r.waitLo, r.waitHi, nil) }
 
 // ServiceMean reports the mean per-request service occupancy (S̄).
-func (r *Recorder) ServiceMean() float64 { return r.svc.Mean() }
+func (r *Recorder) ServiceMean() float64 {
+	if r.svcN == 0 {
+		return 0
+	}
+	return r.svcSum / float64(r.svcN)
+}
 
 // --- Timeline -------------------------------------------------------------
 
@@ -303,8 +420,8 @@ type Timeline struct {
 // so indices remain proportional to time.
 func (r *Recorder) Timeline() Timeline {
 	last := -1
-	for i, e := range r.epochs {
-		if e.completions > 0 || e.depthN > 0 || e.busy > 0 {
+	for i := range r.epochs {
+		if e := &r.epochs[i]; e.completions > 0 || e.depthN > 0 || e.busy > 0 {
 			last = i
 		}
 	}
@@ -314,16 +431,24 @@ func (r *Recorder) Timeline() Timeline {
 	}
 	tl.Epochs = make([]EpochStats, last+1)
 	for i := 0; i <= last; i++ {
-		e := r.epochs[i]
+		e := &r.epochs[i]
+		latHi, waitHi := len(r.lat), len(r.wait)
+		if i+1 < len(r.epochs) {
+			latHi, waitHi = r.epochs[i+1].latLo, r.epochs[i+1].waitLo
+		}
+		lat, lm := r.collect(r.lat, e.latLo, latHi, measured)
+		lm.Sum, lm.SumSq = e.latSum, e.latSq
 		es := EpochStats{
 			StartNanos:     float64(i) * r.epochNanos,
 			EndNanos:       float64(i+1) * r.epochNanos,
 			Completions:    e.completions,
 			ThroughputMRPS: float64(e.completions) / r.epochNanos * 1000,
-			Latency:        e.lat.Summarize(),
-			Wait:           e.wait.Summarize(),
+			Latency:        stats.Summarize(lat, lm),
 			MaxDepth:       e.depthMax,
 		}
+		wait, wm := r.collect(r.wait, e.waitLo, waitHi, nil)
+		wm.Sum, wm.SumSq = e.waitSum, e.waitSq
+		es.Wait = stats.Summarize(wait, wm)
 		if e.depthN > 0 {
 			es.MeanDepth = float64(e.depthSum) / float64(e.depthN)
 		}

@@ -11,29 +11,83 @@ import (
 	"sort"
 )
 
+// Moments are a sample's running count, sum, sum of squares, minimum and
+// maximum: every Summary field but the percentiles. The zero value is
+// empty.
+type Moments struct {
+	N          int
+	Sum, SumSq float64
+	Min, Max   float64
+}
+
+// Add folds in one observation.
+func (m *Moments) Add(v float64) {
+	if m.N == 0 || v < m.Min {
+		m.Min = v
+	}
+	if m.N == 0 || v > m.Max {
+		m.Max = v
+	}
+	m.N++
+	m.Sum += v
+	m.SumSq += v * v
+}
+
+// Merge folds in o, whose observations follow m's. Merging empty moments
+// is a no-op.
+func (m *Moments) Merge(o Moments) {
+	if o.N == 0 {
+		return
+	}
+	if m.N == 0 || o.Min < m.Min {
+		m.Min = o.Min
+	}
+	if m.N == 0 || o.Max > m.Max {
+		m.Max = o.Max
+	}
+	m.N += o.N
+	m.Sum += o.Sum
+	m.SumSq += o.SumSq
+}
+
+// Mean returns the arithmetic mean, or 0 when empty.
+func (m Moments) Mean() float64 {
+	if m.N == 0 {
+		return 0
+	}
+	return m.Sum / float64(m.N)
+}
+
+// Variance returns the population variance, or 0 when empty.
+func (m Moments) Variance() float64 {
+	n := float64(m.N)
+	if n == 0 {
+		return 0
+	}
+	mean := m.Sum / n
+	v := m.SumSq/n - mean*mean
+	if v < 0 { // floating-point guard
+		return 0
+	}
+	return v
+}
+
+// StdDev returns the population standard deviation.
+func (m Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
+
 // Sample accumulates float64 observations and computes exact statistics.
 // The zero value is ready to use.
 type Sample struct {
 	values []float64
 	sorted bool
-	sum    float64
-	sumSq  float64
-	min    float64
-	max    float64
+	m      Moments
 }
 
 // Add records one observation.
 func (s *Sample) Add(v float64) {
-	if len(s.values) == 0 || v < s.min {
-		s.min = v
-	}
-	if len(s.values) == 0 || v > s.max {
-		s.max = v
-	}
+	s.m.Add(v)
 	s.values = append(s.values, v)
 	s.sorted = false
-	s.sum += v
-	s.sumSq += v * v
 }
 
 // Grow pre-sizes the sample to hold at least n observations without
@@ -52,38 +106,22 @@ func (s *Sample) Grow(n int) {
 func (s *Sample) Count() int { return len(s.values) }
 
 // Sum returns the running sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
+func (s *Sample) Sum() float64 { return s.m.Sum }
 
 // Mean returns the arithmetic mean, or 0 when empty.
-func (s *Sample) Mean() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	return s.sum / float64(len(s.values))
-}
+func (s *Sample) Mean() float64 { return s.m.Mean() }
 
 // Variance returns the population variance, or 0 when empty.
-func (s *Sample) Variance() float64 {
-	n := float64(len(s.values))
-	if n == 0 {
-		return 0
-	}
-	m := s.sum / n
-	v := s.sumSq/n - m*m
-	if v < 0 { // floating-point guard
-		return 0
-	}
-	return v
-}
+func (s *Sample) Variance() float64 { return s.m.Variance() }
 
 // StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
+func (s *Sample) StdDev() float64 { return s.m.StdDev() }
 
 // Min returns the smallest observation, or 0 when empty.
-func (s *Sample) Min() float64 { return s.min }
+func (s *Sample) Min() float64 { return s.m.Min }
 
 // Max returns the largest observation, or 0 when empty.
-func (s *Sample) Max() float64 { return s.max }
+func (s *Sample) Max() float64 { return s.m.Max }
 
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) using the nearest-rank method
 // on the sorted observations. It returns 0 when the sample is empty.
@@ -119,7 +157,7 @@ func (s *Sample) P50() float64 { return s.Quantile(0.50) }
 func (s *Sample) Reset() {
 	s.values = s.values[:0]
 	s.sorted = false
-	s.sum, s.sumSq, s.min, s.max = 0, 0, 0, 0
+	s.m = Moments{}
 }
 
 // Values returns a copy of the recorded observations, in no promised order
@@ -138,16 +176,9 @@ func (s *Sample) Merge(o *Sample) {
 	if o == nil || len(o.values) == 0 {
 		return
 	}
-	if len(s.values) == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if len(s.values) == 0 || o.max > s.max {
-		s.max = o.max
-	}
+	s.m.Merge(o.m)
 	s.values = append(s.values, o.values...)
 	s.sorted = false
-	s.sum += o.sum
-	s.sumSq += o.sumSq
 }
 
 // Summary is a compact set of tail statistics, suitable for tables.
@@ -163,35 +194,50 @@ type Summary struct {
 var summaryQuantiles = [...]float64{0.50, 0.90, 0.99, 0.999}
 
 // Summarize computes a Summary from the sample. Its percentiles equal
-// Quantile's exactly, but an unsorted sample finds them by selection, each
-// over the suffix past the previous rank, instead of sorting every value.
+// Quantile's exactly; an unsorted sample finds them by selection
+// (Summarize) instead of sorting every value.
 func (s *Sample) Summarize() Summary {
+	if !s.sorted {
+		return Summarize(s.values, s.m)
+	}
 	var q [len(summaryQuantiles)]float64
-	if n := len(s.values); n > 0 && !s.sorted {
+	for i, p := range summaryQuantiles {
+		q[i] = s.values[rank(p, len(s.values))]
+	}
+	return s.m.summary(q)
+}
+
+// Summarize computes the Summary of the observations v, whose moments are
+// m. It finds each percentile by selection over the suffix past the
+// previous rank, so it reorders v.
+func Summarize(v []float64, m Moments) Summary {
+	var q [len(summaryQuantiles)]float64
+	if n := len(v); n > 0 {
 		from := 0
 		for i, p := range summaryQuantiles {
 			r := rank(p, n)
 			if r >= from {
-				selectRank(s.values[from:], r-from)
+				selectRank(v[from:], r-from)
 				from = r + 1
 			}
-			q[i] = s.values[r]
-		}
-	} else {
-		for i, p := range summaryQuantiles {
-			q[i] = s.Quantile(p)
+			q[i] = v[r]
 		}
 	}
+	return m.summary(q)
+}
+
+// summary completes a Summary from the moments and the percentiles q.
+func (m Moments) summary(q [len(summaryQuantiles)]float64) Summary {
 	return Summary{
-		Count:  s.Count(),
-		Mean:   s.Mean(),
-		Min:    s.Min(),
-		Max:    s.Max(),
+		Count:  m.N,
+		Mean:   m.Mean(),
+		Min:    m.Min,
+		Max:    m.Max,
 		P50:    q[0],
 		P90:    q[1],
 		P99:    q[2],
 		P999:   q[3],
-		StdDev: s.StdDev(),
+		StdDev: m.StdDev(),
 	}
 }
 
