@@ -221,7 +221,7 @@ func TestPolicyPickBounds(t *testing.T) {
 	nodes := 5
 	depths := []int{3, 0, 7, 2, 5}
 	v := newDepthIndex(nodes)
-	v.rebuild(func(i int) int { return depths[i] })
+	v.Rebuild(func(i int) int { return depths[i] })
 	r := rng.New(3)
 	for _, p := range []Policy{Random{}, &RoundRobin{}, JSQ{D: 2}, JSQ{D: 16}, &BoundedLoad{Factor: 1.25}} {
 		for i := 0; i < 200; i++ {

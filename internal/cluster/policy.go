@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"rpcvalet/internal/depth"
 	"rpcvalet/internal/rng"
 )
 
@@ -14,19 +15,27 @@ import (
 // telemetry delay a real rack-scale balancer pays; with live sampling it is
 // the cluster-level analogue of the paper's NI occupancy feedback.
 //
-// Only the balancer's incremental depth index (index.go) implements View:
-// the unexported index method hands the whole-cluster policies (full JSQ,
-// BoundedLoad) the bitmap rows they decide over in O(N/64), so no unindexed
-// view can reach a policy. policy_equiv_test.go keeps the O(N) reference
-// scans and checks the indexed picks against them.
+// Only a tier's depth index (depthIndex) implements View: the unexported
+// index method hands the whole-cluster policies (full JSQ, BoundedLoad) the
+// bitmap rows they decide over in O(N/64), so no unindexed view can reach a
+// policy. policy_equiv_test.go keeps the O(N) reference scans and checks
+// the indexed picks against them.
 type View interface {
 	// Nodes reports the cluster size.
 	Nodes() int
 	// Depth reports the (possibly stale) queue depth of node i: RPCs
 	// dispatched to it and not yet completed.
 	Depth(i int) int
-	index() *depthIndex
+	index() *depth.Index
 }
+
+// depthIndex is a tier's view: the depth index (internal/depth) over its
+// endpoints, the only store of their visible depths, with 64 rows so any
+// BoundedLoad bound up to depth.Clamp is a row union.
+type depthIndex struct{ *depth.Index }
+
+func newDepthIndex(n int) depthIndex     { return depthIndex{depth.New(n, depth.Clamp)} }
+func (x depthIndex) index() *depth.Index { return x.Index }
 
 // Policy selects the destination node for each incoming RPC at the cluster
 // front end. Implementations may carry state (rotation position) and are
@@ -88,7 +97,7 @@ func (p JSQ) Pick(v View, r *rng.Source) int {
 	if d >= n {
 		// Full scan: one draw for the tie-break offset, then a
 		// find-first-set over the min-depth bitmap row from it.
-		return v.index().firstAtMin(r.IntN(n))
+		return v.index().FirstAtMin(r.IntN(n))
 	}
 	best := r.IntN(n)
 	for k := 1; k < d; k++ {
@@ -133,9 +142,9 @@ func (p *BoundedLoad) Pick(v View, _ *rng.Source) int {
 	n := v.Nodes()
 	start := p.next % n
 	x := v.index()
-	c := x.firstUnder(loadBound(p.Factor, x.total, n), start)
+	c := x.FirstUnder(loadBound(p.Factor, x.Total(), n), start)
 	if c < 0 {
-		c = x.firstAtMin(start)
+		c = x.FirstAtMin(start)
 	}
 	p.next = (c + 1) % n
 	return c

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rpcvalet/internal/depth"
 	"rpcvalet/internal/rng"
 	"rpcvalet/internal/sim"
 )
@@ -81,7 +82,7 @@ func TestPolicyIndexEquivalence(t *testing.T) {
 		name string
 		out  int // target outstanding per node
 	}
-	levels := []level{{"idle", 0}, {"light", 1}, {"steady", 4}, {"clamped", clampDepth + 8}}
+	levels := []level{{"idle", 0}, {"light", 1}, {"steady", 4}, {"clamped", depth.Clamp + 8}}
 	for _, nodes := range []int{1, 2, 5, 64, 65, 200} {
 		for _, lv := range levels {
 			for _, live := range []bool{true, false} {

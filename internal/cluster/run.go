@@ -205,7 +205,7 @@ func Run(cfg Config) (Result, error) {
 			racks = append(racks, rk)
 		}
 		ft = newTier(cfg.GlobalPolicy, globalRNG, cfg.Racks, cfg.GlobalSampleEvery == 0)
-		ft.scheduleRefresh(front.eng, cfg.GlobalSampleEvery, func(r int) int { return racks[r].t.index.total })
+		ft.scheduleRefresh(front.eng, cfg.GlobalSampleEvery, func(r int) int { return racks[r].t.index.Total() })
 		frontHop = cfg.GlobalHop
 	}
 
@@ -307,7 +307,7 @@ func Run(cfg Config) (Result, error) {
 		q.node = rk.start + local
 		if tracing {
 			now := eng.Now()
-			sh.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseBalancerRecv, At: now, Core: -1, Node: -1, Depth: rk.t.index.total})
+			sh.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseBalancerRecv, At: now, Core: -1, Node: -1, Depth: rk.t.index.Total()})
 			sh.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseForward, At: now, Core: -1, Node: q.node, Depth: rk.t.index.Depth(local)})
 		}
 		rk.t.dispatched(local)

@@ -4,7 +4,7 @@ package cluster
 // package. A tier is one balancing stage — a Policy deciding over the depth
 // index of E endpoints: machines for the flat cluster balancer and for each
 // rack balancer, whole racks for the global balancer of a two-tier
-// datacenter (run.go). The index is the view (index.go), so the O(N/64)
+// datacenter (run.go). The index is the view (internal/depth), so the O(N/64)
 // indexed policies work unchanged at either tier.
 //
 // The property that makes tiers stack is that a tier also *exposes* the
@@ -33,7 +33,7 @@ import (
 type tier struct {
 	pol   Policy
 	rng   *rng.Source
-	index *depthIndex
+	index depthIndex
 	live  bool
 	out   []int
 }
@@ -53,7 +53,7 @@ func (t *tier) dispatched(i int) {
 	if t.out != nil {
 		t.out[i]++
 	}
-	t.index.inc(i)
+	t.index.Inc(i)
 }
 
 // completed records one RPC known to have drained from endpoint i: visible
@@ -61,7 +61,7 @@ func (t *tier) dispatched(i int) {
 func (t *tier) completed(i int) {
 	switch {
 	case t.live:
-		t.index.dec(i)
+		t.index.Dec(i)
 	case t.out != nil:
 		t.out[i]--
 	}
@@ -85,7 +85,7 @@ func (t *tier) scheduleRefresh(eng *sim.Engine, every sim.Duration, scrape func(
 	}
 	var refresh func()
 	refresh = func() {
-		t.index.rebuild(scrape)
+		t.index.Rebuild(scrape)
 		eng.Schedule(every, refresh)
 	}
 	eng.Schedule(every, refresh)

@@ -46,11 +46,17 @@ type request struct {
 }
 
 // core is one serving core's state. Busy-time accounting lives in the
-// machine's metrics.Recorder, keyed by core ID.
+// machine's metrics.Recorder, keyed by core ID. Its wires are fixed at
+// build: deliverWire carries a CQE from its dispatcher to its private CQ,
+// notifyWire the replenish token back, and replyBackend is the NI backend
+// serving its mesh rows.
 type core struct {
-	id   int
-	tile noc.Coord
-	busy bool
+	id           int
+	busy         bool
+	disp         int32 // dispatcher index (hardware plans)
+	replyBackend int32
+	deliverWire  sim.Duration
+	notifyWire   sim.Duration
 	// cq is the private completion queue: dispatched messages awaiting
 	// processing.
 	cq fifo.Queue[*request]
@@ -69,11 +75,9 @@ type Machine struct {
 
 	cores       []*core
 	backends    []*sim.Server
-	backendTile []noc.Coord
 	dispatchers []*ni.Dispatcher
 	dispServer  []*sim.Server
-	dispTile    []noc.Coord
-	coreDisp    []int // core ID -> dispatcher index
+	toDisp      []sim.Duration // backend b → dispatcher g wire at [b*groups+g]
 
 	recvBuf  *sonuma.ReceiveBuffer
 	replyBuf *sonuma.SendBuffer
@@ -300,16 +304,13 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	// core's CQ holds at most threshold (and never more than N×S) requests.
 	cqDepth := min(m.plan.threshold, p.Domain.TotalSlots())
 	for i := 0; i < p.Cores; i++ {
-		c := &core{id: i, tile: p.Mesh.TileCoord(i)}
+		c := &core{id: i, replyBackend: int32(i * p.Backends / p.Cores)}
 		c.cq.Grow(cqDepth)
 		m.cores = append(m.cores, c)
 	}
 	m.idleCores.Grow(p.Cores)
-	// Backends sit on the left mesh edge, one per group of rows.
 	for b := 0; b < p.Backends; b++ {
 		m.backends = append(m.backends, sim.NewServer(m.eng))
-		row := b * p.Mesh.Height / p.Backends
-		m.backendTile = append(m.backendTile, noc.Coord{X: 0, Y: row})
 	}
 
 	if m.recvBuf, err = sonuma.NewReceiveBuffer(p.Domain); err != nil {
@@ -424,21 +425,25 @@ func policySeed(runSeed uint64, group int) uint64 {
 // wireDispatchers builds the dispatcher topology the plan describes: the
 // cores split contiguously into plan.groups equal groups, each group's
 // dispatcher living in the NI backend serving its mesh slice, running its
-// own policy instance under the plan's outstanding threshold.
+// own policy instance under the plan's outstanding threshold. It also fixes
+// every mesh wire a completion token crosses, once: backend → dispatcher,
+// dispatcher → core and core → dispatcher.
 func (m *Machine) wireDispatchers() error {
 	p := m.p
 	if m.plan.software {
 		// No hardware dispatcher; cores share the in-memory queue.
 		return nil
 	}
-	m.coreDisp = make([]int, p.Cores)
+	// Backends sit on the left mesh edge, one per group of rows.
+	backendTile := func(b int) noc.Coord { return noc.Coord{X: 0, Y: b * p.Mesh.Height / p.Backends} }
+	m.toDisp = make([]sim.Duration, p.Backends*m.plan.groups)
 	per := p.Cores / m.plan.groups
 	for g := 0; g < m.plan.groups; g++ {
 		cores := make([]int, per)
 		for i := range cores {
 			cores[i] = g*per + i
 		}
-		tile := m.backendTile[g*p.Backends/m.plan.groups]
+		tile := backendTile(g * p.Backends / m.plan.groups)
 		var policy ni.Policy
 		if m.plan.policy.New != nil {
 			// Every dispatcher gets a fresh, deterministically seeded
@@ -466,9 +471,14 @@ func (m *Machine) wireDispatchers() error {
 		}
 		m.dispatchers = append(m.dispatchers, d)
 		m.dispServer = append(m.dispServer, sim.NewServer(m.eng))
-		m.dispTile = append(m.dispTile, tile)
-		for _, c := range cores {
-			m.coreDisp[c] = g
+		for b := range p.Backends {
+			m.toDisp[b*m.plan.groups+g] = p.Mesh.Latency(backendTile(b), tile, ctrlBytes) + p.DispatchExtra
+		}
+		for _, id := range cores {
+			c, ct := m.cores[id], p.Mesh.TileCoord(id)
+			c.disp = int32(g)
+			c.deliverWire = p.Mesh.Latency(tile, ct, ctrlBytes) + p.CQEDeliver
+			c.notifyWire = p.WQERead + p.Mesh.Latency(ct, tile, ctrlBytes) + p.DispatchExtra
 		}
 	}
 	return nil
@@ -659,8 +669,7 @@ func (m *Machine) routeCompletion(req *request, b int) {
 	}
 	di := m.dispatcherFor(req, b)
 	req.disp = di
-	wire := m.p.Mesh.Latency(m.backendTile[b], m.dispTile[di], ctrlBytes) + m.p.DispatchExtra
-	m.eng.ScheduleArg(wire, m.fnRouteWire, req)
+	m.eng.ScheduleArg(m.toDisp[b*m.plan.groups+di], m.fnRouteWire, req)
 }
 
 // routeWire runs when the completion token reaches its dispatcher tile.
@@ -675,7 +684,7 @@ func (m *Machine) routeSubmit(arg any) {
 	req := arg.(*request)
 	msg := ni.Msg{Slot: req.slot, Src: req.src, Size: m.wl.RequestBytes, Tag: uint64(req.ref)}
 	if d, ok := m.dispatchers[req.disp].Enqueue(msg); ok {
-		m.deliver(req.disp, d)
+		m.deliver(d)
 	}
 }
 
@@ -698,7 +707,7 @@ func (m *Machine) dispatcherFor(req *request, b int) int {
 // message's receive slot (unique among admitted requests — §4.2's N×S flow
 // control never reuses a slot before its replenish), so any slot-identity
 // violation fails loudly.
-func (m *Machine) deliver(di int, d ni.Dispatch) {
+func (m *Machine) deliver(d ni.Dispatch) {
 	if d.Msg.Tag >= uint64(len(m.reqs)) || m.reqs[d.Msg.Tag].slot != d.Msg.Slot {
 		panic(fmt.Sprintf("machine: dispatch of unknown request %d (slot %d)", d.Msg.Tag, d.Msg.Slot))
 	}
@@ -706,8 +715,7 @@ func (m *Machine) deliver(di int, d ni.Dispatch) {
 	c := m.cores[d.Core]
 	m.record(req.id, trace.PhaseDispatch, d.Core, -1)
 	req.core = c
-	wire := m.p.Mesh.Latency(m.dispTile[di], c.tile, ctrlBytes) + m.p.CQEDeliver
-	m.eng.ScheduleArg(wire, m.fnDelivered, req)
+	m.eng.ScheduleArg(c.deliverWire, m.fnDelivered, req)
 }
 
 // delivered lands a dispatched message in its core's private CQ; an idle
@@ -798,8 +806,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 	// packets leave the backend.
 	req.replySlot = replySlot
 	req.refs = 2 // reply credit + replenish
-	rb := c.id * len(m.backends) / len(m.cores)
-	end := m.backends[rb].Occupy(sim.Duration(m.replyPkts) * m.p.PacketProc)
+	end := m.backends[c.replyBackend].Occupy(sim.Duration(m.replyPkts) * m.p.PacketProc)
 	m.eng.ScheduleArgAt(end.Add(m.p.NetRTT), m.fnReplyCredit, req)
 
 	// Replenish: free the receive slot now; the sender regains the credit
@@ -815,9 +822,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 	// the core, not the request: by the time these events fire the request
 	// may already be recycled.
 	if !m.plan.software {
-		di := m.coreDisp[c.id]
-		wire := m.p.WQERead + m.p.Mesh.Latency(c.tile, m.dispTile[di], ctrlBytes) + m.p.DispatchExtra
-		m.eng.ScheduleArg(wire, m.fnNotifyWire, c)
+		m.eng.ScheduleArg(c.notifyWire, m.fnNotifyWire, c)
 	}
 
 	// The core rolls onto queued work, or goes idle.
@@ -868,16 +873,15 @@ func (m *Machine) replenish(arg any) {
 // notifyWire runs when a core's replenish token reaches its dispatcher tile.
 func (m *Machine) notifyWire(arg any) {
 	c := arg.(*core)
-	m.dispServer[m.coreDisp[c.id]].SubmitArg(m.p.DispatchCycle, m.fnNotifyDone, c)
+	m.dispServer[c.disp].SubmitArg(m.p.DispatchCycle, m.fnNotifyDone, c)
 }
 
 // notifyDone records the core's completion at its dispatcher and delivers
 // any follow-on dispatch.
 func (m *Machine) notifyDone(arg any) {
 	c := arg.(*core)
-	di := m.coreDisp[c.id]
-	if d, ok := m.dispatchers[di].Complete(c.id); ok {
-		m.deliver(di, d)
+	if d, ok := m.dispatchers[c.disp].Complete(c.id); ok {
+		m.deliver(d)
 	}
 }
 

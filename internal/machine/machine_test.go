@@ -508,7 +508,7 @@ func TestDeliverRejectsUnknownRequest(t *testing.T) {
 	if held == nil {
 		t.Fatal("no admitted request left when the run stopped")
 	}
-	m.deliver(0, ni.Dispatch{Msg: ni.Msg{Slot: held.slot, Tag: uint64(held.ref)}})
+	m.deliver(ni.Dispatch{Msg: ni.Msg{Slot: held.slot, Tag: uint64(held.ref)}})
 
 	for _, tc := range []struct {
 		name string
@@ -525,7 +525,7 @@ func TestDeliverRejectsUnknownRequest(t *testing.T) {
 					t.Fatalf("deliver(%+v) panicked with %q, want a dispatch of unknown request", tc.msg, msg)
 				}
 			}()
-			m.deliver(0, ni.Dispatch{Msg: tc.msg})
+			m.deliver(ni.Dispatch{Msg: tc.msg})
 		})
 	}
 }

@@ -241,8 +241,8 @@ func FuzzParsePlan(f *testing.F) {
 		}
 		cores := cfg.Params.Cores
 		size := make([]int, len(m.dispatchers))
-		for _, g := range m.coreDisp {
-			size[g]++
+		for _, c := range m.cores {
+			size[c.disp]++
 		}
 		for g, n := range size {
 			if n == 0 || (pl.groupSize != 0 && n != pl.groupSize) {

@@ -23,6 +23,7 @@ package ni
 import (
 	"fmt"
 
+	"rpcvalet/internal/depth"
 	"rpcvalet/internal/fifo"
 	"rpcvalet/internal/sonuma"
 )
@@ -43,41 +44,67 @@ type Dispatch struct {
 	Msg  Msg
 }
 
-// Policy selects which available core receives the head message. Available
-// cores are passed by core ID, always non-empty; outstanding[i] is the
-// current outstanding count for core ID available[i]. The paper's
-// proof-of-concept uses a simple greedy policy but argues the stage can host
-// sophisticated, even microcoded, policies — hence the interface.
+// Policy selects which available core receives the head message. Pick
+// reads the dispatcher's View and returns a position in it: an index into
+// the group's cores, which must be below the outstanding threshold. Pick is
+// only called while at least one core is. The paper's proof-of-concept
+// uses a simple greedy policy but argues the stage can host sophisticated,
+// even microcoded, policies — hence the interface.
 type Policy interface {
-	Pick(msg Msg, available []int, outstanding []int) int
+	Pick(msg Msg, v *View) int
 	String() string
 }
 
-// FirstAvailable picks the lowest-numbered available core: the simple greedy
-// hardware the paper evaluates.
+// View is a policy's window on its dispatcher: the depth index over the
+// group's cores, position i being the i-th core given to NewDispatcher, read
+// through the outstanding threshold. It is the dispatcher's only store of
+// outstanding counts, as a tier's index is at rack scale; the Sets it
+// returns are read-only and valid until Pick returns.
+type View struct {
+	x         *depth.Index
+	cores     []int
+	threshold int
+}
+
+// Len reports the group size.
+func (v *View) Len() int { return len(v.cores) }
+
+// Core reports the core ID at position i.
+func (v *View) Core(i int) int { return v.cores[i] }
+
+// Outstanding reports the requests dispatched to position i and not yet
+// completed.
+func (v *View) Outstanding(i int) int { return v.x.Depth(i) }
+
+// Available returns the positions below the threshold, in group order.
+func (v *View) Available() depth.Set { return v.x.Under(v.threshold) }
+
+// Least returns the positions with the fewest outstanding requests, all of
+// them available while any core is.
+func (v *View) Least() depth.Set { return v.x.AtMin() }
+
+// LeastIn returns the first available position of mask with the fewest
+// outstanding requests among mask's available positions, or -1 when none
+// of mask is available.
+func (v *View) LeastIn(mask depth.Set) int { return v.x.LeastIn(mask, v.threshold) }
+
+// FirstAvailable picks the first available core in group order: the simple
+// greedy hardware the paper evaluates.
 type FirstAvailable struct{}
 
 // Pick implements Policy.
-func (FirstAvailable) Pick(_ Msg, available []int, _ []int) int { return available[0] }
+func (FirstAvailable) Pick(_ Msg, v *View) int { return v.Available().Nth(0) }
 
 func (FirstAvailable) String() string { return "first-available" }
 
 // LeastOutstanding picks the available core with the fewest outstanding
-// requests, breaking ties toward lower core IDs. With threshold 2 this
-// prefers fully idle cores over cores already holding one queued request,
-// eliminating avoidable queueing.
+// requests, breaking ties toward the earlier position. With threshold 2
+// this prefers fully idle cores over cores already holding one queued
+// request, eliminating avoidable queueing.
 type LeastOutstanding struct{}
 
 // Pick implements Policy.
-func (LeastOutstanding) Pick(_ Msg, available []int, outstanding []int) int {
-	best := 0
-	for i := 1; i < len(available); i++ {
-		if outstanding[i] < outstanding[best] {
-			best = i
-		}
-	}
-	return available[best]
-}
+func (LeastOutstanding) Pick(_ Msg, v *View) int { return v.Least().Nth(0) }
 
 func (LeastOutstanding) String() string { return "least-outstanding" }
 
@@ -88,27 +115,12 @@ func (LeastOutstanding) String() string { return "least-outstanding" }
 // would park a latency-critical request behind it even while other cores are
 // fully idle. Preferring minimum occupancy sends requests to idle cores
 // first; the rotating tie-break spreads load evenly among equals.
-type LeastOutstandingRR struct {
-	next int
-	ties []int // scratch, reused across Picks to keep the hot path allocation-free
-}
+type LeastOutstandingRR struct{ next int }
 
-// Pick implements Policy.
-func (p *LeastOutstandingRR) Pick(_ Msg, available []int, outstanding []int) int {
-	min := outstanding[0]
-	for _, o := range outstanding[1:] {
-		if o < min {
-			min = o
-		}
-	}
-	ties := p.ties[:0]
-	for i, o := range outstanding {
-		if o == min {
-			ties = append(ties, available[i])
-		}
-	}
-	p.ties = ties
-	c := ties[p.next%len(ties)]
+// Pick implements Policy: the (next mod ties)-th core of the least row.
+func (p *LeastOutstandingRR) Pick(_ Msg, v *View) int {
+	ties := v.Least()
+	c := ties.Nth(p.next % ties.Count())
 	p.next++
 	return c
 }
@@ -119,43 +131,15 @@ func (p *LeastOutstandingRR) String() string { return "least-outstanding-rr" }
 // regard to occupancy beyond the threshold gate.
 type RoundRobin struct{ next int }
 
-// Pick implements Policy.
-func (p *RoundRobin) Pick(_ Msg, available []int, _ []int) int {
-	c := available[p.next%len(available)]
+// Pick implements Policy: the (next mod available)-th available core.
+func (p *RoundRobin) Pick(_ Msg, v *View) int {
+	avail := v.Available()
+	c := avail.Nth(p.next % avail.Count())
 	p.next++
 	return c
 }
 
 func (p *RoundRobin) String() string { return "round-robin" }
-
-// Affinity steers messages to a preferred core subset keyed by the message
-// Tag (e.g. RPC type), falling back to any available core. It demonstrates
-// the paper's "certain types of RPCs serviced by specific cores" policy
-// sketch.
-type Affinity struct {
-	Preferred map[uint64][]int // tag -> preferred core IDs
-	Fallback  Policy
-}
-
-// Pick implements Policy.
-func (a Affinity) Pick(msg Msg, available []int, outstanding []int) int {
-	if pref, ok := a.Preferred[msg.Tag]; ok {
-		for _, want := range pref {
-			for _, c := range available {
-				if c == want {
-					return c
-				}
-			}
-		}
-	}
-	fb := a.Fallback
-	if fb == nil {
-		fb = FirstAvailable{}
-	}
-	return fb.Pick(msg, available, outstanding)
-}
-
-func (a Affinity) String() string { return "affinity" }
 
 // Unlimited is the threshold value meaning "no outstanding limit": every
 // message dispatches immediately, which reduces the dispatcher to a static
@@ -164,21 +148,14 @@ const Unlimited = int(^uint(0) >> 1)
 
 // Dispatcher is the centralized NI dispatch stage for a group of cores.
 type Dispatcher struct {
-	cores       []int // core IDs in this dispatcher's group
-	indexOf     []int // dense core-ID → group-index table (-1 = not in group)
-	outstanding []int
-	threshold   int
-	policy      Policy
+	view    View  // the group's depth index: its only outstanding counts
+	indexOf []int // dense core-ID → position table (-1 = not in group)
+	policy  Policy
 
 	queue     fifo.Queue[Msg] // shared CQ; unbounded, naturally limited by N×S flow control
 	maxDepth  int
 	enqueued  uint64
 	delivered uint64
-
-	// Scratch for tryDispatch's available-core scan, reused across calls so
-	// steady-state dispatch allocates nothing.
-	avail    []int
-	availOut []int
 }
 
 // NewDispatcher builds a dispatcher for the given cores. threshold is the
@@ -204,14 +181,17 @@ func NewDispatcher(cores []int, threshold int, policy Policy) (*Dispatcher, erro
 			maxCore = c
 		}
 	}
+	// The index clamps at the threshold: rows below it are the available
+	// cores, and one row holds every core at or past it, so a threshold-2
+	// group keeps three rows, not a tier's 64.
 	d := &Dispatcher{
-		cores:       append([]int(nil), cores...),
-		indexOf:     make([]int, maxCore+1),
-		outstanding: make([]int, len(cores)),
-		threshold:   threshold,
-		policy:      policy,
-		avail:       make([]int, 0, len(cores)),
-		availOut:    make([]int, 0, len(cores)),
+		view: View{
+			x:         depth.New(len(cores), min(threshold, depth.Clamp)),
+			cores:     append([]int(nil), cores...),
+			threshold: threshold,
+		},
+		indexOf: make([]int, maxCore+1),
+		policy:  policy,
 	}
 	for i := range d.indexOf {
 		d.indexOf[i] = -1
@@ -229,7 +209,7 @@ func NewDispatcher(cores []int, threshold int, policy Policy) (*Dispatcher, erro
 // in this dispatcher's group (a wiring bug).
 func (d *Dispatcher) mustIndex(core int) int {
 	if core < 0 || core >= len(d.indexOf) || d.indexOf[core] < 0 {
-		panic(fmt.Sprintf("ni: core %d not in dispatcher group %v", core, d.cores))
+		panic(fmt.Sprintf("ni: core %d not in dispatcher group %v", core, d.view.cores))
 	}
 	return d.indexOf[core]
 }
@@ -255,10 +235,10 @@ func (d *Dispatcher) Enqueue(m Msg) (Dispatch, bool) {
 // the dispatcher) and returns the follow-on dispatch, if any.
 func (d *Dispatcher) Complete(core int) (Dispatch, bool) {
 	i := d.mustIndex(core)
-	if d.outstanding[i] == 0 {
+	if d.view.x.Depth(i) == 0 {
 		panic(fmt.Sprintf("ni: Complete(core %d) with zero outstanding", core))
 	}
-	d.outstanding[i]--
+	d.view.x.Dec(i)
 	return d.tryDispatch()
 }
 
@@ -266,33 +246,19 @@ func (d *Dispatcher) Complete(core int) (Dispatch, bool) {
 // FIFO order is preserved: only the head message is ever considered, exactly
 // like the hardware Dispatch stage.
 func (d *Dispatcher) tryDispatch() (Dispatch, bool) {
-	if d.QueueDepth() == 0 {
-		return Dispatch{}, false
-	}
-	avail, availOut := d.avail[:0], d.availOut[:0]
-	for i, c := range d.cores {
-		if d.outstanding[i] < d.threshold {
-			avail = append(avail, c)
-			availOut = append(availOut, d.outstanding[i])
-		}
-	}
-	d.avail, d.availOut = avail, availOut
-	if len(avail) == 0 {
+	v := &d.view
+	if d.queue.Len() == 0 || !v.x.HasUnder(v.threshold) {
 		return Dispatch{}, false
 	}
 	head, _ := d.queue.Peek()
-	core := d.policy.Pick(head, avail, availOut)
-	if core < 0 || core >= len(d.indexOf) || d.indexOf[core] < 0 {
-		panic(fmt.Sprintf("ni: policy %s picked unavailable core %d", d.policy, core))
-	}
-	i := d.indexOf[core]
-	if d.outstanding[i] >= d.threshold {
-		panic(fmt.Sprintf("ni: policy %s picked unavailable core %d", d.policy, core))
+	i := d.policy.Pick(head, v)
+	if i < 0 || i >= len(v.cores) || v.x.Depth(i) >= v.threshold {
+		panic(fmt.Sprintf("ni: policy %s picked unavailable core at position %d", d.policy, i))
 	}
 	m, _ := d.queue.Pop()
-	d.outstanding[i]++
+	v.x.Inc(i)
 	d.delivered++
-	return Dispatch{Core: core, Msg: m}, true
+	return Dispatch{Core: v.cores[i], Msg: m}, true
 }
 
 // Stats reports lifetime counters: messages enqueued and delivered.

@@ -3,13 +3,12 @@ package ni
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"rpcvalet/internal/rng"
 )
 
 // outstanding reads a core's outstanding count.
-func outstanding(d *Dispatcher, core int) int { return d.outstanding[d.mustIndex(core)] }
+func outstanding(d *Dispatcher, core int) int { return d.view.Outstanding(d.mustIndex(core)) }
 
 func mustDispatcher(t *testing.T, cores []int, threshold int, p Policy) *Dispatcher {
 	t.Helper()
@@ -103,6 +102,35 @@ func TestOutstandingPanicsOnForeignCore(t *testing.T) {
 	d.Complete(5)
 }
 
+// busyPolicy picks position 0 whatever its occupancy; outsidePolicy picks
+// one past the group's last position.
+type (
+	busyPolicy    struct{}
+	outsidePolicy struct{}
+)
+
+func (busyPolicy) Pick(Msg, *View) int        { return 0 }
+func (busyPolicy) String() string             { return "busy" }
+func (outsidePolicy) Pick(_ Msg, v *View) int { return v.Len() }
+func (outsidePolicy) String() string          { return "outside" }
+
+// TestPickOfUnavailableCorePanics: a policy that picks a position at the
+// threshold, or outside the group, is a bug the dispatcher reports loudly.
+func TestPickOfUnavailableCorePanics(t *testing.T) {
+	for _, pol := range []Policy{busyPolicy{}, outsidePolicy{}} {
+		d := mustDispatcher(t, []int{4, 9}, 1, pol)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: unavailable pick did not panic", pol)
+				}
+			}()
+			d.Enqueue(Msg{})
+			d.Enqueue(Msg{})
+		}()
+	}
+}
+
 func TestUnlimitedThresholdNeverQueues(t *testing.T) {
 	d := mustDispatcher(t, []int{3}, Unlimited, nil)
 	for i := 0; i < 1000; i++ {
@@ -150,28 +178,8 @@ func TestRoundRobinPolicy(t *testing.T) {
 	}
 }
 
-func TestAffinityPolicy(t *testing.T) {
-	p := Affinity{Preferred: map[uint64][]int{42: {2, 1}}}
-	d := mustDispatcher(t, []int{0, 1, 2}, 1, p)
-	// Tagged message goes to preferred core 2.
-	dis, _ := d.Enqueue(Msg{Tag: 42})
-	if dis.Core != 2 {
-		t.Fatalf("affinity dispatched to %d, want 2", dis.Core)
-	}
-	// Preferred core busy: falls to next preference (1).
-	dis, _ = d.Enqueue(Msg{Tag: 42})
-	if dis.Core != 1 {
-		t.Fatalf("affinity fallback to %d, want 1", dis.Core)
-	}
-	// Untagged message uses fallback policy (first available = 0).
-	dis, _ = d.Enqueue(Msg{Tag: 7})
-	if dis.Core != 0 {
-		t.Fatalf("untagged to %d, want 0", dis.Core)
-	}
-}
-
 func TestPolicyStrings(t *testing.T) {
-	for _, p := range []Policy{FirstAvailable{}, LeastOutstanding{}, &LeastOutstandingRR{}, &RoundRobin{}, Affinity{}} {
+	for _, p := range []Policy{FirstAvailable{}, LeastOutstanding{}, &LeastOutstandingRR{}, &RoundRobin{}} {
 		if p.String() == "" {
 			t.Fatal("empty policy name")
 		}
@@ -231,72 +239,34 @@ func TestStatsAndMaxDepth(t *testing.T) {
 	}
 }
 
-// Property: under any interleaving of enqueues and completions, (a) no core
-// ever exceeds the threshold, (b) messages dispatch in strict FIFO order,
-// and (c) conservation holds: enqueued = delivered + queued.
+// TestPropertyDispatcherInvariants drives every built-in policy (each
+// PolicyNames entry plus random3) at thresholds 1, 2, 3 and Unlimited over
+// non-contiguous core IDs with a seeded op stream, checking each step
+// against the slice-scan reference (policy_equiv_test.go): the same pick,
+// the same RNG draws, no core past the threshold, strict FIFO dispatch and
+// conservation. Under Unlimited the stream leans on enqueues and bursts,
+// driving depths past the index's clamp row as 16x1 does under overload.
 func TestPropertyDispatcherInvariants(t *testing.T) {
-	f := func(seed uint64, thr8, ncores8 uint8) bool {
-		ncores := int(ncores8%8) + 1
-		thr := int(thr8%3) + 1
-		cores := make([]int, ncores)
-		for i := range cores {
-			cores[i] = i * 10 // non-contiguous IDs to exercise the index map
-		}
-		d, err := NewDispatcher(cores, thr, LeastOutstanding{})
-		if err != nil {
-			return false
-		}
-		src := rng.New(seed)
-		inFlight := map[int]int{}
-		nextSlot := 0
-		wantNext := 0 // FIFO check: slots must dispatch in issue order
-		for step := 0; step < 3000; step++ {
-			if src.IntN(2) == 0 {
-				dis, ok := d.Enqueue(Msg{Slot: nextSlot})
-				nextSlot++
-				if ok {
-					if dis.Msg.Slot != wantNext {
-						return false
-					}
-					wantNext++
-					inFlight[dis.Core]++
-				}
-			} else {
-				// Complete a random busy core.
-				var busy []int
-				for c, n := range inFlight {
-					if n > 0 {
-						busy = append(busy, c)
+	for _, name := range equivPolicyNames {
+		for _, thr := range []int{1, 2, 3, Unlimited} {
+			for ncores := 1; ncores <= 8; ncores++ {
+				src := rng.New(uint64(ncores*1000 + min(thr, 9)))
+				ops := make([]byte, 3000)
+				for i := range ops {
+					switch k := src.IntN(16); {
+					case thr == Unlimited && k == 0:
+						ops[i] = byte(src.IntN(64))<<2 | 3 // burst
+					case k < 8 || thr == Unlimited && k < 12:
+						ops[i] = byte(src.IntN(64)) << 2 // one enqueue
+					default:
+						ops[i] = byte(src.IntN(64))<<2 | 2 // one completion
 					}
 				}
-				if len(busy) == 0 {
-					continue
+				if err := runTwins(name, ncores, thr, uint64(ncores), ops, thr == Unlimited); err != nil {
+					t.Fatalf("%s thr=%d cores=%d: %v", name, thr, ncores, err)
 				}
-				c := busy[src.IntN(len(busy))]
-				dis, ok := d.Complete(c)
-				inFlight[c]--
-				if ok {
-					if dis.Msg.Slot != wantNext {
-						return false
-					}
-					wantNext++
-					inFlight[dis.Core]++
-				}
-			}
-			for _, c := range cores {
-				if got := outstanding(d, c); got > thr || got != inFlight[c] {
-					return false
-				}
-			}
-			enq, del := d.Stats()
-			if enq != del+uint64(d.QueueDepth()) {
-				return false
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"rpcvalet/internal/depth"
 	"rpcvalet/internal/rng"
 )
 
@@ -84,10 +85,9 @@ func SpecByName(name string) (Spec, error) {
 // occupancy counters — the classic Mitzenmacher result, and a plausible
 // microcoded NI policy.
 type RandomOfD struct {
-	D   int
-	rng *rng.Source
-
-	scratch []int // reusable index buffer for without-replacement sampling
+	D     int
+	rng   *rng.Source
+	draws []int // this Pick's Fisher–Yates swap targets, one per sample
 }
 
 // NewRandomOfD builds a power-of-d-choices policy with its own
@@ -96,44 +96,35 @@ func NewRandomOfD(d int, seed uint64) *RandomOfD {
 	if d < 2 {
 		panic(fmt.Sprintf("ni: RandomOfD needs d >= 2, got %d", d))
 	}
-	return &RandomOfD{D: d, rng: rng.New(seed)}
+	return &RandomOfD{D: d, rng: rng.New(seed), draws: make([]int, d)}
 }
 
-// Pick implements Policy.
-func (p *RandomOfD) Pick(_ Msg, available []int, outstanding []int) int {
-	n := len(available)
-	if n == 1 {
-		return available[0]
-	}
+// Pick implements Policy. When the sample would cover every available core
+// it is full least-outstanding and draws nothing. Otherwise it runs a
+// partial Fisher–Yates over the n available cores' ranks: sample k swaps
+// rank k with rank j = k + IntN(n−k), and the core it takes is the one at
+// rank j, found by replaying the earlier swaps backwards from j. Ties go to
+// the earlier sample.
+func (p *RandomOfD) Pick(_ Msg, v *View) int {
+	avail := v.Available()
+	n := avail.Count()
 	if p.D >= n {
-		// The sample covers every available core: full least-outstanding,
-		// no randomness needed.
-		best := 0
-		for i := 1; i < n; i++ {
-			if outstanding[i] < outstanding[best] {
-				best = i
-			}
-		}
-		return available[best]
-	}
-	// Partial Fisher–Yates over an index scratch buffer: the first D
-	// positions become a uniform without-replacement sample.
-	if cap(p.scratch) < n {
-		p.scratch = make([]int, n)
-	}
-	idx := p.scratch[:n]
-	for i := range idx {
-		idx[i] = i
+		return v.Least().Nth(0)
 	}
 	best := -1
 	for k := 0; k < p.D; k++ {
 		j := k + p.rng.IntN(n-k)
-		idx[k], idx[j] = idx[j], idx[k]
-		if c := idx[k]; best == -1 || outstanding[c] < outstanding[best] {
+		p.draws[k] = j
+		for s := k - 1; s >= 0; s-- {
+			if p.draws[s] == j {
+				j = s
+			}
+		}
+		if c := avail.Nth(j); best == -1 || v.Outstanding(c) < v.Outstanding(best) {
 			best = c
 		}
 	}
-	return available[best]
+	return best
 }
 
 func (p *RandomOfD) String() string { return fmt.Sprintf("random%d", p.D) }
@@ -141,35 +132,32 @@ func (p *RandomOfD) String() string { return fmt.Sprintf("random%d", p.D) }
 // LocalFirst prefers cores on the dispatcher's own mesh row — the cores a
 // CQE reaches in X-dimension hops only, without crossing rows — and falls
 // back to the whole group when the home row is saturated. Within either set
-// it picks the least-outstanding core (lowest ID on ties). This is the
-// paper's "certain types of RPCs serviced by specific cores" sketch turned
-// into a topology policy: it trades some balancing freedom for shorter
-// dispatcher→core delivery paths.
+// it picks the least-outstanding core (earliest position on ties). This is
+// the paper's "certain types of RPCs serviced by specific cores" sketch
+// turned into a topology policy: it trades some balancing freedom for
+// shorter dispatcher→core delivery paths.
 type LocalFirst struct {
 	HomeRow   int // mesh row of the dispatcher's tile
 	MeshWidth int // core ID → row mapping: row = id / MeshWidth
+
+	home depth.Set // home-row positions of the view it was built for
+	of   *View
 }
 
 // Pick implements Policy.
-func (p LocalFirst) Pick(_ Msg, available []int, outstanding []int) int {
-	best := -1
-	for i, c := range available {
-		if c/p.MeshWidth != p.HomeRow {
-			continue
-		}
-		if best == -1 || outstanding[i] < outstanding[best] {
-			best = i
-		}
-	}
-	if best == -1 { // home row saturated (or not in this group): any core
-		best = 0
-		for i := 1; i < len(available); i++ {
-			if outstanding[i] < outstanding[best] {
-				best = i
+func (p *LocalFirst) Pick(_ Msg, v *View) int {
+	if p.of != v {
+		p.of, p.home = v, make(depth.Set, (v.Len()+63)/64)
+		for i := range v.Len() {
+			if v.Core(i)/p.MeshWidth == p.HomeRow {
+				p.home[i>>6] |= 1 << uint(i&63)
 			}
 		}
 	}
-	return available[best]
+	if c := v.LeastIn(p.home); c >= 0 {
+		return c
+	}
+	return v.Least().Nth(0)
 }
 
-func (p LocalFirst) String() string { return fmt.Sprintf("local(row %d)", p.HomeRow) }
+func (p *LocalFirst) String() string { return fmt.Sprintf("local(row %d)", p.HomeRow) }

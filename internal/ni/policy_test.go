@@ -18,9 +18,9 @@ func TestSpecByNameKnown(t *testing.T) {
 			t.Fatalf("%s: nil policy", name)
 		}
 		// Every policy must pick from the available set.
-		got := p.Pick(Msg{}, []int{4, 5, 6, 7}, []int{1, 0, 1, 1})
-		if got < 4 || got > 7 {
-			t.Fatalf("%s: picked %d outside available set", name, got)
+		v := viewOf([]int{4, 5, 6, 7}, 2, []int{1, 0, 1, 1})
+		if got := p.Pick(Msg{}, v); got < 0 || got >= v.Len() || v.Outstanding(got) >= 2 {
+			t.Fatalf("%s: picked position %d outside the available set", name, got)
 		}
 	}
 }
@@ -42,23 +42,22 @@ func TestSpecByNameRandomN(t *testing.T) {
 // covers the least-loaded core, so over many trials the shortest queue must
 // dominate the picks; determinism must hold for equal seeds.
 func TestRandomOfDPrefersShorter(t *testing.T) {
-	avail := []int{0, 1, 2, 3}
-	out := []int{3, 3, 0, 3}
+	v := viewOf([]int{0, 1, 2, 3}, 4, []int{3, 3, 0, 3})
 	a, b := NewRandomOfD(4, 42), NewRandomOfD(4, 42)
 	hits := 0
 	for i := 0; i < 1000; i++ {
-		pa, pb := a.Pick(Msg{}, avail, out), b.Pick(Msg{}, avail, out)
+		pa, pb := a.Pick(Msg{}, v), b.Pick(Msg{}, v)
 		if pa != pb {
 			t.Fatal("equal seeds diverged")
 		}
-		if pa == 2 {
+		if v.Core(pa) == 2 {
 			hits++
 		}
 	}
 	if hits < 600 {
 		t.Fatalf("least-loaded core picked only %d/1000 times with d=4", hits)
 	}
-	if NewRandomOfD(2, 1).Pick(Msg{}, []int{9}, []int{0}) != 9 {
+	if one := viewOf([]int{9}, 4, []int{0}); one.Core(NewRandomOfD(2, 1).Pick(Msg{}, one)) != 9 {
 		t.Fatal("single available core not picked")
 	}
 }
@@ -76,16 +75,17 @@ func TestRandomOfDRejectsD1(t *testing.T) {
 // any of them are available; off-row cores are the spillover.
 func TestLocalFirstPrefersHomeRow(t *testing.T) {
 	// MeshWidth 4: row 1 is cores 4-7.
-	p := LocalFirst{HomeRow: 1, MeshWidth: 4}
+	p := &LocalFirst{HomeRow: 1, MeshWidth: 4}
 	// Home-row core available with higher occupancy than an off-row core:
 	// locality wins, and within the row the least-outstanding core wins.
-	got := p.Pick(Msg{}, []int{0, 4, 5, 12}, []int{0, 1, 2, 0})
-	if got != 4 {
+	v := viewOf([]int{0, 4, 5, 12}, 3, []int{0, 1, 2, 0})
+	if got := v.Core(p.Pick(Msg{}, v)); got != 4 {
 		t.Fatalf("picked %d, want home-row core 4", got)
 	}
-	// Home row saturated: least-outstanding anywhere.
-	got = p.Pick(Msg{}, []int{0, 12, 13}, []int{1, 0, 1})
-	if got != 12 {
+	// Home row saturated (core 4 at the threshold): least-outstanding
+	// anywhere.
+	v = viewOf([]int{0, 4, 12, 13}, 2, []int{1, 2, 0, 1})
+	if got := v.Core(p.Pick(Msg{}, v)); got != 12 {
 		t.Fatalf("picked %d, want least-outstanding fallback 12", got)
 	}
 }
@@ -93,7 +93,7 @@ func TestLocalFirstPrefersHomeRow(t *testing.T) {
 func TestNewPolicyStrings(t *testing.T) {
 	cases := map[string]Policy{
 		"random2":      NewRandomOfD(2, 0),
-		"local(row 3)": LocalFirst{HomeRow: 3, MeshWidth: 4},
+		"local(row 3)": &LocalFirst{HomeRow: 3, MeshWidth: 4},
 	}
 	for want, p := range cases {
 		if got := p.String(); got != want {
@@ -102,7 +102,7 @@ func TestNewPolicyStrings(t *testing.T) {
 	}
 }
 
-// TestDispatcherWithBoundedPolicyQueue: a dispatcher driving LeastOutstanding
+// TestDispatcherJBSQ1Bound: a dispatcher driving LeastOutstanding
 // under threshold 1 behaves as strict JBSQ(1) — never more than one
 // outstanding per core.
 func TestDispatcherJBSQ1Bound(t *testing.T) {

@@ -149,7 +149,25 @@ type DispatchPlan = machine.Plan
 // DispatchPolicy selects which available core a dispatcher hands the head
 // message to — the paper's "sophisticated, even microcoded, policies" hook.
 // Implement it directly, or name a built-in via DispatchPolicyByName.
+//
+// Pick(msg, view) returns a position in the dispatcher's group, not a core
+// ID, and reads occupancy through the DispatchView: bitmap sets of the
+// available and least-loaded positions over the dispatcher's depth index.
+// This replaced Pick(msg, available, outstanding []int), a breaking change
+// for custom policies: the position of the k-th available core is
+// view.Available().Nth(k), and its core ID view.Core(position).
 type DispatchPolicy = ni.Policy
+
+// DispatchView is what a DispatchPolicy decides over: one dispatcher's
+// per-core outstanding counts, indexed by depth.
+type DispatchView = ni.View
+
+// DispatchMsg is the message-completion token a dispatcher hands a core.
+type DispatchMsg = ni.Msg
+
+// DispatchGroup describes the dispatcher a policy instance serves, for
+// DispatchPolicySpec.New.
+type DispatchGroup = ni.Group
 
 // DispatchPolicySpec names a dispatch policy and builds a fresh,
 // deterministically seeded instance per dispatcher.

@@ -157,6 +157,43 @@ func TestClusterPoliciesExported(t *testing.T) {
 	}
 }
 
+// lastAvailable is a custom dispatch policy written against the facade
+// alone: the highest-positioned available core.
+type lastAvailable struct{}
+
+func (lastAvailable) Pick(_ rpcvalet.DispatchMsg, v *rpcvalet.DispatchView) int {
+	avail := v.Available()
+	return avail.Nth(avail.Count() - 1)
+}
+
+func (lastAvailable) String() string { return "last-available" }
+
+// TestCustomDispatchPolicy: a policy implemented outside the module runs
+// every dispatch of a 1x16 machine, so the last core is the busiest.
+func TestCustomDispatchPolicy(t *testing.T) {
+	p := rpcvalet.DefaultParams()
+	p.Plan = &rpcvalet.DispatchPlan{Groups: 1, Policy: rpcvalet.DispatchPolicySpec{
+		Name: "last-available",
+		New:  func(rpcvalet.DispatchGroup) rpcvalet.DispatchPolicy { return lastAvailable{} },
+	}}
+	res, err := rpcvalet.Run(rpcvalet.Config{
+		Params: p, Workload: rpcvalet.HERD(),
+		RateMRPS: 4, Warmup: 200, Measure: 3000, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busiest := 0
+	for i, u := range res.CoreUtilization {
+		if u > res.CoreUtilization[busiest] {
+			busiest = i
+		}
+	}
+	if last := len(res.CoreUtilization) - 1; busiest != last {
+		t.Fatalf("busiest core %d, want %d under last-available", busiest, last)
+	}
+}
+
 // TestDispatchPlanAPI exercises the root-level dispatch-plan surface: named
 // policies, the plan grammar, JBSQ, and per-node cluster plans.
 func TestDispatchPlanAPI(t *testing.T) {
