@@ -10,33 +10,36 @@
 package main
 
 import (
-	"flag"
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 
+	"rpcvalet/internal/cli"
 	"rpcvalet/internal/core"
 	"rpcvalet/internal/queueing"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/workload"
 )
 
-func main() {
-	var (
-		q       = flag.Int("q", 1, "number of FIFO queues")
-		u       = flag.Int("u", 16, "serving units per queue")
-		distStr = flag.String("dist", "exp", "service distribution: fixed, uniform, exp, gev")
-		load    = flag.Float64("load", 0.8, "offered load in (0,1)")
-		sweep   = flag.Bool("sweep", false, "sweep loads instead of a single point")
-		points  = flag.Int("points", 10, "sweep points")
-		measure = flag.Int("measure", 100000, "requests measured per point")
-		seed    = flag.Uint64("seed", 1, "simulation seed")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.New("qtheory", stderr)
+	q := fs.Count("q", 1, 1, "number of FIFO queues")
+	u := fs.Count("u", 16, 1, "serving units per queue")
+	distStr := fs.String("dist", "exp", "service distribution: fixed, uniform, exp, gev")
+	load := fs.Float64("load", 0.8, "offered load in (0,1)")
+	sweep := fs.Bool("sweep", false, "sweep loads instead of a single point")
+	points := fs.Count("points", 10, 2, "sweep points")
+	measure := fs.Count("measure", 100000, 1, "requests measured per point")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	if err := fs.Parse(args); err != nil {
+		return fs.Bad(err)
+	}
 	service, err := workload.Unit(*distStr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "qtheory: %v\n", err)
-		os.Exit(2)
+		return fs.Bad(err)
 	}
 
 	cfg := queueing.Config{
@@ -46,9 +49,16 @@ func main() {
 		Warmup:          *measure / 10,
 		Measure:         *measure,
 		Seed:            *seed,
+		Load:            *load,
+	}
+	if err := cfg.Validate(); err != nil {
+		return fs.Bad(err)
 	}
 
+	var out bytes.Buffer // writes to it cannot fail
 	if *sweep {
+		// Not core.RateGrid: 0.95-0.05 is not 0.90 in float64, and this
+		// grid's loads are the ones the printed tables were made with.
 		loads := make([]float64, *points)
 		for i := range loads {
 			loads[i] = 0.05 + 0.90*float64(i)/float64(*points-1)
@@ -56,28 +66,21 @@ func main() {
 		label := fmt.Sprintf("%dx%d-%s", *q, *u, *distStr)
 		curve, err := core.QueueingSweep(cfg, loads, 10, label, 0)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "qtheory: %v\n", err)
-			os.Exit(1)
+			return fs.Fail(err)
 		}
 		tbl := report.NewTable(fmt.Sprintf("Model %dx%d, %s service (latency in ×S̄)", *q, *u, *distStr),
 			"load", "throughput", "mean", "p50", "p99")
 		for _, p := range curve.Points {
 			tbl.AddRowf(p.RateMRPS, p.ThroughputMRPS/1000, p.Mean, p.P50, p.P99)
 		}
-		if err := tbl.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nthroughput under 10×S̄ SLO: %.3f servers' worth\n",
-			curve.ThroughputUnderSLO()/1000)
-		return
+		tbl.WriteText(&out)
+		fmt.Fprintf(&out, "\nthroughput under 10×S̄ SLO: %.3f servers' worth\n", curve.ThroughputUnderSLO()/1000)
+		return fs.Write(stdout, out.Bytes(), nil)
 	}
 
-	cfg.Load = *load
 	res, err := queueing.Run(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "qtheory: %v\n", err)
-		os.Exit(1)
+		return fs.Fail(err)
 	}
 	tbl := report.NewTable(fmt.Sprintf("Model %dx%d at load %.2f, %s service", *q, *u, *load, *distStr),
 		"metric", "simulated", "analytic")
@@ -96,8 +99,6 @@ func main() {
 	tbl.AddRow("mean wait (×S̄)", fmt.Sprintf("%.4g", res.Wait.Mean), analyticWait)
 	tbl.AddRow("p99 sojourn (×S̄)", fmt.Sprintf("%.4g", res.Latency.P99), "-")
 	tbl.AddRow("throughput", fmt.Sprintf("%.4g", res.Throughput), "-")
-	if err := tbl.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	tbl.WriteText(&out)
+	return fs.Write(stdout, out.Bytes(), nil)
 }

@@ -1,247 +1,137 @@
 // Command rpcvalet-cluster sweeps a rack of simulated RPCValet servers
 // behind a cluster-level load balancer and prints the policy × load report
 // table: p99 latency (and optionally throughput/imbalance) at each offered
-// load for every requested balancing policy. Identical flags and seed
-// reproduce identical tables.
+// load, a fraction of the estimated aggregate capacity, for every balancing
+// policy. Identical flags and seed reproduce identical tables.
 //
-// Usage:
+// Usage (-h lists every flag with its grammar):
 //
-//	rpcvalet-cluster [-nodes 4] [-dispatch 1x16] [-workload exp]
-//	                 [-policies random,rr,jsq2,bounded] [-arrival poisson]
-//	                 [-points 8] [-lo 0.3] [-hi 0.9] [-hop 500] [-sample 0]
-//	                 [-racks 8] [-global-policy jsqfull] [-global-hop 500]
-//	                 [-global-sample 0]
-//	                 [-modulate pulse@400us+200us:x2] [-degrade 0:x1.5]
-//	                 [-epoch 25us] [-timeline]
-//	                 [-tail 32] [-trace-sample 1024] [-trace-jsonl spans.jsonl]
-//	                 [-warmup 2000] [-measure 20000] [-seed 1] [-workers N]
-//	                 [-shards N] [-format text|csv|json] [-detail]
+//	rpcvalet-cluster -nodes 2 -dispatch 1x16,16x1 -policies jsq2,random
+//	rpcvalet-cluster -nodes 1000 -racks 8 -shards 8 -policies jsq2
 //
-// -dispatch names the per-node NI dispatch plan: "1x16" (RPCValet, the
-// default), "4x4", "16x1" (RSS baseline), "sw" (MCS software queue), "jbsqN"
-// or "GxM"[:policy]; a comma-separated list assigns plans node by node — a
-// heterogeneous rack — and must name one plan per node (e.g. -nodes 2
-// -dispatch 1x16,16x1). Workloads: herd, masstree, fixed, uniform, exp,
-// gev. Arrivals shape the aggregate traffic: poisson (default), det,
-// mmpp2, lognormal. Loads are fractions of the cluster's estimated
-// aggregate capacity.
+// A -dispatch list names one plan per node. -racks splits the nodes into R
+// racks behind rack balancers under a global balancer (-global-policy), and
+// -degrade rack0:... then scopes a fault to a whole rack. -shards runs each
+// simulation on N engine shards, deterministic for a fixed (seed, shards).
+// The span flags take a unit (500ns, 2us); a bare number is ns.
 //
-// -racks splits the node set into R racks, each behind its own rack
-// balancer, with a global balancer dispatching over rack aggregate depths —
-// the two-tier datacenter topology. -global-policy picks the global tier's
-// policy (same grammar as -policies; the -policies list still names the
-// rack-level policy of each curve), -global-hop the global→rack network
-// latency in ns, and -global-sample a stale-scrape period for the global
-// depth view (0 = live). -racks 0 keeps the flat single-tier cluster, where
-// setting any -global-* flag is an error.
-//
-// -modulate wraps the aggregate arrival stream in a rate envelope
-// ("step@AT:xF", "pulse@START+DUR:xF", "ramp@START+DUR:xF",
-// "square@PERIOD/HIGH:xF"); -degrade injects per-node or per-rack faults
-// ("0:x1.5;3:pause@500us+100us", "rack0:pause@1ms+500us" — rack scopes
-// need -racks); -timeline prints the highest-load point's aggregate and
-// per-node timelines for the first policy.
-//
-// -shards runs each simulation on N parallel engine shards — per-node-group
-// event wheels plus a balancer shard, synchronized conservatively at the
-// network hop (the lookahead window). 0 or 1 selects the serial single-clock
-// engine, byte-identical to all pinned results; N > 1 is deterministic for a
-// fixed (seed, shards) pair. Sweep fan-out narrows so -workers still caps
-// total goroutines.
-//
-// Observability: -tail and -trace-jsonl re-run the highest-load point for
-// the first policy (the same run -timeline inspects) with request tracing
-// on. -tail prints the K slowest requests with their full cross-node span
-// breakdowns — balancer receive, forward, node arrival, dispatch, service —
-// and -trace-jsonl writes sampled request spans (1-in-N by -trace-sample) as
-// JSON lines.
+// -timeline, -tail and -trace-jsonl re-run the highest-load point of the
+// first policy with tracing on, and print its timelines, its K slowest
+// requests' cross-node span breakdowns, and its sampled spans as JSON lines.
 package main
 
 import (
-	"flag"
+	"bytes"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"rpcvalet"
+	"rpcvalet/internal/cli"
 	"rpcvalet/internal/report"
-	"rpcvalet/internal/sim"
-	"rpcvalet/internal/workload"
 )
 
-// usage reports a bad flag value and exits 2 before anything is simulated.
-func usage(err error) {
-	fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-	os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// policy is one -policies entry: the name as typed labels its curve.
+type policy struct {
+	name string
+	rpcvalet.ClusterPolicy
 }
 
-// fatal reports a failed run or write and exits 1.
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-	os.Exit(1)
+func parsePolicy(name string) (policy, error) {
+	p, err := rpcvalet.ClusterPolicyByName(name)
+	return policy{name, p}, err
 }
 
-func main() {
-	var (
-		nodes    = flag.Int("nodes", 4, "servers behind the balancer")
-		dispatch = flag.String("dispatch", "1x16", "dispatch plan(s): one spec (1x16|4x4|16x1|sw|jbsqN|GxM[:policy]) for all nodes, or a comma-separated per-node list")
-		wlName   = flag.String("workload", "exp", "workload: herd, masstree, fixed, uniform, exp, gev")
-		policies = flag.String("policies", strings.Join(rpcvalet.ClusterPolicies(), ","),
-			"comma-separated balancing policies (random, rr, jsqD, jsqfull, bounded)")
-		arrName  = flag.String("arrival", "poisson", "arrival process: poisson, det, mmpp2, lognormal")
-		points   = flag.Int("points", 8, "offered-load points per policy")
-		lo       = flag.Float64("lo", 0.3, "lowest load fraction of cluster capacity")
-		hi       = flag.Float64("hi", 0.9, "highest load fraction of cluster capacity")
-		hop      = flag.Float64("hop", 500, "balancer→node network hop, ns")
-		sample   = flag.Float64("sample", 0, "balancer depth-view refresh period, ns (0 = live)")
-		racks    = flag.Int("racks", 0, "split nodes into R racks behind a global balancer (0 = flat)")
-		gpolName = flag.String("global-policy", "jsqfull", "global balancer policy over racks (used with -racks)")
-		ghop     = flag.Float64("global-hop", 500, "global balancer→rack balancer hop, ns (used with -racks)")
-		gsample  = flag.Float64("global-sample", 0, "global rack-depth scrape period, ns (0 = live; used with -racks)")
-		warmup   = flag.Int("warmup", 2000, "completions discarded before measuring")
-		measure  = flag.Int("measure", 20000, "completions measured per point")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		format   = flag.String("format", "text", "output format: text, csv, or json")
-		detail   = flag.Bool("detail", false, "also print throughput and imbalance tables")
-		modulate = flag.String("modulate", "", "aggregate rate envelope: step@AT:xF, pulse@START+DUR:xF, ramp@START+DUR:xF, square@PERIOD/HIGH:xF")
-		degrade  = flag.String("degrade", "", "per-node or per-rack faults: SCOPE:FAULT list, e.g. 0:x1.5;3:pause@500us+100us or rack0:x2")
-		epoch    = flag.String("epoch", "", "timeline epoch length (e.g. 25us; empty = auto)")
-		timeline = flag.Bool("timeline", false, "print the highest-load point's timelines (first policy)")
-		workers  = flag.Int("workers", 0, "concurrent simulations per sweep (0 = NumCPU)")
-		shards   = flag.Int("shards", 0, "parallel engine shards per simulation (0/1 = serial single-clock engine)")
-
-		tailK       = flag.Int("tail", 0, "retain the K slowest requests of the highest-load point (first policy) with cross-node span breakdowns")
-		traceSample = flag.Int("trace-sample", 0, "trace 1 in N requests (0/1 = every request; used with -trace-jsonl)")
-		traceJSONL  = flag.String("trace-jsonl", "", "write the highest-load point's sampled request spans as JSON lines to this file")
-	)
-	flag.Parse()
-
-	if *format != "text" && *format != "csv" && *format != "json" {
-		usage(fmt.Errorf("unknown format %q (want text, csv or json)", *format))
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.New("rpcvalet-cluster", stderr)
+	nodes := fs.Count("nodes", 4, 1, "servers behind the balancer")
+	plans := fs.Dispatch("1x16", "dispatch plan(s): one spec (1x16|4x4|16x1|sw|jbsqN|GxM[:policy]) for all nodes, or a comma-separated per-node list")
+	wl := fs.Workload("exp")
+	pols := cli.List(fs, "policies", strings.Join(rpcvalet.ClusterPolicies(), ","),
+		"comma-separated balancing policies (random, rr, jsqD, jsqfull, bounded)", parsePolicy)
+	arr := fs.Arrival()
+	points := fs.Count("points", 8, 1, "offered-load points per policy")
+	lo := fs.Float64("lo", 0.3, "lowest load fraction of cluster capacity")
+	hi := fs.Float64("hi", 0.9, "highest load fraction of cluster capacity")
+	hop := fs.Nanos("hop", "500", "balancer→node network hop (bare number = ns)")
+	sample := fs.Nanos("sample", "0", "balancer depth-view refresh period (0 = live)")
+	racks := fs.Count("racks", 0, 0, "split nodes into R racks behind a global balancer (0 = flat)")
+	gpol := cli.Spec(fs, "global-policy", "jsqfull", "global balancer policy over racks (needs -racks)", parsePolicy)
+	ghop := fs.Nanos("global-hop", "500", "global balancer→rack balancer hop (needs -racks)")
+	gsample := fs.Nanos("global-sample", "0", "global rack-depth scrape period (0 = live; needs -racks)")
+	warmup, measure := fs.Window(2000, 20000)
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	format := fs.Format("text", "csv", "json")
+	detail := fs.Bool("detail", false, "also print throughput and imbalance tables")
+	faults := fs.NodeFaults()
+	epoch := fs.Epoch()
+	timeline := fs.Bool("timeline", false, "print the highest-load point's timelines (first policy)")
+	workers := fs.Count("workers", 0, 0, "concurrent simulations per sweep (0 = NumCPU)")
+	shards := fs.Count("shards", 0, 0, "parallel engine shards per simulation (0/1 = serial single-clock engine)")
+	tr := fs.Trace("retain the K slowest requests of the highest-load point (first policy) with cross-node span breakdowns",
+		"write the highest-load point's sampled request spans as JSON lines to this file")
+	for _, g := range []string{"global-policy", "global-hop", "global-sample"} {
+		fs.Needs(g, "-racks", func() bool { return *racks > 0 })
 	}
-	params := rpcvalet.DefaultParams()
-	var nodePlans []*rpcvalet.DispatchPlan
-	specs := strings.Split(*dispatch, ",")
-	plans := make([]*rpcvalet.DispatchPlan, len(specs))
-	for i, spec := range specs {
-		pl, err := rpcvalet.ParseDispatchPlan(strings.TrimSpace(spec))
-		if err != nil {
-			usage(err)
-		}
-		plans[i] = pl
-	}
-	switch len(plans) {
-	case 1:
-		params.Plan = plans[0]
-	case *nodes:
-		nodePlans = plans
-	default:
-		usage(fmt.Errorf("%d dispatch plans for %d nodes (want 1 or %d)", len(plans), *nodes, *nodes))
+	if err := fs.Parse(args); err != nil {
+		return fs.Bad(err)
 	}
 
-	wl, err := workload.ByName(*wlName)
+	// One base config serves every curve: the sweep clones both policies
+	// for every point, so the curves can share the parsed instances.
+	cfg := rpcvalet.DefaultCluster(*nodes, *wl, (*pols)[0].ClusterPolicy)
+	if len(*plans) == 1 {
+		cfg.Node.Params.Plan = (*plans)[0]
+	} else {
+		cfg.NodePlans = *plans
+	}
+	cfg.Faults = *faults
+	cfg.Epoch = *epoch
+	cfg.Hop = *hop
+	cfg.SampleEvery = *sample
+	if *racks > 0 {
+		cfg.Racks = *racks
+		cfg.GlobalPolicy = gpol.ClusterPolicy
+		cfg.GlobalHop = *ghop
+		cfg.GlobalSampleEvery = *gsample
+	}
+	cfg.Warmup = *warmup
+	cfg.Measure = *measure
+	cfg.Seed = *seed
+	cfg.Shards = *shards
+	capacity := rpcvalet.ClusterCapacityMRPS(cfg)
+	loads := rpcvalet.RateGrid(1, *lo, *hi, *points)
+	rates := rpcvalet.RateGrid(capacity, *lo, *hi, *points)
+	// The sweep re-rates the process to each point's aggregate rate.
+	var err error
+	if cfg.Arrival, err = arr(cfg.RateMRPS); err == nil {
+		point := cfg
+		point.RateMRPS = slices.Min(rates) // every point passes if the slowest does
+		err = point.Validate()
+	}
 	if err != nil {
-		usage(err)
+		return fs.Bad(err)
 	}
 
-	var faults []rpcvalet.NodeFault
-	if *degrade != "" {
-		if faults, err = rpcvalet.ParseNodeFaults(*degrade); err != nil {
-			usage(err)
-		}
-	}
-	var env rpcvalet.Envelope
-	if *modulate != "" {
-		if env, err = rpcvalet.ParseEnvelope(*modulate); err != nil {
-			usage(err)
-		}
-	}
-	var epochDur sim.Duration
-	if *epoch != "" {
-		if epochDur, err = sim.ParseDuration(*epoch); err != nil {
-			usage(err)
+	curves := make([]rpcvalet.Curve, len(*pols))
+	for i, p := range *pols {
+		cfg.Policy = p.ClusterPolicy
+		if curves[i], err = rpcvalet.ClusterSweepWorkers(cfg, rates, p.name, *workers); err != nil {
+			return fs.Fail(err)
 		}
 	}
 
-	names := strings.Split(*policies, ",")
-	pols := make([]rpcvalet.ClusterPolicy, len(names))
-	for i, name := range names {
-		names[i] = strings.TrimSpace(name)
-		if pols[i], err = rpcvalet.ClusterPolicyByName(names[i]); err != nil {
-			usage(err)
-		}
-	}
-	gpol, err := rpcvalet.ClusterPolicyByName(*gpolName)
-	if err != nil {
-		usage(err)
-	}
-	if *racks <= 0 {
-		// The -global-* flags shape the global tier, which only -racks
-		// builds; set on a flat run they would be ignored without a word.
-		flag.Visit(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Name, "global-") {
-				usage(fmt.Errorf("-%s needs -racks", f.Name))
-			}
-		})
-	}
-
-	curves := make([]rpcvalet.Curve, 0, len(names))
-	var loads []float64
-	var capacity float64
-	var lastCfg rpcvalet.Cluster // first policy's config, for -timeline
-	for pi, name := range names {
-		// The sweep clones both policies for every point, so the curves
-		// can share the parsed instances.
-		cfg := rpcvalet.DefaultCluster(*nodes, wl, pols[pi])
-		cfg.Node.Params = params
-		cfg.NodePlans = nodePlans
-		cfg.Faults = faults
-		cfg.Epoch = epochDur
-		// The sweep re-rates the process to each point's aggregate rate.
-		cfg.Arrival, err = rpcvalet.ArrivalByName(*arrName, cfg.RateMRPS)
-		if err != nil {
-			usage(err)
-		}
-		if env != nil {
-			cfg.Arrival = rpcvalet.ArrivalModulated(cfg.Arrival, env)
-		}
-		cfg.Hop = sim.FromNanos(*hop)
-		cfg.SampleEvery = sim.FromNanos(*sample)
-		if *racks > 0 {
-			cfg.Racks = *racks
-			cfg.GlobalPolicy = gpol
-			cfg.GlobalHop = sim.FromNanos(*ghop)
-			cfg.GlobalSampleEvery = sim.FromNanos(*gsample)
-		}
-		cfg.Warmup = *warmup
-		cfg.Measure = *measure
-		cfg.Seed = *seed
-		cfg.Shards = *shards
-		capacity = rpcvalet.ClusterCapacityMRPS(cfg)
-		if loads == nil {
-			loads = rpcvalet.RateGrid(1, *lo, *hi, *points)
-		}
-		rates := make([]float64, len(loads))
-		for i, f := range loads {
-			rates[i] = f * capacity
-		}
-		curve, err := rpcvalet.ClusterSweepWorkers(cfg, rates, name, *workers)
-		if err != nil {
-			fatal(err)
-		}
-		curves = append(curves, curve)
-		if pi == 0 {
-			lastCfg = cfg
-			lastCfg.RateMRPS = rates[len(rates)-1]
-		}
-	}
-
+	var out bytes.Buffer // writes to it cannot fail, nor can a checked -format
 	topo := ""
 	if *racks > 0 {
-		topo = fmt.Sprintf(" in %d racks (%s global, %.0f ns global hop)", *racks, *gpolName, *ghop)
+		topo = fmt.Sprintf(" in %d racks (%s global, %.0f ns global hop)", *racks, gpol.name, ghop.Nanos())
 	}
-	fmt.Printf("# cluster: %d × %s nodes%s, %s workload, capacity ≈ %.1f MRPS, hop %.0f ns, seed %d\n\n",
-		*nodes, *dispatch, topo, wl.Name, capacity, *hop, *seed)
+	fmt.Fprintf(&out, "# cluster: %d × %s nodes%s, %s workload, capacity ≈ %.1f MRPS, hop %.0f ns, seed %d\n\n",
+		*nodes, fs.Lookup("dispatch").Value, topo, wl.Name, capacity, hop.Nanos(), *seed)
 	emit := func(title string, value func(rpcvalet.CurvePoint) float64) {
 		cols := []string{"load", "rate_mrps"}
 		for _, c := range curves {
@@ -255,10 +145,8 @@ func main() {
 			}
 			tbl.AddRowf(row...)
 		}
-		if err := tbl.Format(os.Stdout, *format); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
+		tbl.Format(&out, *format)
+		fmt.Fprintln(&out)
 	}
 	emit("p99 latency (ns) by policy", func(p rpcvalet.CurvePoint) float64 { return p.P99 })
 	if *detail {
@@ -266,41 +154,35 @@ func main() {
 		emit("completion imbalance (max/mean) by policy", func(p rpcvalet.CurvePoint) float64 { return p.Imbalance })
 	}
 
-	if *timeline || *tailK > 0 || *traceJSONL != "" {
+	if *timeline || *tr.Tail > 0 || *tr.JSONL != "" {
 		// One extra run of the highest-load point, first policy, with the
 		// requested instrumentation. The balancing policy may be stateful
 		// (round-robin rotation, bounded-load counters), so give the rerun a
 		// fresh instance rather than the swept one.
-		lastCfg.Policy = lastCfg.Policy.Clone()
-		capture := rpcvalet.NewCapture(*tailK, *traceSample, *traceJSONL != "")
-		lastCfg.Trace = capture.Recorder()
-		res, err := rpcvalet.RunCluster(lastCfg)
+		cfg.Policy = (*pols)[0].Clone()
+		cfg.RateMRPS = rates[len(rates)-1]
+		capture := tr.Capture()
+		cfg.Trace = capture.Recorder()
+		res, err := rpcvalet.RunCluster(cfg)
+		if err == nil {
+			err = capture.WriteJSONLFile(*tr.JSONL)
+		}
 		if err != nil {
-			fatal(err)
+			return fs.Fail(err)
 		}
-		if *traceJSONL != "" {
-			if err := capture.WriteJSONLFile(*traceJSONL); err != nil {
-				fatal(err)
+		if *tr.Tail > 0 {
+			fmt.Fprintf(&out, "# slowest requests: policy %s at %.1f MRPS\n\n", curves[0].Label, cfg.RateMRPS)
+			report.SpanTable("slowest requests", capture.TailSpans()).WriteText(&out)
+			fmt.Fprintln(&out)
+		}
+		if *timeline {
+			fmt.Fprintf(&out, "# timelines: policy %s at %.1f MRPS\n\n", curves[0].Label, cfg.RateMRPS)
+			fmt.Fprintf(&out, "%s\n\n", report.TimelineSpark(res.Timeline))
+			report.TimelineTable("aggregate timeline", res.Timeline).WriteText(&out)
+			for i, tl := range res.NodeTimelines {
+				fmt.Fprintf(&out, "\nnode %d (%s, %s): %s\n", i, res.NodeDispatch[i], res.NodeFaults[i], report.TimelineSpark(tl))
 			}
-		}
-		if *tailK > 0 {
-			fmt.Printf("# slowest requests: policy %s at %.1f MRPS\n\n", curves[0].Label, lastCfg.RateMRPS)
-			if err := report.SpanTable("slowest requests", capture.TailSpans()).WriteText(os.Stdout); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
-		if !*timeline {
-			return
-		}
-		fmt.Printf("# timelines: policy %s at %.1f MRPS\n\n", curves[0].Label, lastCfg.RateMRPS)
-		fmt.Println(report.TimelineSpark(res.Timeline))
-		fmt.Println()
-		if err := report.TimelineTable("aggregate timeline", res.Timeline).WriteText(os.Stdout); err != nil {
-			fatal(err)
-		}
-		for i, tl := range res.NodeTimelines {
-			fmt.Printf("\nnode %d (%s, %s): %s\n", i, res.NodeDispatch[i], res.NodeFaults[i], report.TimelineSpark(tl))
 		}
 	}
+	return fs.Write(stdout, out.Bytes(), nil)
 }

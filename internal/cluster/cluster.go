@@ -205,7 +205,9 @@ func ParseFaults(spec string) ([]NodeFault, error) {
 // (Racks >= 1) rather than the flat single-balancer cluster.
 func (c Config) Hierarchical() bool { return c.Racks > 0 }
 
-func (c Config) validate() error {
+// Validate reports whether Run would accept the config; the CLIs call it
+// before their first run.
+func (c Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("cluster: need at least one node, got %d", c.Nodes)

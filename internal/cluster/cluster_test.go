@@ -347,7 +347,7 @@ var fuzzPolicies = []string{"random", "rr", "jsq2", "jsq3", "jsqfull", "bounded"
 // the conservation and determinism invariants every Result must keep: the
 // per-node counts sum to Completed, which is Warmup+Measure unless the run
 // timed out; each rack's nodes sum to its RackCompleted; and a rerun with
-// fresh policies is identical. Inputs that fail validate are skipped.
+// fresh policies is identical. Inputs that fail Validate are skipped.
 func FuzzClusterConfig(f *testing.F) {
 	// nodes, racks, pol, gpol, shards, sampleNs, gsampleNs, hopNs, ghopNs,
 	// warmup, measure, load (% of capacity), fault, maxSimUs, seed.
@@ -388,7 +388,7 @@ func FuzzClusterConfig(f *testing.F) {
 		case 3:
 			cfg.Faults = []NodeFault{{Node: target, Fault: machine.Fault{Slowdown: 1.5, Pauses: []machine.Pause{pause}}}}
 		}
-		if cfg.validate() != nil {
+		if cfg.Validate() != nil {
 			return
 		}
 		res, err := Run(cfg)

@@ -95,7 +95,7 @@ func (t *nodeTracer) Record(e trace.Event) {
 // and the cluster executes on one deterministic engine or, with Shards > 1,
 // on several engines advanced in deterministic lookahead rounds.
 func Run(cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	hier := cfg.Hierarchical()

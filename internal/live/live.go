@@ -351,6 +351,13 @@ type rec struct {
 	seq    uint64
 }
 
+// Validate reports whether Run would accept the config; the CLIs call it
+// before their first run.
+func (c Config) Validate() error {
+	_, _, err := c.validate()
+	return err
+}
+
 func (c Config) validate() (Shape, int, error) {
 	if err := c.Workload.Validate(); err != nil {
 		return 0, 0, err

@@ -196,7 +196,9 @@ type Config struct {
 	MaxEpochs int
 }
 
-func (c Config) validate() error {
+// Validate reports whether Run would accept the config; the CLIs call it
+// before their first run.
+func (c Config) Validate() error {
 	if err := c.Params.Validate(); err != nil {
 		return err
 	}
@@ -221,7 +223,7 @@ func (c Config) validate() error {
 
 // New wires up a machine for the given configuration.
 func New(cfg Config) (*Machine, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return build(cfg, sim.New(), false)

@@ -183,10 +183,16 @@ func NewDispatcher(cores []int, threshold int, policy Policy) (*Dispatcher, erro
 	}
 	// The index clamps at the threshold: rows below it are the available
 	// cores, and one row holds every core at or past it, so a threshold-2
-	// group keeps three rows, not a tier's 64.
+	// group keeps three rows, not a tier's 64. A one-core group clamps at
+	// row 1: every query on it is trivial, and the clamp row's exact depth
+	// answers it.
+	clamp := min(threshold, depth.Clamp)
+	if len(cores) == 1 {
+		clamp = 1
+	}
 	d := &Dispatcher{
 		view: View{
-			x:         depth.New(len(cores), min(threshold, depth.Clamp)),
+			x:         depth.New(len(cores), clamp),
 			cores:     append([]int(nil), cores...),
 			threshold: threshold,
 		},

@@ -43,7 +43,8 @@ type Config struct {
 	Seed    uint64
 }
 
-func (c Config) validate() error {
+// Validate reports whether Run would accept the config.
+func (c Config) Validate() error {
 	switch {
 	case c.Queues <= 0 || c.ServersPerQueue <= 0:
 		return fmt.Errorf("queueing: invalid system %dx%d", c.Queues, c.ServersPerQueue)
@@ -78,7 +79,7 @@ type station struct {
 // Run simulates the configured Q×U system and returns its Result. It panics
 // only on programmer error (invalid config is returned as an error).
 func Run(cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	meanSvc := cfg.Service.Mean()
