@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race bench profile perfbench live-smoke obs-smoke shard-smoke rack-smoke hier-smoke
+.PHONY: all build fmt vet lint test race bench profile perfbench live-smoke obs-smoke shard-smoke rack-smoke hier-smoke claims-smoke
 
 # Pinned so CI and local runs agree on what "clean" means.
 STATICCHECK_VERSION = 2025.1.1
@@ -67,6 +67,16 @@ rack-smoke:
 # go test -race ./...; this target runs it alone.
 hier-smoke:
 	$(GO) test -race -run '^TestHierSmoke$$' -v ./internal/core
+
+# claims-smoke regenerates every figure at quick scale, except the
+# wall-clock live figure, and fails when any paper claim misses
+# (rpcvalet-bench exits 3). Every figure runs at a fixed seed and its result
+# does not depend on the worker count, so the verdicts are the same on any
+# host. The list follows core.FigureIDs (TestRegistryComplete pins it).
+CLAIM_FIGURES = 2a,2b,2c,6,7a,7b,7c,8,9,table1,ablation-outstanding,ablation-dispatcher,ablation-rss,ablation-policy,anatomy,burst,cluster,hier,policy,rack,transient
+
+claims-smoke:
+	$(GO) run ./cmd/rpcvalet-bench -quick -fig $(CLAIM_FIGURES)
 
 # obs-smoke proves the observability endpoints end to end: it starts
 # rpcvalet-live with -obs, scrapes /metrics and /healthz while the run is in

@@ -109,9 +109,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The sweep re-rates the process to each point's aggregate rate.
 	var err error
 	if cfg.Arrival, err = arr(cfg.RateMRPS); err == nil {
-		point := cfg
-		point.RateMRPS = slices.Min(rates) // every point passes if the slowest does
-		err = point.Validate()
+		// Every point passes if the slowest and the fastest do.
+		for _, r := range []float64{slices.Min(rates), slices.Max(rates)} {
+			point := cfg
+			point.RateMRPS = r
+			if err = point.Validate(); err != nil {
+				break
+			}
+		}
 	}
 	if err != nil {
 		return fs.Bad(err)

@@ -36,6 +36,9 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{"-lo", "-0.5"},
 		{"-degrade", "9:x2"},
 		{"-workers", "-1"},
+		{"-hi", "Inf"},
+		{"-hi", "2e6"},
+		{"-lo", "1e5", "-hi", "1e5", "-measure", "2000"},
 	} {
 		rejects(t, args...)
 	}

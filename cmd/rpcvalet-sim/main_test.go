@@ -26,6 +26,9 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{"-dispatch", "1x16,4x4"},
 		{"-dispatch", "5x3"},
 		{"-rate", "-1"},
+		{"-rate", "Inf"},
+		{"-rate", "2e6"},
+		{"-rate", "1e5", "-measure", "2000"},
 		{"-epoch", "-5us"},
 		{"-format", "xml"},
 		{"-workload", "bogus"},

@@ -325,8 +325,8 @@ var Names = []string{"poisson", "det", "mmpp2", "lognormal"}
 // the package's default shape parameters: "poisson", "det" (or
 // "deterministic"), "mmpp2", "lognormal".
 func ByName(name string, rateMRPS float64) (Process, error) {
-	if !(rateMRPS > 0) {
-		return nil, fmt.Errorf("arrival: rate %g MRPS must be positive", rateMRPS)
+	if !(rateMRPS > 0) || math.IsInf(rateMRPS, 1) {
+		return nil, fmt.Errorf("arrival: rate %g MRPS must be positive and finite", rateMRPS)
 	}
 	switch name {
 	case "poisson":

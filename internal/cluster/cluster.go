@@ -254,6 +254,10 @@ func (c Config) Validate() error {
 	case c.Hierarchical() && c.Shards > 1 && c.GlobalSampleEvery > 0:
 		return fmt.Errorf("cluster: hierarchical Shards>1 cannot scrape rack aggregates (GlobalSampleEvery must be 0)")
 	}
+	capacity := float64(c.Nodes) * machine.CapacityMRPS(c.Node.Params, c.Node.Workload)
+	if err := machine.CheckRate("cluster", c.RateMRPS, capacity); err != nil {
+		return err
+	}
 	if len(c.RackNodes) != 0 {
 		sum := 0
 		for r, n := range c.RackNodes {

@@ -201,3 +201,25 @@ func TestShardedPolicyError(t *testing.T) {
 		t.Fatal("out-of-range pick not reported")
 	}
 }
+
+// TestEngines: the engines one Run uses, and so the goroutine team a sweep
+// budgets for it — 1 on the serial path; on the sharded path the front tier
+// plus min(Shards, Nodes) node groups flat, or one group per rack two-tier.
+func TestEngines(t *testing.T) {
+	for _, c := range []struct {
+		nodes, racks, shards, want int
+	}{
+		{8, 0, 0, 1},   // zero value: serial
+		{8, 0, 1, 1},   // explicit serial
+		{8, 0, 4, 5},   // 4 node shards + balancer
+		{2, 0, 16, 3},  // clamped to nodes
+		{1, 0, 16, 1},  // one node degrades to serial
+		{16, 4, 1, 1},  // two-tier, serial
+		{16, 4, 2, 5},  // two-tier: a group per rack + global tier
+		{16, 4, 64, 5}, // two-tier ignores the shard count past 1
+	} {
+		if got := Engines(Config{Nodes: c.nodes, Racks: c.racks, Shards: c.shards}); got != c.want {
+			t.Errorf("Engines(nodes=%d, racks=%d, shards=%d) = %d, want %d", c.nodes, c.racks, c.shards, got, c.want)
+		}
+	}
+}

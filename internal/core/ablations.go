@@ -1,10 +1,7 @@
 package core
 
 import (
-	"fmt"
-
 	"rpcvalet/internal/machine"
-	"rpcvalet/internal/ni"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/workload"
@@ -14,15 +11,6 @@ import (
 // the outstanding-requests threshold (§4.3), the sensitivity to dispatcher
 // indirection latency (the argument for on-chip NI integration, §3.2), the
 // RSS keying granularity, and the dispatch policy hook.
-
-func init() {
-	register("ablation-outstanding", ablationOutstanding)
-	register("ablation-dispatcher", ablationDispatcher)
-	register("ablation-rss", ablationRSS)
-	register("ablation-policy", ablationPolicy)
-	FigureIDs = append(FigureIDs,
-		"ablation-outstanding", "ablation-dispatcher", "ablation-rss", "ablation-policy")
-}
 
 // ablationOutstanding sweeps the per-core outstanding threshold K. The paper
 // sets K=2 to hide the dispatch round trip; K=1 is the strict single-queue
@@ -35,7 +23,7 @@ func ablationOutstanding(o Options) (Figure, error) {
 		"K", "thr_mrps", "p99_ns", "mean_ns")
 	var thr []float64
 	for _, k := range []int{1, 2, 3, 4} {
-		cfg := machineBase(o, wl, machine.ModeSingleQueue)
+		cfg := machineBase(o, wl, "1x16")
 		cfg.Params.Threshold = k
 		cfg.RateMRPS = rate
 		res, err := machine.Run(cfg)
@@ -49,12 +37,10 @@ func ablationOutstanding(o Options) (Figure, error) {
 		ID:     "ablation-outstanding",
 		Title:  "Outstanding-requests threshold",
 		Tables: []*report.Table{tbl},
-		Claims: []Claim{{
-			Name:     "K=2 recovers the K=1 bubble",
-			Paper:    "K=2 offsets the bubble; marginal gains for sub-µs RPCs (§4.3)",
-			Measured: fmt.Sprintf("thr K1=%.2f K2=%.2f MRPS", thr[0], thr[1]),
-			Ok:       thr[1] >= thr[0]*0.995,
-		}},
+		Claims: []Claim{
+			statement{"K=2 recovers the K=1 bubble", "K=2 offsets the bubble; marginal gains for sub-µs RPCs (§4.3)"}.
+				judge(atLeast(thr[1], thr[0]*0.995), "thr K1=%.2f K2=%.2f MRPS", thr[0], thr[1]),
+		},
 	}, nil
 }
 
@@ -71,7 +57,7 @@ func ablationDispatcher(o Options) (Figure, error) {
 	extras := []sim.Duration{0, 10 * sim.Nanosecond, 50 * sim.Nanosecond,
 		200 * sim.Nanosecond, sim.FromNanos(1500)}
 	for _, extra := range extras {
-		cfg := machineBase(o, wl, machine.ModeSingleQueue)
+		cfg := machineBase(o, wl, "1x16")
 		cfg.Params.DispatchExtra = extra
 		cfg.RateMRPS = rate
 		res, err := machine.Run(cfg)
@@ -86,18 +72,10 @@ func ablationDispatcher(o Options) (Figure, error) {
 		Title:  "Dispatcher indirection latency",
 		Tables: []*report.Table{tbl},
 		Claims: []Claim{
-			{
-				Name:     "few-ns indirection is negligible",
-				Paper:    "adds just a few ns end to end (§4.3)",
-				Measured: fmt.Sprintf("p99 +%.0fns at +50ns indirection", p99s[2]-p99s[0]),
-				Ok:       p99s[2] <= p99s[0]*1.15,
-			},
-			{
-				Name:     "PCIe-scale indirection hurts",
-				Paper:    "I/O-attached NIs are too far for µs-scale balancing (§3.2)",
-				Measured: fmt.Sprintf("p99 %.0f→%.0fns at +1.5µs", p99s[0], p99s[len(p99s)-1]),
-				Ok:       p99s[len(p99s)-1] > p99s[0]*1.5,
-			},
+			statement{"few-ns indirection is negligible", "adds just a few ns end to end (§4.3)"}.
+				judge(atMost(p99s[2], p99s[0]*1.15), "p99 +%.0fns at +50ns indirection", p99s[2]-p99s[0]),
+			statement{"PCIe-scale indirection hurts", "I/O-attached NIs are too far for µs-scale balancing (§3.2)"}.
+				judge(above(p99s[len(p99s)-1], p99s[0]*1.5), "p99 %.0f→%.0fns at +1.5µs", p99s[0], p99s[len(p99s)-1]),
 		},
 	}, nil
 }
@@ -112,7 +90,7 @@ func ablationRSS(o Options) (Figure, error) {
 		"keying", "thr_mrps", "p99_ns")
 	var p99s []float64
 	for _, byFlow := range []bool{false, true} {
-		cfg := machineBase(o, wl, machine.ModePartitioned)
+		cfg := machineBase(o, wl, "16x1")
 		cfg.Params.RSSByFlow = byFlow
 		cfg.RateMRPS = rate
 		res, err := machine.Run(cfg)
@@ -130,12 +108,10 @@ func ablationRSS(o Options) (Figure, error) {
 		ID:     "ablation-rss",
 		Title:  "RSS keying granularity",
 		Tables: []*report.Table{tbl},
-		Claims: []Claim{{
-			Name:     "flow-hash skew does not beat uniform splitting",
-			Paper:    "RSS spreads blindly; imbalance is inherent (§2.3)",
-			Measured: fmt.Sprintf("p99 uniform=%.0f flow=%.0f ns", p99s[0], p99s[1]),
-			Ok:       p99s[1] >= p99s[0]*0.9,
-		}},
+		Claims: []Claim{
+			statement{"flow-hash skew does not beat uniform splitting", "RSS spreads blindly; imbalance is inherent (§2.3)"}.
+				judge(atLeast(p99s[1], p99s[0]*0.9), "p99 uniform=%.0f flow=%.0f ns", p99s[0], p99s[1]),
+		},
 	}, nil
 }
 
@@ -152,12 +128,7 @@ func ablationPolicy(o Options) (Figure, error) {
 		"policy", "thr_mrps", "p99_ns")
 	var p99s []float64
 	for _, name := range []string{"first-available", "round-robin", "least-outstanding-rr"} {
-		spec, err := ni.SpecByName(name)
-		if err != nil {
-			return Figure{}, err
-		}
-		cfg := machineBase(o, wl, machine.ModeSingleQueue)
-		cfg.Params.Plan = &machine.Plan{Groups: 1, Policy: spec}
+		cfg := machineBase(o, wl, "1x16:"+name)
 		cfg.RateMRPS = rate
 		res, err := machine.Run(cfg)
 		if err != nil {
@@ -175,11 +146,9 @@ func ablationPolicy(o Options) (Figure, error) {
 		ID:     "ablation-policy",
 		Title:  "Dispatch policy",
 		Tables: []*report.Table{tbl},
-		Claims: []Claim{{
-			Name:     "occupancy-aware dispatch never loses to blind arbitration",
-			Paper:    "occupancy feedback eliminates excess queueing (§6.1)",
-			Measured: fmt.Sprintf("p99 aware=%.0f vs best blind=%.0f ns", aware, blindBest),
-			Ok:       aware <= blindBest*1.05,
-		}},
+		Claims: []Claim{
+			statement{"occupancy-aware dispatch never loses to blind arbitration", "occupancy feedback eliminates excess queueing (§6.1)"}.
+				judge(atMost(aware, blindBest*1.05), "p99 aware=%.0f vs best blind=%.0f ns", aware, blindBest),
+		},
 	}, nil
 }

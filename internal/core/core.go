@@ -4,7 +4,7 @@
 // the data behind every figure as report tables plus pass/fail checks of the
 // paper's headline claims.
 //
-// Each figure has a generator registered in Figures; cmd/rpcvalet-bench and
+// Each figure has a generator listed in registry; cmd/rpcvalet-bench and
 // the repository's bench_test.go both call into this package, so the CLI,
 // the benchmarks, and EXPERIMENTS.md all describe the same code paths.
 package core
@@ -142,10 +142,10 @@ func (c Curve) MaxTailRatioVs(other Curve) float64 {
 	return ratio
 }
 
-// CapacityMRPS estimates the machine's saturation throughput for a workload:
-// cores / (mean handler time + fixed per-request core overhead).
+// CapacityMRPS estimates the machine's saturation throughput for a workload
+// (machine.CapacityMRPS).
 func CapacityMRPS(p machine.Params, wl workload.Profile) float64 {
-	return float64(p.Cores) / (wl.MeanService() + p.CoreOverheadNanos()) * 1000
+	return machine.CapacityMRPS(p, wl)
 }
 
 // RateGrid builds n offered-load points spanning lo..hi fractions of the
@@ -177,17 +177,12 @@ func GeometricRateGrid(capacity float64, lo, hi float64, n int) []float64 {
 	return rates
 }
 
-// RunCost reports how many goroutines one cluster.Run of cfg occupies: one
-// per engine it runs on (cluster.Engines). Sweep layers divide their worker
-// cap by it so Options.Workers stays a true bound on total running
-// goroutines.
-func RunCost(cfg cluster.Config) int { return cluster.Engines(cfg) }
-
 // BudgetWorkers converts a sweep-level worker cap (0 = NumCPU) into the
 // number of simulations allowed in flight when each simulation itself runs
-// costPerRun goroutines. At least one simulation always proceeds, so a
-// Shards setting wider than the cap degrades to sequential points rather
-// than failing.
+// costPerRun goroutines (cluster.Engines for a cluster run), so
+// Options.Workers stays a true bound on total running goroutines. At least
+// one simulation always proceeds, so a Shards setting wider than the cap
+// degrades to sequential points rather than failing.
 func BudgetWorkers(workers, costPerRun int) int {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -373,7 +368,7 @@ func machinePoint(base machine.Config, rate float64, i int, label string) (Point
 // itself a team of goroutines, so the fan-out narrows to keep `workers` the
 // cap on total goroutines.
 func ClusterSweep(base cluster.Config, rates []float64, label string, workers int) (Curve, error) {
-	return only(sweep(BudgetWorkers(workers, RunCost(base)), 0, clusterSeries(base, rates, label)))
+	return only(sweep(BudgetWorkers(workers, cluster.Engines(base)), 0, clusterSeries(base, rates, label)))
 }
 
 // clusterSeries sweeps base over aggregate rates. Point i draws seed
@@ -451,30 +446,168 @@ func queueingPoint(cfg queueing.Config, slo float64, label string) (Point, error
 	}, nil
 }
 
-// ratioClaim builds a Claim comparing a measured ratio against an expected
-// band, formatting both for the report.
-func ratioClaim(name, paper string, measured, lo, hi float64) Claim {
-	return Claim{
-		Name:     name,
-		Paper:    paper,
-		Measured: fmt.Sprintf("%.2f×", measured),
-		Ok:       measured >= lo && measured <= hi,
+// machineBase assembles a machine config for one dispatch plan spec (see
+// machine.ParsePlan: "1x16", "16x1", "sw", "1x16:random2", ...) and workload
+// at the harness's measurement scale.
+func machineBase(o Options, wl workload.Profile, plan string) machine.Config {
+	p := machine.Defaults()
+	p.Plan = mustPlan(plan)
+	return machine.Config{
+		Params:   p,
+		Workload: wl,
+		Warmup:   o.Warmup,
+		Measure:  o.Measure,
+		Seed:     o.Seed,
 	}
+}
+
+// clusterBase assembles a ClusterNodes-node cluster config over nodes of
+// one dispatch plan spec. Options.Shards is threaded through, so every
+// cluster figure and sweep in the harness runs sharded when asked to.
+func clusterBase(o Options, wl workload.Profile, plan string, pol cluster.Policy) cluster.Config {
+	return cluster.Config{
+		Nodes:   ClusterNodes,
+		Node:    machineBase(Options{}, wl, plan), // run control is the cluster's
+		Policy:  pol,
+		Hop:     ClusterHop,
+		Warmup:  o.Warmup,
+		Measure: o.Measure,
+		Seed:    o.Seed,
+		Shards:  o.Shards,
+	}
+}
+
+// mustPlan resolves a plan spec the harness itself names; a bad one is a
+// programming error.
+func mustPlan(spec string) *machine.Plan {
+	pl, err := machine.ParsePlan(spec)
+	if err != nil {
+		panic(err)
+	}
+	return pl
+}
+
+// hwPlans are the three hardware queuing configurations of §6.1, ordered as
+// the paper's legends list them.
+var hwPlans = []string{"16x1", "4x4", "1x16"}
+
+// grid builds the harness's table layout: one row per rows[i], whose first
+// cell (column corner) is rows[i] itself, then for every column key k and
+// every prefix p a column named prefixes[p]+keys[k], filled by cell(i, k, p).
+func grid[R any](title, corner string, rows []R, keys, prefixes []string, cell func(i, k, p int) any) *report.Table {
+	cols := make([]string, 0, 1+len(keys)*len(prefixes))
+	cols = append(cols, corner)
+	for _, key := range keys {
+		for _, prefix := range prefixes {
+			cols = append(cols, prefix+key)
+		}
+	}
+	tbl := report.NewTable(title, cols...)
+	for i, r := range rows {
+		row := make([]any, 0, len(cols))
+		row = append(row, r)
+		for k := range keys {
+			for p := range prefixes {
+				row = append(row, cell(i, k, p))
+			}
+		}
+		tbl.AddRowf(row...)
+	}
+	return tbl
+}
+
+// statement declares one claim: what is checked and what the paper reports.
+// A figure judges it against its measurement once, or reports why it could
+// not measure it.
+type statement struct{ name, paper string }
+
+// A check is the verdict a claim is judged by, built only by the
+// constructors below. Every comparison with a NaN side fails, so a NaN
+// measurement judges MISS.
+type check bool
+
+// within checks lo <= v <= hi, both edges inclusive.
+func within(v, lo, hi float64) check { return v >= lo && v <= hi }
+
+// below, atMost, above and atLeast check a <, <=, > and >= b; b may be a
+// scaled quantity (1.5*ref).
+func below(a, b float64) check   { return a < b }
+func atMost(a, b float64) check  { return a <= b }
+func above(a, b float64) check   { return a > b }
+func atLeast(a, b float64) check { return a >= b }
+
+// fact is a plain observed outcome: an ordering over a whole curve, a count.
+func fact(ok bool) check { return check(ok) }
+
+// and holds when every check does.
+func and(checks ...check) check {
+	for _, c := range checks {
+		if !c {
+			return false
+		}
+	}
+	return true
+}
+
+// judge states the claim with its measurement, formatted printf-style, and
+// its verdict.
+func (s statement) judge(ok check, format string, args ...any) Claim {
+	return Claim{Name: s.name, Paper: s.paper, Measured: fmt.Sprintf(format, args...), Ok: bool(ok)}
+}
+
+// unmeasured states a claim the figure could not measure, saying why; it
+// misses.
+func (s statement) unmeasured(why string) Claim {
+	return Claim{Name: s.name, Paper: s.paper, Measured: why}
+}
+
+// ratio states a claim on a measured ratio, judged in the inclusive band
+// [lo, hi].
+func ratio(name, paper string, measured, lo, hi float64) Claim {
+	return statement{name, paper}.judge(within(measured, lo, hi), "%.2f×", measured)
+}
+
+// noWorse states that a is at most b, measured as "a vs b".
+func noWorse(name, paper string, a, b float64) Claim {
+	return statement{name, paper}.judge(atMost(a, b), "%.4g vs %.4g", a, b)
 }
 
 // Generator produces one figure's data at the given scale.
 type Generator func(Options) (Figure, error)
 
-// Figures maps figure IDs ("2a", "7c", "table1", ...) to their generators.
-// The map is populated by the figure files' init functions.
-var Figures = map[string]Generator{}
+// registry lists every figure in presentation order: the paper's figures
+// and table, the ablations, then the extension studies.
+var registry = []struct {
+	id  string
+	gen Generator
+}{
+	{"2a", fig2a}, {"2b", fig2b}, {"2c", fig2c}, {"6", fig6},
+	{"7a", fig7a}, {"7b", fig7b}, {"7c", fig7c}, {"8", fig8}, {"9", fig9},
+	{"table1", table1},
+	{"ablation-outstanding", ablationOutstanding},
+	{"ablation-dispatcher", ablationDispatcher},
+	{"ablation-rss", ablationRSS},
+	{"ablation-policy", ablationPolicy},
+	{"anatomy", figAnatomy},
+	{"burst", figBurst},
+	{"cluster", figCluster},
+	{"hier", figHier},
+	{"live", figLive},
+	{"policy", figPolicy},
+	{"rack", figRack},
+	{"transient", figTransient},
+}
 
-// FigureIDs lists the registered figures in presentation order.
-var FigureIDs = []string{"2a", "2b", "2c", "6", "7a", "7b", "7c", "8", "9", "table1"}
+// FigureIDs lists the figures in presentation order, and Figures maps each
+// ID ("2a", "7c", "table1", ...) to its generator.
+var FigureIDs, Figures = index()
 
-func register(id string, g Generator) {
-	if _, dup := Figures[id]; dup {
-		panic(fmt.Sprintf("core: duplicate figure %q", id))
+func index() ([]string, map[string]Generator) {
+	ids := make([]string, len(registry))
+	gens := make(map[string]Generator, len(registry))
+	for i, f := range registry {
+		ids[i] = f.id
+		gens[f.id] = f.gen
 	}
-	Figures[id] = g
+	return ids, gens
 }

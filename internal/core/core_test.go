@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -72,7 +73,7 @@ func TestSafeRatio(t *testing.T) {
 }
 
 func TestMachineSweepDeterministic(t *testing.T) {
-	cfg := machineBase(tinyOptions(), workload.HERD(), machine.ModeSingleQueue)
+	cfg := machineBase(tinyOptions(), workload.HERD(), "1x16")
 	rates := []float64{3, 9, 15}
 	a, err := MachineSweep(cfg, rates, "a", 3)
 	if err != nil {
@@ -90,7 +91,7 @@ func TestMachineSweepDeterministic(t *testing.T) {
 }
 
 func TestMachineSweepPropagatesError(t *testing.T) {
-	cfg := machineBase(tinyOptions(), workload.HERD(), machine.ModeSingleQueue)
+	cfg := machineBase(tinyOptions(), workload.HERD(), "1x16")
 	cfg.Params.Cores = 0
 	if _, err := MachineSweep(cfg, []float64{1}, "x", 1); err == nil {
 		t.Fatal("expected error")
@@ -98,6 +99,12 @@ func TestMachineSweepPropagatesError(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
+	want := []string{"2a", "2b", "2c", "6", "7a", "7b", "7c", "8", "9", "table1",
+		"ablation-outstanding", "ablation-dispatcher", "ablation-rss", "ablation-policy",
+		"anatomy", "burst", "cluster", "hier", "live", "policy", "rack", "transient"}
+	if !reflect.DeepEqual(FigureIDs, want) {
+		t.Errorf("FigureIDs = %v, want the presentation order %v", FigureIDs, want)
+	}
 	for _, id := range FigureIDs {
 		if _, ok := Figures[id]; !ok {
 			t.Errorf("figure %q in FigureIDs but not registered", id)
@@ -110,12 +117,62 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestClaimString(t *testing.T) {
 	ok := Claim{Name: "n", Paper: "p", Measured: "m", Ok: true}
-	if !strings.Contains(ok.String(), "OK") {
-		t.Fatal("ok claim string")
+	if got, want := ok.String(), "[OK ] n: paper=p measured=m"; got != want {
+		t.Fatalf("ok claim string %q, want %q", got, want)
 	}
 	bad := Claim{Name: "n", Paper: "p", Measured: "m"}
-	if !strings.Contains(bad.String(), "MISS") {
-		t.Fatal("miss claim string")
+	if got, want := bad.String(), "[MISS] n: paper=p measured=m"; got != want {
+		t.Fatalf("miss claim string %q, want %q", got, want)
+	}
+	// A judged claim prints exactly as the literal it replaces.
+	s := statement{"1x16 vs 4x4 throughput under SLO", "1.16×"}
+	if got, want := s.judge(within(1.2, 1, 1.5), "%.2f×", 1.2).String(),
+		"[OK ] 1x16 vs 4x4 throughput under SLO: paper=1.16× measured=1.20×"; got != want {
+		t.Fatalf("judged claim string %q, want %q", got, want)
+	}
+	if got, want := s.unmeasured("never met SLO").String(),
+		"[MISS] 1x16 vs 4x4 throughput under SLO: paper=1.16× measured=never met SLO"; got != want {
+		t.Fatalf("unmeasured claim string %q, want %q", got, want)
+	}
+}
+
+// TestClaimJudge pins the judge's verdicts: inclusive edges hold, strict
+// edges do not, a NaN side always misses, and an AND misses when any part
+// does.
+func TestClaimJudge(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		ok   check
+		want bool
+	}{
+		{"within at lo", within(1, 1, 2), true},
+		{"within at hi", within(2, 1, 2), true},
+		{"within below lo", within(0.999, 1, 2), false},
+		{"within NaN", within(nan, 1, 2), false},
+		{"within NaN band", within(1.5, nan, 2), false},
+		{"atMost at edge", atMost(2, 2), true},
+		{"atLeast at edge", atLeast(2, 2), true},
+		{"below at edge", below(2, 2), false},
+		{"above at edge", above(2, 2), false},
+		{"below scaled", below(0.49, 0.5*1), true},
+		{"below NaN", below(nan, 1), false},
+		{"above NaN", above(1, nan), false},
+		{"atMost NaN", atMost(nan, nan), false},
+		{"atLeast NaN", atLeast(nan, 0), false},
+		{"fact", fact(true), true},
+		{"and all hold", and(above(2, 1), atMost(1, 1), fact(true)), true},
+		{"and one fails", and(above(2, 1), below(1, 1), fact(true)), false},
+		{"and NaN part", and(above(2, 1), atMost(nan, 3)), false},
+		{"and empty", and(), true},
+	} {
+		got := statement{c.name, "p"}.judge(c.ok, "%v", c.want)
+		if got.Ok != c.want || got.Name != c.name || got.Paper != "p" {
+			t.Errorf("%s: judged %+v, want Ok=%v", c.name, got, c.want)
+		}
+	}
+	if miss := (statement{"n", "p"}).unmeasured("why"); miss.Ok || miss.Measured != "why" {
+		t.Errorf("unmeasured claim %+v", miss)
 	}
 }
 
@@ -274,7 +331,7 @@ func TestSweepModesDeterministic(t *testing.T) {
 // regardless of worker count, like the machine sweeps.
 func TestClusterSweepDeterministic(t *testing.T) {
 	o := tinyOptions()
-	base := clusterBase(o, workload.SyntheticExp(), machine.ModeSingleQueue, cluster.JSQ{D: 2})
+	base := clusterBase(o, workload.SyntheticExp(), "1x16", cluster.JSQ{D: 2})
 	cap := ClusterCapacityMRPS(base)
 	rates := []float64{0.3 * cap, 0.6 * cap, 0.8 * cap}
 	a, err := ClusterSweep(base, rates, "a", 3)
@@ -294,7 +351,7 @@ func TestClusterSweepDeterministic(t *testing.T) {
 
 func TestClusterSweepPropagatesError(t *testing.T) {
 	o := tinyOptions()
-	base := clusterBase(o, workload.SyntheticExp(), machine.ModeSingleQueue, cluster.JSQ{D: 2})
+	base := clusterBase(o, workload.SyntheticExp(), "1x16", cluster.JSQ{D: 2})
 	base.Node.Params.Cores = 0
 	if _, err := ClusterSweep(base, []float64{1}, "x", 1); err == nil {
 		t.Fatal("expected error")
@@ -341,7 +398,7 @@ func TestFig9ModelComparison(t *testing.T) {
 
 func TestRefineKnee(t *testing.T) {
 	o := tinyOptions()
-	base := machineBase(o, workload.HERD(), machine.ModeSingleQueue)
+	base := machineBase(o, workload.HERD(), "1x16")
 	cap := CapacityMRPS(base.Params, base.Workload)
 	s := machineSeries(base, RateGrid(cap, 0.3, 1.05, 4), "knee")
 	coarse, err := only(sweep(2, 0, s))
@@ -367,7 +424,7 @@ func TestRefineKnee(t *testing.T) {
 func TestRefineKneeNoCrossing(t *testing.T) {
 	// All points meet the SLO: nothing to refine, no error.
 	o := tinyOptions()
-	base := machineBase(o, workload.HERD(), machine.ModeSingleQueue)
+	base := machineBase(o, workload.HERD(), "1x16")
 	cap := CapacityMRPS(base.Params, base.Workload)
 	refined, err := only(sweep(2, 3, machineSeries(base, RateGrid(cap, 0.1, 0.4, 3), "low")))
 	if err != nil {
@@ -423,7 +480,7 @@ func TestRefineKneeEdgeCases(t *testing.T) {
 // the crossing points.
 func TestRefineKneeAtGridEdge(t *testing.T) {
 	o := tinyOptions()
-	base := machineBase(o, workload.HERD(), machine.ModeSingleQueue)
+	base := machineBase(o, workload.HERD(), "1x16")
 	cap := CapacityMRPS(base.Params, base.Workload)
 
 	// Grid confined below the knee: every point meets, edge case.
@@ -478,7 +535,7 @@ func TestMachineSweepDeterministicPerArrival(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := machineBase(o, workload.HERD(), machine.ModeSingleQueue)
+		cfg := machineBase(o, workload.HERD(), "1x16")
 		cfg.Arrival = arr
 		a, err := MachineSweep(cfg, rates, kind+"-a", 3)
 		if err != nil {
@@ -501,7 +558,7 @@ func TestMachineSweepDeterministicPerArrival(t *testing.T) {
 func TestClusterSweepDeterministicPerArrival(t *testing.T) {
 	o := tinyOptions()
 	o.Measure = 3000
-	base := clusterBase(o, workload.SyntheticExp(), machine.ModeSingleQueue, cluster.JSQ{D: 2})
+	base := clusterBase(o, workload.SyntheticExp(), "1x16", cluster.JSQ{D: 2})
 	cap := ClusterCapacityMRPS(base)
 	rates := []float64{0.4 * cap, 0.7 * cap}
 	for _, kind := range arrival.Names {
@@ -539,7 +596,7 @@ func TestFigureBurstStructure(t *testing.T) {
 		t.Fatalf("burst tables = %d, want 3", len(fig.Tables))
 	}
 	for _, tbl := range fig.Tables {
-		if len(tbl.Rows) != len(arrival.Names) || len(tbl.Columns) != 1+len(hwModes) {
+		if len(tbl.Rows) != len(arrival.Names) || len(tbl.Columns) != 1+len(hwPlans) {
 			t.Fatalf("table %q shape %dx%d", tbl.Title, len(tbl.Rows), len(tbl.Columns))
 		}
 	}
@@ -730,26 +787,6 @@ func TestFigureBurstClaims(t *testing.T) {
 	for _, c := range fig.Claims {
 		if !c.Ok {
 			t.Errorf("claim failed: %s", c)
-		}
-	}
-}
-
-// TestRunCost: the goroutine team one cluster.Run occupies — 1 on the
-// serial path, shard count (clamped to nodes) plus the balancer shard on
-// the parallel path.
-func TestRunCost(t *testing.T) {
-	cases := []struct {
-		nodes, shards, want int
-	}{
-		{8, 0, 1},  // zero value: serial
-		{8, 1, 1},  // explicit serial
-		{8, 4, 5},  // 4 node shards + balancer
-		{2, 16, 3}, // clamped to nodes
-		{1, 16, 1}, // one node degrades to serial
-	}
-	for _, c := range cases {
-		if got := RunCost(cluster.Config{Nodes: c.nodes, Shards: c.shards}); got != c.want {
-			t.Errorf("RunCost(nodes=%d, shards=%d) = %d, want %d", c.nodes, c.shards, got, c.want)
 		}
 	}
 }

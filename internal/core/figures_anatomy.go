@@ -9,11 +9,6 @@ import (
 	"rpcvalet/internal/workload"
 )
 
-func init() {
-	register("anatomy", figAnatomy)
-	FigureIDs = append(FigureIDs, "anatomy")
-}
-
 // anatomyPlans are the dispatch plans whose tails the figure dissects: the
 // partitioned baseline, the paper's bounded single queue, and the ideal
 // single queue.
@@ -63,12 +58,7 @@ func figAnatomy(o Options) (Figure, error) {
 	rate := anatomyLoad * CapacityMRPS(machine.Defaults(), wl)
 
 	runs, err := runPoints(len(anatomyPlans), o.Workers, func(i int) (tailAnatomy, error) {
-		pl, err := machine.ParsePlan(anatomyPlans[i])
-		if err != nil {
-			return tailAnatomy{}, err
-		}
-		cfg := machineBase(o, wl, machine.ModeSingleQueue)
-		cfg.Params.Plan = pl
+		cfg := machineBase(o, wl, anatomyPlans[i])
 		cfg.RateMRPS = rate
 		sampler := trace.NewTailSampler(anatomyTailK)
 		cfg.Trace = sampler
@@ -119,24 +109,12 @@ func figAnatomy(o Options) (Figure, error) {
 
 	part, jbsq, single := byPlan["16x1"], byPlan["jbsq2"], byPlan["1x16"]
 	claims := []Claim{
-		{
-			Name:     "16x1 tail is queue-wait dominated",
-			Paper:    "partitioned tails come from waiting behind long requests (§2.2)",
-			Measured: fmt.Sprintf("tail wait share %.2f", part.waitShare),
-			Ok:       part.waitShare > 0.5,
-		},
-		{
-			Name:     "1x16 collapses the tail's wait share",
-			Paper:    "single-queue tail latency is the request's own service time (§3)",
-			Measured: fmt.Sprintf("wait share %.2f vs 16x1's %.2f", single.waitShare, part.waitShare),
-			Ok:       single.waitShare < 0.5*part.waitShare,
-		},
-		{
-			Name:     "JBSQ(2) matches the single-queue anatomy",
-			Paper:    "bounded queues approach the single-queue ideal (§4.3)",
-			Measured: fmt.Sprintf("wait share %.2f vs 16x1's %.2f", jbsq.waitShare, part.waitShare),
-			Ok:       jbsq.waitShare < 0.5*part.waitShare,
-		},
+		statement{"16x1 tail is queue-wait dominated", "partitioned tails come from waiting behind long requests (§2.2)"}.
+			judge(above(part.waitShare, 0.5), "tail wait share %.2f", part.waitShare),
+		statement{"1x16 collapses the tail's wait share", "single-queue tail latency is the request's own service time (§3)"}.
+			judge(below(single.waitShare, 0.5*part.waitShare), "wait share %.2f vs 16x1's %.2f", single.waitShare, part.waitShare),
+		statement{"JBSQ(2) matches the single-queue anatomy", "bounded queues approach the single-queue ideal (§4.3)"}.
+			judge(below(jbsq.waitShare, 0.5*part.waitShare), "wait share %.2f vs 16x1's %.2f", jbsq.waitShare, part.waitShare),
 	}
 
 	return Figure{

@@ -2,17 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/machine"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/workload"
 )
-
-func init() {
-	register("burst", figBurst)
-	FigureIDs = append(FigureIDs, "burst")
-}
 
 // BurstLoadFraction is the fixed mean load (fraction of estimated capacity)
 // the burst study offers under every arrival process. With the default
@@ -31,9 +27,10 @@ const BurstLoadFraction = 0.6
 // arrivals remove all arrival variance; lognormal gaps clump arrivals.
 //
 // The point of the figure is that the single-queue advantage is not a
-// Poisson artifact — burstiness *widens* the gap between ModeSingleQueue and
-// ModePartitioned, because a shared queue absorbs a burst with the whole
-// chip while a partitioned system drains it core by core.
+// Poisson artifact — burstiness *widens* the gap between the 1x16 single
+// queue and the 16x1 partitioned baseline, because a shared queue absorbs a
+// burst with the whole chip while a partitioned system drains it core by
+// core.
 func figBurst(o Options) (Figure, error) {
 	wl := workload.SyntheticExp()
 	rate := BurstLoadFraction * CapacityMRPS(machine.Defaults(), wl)
@@ -46,106 +43,69 @@ func figBurst(o Options) (Figure, error) {
 		o.Warmup, o.Measure = 1000, 10000
 	}
 
-	type combo struct {
-		mode machine.Mode
-		kind string
-	}
-	var combos []combo
-	for _, mode := range hwModes {
-		for _, kind := range arrival.Names {
-			combos = append(combos, combo{mode, kind})
-		}
-	}
-
-	// Every combo is a one-point series, so each runs at its base seed: the
-	// comparison is paired — each (mode, arrival) cell sees statistically
+	// Every (plan, arrival) cell is a one-point series, so each runs at its
+	// base seed: the comparison is paired — each cell sees statistically
 	// identical draws.
-	ss := make([]series, len(combos))
-	for i, c := range combos {
-		cfg := machineBase(o, wl, c.mode)
-		arr, err := arrival.ByName(c.kind, rate)
-		if err != nil {
-			return Figure{}, err
+	kinds := arrival.Names
+	var ss []series
+	for _, plan := range hwPlans {
+		for _, kind := range kinds {
+			cfg := machineBase(o, wl, plan)
+			arr, err := arrival.ByName(kind, rate)
+			if err != nil {
+				return Figure{}, err
+			}
+			cfg.Arrival = arr
+			ss = append(ss, machineSeries(cfg, []float64{rate}, plan+"/"+kind))
 		}
-		cfg.Arrival = arr
-		ss[i] = machineSeries(cfg, []float64{rate}, modeShort(c.mode)+"/"+c.kind)
 	}
 	curves, err := sweep(o.Workers, 0, ss...)
 	if err != nil {
 		return Figure{}, err
 	}
-	p99 := make(map[machine.Mode]map[string]float64, len(hwModes))
-	mean := make(map[machine.Mode]map[string]float64, len(hwModes))
-	for i, c := range combos {
-		if p99[c.mode] == nil {
-			p99[c.mode] = map[string]float64{}
-			mean[c.mode] = map[string]float64{}
-		}
-		p99[c.mode][c.kind] = curves[i].Points[0].P99
-		mean[c.mode][c.kind] = curves[i].Points[0].Mean
+	// at returns the point of one (plan, arrival kind) cell.
+	at := func(plan string, kind string) Point {
+		return curves[slices.Index(hwPlans, plan)*len(kinds)+slices.Index(kinds, kind)].Points[0]
 	}
+	p99 := func(plan, kind string) float64 { return at(plan, kind).P99 }
 
 	fig := Figure{
 		ID: "burst",
 		Title: fmt.Sprintf("Burst study: arrival process × dispatch mode at %.0f%% load (%s, %.1f MRPS)",
 			BurstLoadFraction*100, wl.Name, rate),
 	}
-	cols := func(prefix string) []string {
-		c := []string{"arrival"}
-		for _, m := range hwModes {
-			c = append(c, prefix+modeShort(m))
-		}
-		return c
+	table := func(title, prefix string, cell func(plan, kind string) float64) *report.Table {
+		return grid(title, "arrival", kinds, hwPlans, []string{prefix},
+			func(i, k, _ int) any { return cell(hwPlans[k], kinds[i]) })
 	}
-	tbl := report.NewTable("p99 latency (ns) by arrival process and mode", cols("p99ns_")...)
-	ratioTbl := report.NewTable("p99 inflation over Poisson by mode", cols("x_")...)
-	for _, kind := range arrival.Names {
-		row, ratioRow := []any{kind}, []any{kind}
-		for _, m := range hwModes {
-			row = append(row, p99[m][kind])
-			ratioRow = append(ratioRow, safeRatio(p99[m][kind], p99[m]["poisson"]))
-		}
-		tbl.AddRowf(row...)
-		ratioTbl.AddRowf(ratioRow...)
-	}
-	meanTbl := report.NewTable("mean latency (ns) by arrival process and mode", cols("meanns_")...)
-	for _, kind := range arrival.Names {
-		row := []any{kind}
-		for _, m := range hwModes {
-			row = append(row, mean[m][kind])
-		}
-		meanTbl.AddRowf(row...)
-	}
-	fig.Tables = append(fig.Tables, tbl, ratioTbl, meanTbl)
+	inflation := func(plan, kind string) float64 { return safeRatio(p99(plan, kind), p99(plan, "poisson")) }
+	fig.Tables = append(fig.Tables,
+		table("p99 latency (ns) by arrival process and mode", "p99ns_", p99),
+		table("p99 inflation over Poisson by mode", "x_", inflation),
+		table("mean latency (ns) by arrival process and mode", "meanns_",
+			func(plan, kind string) float64 { return at(plan, kind).Mean }))
 
 	// Claim (a): MMPP2 bursts hurt the partitioned system far more than the
 	// single queue — its p99 inflation over Poisson must be well above
 	// RPCValet's.
-	sqInfl := safeRatio(p99[machine.ModeSingleQueue]["mmpp2"], p99[machine.ModeSingleQueue]["poisson"])
-	ptInfl := safeRatio(p99[machine.ModePartitioned]["mmpp2"], p99[machine.ModePartitioned]["poisson"])
-	fig.Claims = append(fig.Claims, Claim{
-		Name:     "MMPP2 inflates 16x1 p99 far more than 1x16",
-		Paper:    "single queue absorbs bursts the partitioned system cannot (§2.2 intuition)",
-		Measured: fmt.Sprintf("16x1 ×%.2f vs 1x16 ×%.2f over Poisson", ptInfl, sqInfl),
-		Ok:       ptInfl > 1.25*sqInfl && ptInfl > 1.5,
-	})
+	sqInfl, ptInfl := inflation("1x16", "mmpp2"), inflation("16x1", "mmpp2")
+	fig.Claims = append(fig.Claims,
+		statement{"MMPP2 inflates 16x1 p99 far more than 1x16", "single queue absorbs bursts the partitioned system cannot (§2.2 intuition)"}.
+			judge(and(above(ptInfl, 1.25*sqInfl), above(ptInfl, 1.5)), "16x1 ×%.2f vs 1x16 ×%.2f over Poisson", ptInfl, sqInfl))
 
 	// Claim (b): removing arrival variance tightens every mode's tail below
 	// its Poisson run — latency tails need variance somewhere to exist.
 	allTighter := true
 	detail := ""
-	for _, m := range hwModes {
-		d, p := p99[m]["det"], p99[m]["poisson"]
+	for _, plan := range hwPlans {
+		d, p := p99(plan, "det"), p99(plan, "poisson")
 		if d >= p {
 			allTighter = false
 		}
-		detail += fmt.Sprintf("%s %.0f/%.0f ", modeShort(m), d, p)
+		detail += fmt.Sprintf("%s %.0f/%.0f ", plan, d, p)
 	}
-	fig.Claims = append(fig.Claims, Claim{
-		Name:     "deterministic arrivals tighten every mode's p99 below Poisson",
-		Paper:    "D/·/· waits below M/·/· at equal load (queueing theory)",
-		Measured: "det/poisson ns: " + detail,
-		Ok:       allTighter,
-	})
+	fig.Claims = append(fig.Claims,
+		statement{"deterministic arrivals tighten every mode's p99 below Poisson", "D/·/· waits below M/·/· at equal load (queueing theory)"}.
+			judge(fact(allTighter), "det/poisson ns: %s", detail))
 	return fig, nil
 }

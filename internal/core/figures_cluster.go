@@ -2,18 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rpcvalet/internal/cluster"
-	"rpcvalet/internal/machine"
-	"rpcvalet/internal/report"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/workload"
 )
-
-func init() {
-	register("cluster", figCluster)
-	FigureIDs = append(FigureIDs, "cluster")
-}
 
 // ClusterNodes is the rack size the cluster experiments model.
 const ClusterNodes = 4
@@ -21,24 +15,6 @@ const ClusterNodes = 4
 // ClusterHop is the balancer→node network hop the cluster experiments
 // charge every routed RPC.
 const ClusterHop = 500 * sim.Nanosecond
-
-// clusterBase assembles a cluster config over the given per-node mode.
-// Options.Shards is threaded through, so every cluster figure and sweep in
-// the harness runs sharded when asked to.
-func clusterBase(o Options, wl workload.Profile, mode machine.Mode, pol cluster.Policy) cluster.Config {
-	p := machine.Defaults()
-	p.Mode = mode
-	return cluster.Config{
-		Nodes:   ClusterNodes,
-		Node:    machine.Config{Params: p, Workload: wl},
-		Policy:  pol,
-		Hop:     ClusterHop,
-		Warmup:  o.Warmup,
-		Measure: o.Measure,
-		Seed:    o.Seed,
-		Shards:  o.Shards,
-	}
-}
 
 // ClusterCapacityMRPS estimates the cluster's aggregate saturation
 // throughput: node count × single-node capacity.
@@ -55,38 +31,33 @@ func figCluster(o Options) (Figure, error) {
 	wl := workload.SyntheticExp()
 	loads := theoryLoads(o.Points) // fractions of cluster capacity
 
-	type key struct {
-		mode   machine.Mode
-		policy string
-	}
-	var cells []key
+	pols := cluster.PolicyNames
 	var ss []series
-	for _, mode := range hwModes {
-		for _, polName := range cluster.PolicyNames {
+	for _, plan := range hwPlans {
+		for _, polName := range pols {
 			pol, err := cluster.PolicyByName(polName)
 			if err != nil {
 				return Figure{}, err
 			}
-			base := clusterBase(o, wl, mode, pol)
+			base := clusterBase(o, wl, plan, pol)
 			rates := make([]float64, len(loads))
 			for j, f := range loads {
 				rates[j] = f * ClusterCapacityMRPS(base)
 			}
-			cells = append(cells, key{mode, polName})
-			ss = append(ss, clusterSeries(base, rates, polName+"/"+modeShort(mode)))
+			ss = append(ss, clusterSeries(base, rates, polName+"/"+plan))
 		}
 	}
 	// Every cell's points share one pool. With Options.Shards > 1 every
 	// in-flight simulation is a team of goroutines, so the fan-out narrows
 	// by the team size and o.Workers keeps bounding total goroutines.
-	cellCurves, err := sweep(BudgetWorkers(o.Workers,
-		RunCost(cluster.Config{Nodes: ClusterNodes, Shards: o.Shards})), 0, ss...)
+	curves, err := sweep(BudgetWorkers(o.Workers,
+		cluster.Engines(cluster.Config{Nodes: ClusterNodes, Shards: o.Shards})), 0, ss...)
 	if err != nil {
 		return Figure{}, err
 	}
-	curves := make(map[key]Curve, len(cells))
-	for i, c := range cells {
-		curves[c] = cellCurves[i]
+	// at returns the curve of one (node plan, policy) cell.
+	at := func(plan, pol string) Curve {
+		return curves[slices.Index(hwPlans, plan)*len(pols)+slices.Index(pols, pol)]
 	}
 
 	fig := Figure{
@@ -94,45 +65,23 @@ func figCluster(o Options) (Figure, error) {
 		Title: fmt.Sprintf("Cluster: p99 vs offered load, %d nodes, %s workload, %v hop",
 			ClusterNodes, wl.Name, ClusterHop),
 	}
-	for _, mode := range hwModes {
-		cols := []string{"load"}
-		for _, polName := range cluster.PolicyNames {
-			cols = append(cols, "p99ns_"+polName)
-		}
-		tbl := report.NewTable(
-			fmt.Sprintf("Cluster of %s nodes: p99 (ns) vs load by policy", modeShort(mode)), cols...)
-		for li, load := range loads {
-			row := []any{load}
-			for _, polName := range cluster.PolicyNames {
-				row = append(row, curves[key{mode, polName}].Points[li].P99)
-			}
-			tbl.AddRowf(row...)
-		}
-		fig.Tables = append(fig.Tables, tbl)
+	for _, plan := range hwPlans {
+		fig.Tables = append(fig.Tables, grid(fmt.Sprintf("Cluster of %s nodes: p99 (ns) vs load by policy", plan),
+			"load", loads, pols, []string{"p99ns_"}, func(i, k, _ int) any { return at(plan, pols[k]).Points[i].P99 }))
 	}
 
 	// Claims at the grid's top load (0.95 of capacity — still below
 	// saturation): mid-load points separate the policies by less than
 	// sampling noise, so that is where the comparison means something.
 	hi := len(loads) - 1
-	at := func(mode machine.Mode, pol string) Point {
-		return curves[key{mode, pol}].Points[hi]
-	}
-	jsqP99 := at(machine.ModeSingleQueue, "jsq2").P99
-	randP99 := at(machine.ModeSingleQueue, "random").P99
-	fig.Claims = append(fig.Claims, Claim{
-		Name:     "cluster JSQ(2) p99 <= random p99 (1x16 nodes)",
-		Paper:    "power-of-d choices tames tail (cluster-level analogue of NI dispatch)",
-		Measured: fmt.Sprintf("jsq2=%.0fns random=%.0fns at load %.2f", jsqP99, randP99, loads[hi]),
-		Ok:       jsqP99 <= randP99,
-	})
-	worst := at(machine.ModePartitioned, "random").P99
-	best := at(machine.ModeSingleQueue, "jsq2").P99
-	fig.Claims = append(fig.Claims, Claim{
-		Name:     "random x 16x1 re-creates the partitioned pathology",
-		Paper:    "blind balancing at both tiers compounds (Model QxU intuition, §2.2)",
-		Measured: fmt.Sprintf("random/16x1=%.0fns vs jsq2/1x16=%.0fns at load %.2f", worst, best, loads[hi]),
-		Ok:       worst > best,
-	})
+	jsqP99 := at("1x16", "jsq2").Points[hi].P99
+	randP99 := at("1x16", "random").Points[hi].P99
+	worst := at("16x1", "random").Points[hi].P99
+	fig.Claims = append(fig.Claims,
+		statement{"cluster JSQ(2) p99 <= random p99 (1x16 nodes)", "power-of-d choices tames tail (cluster-level analogue of NI dispatch)"}.
+			judge(atMost(jsqP99, randP99), "jsq2=%.0fns random=%.0fns at load %.2f", jsqP99, randP99, loads[hi]),
+		statement{"random x 16x1 re-creates the partitioned pathology", "blind balancing at both tiers compounds (Model QxU intuition, §2.2)"}.
+			judge(above(worst, jsqP99), "random/16x1=%.0fns vs jsq2/1x16=%.0fns at load %.2f", worst, jsqP99, loads[hi]),
+	)
 	return fig, nil
 }

@@ -8,13 +8,9 @@ import (
 	"rpcvalet/internal/machine"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/sim"
+	"rpcvalet/internal/stats"
 	"rpcvalet/internal/workload"
 )
-
-func init() {
-	register("hier", figHier)
-	FigureIDs = append(FigureIDs, "hier")
-}
 
 // HierSizes are the datacenter sizes the hierarchical figure scales across —
 // the same 400/1000-node range as the rack study, now split into racks
@@ -57,7 +53,7 @@ func hierConfigAt(o Options, n int, global, rack string) (cluster.Config, error)
 	if err != nil {
 		return cluster.Config{}, err
 	}
-	cfg := clusterBase(o, workload.SyntheticExp(), machine.ModeSingleQueue, pol)
+	cfg := clusterBase(o, workload.SyntheticExp(), "1x16", pol)
 	cfg.Nodes = n
 	if global != "" {
 		gpol, err := cluster.PolicyByName(global)
@@ -104,7 +100,7 @@ func figHierOver(o Options, ns []int) (Figure, error) {
 	for _, n := range ns {
 		memCap := max(1, 1500/n)
 		workers := min(memCap, BudgetWorkers(o.Workers,
-			RunCost(cluster.Config{Nodes: n, Racks: HierRacks, Shards: o.Shards})))
+			cluster.Engines(cluster.Config{Nodes: n, Racks: HierRacks, Shards: o.Shards})))
 		group, err := runPoints(len(hierTopologies), workers, func(i int) (cluster.Result, error) {
 			tp := hierTopologies[i]
 			cfg, err := hierConfigAt(o, n, tp.global, tp.rack)
@@ -175,22 +171,15 @@ func figHierOver(o Options, ns []int) (Figure, error) {
 			HierRacks, wl.Name, HierLoad, HierGlobalHop, ClusterHop),
 	}
 
-	p99Cols, p999Cols := []string{"nodes"}, []string{"nodes"}
-	for _, tp := range hierTopologies {
-		p99Cols = append(p99Cols, "p99ns_"+tp.label)
-		p999Cols = append(p999Cols, "p999ns_"+tp.label)
+	labels := make([]string, len(hierTopologies))
+	for k, tp := range hierTopologies {
+		labels[k] = tp.label
 	}
-	p99Tbl := report.NewTable("Hier p99 (ns) vs datacenter size by topology", p99Cols...)
-	p999Tbl := report.NewTable("Hier p99.9 (ns) vs datacenter size by topology", p999Cols...)
-	for _, n := range ns {
-		p99Row, p999Row := []any{n}, []any{n}
-		for _, tp := range hierTopologies {
-			p99Row = append(p99Row, results[n][tp.label].Latency.P99)
-			p999Row = append(p999Row, results[n][tp.label].Latency.P999)
-		}
-		p99Tbl.AddRowf(p99Row...)
-		p999Tbl.AddRowf(p999Row...)
-	}
+	latency := func(i, k int) stats.Summary { return results[ns[i]][labels[k]].Latency }
+	p99Tbl := grid("Hier p99 (ns) vs datacenter size by topology", "nodes", ns, labels, []string{"p99ns_"},
+		func(i, k, _ int) any { return latency(i, k).P99 })
+	p999Tbl := grid("Hier p99.9 (ns) vs datacenter size by topology", "nodes", ns, labels, []string{"p999ns_"},
+		func(i, k, _ int) any { return latency(i, k).P999 })
 
 	share := func(res cluster.Result) float64 {
 		if res.Completed == 0 || len(res.RackCompleted) == 0 {
@@ -213,41 +202,24 @@ func figHierOver(o Options, ns []int) (Figure, error) {
 	// Claims at the largest size: comparative orderings that hold from Quick
 	// to Default scales.
 	at := func(label string) cluster.Result { return results[top][label] }
-	orderings := []struct {
-		name, paper string
-		a, b        float64
-	}{
-		{fmt.Sprintf("hier flat jsqfull p99 <= jsqfullxjsqfull p99 (%d nodes)", top),
+	fig.Claims = []Claim{
+		noWorse(fmt.Sprintf("hier flat jsqfull p99 <= jsqfullxjsqfull p99 (%d nodes)", top),
 			"a second dispatch tier pays its hop: flat routing lower-bounds the stacked tail",
-			at("flat-jsqfull").Latency.P99, at("jsqfullxjsqfull").Latency.P99},
-		{fmt.Sprintf("hier degraded-rack jsqfullxjsqfull p99 <= randomxjsqfull p99 (%d nodes)", top),
+			at("flat-jsqfull").Latency.P99, at("jsqfullxjsqfull").Latency.P99),
+		noWorse(fmt.Sprintf("hier degraded-rack jsqfullxjsqfull p99 <= randomxjsqfull p99 (%d nodes)", top),
 			"queue-aware global placement routes around a slow rack; blind placement overloads it",
-			degJSQFull.Latency.P99, degRandom.Latency.P99},
-		{fmt.Sprintf("hier degraded-rack jsqfull global sheds slow-rack load vs random (%d nodes)", top),
+			degJSQFull.Latency.P99, degRandom.Latency.P99),
+		noWorse(fmt.Sprintf("hier degraded-rack jsqfull global sheds slow-rack load vs random (%d nodes)", top),
 			"only a global tier watching rack aggregate depth can shed a saturating rack's excess",
-			share(degJSQFull), share(degRandom)},
+			share(degJSQFull), share(degRandom)),
+		statement{fmt.Sprintf("hier rack failover costs at p99.9 (%d nodes)", top),
+			"freezing one rack balancer strands in-flight requests: the outage prices into the far tail"}.
+			judge(above(failRes.Latency.P999, healthyRes.Latency.P999), "paused p999=%.4g vs healthy p999=%.4g",
+				failRes.Latency.P999, healthyRes.Latency.P999),
+		statement{fmt.Sprintf("hier failover shifts load off the frozen rack (%d nodes)", top),
+			"the global tier routes around a rack whose aggregate depth stops draining"}.
+			judge(below(share(failRes), share(healthyRes)), "rack0 share %.4f paused vs %.4f healthy (fair %.4f)",
+				share(failRes), share(healthyRes), 1.0/HierRacks),
 	}
-	for _, c := range orderings {
-		fig.Claims = append(fig.Claims, Claim{
-			Name:     c.name,
-			Paper:    c.paper,
-			Measured: fmt.Sprintf("%.4g vs %.4g", c.a, c.b),
-			Ok:       c.a <= c.b,
-		})
-	}
-	fig.Claims = append(fig.Claims, Claim{
-		Name:  fmt.Sprintf("hier rack failover costs at p99.9 (%d nodes)", top),
-		Paper: "freezing one rack balancer strands in-flight requests: the outage prices into the far tail",
-		Measured: fmt.Sprintf("paused p999=%.4g vs healthy p999=%.4g",
-			failRes.Latency.P999, healthyRes.Latency.P999),
-		Ok: failRes.Latency.P999 > healthyRes.Latency.P999,
-	})
-	fig.Claims = append(fig.Claims, Claim{
-		Name:  fmt.Sprintf("hier failover shifts load off the frozen rack (%d nodes)", top),
-		Paper: "the global tier routes around a rack whose aggregate depth stops draining",
-		Measured: fmt.Sprintf("rack0 share %.4f paused vs %.4f healthy (fair %.4f)",
-			share(failRes), share(healthyRes), 1.0/HierRacks),
-		Ok: share(failRes) < share(healthyRes),
-	})
 	return fig, nil
 }

@@ -5,15 +5,9 @@ import (
 	"time"
 
 	"rpcvalet/internal/live"
-	"rpcvalet/internal/machine"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/workload"
 )
-
-func init() {
-	register("live", figLive)
-	FigureIDs = append(FigureIDs, "live")
-}
 
 // liveLoad is the offered fraction of the live runtime's estimated capacity:
 // high enough that queueing separates the shapes, low enough that the open
@@ -68,12 +62,8 @@ func figLive(o Options) (Figure, error) {
 
 	results := make(map[string]live.Result, len(livePlans))
 	for _, spec := range livePlans {
-		pl, err := machine.ParsePlan(spec)
-		if err != nil {
-			return Figure{}, err
-		}
 		cfg := base
-		cfg.Plan = pl
+		cfg.Plan = mustPlan(spec)
 		res, err := live.Run(cfg)
 		if err != nil {
 			return Figure{}, fmt.Errorf("live %s: %w", spec, err)
@@ -98,29 +88,21 @@ func figLive(o Options) (Figure, error) {
 
 	shared, jbsq, part := results["1x16"], results["jbsq1"], results["16x1"]
 	fig.Claims = append(fig.Claims,
-		Claim{
-			Name:  "live: single shared queue beats partitioned p99 under GEV service",
-			Paper: "single-queue dispatch tames the tail; RSS partitioning cannot (§2.2, measured like nanoPU/Dagger)",
-			Measured: fmt.Sprintf("shared p99 %.0f ns vs partitioned %.0f ns (%.2f×)",
+		statement{"live: single shared queue beats partitioned p99 under GEV service",
+			"single-queue dispatch tames the tail; RSS partitioning cannot (§2.2, measured like nanoPU/Dagger)"}.
+			judge(and(fact(shared.Latency.Count > 0), fact(part.Latency.Count > 0), below(shared.Latency.P99, part.Latency.P99)),
+				"shared p99 %.0f ns vs partitioned %.0f ns (%.2f×)",
 				shared.Latency.P99, part.Latency.P99, safeRatio(part.Latency.P99, shared.Latency.P99)),
-			Ok: shared.Latency.Count > 0 && part.Latency.Count > 0 && shared.Latency.P99 < part.Latency.P99,
-		},
-		Claim{
-			Name:  "live: JBSQ(1) tracks the single queue where partitioned collapses",
-			Paper: "bounded single-queue dispatch ≈ ideal (nanoPU JBSQ)",
-			Measured: fmt.Sprintf("jbsq1 p99 %.2f× the shared queue's (partitioned %.2f×)",
+		statement{"live: JBSQ(1) tracks the single queue where partitioned collapses", "bounded single-queue dispatch ≈ ideal (nanoPU JBSQ)"}.
+			judge(and(fact(jbsq.Latency.Count > 0), atMost(jbsq.Latency.P99, 2.5*shared.Latency.P99), below(jbsq.Latency.P99, part.Latency.P99)),
+				"jbsq1 p99 %.2f× the shared queue's (partitioned %.2f×)",
 				safeRatio(jbsq.Latency.P99, shared.Latency.P99), safeRatio(part.Latency.P99, shared.Latency.P99)),
-			Ok: jbsq.Latency.Count > 0 && jbsq.Latency.P99 <= 2.5*shared.Latency.P99 &&
-				jbsq.Latency.P99 < part.Latency.P99,
-		},
-		Claim{
-			Name:  "live: the open loop delivered the offered load below saturation",
-			Paper: "load generator sanity (offered ≈ completed at 0.65 of capacity)",
-			Measured: fmt.Sprintf("shared completed %d of %d offered, %d dropped, thr %.4f MRPS vs offered %.4f",
+		statement{"live: the open loop delivered the offered load below saturation",
+			"load generator sanity (offered ≈ completed at 0.65 of capacity)"}.
+			judge(and(fact(shared.Dropped == 0), fact(shared.Completed == shared.Offered),
+				above(shared.ThroughputMRPS, 0.7*base.RateMRPS), below(shared.ThroughputMRPS, 1.3*base.RateMRPS)),
+				"shared completed %d of %d offered, %d dropped, thr %.4f MRPS vs offered %.4f",
 				shared.Completed, shared.Offered, shared.Dropped, shared.ThroughputMRPS, base.RateMRPS),
-			Ok: shared.Dropped == 0 && shared.Completed == shared.Offered &&
-				shared.ThroughputMRPS > 0.7*base.RateMRPS && shared.ThroughputMRPS < 1.3*base.RateMRPS,
-		},
 	)
 	return fig, nil
 }

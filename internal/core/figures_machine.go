@@ -9,78 +9,40 @@ import (
 	"rpcvalet/internal/workload"
 )
 
-func init() {
-	register("7a", fig7a)
-	register("7b", fig7b)
-	register("7c", fig7c)
-	register("8", fig8)
-	register("9", fig9)
-}
-
-// machineBase assembles a machine config for one mode/workload at the
-// harness's measurement scale.
-func machineBase(o Options, wl workload.Profile, mode machine.Mode) machine.Config {
-	p := machine.Defaults()
-	p.Mode = mode
-	return machine.Config{
-		Params:   p,
-		Workload: wl,
-		Warmup:   o.Warmup,
-		Measure:  o.Measure,
-		Seed:     o.Seed,
-	}
-}
-
-// hwModes are the three hardware queuing configurations of §6.1, ordered as
-// the paper's legends list them.
-var hwModes = []machine.Mode{machine.ModePartitioned, machine.ModeGrouped, machine.ModeSingleQueue}
-
-func modeShort(m machine.Mode) string {
-	switch m {
-	case machine.ModeSingleQueue:
-		return "1x16"
-	case machine.ModeGrouped:
-		return "4x4"
-	case machine.ModePartitioned:
-		return "16x1"
-	case machine.ModeSoftware:
-		return "sw"
-	}
-	return m.String()
-}
-
-// modeSeries builds one machine series per mode over a shared rate grid,
-// each labeled with the mode's short name.
-func modeSeries(o Options, wl workload.Profile, modes []machine.Mode, rates []float64) []series {
-	ss := make([]series, len(modes))
-	for m, mode := range modes {
-		ss[m] = machineSeries(machineBase(o, wl, mode), rates, modeShort(mode))
+// planSeries builds one machine series per plan spec over a shared rate
+// grid, each labeled with its spec.
+func planSeries(o Options, wl workload.Profile, plans []string, rates []float64) []series {
+	ss := make([]series, len(plans))
+	for i, plan := range plans {
+		ss[i] = machineSeries(machineBase(o, wl, plan), rates, plan)
 	}
 	return ss
 }
 
-// hwSeries is modeSeries over hwModes on a RateGrid spanning loFrac..hiFrac
+// hwSeries is planSeries over hwPlans on a RateGrid spanning loFrac..hiFrac
 // of the workload's capacity; the swept curves come back as 16x1, 4x4, 1x16.
 func hwSeries(o Options, wl workload.Profile, loFrac, hiFrac float64) []series {
 	rates := RateGrid(CapacityMRPS(machine.Defaults(), wl), loFrac, hiFrac, o.Points)
-	return modeSeries(o, wl, hwModes, rates)
+	return planSeries(o, wl, hwPlans, rates)
 }
 
 // curveTable renders p99-vs-throughput series for several curves.
 func curveTable(title string, curves []Curve) *report.Table {
-	cols := []string{"rate_mrps"}
-	for _, c := range curves {
-		cols = append(cols, "thr_"+c.Label, "p99ns_"+c.Label)
-	}
-	tbl := report.NewTable(title, cols...)
+	rates := make([]float64, len(curves[0].Points))
 	for i, p := range curves[0].Points {
-		row := []any{p.RateMRPS}
-		for _, c := range curves {
-			row = append(row, c.Points[i].ThroughputMRPS, c.Points[i].P99)
-		}
-		tbl.AddRowf(row...)
+		rates[i] = p.RateMRPS
 	}
-	return tbl
+	labels := make([]string, len(curves))
+	for k, c := range curves {
+		labels[k] = c.Label
+	}
+	return grid(title, "rate_mrps", rates, labels, []string{"thr_", "p99ns_"}, func(i, k, p int) any {
+		pt := curves[k].Points[i]
+		if p == 0 {
+			return pt.ThroughputMRPS
+		}
+		return pt.P99
+	})
 }
 
 // sloTable summarizes throughput under SLO per curve.
@@ -112,15 +74,11 @@ func fig7a(o Options) (Figure, error) {
 	}
 	sbar := sq.Points[0].ServiceMean
 	fig.Claims = []Claim{
-		{
-			Name:     "HERD mean service time S̄",
-			Paper:    "~550 ns (330 ns handler + overhead)",
-			Measured: fmt.Sprintf("%.0f ns", sbar),
-			Ok:       sbar > 480 && sbar < 620,
-		},
-		ratioClaim("1x16 vs 4x4 throughput under SLO", "1.16×", safeRatio(sThr, gThr), 1.0, 1.5),
-		ratioClaim("1x16 vs 16x1 throughput under SLO", "1.18×", safeRatio(sThr, pThr), 1.02, 1.8),
-		ratioClaim("max tail reduction before saturation", "up to 4×", sq.MaxTailRatioVs(pt), 1.5, 1e9),
+		statement{"HERD mean service time S̄", "~550 ns (330 ns handler + overhead)"}.
+			judge(and(above(sbar, 480), below(sbar, 620)), "%.0f ns", sbar),
+		ratio("1x16 vs 4x4 throughput under SLO", "1.16×", safeRatio(sThr, gThr), 1.0, 1.5),
+		ratio("1x16 vs 16x1 throughput under SLO", "1.18×", safeRatio(sThr, pThr), 1.02, 1.8),
+		ratio("max tail reduction before saturation", "up to 4×", sq.MaxTailRatioVs(pt), 1.5, 1e9),
 	}
 	return fig, nil
 }
@@ -141,24 +99,17 @@ func fig7b(o Options) (Figure, error) {
 			sloTable("Fig 7b summary: throughput under 12.5µs SLO", curves),
 		},
 	}
+	sqThr := sq.ThroughputUnderSLO()
 	fig.Claims = []Claim{
-		{
-			Name:     "16x1 violates the SLO even at the lowest load",
-			Paper:    "cannot meet SLO even at 2 MRPS",
-			Measured: fmt.Sprintf("p99=%.1fµs at %.1f MRPS", pt.Points[0].P99/1000, pt.Points[0].RateMRPS),
-			Ok:       !pt.Points[0].MeetsSLO,
-		},
+		statement{"16x1 violates the SLO even at the lowest load", "cannot meet SLO even at 2 MRPS"}.
+			judge(fact(!pt.Points[0].MeetsSLO), "p99=%.1fµs at %.1f MRPS", pt.Points[0].P99/1000, pt.Points[0].RateMRPS),
 		// Our 4×4 degrades harder than the paper's: with only four cores
 		// per group, overlapping scans (P[≥3 concurrent] ≈ 1%) starve a
 		// group right at the 99th percentile, so the measured advantage
 		// of full-chip balancing is larger than the paper's 1.37×.
-		ratioClaim("1x16 vs 4x4 throughput under SLO", "1.37×", safeRatio(sq.ThroughputUnderSLO(), gr.ThroughputUnderSLO()), 1.1, 4.5),
-		{
-			Name:     "1x16 throughput under SLO",
-			Paper:    "4.1 MRPS",
-			Measured: fmt.Sprintf("%.2f MRPS", sq.ThroughputUnderSLO()),
-			Ok:       sq.ThroughputUnderSLO() > 2 && sq.ThroughputUnderSLO() < 6.5,
-		},
+		ratio("1x16 vs 4x4 throughput under SLO", "1.37×", safeRatio(sqThr, gr.ThroughputUnderSLO()), 1.1, 4.5),
+		statement{"1x16 throughput under SLO", "4.1 MRPS"}.
+			judge(and(above(sqThr, 2), below(sqThr, 6.5)), "%.2f MRPS", sqThr),
 	}
 	return fig, nil
 }
@@ -200,15 +151,14 @@ func fig7c(o Options) (Figure, error) {
 		)
 		e := expect[kind]
 		fig.Claims = append(fig.Claims,
-			ratioClaim(kind+": 1x16 vs 4x4 under SLO", e.vs4x4,
+			ratio(kind+": 1x16 vs 4x4 under SLO", e.vs4x4,
 				safeRatio(sq.ThroughputUnderSLO(), gr.ThroughputUnderSLO()), e.lo4, e.hi4),
-			ratioClaim(kind+": 1x16 vs 16x1 under SLO", e.vs16x1,
+			ratio(kind+": 1x16 vs 16x1 under SLO", e.vs16x1,
 				safeRatio(sq.ThroughputUnderSLO(), pt.ThroughputUnderSLO()), e.lo16, e.hi16),
 		)
 		if kind == "gev" {
 			fig.Claims = append(fig.Claims,
-				ratioClaim("gev: max tail reduction before saturation", "up to 4×",
-					sq.MaxTailRatioVs(pt), 1.5, 1e9))
+				ratio("gev: max tail reduction before saturation", "up to 4×", sq.MaxTailRatioVs(pt), 1.5, 1e9))
 		}
 	}
 	return fig, nil
@@ -218,7 +168,7 @@ func fig7c(o Options) (Figure, error) {
 // four synthetic distributions.
 func fig8(o Options) (Figure, error) {
 	fig := Figure{ID: "8", Title: "Fig 8: 1x16 hardware vs software (MCS) load balancing"}
-	modes := []machine.Mode{machine.ModeSingleQueue, machine.ModeSoftware}
+	plans := []string{"1x16", "sw"}
 	var ss []series
 	for _, kind := range workload.SyntheticKinds {
 		wl, err := workload.Synthetic(kind)
@@ -229,7 +179,7 @@ func fig8(o Options) (Figure, error) {
 		// lock's ≈5.3 MRPS ceiling, far below chip capacity, so the
 		// interesting region is the low-rate end.
 		rates := GeometricRateGrid(CapacityMRPS(machine.Defaults(), wl), 0.05, 0.95, o.Points)
-		ss = append(ss, modeSeries(o, wl, modes, rates)...)
+		ss = append(ss, planSeries(o, wl, plans, rates)...)
 	}
 	all, err := sweep(o.Workers, o.KneeIters, ss...)
 	if err != nil {
@@ -246,7 +196,7 @@ func fig8(o Options) (Figure, error) {
 		// qualitative result — the lock serializes the software design
 		// several times below hardware — is what the band checks.
 		fig.Claims = append(fig.Claims,
-			ratioClaim(kind+": hw vs sw throughput under SLO", "2.3–2.7×",
+			ratio(kind+": hw vs sw throughput under SLO", "2.3–2.7×",
 				safeRatio(hw.ThroughputUnderSLO(), sw.ThroughputUnderSLO()), 1.9, 6.0))
 	}
 	return fig, nil
@@ -266,7 +216,7 @@ func fig9(o Options) (Figure, error) {
 			return Figure{}, err
 		}
 		rates := RateGrid(CapacityMRPS(machine.Defaults(), wl), 0.1, 0.95, o.Points)
-		sims[k] = machineSeries(machineBase(o, wl, machine.ModeSingleQueue), rates, kind)
+		sims[k] = machineSeries(machineBase(o, wl, "1x16"), rates, kind)
 	}
 	simCurves, err := sweep(o.Workers, 0, sims...)
 	if err != nil {
@@ -325,12 +275,9 @@ func fig9(o Options) (Figure, error) {
 		// Near the SLO knee the p99 of a heavy-tailed distribution is
 		// noisy at finite sample sizes, so the measured gap can land on
 		// either side of zero; the claim checks its magnitude.
-		fig.Claims = append(fig.Claims, Claim{
-			Name:     kind + ": machine-vs-model throughput gap under SLO",
-			Paper:    "3–15% (worst case GEV)",
-			Measured: fmt.Sprintf("%.1f%%", gap),
-			Ok:       gap >= -16 && gap <= 22,
-		})
+		fig.Claims = append(fig.Claims,
+			statement{kind + ": machine-vs-model throughput gap under SLO", "3–15% (worst case GEV)"}.
+				judge(within(gap, -16, 22), "%.1f%%", gap))
 	}
 	return fig, nil
 }

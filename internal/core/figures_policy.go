@@ -8,11 +8,6 @@ import (
 	"rpcvalet/internal/workload"
 )
 
-func init() {
-	register("policy", figPolicy)
-	FigureIDs = append(FigureIDs, "policy")
-}
-
 // policyPlans are the dispatch plans the policy study compares, in report
 // order: the default occupancy-feedback single queue as the reference, the
 // NI policies the plan layer unlocked on that same single queue, the strict
@@ -42,6 +37,15 @@ var policyWorkloads = []struct {
 	{"masstree", workload.Masstree, 0.15, 0.8, false},
 }
 
+// The policy figure's headline claims, each stated whether or not the run
+// could measure it.
+var (
+	jbsqTracksIdeal = statement{"jbsq1 tracks the single-queue ideal where partitioned collapses",
+		"bounded single-queue dispatch ≈ ideal (nanoPU JBSQ); RSS cannot follow"}
+	twoChoicesSuffice = statement{"random-of-2 recovers most of the least-outstanding gain",
+		"two choices suffice (Mitzenmacher); a cheap microcoded policy"}
+)
+
 // figPolicy is the dispatch-policy study the Mode enum could not express:
 // every plan in policyPlans × every workload shape, swept over load. It
 // checks the refactor's headline claims — occupancy feedback
@@ -60,13 +64,7 @@ func figPolicy(o Options) (Figure, error) {
 		wl := w.profile()
 		rates := RateGrid(CapacityMRPS(machine.Defaults(), wl), w.lo, w.hi, o.Points)
 		for _, spec := range policyPlans {
-			pl, err := machine.ParsePlan(spec)
-			if err != nil {
-				return Figure{}, err
-			}
-			base := machineBase(o, wl, machine.ModeSingleQueue)
-			base.Params.Plan = pl
-			ss = append(ss, machineSeries(base, rates, w.kind+"/"+spec))
+			ss = append(ss, machineSeries(machineBase(o, wl, spec), rates, w.kind+"/"+spec))
 		}
 	}
 	all, err := sweep(o.Workers, 0, ss...)
@@ -79,18 +77,9 @@ func figPolicy(o Options) (Figure, error) {
 			curves[key{w.kind, spec}] = all[wi*len(policyPlans)+pi]
 		}
 
-		cols := []string{"rate_mrps"}
-		for _, spec := range policyPlans {
-			cols = append(cols, "p99ns_"+spec)
-		}
-		tbl := report.NewTable(fmt.Sprintf("Policy study (%s): p99 (ns) vs offered load", w.kind), cols...)
-		for i, r := range ss[wi*len(policyPlans)].rates {
-			row := []any{r}
-			for _, spec := range policyPlans {
-				row = append(row, curves[key{w.kind, spec}].Points[i].P99)
-			}
-			tbl.AddRowf(row...)
-		}
+		tbl := grid(fmt.Sprintf("Policy study (%s): p99 (ns) vs offered load", w.kind),
+			"rate_mrps", ss[wi*len(policyPlans)].rates, policyPlans, []string{"p99ns_"},
+			func(i, k, _ int) any { return curves[key{w.kind, policyPlans[k]}].Points[i].P99 })
 		sum := report.NewTable(fmt.Sprintf("Policy study (%s): throughput under SLO", w.kind),
 			"plan", "thr_under_slo_mrps")
 		for _, spec := range policyPlans {
@@ -116,12 +105,9 @@ func figPolicy(o Options) (Figure, error) {
 			}
 		}
 	}
-	fig.Claims = append(fig.Claims, Claim{
-		Name:     "least-outstanding matches or beats first-available p99 at every load",
-		Paper:    "occupancy feedback eliminates avoidable queueing (§6.1)",
-		Measured: fmt.Sprintf("worst p99 ratio %.2f× (%s)", worst, worstAt),
-		Ok:       worst > 0 && worst <= 1.05,
-	})
+	fig.Claims = append(fig.Claims,
+		statement{"least-outstanding matches or beats first-available p99 at every load", "occupancy feedback eliminates avoidable queueing (§6.1)"}.
+			judge(and(above(worst, 0), atMost(worst, 1.05)), "worst p99 ratio %.2f× (%s)", worst, worstAt))
 
 	// Claims 2+3 read the headline (GEV) workload at the reference plan's
 	// highest SLO-meeting load — the regime where partitioned queues have
@@ -141,29 +127,18 @@ func figPolicy(o Options) (Figure, error) {
 			// Keep the figure's declared shape: both headline claims are
 			// present (and failed) when the reference never met its SLO.
 			fig.Claims = append(fig.Claims,
-				Claim{
-					Name:     "jbsq1 tracks the single-queue ideal where partitioned collapses",
-					Paper:    "bounded single-queue dispatch ≈ ideal (nanoPU JBSQ); RSS cannot follow",
-					Measured: "reference 1x16 never met SLO",
-				},
-				Claim{
-					Name:     "random-of-2 recovers most of the least-outstanding gain",
-					Paper:    "two choices suffice (Mitzenmacher); a cheap microcoded policy",
-					Measured: "reference 1x16 never met SLO",
-				})
+				jbsqTracksIdeal.unmeasured("reference 1x16 never met SLO"),
+				twoChoicesSuffice.unmeasured("reference 1x16 never met SLO"))
 			continue
 		}
 		refP99 := ref.Points[idx].P99
 		jb := curves[key{w.kind, "jbsq1"}].Points[idx].P99
 		pt := curves[key{w.kind, "16x1"}].Points[idx].P99
 		rate := ref.Points[idx].RateMRPS
-		fig.Claims = append(fig.Claims, Claim{
-			Name:  "jbsq1 tracks the single-queue ideal where partitioned collapses",
-			Paper: "bounded single-queue dispatch ≈ ideal (nanoPU JBSQ); RSS cannot follow",
-			Measured: fmt.Sprintf("@%.1fMRPS (%s) p99: jbsq1 %.2f× vs 16x1 %.2f× the 1x16 reference",
-				rate, w.kind, safeRatio(jb, refP99), safeRatio(pt, refP99)),
-			Ok: refP99 > 0 && jb <= 1.5*refP99 && pt >= 1.5*refP99,
-		})
+		fig.Claims = append(fig.Claims, jbsqTracksIdeal.judge(
+			and(above(refP99, 0), atMost(jb, 1.5*refP99), atLeast(pt, 1.5*refP99)),
+			"@%.1fMRPS (%s) p99: jbsq1 %.2f× vs 16x1 %.2f× the 1x16 reference",
+			rate, w.kind, safeRatio(jb, refP99), safeRatio(pt, refP99)))
 
 		// Power of two choices: sampling just two occupancy counters
 		// recovers most of the gap between blind and fully informed
@@ -199,21 +174,15 @@ func figPolicy(o Options) (Figure, error) {
 			}
 		}
 		if len(recMean) == 0 || len(recP99) == 0 {
-			fig.Claims = append(fig.Claims, Claim{
-				Name:     "random-of-2 recovers most of the least-outstanding gain",
-				Paper:    "two choices suffice (Mitzenmacher); a cheap microcoded policy",
-				Measured: "no load with a positive first-available→least-outstanding gap",
-			})
+			fig.Claims = append(fig.Claims,
+				twoChoicesSuffice.unmeasured("no load with a positive first-available→least-outstanding gap"))
 			continue
 		}
 		medMean, medP99 := median(recMean), median(recP99)
-		fig.Claims = append(fig.Claims, Claim{
-			Name:  "random-of-2 recovers most of the least-outstanding gain",
-			Paper: "two choices suffice (Mitzenmacher); a cheap microcoded policy",
-			Measured: fmt.Sprintf("(%s) median over top %d SLO loads: %.0f%% of the mean gap, %.0f%% of the p99 gap",
-				w.kind, len(okIdx), medMean*100, medP99*100),
-			Ok: medMean >= 0.5 && medP99 >= 0.25,
-		})
+		fig.Claims = append(fig.Claims, twoChoicesSuffice.judge(
+			and(atLeast(medMean, 0.5), atLeast(medP99, 0.25)),
+			"(%s) median over top %d SLO loads: %.0f%% of the mean gap, %.0f%% of the p99 gap",
+			w.kind, len(okIdx), medMean*100, medP99*100))
 	}
 	return fig, nil
 }

@@ -12,14 +12,6 @@ import (
 	"rpcvalet/internal/workload"
 )
 
-func init() {
-	register("2a", fig2a)
-	register("2b", fig2b)
-	register("2c", fig2c)
-	register("6", fig6)
-	register("table1", table1)
-}
-
 // theoryLoads builds the offered-load grid used by the §2.2 queueing plots.
 func theoryLoads(n int) []float64 {
 	loads := make([]float64, n)
@@ -35,28 +27,23 @@ func fig2a(o Options) (Figure, error) {
 	shapes := []struct{ q, u int }{{1, 16}, {2, 8}, {4, 4}, {8, 2}, {16, 1}}
 	loads := theoryLoads(o.Points)
 
-	tbl := report.NewTable("Fig 2a: p99 latency (×S̄) vs load, exponential service",
-		"load", "1x16", "2x8", "4x4", "8x2", "16x1")
 	ss := make([]series, len(shapes))
+	labels := make([]string, len(shapes))
 	for i, s := range shapes {
 		cfg := queueing.Config{
 			Queues: s.q, ServersPerQueue: s.u,
 			Service: dist.Exponential{MeanValue: 1},
 			Warmup:  o.QGen / 10, Measure: o.QGen, Seed: o.Seed,
 		}
-		ss[i] = queueingSeries(cfg, loads, 10, fmt.Sprintf("%dx%d", s.q, s.u))
+		labels[i] = fmt.Sprintf("%dx%d", s.q, s.u)
+		ss[i] = queueingSeries(cfg, loads, 10, labels[i])
 	}
 	curves, err := sweep(o.Workers, 0, ss...)
 	if err != nil {
 		return Figure{}, err
 	}
-	for li, load := range loads {
-		row := []any{load}
-		for _, c := range curves {
-			row = append(row, c.Points[li].P99)
-		}
-		tbl.AddRowf(row...)
-	}
+	tbl := grid("Fig 2a: p99 latency (×S̄) vs load, exponential service", "load", loads, labels, []string{""},
+		func(i, k, _ int) any { return curves[k].Points[i].P99 })
 
 	// Claim: performance is proportional to U — at high load the p99
 	// ordering is monotone from 1×16 (best) to 16×1 (worst).
@@ -71,12 +58,10 @@ func fig2a(o Options) (Figure, error) {
 		ID:     "2a",
 		Title:  "Queueing systems under exponential service",
 		Tables: []*report.Table{tbl},
-		Claims: []Claim{{
-			Name:     "p99 ordering 1x16 < 2x8 < 4x4 < 8x2 < 16x1 at high load",
-			Paper:    "performance proportional to U (Fig 2a)",
-			Measured: fmt.Sprintf("monotone=%v at load %.2f", monotone, loads[hi]),
-			Ok:       monotone,
-		}},
+		Claims: []Claim{
+			statement{"p99 ordering 1x16 < 2x8 < 4x4 < 8x2 < 16x1 at high load", "performance proportional to U (Fig 2a)"}.
+				judge(fact(monotone), "monotone=%v at load %.2f", monotone, loads[hi]),
+		},
 	}, nil
 }
 
@@ -85,7 +70,6 @@ func fig2a(o Options) (Figure, error) {
 func fig2bc(o Options, q, u int, id, title string) (Figure, error) {
 	loads := theoryLoads(o.Points)
 
-	tbl := report.NewTable(title, append([]string{"load"}, workload.SyntheticKinds...)...)
 	// 2c also sweeps every distribution on 1×16, for the throughput-loss
 	// claims below; those curves share the pool.
 	shapes := [][2]int{{q, u}}
@@ -110,24 +94,18 @@ func fig2bc(o Options, q, u int, id, title string) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	curves := map[string]Curve{}
-	for i, name := range workload.SyntheticKinds {
-		curves[name] = all[i]
-	}
-	for li, load := range loads {
-		row := []any{load}
-		for _, name := range workload.SyntheticKinds {
-			row = append(row, curves[name].Points[li].P99)
-		}
-		tbl.AddRowf(row...)
-	}
+	// all[k] is SyntheticKinds[k] on the figure's shape; on 2c the 1×16
+	// curves follow.
+	kinds := workload.SyntheticKinds
+	tbl := grid(title, "load", loads, kinds, []string{""},
+		func(i, k, _ int) any { return all[k].Points[i].P99 })
 
 	// Claim: tail ordering by service-time variance at moderate load.
 	mid := len(loads) / 2
 	ordered := true
-	for i := 1; i < len(workload.SyntheticKinds); i++ {
-		a := curves[workload.SyntheticKinds[i-1]].Points[mid].P99
-		b := curves[workload.SyntheticKinds[i]].Points[mid].P99
+	for k := 1; k < len(kinds); k++ {
+		a := all[k-1].Points[mid].P99
+		b := all[k].Points[mid].P99
 		if b < a*0.98 {
 			ordered = false
 		}
@@ -136,12 +114,10 @@ func fig2bc(o Options, q, u int, id, title string) (Figure, error) {
 		ID:     id,
 		Title:  title,
 		Tables: []*report.Table{tbl},
-		Claims: []Claim{{
-			Name:     "TL(fixed) < TL(uniform) < TL(exp) < TL(gev)",
-			Paper:    "higher variance ⇒ higher tail before saturation (§2.2)",
-			Measured: fmt.Sprintf("ordered=%v at load %.2f", ordered, loads[mid]),
-			Ok:       ordered,
-		}},
+		Claims: []Claim{
+			statement{"TL(fixed) < TL(uniform) < TL(exp) < TL(gev)", "higher variance ⇒ higher tail before saturation (§2.2)"}.
+				judge(fact(ordered), "ordered=%v at load %.2f", ordered, loads[mid]),
+		},
 	}
 
 	// For the pair of figures, also check the 16×1-vs-1×16 throughput gap
@@ -156,20 +132,17 @@ func fig2bc(o Options, q, u int, id, title string) (Figure, error) {
 			"exp":     {35, 80},
 			"gev":     {60, 100},
 		}
-		for i, name := range workload.SyntheticKinds {
-			sThr := all[len(workload.SyntheticKinds)+i].ThroughputUnderSLO()
-			pThr := curves[name].ThroughputUnderSLO()
+		for k, name := range kinds {
+			sThr := all[len(kinds)+k].ThroughputUnderSLO()
+			pThr := all[k].ThroughputUnderSLO()
 			if sThr <= 0 {
 				continue
 			}
 			lossPct := (1 - pThr/sThr) * 100
 			band := bands[name]
-			fig.Claims = append(fig.Claims, Claim{
-				Name:     fmt.Sprintf("16x1 throughput loss under SLO, %s", name),
-				Paper:    "25–73% lower than 1x16, growing with variance (§2.2)",
-				Measured: fmt.Sprintf("%.0f%%", lossPct),
-				Ok:       lossPct >= band[0] && lossPct <= band[1],
-			})
+			fig.Claims = append(fig.Claims,
+				statement{"16x1 throughput loss under SLO, " + name, "25–73% lower than 1x16, growing with variance (§2.2)"}.
+					judge(within(lossPct, band[0], band[1]), "%.0f%%", lossPct))
 		}
 	}
 	return fig, nil
@@ -207,20 +180,20 @@ func fig6(o Options) (Figure, error) {
 	fig := Figure{ID: "6", Title: "Fig 6: modeled RPC processing time distributions"}
 
 	// 6a: the four synthetic profiles on a 0–1200 ns axis.
-	synth := report.NewTable("Fig 6a: synthetic PDFs (bin width 25ns)",
-		"bin_ns", "fixed", "uniform", "exp", "gev")
-	var cols [][]float64
-	for _, kind := range workload.SyntheticKinds {
+	pdfs := make([][]float64, len(workload.SyntheticKinds))
+	for k, kind := range workload.SyntheticKinds {
 		p, err := workload.Synthetic(kind)
 		if err != nil {
 			return Figure{}, err
 		}
-		cols = append(cols, pdf(p.Classes[0].Service, 0, 1200, 48, o.Seed))
+		pdfs[k] = pdf(p.Classes[0].Service, 0, 1200, 48, o.Seed)
 	}
-	for b := 0; b < 48; b++ {
-		synth.AddRowf(b*25, cols[0][b], cols[1][b], cols[2][b], cols[3][b])
+	bins := make([]int, 48)
+	for b := range bins {
+		bins[b] = b * 25
 	}
-	fig.Tables = append(fig.Tables, synth)
+	fig.Tables = append(fig.Tables, grid("Fig 6a: synthetic PDFs (bin width 25ns)", "bin_ns",
+		bins, workload.SyntheticKinds, []string{""}, func(i, k, _ int) any { return pdfs[k][i] }))
 
 	// 6b: HERD on the same axis.
 	herd := report.NewTable("Fig 6b: HERD-like PDF (bin width 25ns)", "bin_ns", "p")
@@ -236,20 +209,15 @@ func fig6(o Options) (Figure, error) {
 	}
 	fig.Tables = append(fig.Tables, mt)
 
-	check := func(name string, d dist.Sampler, want, tol float64) Claim {
+	mean := func(name string, d dist.Sampler, want, tol float64) Claim {
 		m := d.Mean()
-		return Claim{
-			Name:     name + " mean",
-			Paper:    fmt.Sprintf("%.0f ns", want),
-			Measured: fmt.Sprintf("%.0f ns", m),
-			Ok:       math.Abs(m-want) <= tol,
-		}
+		return statement{name + " mean", fmt.Sprintf("%.0f ns", want)}.
+			judge(atMost(math.Abs(m-want), tol), "%.0f ns", m)
 	}
-	gevProfile, _ := workload.Synthetic("gev")
 	fig.Claims = []Claim{
-		check("synthetic-gev", gevProfile.Classes[0].Service, 600, 8),
-		check("herd", workload.HERD().Classes[0].Service, 330, 5),
-		check("masstree-get", workload.MasstreeGets(), 1250, 15),
+		mean("synthetic-gev", workload.SyntheticGEV().Classes[0].Service, 600, 8),
+		mean("herd", workload.HERD().Classes[0].Service, 330, 5),
+		mean("masstree-get", workload.MasstreeGets(), 1250, 15),
 	}
 	return fig, nil
 }

@@ -4,15 +4,8 @@ import (
 	"fmt"
 
 	"rpcvalet/internal/cluster"
-	"rpcvalet/internal/machine"
-	"rpcvalet/internal/report"
 	"rpcvalet/internal/workload"
 )
-
-func init() {
-	register("rack", figRack)
-	FigureIDs = append(FigureIDs, "rack")
-}
 
 // RackSizes are the cluster sizes the rack figure scales across — up to the
 // ROADMAP's 1000-node target, which the balancer's depth index makes
@@ -55,14 +48,14 @@ func figRackOver(o Options, ns []int) (Figure, error) {
 		// (each holds its soNUMA domain buffers), then let the shard budget
 		// narrow further if the engine itself is parallel.
 		memCap := max(1, 1500/n)
-		workers := min(memCap, BudgetWorkers(o.Workers, RunCost(cluster.Config{Nodes: n, Shards: o.Shards})))
+		workers := min(memCap, BudgetWorkers(o.Workers, cluster.Engines(cluster.Config{Nodes: n, Shards: o.Shards})))
 		ss := make([]series, len(pols))
 		for i, name := range pols {
 			pol, err := cluster.PolicyByName(name)
 			if err != nil {
 				return Figure{}, err
 			}
-			base := clusterBase(o, wl, machine.ModeSingleQueue, pol)
+			base := clusterBase(o, wl, "1x16", pol)
 			base.Nodes = n
 			rate := RackLoad * ClusterCapacityMRPS(base)
 			ss[i] = clusterSeries(base, []float64{rate}, fmt.Sprintf("%s/n%d", name, n))
@@ -83,54 +76,31 @@ func figRackOver(o Options, ns []int) (Figure, error) {
 		Title: fmt.Sprintf("Rack scaling: p99 and imbalance vs cluster size by policy, 1x16 nodes, %s workload, load %.2f, %v hop",
 			wl.Name, RackLoad, ClusterHop),
 	}
-	p99Cols := []string{"nodes"}
-	imbCols := []string{"nodes"}
-	for _, name := range rackPolicyNames {
-		p99Cols = append(p99Cols, "p99ns_"+name)
-		imbCols = append(imbCols, "imbalance_"+name)
-	}
-	p99Tbl := report.NewTable("Rack p99 (ns) vs cluster size by policy", p99Cols...)
-	imbTbl := report.NewTable("Rack completion imbalance (max/mean) vs cluster size by policy", imbCols...)
-	for _, n := range ns {
-		p99Row, imbRow := []any{n}, []any{n}
-		for _, name := range rackPolicyNames {
-			p99Row = append(p99Row, cells[n][name].P99)
-			imbRow = append(imbRow, cells[n][name].Imbalance)
-		}
-		p99Tbl.AddRowf(p99Row...)
-		imbTbl.AddRowf(imbRow...)
-	}
-	fig.Tables = append(fig.Tables, p99Tbl, imbTbl)
+	cell := func(i, k int) Point { return cells[ns[i]][rackPolicyNames[k]] }
+	fig.Tables = append(fig.Tables,
+		grid("Rack p99 (ns) vs cluster size by policy", "nodes", ns, rackPolicyNames, []string{"p99ns_"},
+			func(i, k, _ int) any { return cell(i, k).P99 }),
+		grid("Rack completion imbalance (max/mean) vs cluster size by policy", "nodes", ns, rackPolicyNames, []string{"imbalance_"},
+			func(i, k, _ int) any { return cell(i, k).Imbalance }))
 
 	// Claims at the largest size in the grid: comparative orderings that
 	// hold from Quick to Default scales (absolute thresholds would drown in
 	// sampling noise at smoke-test completion counts).
 	top := ns[len(ns)-1]
 	at := func(pol string) Point { return cells[top][pol] }
-	claims := []struct {
-		name, paper string
-		a, b        float64
-	}{
-		{fmt.Sprintf("rack jsqfull p99 <= random p99 (%d nodes)", top),
+	fig.Claims = []Claim{
+		noWorse(fmt.Sprintf("rack jsqfull p99 <= random p99 (%d nodes)", top),
 			"full queue-state awareness tames the tail at rack scale",
-			at("jsqfull").P99, at("random").P99},
-		{fmt.Sprintf("rack jsq2 p99 <= random p99 (%d nodes)", top),
+			at("jsqfull").P99, at("random").P99),
+		noWorse(fmt.Sprintf("rack jsq2 p99 <= random p99 (%d nodes)", top),
 			"power-of-d choices captures most of full JSQ's win",
-			at("jsq2").P99, at("random").P99},
-		{fmt.Sprintf("rack bounded p99 <= random p99 (%d nodes)", top),
+			at("jsq2").P99, at("random").P99),
+		noWorse(fmt.Sprintf("rack bounded p99 <= random p99 (%d nodes)", top),
 			"bounded-load rotation avoids blind balancing's deep queues",
-			at("bounded").P99, at("random").P99},
-		{fmt.Sprintf("rack rr imbalance <= random imbalance (%d nodes)", top),
+			at("bounded").P99, at("random").P99),
+		noWorse(fmt.Sprintf("rack rr imbalance <= random imbalance (%d nodes)", top),
 			"deterministic rotation beats blind sampling on arrival spread",
-			at("rr").Imbalance, at("random").Imbalance},
-	}
-	for _, c := range claims {
-		fig.Claims = append(fig.Claims, Claim{
-			Name:     c.name,
-			Paper:    c.paper,
-			Measured: fmt.Sprintf("%.4g vs %.4g", c.a, c.b),
-			Ok:       c.a <= c.b,
-		})
+			at("rr").Imbalance, at("random").Imbalance),
 	}
 	return fig, nil
 }

@@ -12,11 +12,6 @@ import (
 	"rpcvalet/internal/workload"
 )
 
-func init() {
-	register("transient", figTransient)
-	FigureIDs = append(FigureIDs, "transient")
-}
-
 // Transient-study geometry. The pulse is a 2× load step held for
 // TransientPulse, landing mid-run so the timeline captures calm → overload →
 // recovery; epochs are fixed at TransientEpoch so recovery is measured in
@@ -126,41 +121,25 @@ func figTransient(o Options) (Figure, error) {
 	pulse := arrival.NewPulse(TransientPulseStart.Nanos(), TransientPulse.Nanos(), TransientFactor)
 	pulseEndNs := TransientPulseStart.Nanos() + TransientPulse.Nanos()
 
-	runMode := func(mode machine.Mode) (machine.Result, error) {
-		p := machine.Defaults()
-		p.Mode = mode
-		cfg := machine.Config{
-			Params:    p,
-			Workload:  wl,
-			RateMRPS:  baseRate,
-			Arrival:   arrival.NewModulated(arrival.PoissonAtMRPS(baseRate), pulse),
-			Warmup:    warmup,
-			Measure:   measure,
-			Seed:      o.Seed,
-			Epoch:     TransientEpoch,
-			MaxEpochs: TransientMaxEpochs,
-		}
+	stepPlans := []string{"1x16", "16x1"}
+	stepRes, err := runPoints(len(stepPlans), o.Workers, func(i int) (machine.Result, error) {
+		cfg := machineBase(o, wl, stepPlans[i])
+		cfg.RateMRPS = baseRate
+		cfg.Arrival = arrival.NewModulated(arrival.PoissonAtMRPS(baseRate), pulse)
+		cfg.Warmup, cfg.Measure = warmup, measure
+		cfg.Epoch, cfg.MaxEpochs = TransientEpoch, TransientMaxEpochs
 		cfg.MaxSimTime = machineCapSimTime(cfg, baseRate)
-		return machine.Run(cfg)
-	}
-
-	type stepOut struct {
-		mode machine.Mode
-		res  machine.Result
-	}
-	stepModes := []machine.Mode{machine.ModeSingleQueue, machine.ModePartitioned}
-	stepRes, err := runPoints(len(stepModes), o.Workers, func(i int) (stepOut, error) {
-		res, err := runMode(stepModes[i])
+		res, err := machine.Run(cfg)
 		if err != nil {
-			return stepOut{}, fmt.Errorf("transient step %s: %w", modeShort(stepModes[i]), err)
+			return machine.Result{}, fmt.Errorf("transient step %s: %w", stepPlans[i], err)
 		}
-		return stepOut{stepModes[i], res}, nil
+		return res, nil
 	})
 	if err != nil {
 		return Figure{}, err
 	}
-	sqTL := stepRes[0].res.Timeline
-	ptTL := stepRes[1].res.Timeline
+	sqTL := stepRes[0].Timeline
+	ptTL := stepRes[1].Timeline
 
 	// Degraded-node cluster: {random, jsq2} × {uniform, degraded}, paired
 	// seeds and loads, concurrently.
@@ -169,7 +148,7 @@ func figTransient(o Options) (Figure, error) {
 		if err != nil {
 			return cluster.Result{}, err
 		}
-		base := clusterBase(o, wl, machine.ModeSingleQueue, pol)
+		base := clusterBase(o, wl, "1x16", pol)
 		base.Warmup = 1000
 		base.Measure = o.Measure
 		if base.Measure < 8000 {
@@ -255,24 +234,14 @@ func figTransient(o Options) (Figure, error) {
 	fig.Tables = append(fig.Tables, deg)
 
 	fig.Claims = append(fig.Claims,
-		Claim{
-			Name:     "1x16 recovers from a 2x pulse in fewer epochs than 16x1",
-			Paper:    "single queue drains a burst with the whole chip; partitioned queues drain core by core (§2.2 intuition)",
-			Measured: fmt.Sprintf("1x16 %d epochs (%.0fus) vs 16x1 %d epochs (%.0fus); baselines %.0f/%.0f ns", sqRec, sqRecNs/1000, ptRec, ptRecNs/1000, sqBase, ptBase),
-			Ok:       sqRecNs < ptRecNs,
-		},
-		Claim{
-			Name:     "16x1 pulse peak p99 exceeds 1x16's",
-			Paper:    "random split overloads some partitions far past the mean during the burst",
-			Measured: fmt.Sprintf("16x1 peak %.0f ns vs 1x16 peak %.0f ns", ptPeak, sqPeak),
-			Ok:       ptPeak > sqPeak,
-		},
-		Claim{
-			Name:     "JSQ-over-random margin widens under one 1.5x-degraded node",
-			Paper:    "queue-aware balancing routes around slow servers; blind routing cannot",
-			Measured: fmt.Sprintf("degraded %.2f× vs uniform %.2f×", marginDeg, marginUni),
-			Ok:       marginDeg > marginUni && marginDeg > 1.15,
-		},
+		statement{"1x16 recovers from a 2x pulse in fewer epochs than 16x1",
+			"single queue drains a burst with the whole chip; partitioned queues drain core by core (§2.2 intuition)"}.
+			judge(below(sqRecNs, ptRecNs), "1x16 %d epochs (%.0fus) vs 16x1 %d epochs (%.0fus); baselines %.0f/%.0f ns",
+				sqRec, sqRecNs/1000, ptRec, ptRecNs/1000, sqBase, ptBase),
+		statement{"16x1 pulse peak p99 exceeds 1x16's", "random split overloads some partitions far past the mean during the burst"}.
+			judge(above(ptPeak, sqPeak), "16x1 peak %.0f ns vs 1x16 peak %.0f ns", ptPeak, sqPeak),
+		statement{"JSQ-over-random margin widens under one 1.5x-degraded node", "queue-aware balancing routes around slow servers; blind routing cannot"}.
+			judge(and(above(marginDeg, marginUni), above(marginDeg, 1.15)), "degraded %.2f× vs uniform %.2f×", marginDeg, marginUni),
 	)
 	return fig, nil
 }

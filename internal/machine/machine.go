@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/fifo"
@@ -196,6 +197,33 @@ type Config struct {
 	MaxEpochs int
 }
 
+// CapacityMRPS estimates the machine's saturation throughput for a workload:
+// cores / (mean handler time + fixed per-request core overhead).
+func CapacityMRPS(p Params, wl workload.Profile) float64 {
+	return float64(p.Cores) / (wl.MeanService() + p.CoreOverheadNanos()) * 1000
+}
+
+// MaxLoadFactor bounds an offered rate at this multiple of the capacity
+// estimate. Past capacity the open loop only piles up arrivals, so a rate
+// far past it buys no information and a run that may never finish; the
+// figures and examples offer at most about 1×.
+const MaxLoadFactor = 10
+
+// CheckRate rejects an offered rate that is not finite or lies past
+// MaxLoadFactor × capacityMRPS, naming the layer (machine, cluster) that
+// rejects it. A config without a positive capacity is left to the checks of
+// its parameters.
+func CheckRate(layer string, rateMRPS, capacityMRPS float64) error {
+	switch {
+	case math.IsInf(rateMRPS, 0):
+		return fmt.Errorf("%s: rate %v MRPS must be finite", layer, rateMRPS)
+	case capacityMRPS > 0 && rateMRPS > MaxLoadFactor*capacityMRPS:
+		return fmt.Errorf("%s: rate %v MRPS is past %d× the capacity estimate of %.4g MRPS",
+			layer, rateMRPS, MaxLoadFactor, capacityMRPS)
+	}
+	return nil
+}
+
 // Validate reports whether Run would accept the config; the CLIs call it
 // before their first run.
 func (c Config) Validate() error {
@@ -203,6 +231,9 @@ func (c Config) Validate() error {
 		return err
 	}
 	if err := c.Workload.Validate(); err != nil {
+		return err
+	}
+	if err := CheckRate("machine", c.RateMRPS, CapacityMRPS(c.Params, c.Workload)); err != nil {
 		return err
 	}
 	switch {

@@ -74,9 +74,15 @@ type Config struct {
 	MaxEpochs int
 	// Expect pre-sizes the run log for a run expected to record about this
 	// many completions, warmup included, so steady-state recording never
-	// grows a slice. Zero leaves the log growing on demand.
+	// grows a slice. Zero leaves the log growing on demand; past MaxPresize
+	// the log presizes MaxPresize entries and grows by append beyond them.
 	Expect int
 }
+
+// MaxPresize caps the run log a Recorder presizes: 4M entries, 80 MiB across
+// its three logs, where a run asking for 1e10 completions would otherwise
+// reserve about 200 GB before its first event.
+const MaxPresize = 1 << 22
 
 // Completion describes one finished request, pre-measured by the simulator.
 // Negative values mark observations the caller does not track.
@@ -174,12 +180,13 @@ func NewRecorder(cfg Config) *Recorder {
 	if len(cfg.Classes) == 1 {
 		r.plain = 1 // measured, class 0
 	}
-	if cfg.Expect > 0 {
-		r.lat = make([]float64, 0, cfg.Expect)
-		r.wait = make([]float64, 0, cfg.Expect)
+	presize := min(max(cfg.Expect, 0), MaxPresize)
+	if presize > 0 {
+		r.lat = make([]float64, 0, presize)
+		r.wait = make([]float64, 0, presize)
 	}
 	if len(cfg.Classes) > 1 {
-		r.tag = make([]int32, 0, cfg.Expect)
+		r.tag = make([]int32, 0, presize)
 	}
 	return r
 }

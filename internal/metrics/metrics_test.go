@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"runtime"
 	"testing"
 
 	"rpcvalet/internal/sim"
@@ -198,5 +199,26 @@ func TestEmptyTimeline(t *testing.T) {
 	}
 	if len(tl.P99s()) != 0 {
 		t.Fatal("P99s on empty timeline must be empty")
+	}
+}
+
+// TestPresizeCapped: a run that expects more completions than MaxPresize
+// presizes MaxPresize entries per log and no more, so a huge -measure costs
+// memory only as completions arrive.
+func TestPresizeCapped(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRecorder(Config{Classes: []string{"get", "scan"}, Expect: 1e10})
+	runtime.ReadMemStats(&after)
+	if cap(r.lat) != MaxPresize || cap(r.wait) != MaxPresize || cap(r.tag) != MaxPresize {
+		t.Fatalf("presized lat/wait/tag to %d/%d/%d, want %d", cap(r.lat), cap(r.wait), cap(r.tag), MaxPresize)
+	}
+	const logBytes = (8 + 8 + 4) * MaxPresize
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > logBytes+1<<20 {
+		t.Fatalf("NewRecorder allocated %d bytes, want at most %d", grew, logBytes+1<<20)
+	}
+	r.Complete(at(1), Completion{Class: 1, Measured: true, LatencyNs: 5, WaitNs: 1, ServiceNs: 4, Depth: -1})
+	if len(r.lat) != 1 || len(r.wait) != 1 {
+		t.Fatalf("recorded %d latencies, %d waits, want 1 each", len(r.lat), len(r.wait))
 	}
 }
