@@ -39,6 +39,7 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{"-hi", "Inf"},
 		{"-hi", "2e6"},
 		{"-lo", "1e5", "-hi", "1e5", "-measure", "2000"},
+		{"-lo", "1e-300", "-hi", "1e-300", "-points", "1", "-measure", "100", "-warmup", "0"},
 	} {
 		rejects(t, args...)
 	}

@@ -29,6 +29,8 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{"-rate", "Inf"},
 		{"-rate", "2e6"},
 		{"-rate", "1e5", "-measure", "2000"},
+		{"-rate", "1e-300", "-measure", "100", "-warmup", "0"},
+		{"-rate", "1e-30", "-measure", "100", "-warmup", "0"},
 		{"-epoch", "-5us"},
 		{"-format", "xml"},
 		{"-workload", "bogus"},

@@ -255,7 +255,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: hierarchical Shards>1 cannot scrape rack aggregates (GlobalSampleEvery must be 0)")
 	}
 	capacity := float64(c.Nodes) * machine.CapacityMRPS(c.Node.Params, c.Node.Workload)
-	if err := machine.CheckRate("cluster", c.RateMRPS, capacity); err != nil {
+	if err := machine.CheckRate("cluster", c.RateMRPS, capacity, c.Warmup+c.Measure); err != nil {
 		return err
 	}
 	if len(c.RackNodes) != 0 {

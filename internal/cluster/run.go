@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -148,6 +149,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	faultByNode, balPauses, rackLabel := expandFaults(cfg, size, start)
+	share := nodeShare(cfg)
 	nodes := make([]*machine.Machine, cfg.Nodes)
 	nodeShard := make([]*shard, cfg.Nodes)
 	tracers := make([]*nodeTracer, cfg.Nodes)
@@ -159,6 +161,7 @@ func Run(cfg Config) (Result, error) {
 		nodeShard[i] = sh
 		ncfg := cfg.Node
 		ncfg.Seed = root.Split().Uint64()
+		ncfg.Warmup, ncfg.Measure = 0, share
 		ncfg.Epoch = cfg.Epoch
 		ncfg.MaxEpochs = cfg.MaxEpochs
 		if len(cfg.NodePlans) > 0 && cfg.NodePlans[i] != nil {
@@ -471,6 +474,16 @@ func Engines(cfg Config) int {
 		return min(cfg.Shards, cfg.Nodes) + 1
 	}
 	return 1
+}
+
+// nodeShare is the run-log presize each node gets: its even share of the
+// run's completions, rounded up to the power of two that append growth
+// would reach anyway. About half the nodes serve a little more than an even
+// share; an exact share would make each of them double its log. The share
+// stays within metrics.MaxPresize.
+func nodeShare(cfg Config) int {
+	share := min((cfg.Warmup+cfg.Measure+cfg.Nodes-1)/cfg.Nodes, metrics.MaxPresize)
+	return 1 << bits.Len(uint(share-1))
 }
 
 // rackGeometry resolves the rack partition of a validated config: each

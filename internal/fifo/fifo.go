@@ -3,12 +3,13 @@
 // per-element allocation once the ring has reached its steady-state size,
 // and popped slots are zeroed so the queue never pins dead references.
 //
-// Every queue in RPCValet has a known bound (§4.2–4.3): the shared and
-// per-core CQs never hold more than N×S messages, and a source's slot set
-// never holds more than S. Grow pre-sizes a ring to such a bound, after
-// which it never reallocates. The machine model's per-core CQs, free-slot
-// sets, software queue and idle-core list, the NI dispatcher's shared CQ,
-// and the queueing model's stations all use this one implementation.
+// Grow pre-sizes a ring to a small known bound (a core's CQ under a finite
+// outstanding threshold, the idle-core list), after which it never
+// reallocates. A queue bounded only by N×S flow control (§4.2–4.3) is left
+// to double up to the peak it reaches instead. The machine model's per-core
+// CQs, parking queues, software queue and idle-core list, the NI
+// dispatcher's shared CQ, and the queueing model's stations all use this
+// one implementation.
 package fifo
 
 // minCap is the ring size the first Push of a zero-value queue allocates.

@@ -45,16 +45,19 @@ func TestSteadyStateAllocsPerRequest(t *testing.T) {
 			})
 			if per > 0.002 {
 				t.Errorf("steady-state allocations per request = %.4f, budget 0.002", per)
+			} else {
+				t.Logf("steady-state allocations per request = %.5f", per)
 			}
 		})
 	}
 }
 
 // TestNodeSetupBytes pins the per-node construction footprint: the bytes one
-// NewShared allocates on Defaults(), which a 1000-node cluster pays a
-// thousand times before simulating anything. Per-slot state is what the
-// protocol needs: a valid bit per send slot, receive state for occupied
-// slots only, and one uint16 per free slot. Of the ~24 KiB measured:
+// NewShared allocates under each well-known plan on Defaults(), which a
+// 1000-node cluster pays a thousand times before simulating anything.
+// Per-slot state is what the protocol needs: a valid bit per send slot,
+// receive state for occupied slots only, and one uint16 per free slot. Of
+// the ~24 KiB a 1x16 node measures:
 //   - the flat N×S free-slot array: 12.8 KB (13.3 KB after size-class
 //     rounding);
 //   - the 200 send-buffer valid-bit words: 1.6 KB;
@@ -63,23 +66,45 @@ func TestSteadyStateAllocsPerRequest(t *testing.T) {
 //     the RNG batches, the dispatchers, the metrics recorder and the
 //     receive table's first 16 entries.
 //
-// The parking queues are not built until a node first parks.
+// The other plans differ in their dispatchers and CQs: 4x4 and 16x1 build
+// four and sixteen dispatchers, and no CQ is presized past a real
+// threshold, so a 16x1 core's unlimited CQ starts empty rather than at N×S
+// (927 KiB a node when it was presized). The parking queues are not built
+// until a node first parks. Each budget is about 1.3× its measured figure.
 func TestNodeSetupBytes(t *testing.T) {
-	const builds, budget = 8, 32 << 10
-	cfg := Config{Params: Defaults(), Workload: workload.HERD(), Seed: 1}
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	for range builds {
-		if _, err := NewShared(cfg, sim.New()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&ms1)
-	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / builds; per > budget {
-		t.Errorf("setup allocates %d KiB per node, budget %d KiB", per>>10, budget>>10)
-	} else {
-		t.Logf("setup allocates %d KiB per node", per>>10)
+	const builds = 8
+	for _, tc := range []struct {
+		plan   string
+		budget uint64
+	}{
+		{"1x16", 32 << 10},
+		{"4x4", 34 << 10},
+		{"16x1", 40 << 10},
+		{"jbsq2", 32 << 10},
+		{"sw", 30 << 10},
+	} {
+		t.Run(tc.plan, func(t *testing.T) {
+			pl, err := ParsePlan(tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Params: Defaults(), Workload: workload.HERD(), Seed: 1}
+			cfg.Params.Plan = pl
+			var ms0, ms1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms0)
+			for range builds {
+				if _, err := NewShared(cfg, sim.New()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&ms1)
+			if per := (ms1.TotalAlloc - ms0.TotalAlloc) / builds; per > tc.budget {
+				t.Errorf("setup allocates %d bytes per node, budget %d KiB", per, tc.budget>>10)
+			} else {
+				t.Logf("setup allocates %d bytes per node", per)
+			}
+		})
 	}
 }
 

@@ -209,17 +209,24 @@ func CapacityMRPS(p Params, wl workload.Profile) float64 {
 // figures and examples offer at most about 1×.
 const MaxLoadFactor = 10
 
-// CheckRate rejects an offered rate that is not finite or lies past
-// MaxLoadFactor × capacityMRPS, naming the layer (machine, cluster) that
-// rejects it. A config without a positive capacity is left to the checks of
-// its parameters.
-func CheckRate(layer string, rateMRPS, capacityMRPS float64) error {
+// CheckRate rejects an offered rate that is not finite, lies past
+// MaxLoadFactor × capacityMRPS, or is so slow that the run's completions,
+// one mean arrival gap apart, overrun the picosecond clock, naming the layer
+// (machine, cluster) that rejects it. Past the clock a gap no longer
+// converts to a Duration and every arrival lands at time zero. A config
+// without a positive capacity is left to the checks of its parameters.
+func CheckRate(layer string, rateMRPS, capacityMRPS float64, completions int) error {
+	// One arrival per 1/rate µs: the run's mean span in picoseconds.
+	span := float64(completions) * float64(sim.Microsecond) / rateMRPS
 	switch {
 	case math.IsInf(rateMRPS, 0):
 		return fmt.Errorf("%s: rate %v MRPS must be finite", layer, rateMRPS)
 	case capacityMRPS > 0 && rateMRPS > MaxLoadFactor*capacityMRPS:
 		return fmt.Errorf("%s: rate %v MRPS is past %d× the capacity estimate of %.4g MRPS",
 			layer, rateMRPS, MaxLoadFactor, capacityMRPS)
+	case rateMRPS > 0 && span >= math.MaxInt64:
+		return fmt.Errorf("%s: rate %v MRPS spreads %d arrivals over %.3g s, past the clock's %.3g s",
+			layer, rateMRPS, completions, span/float64(sim.Second), float64(math.MaxInt64)/float64(sim.Second))
 	}
 	return nil
 }
@@ -233,7 +240,7 @@ func (c Config) Validate() error {
 	if err := c.Workload.Validate(); err != nil {
 		return err
 	}
-	if err := CheckRate("machine", c.RateMRPS, CapacityMRPS(c.Params, c.Workload)); err != nil {
+	if err := CheckRate("machine", c.RateMRPS, CapacityMRPS(c.Params, c.Workload), c.Warmup+c.Measure); err != nil {
 		return err
 	}
 	switch {
@@ -263,8 +270,10 @@ func New(cfg Config) (*Machine, error) {
 // NewShared wires a machine onto an existing engine, for multi-node
 // simulations (internal/cluster) that run several servers under one virtual
 // clock. A shared machine generates no arrivals of its own — drive it with
-// InjectArg — and never stops the engine; cfg.RateMRPS, Warmup, Measure, and
-// MaxSimTime are ignored.
+// InjectArg — and never stops the engine; cfg.RateMRPS and MaxSimTime are
+// ignored. cfg.Warmup+Measure is only a hint: the number of completions the
+// owner expects this node to record, which presizes its run log (zero
+// leaves the log growing on demand).
 func NewShared(cfg Config, eng *sim.Engine) (*Machine, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -308,16 +317,12 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	for i, cl := range cfg.Workload.Classes {
 		classes[i] = cl.Name
 	}
-	expect := 0
-	if !external {
-		expect = cfg.Warmup + cfg.Measure
-	}
 	m.rec = metrics.NewRecorder(metrics.Config{
 		Classes:    classes,
 		Servers:    p.Cores,
 		EpochNanos: cfg.Epoch.Nanos(),
 		MaxEpochs:  cfg.MaxEpochs,
-		Expect:     expect,
+		Expect:     cfg.Warmup + cfg.Measure,
 	})
 	m.arr = arrival.Resolve(cfg.Arrival, cfg.RateMRPS)
 
@@ -335,7 +340,13 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 
 	// Pre-size the bounded queues to their bounds so they never grow: a
 	// core's CQ holds at most threshold (and never more than N×S) requests.
-	cqDepth := min(m.plan.threshold, p.Domain.TotalSlots())
+	// An unlimited threshold bounds nothing (a partitioned core's CQ holds
+	// what RSS steers to it), so that CQ grows by doubling to its peak, like
+	// the dispatcher's shared CQ, instead of reserving N×S slots per core.
+	cqDepth := 0
+	if m.plan.threshold != ni.Unlimited {
+		cqDepth = min(m.plan.threshold, p.Domain.TotalSlots())
+	}
 	for i := 0; i < p.Cores; i++ {
 		c := &core{id: i, replyBackend: int32(i * p.Backends / p.Cores)}
 		c.cq.Grow(cqDepth)

@@ -51,7 +51,9 @@ var PolicyNames = []string{
 }
 
 // SpecByName resolves a policy name to its Spec. Accepted names are those in
-// PolicyNames, with "randomN" generalized to any N ≥ 2.
+// PolicyNames, with "randomN" generalized to any N ≥ 2 written in plain
+// decimal: "random007" and "random+7" are errors, so an accepted name is the
+// one its Spec reports and parses back to the same Spec.
 func SpecByName(name string) (Spec, error) {
 	switch name {
 	case "first-available":
@@ -69,7 +71,7 @@ func SpecByName(name string) (Spec, error) {
 	}
 	if d, ok := strings.CutPrefix(name, "random"); ok {
 		n, err := strconv.Atoi(d)
-		if err != nil || n < 2 {
+		if err != nil || n < 2 || strconv.Itoa(n) != d {
 			return Spec{}, fmt.Errorf("ni: bad random-of-d policy %q (want random2, random3, ...)", name)
 		}
 		return Spec{Name: name, New: func(g Group) Policy { return NewRandomOfD(n, g.Seed) }}, nil
@@ -96,7 +98,7 @@ func NewRandomOfD(d int, seed uint64) *RandomOfD {
 	if d < 2 {
 		panic(fmt.Sprintf("ni: RandomOfD needs d >= 2, got %d", d))
 	}
-	return &RandomOfD{D: d, rng: rng.New(seed), draws: make([]int, d)}
+	return &RandomOfD{D: d, rng: rng.New(seed)}
 }
 
 // Pick implements Policy. When the sample would cover every available core
@@ -110,6 +112,11 @@ func (p *RandomOfD) Pick(_ Msg, v *View) int {
 	n := avail.Count()
 	if p.D >= n {
 		return v.Least().Nth(0)
+	}
+	if p.draws == nil {
+		// Sized on the first sampling pick, when D is below the group's
+		// size: a hostile D ("random99999999999") never reaches here.
+		p.draws = make([]int, p.D)
 	}
 	best := -1
 	for k := 0; k < p.D; k++ {

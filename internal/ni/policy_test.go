@@ -31,11 +31,39 @@ func TestSpecByNameRandomN(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	for _, name := range []string{"random", "random1", "random0", "randomx", "bogus"} {
+	for _, name := range []string{"random", "random1", "random0", "randomx", "bogus", "random007", "random+7", "random-2"} {
 		if _, err := SpecByName(name); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
+}
+
+// FuzzSpecByName feeds arbitrary policy names to SpecByName: it must not
+// panic, an accepted name must be its Spec's Name (so the Name parses back
+// to the same Spec), and the policy it builds must pick an available core.
+// A randomN count past the group size ("random99999999999") must build
+// without reserving N sample slots.
+func FuzzSpecByName(f *testing.F) {
+	for _, seed := range append([]string{
+		"random3", "random16", "random99999999999", "random007", "random+7",
+		"random", "random1", "", "Local", "least-outstanding ",
+	}, PolicyNames...) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		s, err := SpecByName(name)
+		if err != nil {
+			return
+		}
+		if s.Name != name || s.New == nil {
+			t.Fatalf("SpecByName(%q) = {Name: %q, New nil: %v}", name, s.Name, s.New == nil)
+		}
+		p := s.New(Group{Cores: []int{4, 5, 6, 7}, Row: 1, MeshWidth: 4, Seed: 7})
+		v := viewOf([]int{4, 5, 6, 7}, 2, []int{1, 0, 1, 0})
+		if got := p.Pick(Msg{}, v); got < 0 || got >= v.Len() || v.Outstanding(got) >= 2 {
+			t.Fatalf("%s: picked position %d outside the available set", name, got)
+		}
+	})
 }
 
 // TestRandomOfDPrefersShorter: with a large d the sample almost surely

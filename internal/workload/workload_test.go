@@ -219,6 +219,23 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// FuzzWorkloadByName feeds arbitrary names to ByName: it must not panic, and
+// an accepted name must give a profile that passes Validate.
+func FuzzWorkloadByName(f *testing.F) {
+	for _, seed := range append([]string{"herd", "masstree", "", "HERD", "exp ", "synthetic-exp", "gev2"}, SyntheticKinds...) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		p, err := ByName(name)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ByName(%q) gave a profile that fails Validate: %v", name, err)
+		}
+	})
+}
+
 // TestUnit: every synthetic kind has a unit-mean service shape, unknown kinds
 // error, and the GEV shape is §5's GEV(363, 100, 0.65) normalized — the
 // same draws, bit for bit.
