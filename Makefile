@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race bench profile perfbench live-smoke obs-smoke shard-smoke rack-smoke hier-smoke claims-smoke
+.PHONY: all build fmt vet lint test race bench profile perfbench live-smoke obs-smoke shard-smoke rack-smoke hier-smoke claims-smoke examples-smoke
 
 # Pinned so CI and local runs agree on what "clean" means.
 STATICCHECK_VERSION = 2025.1.1
@@ -77,6 +77,17 @@ CLAIM_FIGURES = 2a,2b,2c,6,7a,7b,7c,8,9,table1,ablation-outstanding,ablation-dis
 
 claims-smoke:
 	$(GO) run ./cmd/rpcvalet-bench -quick -fig $(CLAIM_FIGURES)
+
+# examples-smoke runs every library-facade walkthrough under examples/ (about
+# 5 s in total on 2 cores) and fails when any of them exits non-zero, so a
+# facade change that breaks an example is caught without reading its output.
+EXAMPLES = $(sort $(wildcard examples/*/main.go))
+
+examples-smoke:
+	@set -e; for f in $(EXAMPLES); do \
+		d=$$(dirname $$f); echo "== $$d"; \
+		$(GO) run ./$$d >/dev/null; \
+	done
 
 # obs-smoke proves the observability endpoints end to end: it starts
 # rpcvalet-live with -obs, scrapes /metrics and /healthz while the run is in

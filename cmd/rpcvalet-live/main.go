@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wl := fs.Workload("gev")
 	rate := fs.Float64("rate", 0, "offered load in MRPS (0 = 65% of estimated live capacity)")
 	duration := fs.Duration("duration", time.Second, "offered-load window per plan (wall clock)")
-	workers := fs.Count("workers", 0, 0, "serving goroutines (0 = 8)")
+	cores := fs.Count("cores", 0, 0, "serving goroutines, the live machine's cores (0 = 8)")
 	em := cli.Spec(fs, "emulation", "auto", "service emulation: auto, spin, sleep", live.ParseEmulation)
 	scale := fs.Float64("scale", 0, "service-time multiplier (0 = emulation's recommended lift)")
 	seed := fs.Uint64("seed", 1, "offered-schedule seed")
@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	base := rpcvalet.LiveConfig{
 		Workload:     *wl,
-		Workers:      *workers,
+		Workers:      *cores,
 		Duration:     *duration,
 		Seed:         *seed,
 		ServiceScale: *scale,

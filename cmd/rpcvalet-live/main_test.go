@@ -23,7 +23,8 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{"-dispatch", "bogus", "-trace-jsonl", jsonl},
 		{"-dispatch", "1x16,4x4", "-duration", "2s", "-trace-jsonl", jsonl},
 		{"-plan", "1x16"},
-		{"-workers", "-2"},
+		{"-workers", "4"},
+		{"-cores", "-2"},
 		{"-rate", "-1"},
 		{"-duration", "-1s"},
 		{"-trace-sample", "4"},
@@ -39,7 +40,7 @@ func TestBadInputExitsTwo(t *testing.T) {
 
 func TestSmallRun(t *testing.T) {
 	jsonl := filepath.Join(t.TempDir(), "spans.jsonl")
-	runs(t, "-dispatch", "1x16,16x1", "-duration", "50ms", "-workers", "2", "-emulation", "sleep",
+	runs(t, "-dispatch", "1x16,16x1", "-duration", "50ms", "-cores", "2", "-emulation", "sleep",
 		"-tail", "2", "-trace-jsonl", jsonl, "-trace-sample", "8")
 	if b, err := os.ReadFile(jsonl); err != nil || !bytes.Contains(b, []byte(`"req":`)) {
 		t.Fatalf("trace file %q (%v)", b, err)

@@ -1,7 +1,8 @@
 // Package arrival defines the open-loop traffic models that drive every
-// simulator in this repository: the machine model (internal/machine), the
-// rack-scale cluster (internal/cluster), and the theoretical queueing models
-// (internal/queueing) all draw their interarrival gaps from a Process.
+// simulator in this repository: the machine model (internal/machine) and the
+// rack-scale cluster (internal/cluster) draw their interarrival gaps from any
+// Process; the theoretical queueing models (internal/queueing) and the live
+// runtime (internal/live) are Poisson.
 //
 // The paper evaluates RPCValet under Poisson arrivals, but tails are
 // dominated by arrival burstiness, so the reproduction makes the arrival
@@ -82,16 +83,6 @@ func Resolve(p Process, rateMRPS float64) Process {
 		return nil
 	}
 	return Fresh(AtMRPS(p, rateMRPS))
-}
-
-// ResolvePerNs is Resolve for callers that derive a per-ns arrival rate λ
-// (the queueing models). The nil path uses PoissonAtPerNs so the historical
-// 1/λ conversion stays bit-exact.
-func ResolvePerNs(p Process, lambdaPerNs float64) Process {
-	if p == nil {
-		return PoissonAtPerNs(lambdaPerNs)
-	}
-	return Fresh(AtMRPS(p, lambdaPerNs*1000))
 }
 
 // checkRate rejects rates that would produce a degenerate process — a zero

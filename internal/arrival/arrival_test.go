@@ -236,11 +236,4 @@ func TestResolve(t *testing.T) {
 	if mm.dwellSet {
 		t.Fatal("Resolve shared the template's run state")
 	}
-	// ResolvePerNs nil path must keep the historical 1/λ conversion exact.
-	if p := ResolvePerNs(nil, 0.004); p.(Poisson).MeanGapNanos != 1/0.004 {
-		t.Fatalf("ResolvePerNs(nil) = %v", p)
-	}
-	if p := ResolvePerNs(DeterministicAtMRPS(1), 0.004); p.(Deterministic).GapNanos != 1000/(0.004*1000) {
-		t.Fatalf("ResolvePerNs re-rate = %v", p)
-	}
 }

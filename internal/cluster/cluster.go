@@ -78,10 +78,9 @@ type Config struct {
 	// See NodeFault and ParseFaults.
 	Faults []NodeFault
 	// Epoch sets the Result timelines' initial epoch length; 0 uses the
-	// metrics default (1 µs, doubling as the run outgrows it). MaxEpochs
-	// bounds the timelines' slice count (0 = metrics default, 64).
-	Epoch     sim.Duration
-	MaxEpochs int
+	// metrics default (1 µs, doubling as the run outgrows it). The slice
+	// count is bounded at the metrics default, 64.
+	Epoch sim.Duration
 	// Trace, when non-nil, receives the cluster-wide lifecycle stream:
 	// the balancer's hop milestones (balancer-recv, forward) plus every
 	// node's machine events, with request IDs remapped to cluster-wide
@@ -113,17 +112,14 @@ type Config struct {
 	// Racks arranges the cluster as a two-tier datacenter: a global
 	// balancer dispatching over Racks rack balancers, each running the
 	// full flat-cluster machinery (policy, depth index, staleness, faults,
-	// traces) over its contiguous slice of the node set. 0 means the
+	// traces) over its contiguous slice of the node set. Racks split the
+	// nodes evenly, so Racks must divide Nodes. 0 means the
 	// historical flat topology — one balancer in front of every node —
 	// and is byte-identical to every pinned result. Racks = 1 with
 	// GlobalHop = 0 is the degenerate hierarchy: one rack behind a
 	// pass-through global tier, byte-identical to the flat cluster (the
 	// pin suite enforces it).
 	Racks int
-	// RackNodes, when non-empty, sizes each rack explicitly (length must
-	// equal Racks, entries positive, sum = Nodes). Empty means an even
-	// partition, which then requires Racks to divide Nodes.
-	RackNodes []int
 	// GlobalPolicy routes each arriving RPC to a rack; the rack's own
 	// Policy then picks the node. Any Policy works — the global tier sees
 	// each rack as one endpoint whose depth is the rack balancer's
@@ -227,8 +223,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: %d per-node plans for %d nodes", len(c.NodePlans), c.Nodes)
 	case c.Epoch < 0:
 		return fmt.Errorf("cluster: negative epoch length")
-	case c.MaxEpochs < 0:
-		return fmt.Errorf("cluster: negative epoch bound")
 	case c.Shards < 0:
 		return fmt.Errorf("cluster: negative shard count %d", c.Shards)
 	case c.Shards > 1 && !c.Hierarchical() && c.Hop <= 0:
@@ -237,18 +231,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative rack count %d", c.Racks)
 	case c.Racks > c.Nodes:
 		return fmt.Errorf("cluster: %d racks for %d nodes", c.Racks, c.Nodes)
-	case !c.Hierarchical() && (c.GlobalPolicy != nil || c.GlobalHop != 0 || c.GlobalSampleEvery != 0 || len(c.RackNodes) != 0):
-		return fmt.Errorf("cluster: global-tier fields (GlobalPolicy/GlobalHop/GlobalSampleEvery/RackNodes) need Racks >= 1")
+	case !c.Hierarchical() && (c.GlobalPolicy != nil || c.GlobalHop != 0 || c.GlobalSampleEvery != 0):
+		return fmt.Errorf("cluster: global-tier fields (GlobalPolicy/GlobalHop/GlobalSampleEvery) need Racks >= 1")
 	case c.GlobalHop < 0:
 		return fmt.Errorf("cluster: negative global hop latency")
 	case c.GlobalSampleEvery < 0:
 		return fmt.Errorf("cluster: negative global sampling period")
 	case c.Racks >= 2 && c.GlobalPolicy == nil:
 		return fmt.Errorf("cluster: Racks=%d needs a GlobalPolicy to pick racks", c.Racks)
-	case len(c.RackNodes) != 0 && len(c.RackNodes) != c.Racks:
-		return fmt.Errorf("cluster: %d rack sizes for %d racks", len(c.RackNodes), c.Racks)
-	case c.Hierarchical() && len(c.RackNodes) == 0 && c.Nodes%c.Racks != 0:
-		return fmt.Errorf("cluster: %d nodes do not evenly partition into %d racks (size them with RackNodes)", c.Nodes, c.Racks)
+	case c.Hierarchical() && c.Nodes%c.Racks != 0:
+		return fmt.Errorf("cluster: %d nodes do not evenly partition into %d racks", c.Nodes, c.Racks)
 	case c.Hierarchical() && c.Shards > 1 && c.GlobalHop <= 0:
 		return fmt.Errorf("cluster: hierarchical Shards=%d needs a positive GlobalHop (the conservative lookahead window)", c.Shards)
 	case c.Hierarchical() && c.Shards > 1 && c.GlobalSampleEvery > 0:
@@ -257,18 +249,6 @@ func (c Config) Validate() error {
 	capacity := float64(c.Nodes) * machine.CapacityMRPS(c.Node.Params, c.Node.Workload)
 	if err := machine.CheckRate("cluster", c.RateMRPS, capacity, c.Warmup+c.Measure); err != nil {
 		return err
-	}
-	if len(c.RackNodes) != 0 {
-		sum := 0
-		for r, n := range c.RackNodes {
-			if n <= 0 {
-				return fmt.Errorf("cluster: rack %d sized %d nodes", r, n)
-			}
-			sum += n
-		}
-		if sum != c.Nodes {
-			return fmt.Errorf("cluster: RackNodes sum %d for %d nodes", sum, c.Nodes)
-		}
 	}
 	for _, f := range c.Faults {
 		if f.Rack {

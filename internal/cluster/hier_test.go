@@ -273,28 +273,6 @@ func TestHierBalancerPause(t *testing.T) {
 	}
 }
 
-// TestHierRackNodes: explicitly sized racks partition the node set
-// contiguously and the whole result stays self-consistent.
-func TestHierRackNodes(t *testing.T) {
-	cfg := hierConfig(6, 2, JSQ{D: FullScan}, JSQ{D: 2}, 0.5)
-	cfg.RackNodes = []int{4, 2}
-	cfg.Warmup = 200
-	cfg.Measure = 2500
-	res := run(t, cfg)
-	if len(res.NodeCompleted) != 6 || len(res.RackCompleted) != 2 {
-		t.Fatalf("geometry lost: %v %v", res.NodeCompleted, res.RackCompleted)
-	}
-	sum := res.RackCompleted[0] + res.RackCompleted[1]
-	if sum != res.Completed {
-		t.Fatalf("rack completions sum %d, completed %d", sum, res.Completed)
-	}
-	// rack 0 = nodes 0..3, rack 1 = nodes 4..5.
-	first := res.NodeCompleted[0] + res.NodeCompleted[1] + res.NodeCompleted[2] + res.NodeCompleted[3]
-	if first != res.RackCompleted[0] {
-		t.Fatalf("rack 0 node completions %d, rack counter %d", first, res.RackCompleted[0])
-	}
-}
-
 // TestHierValidation: every new config rule rejects with the package's
 // "cluster:"-prefixed message style.
 func TestHierValidation(t *testing.T) {
@@ -310,10 +288,7 @@ func TestHierValidation(t *testing.T) {
 		{"negGlobalHop", func(c *Config) { c.GlobalHop = -1 }, "negative global hop"},
 		{"negGlobalSample", func(c *Config) { c.GlobalSampleEvery = -1 }, "negative global sampling"},
 		{"noGlobalPolicy", func(c *Config) { c.GlobalPolicy = nil }, "needs a GlobalPolicy"},
-		{"rackSizesCount", func(c *Config) { c.RackNodes = []int{8} }, "rack sizes for"},
 		{"unevenRacks", func(c *Config) { c.Racks = 3; c.GlobalHop = 0 }, "evenly partition"},
-		{"rackSizesSum", func(c *Config) { c.RackNodes = []int{4, 5} }, "RackNodes sum"},
-		{"rackSizeZero", func(c *Config) { c.RackNodes = []int{8, 0} }, "rack 1 sized"},
 		{"rackFaultRange", func(c *Config) { c.Faults = []NodeFault{{Node: 2, Rack: true, Fault: machine.Fault{Slowdown: 2}}} }, "fault for rack"},
 		{"rackFaultFlat", func(c *Config) {
 			c.Racks = 0

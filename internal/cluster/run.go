@@ -163,7 +163,6 @@ func Run(cfg Config) (Result, error) {
 		ncfg.Seed = root.Split().Uint64()
 		ncfg.Warmup, ncfg.Measure = 0, share
 		ncfg.Epoch = cfg.Epoch
-		ncfg.MaxEpochs = cfg.MaxEpochs
 		if len(cfg.NodePlans) > 0 && cfg.NodePlans[i] != nil {
 			ncfg.Params.Plan = cfg.NodePlans[i]
 		}
@@ -222,7 +221,7 @@ func Run(cfg Config) (Result, error) {
 		halt          bool
 		pool          []*request
 	)
-	rec := metrics.NewRecorder(metrics.Config{EpochNanos: cfg.Epoch.Nanos(), MaxEpochs: cfg.MaxEpochs, Expect: cfg.Warmup + cfg.Measure})
+	rec := metrics.NewRecorder(metrics.Config{EpochNanos: cfg.Epoch.Nanos(), Expect: cfg.Warmup + cfg.Measure})
 	stop := func() {
 		halt = true
 		front.eng.Stop()
@@ -488,18 +487,14 @@ func nodeShare(cfg Config) int {
 
 // rackGeometry resolves the rack partition of a validated config: each
 // rack's node count and starting global node index (both empty when flat).
-// Racks are contiguous: rack r owns nodes [start[r], start[r]+size[r]).
+// Racks are contiguous and even: rack r owns nodes [start[r],
+// start[r]+size[r]).
 func rackGeometry(cfg Config) (size, start []int) {
 	size = make([]int, cfg.Racks)
 	start = make([]int, cfg.Racks)
-	at := 0
 	for r := range size {
 		size[r] = cfg.Nodes / cfg.Racks
-		if len(cfg.RackNodes) > 0 {
-			size[r] = cfg.RackNodes[r]
-		}
-		start[r] = at
-		at += size[r]
+		start[r] = r * size[r]
 	}
 	return size, start
 }

@@ -176,21 +176,16 @@ type Config struct {
 	// worker.
 	Workers int
 
-	// RateMRPS is the open-loop offered rate in millions of requests per
-	// second of wall-clock time. CapacityMRPS estimates saturation.
+	// RateMRPS is the open-loop offered rate of the Poisson arrival stream,
+	// in millions of requests per second of wall-clock time. CapacityMRPS
+	// estimates saturation.
 	RateMRPS float64
 
-	// Arrival optionally reshapes the traffic (nil = Poisson at RateMRPS),
-	// with the same re-rating convention as machine.Config.
-	Arrival arrival.Process
-
 	// Duration is how long the generator offers load. Workers then drain
-	// the backlog, so a run can outlive Duration under overload.
+	// the backlog, so a run can outlive Duration under overload. The summary
+	// statistics skip its first 10% as warmup; the timeline, at the metrics
+	// defaults, covers the whole run.
 	Duration time.Duration
-
-	// Warmup excludes the run's first stretch from the summary statistics
-	// (0 = 10% of Duration). The timeline always covers the whole run.
-	Warmup time.Duration
 
 	Seed uint64
 
@@ -202,16 +197,6 @@ type Config struct {
 
 	// Emulation selects spin-work or timer-sleep service (default auto).
 	Emulation Emulation
-
-	// QueueCap bounds the total queued backlog (0 = 1<<15). The generator
-	// never blocks: arrivals beyond the cap are counted as dropped, keeping
-	// the loop open under deep overload.
-	QueueCap int
-
-	// Epoch sets the timeline's initial epoch length and MaxEpochs its
-	// slice bound (0 = metrics defaults, doubling as the run outgrows it).
-	Epoch     sim.Duration
-	MaxEpochs int
 
 	// Trace, when non-nil, receives every completed request's wall-clock
 	// lifecycle events (arrive/start/complete; the live runtime has no
@@ -238,12 +223,10 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-func (c Config) queueCap() int {
-	if c.QueueCap <= 0 {
-		return 1 << 15
-	}
-	return c.QueueCap
-}
+// queueCap bounds the total queued backlog. The generator never blocks:
+// arrivals beyond the cap are counted as dropped, keeping the loop open
+// under deep overload. A variable only so a test can shrink it.
+var queueCap = 1 << 15
 
 // ShapeForPlan resolves a dispatch plan to a live queue shape and (for JBSQ)
 // its per-worker outstanding bound.
@@ -366,14 +349,11 @@ func (c Config) validate() (Shape, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if !(c.RateMRPS > 0) && c.Arrival == nil {
+	if !(c.RateMRPS > 0) {
 		return 0, 0, fmt.Errorf("live: rate %v MRPS must be positive", c.RateMRPS)
 	}
 	if c.Duration <= 0 {
 		return 0, 0, fmt.Errorf("live: duration %v must be positive", c.Duration)
-	}
-	if c.Warmup < 0 || c.Warmup >= c.Duration {
-		return 0, 0, fmt.Errorf("live: warmup %v must be in [0, duration)", c.Warmup)
 	}
 	if c.ServiceScale < 0 {
 		return 0, 0, fmt.Errorf("live: negative service scale %v", c.ServiceScale)
@@ -400,17 +380,13 @@ func Run(cfg Config) (Result, error) {
 	if em == EmulationSpin {
 		spinsNs = calibrateSpin()
 	}
-	warmup := cfg.Warmup
-	if warmup == 0 {
-		warmup = cfg.Duration / 10
-	}
 
 	// Deterministic offered schedule: independent streams per component,
 	// mirroring machine.build's split order of intent (arrivals, class,
 	// service, RSS assignment).
 	root := rng.New(cfg.Seed)
 	arrRNG, classRNG, svcRNG := root.Split(), root.Split(), root.Split()
-	arr := arrival.Resolve(cfg.Arrival, cfg.RateMRPS)
+	arr := arrival.PoissonAtMRPS(cfg.RateMRPS)
 
 	bufs := make([][]rec, workers)
 	for w := range bufs {
@@ -446,7 +422,6 @@ func Run(cfg Config) (Result, error) {
 	var enqueue func(*task) bool
 	var finish func()
 	done := make(chan struct{})
-	qcap := cfg.queueCap()
 
 	worker := func(w int, ch <-chan *task, completions chan<- int) {
 		var sink uint64
@@ -461,7 +436,7 @@ func Run(cfg Config) (Result, error) {
 
 	switch shape {
 	case ShapeShared:
-		shared := make(chan *task, qcap)
+		shared := make(chan *task, queueCap)
 		go func() {
 			defer close(done)
 			var join []chan struct{}
@@ -485,9 +460,9 @@ func Run(cfg Config) (Result, error) {
 		finish = func() { close(shared) }
 
 	case ShapePartitioned:
-		// The configured cap bounds the *total* backlog, so it splits
+		// The cap bounds the *total* backlog, so it splits
 		// across the private queues rather than flooring each one.
-		per := qcap / workers
+		per := queueCap / workers
 		if per < 1 {
 			per = 1
 		}
@@ -526,7 +501,7 @@ func Run(cfg Config) (Result, error) {
 		}
 
 	case ShapeJBSQ:
-		shared := make(chan *task, qcap)
+		shared := make(chan *task, queueCap)
 		work := make([]chan *task, workers)
 		for w := range work {
 			work[w] = make(chan *task, bound)
@@ -634,7 +609,7 @@ func Run(cfg Config) (Result, error) {
 	<-done
 	elapsed := time.Since(start)
 
-	return assemble(cfg, shape, bound, em, scale, spinsNs, warmup, offered, dropped, elapsed, bufs), nil
+	return assemble(cfg, shape, bound, em, scale, spinsNs, offered, dropped, elapsed, bufs), nil
 }
 
 // at converts a wall-clock offset in nanoseconds since run start to the
@@ -645,19 +620,14 @@ func at(ns float64) sim.Time { return sim.Time(sim.FromNanos(ns)) }
 // metrics.Recorder — the same measurement layer the simulators use — and
 // builds the Result.
 func assemble(cfg Config, shape Shape, bound int, em Emulation, scale, spinsNs float64,
-	warmup time.Duration, offered, dropped int, elapsed time.Duration, bufs [][]rec) Result {
+	offered, dropped int, elapsed time.Duration, bufs [][]rec) Result {
 
 	workers := cfg.workers()
 	classes := make([]string, len(cfg.Workload.Classes))
 	for i, cl := range cfg.Workload.Classes {
 		classes[i] = cl.Name
 	}
-	recorder := metrics.NewRecorder(metrics.Config{
-		Classes:    classes,
-		Servers:    workers,
-		EpochNanos: cfg.Epoch.Nanos(),
-		MaxEpochs:  cfg.MaxEpochs,
-	})
+	recorder := metrics.NewRecorder(metrics.Config{Classes: classes, Servers: workers})
 
 	// Interleave the buffers into completion order: the recorder takes
 	// observations in nondecreasing time, as a simulation makes them.
@@ -677,7 +647,7 @@ func assemble(cfg Config, shape Shape, bound int, em Emulation, scale, spinsNs f
 	// window is the range of the recorder's log from OpenWindow on, so
 	// opening before the replay would let every pre-warmup completion
 	// contaminate it.
-	winStart := float64(warmup.Nanoseconds())
+	winStart := float64((cfg.Duration / 10).Nanoseconds())
 	winEnd := winStart
 	inWindow := 0
 	opened := false

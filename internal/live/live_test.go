@@ -92,11 +92,12 @@ func TestLiveOverloadSheds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload soak")
 	}
+	defer func(c int) { queueCap = c }(queueCap)
+	queueCap = 32
 	for _, plan := range []string{"1x16", "16x1", "jbsq2"} {
 		t.Run(plan, func(t *testing.T) {
 			cfg := smokeConfig(plan, t)
 			cfg.Duration = 300 * time.Millisecond
-			cfg.QueueCap = 32
 			cfg.RateMRPS = 4 * CapacityMRPS(cfg) // far past saturation
 			res, err := Run(cfg)
 			if err != nil {
@@ -174,11 +175,6 @@ func TestLiveValidation(t *testing.T) {
 	bad.Duration = 0
 	if _, err := Run(bad); err == nil {
 		t.Fatal("zero duration accepted")
-	}
-	bad = base
-	bad.Warmup = base.Duration
-	if _, err := Run(bad); err == nil {
-		t.Fatal("warmup >= duration accepted")
 	}
 	bad = base
 	bad.Workload = workload.Profile{}

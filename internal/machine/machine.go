@@ -332,7 +332,7 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	m.classTotal = cfg.Workload.TotalWeight()
 	m.reqPkts = p.Domain.Packets(cfg.Workload.RequestBytes)
 	m.replyPkts = p.Domain.Packets(cfg.Workload.ReplyBytes)
-	if !plan.software && plan.route == RouteRSS && !p.RSSByFlow {
+	if !plan.software && plan.rss && !p.RSSByFlow {
 		m.rssBatch = rng.NewIntBatch(m.rssRNG, plan.groups, 0)
 	}
 
@@ -737,7 +737,7 @@ func (m *Machine) routeSubmit(arg any) {
 // draw); local routing forwards to the dispatcher co-located with the
 // receiving backend's mesh slice.
 func (m *Machine) dispatcherFor(req *request, b int) int {
-	if m.plan.route == RouteRSS {
+	if m.plan.rss {
 		if m.p.RSSByFlow {
 			return ni.RSSQueue(uint64(req.src), m.plan.groups)
 		}

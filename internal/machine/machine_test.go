@@ -533,13 +533,12 @@ func TestDeliverRejectsUnknownRequest(t *testing.T) {
 // TestTraceLifecycle: with a tracer attached, every completed request must
 // show the four milestones in causal order on a consistent core.
 func TestTraceLifecycle(t *testing.T) {
-	buf := trace.NewBuffer(1 << 16)
+	byReq := map[uint64][]trace.Event{}
 	cfg := testConfig(ModeSingleQueue, workload.HERD(), 5)
 	cfg.Warmup, cfg.Measure = 100, 1000
-	cfg.Trace = buf
+	cfg.Trace = trace.Func(func(e trace.Event) { byReq[e.ReqID] = append(byReq[e.ReqID], e) })
 	mustRun(t, cfg)
 
-	byReq := buf.ByRequest()
 	complete := 0
 	for id, evs := range byReq {
 		var arrive, dispatch, start, done *trace.Event
@@ -580,15 +579,11 @@ func TestTraceLifecycle(t *testing.T) {
 
 // TestTraceSoftwareMode: the software path emits the same milestones.
 func TestTraceSoftwareMode(t *testing.T) {
-	buf := trace.NewBuffer(1 << 15)
+	phases := map[trace.Phase]int{}
 	cfg := testConfig(ModeSoftware, workload.SyntheticFixed(), 3)
 	cfg.Warmup, cfg.Measure = 50, 500
-	cfg.Trace = buf
+	cfg.Trace = trace.Func(func(e trace.Event) { phases[e.Phase]++ })
 	mustRun(t, cfg)
-	phases := map[trace.Phase]int{}
-	for _, e := range buf.Events() {
-		phases[e.Phase]++
-	}
 	for _, ph := range []trace.Phase{trace.PhaseArrive, trace.PhaseDispatch, trace.PhaseStart, trace.PhaseComplete} {
 		if phases[ph] == 0 {
 			t.Fatalf("software mode emitted no %v events", ph)

@@ -10,9 +10,15 @@ import (
 
 // A Plan declaratively describes the machine's dispatch architecture: how
 // the serving cores are grouped under NI dispatchers, which policy each
-// dispatcher runs, the per-core outstanding threshold, how NI backends route
-// message-completion tokens to dispatchers, and whether dispatch happens in
-// NI hardware at all or through the software (MCS-locked) in-memory queue.
+// dispatcher runs, the per-core outstanding threshold, and whether dispatch
+// happens in NI hardware at all or through the software (MCS-locked)
+// in-memory queue. The grouping also fixes how NI backends route
+// message-completion tokens to dispatchers: each backend forwards to the
+// dispatcher of its own mesh slice (dispatcher = backend × groups /
+// backends) while dispatchers are no more numerous than backends; past
+// that, each message is assigned a dispatcher at arrival, RSS-style — a flow
+// hash of the source node when Params.RSSByFlow is set, otherwise a uniform
+// random draw.
 //
 // The four legacy Mode constants are now just canned plans (PlanForMode);
 // every combination the Mode enum could not express — JBSQ(n)
@@ -43,14 +49,9 @@ type Plan struct {
 	// occupancy-feedback arbiter (ni.LeastOutstandingRR).
 	Policy ni.Spec
 
-	// Route chooses how a backend forwards a completion token to a
-	// dispatcher. RouteAuto picks RouteLocal when dispatchers are no more
-	// numerous than backends, RouteRSS otherwise.
-	Route Route
-
 	// Software replaces the NI dispatchers entirely: backends append to the
 	// shared in-memory queue that cores drain under the MCS lock (§6.2's
-	// baseline). Groups, Threshold, Policy, and Route are ignored.
+	// baseline). Groups, Threshold, and Policy are ignored.
 	Software bool
 
 	// groupSize, when nonzero, records the per-group core count of a
@@ -69,23 +70,6 @@ const (
 	// GroupsPerCore gives every core a private dispatcher (the legacy
 	// partitioned/RSS mode).
 	GroupsPerCore = -2
-)
-
-// Route selects how backends route completion tokens to dispatchers.
-type Route int
-
-const (
-	// RouteAuto resolves to RouteLocal when Groups <= Backends, RouteRSS
-	// otherwise.
-	RouteAuto Route = iota
-	// RouteLocal forwards each token to the dispatcher co-located with the
-	// receiving backend's mesh slice (dispatcher = backend × groups /
-	// backends) — the wiring of the legacy single-queue and grouped modes.
-	RouteLocal
-	// RouteRSS statically assigns each message to a dispatcher at arrival:
-	// a flow hash of the source node when Params.RSSByFlow is set,
-	// otherwise a uniform random draw — the legacy partitioned behaviour.
-	RouteRSS
 )
 
 // PlanSingleQueue is the canned RPCValet plan: one dispatcher balancing all
@@ -107,7 +91,6 @@ func PlanPartitioned() *Plan {
 		Name:      ModePartitioned.String(),
 		Groups:    GroupsPerCore,
 		Threshold: ni.Unlimited,
-		Route:     RouteRSS,
 	}
 }
 
@@ -183,8 +166,10 @@ func ParsePlan(spec string) (*Plan, error) {
 		pl = PlanSoftware()
 	default:
 		if ns, ok := strings.CutPrefix(base, "jbsq"); ok {
+			// Plain decimal only, as ni.SpecByName reads randomN: the plan
+			// is named jbsqN, so "jbsq02" would run as "jbsq2".
 			n, err := strconv.Atoi(ns)
-			if err != nil || n < 1 {
+			if err != nil || n < 1 || strconv.Itoa(n) != ns {
 				return nil, fmt.Errorf("machine: bad JBSQ plan %q (want jbsq1, jbsq2, ...)", base)
 			}
 			pl = PlanJBSQ(n)
@@ -233,15 +218,6 @@ func (pl *Plan) validate(p Params) error {
 	if t := pl.Threshold; t != 0 && t != ni.Unlimited && t < 1 {
 		return fmt.Errorf("machine: plan %s: outstanding threshold %d must be >= 1", pl.label(p), t)
 	}
-	if pl.Route < RouteAuto || pl.Route > RouteRSS {
-		return fmt.Errorf("machine: plan %s: unknown route %d", pl.label(p), int(pl.Route))
-	}
-	if pl.Route == RouteLocal && groups > p.Backends {
-		// Local routing can only ever name one dispatcher per backend;
-		// with more groups than backends the rest would silently starve.
-		return fmt.Errorf("machine: plan %s: local routing cannot reach %d dispatcher groups from %d backends (use RouteRSS)",
-			pl.label(p), groups, p.Backends)
-	}
 	return nil
 }
 
@@ -274,24 +250,13 @@ func (pl *Plan) resolveThreshold(p Params) int {
 	return pl.Threshold
 }
 
-// resolveRoute maps RouteAuto to a concrete routing given the group count.
-func (pl *Plan) resolveRoute(p Params, groups int) Route {
-	if pl.Route != RouteAuto {
-		return pl.Route
-	}
-	if groups > p.Backends {
-		return RouteRSS
-	}
-	return RouteLocal
-}
-
 // execPlan is a Plan resolved against concrete Params: every sentinel and
 // zero-means-inherit field replaced by its concrete value. The machine's
 // construction and dispatch paths consult only this.
 type execPlan struct {
 	groups    int
 	threshold int
-	route     Route
+	rss       bool // dispatchers outnumber backends: assign each at arrival
 	software  bool
 	policy    ni.Spec // zero Spec = the default arbiter
 	label     string
@@ -321,7 +286,7 @@ func resolvePlan(p Params) (execPlan, error) {
 	return execPlan{
 		groups:    groups,
 		threshold: pl.resolveThreshold(p),
-		route:     pl.resolveRoute(p, groups),
+		rss:       groups > p.Backends,
 		policy:    pl.Policy,
 		label:     pl.label(p),
 	}, nil

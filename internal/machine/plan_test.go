@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"rpcvalet/internal/ni"
@@ -152,7 +154,7 @@ func TestParsePlan(t *testing.T) {
 		"single":      func(pl *Plan) bool { return pl.Groups == 1 },
 		"4x4":         func(pl *Plan) bool { return pl.Groups == GroupsPerBackend },
 		"16x1":        func(pl *Plan) bool { return pl.Groups == GroupsPerCore && pl.Threshold == ni.Unlimited },
-		"partitioned": func(pl *Plan) bool { return pl.Route == RouteRSS },
+		"partitioned": resolvesRSS,
 		"sw":          func(pl *Plan) bool { return pl.Software },
 		"software":    func(pl *Plan) bool { return pl.Software },
 		"jbsq4":       func(pl *Plan) bool { return pl.Threshold == 4 && pl.Policy.Name == "least-outstanding" },
@@ -167,11 +169,20 @@ func TestParsePlan(t *testing.T) {
 			t.Fatalf("%s: parsed to %+v", spec, pl)
 		}
 	}
-	for _, spec := range []string{"", "bogus", "jbsq0", "jbsqx", "0x16", "ax4", "sw:local", "1x16:bogus"} {
+	for _, spec := range []string{"", "bogus", "jbsq0", "jbsqx", "jbsq+02", "jbsq02", "0x16", "ax4", "sw:local", "1x16:bogus"} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Fatalf("%q: accepted", spec)
 		}
 	}
+}
+
+// resolvesRSS reports whether pl, resolved on Defaults(), assigns each
+// message its dispatcher at arrival (RSS) rather than by backend.
+func resolvesRSS(pl *Plan) bool {
+	p := Defaults()
+	p.Plan = pl
+	ep, err := resolvePlan(p)
+	return err == nil && ep.rss
 }
 
 // TestPlanValidation: plans that do not fit the machine must be rejected at
@@ -183,8 +194,6 @@ func TestPlanValidation(t *testing.T) {
 		"literal mismatch":    {Groups: 2, groupSize: 4},          // 2×4 ≠ 16 cores
 		"wrapping literal":    {Groups: 16, groupSize: 1<<60 + 1}, // 16×M wraps to 16
 		"negative threshold":  {Groups: 1, Threshold: -1},
-		"bad route":           {Groups: 1, Route: Route(9)},
-		"starving local":      {Groups: 16, Threshold: ni.Unlimited, Route: RouteLocal},
 	}
 	for name, pl := range bad {
 		cfg := planConfig(pl, workload.HERD(), 5)
@@ -218,13 +227,15 @@ func TestPlanLabels(t *testing.T) {
 	}
 }
 
-// FuzzParsePlan checks that no spec panics the parser, and that every
-// accepted spec either fails to build on Defaults() or builds with its
-// dispatcher groups × group size equal to the machine's cores.
+// FuzzParsePlan checks that no spec panics the parser, that an accepted
+// jbsqN spec is named by the base it was parsed from (so reports show what
+// the user typed), and that every accepted spec either fails to build on
+// Defaults() or builds with its dispatcher groups × group size equal to the
+// machine's cores.
 func FuzzParsePlan(f *testing.F) {
 	for _, seed := range []string{
 		"1x16", "4x4", "16x1", "sw", "jbsq2", "2x8:random2", "5x3", "0x16", "sw:local",
-		"16x1152921504606846977", "8x2305843009213693954",
+		"16x1152921504606846977", "8x2305843009213693954", "jbsq+02", "jbsq02:local",
 	} {
 		f.Add(seed)
 	}
@@ -232,6 +243,11 @@ func FuzzParsePlan(f *testing.F) {
 		pl, err := ParsePlan(spec)
 		if err != nil {
 			return
+		}
+		if base, _, _ := strings.Cut(spec, ":"); strings.HasPrefix(base, "jbsq") {
+			if name := fmt.Sprintf("jbsq%d", pl.Threshold); name != base {
+				t.Fatalf("%q: accepted as %s", spec, name)
+			}
 		}
 		cfg := testConfig(ModeSingleQueue, workload.SyntheticFixed(), 1)
 		cfg.Params.Plan = pl

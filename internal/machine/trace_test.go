@@ -126,11 +126,11 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {
 		bench(b, func(*Config) {})
 	})
-	b.Run("buffer", func(b *testing.B) {
-		bench(b, func(c *Config) { c.Trace = trace.NewBuffer(1 << 10) })
+	b.Run("func", func(b *testing.B) {
+		bench(b, func(c *Config) { c.Trace = trace.Func(func(trace.Event) {}) })
 	})
 	b.Run("sampled-1in1024", func(b *testing.B) {
-		bench(b, func(c *Config) { c.Trace = trace.Sample(trace.NewBuffer(1<<10), 1024) })
+		bench(b, func(c *Config) { c.Trace = trace.Sample(trace.Func(func(trace.Event) {}), 1024) })
 	})
 	b.Run("tail64", func(b *testing.B) {
 		bench(b, func(c *Config) { c.Trace = trace.NewTailSampler(64) })

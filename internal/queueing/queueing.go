@@ -3,9 +3,8 @@
 // performance (§6.3).
 //
 // A Model Q×U system has Q FIFO queues with U serving units each; incoming
-// requests follow a Poisson process (by default — Config.Arrival swaps in
-// any other arrival.Process at the same mean rate) and are assigned to a
-// queue uniformly at random (the paper's uni[0,Q-1] stage in Fig 1). Model 1×16 is the ideal
+// requests follow a Poisson process and are assigned to a queue uniformly at
+// random (the paper's uni[0,Q-1] stage in Fig 1). Model 1×16 is the ideal
 // single-queue system; Model 16×1 is a fully partitioned system with no load
 // balancing.
 //
@@ -32,15 +31,9 @@ type Config struct {
 	ServersPerQueue int          // U: serving units per queue
 	Service         dist.Sampler // service time distribution, in ns
 	Load            float64      // offered load ρ = λ·E[S]/(Q·U), in (0,1)
-	// Arrival, when non-nil, selects the shape of the arrival stream; it
-	// is re-rated to the λ that Load implies, so Load keeps its meaning
-	// for every traffic model. Nil means Poisson (M/·/· arrivals) — the
-	// historical behavior, byte-for-byte identical result streams for
-	// existing seeds.
-	Arrival arrival.Process
-	Warmup  int // requests discarded before measuring
-	Measure int // requests measured
-	Seed    uint64
+	Warmup          int          // requests discarded before measuring
+	Measure         int          // requests measured
+	Seed            uint64
 }
 
 // Validate reports whether Run would accept the config.
@@ -106,7 +99,7 @@ func Run(cfg Config) (Result, error) {
 	target := cfg.Warmup + cfg.Measure
 	var latency, wait stats.Sample
 	var winStart, winEnd sim.Time
-	arr := arrival.ResolvePerNs(cfg.Arrival, lambda)
+	arr := arrival.PoissonAtPerNs(lambda)
 
 	var startService func(st *station, arrived sim.Time)
 	startService = func(st *station, arrived sim.Time) {

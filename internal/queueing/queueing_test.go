@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/dist"
 )
 
@@ -309,55 +308,5 @@ func TestPropertySingleQueueDominates(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestArrivalKindsDeterministic: each built-in arrival process drives the
-// queueing model deterministically at the λ that Load implies, and
-// non-Poisson shapes actually change the outcome.
-func TestArrivalKindsDeterministic(t *testing.T) {
-	base := baseConfig()
-	base.Queues, base.ServersPerQueue = 4, 4
-	base.Load = 0.7
-	base.Measure = 20000
-	def := run(t, base)
-	for _, kind := range arrival.Names {
-		arr, err := arrival.ByName(kind, 1) // rate irrelevant: re-rated to Load's λ
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := base
-		cfg.Arrival = arr
-		a := run(t, cfg)
-		b := run(t, cfg)
-		if a.Latency != b.Latency || a.Wait != b.Wait || a.Throughput != b.Throughput {
-			t.Fatalf("%s: identical configs differ", kind)
-		}
-		if kind != "poisson" && a.Latency == def.Latency {
-			t.Fatalf("%s: produced the exact Poisson result — process not wired in", kind)
-		}
-		if kind == "poisson" && a.Latency != def.Latency {
-			t.Fatal("explicit poisson differs from nil default")
-		}
-		// Load keeps its meaning: the measured rate must track λ within
-		// sampling noise for every shape.
-		if math.Abs(a.Throughput-0.7*16)/(0.7*16) > 0.06 {
-			t.Fatalf("%s: throughput %v per ns, want ~%v", kind, a.Throughput, 0.7*16)
-		}
-	}
-}
-
-// TestDeterministicArrivalsTightenWait: D/M/c waits sit below M/M/c at the
-// same load — the classic variance-reduction result, end to end.
-func TestDeterministicArrivalsTightenWait(t *testing.T) {
-	base := baseConfig()
-	base.Load = 0.8
-	base.Measure = 40000
-	mmc := run(t, base)
-	cfg := base
-	cfg.Arrival = arrival.DeterministicAtMRPS(1)
-	dmc := run(t, cfg)
-	if dmc.Wait.Mean >= mmc.Wait.Mean {
-		t.Fatalf("D/M/1 mean wait %v not below M/M/1's %v", dmc.Wait.Mean, mmc.Wait.Mean)
 	}
 }

@@ -230,12 +230,17 @@ func TestCollectorKeepsAll(t *testing.T) {
 	}
 }
 
+// eventLog is a Recorder keeping every event in recording order.
+type eventLog []Event
+
+func (l *eventLog) Record(e Event) { *l = append(*l, e) }
+
 func TestTeeFansOut(t *testing.T) {
-	b1, b2 := NewBuffer(4), NewBuffer(4)
+	b1, b2 := &eventLog{}, &eventLog{}
 	r := Tee(b1, nil, b2)
 	r.Record(Event{ReqID: 1, Phase: PhaseArrive})
-	if b1.Total() != 1 || b2.Total() != 1 {
-		t.Fatalf("tee totals: %d %d", b1.Total(), b2.Total())
+	if len(*b1) != 1 || len(*b2) != 1 {
+		t.Fatalf("tee totals: %d %d", len(*b1), len(*b2))
 	}
 	if Tee(nil, nil) != nil || Tee(nil, b1) != Recorder(b1) {
 		t.Fatal("Tee of no recorders must be nil, of one that recorder")
@@ -286,14 +291,17 @@ func TestTailSamplerMatchesSortedCollector(t *testing.T) {
 }
 
 func TestSampleKeepsWholeRequests(t *testing.T) {
-	b := NewBuffer(64)
+	b := &eventLog{}
 	r := Sample(b, 4)
 	for id := uint64(0); id < 10; id++ {
 		for _, e := range machineLifecycle(id, 0, 1, 2, 3, 0, 0) {
 			r.Record(e)
 		}
 	}
-	byReq := b.ByRequest()
+	byReq := map[uint64][]Event{}
+	for _, e := range *b {
+		byReq[e.ReqID] = append(byReq[e.ReqID], e)
+	}
 	if len(byReq) != 3 {
 		t.Fatalf("sampled requests %d, want 3 (0, 4, 8)", len(byReq))
 	}

@@ -145,61 +145,6 @@ type Recorder interface {
 	Record(Event)
 }
 
-// Buffer is a bounded ring Recorder keeping the most recent events. The zero
-// value is unusable; create it with NewBuffer.
-type Buffer struct {
-	events  []Event
-	next    int
-	wrapped bool
-	total   uint64
-}
-
-// NewBuffer returns a ring buffer holding up to capacity events. It panics
-// on a non-positive capacity.
-func NewBuffer(capacity int) *Buffer {
-	if capacity <= 0 {
-		panic("trace: buffer capacity must be positive")
-	}
-	return &Buffer{events: make([]Event, 0, capacity)}
-}
-
-// Record implements Recorder.
-func (b *Buffer) Record(e Event) {
-	b.total++
-	if len(b.events) < cap(b.events) {
-		b.events = append(b.events, e)
-		return
-	}
-	b.events[b.next] = e
-	b.next = (b.next + 1) % cap(b.events)
-	b.wrapped = true
-}
-
-// Total reports how many events were recorded over the buffer's lifetime,
-// including ones evicted by wraparound.
-func (b *Buffer) Total() uint64 { return b.total }
-
-// Events returns the retained events in recording order.
-func (b *Buffer) Events() []Event {
-	if !b.wrapped {
-		return append([]Event(nil), b.events...)
-	}
-	out := make([]Event, 0, len(b.events))
-	out = append(out, b.events[b.next:]...)
-	out = append(out, b.events[:b.next]...)
-	return out
-}
-
-// ByRequest groups the retained events by request ID, each group in
-// recording order.
-func (b *Buffer) ByRequest() map[uint64][]Event {
-	m := make(map[uint64][]Event)
-	for _, e := range b.Events() {
-		m[e.ReqID] = append(m[e.ReqID], e)
-	}
-	return m
-}
-
 // Func adapts a function to the Recorder interface.
 type Func func(Event)
 

@@ -28,62 +28,6 @@ func TestEventString(t *testing.T) {
 	}
 }
 
-func TestBufferBasics(t *testing.T) {
-	b := NewBuffer(4)
-	for i := 0; i < 3; i++ {
-		b.Record(Event{ReqID: uint64(i)})
-	}
-	evs := b.Events()
-	if len(evs) != 3 || b.Total() != 3 {
-		t.Fatalf("events=%d total=%d", len(evs), b.Total())
-	}
-	for i, e := range evs {
-		if e.ReqID != uint64(i) {
-			t.Fatalf("order broken: %v", evs)
-		}
-	}
-}
-
-func TestBufferWraparound(t *testing.T) {
-	b := NewBuffer(3)
-	for i := 0; i < 10; i++ {
-		b.Record(Event{ReqID: uint64(i)})
-	}
-	evs := b.Events()
-	if len(evs) != 3 || b.Total() != 10 {
-		t.Fatalf("events=%d total=%d", len(evs), b.Total())
-	}
-	// Retains the most recent three, in order.
-	for i, want := range []uint64{7, 8, 9} {
-		if evs[i].ReqID != want {
-			t.Fatalf("wraparound order: %v", evs)
-		}
-	}
-}
-
-func TestBufferByRequest(t *testing.T) {
-	b := NewBuffer(16)
-	b.Record(Event{ReqID: 1, Phase: PhaseArrive})
-	b.Record(Event{ReqID: 2, Phase: PhaseArrive})
-	b.Record(Event{ReqID: 1, Phase: PhaseComplete})
-	m := b.ByRequest()
-	if len(m) != 2 || len(m[1]) != 2 || len(m[2]) != 1 {
-		t.Fatalf("grouping wrong: %v", m)
-	}
-	if m[1][0].Phase != PhaseArrive || m[1][1].Phase != PhaseComplete {
-		t.Fatal("per-request order broken")
-	}
-}
-
-func TestBufferPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBuffer(0) did not panic")
-		}
-	}()
-	NewBuffer(0)
-}
-
 func TestFuncAdapter(t *testing.T) {
 	var got []Event
 	r := Func(func(e Event) { got = append(got, e) })

@@ -36,14 +36,15 @@
 //
 // # Arrival processes
 //
-// Every simulator accepts an optional Arrival field selecting the traffic
-// model: Poisson (the default), MMPP2 (bursty), Deterministic (fixed-gap),
-// or LognormalGap (heavy-tailed gaps). The compatibility rule is that a nil
+// The machine (Config) and the cluster (Cluster) accept an optional Arrival
+// field selecting the traffic model: Poisson (the default), MMPP2 (bursty),
+// Deterministic (fixed-gap), or LognormalGap (heavy-tailed gaps). A nil
 // Arrival means Poisson at the configured rate and reproduces byte-identical
 // result streams for existing seeds; setting Arrival changes only the shape
-// of the traffic, with the mean rate still taken from RateMRPS (or Load for
-// queueing models). Build processes with ArrivalByName or the Arrival*
-// constructors.
+// of the traffic, with the mean rate still taken from RateMRPS. The queueing
+// models (QueueModel) and the live runtime (LiveConfig) are always Poisson.
+// Build processes with ArrivalByName, ArrivalPoisson, ArrivalMMPP2 or
+// ArrivalModulated.
 //
 // # Dispatch plans
 //
@@ -64,7 +65,7 @@
 // epochs, each with its own throughput, latency percentiles, queue depth,
 // and utilization — the time-resolved view that makes transients visible.
 // Two scenario axes drive them: ArrivalModulated wraps any arrival process
-// with a rate Envelope (Step, Pulse, Ramp, SquareWave), and degraded-node
+// with a rate Envelope (step, pulse, ramp or square wave), and degraded-node
 // injection (Config.Fault on a machine, Cluster.Faults per node or rack)
 // models slow or stalling servers. The "transient" figure checks that
 // single-queue NI dispatch recovers from a 2× load pulse in fewer epochs
@@ -225,9 +226,9 @@ func Masstree() Profile { return workload.Masstree() }
 func Synthetic(kind string) (Profile, error) { return workload.Synthetic(kind) }
 
 // ArrivalProcess generates the interarrival gaps of an open-loop traffic
-// stream. Set it on Config.Arrival, Cluster.Arrival, or QueueModel.Arrival
-// to replace the default Poisson stream; the process's shape is preserved
-// while its mean rate follows the configuration's RateMRPS (or Load).
+// stream. Set it on Config.Arrival or Cluster.Arrival to replace the default
+// Poisson stream; the process's shape is preserved while its mean rate
+// follows the configuration's RateMRPS.
 type ArrivalProcess = arrival.Process
 
 // ArrivalKinds lists the built-in arrival process names in report order:
@@ -243,22 +244,11 @@ func ArrivalByName(name string, rateMRPS float64) (ArrivalProcess, error) {
 // ArrivalPoisson returns the memoryless default arrival process at rateMRPS.
 func ArrivalPoisson(rateMRPS float64) ArrivalProcess { return arrival.PoissonAtMRPS(rateMRPS) }
 
-// ArrivalDeterministic returns fixed-gap (D/·/·) arrivals at rateMRPS.
-func ArrivalDeterministic(rateMRPS float64) ArrivalProcess {
-	return arrival.DeterministicAtMRPS(rateMRPS)
-}
-
 // ArrivalMMPP2 returns a two-state Markov-modulated Poisson process with
 // overall mean rate rateMRPS, burst rate burstRatio times the calm rate, and
 // the given mean state dwells in nanoseconds.
 func ArrivalMMPP2(rateMRPS, burstRatio, calmDwellNanos, burstDwellNanos float64) ArrivalProcess {
 	return arrival.NewMMPP2(rateMRPS, burstRatio, calmDwellNanos, burstDwellNanos)
-}
-
-// ArrivalLognormal returns heavy-tailed lognormal interarrival gaps with
-// mean rate rateMRPS and the given sigma (gap CV = sqrt(e^sigma² − 1)).
-func ArrivalLognormal(rateMRPS, sigma float64) ArrivalProcess {
-	return arrival.LognormalAtMRPS(rateMRPS, sigma)
 }
 
 // Duration is a span of virtual time in integer picoseconds — the type of
@@ -279,8 +269,8 @@ func ParseDuration(s string) (Duration, error) { return sim.ParseDuration(s) }
 
 // Envelope is a deterministic rate-modulation profile over virtual time — a
 // factor multiplying a base arrival process's instantaneous rate. Build one
-// with EnvelopeStep/Pulse/Ramp/SquareWave or ParseEnvelope, then wrap any
-// arrival process with ArrivalModulated.
+// with ParseEnvelope (or EnvelopePulse), then wrap any arrival process with
+// ArrivalModulated.
 type Envelope = arrival.Envelope
 
 // ArrivalModulated wraps base with a rate envelope: the traffic's shape (gap
@@ -291,30 +281,16 @@ func ArrivalModulated(base ArrivalProcess, env Envelope) ArrivalProcess {
 	return arrival.NewModulated(base, env)
 }
 
-// EnvelopeStep holds factor 1 until atNanos, then factor forever — a load
-// step.
-func EnvelopeStep(atNanos, factor float64) Envelope { return arrival.NewStep(atNanos, factor) }
-
 // EnvelopePulse holds factor over [startNanos, startNanos+durNanos) — a
 // bounded overload burst.
 func EnvelopePulse(startNanos, durNanos, factor float64) Envelope {
 	return arrival.NewPulse(startNanos, durNanos, factor)
 }
 
-// EnvelopeRamp interpolates from 1× to factor× over durNanos starting at
-// startNanos, holding factor afterward.
-func EnvelopeRamp(startNanos, durNanos, factor float64) Envelope {
-	return arrival.NewRamp(startNanos, durNanos, factor)
-}
-
-// EnvelopeSquareWave alternates factor (for highNanos at the start of each
-// period) with 1 — sustained periodic bursting.
-func EnvelopeSquareWave(periodNanos, highNanos, factor float64) Envelope {
-	return arrival.NewSquareWave(periodNanos, highNanos, factor)
-}
-
-// ParseEnvelope parses the CLI -modulate grammar: "step@400us:x2",
-// "pulse@400us+200us:x2", "ramp@100us+500us:x3", "square@200us/50us:x2.5".
+// ParseEnvelope parses the CLI -modulate grammar: a load step
+// ("step@400us:x2"), a bounded pulse ("pulse@400us+200us:x2"), a linear ramp
+// held at its end ("ramp@100us+500us:x3"), or a square wave of period/high
+// time ("square@200us/50us:x2.5").
 func ParseEnvelope(spec string) (Envelope, error) { return arrival.ParseEnvelope(spec) }
 
 // Timeline is the epoch-sliced, time-resolved view every Result now carries:
@@ -357,12 +333,6 @@ type CurvePoint = core.Point
 // for a given seed regardless of the worker count.
 func Sweep(cfg Config, ratesMRPS []float64, label string) (Curve, error) {
 	return core.MachineSweep(cfg, ratesMRPS, label, 0)
-}
-
-// SweepWorkers is Sweep with an explicit cap on concurrently running
-// simulations (0 = NumCPU).
-func SweepWorkers(cfg Config, ratesMRPS []float64, label string, workers int) (Curve, error) {
-	return core.MachineSweep(cfg, ratesMRPS, label, workers)
 }
 
 // CapacityMRPS estimates the configuration's saturation throughput.
@@ -531,23 +501,6 @@ func NewCapture(tailK, sample int, collect bool) *Capture {
 	return obs.NewCapture(tailK, sample, collect)
 }
 
-// TraceFunc adapts a function to a TraceRecorder.
-type TraceFunc = trace.Func
-
-// TraceBuffer is a bounded ring of the most recent trace events.
-type TraceBuffer = trace.Buffer
-
-// NewTraceBuffer builds a trace ring holding the last capacity events.
-func NewTraceBuffer(capacity int) *TraceBuffer { return trace.NewBuffer(capacity) }
-
-// AssembleSpans folds an event slice into Spans, one per request, in
-// first-seen order.
-func AssembleSpans(events []TraceEvent) []Span { return trace.Spans(events) }
-
-// SortSpansSlowestFirst orders spans by descending end-to-end latency
-// (request ID breaks ties deterministically).
-func SortSpansSlowestFirst(spans []Span) { trace.SortSlowestFirst(spans) }
-
 // ObsRegistry holds named Prometheus-style instruments (counters, gauges,
 // latency histograms) and writes them in text exposition format v0.0.4.
 type ObsRegistry = obs.Registry
@@ -594,9 +547,6 @@ type Figure = core.Figure
 
 // Options scales figure regeneration.
 type Options = core.Options
-
-// DefaultOptions sizes runs for full figure regeneration.
-func DefaultOptions() Options { return core.DefaultOptions() }
 
 // QuickOptions sizes runs for fast, noisier regeneration.
 func QuickOptions() Options { return core.QuickOptions() }
