@@ -37,9 +37,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
 # live-smoke runs the live goroutine runtime's rate-limited smoke tests:
-# every queue shape end to end in ~100 ms windows, asserting completion
-# counts only, so it stays green on noisy or single-core machines. CI's test
-# step runs every TestLive* (a superset) without -short.
+# the shared channel and the dispatch path (jbsq2, 16x1, 4x4, 1x16:random2)
+# end to end in ~100 ms windows, asserting completion counts and the
+# dispatch replay only, so it stays green on noisy or single-core machines.
+# CI's test step runs every TestLive* (a superset) without -short.
 live-smoke:
 	$(GO) test -short -run 'TestLive' -v ./internal/live
 
@@ -90,7 +91,7 @@ examples-smoke:
 	done
 
 # obs-smoke proves the observability endpoints end to end: it starts
-# rpcvalet-live with -obs, scrapes /metrics and /healthz while the run is in
+# rpcvalet-live -dispatch 4x4 with -obs, scrapes /metrics and /healthz while the run is in
 # flight, and asserts Prometheus text format plus a nonzero completed
 # counter. See scripts/obs_smoke.sh.
 obs-smoke:

@@ -1,18 +1,26 @@
 // Command rpcvalet-live runs the dispatch plans on real hardware: goroutine
-// workers serving synthesized service times on wall-clock time, behind a
-// shared MPMC queue (1x16), per-worker RSS-partitioned queues (16x1), or a
-// bounded JBSQ(n) dispatcher — the live counterpart of rpcvalet-sim.
+// workers serving synthesized service times on wall-clock time — the live
+// counterpart of rpcvalet-sim. A plain 1x16 (and sw) is one shared Go
+// channel; every other plan runs through its own NI dispatchers on a
+// machine of -cores cores, so jbsqN, 16x1 (one worker a group), 4x4 (one
+// dispatcher per NI backend: 4 groups of 2 at 8 cores) and any plan policy
+// (1x16:random2, 4x4:round-robin) decide as the simulator does.
 //
 // Usage (-h lists every flag with its grammar):
 //
 //	rpcvalet-live -dispatch 1x16,jbsq2,16x1 -workload gev -duration 1s
+//	rpcvalet-live -dispatch 4x4,1x16:random2 -emulation sleep -duration 200ms
 //	rpcvalet-live -obs :9090 -duration 10s -tail 16
 //
-// The -dispatch plans ("1x16", "sw", "16x1", "jbsqN") run one after another,
-// each owning the machine for its window, and print as one table. Latencies
-// are wall-clock: the offered schedule is deterministic in -seed, the
-// measured tails are not. -obs serves /metrics (Prometheus text, labeled by
-// plan), /healthz and /debug/pprof while the runs are in flight.
+// The -dispatch plans run one after another, each owning the machine for
+// its window, and print as one table. A plan must build both the 16-core
+// default machine (checked at the flag) and the -cores machine, so a
+// literal GxM grouping (G×M = 16) runs only at -cores 16: -dispatch 2x4
+// exits 2 at the flag even with -cores 8. 4x4 exits 2 at a core count 4
+// does not divide. Latencies are wall-clock: the offered schedule is
+// deterministic in -seed, the measured tails are not. -obs serves /metrics
+// (Prometheus text, labeled by plan), /healthz and /debug/pprof while the
+// runs are in flight.
 package main
 
 import (
@@ -33,7 +41,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := cli.New("rpcvalet-live", stderr)
-	plans := fs.Dispatch("1x16,jbsq2,16x1", "comma-separated dispatch plans: 1x16|sw|16x1|jbsqN")
+	plans := fs.Dispatch("1x16,jbsq2,16x1", "comma-separated dispatch plans: (1x16|4x4|16x1|jbsqN|GxM)[:policy] or sw")
 	wl := fs.Workload("gev")
 	rate := fs.Float64("rate", 0, "offered load in MRPS (0 = 65% of estimated live capacity)")
 	duration := fs.Duration("duration", time.Second, "offered-load window per plan (wall clock)")

@@ -19,9 +19,9 @@ func TestBadInputExitsTwo(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-dispatch", "1x16,bogus", "-duration", "2s"},
-		{"-dispatch", "1x16,4x4", "-duration", "2s"},
+		{"-cores", "6", "-dispatch", "4x4", "-duration", "2s"},
 		{"-dispatch", "bogus", "-trace-jsonl", jsonl},
-		{"-dispatch", "1x16,4x4", "-duration", "2s", "-trace-jsonl", jsonl},
+		{"-cores", "6", "-dispatch", "4x4", "-duration", "2s", "-trace-jsonl", jsonl},
 		{"-plan", "1x16"},
 		{"-workers", "4"},
 		{"-cores", "-2"},
@@ -40,7 +40,7 @@ func TestBadInputExitsTwo(t *testing.T) {
 
 func TestSmallRun(t *testing.T) {
 	jsonl := filepath.Join(t.TempDir(), "spans.jsonl")
-	runs(t, "-dispatch", "1x16,16x1", "-duration", "50ms", "-cores", "2", "-emulation", "sleep",
+	runs(t, "-dispatch", "1x16,16x1,4x4", "-duration", "50ms", "-cores", "4", "-emulation", "sleep",
 		"-tail", "2", "-trace-jsonl", jsonl, "-trace-sample", "8")
 	if b, err := os.ReadFile(jsonl); err != nil || !bytes.Contains(b, []byte(`"req":`)) {
 		t.Fatalf("trace file %q (%v)", b, err)

@@ -1,19 +1,23 @@
-// Package live executes the machine model's dispatch shapes with real
+// Package live executes the machine model's dispatch plans with real
 // goroutines on wall-clock time — the reproduction's first step from
 // simulation toward the ROADMAP's production-scale serving system, and the
 // same methodological move nanoPU and Dagger make when they back the
 // single-queue-versus-partitioned argument with measured hardware.
 //
-// Three queue shapes cover the argument:
+// A plan runs on one of two paths:
 //
-//   - Shared: one MPMC queue all workers pull from — the 1×16 analogue, the
-//     work-conserving single-queue ideal. (The software/MCS variant collapses
-//     onto this shape too: a Go channel is a lock-guarded shared queue.)
-//   - Partitioned: one private queue per worker, each request statically
-//     assigned by an RSS-style hash of its ID at arrival — the 16×1 baseline.
-//   - JBSQ(n): a dispatcher goroutine pushes from the shared queue to bounded
-//     per-worker queues, at most n outstanding per worker, least-outstanding
-//     arbitration — the NI dispatch loop of machine.PlanJBSQ, on real threads.
+//   - Shared: one Go channel all workers pull from, for the nil plan, "sw"
+//     and a plain "1x16" — the work-conserving single-queue ideal. (A Go
+//     channel is a lock-guarded shared queue, so the software/MCS variant
+//     collapses onto it too.)
+//   - Dispatch: every other plan runs through its own ni.Dispatchers, built
+//     by machine.Dispatchers on a machine with one core per worker, under
+//     one lock — the serialisation point the NI's dispatch stage is. The
+//     generator enqueues each arrival (an RSS hash of its ID picks the
+//     group when there are several), each worker completes under the lock
+//     after serving, and every dispatch a call returns is sent to the
+//     chosen worker's channel. jbsqN, 4x4, 16x1 (groups of one worker) and
+//     any plan policy are the simulator's dispatch decisions on real threads.
 //
 // Service times are synthesized from internal/workload profiles exactly as
 // the simulator samples them (same distributions, deterministic rng streams)
@@ -38,9 +42,11 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"rpcvalet/internal/arrival"
+	"rpcvalet/internal/fifo"
 	"rpcvalet/internal/machine"
 	"rpcvalet/internal/metrics"
 	"rpcvalet/internal/ni"
@@ -52,39 +58,13 @@ import (
 	"rpcvalet/internal/workload"
 )
 
-// Shape is the concrete queue topology a plan resolves to on the live
-// runtime.
-type Shape int
-
-const (
-	// ShapeShared is the single MPMC queue (1×16 and sw plans).
-	ShapeShared Shape = iota
-	// ShapePartitioned is per-worker private queues fed by an RSS hash
-	// (16×1 plans).
-	ShapePartitioned
-	// ShapeJBSQ is bounded-outstanding dispatch through a least-outstanding
-	// dispatcher goroutine (jbsqN plans).
-	ShapeJBSQ
-)
-
-func (s Shape) String() string {
-	switch s {
-	case ShapeShared:
-		return "shared"
-	case ShapePartitioned:
-		return "partitioned"
-	case ShapeJBSQ:
-		return "jbsq"
-	}
-	return fmt.Sprintf("shape(%d)", int(s))
-}
-
 // Emulation selects how a sampled service time occupies a worker.
 type Emulation int
 
 const (
 	// EmulationAuto picks spin when the host has at least two cores beyond
-	// the worker count (generator + dispatcher need to breathe), else sleep.
+	// the worker count (the generator and the Go runtime need to breathe),
+	// else sleep.
 	EmulationAuto Emulation = iota
 	// EmulationSpin burns calibrated busy-work — the real-hardware mode:
 	// service genuinely occupies a CPU, contention and all.
@@ -162,18 +142,17 @@ func resolveEmulation(e Emulation, workers int) Emulation {
 
 // Config describes one live run.
 type Config struct {
-	// Plan selects the dispatch shape. The live runtime executes the subset
-	// of the plan grammar with a faithful goroutine analogue: "1x16"/"single"
-	// and "sw" (shared), "16x1"/"partitioned" (per-worker RSS), and "jbsqN"
-	// (bounded dispatch). Nil means shared. Grouped (4×4, GxM) plans and
-	// explicit NI policies have no live counterpart and are rejected.
+	// Plan selects the dispatch plan, in the full ParsePlan grammar. Nil,
+	// "sw" and a plain "1x16" run on the shared channel; every other plan
+	// runs through its ni.Dispatchers on a machine of Workers cores, so
+	// "4x4" is one dispatcher per NI backend (4 groups of 2 at 8 workers)
+	// and a literal GxM grouping must split Workers.
 	Plan *machine.Plan
 
 	Workload workload.Profile
 
 	// Workers is the serving-goroutine count (0 = DefaultWorkers). It plays
-	// the role of Params.Cores: the partitioned shape builds one queue per
-	// worker.
+	// the role of Params.Cores: each worker is one dispatcher core.
 	Workers int
 
 	// RateMRPS is the open-loop offered rate of the Poisson arrival stream,
@@ -223,41 +202,27 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// queueCap bounds the total queued backlog. The generator never blocks:
-// arrivals beyond the cap are counted as dropped, keeping the loop open
-// under deep overload. A variable only so a test can shrink it.
+// queueCap bounds the backlog: the shared channel holds at most queueCap
+// requests, and the dispatch path accepts at most queueCap not yet
+// completed. The generator never blocks: arrivals beyond the cap are
+// counted as dropped, keeping the loop open under deep overload. A variable
+// only so a test can shrink it.
 var queueCap = 1 << 15
 
-// ShapeForPlan resolves a dispatch plan to a live queue shape and (for JBSQ)
-// its per-worker outstanding bound.
-func ShapeForPlan(pl *machine.Plan, workers int) (Shape, int, error) {
-	if pl == nil {
-		return ShapeShared, 0, nil
-	}
-	if pl.Policy.Name != "" && pl.Policy.Name != "least-outstanding" {
-		return 0, 0, fmt.Errorf("live: plan policy %q has no live counterpart (the JBSQ dispatcher is least-outstanding by construction)", pl.Policy.Name)
-	}
-	if pl.Software {
-		// A Go channel is a lock-guarded shared in-memory queue — the
-		// software single queue and the hardware-shared shape coincide here.
-		return ShapeShared, 0, nil
-	}
-	switch g := pl.Groups; {
-	case g == 0 || g == 1:
-		if t := pl.Threshold; t > 0 && t != ni.Unlimited {
-			return ShapeJBSQ, t, nil
-		}
-		return ShapeShared, 0, nil
-	case g == machine.GroupsPerCore || g == workers:
-		return ShapePartitioned, 0, nil
-	default:
-		label := pl.Name
-		if label == "" {
-			label = fmt.Sprintf("%d groups", g)
-		}
-		return 0, 0, fmt.Errorf("live: grouped plan %q has no live counterpart with %d workers (want shared, partitioned, or jbsqN)", label, workers)
-	}
+// dispatchCall is one dispatcher call the dispatch path made under its
+// lock: an Enqueue of request seq to group (worker -1) or a Complete by
+// worker, with the dispatch the call returned.
+type dispatchCall struct {
+	group, worker int
+	seq           uint64
+	d             ni.Dispatch
+	ok            bool
 }
+
+// onDispatch, when set, sees every dispatchCall in lock order along with
+// the run's dispatchers. A variable only so a test can log the calls and
+// replay them.
+var onDispatch func([]*ni.Dispatcher, dispatchCall)
 
 // CapacityMRPS estimates the live configuration's saturation throughput:
 // workers / scaled mean service. Dispatch overhead (≈1 µs/req of channel and
@@ -278,7 +243,7 @@ func CapacityMRPS(cfg Config) float64 {
 // simulator's results use (stats.Summary, metrics.Timeline).
 type Result struct {
 	Plan         string
-	Shape        string
+	Shape        string // "shared" or "dispatch"
 	Workload     string
 	Workers      int
 	Emulation    string
@@ -337,36 +302,46 @@ type rec struct {
 // Validate reports whether Run would accept the config; the CLIs call it
 // before their first run.
 func (c Config) Validate() error {
-	_, _, err := c.validate()
+	_, err := c.validate()
 	return err
 }
 
-func (c Config) validate() (Shape, int, error) {
+// validate checks the config and builds the plan's dispatchers: none on
+// the shared path.
+func (c Config) validate() ([]*ni.Dispatcher, error) {
 	if err := c.Workload.Validate(); err != nil {
-		return 0, 0, err
-	}
-	shape, bound, err := ShapeForPlan(c.Plan, c.workers())
-	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	if !(c.RateMRPS > 0) {
-		return 0, 0, fmt.Errorf("live: rate %v MRPS must be positive", c.RateMRPS)
+		return nil, fmt.Errorf("live: rate %v MRPS must be positive", c.RateMRPS)
 	}
 	if c.Duration <= 0 {
-		return 0, 0, fmt.Errorf("live: duration %v must be positive", c.Duration)
+		return nil, fmt.Errorf("live: duration %v must be positive", c.Duration)
 	}
 	if c.ServiceScale < 0 {
-		return 0, 0, fmt.Errorf("live: negative service scale %v", c.ServiceScale)
+		return nil, fmt.Errorf("live: negative service scale %v", c.ServiceScale)
 	}
-	return shape, bound, nil
+	// The shared channel serves nil, the software queue, and one group
+	// under the default threshold and policy.
+	if pl := c.Plan; pl == nil || pl.Software ||
+		(pl.Groups == 0 || pl.Groups == 1) && pl.Threshold == 0 && pl.Policy.New == nil {
+		return nil, nil
+	}
+	p := machine.Defaults()
+	p.Cores = c.workers()
+	p.Plan = c.Plan
+	ds, err := machine.Dispatchers(p, c.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("live: plan %s at %d workers: %w", c.Plan.Name, p.Cores, err)
+	}
+	return ds, nil
 }
 
-// Run executes one live configuration: it spins up the workers (and, for
-// JBSQ, the dispatcher), offers load for cfg.Duration, drains the backlog,
-// and assembles the Result. The goroutines it creates are joined before it
-// returns.
+// Run executes one live configuration: it spins up the workers, offers
+// load for cfg.Duration, drains the backlog, and assembles the Result. The
+// goroutines it creates are joined before it returns.
 func Run(cfg Config) (Result, error) {
-	shape, bound, err := cfg.validate()
+	ds, err := cfg.validate()
 	if err != nil {
 		return Result{}, err
 	}
@@ -383,7 +358,7 @@ func Run(cfg Config) (Result, error) {
 
 	// Deterministic offered schedule: independent streams per component,
 	// mirroring machine.build's split order of intent (arrivals, class,
-	// service, RSS assignment).
+	// service).
 	root := rng.New(cfg.Seed)
 	arrRNG, classRNG, svcRNG := root.Split(), root.Split(), root.Split()
 	arr := arrival.PoissonAtMRPS(cfg.RateMRPS)
@@ -394,7 +369,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	start := time.Now()
 
-	serve := func(w int, t *task, sink *uint64) rec {
+	serve := func(t *task, sink *uint64) rec {
 		svcStart := time.Now()
 		switch em {
 		case EmulationSpin:
@@ -417,76 +392,20 @@ func Run(cfg Config) (Result, error) {
 		return r
 	}
 
-	// Wire the shape: enqueue() routes one task (reporting acceptance),
-	// finish() closes the intake, done joins the serving side.
+	// Wire the path: queues[w] is what worker w serves, enqueue() routes one
+	// task (reporting acceptance), finish() closes the intake, and
+	// complete(w), on the dispatch path, reports a served request.
+	queues := make([]chan *task, workers)
 	var enqueue func(*task) bool
 	var finish func()
-	done := make(chan struct{})
-
-	worker := func(w int, ch <-chan *task, completions chan<- int) {
-		var sink uint64
-		for t := range ch {
-			bufs[w] = append(bufs[w], serve(w, t, &sink))
-			if completions != nil {
-				completions <- w
-			}
+	var complete func(w int)
+	shape := "shared"
+	if ds == nil {
+		q := make(chan *task, queueCap)
+		for w := range queues {
+			queues[w] = q
 		}
-		spinSink.Add(sink)
-	}
-
-	switch shape {
-	case ShapeShared:
-		shared := make(chan *task, queueCap)
-		go func() {
-			defer close(done)
-			var join []chan struct{}
-			for w := 0; w < workers; w++ {
-				j := make(chan struct{})
-				join = append(join, j)
-				go func(w int) { defer close(j); worker(w, shared, nil) }(w)
-			}
-			for _, j := range join {
-				<-j
-			}
-		}()
 		enqueue = func(t *task) bool {
-			select {
-			case shared <- t:
-				return true
-			default:
-				return false
-			}
-		}
-		finish = func() { close(shared) }
-
-	case ShapePartitioned:
-		// The cap bounds the *total* backlog, so it splits
-		// across the private queues rather than flooring each one.
-		per := queueCap / workers
-		if per < 1 {
-			per = 1
-		}
-		qs := make([]chan *task, workers)
-		for w := range qs {
-			qs[w] = make(chan *task, per)
-		}
-		go func() {
-			defer close(done)
-			var join []chan struct{}
-			for w := 0; w < workers; w++ {
-				j := make(chan struct{})
-				join = append(join, j)
-				go func(w int) { defer close(j); worker(w, qs[w], nil) }(w)
-			}
-			for _, j := range join {
-				<-j
-			}
-		}()
-		enqueue = func(t *task) bool {
-			// RSS-style static assignment: a stateless hash of the request
-			// ID picks the queue at arrival, load-oblivious — the 16×1
-			// baseline's defining property.
-			q := qs[ni.RSSQueue(t.seq, workers)]
 			select {
 			case q <- t:
 				return true
@@ -494,81 +413,26 @@ func Run(cfg Config) (Result, error) {
 				return false
 			}
 		}
-		finish = func() {
-			for _, q := range qs {
-				close(q)
-			}
-		}
+		finish = func() { close(q) }
+	} else {
+		shape = "dispatch"
+		enqueue, finish, complete = dispatchPath(ds, queues)
+	}
 
-	case ShapeJBSQ:
-		shared := make(chan *task, queueCap)
-		work := make([]chan *task, workers)
-		for w := range work {
-			work[w] = make(chan *task, bound)
-		}
-		// completions is sized so a worker's send can never block even if
-		// the dispatcher exits first (post-drain replenishes park in the
-		// buffer instead).
-		completions := make(chan int, workers*bound+1)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
 		go func() {
-			defer close(done)
-			var join []chan struct{}
-			for w := 0; w < workers; w++ {
-				j := make(chan struct{})
-				join = append(join, j)
-				go func(w int) { defer close(j); worker(w, work[w], completions) }(w)
-			}
-			// Dispatcher: the ni.Dispatcher loop on real threads — pop the
-			// shared CQ head for the least-outstanding worker under the
-			// bound, replenish on completion tokens.
-			outstanding := make([]int, workers)
-			var pending *task
-			open := true
-			for open || pending != nil {
-				if pending == nil {
-					select {
-					case w := <-completions:
-						outstanding[w]--
-						continue
-					case t, ok := <-shared:
-						if !ok {
-							open = false
-							continue
-						}
-						pending = t
-					}
+			defer wg.Done()
+			var sink uint64
+			for t := range queues[w] {
+				bufs[w] = append(bufs[w], serve(t, &sink))
+				if complete != nil {
+					complete(w)
 				}
-				best := -1
-				for w, o := range outstanding {
-					if o < bound && (best < 0 || o < outstanding[best]) {
-						best = w
-					}
-				}
-				if best < 0 {
-					w := <-completions
-					outstanding[w]--
-					continue
-				}
-				work[best] <- pending
-				outstanding[best]++
-				pending = nil
 			}
-			for _, q := range work {
-				close(q)
-			}
-			for _, j := range join {
-				<-j
-			}
+			spinSink.Add(sink)
 		}()
-		enqueue = func(t *task) bool {
-			select {
-			case shared <- t:
-				return true
-			default:
-				return false
-			}
-		}
-		finish = func() { close(shared) }
 	}
 
 	// Open-loop generator: pace the deterministic schedule on the wall
@@ -606,10 +470,76 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	finish()
-	<-done
+	wg.Wait()
 	elapsed := time.Since(start)
 
-	return assemble(cfg, shape, bound, em, scale, spinsNs, offered, dropped, elapsed, bufs), nil
+	return assemble(cfg, shape, em, scale, spinsNs, offered, dropped, elapsed, bufs), nil
+}
+
+// dispatchPath runs the plan's dispatchers on real threads, behind one
+// mutex: the serialisation point the NI's dispatch stage is. It makes each
+// worker's queue and returns the path's enqueue, finish and complete.
+// Every send happens under the lock and never blocks: a dispatcher keeps
+// at most its threshold outstanding on a worker, and the path at most
+// queueCap, so each queue is sized to the smaller.
+func dispatchPath(ds []*ni.Dispatcher, queues []chan *task) (enqueue func(*task) bool, finish func(), complete func(int)) {
+	var mu sync.Mutex
+	// inflight counts the requests accepted and not yet completed, plus one
+	// while the intake is open, so it reaches 0 once, when the queues close.
+	inflight := 1
+	release := func() {
+		if inflight--; inflight == 0 {
+			for _, q := range queues {
+				close(q)
+			}
+		}
+	}
+	// pending mirrors each dispatcher's shared CQ with the tasks its
+	// messages stand for: a dispatcher always dispatches its CQ head.
+	pending := make([]fifo.Queue[*task], len(ds))
+	per := len(queues) / len(ds)
+	for w := range queues {
+		queues[w] = make(chan *task, min(ds[w/per].Threshold(), queueCap))
+	}
+	call := func(c dispatchCall) {
+		if onDispatch != nil {
+			onDispatch(ds, c)
+		}
+		if !c.ok {
+			return
+		}
+		t, _ := pending[c.group].Pop()
+		if t == nil || t.seq != c.d.Msg.Tag {
+			panic(fmt.Sprintf("live: dispatcher %d dispatched request %d out of its CQ order", c.group, c.d.Msg.Tag))
+		}
+		queues[c.d.Core] <- t
+	}
+	enqueue = func(t *task) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if inflight > queueCap {
+			return false
+		}
+		inflight++
+		g := ni.RSSQueue(t.seq, len(ds))
+		pending[g].Push(t)
+		d, ok := ds[g].Enqueue(ni.Msg{Tag: t.seq})
+		call(dispatchCall{group: g, worker: -1, seq: t.seq, d: d, ok: ok})
+		return true
+	}
+	finish = func() {
+		mu.Lock()
+		defer mu.Unlock()
+		release()
+	}
+	complete = func(w int) {
+		mu.Lock()
+		defer mu.Unlock()
+		d, ok := ds[w/per].Complete(w)
+		call(dispatchCall{group: w / per, worker: w, d: d, ok: ok})
+		release()
+	}
+	return enqueue, finish, complete
 }
 
 // at converts a wall-clock offset in nanoseconds since run start to the
@@ -619,7 +549,7 @@ func at(ns float64) sim.Time { return sim.Time(sim.FromNanos(ns)) }
 // assemble merges the per-worker completion buffers through a
 // metrics.Recorder — the same measurement layer the simulators use — and
 // builds the Result.
-func assemble(cfg Config, shape Shape, bound int, em Emulation, scale, spinsNs float64,
+func assemble(cfg Config, shape string, em Emulation, scale, spinsNs float64,
 	offered, dropped int, elapsed time.Duration, bufs [][]rec) Result {
 
 	workers := cfg.workers()
@@ -685,17 +615,14 @@ func assemble(cfg Config, shape Shape, bound int, em Emulation, scale, spinsNs f
 		}
 	}
 
-	planName := shape.String()
-	if shape == ShapeJBSQ {
-		planName = fmt.Sprintf("jbsq%d", bound)
-	}
+	planName := shape
 	if cfg.Plan != nil && cfg.Plan.Name != "" {
 		planName = cfg.Plan.Name
 	}
 
 	res := Result{
 		Plan:         planName,
-		Shape:        shape.String(),
+		Shape:        shape,
 		Workload:     cfg.Workload.Name,
 		Workers:      workers,
 		Emulation:    em.String(),

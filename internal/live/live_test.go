@@ -32,11 +32,16 @@ func smokeConfig(plan string, t *testing.T) Config {
 	return cfg
 }
 
-// TestLiveSmoke runs all three queue shapes end to end and checks the
-// counting invariants: work was completed, every accepted arrival was served
-// (no hidden losses), and the result's bookkeeping is self-consistent.
+// smokePlans cover both paths: the shared channel (1x16) and the dispatch
+// path under a bound (jbsq2), static RSS groups (16x1), one dispatcher per
+// NI backend (4x4) and a named policy (1x16:random2).
+var smokePlans = []string{"1x16", "16x1", "jbsq2", "4x4", "1x16:random2"}
+
+// TestLiveSmoke runs every smoke plan end to end and checks the counting
+// invariants: work was completed, every accepted arrival was served (no
+// hidden losses), and the result's bookkeeping is self-consistent.
 func TestLiveSmoke(t *testing.T) {
-	for _, plan := range []string{"1x16", "16x1", "jbsq2"} {
+	for _, plan := range smokePlans {
 		t.Run(plan, func(t *testing.T) {
 			res, err := Run(smokeConfig(plan, t))
 			if err != nil {
@@ -84,7 +89,7 @@ func TestLiveScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestLiveOverloadSheds soaks each shape well past saturation with a tiny
+// TestLiveOverloadSheds soaks each smoke plan well past saturation with a tiny
 // backlog cap: the open loop must shed (Dropped > 0) instead of blocking,
 // and the accounting must still balance. Skipped under -short — this is the
 // slow half that `make live-smoke` leaves out.
@@ -94,7 +99,7 @@ func TestLiveOverloadSheds(t *testing.T) {
 	}
 	defer func(c int) { queueCap = c }(queueCap)
 	queueCap = 32
-	for _, plan := range []string{"1x16", "16x1", "jbsq2"} {
+	for _, plan := range smokePlans {
 		t.Run(plan, func(t *testing.T) {
 			cfg := smokeConfig(plan, t)
 			cfg.Duration = 300 * time.Millisecond
@@ -114,53 +119,120 @@ func TestLiveOverloadSheds(t *testing.T) {
 	}
 }
 
-func TestShapeForPlan(t *testing.T) {
-	mustPlan := func(spec string) *machine.Plan {
-		pl, err := machine.ParsePlan(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pl
-	}
+// TestPlanDispatchers maps plans to the dispatchers the live runtime builds
+// for them at 8 workers: none on the shared path, and otherwise the plan's
+// groups and threshold on an 8-core machine.
+func TestPlanDispatchers(t *testing.T) {
 	cases := []struct {
-		spec  string
-		shape Shape
-		bound int
+		spec      string
+		groups    int
+		threshold int
 	}{
-		{"1x16", ShapeShared, 0},
-		{"single", ShapeShared, 0},
-		{"sw", ShapeShared, 0},
-		{"16x1", ShapePartitioned, 0},
-		{"partitioned", ShapePartitioned, 0},
-		{"jbsq1", ShapeJBSQ, 1},
-		{"jbsq4", ShapeJBSQ, 4},
+		{"1x16", 0, 0},
+		{"single", 0, 0},
+		{"sw", 0, 0},
+		{"16x1", 8, ni.Unlimited},
+		{"partitioned", 8, ni.Unlimited},
+		{"jbsq1", 1, 1},
+		{"jbsq4", 1, 4},
+		{"4x4", 4, 2},
+		{"2x4", 2, 2},
+		{"1x16:random2", 1, 2},
+		{"4x4:round-robin", 4, 2},
 	}
 	for _, c := range cases {
-		shape, bound, err := ShapeForPlan(mustPlan(c.spec), 8)
+		cfg := smokeConfig(c.spec, t)
+		cfg.Workers = 8
+		ds, err := cfg.validate()
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
-		if shape != c.shape || bound != c.bound {
-			t.Fatalf("%s: shape=%v bound=%d, want %v/%d", c.spec, shape, bound, c.shape, c.bound)
+		if len(ds) != c.groups || len(ds) > 0 && ds[0].Threshold() != c.threshold {
+			t.Fatalf("%s: %d dispatchers, want %d at threshold %d", c.spec, len(ds), c.groups, c.threshold)
 		}
 	}
-	if shape, _, err := ShapeForPlan(nil, 8); err != nil || shape != ShapeShared {
-		t.Fatalf("nil plan: %v/%v", shape, err)
+	cfg := smokeConfig("1x16", t)
+	cfg.Plan = nil
+	if ds, err := cfg.validate(); err != nil || ds != nil {
+		t.Fatalf("nil plan: %d dispatchers, %v", len(ds), err)
 	}
-	// A plan whose group count equals the worker count is partitioned.
-	if shape, _, err := ShapeForPlan(&machine.Plan{Groups: 8}, 8); err != nil || shape != ShapePartitioned {
-		t.Fatalf("8 groups / 8 workers: %v/%v", shape, err)
+	// A plan whose group count equals the worker count is one worker a group.
+	cfg.Workers, cfg.Plan = 8, &machine.Plan{Groups: 8}
+	if ds, err := cfg.validate(); err != nil || len(ds) != 8 {
+		t.Fatalf("8 groups / 8 workers: %d dispatchers, %v", len(ds), err)
 	}
-	// Unsupported: grouped plans and explicit policies.
-	if _, _, err := ShapeForPlan(mustPlan("4x4"), 8); err == nil {
-		t.Fatal("grouped plan should be rejected")
+	// 2 groups of 8 cores do not make an 8-worker machine.
+	cfg = smokeConfig("2x8", t)
+	cfg.Workers = 8
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("2x8 accepted at 8 workers")
 	}
-	if _, _, err := ShapeForPlan(mustPlan("1x16:random2"), 8); err == nil {
-		t.Fatal("policy plan should be rejected")
-	}
-	// An unlimited threshold on one group is still the shared queue.
-	if shape, _, err := ShapeForPlan(&machine.Plan{Groups: 1, Threshold: ni.Unlimited}, 8); err != nil || shape != ShapeShared {
-		t.Fatalf("unlimited threshold: %v/%v", shape, err)
+}
+
+// TestLiveDispatchReplay logs every dispatcher call a run makes under its
+// lock and replays the log through fresh machine.Dispatchers: each call must
+// return the dispatch the live one did, so the live runtime decides exactly
+// as the simulator's dispatchers would on the same calls. At run end every
+// dispatcher has delivered what it was given, and what was given is what
+// completed.
+func TestLiveDispatchReplay(t *testing.T) {
+	defer func() { onDispatch = nil }()
+	for _, plan := range []string{"jbsq2", "4x4", "1x16:random2", "16x1"} {
+		t.Run(plan, func(t *testing.T) {
+			var ds []*ni.Dispatcher
+			var calls []dispatchCall
+			onDispatch = func(d []*ni.Dispatcher, c dispatchCall) {
+				ds = d
+				calls = append(calls, c)
+			}
+			cfg := smokeConfig(plan, t)
+			cfg.Workers = 8
+			cfg.RateMRPS = 0.9 * CapacityMRPS(cfg) // keep the CQs busy
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			p := machine.Defaults()
+			p.Cores, p.Plan = cfg.Workers, cfg.Plan
+			fresh, err := machine.Dispatchers(p, cfg.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enqueues := 0
+			for i, c := range calls {
+				var d ni.Dispatch
+				var ok bool
+				if c.worker < 0 {
+					enqueues++
+					d, ok = fresh[c.group].Enqueue(ni.Msg{Tag: c.seq})
+				} else {
+					d, ok = fresh[c.group].Complete(c.worker)
+				}
+				if d != c.d || ok != c.ok {
+					t.Fatalf("call %d %+v: replay dispatched %+v/%v", i, c, d, ok)
+				}
+				// 16x1 keeps the static RSS assignment: a request's worker
+				// is the hash of its ID over the workers.
+				if plan == "16x1" && c.worker < 0 && d.Core != ni.RSSQueue(c.seq, cfg.Workers) {
+					t.Fatalf("request %d went to worker %d, RSS says %d", c.seq, d.Core, ni.RSSQueue(c.seq, cfg.Workers))
+				}
+			}
+			if enqueues == 0 || enqueues != res.Completed {
+				t.Fatalf("%d enqueues logged, %d completed", enqueues, res.Completed)
+			}
+			var total uint64
+			for g, d := range ds {
+				enq, del := d.Stats()
+				if enq != del || d.QueueDepth() != 0 {
+					t.Fatalf("dispatcher %d: enqueued %d, delivered %d, %d still queued", g, enq, del, d.QueueDepth())
+				}
+				total += enq
+			}
+			if total != uint64(res.Completed) {
+				t.Fatalf("dispatchers enqueued %d, run completed %d", total, res.Completed)
+			}
+		})
 	}
 }
 

@@ -466,59 +466,91 @@ func policySeed(runSeed uint64, group int) uint64 {
 	return (runSeed+1)*0x9e3779b97f4a7c15 ^ (uint64(group)+1)*0x94d049bb133111eb
 }
 
-// wireDispatchers builds the dispatcher topology the plan describes: the
-// cores split contiguously into plan.groups equal groups, each group's
-// dispatcher living in the NI backend serving its mesh slice, running its
-// own policy instance under the plan's outstanding threshold. It also fixes
-// every mesh wire a completion token crosses, once: backend → dispatcher,
-// dispatcher → core and core → dispatcher.
-func (m *Machine) wireDispatchers() error {
-	p := m.p
-	if m.plan.software {
-		// No hardware dispatcher; cores share the in-memory queue.
-		return nil
+// Dispatchers builds the NI dispatchers p's plan describes, one per group:
+// the cores split contiguously into equal groups, each dispatcher running
+// its own policy instance under the plan's outstanding threshold. A plan
+// that names no policy gets ni.LeastOutstandingRR; a named one gets a fresh
+// instance per group, seeded by policySeed from seed and the group index.
+// The software plan has no dispatcher (nil). The machine and the live
+// runtime both build their dispatchers here.
+func Dispatchers(p Params, seed uint64) ([]*ni.Dispatcher, error) {
+	plan, err := resolvePlan(p)
+	if err != nil {
+		return nil, err
 	}
-	// Backends sit on the left mesh edge, one per group of rows.
-	backendTile := func(b int) noc.Coord { return noc.Coord{X: 0, Y: b * p.Mesh.Height / p.Backends} }
-	m.toDisp = make([]sim.Duration, p.Backends*m.plan.groups)
-	per := p.Cores / m.plan.groups
-	for g := 0; g < m.plan.groups; g++ {
+	return plan.dispatchers(p, seed)
+}
+
+// dispatchers builds the resolved plan's dispatchers, as Dispatchers says.
+func (plan execPlan) dispatchers(p Params, seed uint64) ([]*ni.Dispatcher, error) {
+	if plan.software {
+		return nil, nil
+	}
+	ds := make([]*ni.Dispatcher, plan.groups)
+	per := p.Cores / plan.groups
+	for g := range ds {
 		cores := make([]int, per)
 		for i := range cores {
 			cores[i] = g*per + i
 		}
-		tile := backendTile(g * p.Backends / m.plan.groups)
 		var policy ni.Policy
-		if m.plan.policy.New != nil {
-			// Every dispatcher gets a fresh, deterministically seeded
-			// instance: policies carry state (rotation counters, RNG
-			// streams) that must not be entangled across groups.
-			policy = m.plan.policy.New(ni.Group{
+		if plan.policy.New != nil {
+			// Policies carry state (rotation counters, RNG streams) that
+			// must not be entangled across groups.
+			policy = plan.policy.New(ni.Group{
 				Index:     g,
 				Cores:     cores,
-				Row:       tile.Y,
+				Row:       p.groupTile(g, plan.groups).Y,
 				MeshWidth: p.Mesh.Width,
-				Seed:      policySeed(m.cfg.Seed, g),
+				Seed:      policySeed(seed, g),
 			})
 		} else {
 			// Default to occupancy-feedback dispatch: idle cores first,
 			// rotating among equals. With the outstanding threshold at 2
 			// a blind arbiter would queue requests behind long-running
-			// RPCs (Masstree scans) while other cores sit idle. Each
-			// dispatcher needs its own instance because the policy
-			// carries rotation state.
+			// RPCs (Masstree scans) while other cores sit idle.
 			policy = &ni.LeastOutstandingRR{}
 		}
-		d, err := ni.NewDispatcher(cores, m.plan.threshold, policy)
-		if err != nil {
-			return err
+		var err error
+		if ds[g], err = ni.NewDispatcher(cores, plan.threshold, policy); err != nil {
+			return nil, err
 		}
-		m.dispatchers = append(m.dispatchers, d)
+	}
+	return ds, nil
+}
+
+// backendTile is NI backend b's tile: backends sit on the left mesh edge,
+// one per group of rows.
+func (p Params) backendTile(b int) noc.Coord {
+	return noc.Coord{X: 0, Y: b * p.Mesh.Height / p.Backends}
+}
+
+// groupTile is the tile of dispatcher g of groups: the NI backend serving
+// its mesh slice.
+func (p Params) groupTile(g, groups int) noc.Coord {
+	return p.backendTile(g * p.Backends / groups)
+}
+
+// wireDispatchers builds the plan's dispatchers and fixes every mesh wire a
+// completion token crosses, once: backend → dispatcher, dispatcher → core
+// and core → dispatcher.
+func (m *Machine) wireDispatchers() error {
+	p := m.p
+	ds, err := m.plan.dispatchers(p, m.cfg.Seed)
+	if err != nil || len(ds) == 0 {
+		return err
+	}
+	m.dispatchers = ds
+	groups := len(ds)
+	m.toDisp = make([]sim.Duration, p.Backends*groups)
+	per := p.Cores / groups
+	for g := range ds {
+		tile := p.groupTile(g, groups)
 		m.dispServer = append(m.dispServer, sim.NewServer(m.eng))
 		for b := range p.Backends {
-			m.toDisp[b*m.plan.groups+g] = p.Mesh.Latency(backendTile(b), tile, ctrlBytes) + p.DispatchExtra
+			m.toDisp[b*groups+g] = p.Mesh.Latency(p.backendTile(b), tile, ctrlBytes) + p.DispatchExtra
 		}
-		for _, id := range cores {
+		for id := g * per; id < (g+1)*per; id++ {
 			c, ct := m.cores[id], p.Mesh.TileCoord(id)
 			c.disp = int32(g)
 			c.deliverWire = p.Mesh.Latency(tile, ct, ctrlBytes) + p.CQEDeliver

@@ -76,6 +76,8 @@ type Config struct {
 	// many completions, warmup included, so steady-state recording never
 	// grows a slice. Zero leaves the log growing on demand; past MaxPresize
 	// the log presizes MaxPresize entries and grows by append beyond them.
+	// The wait log is presized at its first wait, so an owner that records
+	// none allocates none.
 	Expect int
 }
 
@@ -146,7 +148,8 @@ type Recorder struct {
 	lat     []float64
 	tag     []int32
 	plain   int32
-	wait    []float64
+	wait    []float64 // nil until the first wait, then presized
+	presize int       // the logs' first capacity
 	scratch []float64 // the copy summaries select over
 
 	// The summary window: a range of each log, open-ended while inWindow.
@@ -180,13 +183,12 @@ func NewRecorder(cfg Config) *Recorder {
 	if len(cfg.Classes) == 1 {
 		r.plain = 1 // measured, class 0
 	}
-	presize := min(max(cfg.Expect, 0), MaxPresize)
-	if presize > 0 {
-		r.lat = make([]float64, 0, presize)
-		r.wait = make([]float64, 0, presize)
+	r.presize = min(max(cfg.Expect, 0), MaxPresize)
+	if r.presize > 0 {
+		r.lat = make([]float64, 0, r.presize)
 	}
 	if len(cfg.Classes) > 1 {
-		r.tag = make([]int32, 0, presize)
+		r.tag = make([]int32, 0, r.presize)
 	}
 	return r
 }
@@ -276,6 +278,9 @@ func (r *Recorder) Complete(t sim.Time, c Completion) {
 		}
 	}
 	if c.WaitNs >= 0 {
+		if r.wait == nil {
+			r.wait = make([]float64, 0, r.presize)
+		}
 		e.waitSum += c.WaitNs
 		e.waitSq += c.WaitNs * c.WaitNs
 		r.wait = append(r.wait, c.WaitNs)

@@ -204,21 +204,38 @@ func TestEmptyTimeline(t *testing.T) {
 
 // TestPresizeCapped: a run that expects more completions than MaxPresize
 // presizes MaxPresize entries per log and no more, so a huge -measure costs
-// memory only as completions arrive.
+// memory only as completions arrive. The wait log is sized at its first
+// wait.
 func TestPresizeCapped(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	r := NewRecorder(Config{Classes: []string{"get", "scan"}, Expect: 1e10})
 	runtime.ReadMemStats(&after)
-	if cap(r.lat) != MaxPresize || cap(r.wait) != MaxPresize || cap(r.tag) != MaxPresize {
-		t.Fatalf("presized lat/wait/tag to %d/%d/%d, want %d", cap(r.lat), cap(r.wait), cap(r.tag), MaxPresize)
+	if cap(r.lat) != MaxPresize || cap(r.tag) != MaxPresize {
+		t.Fatalf("presized lat/tag to %d/%d, want %d", cap(r.lat), cap(r.tag), MaxPresize)
 	}
 	const logBytes = (8 + 8 + 4) * MaxPresize
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > logBytes+1<<20 {
 		t.Fatalf("NewRecorder allocated %d bytes, want at most %d", grew, logBytes+1<<20)
 	}
 	r.Complete(at(1), Completion{Class: 1, Measured: true, LatencyNs: 5, WaitNs: 1, ServiceNs: 4, Depth: -1})
-	if len(r.lat) != 1 || len(r.wait) != 1 {
-		t.Fatalf("recorded %d latencies, %d waits, want 1 each", len(r.lat), len(r.wait))
+	if len(r.lat) != 1 || len(r.wait) != 1 || cap(r.wait) != MaxPresize {
+		t.Fatalf("recorded %d latencies, %d waits (wait cap %d), want 1 each and cap %d", len(r.lat), len(r.wait), cap(r.wait), MaxPresize)
+	}
+}
+
+// TestNoWaitNoWaitLog: a recorder whose owner never records a wait, as
+// cluster.Run's front recorder passes WaitNs -1 on every completion, holds
+// no wait capacity however many completions it expects.
+func TestNoWaitNoWaitLog(t *testing.T) {
+	r := NewRecorder(Config{Expect: 1000})
+	for i := range 100 {
+		r.Complete(at(float64(i)), Completion{Class: -1, Measured: true, LatencyNs: 5, WaitNs: -1, ServiceNs: 4, Depth: -1})
+	}
+	if cap(r.wait) != 0 || len(r.lat) != 100 {
+		t.Fatalf("wait log cap %d, %d latencies after 100 wait-less completions", cap(r.wait), len(r.lat))
+	}
+	if w := r.Wait(); w.Count != 0 {
+		t.Fatalf("wait summary counts %d", w.Count)
 	}
 }

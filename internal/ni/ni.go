@@ -220,6 +220,9 @@ func (d *Dispatcher) mustIndex(core int) int {
 	return d.indexOf[core]
 }
 
+// Threshold reports the per-core outstanding limit.
+func (d *Dispatcher) Threshold() int { return d.view.threshold }
+
 // QueueDepth reports the current shared-CQ depth.
 func (d *Dispatcher) QueueDepth() int { return d.queue.Len() }
 

@@ -417,7 +417,8 @@ func ClusterSweepWorkers(cfg Cluster, ratesMRPS []float64, label string, workers
 func ClusterCapacityMRPS(cfg Cluster) float64 { return core.ClusterCapacityMRPS(cfg) }
 
 // LiveConfig describes one run of the live goroutine runtime: the dispatch
-// plan's queue shape executed with real goroutines on wall-clock time,
+// plan executed with real goroutines on wall-clock time (a shared channel
+// for a plain 1x16, the plan's NI dispatchers for every other plan),
 // serving calibrated spin-work (or timer-sleep, on oversubscribed hosts)
 // service times synthesized from a workload Profile, under an open-loop load
 // generator. See internal/live's package documentation and DESIGN.md §6 for

@@ -367,7 +367,7 @@ func TestRunLiveFacade(t *testing.T) {
 	if res.Completed == 0 || res.Completed+res.Dropped != res.Offered {
 		t.Fatalf("live bookkeeping: %+v", res)
 	}
-	if res.Shape != "jbsq" || res.Workers != 4 {
+	if res.Shape != "dispatch" || res.Workers != 4 {
 		t.Fatalf("live shape/workers: %s/%d", res.Shape, res.Workers)
 	}
 	found := false

@@ -25,7 +25,7 @@ trap cleanup EXIT INT TERM
 
 go build -o "$BIN" ./cmd/rpcvalet-live
 
-"$BIN" -dispatch 1x16 -emulation sleep -cores 4 -duration 6s -obs "$ADDR" >"$LOG" 2>&1 &
+"$BIN" -dispatch 4x4 -emulation sleep -cores 4 -duration 6s -obs "$ADDR" >"$LOG" 2>&1 &
 PID=$!
 
 # Wait for the server to come up (it binds before the first run starts).
