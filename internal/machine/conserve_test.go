@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
+	"rpcvalet/internal/fifo"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/sonuma"
 	"rpcvalet/internal/workload"
@@ -20,18 +22,20 @@ import (
 //     (one whose slot is not -1), and that slot is the receive index of the
 //     request's source and pair slot;
 //   - for every source, its free-slot ring together with the pair slots of
-//     its admitted requests and of its completed requests whose replenish
-//     is still in flight holds each of 0..S-1 exactly once;
-//   - every reply credit in flight is held by exactly one request;
-//   - every request ever allocated is exactly one of admitted, parked,
-//     holding a credit, or pooled, and inflightCount counts the first two.
+//     its admitted requests and of the replenishes still in the credit
+//     ring holds each of 0..S-1 exactly once;
+//   - every reply send slot in flight is held by exactly one credit in the
+//     reply credit rings, and every credit ring is in (at, seq) key order;
+//   - every request ever allocated is exactly one of admitted, parked or
+//     pooled, and inflightCount counts the first two.
+//
+// It also checks that a source waits only on credits it lacks: one with
+// parked arrivals has no free slot, one with stalled cores no free send
+// slot, and neither has a credit of that kind past its key unapplied.
 func TestSlotOwnershipConservation(t *testing.T) {
-	for _, mode := range []Mode{ModeSingleQueue, ModePartitioned, ModeSoftware} {
+	for _, mode := range []Mode{ModeSingleQueue, ModeGrouped, ModePartitioned, ModeSoftware} {
 		t.Run(mode.String(), func(t *testing.T) {
-			cfg := testConfig(mode, workload.SyntheticFixed(), 0.2)
-			cfg.Params.Domain.Nodes = 2
-			cfg.Params.Domain.Slots = 2
-			cfg.Params.NetRTT = sim.FromMicros(20)
+			cfg := flowBoundConfig(mode)
 			cfg.Warmup, cfg.Measure = 200, 20000
 			cfg.MaxSimTime = sim.FromMicros(5000)
 			m, err := New(cfg)
@@ -54,6 +58,17 @@ func TestSlotOwnershipConservation(t *testing.T) {
 	}
 }
 
+// flowBoundConfig is TestSlotOwnershipConservation's machine: two source
+// nodes with two slots each, a 20 µs round trip and 0.2 MRPS of
+// synthetic-fixed traffic, so both flow-control paths fire.
+func flowBoundConfig(mode Mode) Config {
+	cfg := testConfig(mode, workload.SyntheticFixed(), 0.2)
+	cfg.Params.Domain.Nodes = 2
+	cfg.Params.Domain.Slots = 2
+	cfg.Params.NetRTT = sim.FromMicros(20)
+	return cfg
+}
+
 // auditSlots checks the conservation invariants TestSlotOwnershipConservation
 // describes on a stopped machine.
 func auditSlots(t *testing.T, m *Machine) {
@@ -73,7 +88,7 @@ func auditSlots(t *testing.T, m *Machine) {
 	for n := range pairs {
 		pairs[n] = make([]int, dom.Slots)
 	}
-	admitted := 0
+	admitted, landed := 0, 0
 	owner := map[int]int32{} // receive slot -> ref of the admitted request holding it
 	for _, req := range m.reqs {
 		if req.slot < 0 {
@@ -87,21 +102,48 @@ func auditSlots(t *testing.T, m *Machine) {
 			t.Fatalf("ref %d holds receive slot %d, want %d for node %d pair slot %d",
 				req.ref, req.slot, want, req.src, req.pairSlot)
 		}
-		if !m.recvBuf.Busy(req.slot) {
-			t.Fatalf("receive slot %d held by ref %d but not busy", req.slot, req.ref)
+		// A slot turns busy when the message's first packet lands, so an
+		// admitted request whose packets are still in the NI holds an idle
+		// slot.
+		if m.recvBuf.Busy(req.slot) {
+			landed++
 		}
 		pairs[req.src][req.pairSlot]++
 		account(req, "admitted")
 		admitted++
 	}
-	if got := m.recvBuf.InUse(); got != admitted {
-		t.Fatalf("receive buffer has %d slots in use, admitted requests hold %d", got, admitted)
+	if got := m.recvBuf.InUse(); got != landed {
+		t.Fatalf("receive buffer has %d slots in use, admitted requests hold %d busy ones", got, landed)
 	}
 
+	// A source only waits on credits it lacks: its free ring is empty (for
+	// parked arrivals) or all its send slots are in flight (for stalled
+	// cores), and none of its credits of that kind has passed its key
+	// unapplied, since each would have fired as a wake.
+	passed := func(rings []fifo.Queue[credit], src int) bool {
+		for r := range rings {
+			for i := range rings[r].Len() {
+				if c := rings[r].At(i); int(c.src) == src && m.eng.Due(c.at, c.seq) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for src, w := range m.replyWaiters {
+		if w != nil && w.Len() > 0 &&
+			(m.replyBuf.InFlight(sonuma.NodeID(src)) != dom.Slots || passed(m.credits[1:], src)) {
+			t.Fatalf("%d cores stall on node %d with %d of %d send slots in flight", w.Len(), src,
+				m.replyBuf.InFlight(sonuma.NodeID(src)), dom.Slots)
+		}
+	}
 	parked := 0
-	for _, q := range m.pendingBySrc {
-		for q != nil && q.Len() > 0 {
-			req, _ := q.Pop()
+	for src, w := range m.pendingBySrc {
+		if w != nil && w.Len() > 0 && (m.freeLen[src] != 0 || passed(m.credits[:1], src)) {
+			t.Fatalf("%d arrivals park on node %d with %d free slots", w.Len(), src, m.freeLen[src])
+		}
+		for w != nil && w.Len() > 0 {
+			req, _ := w.Pop()
 			account(req, "parked")
 			parked++
 		}
@@ -110,37 +152,40 @@ func auditSlots(t *testing.T, m *Machine) {
 		t.Fatalf("inflightCount %d, want %d admitted + %d parked", m.inflightCount, admitted, parked)
 	}
 
-	// A completed request holds its reply credit until replyCredit fires.
-	// Its replenish (NetRTT/2 after completion) always fires first, so the
-	// requests still holding a trailing-event reference are exactly those
-	// holding a credit.
-	type credit struct {
+	// A completed request's two credits wait in the credit rings until
+	// settled: a replenish returns its pair slot to the source's ring, a
+	// reply credit frees its send slot.
+	type sendSlot struct {
 		dest sonuma.NodeID
 		slot int
 	}
-	held := map[credit]bool{}
-	for _, req := range m.reqs {
-		if req.refs == 0 {
-			continue
+	held := map[sendSlot]bool{}
+	for r := range m.credits {
+		q := &m.credits[r]
+		for i := range q.Len() {
+			c := q.At(i)
+			if i > 0 {
+				if p := q.At(i - 1); p.at > c.at || p.at == c.at && p.seq >= c.seq {
+					t.Fatalf("credit ring %d out of key order: (%v, %d) before (%v, %d)", r, p.at, p.seq, c.at, c.seq)
+				}
+			}
+			if r == 0 {
+				pairs[c.src][c.slot]++
+				continue
+			}
+			s := sendSlot{sonuma.NodeID(c.src), int(c.slot)}
+			if held[s] || !m.replyBuf.Valid(s.dest, s.slot) {
+				t.Fatalf("a reply credit returns slot %d toward node %d: duplicate or not in flight", s.slot, s.dest)
+			}
+			held[s] = true
 		}
-		if req.refs == 2 {
-			// Completed, its replenish not yet fired: the pair slot is
-			// on its way back to the source's ring.
-			pairs[req.src][req.pairSlot]++
-		}
-		c := credit{req.src, req.replySlot}
-		if held[c] || !m.replyBuf.Valid(c.dest, c.slot) {
-			t.Fatalf("ref %d claims reply slot %d toward node %d: duplicate or not in flight", req.ref, c.slot, c.dest)
-		}
-		held[c] = true
-		account(req, "holding a reply credit")
 	}
 	inFlight := 0
 	for d := range m.p.Domain.Nodes {
 		inFlight += m.replyBuf.InFlight(sonuma.NodeID(d))
 	}
 	if inFlight != len(held) {
-		t.Fatalf("%d reply credits in flight, %d requests hold one", inFlight, len(held))
+		t.Fatalf("%d reply slots in flight, %d reply credits pending", inFlight, len(held))
 	}
 
 	for n := range dom.Nodes {
@@ -169,6 +214,87 @@ func auditSlots(t *testing.T, m *Machine) {
 			t.Fatalf("request ref %d is unaccounted for", ref)
 		}
 	}
-	t.Logf("%d requests allocated: %d admitted, %d parked, %d holding a reply credit, %d pooled",
-		len(m.reqs), admitted, parked, len(held), len(m.pool))
+	t.Logf("%d requests allocated: %d admitted, %d parked, %d pooled; %d replenishes, %d reply credits pending",
+		len(m.reqs), admitted, parked, len(m.pool), m.credits[0].Len(), len(held))
+}
+
+// fuzzPlans are the dispatch plans FuzzMachineConfig draws from: the four
+// canned ones, JBSQ at two bounds, and groupings under named policies.
+var fuzzPlans = []string{"1x16", "4x4", "16x1", "sw", "jbsq1", "jbsq3", "2x8:random2", "4x4:local", "1x16:round-robin", "8x2:first-available"}
+
+// fuzzWorkload is the workload FuzzMachineConfig's selector i picks: HERD,
+// synthetic-exp, Masstree, or HERD with requests past the inline limit, which
+// take the rendezvous path.
+func fuzzWorkload(i uint8) workload.Profile {
+	switch i % 4 {
+	case 1:
+		return workload.SyntheticExp()
+	case 2:
+		return workload.Masstree()
+	case 3:
+		wl := workload.HERD()
+		wl.RequestBytes = 3000
+		return wl
+	}
+	return workload.HERD()
+}
+
+// FuzzMachineConfig runs tiny flow-control-bound machines: every plan in
+// fuzzPlans, four workloads, 1–3 source nodes × 1–4 slots, a network round
+// trip up to 20 µs, 10–150% of capacity, and an optional slowdown or pause
+// fault, so that arrivals park on receive slots and cores stall on reply
+// credits. Each run stops on MaxSimTime, between events, short of its
+// completion target; a rerun must give an equal Result, and the stopped
+// machine must pass auditSlots.
+func FuzzMachineConfig(f *testing.F) {
+	// plan, wl, nodes, slots, rttNs, load (% of capacity), fault, seed.
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint16(5000), uint8(100), uint8(0), uint64(1))
+	f.Add(uint8(1), uint8(1), uint8(2), uint8(0), uint16(20000), uint8(140), uint8(1), uint64(2))
+	f.Add(uint8(2), uint8(2), uint8(0), uint8(2), uint16(0), uint8(80), uint8(2), uint64(3))
+	f.Add(uint8(3), uint8(3), uint8(2), uint8(3), uint16(12000), uint8(60), uint8(3), uint64(4))
+	f.Add(uint8(6), uint8(1), uint8(1), uint8(1), uint16(9000), uint8(120), uint8(0), uint64(5))
+	f.Fuzz(func(t *testing.T, plan, wl, nodes, slots uint8, rttNs uint16, load, fault uint8, seed uint64) {
+		pl, err := ParsePlan(fuzzPlans[int(plan)%len(fuzzPlans)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Params: Defaults(), Workload: fuzzWorkload(wl), Seed: seed}
+		cfg.Params.Plan = pl
+		cfg.Params.Domain.Nodes = 1 + int(nodes%3)
+		cfg.Params.Domain.Slots = 1 + int(slots%4)
+		cfg.Params.NetRTT = sim.Duration(rttNs%20001) * sim.Nanosecond
+		cfg.RateMRPS = float64(10+int(load)%141) / 100 * CapacityMRPS(cfg.Params, cfg.Workload)
+		// No core completes a request in under 200 ns of fixed overhead,
+		// so 16 cores finish at most 8,000 in the 100 µs cap.
+		cfg.Warmup, cfg.Measure = 100, 20000
+		cfg.MaxSimTime = 100 * sim.Microsecond
+		pause := Pause{Start: 20 * sim.Microsecond, Dur: 30 * sim.Microsecond}
+		switch fault % 4 {
+		case 1:
+			cfg.Fault = Fault{Slowdown: 2}
+		case 2:
+			cfg.Fault = Fault{Pauses: []Pause{pause}}
+		case 3:
+			cfg.Fault = Fault{Slowdown: 1.5, Pauses: []Pause{pause}}
+		}
+		run := func() (*Machine, Result) {
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatalf("config rejected: %v", err)
+			}
+			res, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, res
+		}
+		m, res := run()
+		if !m.timedOut {
+			t.Fatalf("run stopped after %d completions without reaching MaxSimTime", m.completed)
+		}
+		if _, again := run(); !reflect.DeepEqual(res, again) {
+			t.Fatalf("rerun differs:\n%v\n%v", res, again)
+		}
+		auditSlots(t, m)
+	})
 }

@@ -17,11 +17,11 @@ import (
 )
 
 // request tracks one RPC through the machine. Requests are pooled: complete
-// recycles them onto a free-list once the last trailing event (reply-credit
-// return, replenish) has fired, so steady state allocates no request objects.
-// The stage fields (backend, disp, core, svcStart, replySlot) carry the state
-// the hot path's arg-form events need, replacing per-event closures; every
-// stage field is written before the stage that reads it.
+// recycles them onto a free-list, its two flow-control credits deferred
+// apart from it (see credit), so steady state allocates no request objects.
+// The stage fields (backend, disp, core, svcStart) carry the state the hot
+// path's arg-form events need, replacing per-event closures; every stage
+// field is written before the stage that reads it.
 type request struct {
 	ref      int32 // index in Machine.reqs, fixed when first allocated
 	id       uint64
@@ -38,13 +38,43 @@ type request struct {
 	onDoneFn  func(arg any, class int, measured bool)
 	onDoneArg any
 
-	backend   int      // NI backend ingesting this request
-	disp      int      // dispatcher routing the completion token
-	core      *core    // serving core, set at dispatch/begin
-	svcStart  sim.Time // handler start (after poll detection and stalls)
-	replySlot int      // send-buffer slot the reply occupies
-	refs      int      // trailing events still holding this request
+	backend  int      // NI backend ingesting this request
+	disp     int      // dispatcher routing the completion token
+	core     *core    // serving core, set at dispatch/begin
+	svcStart sim.Time // handler start (after poll detection and stalls)
 }
+
+// credit is one deferred flow-control credit (DESIGN.md §9): a receive-slot
+// replenish returning pair slot slot to source src, or a reply send-slot
+// credit returning send slot slot toward src. It is not an event: it waits
+// in a credit ring under the (at, seq) key its event would have had, and
+// settle applies it once that key has passed, before any slot table is
+// read. It becomes a wake event only while src has requests waiting on it.
+type credit struct {
+	at   sim.Time
+	seq  uint64
+	src  int32
+	slot int32
+}
+
+// waiters is one source's queue of requests blocked on flow control:
+// arrivals parked on receive slots, or cores stalled on reply credits.
+// woke is the wake mark: the source's credits of that kind with a seq
+// below it already have wake events.
+type waiters struct {
+	fifo.Queue[*request]
+	woke uint64
+}
+
+// Credit-ring presizes, sized to the peaks measured on Defaults() nodes:
+// 21 replenishes in flight and at most 12 reply credits on one backend on a
+// 1x16 HERD node at 0.8 of capacity, 16 and 8 on a dc-1000-sharded node. A
+// ring past its presize grows by doubling, like every unbounded ring
+// (DESIGN.md §10). Each slot is 24 bytes, paid by every node at build.
+const (
+	replenishRing   = 24
+	replyCreditRing = 12
+)
 
 // core is one serving core's state. Busy-time accounting lives in the
 // machine's metrics.Recorder, keyed by core ID. Its wires are fixed at
@@ -101,7 +131,13 @@ type Machine struct {
 	// Arrivals blocked on slot flow control, per source node. Like
 	// replyWaiters, nil until the machine's first park, and each source's
 	// queue nil until that source's first park; most nodes never park.
-	pendingBySrc []*fifo.Queue[*request]
+	pendingBySrc []*waiters
+
+	// Deferred credit rings, each in key order. credits[0] holds the
+	// replenishes, due NetRTT/2 after their completions; credits[1+b] holds
+	// NI backend b's reply credits, due a round trip after the backend's
+	// busy horizon, which only moves forward.
+	credits []fifo.Queue[credit]
 
 	// Software single-queue state.
 	swQueue    fifo.Queue[*request]
@@ -109,7 +145,7 @@ type Machine struct {
 	idleCores  fifo.Queue[int]
 	lock       *sim.Server
 
-	replyWaiters []*fifo.Queue[*request] // indexed by requester node; see pendingBySrc
+	replyWaiters []*waiters // indexed by requester node; see pendingBySrc
 
 	arr    arrival.Process
 	nextID uint64
@@ -133,8 +169,8 @@ type Machine struct {
 	fnRouteSubmit func(any)
 	fnDelivered   func(any)
 	fnFinish      func(any)
-	fnReplyCredit func(any)
-	fnReplenish   func(any)
+	fnWakeArrival func(any)
+	fnWakeStall   func(any)
 	fnNotifyWire  func(any)
 	fnNotifyDone  func(any)
 	fnSWEnqueue   func(any)
@@ -356,6 +392,11 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	for b := 0; b < p.Backends; b++ {
 		m.backends = append(m.backends, sim.NewServer(m.eng))
 	}
+	m.credits = make([]fifo.Queue[credit], 1+p.Backends)
+	m.credits[0].Grow(replenishRing)
+	for b := 1; b <= p.Backends; b++ {
+		m.credits[b].Grow(replyCreditRing)
+	}
 
 	if m.recvBuf, err = sonuma.NewReceiveBuffer(p.Domain); err != nil {
 		return nil, err
@@ -399,8 +440,8 @@ func (m *Machine) bindCallbacks() {
 	m.fnRouteSubmit = m.routeSubmit
 	m.fnDelivered = m.delivered
 	m.fnFinish = m.finishReq
-	m.fnReplyCredit = m.replyCredit
-	m.fnReplenish = m.replenish
+	m.fnWakeArrival = m.wakeArrival
+	m.fnWakeStall = m.wakeStall
 	m.fnNotifyWire = m.notifyWire
 	m.fnNotifyDone = m.notifyDone
 	m.fnSWEnqueue = m.swEnqueueArg
@@ -421,41 +462,75 @@ func (m *Machine) getRequest() *request {
 	return req
 }
 
-// park appends req to the source's queue in *qs, allocating the per-source
+// park appends req to the source's queue in *ws, allocating the per-source
 // array on the machine's first park and the queue on the source's first.
-func (m *Machine) park(qs *[]*fifo.Queue[*request], src sonuma.NodeID, req *request) {
-	if *qs == nil {
-		*qs = make([]*fifo.Queue[*request], m.p.Domain.Nodes)
+// When the source starts waiting, each of its credits in rings without a
+// wake event yet gets one at its reserved key, firing wake.
+func (m *Machine) park(ws *[]*waiters, src sonuma.NodeID, req *request, rings []fifo.Queue[credit], wake func(any)) {
+	if *ws == nil {
+		*ws = make([]*waiters, m.p.Domain.Nodes)
 	}
-	q := (*qs)[src]
-	if q == nil {
-		q = new(fifo.Queue[*request])
-		(*qs)[src] = q
+	w := (*ws)[src]
+	if w == nil {
+		w = new(waiters)
+		(*ws)[src] = w
 	}
-	q.Push(req)
+	w.Push(req)
+	if w.Len() > 1 {
+		return // every credit of a waiting source already has its wake
+	}
+	woke := w.woke
+	for r := range rings {
+		q := &rings[r]
+		for i := range q.Len() {
+			if c := q.At(i); c.src == int32(src) && c.seq >= woke {
+				m.eng.ScheduleArgAtSeq(c.at, c.seq, wake, w)
+				w.woke = max(w.woke, c.seq+1)
+			}
+		}
+	}
 }
 
-// unpark pops the oldest request parked in the source's queue in qs,
-// reporting false when none is; a nil qs holds no queues.
-func unpark(qs []*fifo.Queue[*request], src sonuma.NodeID) (*request, bool) {
-	if qs != nil && qs[src] != nil {
-		return qs[src].Pop()
+// deferCredit queues a credit returning slot to src at the key an event
+// scheduled now at time at would get. If src has requests waiting in ws,
+// the credit is also scheduled as a wake event at that key.
+func (m *Machine) deferCredit(q *fifo.Queue[credit], ws []*waiters, at sim.Time, src sonuma.NodeID, slot int, wake func(any)) {
+	c := credit{at: at, seq: m.eng.Reserve(), src: int32(src), slot: int32(slot)}
+	q.Push(c)
+	if ws != nil {
+		if w := ws[src]; w != nil && w.Len() > 0 {
+			m.eng.ScheduleArgAtSeq(c.at, c.seq, wake, w)
+			w.woke = c.seq + 1
+		}
 	}
-	return nil, false
 }
 
-// decRef drops one trailing-event reference; at zero the request returns to
-// the pool. Pointer-shaped fields are cleared so a pooled request never pins
-// its old callback or core.
-func (m *Machine) decRef(req *request) {
-	req.refs--
-	if req.refs > 0 {
-		return
+// settle applies every credit whose key has passed, in key order within
+// each ring, so the free-slot rings and the reply send buffer read as they
+// would had every credit been an event. Replenishes only touch the
+// free-slot rings and reply credits only the send buffer, whose Acquire
+// takes the lowest free slot whatever the release order, so the rings need
+// no merge.
+func (m *Machine) settle() {
+	for r := range m.credits {
+		q := &m.credits[r]
+		for c, ok := q.Peek(); ok && m.eng.Due(c.at, c.seq); c, ok = q.Peek() {
+			q.Pop()
+			if r > 0 {
+				if err := m.replyBuf.Release(sonuma.NodeID(c.src), int(c.slot)); err != nil {
+					panic(fmt.Sprintf("machine: reply credit return: %v", err))
+				}
+				continue
+			}
+			n, size := int(c.src), m.p.Domain.Slots
+			t := int(m.freeHead[n]) + int(m.freeLen[n])
+			if t >= size {
+				t -= size
+			}
+			m.freeSlots[n*size+t] = uint16(c.slot)
+			m.freeLen[n]++
+		}
 	}
-	req.onDoneFn = nil
-	req.onDoneArg = nil
-	req.core = nil
-	m.pool = append(m.pool, req)
 }
 
 // policySeed derives the deterministic stream seed for a dispatcher's policy
@@ -633,9 +708,10 @@ func (m *Machine) inject(onDoneFn func(arg any, class int, measured bool), onDon
 	}
 	m.nextID++
 	m.inflightCount++
+	m.settle()
 	if m.freeLen[src] == 0 {
 		m.blockedArrivals++
-		m.park(&m.pendingBySrc, src, req)
+		m.park(&m.pendingBySrc, src, req, m.credits[:1], m.fnWakeArrival)
 		return
 	}
 	m.admit(req)
@@ -834,19 +910,20 @@ func (m *Machine) finishReq(arg any) { m.finish(arg.(*request)) }
 // send and replenish. The reply consumes a send slot toward the requester;
 // if none is free the core stalls (flow control) until a credit returns.
 func (m *Machine) finish(req *request) {
+	m.settle()
 	slot, ok := m.replyBuf.Acquire(req.src, m.wl.ReplyBytes)
 	if !ok {
 		m.replyStalls++
-		m.park(&m.replyWaiters, req.src, req)
+		m.park(&m.replyWaiters, req.src, req, m.credits[1:], m.fnWakeStall)
 		return
 	}
 	m.complete(req, slot)
 }
 
 // complete finalizes a request: measurement, reply transmission, replenish
-// propagation, and moving the core onto its next unit of work. The request
-// stays alive (refs) until its two trailing events — the reply credit and
-// the replenish — have both fired, then returns to the pool.
+// propagation, and moving the core onto its next unit of work. Its two
+// credits, the reply's send slot and the replenished receive slot, are
+// deferred (deferCredit), and the request returns to the pool at once.
 func (m *Machine) complete(req *request, replySlot int) {
 	c := req.core
 	now := m.eng.Now()
@@ -880,10 +957,8 @@ func (m *Machine) complete(req *request, replySlot int) {
 	// Reply transmission through this core's row backend; the remote node
 	// consumes it and returns the send-slot credit a round trip after the
 	// packets leave the backend.
-	req.replySlot = replySlot
-	req.refs = 2 // reply credit + replenish
 	end := m.backends[c.replyBackend].Occupy(sim.Duration(m.replyPkts) * m.p.PacketProc)
-	m.eng.ScheduleArgAt(end.Add(m.p.NetRTT), m.fnReplyCredit, req)
+	m.deferCredit(&m.credits[1+c.replyBackend], m.replyWaiters, end.Add(m.p.NetRTT), req.src, replySlot, m.fnWakeStall)
 
 	// Replenish: free the receive slot now; the sender regains the credit
 	// after the replenish message crosses the network.
@@ -892,7 +967,14 @@ func (m *Machine) complete(req *request, replySlot int) {
 	}
 	req.slot = -1
 	m.inflightCount--
-	m.eng.ScheduleArg(m.p.NetRTT/2, m.fnReplenish, req)
+	m.deferCredit(&m.credits[0], m.pendingBySrc, now.Add(m.p.NetRTT/2), req.src, req.pairSlot, m.fnWakeArrival)
+
+	// Pointer-shaped fields are cleared so a pooled request never pins its
+	// old callback or core.
+	req.onDoneFn = nil
+	req.onDoneArg = nil
+	req.core = nil
+	m.pool = append(m.pool, req)
 
 	// Tell the dispatcher this core finished one request. The argument is
 	// the core, not the request: by the time these events fire the request
@@ -910,17 +992,13 @@ func (m *Machine) complete(req *request, replySlot int) {
 	}
 }
 
-// replyCredit returns the reply send-slot credit and unblocks a core stalled
-// on reply flow control toward the same requester, if one is parked.
-func (m *Machine) replyCredit(arg any) {
-	req := arg.(*request)
-	src := req.src
-	if err := m.replyBuf.Release(src, req.replySlot); err != nil {
-		panic(fmt.Sprintf("machine: reply credit return: %v", err))
-	}
-	m.decRef(req)
-	if w, ok := unpark(m.replyWaiters, src); ok {
-		s, ok := m.replyBuf.Acquire(src, m.wl.ReplyBytes)
+// wakeStall fires at a reply credit's key while its source has cores
+// stalled on reply flow control: the credit settles and the oldest stalled
+// core, if one is left, completes on the freed send slot.
+func (m *Machine) wakeStall(arg any) {
+	m.settle()
+	if w, ok := arg.(*waiters).Pop(); ok {
+		s, ok := m.replyBuf.Acquire(w.src, m.wl.ReplyBytes)
 		if !ok {
 			panic("machine: freed reply slot immediately unavailable")
 		}
@@ -928,20 +1006,12 @@ func (m *Machine) replyCredit(arg any) {
 	}
 }
 
-// replenish returns the receive-slot credit to the sender and admits a
-// parked arrival, if one is waiting on the freed slot.
-func (m *Machine) replenish(arg any) {
-	req := arg.(*request)
-	src, pairSlot := req.src, req.pairSlot
-	m.decRef(req)
-	n, size := int(src), m.p.Domain.Slots
-	t := int(m.freeHead[n]) + int(m.freeLen[n])
-	if t >= size {
-		t -= size
-	}
-	m.freeSlots[n*size+t] = uint16(pairSlot)
-	m.freeLen[n]++
-	if next, ok := unpark(m.pendingBySrc, src); ok {
+// wakeArrival fires at a replenish's key while its source has parked
+// arrivals: the credit settles and the oldest parked arrival, if one is
+// left, is admitted on the freed slot.
+func (m *Machine) wakeArrival(arg any) {
+	m.settle()
+	if next, ok := arg.(*waiters).Pop(); ok {
 		m.admit(next)
 	}
 }

@@ -263,6 +263,10 @@ type Engine struct {
 	seq     uint64
 	fired   uint64
 	stopped bool
+	// done bounds the keys that have passed at the current time: every
+	// (now, seq) with seq < done orders at or before the event executing
+	// (or last executed). See Due.
+	done uint64
 }
 
 // New returns a fresh Engine with the clock at zero.
@@ -280,13 +284,13 @@ func (e *Engine) Pending() int { return len(e.heap) }
 // Schedule runs fn after delay d (relative to the current time). A negative
 // delay is treated as zero.
 func (e *Engine) Schedule(d Duration, fn func()) {
-	e.push(e.now.Add(max(d, 0)), callFunc, fn)
+	e.push(e.now.Add(max(d, 0)), e.seq, callFunc, fn)
 }
 
 // ScheduleAt runs fn at absolute time t. Scheduling in the past panics: it
 // would silently corrupt causality, which in a simulator is always a bug.
 func (e *Engine) ScheduleAt(t Time, fn func()) {
-	e.push(t, callFunc, fn)
+	e.push(t, e.seq, callFunc, fn)
 }
 
 // ScheduleArg runs fn(arg) after delay d. Unlike Schedule, the callback and
@@ -295,23 +299,65 @@ func (e *Engine) ScheduleAt(t Time, fn func()) {
 // simulation hot path schedules without allocating a closure. A negative
 // delay is treated as zero.
 func (e *Engine) ScheduleArg(d Duration, fn func(any), arg any) {
-	e.push(e.now.Add(max(d, 0)), fn, arg)
+	e.push(e.now.Add(max(d, 0)), e.seq, fn, arg)
 }
 
 // ScheduleArgAt runs fn(arg) at absolute time t. Scheduling in the past
 // panics, exactly as ScheduleAt.
 func (e *Engine) ScheduleArgAt(t Time, fn func(any), arg any) {
-	e.push(t, fn, arg)
+	e.push(t, e.seq, fn, arg)
 }
 
-// push parks fn(arg) in a vacant arena slot and queues it at time t with
-// the next FIFO sequence number.
-func (e *Engine) push(t Time, fn func(any), arg any) {
+// Reserve takes the next FIFO sequence number without scheduling anything.
+// Paired with a time, it is the key (at, seq) an event scheduled now would
+// get: a caller can defer work to that key, apply it once Due reports the
+// key passed, or still schedule it there with ScheduleArgAtSeq. Every
+// event scheduled after the reservation orders after it at equal times,
+// exactly as if the reserved event had been scheduled.
+func (e *Engine) Reserve() uint64 {
+	s := e.seq
+	if s >= maxSeq {
+		exhausted()
+	}
+	e.seq = s + 1
+	return s
+}
+
+// exhausted panics on the sequence number past the last one.
+func exhausted() {
+	panic(fmt.Sprintf("sim: engine exhausted its %d event sequence numbers", uint64(maxSeq)))
+}
+
+// Due reports whether the key (at, seq) orders at or before the event now
+// executing (or, between events, the last one executed), i.e. whether an
+// event at that key would already have fired. After RunUntil has run to
+// its deadline, every key taken so far at or before the deadline is due.
+func (e *Engine) Due(at Time, seq uint64) bool {
+	return at < e.now || at == e.now && seq < e.done
+}
+
+// ScheduleArgAtSeq runs fn(arg) at the reserved key (at, seq), where seq
+// came from Reserve and has not been scheduled yet. The event fires in
+// the place the key orders among all others. A key that is already due
+// panics, like scheduling in the past.
+func (e *Engine) ScheduleArgAtSeq(at Time, seq uint64, fn func(any), arg any) {
+	if seq >= e.seq || e.Due(at, seq) {
+		panic(fmt.Sprintf("sim: ScheduleArgAtSeq(%v, %d) at a key not reserved or already passed (now %v)", at, seq, e.now))
+	}
+	e.push(at, seq, fn, arg)
+}
+
+// push parks fn(arg) in a vacant arena slot and queues it at (t, seq): a
+// reserved seq, or e.seq for the next fresh one, which push then takes.
+func (e *Engine) push(t Time, seq uint64, fn func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%v) is before now (%v)", t, e.now))
 	}
-	if e.seq >= maxSeq {
-		panic(fmt.Sprintf("sim: engine exhausted its %d event sequence numbers", uint64(maxSeq)))
+	if seq == e.seq {
+		if seq >= maxSeq {
+			exhausted()
+		}
+		e.seq++
 	}
 	var slot int32
 	if n := len(e.free); n > 0 {
@@ -325,8 +371,7 @@ func (e *Engine) push(t Time, fn func(any), arg any) {
 		e.calls = append(grow(e.calls), call{})
 	}
 	e.calls[slot] = call{fn, arg}
-	x := entry{at: t, key: e.seq<<slotBits | uint64(slot)}
-	e.seq++
+	x := entry{at: t, key: seq<<slotBits | uint64(slot)}
 	e.heap = append(grow(e.heap), x)
 	e.heap.siftUp(len(e.heap)-1, x)
 }
@@ -349,6 +394,7 @@ func (e *Engine) Step() bool {
 	}
 	e.heap = h[:n]
 	e.now = top.at
+	e.done = top.key>>slotBits + 1
 	e.fired++
 	slot := int32(top.key & slotMask)
 	c := e.calls[slot]
@@ -373,8 +419,9 @@ func (e *Engine) RunUntil(deadline Time) {
 	for !e.stopped && len(e.heap) > 0 && e.heap[0].at <= deadline {
 		e.Step()
 	}
-	if e.now < deadline {
-		e.now = deadline
+	if e.now < deadline || !e.stopped && e.now == deadline {
+		// Every key taken so far up to the deadline has now passed.
+		e.now, e.done = deadline, e.seq
 	}
 }
 

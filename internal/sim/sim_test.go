@@ -526,17 +526,88 @@ func TestScheduleReusesFiredEvents(t *testing.T) {
 
 // TestSequenceExhaustionPanics: the heap key holds 40 bits of sequence
 // number; the engine refuses to wrap it, since a wrapped seq would fire
-// later events before earlier ones at equal times.
+// later events before earlier ones at equal times. Reserve takes from the
+// same sequence, so it refuses too.
 func TestSequenceExhaustionPanics(t *testing.T) {
-	e := New()
-	e.seq = maxSeq - 1
-	e.Schedule(1, func() {}) // the last sequence number is still usable
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling past the last sequence number did not panic")
+	for _, tc := range []struct {
+		name string
+		take func(e *Engine)
+	}{
+		{"Schedule", func(e *Engine) { e.Schedule(1, func() {}) }},
+		{"Reserve", func(e *Engine) { e.Reserve() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			e.seq = maxSeq - 1
+			tc.take(e) // the last sequence number is still usable
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s past the last sequence number did not panic", tc.name)
+				}
+			}()
+			tc.take(e)
+		})
+	}
+}
+
+// TestReservedKeyOrdersLikeEvent: a key reserved between two schedules at
+// the same time orders between them. Left as a key, Due turns true exactly
+// when the event before it has fired, and stays false before; scheduled,
+// the event fires in that place, and scheduling at a passed key panics.
+func TestReservedKeyOrdersLikeEvent(t *testing.T) {
+	const at = Time(10)
+	t.Run("deferred", func(t *testing.T) {
+		e := New()
+		var seq uint64
+		var due []bool
+		probe := func() { due = append(due, e.Due(at, seq)) }
+		e.ScheduleAt(5, probe)
+		e.ScheduleAt(at, probe)
+		seq = e.Reserve()
+		e.ScheduleAt(at, probe)
+		e.ScheduleAt(at+1, probe)
+		e.Run()
+		if want := []bool{false, false, true, true}; !slices.Equal(due, want) {
+			t.Fatalf("Due(%v, %d) at the four events = %v, want %v", at, seq, due, want)
 		}
-	}()
-	e.Schedule(1, func() {})
+	})
+	t.Run("scheduled", func(t *testing.T) {
+		e := New()
+		var got []string
+		e.ScheduleAt(at, func() { got = append(got, "before") })
+		seq := e.Reserve()
+		e.ScheduleAt(at, func() { got = append(got, "after") })
+		e.ScheduleArgAtSeq(at, seq, func(any) {
+			if !e.Due(at, seq) {
+				t.Error("a reserved key is not due while its own event runs")
+			}
+			got = append(got, "reserved")
+		}, nil)
+		e.Run()
+		if want := []string{"before", "reserved", "after"}; !slices.Equal(got, want) {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Fatal("scheduling at a passed reserved key did not panic")
+			}
+		}()
+		e.ScheduleArgAtSeq(at, seq, func(any) {}, nil)
+	})
+	t.Run("RunUntil", func(t *testing.T) {
+		e := New()
+		seq := e.Reserve()
+		if e.Due(at, seq) {
+			t.Fatal("a key ahead of the clock is due")
+		}
+		e.RunUntil(at)
+		if !e.Due(at, seq) {
+			t.Fatal("a key at the deadline is not due after RunUntil")
+		}
+		if later := e.Reserve(); e.Due(at, later) {
+			t.Fatal("a key reserved after RunUntil is due at once")
+		}
+	})
 }
 
 // firing is one event firing as the reference model sees it.
@@ -545,17 +616,42 @@ type firing struct {
 	id int
 }
 
+// refEvent is one event, or one reserved key, as the reference holds it.
+type refEvent struct {
+	firing
+	seq uint64
+}
+
 // orderModel replays a schedule/step program on an Engine and on a
 // reference that keeps pending events in a slice and fires the least
-// (at, seq) each time, and reports the first divergence.
+// (at, seq) each time, and reports the first divergence. The reference
+// numbers events and reserved keys itself and tracks which keys have
+// passed, so it also checks Due on every key reserved but not scheduled.
 type orderModel struct {
 	e       *Engine
-	pending []firing // reference queue, in scheduling (seq) order
+	pending []refEvent // reference queue
+	held    []refEvent // reserved keys not yet scheduled, oldest first
 	got     []firing
 	nextID  int
+	nextSeq uint64
+	now     Time   // the reference clock
+	done    uint64 // keys (now, seq) with seq < done have passed
 }
 
 func newOrderModel() *orderModel { return &orderModel{e: New()} }
+
+// due is the reference's Due.
+func (m *orderModel) due(k refEvent) bool {
+	return k.at < m.now || k.at == m.now && k.seq < m.done
+}
+
+// take numbers a new event or reserved key at time at.
+func (m *orderModel) take(at Time) refEvent {
+	k := refEvent{firing{at, m.nextID}, m.nextSeq}
+	m.nextID++
+	m.nextSeq++
+	return k
+}
 
 func (m *orderModel) record(id int) { m.got = append(m.got, firing{m.e.Now(), id}) }
 
@@ -563,10 +659,10 @@ func (m *orderModel) recordArg(a any) { m.record(a.(int)) }
 
 // schedule queues one event through the form op%4 selects, at delay d.
 func (m *orderModel) schedule(op int, d Duration) {
-	id := m.nextID
-	m.nextID++
 	at := m.e.Now().Add(max(d, 0))
-	m.pending = append(m.pending, firing{at, id})
+	k := m.take(at)
+	id := k.id
+	m.pending = append(m.pending, k)
 	switch op % 4 {
 	case 0:
 		m.e.Schedule(d, func() { m.record(id) })
@@ -579,13 +675,47 @@ func (m *orderModel) schedule(op int, d Duration) {
 	}
 }
 
+// reserve takes a key d ahead without scheduling it.
+func (m *orderModel) reserve(d Duration) error {
+	k := m.take(m.e.Now().Add(d))
+	if seq := m.e.Reserve(); seq != k.seq {
+		return fmt.Errorf("Reserve() = %d, want %d", seq, k.seq)
+	}
+	m.held = append(m.held, k)
+	return nil
+}
+
+// scheduleHeld schedules the oldest held key at its reservation, or, if
+// that key has already passed, checks that ScheduleArgAtSeq refuses it.
+func (m *orderModel) scheduleHeld() error {
+	if len(m.held) == 0 {
+		return nil
+	}
+	k := m.held[0]
+	m.held = m.held[1:]
+	if !m.due(k) {
+		m.e.ScheduleArgAtSeq(k.at, k.seq, m.recordArg, k.id)
+		m.pending = append(m.pending, k)
+		return m.checkPending()
+	}
+	panicked := func() (p bool) {
+		defer func() { p = recover() != nil }()
+		m.e.ScheduleArgAtSeq(k.at, k.seq, m.recordArg, k.id)
+		return false
+	}()
+	if !panicked {
+		return fmt.Errorf("ScheduleArgAtSeq at the passed key (%v, %d) did not panic", k.at, k.seq)
+	}
+	return nil
+}
+
 // popRef removes and returns the reference's least (at, seq) event, or
-// reports false when none is due by deadline. Seq order is slice order, so
-// the first of the earliest wins.
+// reports false when none is due by deadline.
 func (m *orderModel) popRef(deadline Time) (firing, bool) {
 	best := -1
 	for i, f := range m.pending {
-		if f.at <= deadline && (best < 0 || f.at < m.pending[best].at) {
+		if f.at <= deadline && (best < 0 || f.at < m.pending[best].at ||
+			f.at == m.pending[best].at && f.seq < m.pending[best].seq) {
 			best = i
 		}
 	}
@@ -594,7 +724,8 @@ func (m *orderModel) popRef(deadline Time) (firing, bool) {
 	}
 	f := m.pending[best]
 	m.pending = slices.Delete(m.pending, best, best+1)
-	return f, true
+	m.now, m.done = f.at, f.seq+1
+	return f.firing, true
 }
 
 // step fires one event on both sides.
@@ -618,6 +749,7 @@ func (m *orderModel) runUntil(deadline Time) error {
 	for f, ok := m.popRef(deadline); ok; f, ok = m.popRef(deadline) {
 		want = append(want, f)
 	}
+	m.now, m.done = deadline, m.nextSeq
 	before := len(m.got)
 	m.e.RunUntil(deadline)
 	if !slices.Equal(m.got[before:], want) {
@@ -632,6 +764,11 @@ func (m *orderModel) runUntil(deadline Time) error {
 func (m *orderModel) checkPending() error {
 	if m.e.Pending() != len(m.pending) {
 		return fmt.Errorf("Pending() = %d, want %d", m.e.Pending(), len(m.pending))
+	}
+	for _, k := range m.held {
+		if got, want := m.e.Due(k.at, k.seq), m.due(k); got != want {
+			return fmt.Errorf("Due(%v, %d) = %v at %v, want %v", k.at, k.seq, got, m.e.Now(), want)
+		}
 	}
 	return nil
 }
@@ -651,7 +788,9 @@ func (m *orderModel) drain() error {
 
 // exec decodes one program byte: the low two bits pick scheduling (with
 // the form and a small delay from the rest, so timestamps collide often),
-// Step, or RunUntil a short way ahead.
+// Step, or a third op. That one's next two bits pick RunUntil a short way
+// ahead, reserving a key a short way ahead, or scheduling the oldest
+// reserved key.
 func (m *orderModel) exec(b byte) error {
 	switch b & 3 {
 	case 0, 1:
@@ -659,14 +798,22 @@ func (m *orderModel) exec(b byte) error {
 	case 2:
 		return m.step()
 	case 3:
-		return m.runUntil(m.e.Now().Add(Duration(b >> 5)))
+		switch d := Duration(b >> 5); b >> 2 & 3 {
+		case 0, 1:
+			return m.runUntil(m.e.Now().Add(d))
+		case 2:
+			return m.reserve(d)
+		case 3:
+			return m.scheduleHeld()
+		}
 	}
 	return nil
 }
 
 // TestPropertyPopOrder: random interleavings of all four Schedule forms,
-// Step and RunUntil, over a handful of distinct delays, fire in exactly the
-// (at, seq) order of the reference model.
+// reserved keys scheduled later, Step and RunUntil, over a handful of
+// distinct delays, fire in exactly the (at, seq) order of the reference
+// model.
 func TestPropertyPopOrder(t *testing.T) {
 	f := func(seed uint64, n16 uint16) bool {
 		r := rng.New(seed)
@@ -697,6 +844,7 @@ func TestPropertyPopOrder(t *testing.T) {
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 5, 2, 3, 0x40, 0x81, 2, 2, 0xff})
 	f.Add([]byte{0x10, 0x14, 0x18, 0x1c, 0x10, 3, 3, 0xe3, 2})
+	f.Add([]byte{0x10, 0x2b, 0x10, 0x0f, 2, 0x0b, 0x0f, 2, 2, 0x23, 0x0f, 2})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		m := newOrderModel()
 		for _, b := range prog {
