@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race bench profile perfbench live-smoke obs-smoke shard-smoke rack-smoke hier-smoke claims-smoke examples-smoke
+.PHONY: all build fmt vet lint test race bench loc profile perfbench live-smoke obs-smoke shard-smoke rack-smoke hier-smoke claims-smoke examples-smoke
 
 # Pinned so CI and local runs agree on what "clean" means.
 STATICCHECK_VERSION = 2025.1.1
@@ -35,6 +35,11 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
+
+# loc prints the simplicity measure ROADMAP.md tracks: the lines of every
+# tracked Go file except tests and perfbench/.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:perfbench/*' | xargs cat | wc -l
 
 # live-smoke runs the live goroutine runtime's rate-limited smoke tests:
 # the shared channel and the dispatch path (jbsq2, 16x1, 4x4, 1x16:random2)

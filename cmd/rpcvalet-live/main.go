@@ -13,11 +13,10 @@
 //	rpcvalet-live -obs :9090 -duration 10s -tail 16
 //
 // The -dispatch plans run one after another, each owning the machine for
-// its window, and print as one table. A plan must build both the 16-core
-// default machine (checked at the flag) and the -cores machine, so a
-// literal GxM grouping (G×M = 16) runs only at -cores 16: -dispatch 2x4
-// exits 2 at the flag even with -cores 8. 4x4 exits 2 at a core count 4
-// does not divide. Latencies are wall-clock: the offered schedule is
+// its window, and print as one table. A plan must build the -cores
+// machine, checked before the first window: a literal GxM grouping needs
+// G×M = -cores (-dispatch 2x4 runs at -cores 8), and 4x4 exits 2 at a core
+// count 4 does not divide. Latencies are wall-clock: the offered schedule is
 // deterministic in -seed, the measured tails are not. -obs serves /metrics
 // (Prometheus text, labeled by plan), /healthz and /debug/pprof while the
 // runs are in flight.
@@ -41,7 +40,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := cli.New("rpcvalet-live", stderr)
-	plans := fs.Dispatch("1x16,jbsq2,16x1", "comma-separated dispatch plans: (1x16|4x4|16x1|jbsqN|GxM)[:policy] or sw")
+	plans := cli.List(fs, "dispatch", "1x16,jbsq2,16x1", "comma-separated dispatch plans: (1x16|4x4|16x1|jbsqN|GxM)[:policy] or sw", rpcvalet.ParseDispatchPlan)
 	wl := fs.Workload("gev")
 	rate := fs.Float64("rate", 0, "offered load in MRPS (0 = 65% of estimated live capacity)")
 	duration := fs.Duration("duration", time.Second, "offered-load window per plan (wall clock)")

@@ -22,6 +22,7 @@ func TestBadInputExitsTwo(t *testing.T) {
 		{"-cores", "6", "-dispatch", "4x4", "-duration", "2s"},
 		{"-dispatch", "bogus", "-trace-jsonl", jsonl},
 		{"-cores", "6", "-dispatch", "4x4", "-duration", "2s", "-trace-jsonl", jsonl},
+		{"-cores", "16", "-dispatch", "1x8", "-duration", "2s"},
 		{"-plan", "1x16"},
 		{"-workers", "4"},
 		{"-cores", "-2"},
@@ -45,6 +46,8 @@ func TestSmallRun(t *testing.T) {
 	if b, err := os.ReadFile(jsonl); err != nil || !bytes.Contains(b, []byte(`"req":`)) {
 		t.Fatalf("trace file %q (%v)", b, err)
 	}
+	// A literal grouping is checked against -cores, not the 16-core default.
+	runs(t, "-cores", "8", "-dispatch", "2x4", "-duration", "50ms", "-emulation", "sleep")
 }
 
 // rejects runs the command on args and checks the bad-input contract: exit

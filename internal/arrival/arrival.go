@@ -34,9 +34,6 @@ type Process interface {
 	// carry per-run state (MMPP2's current phase); obtain a private
 	// instance with Fresh before driving a run.
 	Next(r *rng.Source) sim.Duration
-	// Name is the process's short registry name ("poisson", "mmpp2",
-	// "det", "lognormal"), used by CLI flags and report labels.
-	Name() string
 	// String describes the process and its parameters for reports.
 	String() string
 }
@@ -122,8 +119,6 @@ func (p Poisson) Next(r *rng.Source) sim.Duration {
 	return sim.FromNanos(p.MeanGapNanos * r.ExpFloat64())
 }
 
-func (p Poisson) Name() string { return "poisson" }
-
 func (p Poisson) String() string { return fmt.Sprintf("poisson(mean=%gns)", p.MeanGapNanos) }
 
 func (p Poisson) AtMRPS(rateMRPS float64) Process { return PoissonAtMRPS(rateMRPS) }
@@ -144,8 +139,6 @@ func DeterministicAtMRPS(rateMRPS float64) Deterministic {
 }
 
 func (p Deterministic) Next(*rng.Source) sim.Duration { return sim.FromNanos(p.GapNanos) }
-
-func (p Deterministic) Name() string { return "det" }
 
 func (p Deterministic) String() string { return fmt.Sprintf("det(gap=%gns)", p.GapNanos) }
 
@@ -176,8 +169,6 @@ func (p LognormalGap) Next(r *rng.Source) sim.Duration {
 
 // MeanGapNanos returns the analytic mean gap, exp(Mu + Sigma²/2).
 func (p LognormalGap) MeanGapNanos() float64 { return math.Exp(p.Mu + p.Sigma*p.Sigma/2) }
-
-func (p LognormalGap) Name() string { return "lognormal" }
 
 func (p LognormalGap) String() string {
 	return fmt.Sprintf("lognormal(mean=%.3gns,sigma=%g)", p.MeanGapNanos(), p.Sigma)
@@ -265,8 +256,6 @@ func (p *MMPP2) Next(r *rng.Source) sim.Duration {
 		p.dwellSet = false
 	}
 }
-
-func (p *MMPP2) Name() string { return "mmpp2" }
 
 func (p *MMPP2) String() string {
 	return fmt.Sprintf("mmpp2(mean=%.3g/ns,ratio=%.3g,dwell=%gns/%gns)",

@@ -2,6 +2,7 @@ package arrival
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"rpcvalet/internal/dist"
@@ -174,20 +175,20 @@ func TestAtMRPSPreservesShape(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range Names {
+	types := map[string]Process{"poisson": Poisson{}, "det": Deterministic{}, "deterministic": Deterministic{},
+		"mmpp2": &MMPP2{}, "lognormal": LognormalGap{}}
+	for _, name := range append([]string{"deterministic"}, Names...) {
 		p, err := ByName(name, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Name() != name {
-			t.Fatalf("ByName(%q).Name() = %q", name, p.Name())
+		want, ok := types[name]
+		if !ok || reflect.TypeOf(p) != reflect.TypeOf(want) {
+			t.Fatalf("ByName(%q) = %T, want %T", name, p, want)
 		}
 		if p.String() == "" {
 			t.Fatalf("%s: empty String()", name)
 		}
-	}
-	if p, err := ByName("deterministic", 3); err != nil || p.Name() != "det" {
-		t.Fatalf("alias deterministic: %v %v", p, err)
 	}
 	if _, err := ByName("bogus", 3); err == nil {
 		t.Fatal("unknown name accepted")

@@ -25,9 +25,6 @@ type Envelope interface {
 	// integral over [t, t+dt] equals area (the gap drawn in operational
 	// time). Implementations must be exact for their piecewise form.
 	Advance(tNanos, area float64) float64
-	// Name is the envelope's short registry name ("step", "ramp",
-	// "square", "pulse").
-	Name() string
 	// String describes the envelope and its parameters for reports.
 	String() string
 }
@@ -71,8 +68,6 @@ func (e Step) Advance(t, area float64) float64 {
 		return pre + (area-pre)/e.Factor
 	}
 }
-
-func (e Step) Name() string { return "step" }
 
 func (e Step) String() string {
 	return fmt.Sprintf("step@%s:x%g", sim.FormatSpan(e.AtNanos, "ns"), e.Factor)
@@ -126,8 +121,6 @@ func (e Pulse) Advance(t, area float64) float64 {
 	}
 	return dt
 }
-
-func (e Pulse) Name() string { return "pulse" }
 
 func (e Pulse) String() string {
 	return fmt.Sprintf("pulse@%s+%s:x%g", sim.FormatSpan(e.StartNanos, "ns"), sim.FormatSpan(e.DurNanos, "ns"), e.Factor)
@@ -201,8 +194,6 @@ func (e Ramp) Advance(t, area float64) float64 {
 	return dt + area/e.Factor
 }
 
-func (e Ramp) Name() string { return "ramp" }
-
 func (e Ramp) String() string {
 	return fmt.Sprintf("ramp@%s+%s:x%g", sim.FormatSpan(e.StartNanos, "ns"), sim.FormatSpan(e.DurNanos, "ns"), e.Factor)
 }
@@ -264,8 +255,6 @@ func (e SquareWave) Advance(t, area float64) float64 {
 	return dt
 }
 
-func (e SquareWave) Name() string { return "square" }
-
 func (e SquareWave) String() string {
 	return fmt.Sprintf("square@%s/%s:x%g", sim.FormatSpan(e.PeriodNanos, "ns"), sim.FormatSpan(e.HighNanos, "ns"), e.Factor)
 }
@@ -311,8 +300,6 @@ func (p *Modulated) Next(r *rng.Source) sim.Duration {
 	p.tNanos += dt
 	return sim.FromNanos(dt)
 }
-
-func (p *Modulated) Name() string { return "modulated" }
 
 func (p *Modulated) String() string {
 	return fmt.Sprintf("%s(%s)", p.Env, p.Base)

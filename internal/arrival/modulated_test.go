@@ -87,7 +87,7 @@ func TestModulatedMeanRate(t *testing.T) {
 		meanGap := total / float64(n)
 		want := 100.0 / 2 // base gap compressed 2×
 		if math.Abs(meanGap-want)/want > 0.08 {
-			t.Errorf("%s: mean gap %g, want ≈%g", base.Name(), meanGap, want)
+			t.Errorf("%s: mean gap %g, want ≈%g", base, meanGap, want)
 		}
 	}
 }
@@ -197,9 +197,6 @@ func TestParseEnvelope(t *testing.T) {
 
 func TestModulatedString(t *testing.T) {
 	m := NewModulated(PoissonAtMRPS(10), NewPulse(100, 50, 2))
-	if m.Name() != "modulated" {
-		t.Fatalf("name = %s", m.Name())
-	}
 	want := "pulse@100ns+50ns:x2(poisson(mean=100ns))"
 	if m.String() != want {
 		t.Fatalf("string = %s, want %s", m, want)

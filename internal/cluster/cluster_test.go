@@ -16,7 +16,7 @@ import (
 // would cycle once core grows cluster figures).
 func nodeCapacityMRPS(cfg machine.Config) float64 {
 	return float64(cfg.Params.Cores) /
-		(cfg.Workload.MeanService() + cfg.Params.CoreOverheadNanos()) * 1000
+		(cfg.Workload.MeanService() + machine.CoreOverheadNanos) * 1000
 }
 
 func baseConfig(nodes int, pol Policy, loadFrac float64) Config {
@@ -405,10 +405,9 @@ func FuzzClusterConfig(f *testing.F) {
 		if !res.TimedOut && res.Completed != cfg.Warmup+cfg.Measure {
 			t.Fatalf("Completed = %d, want Warmup+Measure = %d", res.Completed, cfg.Warmup+cfg.Measure)
 		}
-		size, start := rackGeometry(cfg)
-		for r := range size {
-			sum := 0
-			for _, c := range res.NodeCompleted[start[r] : start[r]+size[r]] {
+		for r := range cfg.Racks {
+			per, sum := cfg.Nodes/cfg.Racks, 0
+			for _, c := range res.NodeCompleted[r*per : (r+1)*per] {
 				sum += c
 			}
 			if sum != res.RackCompleted[r] {

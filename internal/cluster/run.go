@@ -63,12 +63,11 @@ func (sh *shard) fail(err error) {
 	sh.eng.Stop()
 }
 
-// rack is one rack balancer of a two-tier run: its tier, its contiguous
-// node slice, and balancer pause windows from rack-scoped faults.
+// rack is one rack balancer of a two-tier run: its tier over the rack's
+// contiguous node slice, and balancer pause windows from rack-scoped faults.
 type rack struct {
-	t           *tier
-	start, size int
-	pauses      []machine.Pause
+	t      *tier
+	pauses []machine.Pause
 }
 
 // nodeTracer adapts one node's machine-internal trace stream to the
@@ -120,24 +119,21 @@ func Run(cfg Config) (Result, error) {
 	}
 	tracing := record != nil
 
+	// Racks split the nodes evenly: rack r owns nodes [r*per, (r+1)*per).
+	per := cfg.Nodes / max(cfg.Racks, 1)
+
 	// Engines. Serial: one shard, recording inline. Sharded: the front tier
-	// on its own shard, the nodes in engines-1 groups — one per rack
-	// two-tier, contiguous slices flat — with group g owning nodes
-	// [bounds[g], bounds[g+1]).
-	size, start := rackGeometry(cfg)
+	// on its own shard, the nodes in engines-1 contiguous groups — one per
+	// rack two-tier — with group g owning nodes [bounds[g], bounds[g+1]).
 	var front *shard
 	var groups []*shard
 	bounds := []int{0, cfg.Nodes}
 	if sharded {
 		front = newBufferedShard(tracing)
-		if hier {
-			bounds = append(append([]int(nil), start...), cfg.Nodes)
-		} else {
-			n := engines - 1
-			bounds = bounds[:0]
-			for s := 0; s <= n; s++ {
-				bounds = append(bounds, s*cfg.Nodes/n)
-			}
+		n := engines - 1
+		bounds = bounds[:0]
+		for s := 0; s <= n; s++ {
+			bounds = append(bounds, s*cfg.Nodes/n)
 		}
 		groups = make([]*shard, len(bounds)-1)
 		for g := range groups {
@@ -148,7 +144,7 @@ func Run(cfg Config) (Result, error) {
 		groups = []*shard{front}
 	}
 
-	faultByNode, balPauses, rackLabel := expandFaults(cfg, size, start)
+	faultByNode, balPauses, rackLabel := expandFaults(cfg, per)
 	share := nodeShare(cfg)
 	nodes := make([]*machine.Machine, cfg.Nodes)
 	nodeShard := make([]*shard, cfg.Nodes)
@@ -200,9 +196,8 @@ func Run(cfg Config) (Result, error) {
 			if r > 0 {
 				pol = cfg.Policy.Clone()
 			}
-			home[r] = nodeShard[start[r]]
-			rk := &rack{t: newTier(pol, polRNG[r], size[r], cfg.SampleEvery == 0),
-				start: start[r], size: size[r], pauses: balPauses[r]}
+			home[r] = nodeShard[r*per]
+			rk := &rack{t: newTier(pol, polRNG[r], per, cfg.SampleEvery == 0), pauses: balPauses[r]}
 			rk.t.scheduleRefresh(home[r].eng, cfg.SampleEvery, nil)
 			racks = append(racks, rk)
 		}
@@ -269,8 +264,7 @@ func Run(cfg Config) (Result, error) {
 		q.measured = measured
 		sh := home[q.ep]
 		if hier {
-			rk := racks[q.ep]
-			rk.t.completed(q.node - rk.start)
+			racks[q.ep].t.completed(q.node - q.ep*per)
 		}
 		if sharded {
 			sh.done.Send(sh.eng.Now().Add(frontHop), q.id, q)
@@ -302,11 +296,11 @@ func Run(cfg Config) (Result, error) {
 			return
 		}
 		local := rk.t.pick()
-		if local < 0 || local >= rk.size {
-			sh.fail(fmt.Errorf("cluster: policy %s picked node %d of %d in rack %d", rk.t.pol, local, rk.size, q.ep))
+		if local < 0 || local >= per {
+			sh.fail(fmt.Errorf("cluster: policy %s picked node %d of %d in rack %d", rk.t.pol, local, per, q.ep))
 			return
 		}
-		q.node = rk.start + local
+		q.node = q.ep*per + local
 		if tracing {
 			now := eng.Now()
 			sh.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseBalancerRecv, At: now, Core: -1, Node: -1, Depth: rk.t.index.Total()})
@@ -485,25 +479,11 @@ func nodeShare(cfg Config) int {
 	return 1 << bits.Len(uint(share-1))
 }
 
-// rackGeometry resolves the rack partition of a validated config: each
-// rack's node count and starting global node index (both empty when flat).
-// Racks are contiguous and even: rack r owns nodes [start[r],
-// start[r]+size[r]).
-func rackGeometry(cfg Config) (size, start []int) {
-	size = make([]int, cfg.Racks)
-	start = make([]int, cfg.Racks)
-	for r := range size {
-		size[r] = cfg.Nodes / cfg.Racks
-		start[r] = r * size[r]
-	}
-	return size, start
-}
-
 // expandFaults resolves Config.Faults into per-node machine faults
 // (rack-scoped entries fan out to every node in the rack; later entries
 // overwrite earlier ones), per-rack balancer pause windows, and the per-rack
-// labels for Result.RackFaults.
-func expandFaults(cfg Config, size, start []int) (faultByNode []machine.Fault, balPauses [][]machine.Pause, rackLabel []machine.Fault) {
+// labels for Result.RackFaults. Rack r owns nodes [r*per, (r+1)*per).
+func expandFaults(cfg Config, per int) (faultByNode []machine.Fault, balPauses [][]machine.Pause, rackLabel []machine.Fault) {
 	faultByNode = make([]machine.Fault, cfg.Nodes)
 	balPauses = make([][]machine.Pause, cfg.Racks)
 	rackLabel = make([]machine.Fault, cfg.Racks)
@@ -513,7 +493,7 @@ func expandFaults(cfg Config, size, start []int) (faultByNode []machine.Fault, b
 			continue
 		}
 		r := f.Node
-		for i := start[r]; i < start[r]+size[r]; i++ {
+		for i := r * per; i < (r+1)*per; i++ {
 			faultByNode[i] = f.Fault
 		}
 		balPauses[r] = append(balPauses[r], f.Pauses...)
@@ -568,7 +548,7 @@ func assemble(cfg Config, rec *metrics.Recorder,
 	if wl.SLONanos > 0 {
 		res.SLONanos = wl.SLONanos
 	} else {
-		res.SLONanos = wl.SLOFactor * (wl.MeanService() + cfg.Node.Params.CoreOverheadNanos())
+		res.SLONanos = wl.SLOFactor * (wl.MeanService() + machine.CoreOverheadNanos)
 	}
 	res.MeetsSLO = !timedOut && res.Latency.Count > 0 && res.Latency.P99 <= res.SLONanos
 	return res

@@ -200,6 +200,35 @@ func TestFigureStructure(t *testing.T) {
 	}
 }
 
+// TestTable1Golden pins every printed row of table1: the chip's mesh,
+// memory and per-request core overhead are constants, and this is where
+// their values reach a reader.
+func TestTable1Golden(t *testing.T) {
+	fig, err := table1(tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"Cores", "16 @ 2 GHz"},
+		{"NI backends", "4 (mesh edge)"},
+		{"Interconnect", "4x4 mesh, 16B links, 3 cycles/hop"},
+		{"L1 latency", "3 cycles"},
+		{"LLC latency", "6 cycles + NUCA distance"},
+		{"Memory", "50 ns"},
+		{"MTU / cache block", "64 B"},
+		{"Messaging domain", "N=200 nodes, S=32 slots, max msg 2048 B"},
+		{"Messaging footprint", "13.1 MB/node"},
+		{"Outstanding threshold", "2 per core"},
+		{"Core overhead", "200 ns/request"},
+	}
+	if len(fig.Tables) != 1 {
+		t.Fatalf("table1 has %d tables, want 1", len(fig.Tables))
+	}
+	if got := fig.Tables[0].Rows; !reflect.DeepEqual(got, want) {
+		t.Fatalf("table1 rows:\n%q\nwant\n%q", got, want)
+	}
+}
+
 // concurrencyHighWater runs n points through runPoints at the given cap,
 // with each point holding its slot for `hold` so any overlap beyond the cap
 // would register, and returns the atomic high-water mark of concurrently

@@ -6,6 +6,8 @@ import (
 
 	"rpcvalet/internal/dist"
 	"rpcvalet/internal/machine"
+	"rpcvalet/internal/mem"
+	"rpcvalet/internal/noc"
 	"rpcvalet/internal/queueing"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/rng"
@@ -222,23 +224,24 @@ func fig6(o Options) (Figure, error) {
 	return fig, nil
 }
 
-// table1 prints the live machine defaults alongside Table 1's parameters.
+// table1 prints the modeled chip's constants and the machine defaults
+// alongside Table 1's parameters.
 func table1(Options) (Figure, error) {
-	p := machine.Defaults()
+	p, mesh, hier := machine.Defaults(), noc.Default(), mem.Default()
 	tbl := report.NewTable("Table 1: modeled system parameters", "component", "value")
-	tbl.AddRow("Cores", fmt.Sprintf("%d @ %.0f GHz", p.Cores, p.Mesh.FreqGHz))
+	tbl.AddRow("Cores", fmt.Sprintf("%d @ %.0f GHz", p.Cores, mesh.FreqGHz))
 	tbl.AddRow("NI backends", fmt.Sprintf("%d (mesh edge)", p.Backends))
 	tbl.AddRow("Interconnect", fmt.Sprintf("%dx%d mesh, %dB links, %d cycles/hop",
-		p.Mesh.Width, p.Mesh.Height, p.Mesh.LinkBytes, p.Mesh.CyclesPerHop))
-	tbl.AddRow("L1 latency", fmt.Sprintf("%d cycles", p.Mem.L1Cycles))
-	tbl.AddRow("LLC latency", fmt.Sprintf("%d cycles + NUCA distance", p.Mem.LLCCycles))
-	tbl.AddRow("Memory", fmt.Sprintf("%.0f ns", p.Mem.DRAMNanos))
+		mesh.Width, mesh.Height, mesh.LinkBytes, mesh.CyclesPerHop))
+	tbl.AddRow("L1 latency", fmt.Sprintf("%d cycles", hier.L1Cycles))
+	tbl.AddRow("LLC latency", fmt.Sprintf("%d cycles + NUCA distance", hier.LLCCycles))
+	tbl.AddRow("Memory", fmt.Sprintf("%.0f ns", hier.DRAMNanos))
 	tbl.AddRow("MTU / cache block", fmt.Sprintf("%d B", p.Domain.MTU))
 	tbl.AddRow("Messaging domain", fmt.Sprintf("N=%d nodes, S=%d slots, max msg %d B",
 		p.Domain.Nodes, p.Domain.Slots, p.Domain.MaxMsgSize))
 	tbl.AddRow("Messaging footprint", fmt.Sprintf("%.1f MB/node",
 		float64(p.Domain.FootprintBytes())/(1<<20)))
 	tbl.AddRow("Outstanding threshold", fmt.Sprintf("%d per core", p.Threshold))
-	tbl.AddRow("Core overhead", fmt.Sprintf("%.0f ns/request", p.CoreOverheadNanos()))
+	tbl.AddRow("Core overhead", fmt.Sprintf("%.0f ns/request", machine.CoreOverheadNanos))
 	return Figure{ID: "table1", Title: "System parameters", Tables: []*report.Table{tbl}}, nil
 }

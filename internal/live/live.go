@@ -321,18 +321,20 @@ func (c Config) validate() ([]*ni.Dispatcher, error) {
 	if c.ServiceScale < 0 {
 		return nil, fmt.Errorf("live: negative service scale %v", c.ServiceScale)
 	}
-	// The shared channel serves nil, the software queue, and one group
-	// under the default threshold and policy.
-	if pl := c.Plan; pl == nil || pl.Software ||
-		(pl.Groups == 0 || pl.Groups == 1) && pl.Threshold == 0 && pl.Policy.New == nil {
-		return nil, nil
-	}
+	// Every plan must build the machine of c.workers() cores, so a literal
+	// GxM needs G×M workers, even where the shared channel serves it.
 	p := machine.Defaults()
 	p.Cores = c.workers()
 	p.Plan = c.Plan
 	ds, err := machine.Dispatchers(p, c.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("live: plan %s at %d workers: %w", c.Plan.Name, p.Cores, err)
+	}
+	// The shared channel serves nil, the software queue, and one group
+	// under the default threshold and policy.
+	if pl := c.Plan; pl == nil || pl.Software ||
+		(pl.Groups == 0 || pl.Groups == 1) && pl.Threshold == 0 && pl.Policy.New == nil {
+		return nil, nil
 	}
 	return ds, nil
 }

@@ -236,7 +236,7 @@ type Config struct {
 // CapacityMRPS estimates the machine's saturation throughput for a workload:
 // cores / (mean handler time + fixed per-request core overhead).
 func CapacityMRPS(p Params, wl workload.Profile) float64 {
-	return float64(p.Cores) / (wl.MeanService() + p.CoreOverheadNanos()) * 1000
+	return float64(p.Cores) / (wl.MeanService() + CoreOverheadNanos) * 1000
 }
 
 // MaxLoadFactor bounds an offered rate at this multiple of the capacity
@@ -576,7 +576,7 @@ func (plan execPlan) dispatchers(p Params, seed uint64) ([]*ni.Dispatcher, error
 				Index:     g,
 				Cores:     cores,
 				Row:       p.groupTile(g, plan.groups).Y,
-				MeshWidth: p.Mesh.Width,
+				MeshWidth: mesh.Width,
 				Seed:      policySeed(seed, g),
 			})
 		} else {
@@ -597,7 +597,7 @@ func (plan execPlan) dispatchers(p Params, seed uint64) ([]*ni.Dispatcher, error
 // backendTile is NI backend b's tile: backends sit on the left mesh edge,
 // one per group of rows.
 func (p Params) backendTile(b int) noc.Coord {
-	return noc.Coord{X: 0, Y: b * p.Mesh.Height / p.Backends}
+	return noc.Coord{X: 0, Y: b * mesh.Height / p.Backends}
 }
 
 // groupTile is the tile of dispatcher g of groups: the NI backend serving
@@ -623,13 +623,13 @@ func (m *Machine) wireDispatchers() error {
 		tile := p.groupTile(g, groups)
 		m.dispServer = append(m.dispServer, sim.NewServer(m.eng))
 		for b := range p.Backends {
-			m.toDisp[b*groups+g] = p.Mesh.Latency(p.backendTile(b), tile, ctrlBytes) + p.DispatchExtra
+			m.toDisp[b*groups+g] = mesh.Latency(p.backendTile(b), tile, ctrlBytes) + p.DispatchExtra
 		}
 		for id := g * per; id < (g+1)*per; id++ {
-			c, ct := m.cores[id], p.Mesh.TileCoord(id)
+			c, ct := m.cores[id], mesh.TileCoord(id)
 			c.disp = int32(g)
-			c.deliverWire = p.Mesh.Latency(tile, ct, ctrlBytes) + p.CQEDeliver
-			c.notifyWire = p.WQERead + p.Mesh.Latency(ct, tile, ctrlBytes) + p.DispatchExtra
+			c.deliverWire = mesh.Latency(tile, ct, ctrlBytes) + cqeDeliver
+			c.notifyWire = wqeRead + mesh.Latency(ct, tile, ctrlBytes) + p.DispatchExtra
 		}
 	}
 	return nil
@@ -760,8 +760,8 @@ func (m *Machine) admit(req *request) {
 		// so arrived counts the packets and the backend's completion needs
 		// no event of its own (DESIGN.md §9, folding).
 		req.backend = b
-		end := m.backends[b].Occupy(sim.Duration(m.reqPkts) * m.p.PacketProc)
-		m.eng.ScheduleArgAt(end.Add(m.p.MemWrite), m.fnArrived, req)
+		end := m.backends[b].Occupy(sim.Duration(m.reqPkts) * packetProc)
+		m.eng.ScheduleArgAt(end.Add(memWrite), m.fnArrived, req)
 	case sonuma.DeliveryRendezvous:
 		// Descriptor lands first — that is when the message is
 		// "received" and the latency clock starts. The NI then pulls
@@ -770,7 +770,7 @@ func (m *Machine) admit(req *request) {
 		// keeps its closures: large-payload workloads are not the
 		// allocation-sensitive steady state, and every event here fires
 		// before completion, so pooling stays safe.
-		m.backends[b].Submit(m.p.PacketProc, func() {
+		m.backends[b].Submit(packetProc, func() {
 			// The descriptor is a single-packet message occupying the
 			// receive slot; the pulled payload lands in an app buffer.
 			if done, err := m.recvBuf.OnPacket(req.slot, req.src, m.wl.RequestBytes, 1); err != nil || !done {
@@ -780,8 +780,8 @@ func (m *Machine) admit(req *request) {
 			m.record(req.id, trace.PhaseArrive, -1, m.inflightCount-1)
 			m.eng.Schedule(m.p.NetRTT, func() {
 				pkts := m.p.Domain.RendezvousReadPackets(m.wl.RequestBytes)
-				m.backends[b].Submit(sim.Duration(pkts)*m.p.PacketProc, func() {
-					m.eng.Schedule(m.p.MemWrite, func() {
+				m.backends[b].Submit(sim.Duration(pkts)*packetProc, func() {
+					m.eng.Schedule(memWrite, func() {
 						m.routeCompletion(req, b)
 					})
 				})
@@ -815,8 +815,7 @@ func (m *Machine) arrived(arg any) {
 func (m *Machine) routeCompletion(req *request, b int) {
 	if m.plan.software {
 		// The NI appends directly to the shared in-memory queue.
-		wire := m.p.CQEDeliver + m.p.Mem.LLC(2, m.p.Mesh.HopLatency())
-		m.eng.ScheduleArg(wire, m.fnSWEnqueue, req)
+		m.eng.ScheduleArg(swEnqueueWire, m.fnSWEnqueue, req)
 		return
 	}
 	di := m.dispatcherFor(req, b)
@@ -827,7 +826,7 @@ func (m *Machine) routeCompletion(req *request, b int) {
 // routeWire runs when the completion token reaches its dispatcher tile.
 func (m *Machine) routeWire(arg any) {
 	req := arg.(*request)
-	m.dispServer[req.disp].SubmitArg(m.p.DispatchCycle, m.fnRouteSubmit, req)
+	m.dispServer[req.disp].SubmitArg(dispatchCycle, m.fnRouteSubmit, req)
 }
 
 // routeSubmit runs when the dispatch stage has cycled the token: enqueue it
@@ -877,7 +876,7 @@ func (m *Machine) delivered(arg any) {
 	c := req.core
 	c.cq.Push(req)
 	if !c.busy {
-		m.begin(c, m.p.PollDetect)
+		m.begin(c, pollDetect)
 	}
 }
 
@@ -897,8 +896,7 @@ func (m *Machine) begin(c *core, pollDelay sim.Duration) {
 	req.core = c
 	req.svcStart = now.Add(pollDelay + stall)
 	m.record(req.id, trace.PhaseStart, c.id, -1)
-	occupied := pollDelay + stall + m.p.BufRead + sim.FromNanos(req.svcNanos) +
-		m.p.LoopOverhead + m.p.SendPost + m.p.ReplenishPost
+	occupied := pollDelay + stall + coreOverhead + sim.FromNanos(req.svcNanos)
 	m.rec.Busy(now, c.id, occupied)
 	m.eng.ScheduleArg(occupied, m.fnFinish, req)
 }
@@ -957,7 +955,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 	// Reply transmission through this core's row backend; the remote node
 	// consumes it and returns the send-slot credit a round trip after the
 	// packets leave the backend.
-	end := m.backends[c.replyBackend].Occupy(sim.Duration(m.replyPkts) * m.p.PacketProc)
+	end := m.backends[c.replyBackend].Occupy(sim.Duration(m.replyPkts) * packetProc)
 	m.deferCredit(&m.credits[1+c.replyBackend], m.replyWaiters, end.Add(m.p.NetRTT), req.src, replySlot, m.fnWakeStall)
 
 	// Replenish: free the receive slot now; the sender regains the credit
@@ -1019,7 +1017,7 @@ func (m *Machine) wakeArrival(arg any) {
 // notifyWire runs when a core's replenish token reaches its dispatcher tile.
 func (m *Machine) notifyWire(arg any) {
 	c := arg.(*core)
-	m.dispServer[c.disp].SubmitArg(m.p.DispatchCycle, m.fnNotifyDone, c)
+	m.dispServer[c.disp].SubmitArg(dispatchCycle, m.fnNotifyDone, c)
 }
 
 // notifyDone records the core's completion at its dispatcher and delivers
@@ -1063,11 +1061,11 @@ func (m *Machine) swTryPair() {
 		coreID, _ := m.idleCores.Pop()
 		c := m.cores[coreID]
 		c.busy = true // waiting on the lock counts as unavailable
-		cost := m.p.LockCrit
+		cost := lockCrit
 		if m.lock.Delay() > 0 {
-			cost += m.p.LockHandoff
+			cost += lockHandoff
 		} else {
-			cost += m.p.LockUncontended
+			cost += lockUncontended
 		}
 		m.record(req.id, trace.PhaseDispatch, coreID, -1)
 		req.core = c

@@ -145,9 +145,8 @@ func TestServiceTimeCalibration(t *testing.T) {
 // TestLatencyLowerBound: end-to-end latency can never be below the fixed
 // per-request core costs plus the minimum handler time.
 func TestLatencyLowerBound(t *testing.T) {
-	p := Defaults()
 	res := mustRun(t, testConfig(ModeSingleQueue, workload.SyntheticFixed(), 2))
-	floor := p.CoreOverheadNanos() + 600 // fixed 600ns handler
+	floor := CoreOverheadNanos + 600 // fixed 600ns handler
 	if res.Latency.Min < floor {
 		t.Fatalf("min latency %.0f below physical floor %.0f", res.Latency.Min, floor)
 	}

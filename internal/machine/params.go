@@ -8,7 +8,7 @@
 //
 // The model is first-order rather than cycle-accurate: every architectural
 // interaction is an explicit latency or occupancy derived from Table 1
-// (see Defaults), so the experiments reproduce the paper's comparative
+// (the calibrated constants in params.go), so the experiments reproduce the paper's comparative
 // results — which configuration wins, by what factor, where the knees fall —
 // without simulating pipelines microarchitecturally. DESIGN.md details the
 // substitution and its rationale.
@@ -61,14 +61,59 @@ func (m Mode) String() string {
 	}
 }
 
-// Params collects the architectural parameters of the modeled server.
-// Zero values are invalid; start from Defaults and override.
+// The modeled chip's calibrated costs. Interconnect and memory follow
+// Table 1 exactly. The NI and core-side costs are first-order calibrations
+// chosen so that the measured mean service time S̄ reproduces the paper's:
+// HERD's 330 ns processing-time distribution must yield S̄ ≈ 550 ns (§6.1),
+// i.e. ≈200 ns of microbenchmark overhead around the handler. The MCS costs
+// are set so the software single queue serializes at ≈190 ns per dequeue,
+// reproducing Fig 8's 2.3–2.7× gap. EXPERIMENTS.md records the resulting
+// measurements; DESIGN.md §2 lists them.
+const (
+	// NI occupancies and latencies.
+	packetProc    = 3 * sim.Nanosecond // backend pipeline occupancy per 64B packet
+	memWrite      = 6 * sim.Nanosecond // payload write visible in memory after last packet
+	dispatchCycle = 1 * sim.Nanosecond // dispatcher stage occupancy per decision
+	cqeDeliver    = 2 * sim.Nanosecond // frontend writing a CQE into a core's CQ
+	wqeRead       = 2 * sim.Nanosecond // frontend reading a WQE a core posted
+
+	// Core-side per-request costs (the microbenchmark's S̄ − D component).
+	pollDetect    = 20 * sim.Nanosecond  // CQ poll loop detection delay when idle
+	bufRead       = 30 * sim.Nanosecond  // reading the request payload from the receive buffer
+	loopOverhead  = 100 * sim.Nanosecond // event-loop bookkeeping around the handler
+	sendPost      = 50 * sim.Nanosecond  // composing + posting the reply send
+	replenishPost = 20 * sim.Nanosecond  // posting the replenish WQE
+
+	// Software single-queue (MCS) cost model (§6.2).
+	lockUncontended = 15 * sim.Nanosecond  // acquire when the lock is free
+	lockHandoff     = 120 * sim.Nanosecond // cache-line handoff when contended
+	lockCrit        = 70 * sim.Nanosecond  // critical section: dequeue from shared CQ
+
+	// coreOverhead is the fixed per-request core occupancy added around the
+	// workload's handler time.
+	coreOverhead = bufRead + loopOverhead + sendPost + replenishPost
+)
+
+// CoreOverheadNanos is coreOverhead in ns: the S̄ − D component of §6.3.
+const CoreOverheadNanos = float64(coreOverhead) / float64(sim.Nanosecond)
+
+// The chip's Table 1 mesh and memory hierarchy.
+var (
+	mesh   = noc.Default()
+	memory = mem.Default()
+)
+
+// swEnqueueWire is the software path's NI → shared in-memory queue wire:
+// a CQE write plus an LLC access two mesh hops away.
+var swEnqueueWire = cqeDeliver + memory.LLC(2, mesh.HopLatency())
+
+// Params collects the values of the modeled server a caller varies; the
+// chip's calibrated costs are the constants above. Zero values are invalid;
+// start from Defaults and override.
 type Params struct {
 	Cores    int // serving cores (16 in the paper)
 	Backends int // NI backends on the mesh edge (4)
 
-	Mesh   noc.Mesh
-	Mem    mem.Hierarchy
 	Domain sonuma.DomainConfig // messaging domain: cluster size, slots, MTU
 
 	// Mode names a canned dispatch architecture; Plan, when non-nil, takes
@@ -84,78 +129,28 @@ type Params struct {
 	// model. The ablation benches compare both.
 	RSSByFlow bool
 
-	// NI and interconnect occupancies/latencies.
-	PacketProc    sim.Duration // backend pipeline occupancy per 64B packet
-	MemWrite      sim.Duration // payload write visible in memory after last packet
-	DispatchCycle sim.Duration // dispatcher stage occupancy per decision
-	CQEDeliver    sim.Duration // frontend writing a CQE into a core's CQ
-	WQERead       sim.Duration // frontend reading a WQE a core posted
 	// DispatchExtra injects additional latency on every backend→dispatcher
 	// and core→dispatcher control message. The paper argues the dispatcher
 	// indirection costs "just a few ns" and is negligible (§4.3); the
 	// ablation bench sweeps this knob to test that claim.
 	DispatchExtra sim.Duration
 
-	// Core-side per-request costs (the microbenchmark's S̄ − D component).
-	PollDetect    sim.Duration // CQ poll loop detection delay when idle
-	BufRead       sim.Duration // reading the request payload from the receive buffer
-	LoopOverhead  sim.Duration // event-loop bookkeeping around the handler
-	SendPost      sim.Duration // composing + posting the reply send
-	ReplenishPost sim.Duration // posting the replenish WQE
-
-	// Software single-queue (MCS) cost model (§6.2).
-	LockUncontended sim.Duration // acquire when the lock is free
-	LockHandoff     sim.Duration // cache-line handoff when contended
-	LockCrit        sim.Duration // critical section: dequeue from shared CQ
-
 	// Cluster network.
 	NetRTT sim.Duration // round trip to a remote node (credit return time)
 }
 
-// Defaults returns the paper-calibrated parameter set.
-//
-// Interconnect and memory follow Table 1 exactly. The NI and core-side
-// costs are first-order calibrations chosen so that the measured mean
-// service time S̄ reproduces the paper's: HERD's 330 ns processing-time
-// distribution must yield S̄ ≈ 550 ns (§6.1), i.e. ≈200 ns of microbenchmark
-// overhead around the handler. The MCS costs are set so the software
-// single queue serializes at ≈190 ns per dequeue, reproducing Fig 8's
-// 2.3–2.7× gap. EXPERIMENTS.md records the resulting measurements.
+// Defaults returns the paper's 16-core server: four NI backends, a
+// 200-node messaging domain, RPCValet 1×16 at threshold 2 and a 1 µs
+// network round trip.
 func Defaults() Params {
 	return Params{
-		Cores:    16,
-		Backends: 4,
-		Mesh:     noc.Default(),
-		Mem:      mem.Default(),
-		Domain:   sonuma.DomainConfig{Nodes: 200, Slots: 32, MaxMsgSize: 2048, MTU: 64},
-
+		Cores:     16,
+		Backends:  4,
+		Domain:    sonuma.DomainConfig{Nodes: 200, Slots: 32, MaxMsgSize: 2048, MTU: 64},
 		Mode:      ModeSingleQueue,
 		Threshold: 2,
-
-		PacketProc:    3 * sim.Nanosecond,
-		MemWrite:      6 * sim.Nanosecond,
-		DispatchCycle: 1 * sim.Nanosecond,
-		CQEDeliver:    2 * sim.Nanosecond,
-		WQERead:       2 * sim.Nanosecond,
-
-		PollDetect:    20 * sim.Nanosecond,
-		BufRead:       30 * sim.Nanosecond,
-		LoopOverhead:  100 * sim.Nanosecond,
-		SendPost:      50 * sim.Nanosecond,
-		ReplenishPost: 20 * sim.Nanosecond,
-
-		LockUncontended: 15 * sim.Nanosecond,
-		LockHandoff:     120 * sim.Nanosecond,
-		LockCrit:        70 * sim.Nanosecond,
-
-		NetRTT: sim.FromNanos(1000),
+		NetRTT:    sim.FromNanos(1000),
 	}
-}
-
-// CoreOverheadNanos returns the fixed per-request core occupancy added
-// around the workload's handler time: the S̄ − D component of §6.3.
-func (p Params) CoreOverheadNanos() float64 {
-	return (p.BufRead + p.LoopOverhead + p.SendPost + p.ReplenishPost).Nanos()
 }
 
 // Validate reports whether the parameter set is internally consistent.
@@ -167,8 +162,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("machine: need at least one backend")
 	case p.Cores%p.Backends != 0:
 		return fmt.Errorf("machine: cores (%d) must divide evenly among backends (%d)", p.Cores, p.Backends)
-	case p.Mesh.Tiles() < p.Cores:
-		return fmt.Errorf("machine: mesh has %d tiles for %d cores", p.Mesh.Tiles(), p.Cores)
+	case mesh.Tiles() < p.Cores:
+		return fmt.Errorf("machine: mesh has %d tiles for %d cores", mesh.Tiles(), p.Cores)
 	case p.Threshold < 1:
 		return fmt.Errorf("machine: outstanding threshold %d must be >= 1", p.Threshold)
 	case p.Mode < ModeSingleQueue || p.Mode > ModeSoftware:
@@ -177,9 +172,9 @@ func (p Params) Validate() error {
 	if err := p.Domain.Validate(); err != nil {
 		return err
 	}
-	if p.Mem.BlockBytes != p.Domain.MTU {
+	if memory.BlockBytes != p.Domain.MTU {
 		return fmt.Errorf("machine: cache block (%dB) and MTU (%dB) must agree in soNUMA",
-			p.Mem.BlockBytes, p.Domain.MTU)
+			memory.BlockBytes, p.Domain.MTU)
 	}
 	if p.Plan != nil {
 		return p.Plan.validate(p)

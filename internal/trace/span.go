@@ -197,6 +197,30 @@ func slower(a, b Span) bool {
 	return a.ReqID < b.ReqID
 }
 
+// assembler builds spans from an event stream request by request: it holds
+// each in-flight request's span until the request completes.
+type assembler struct {
+	open map[uint64]Span
+}
+
+func newAssembler() assembler { return assembler{open: make(map[uint64]Span)} }
+
+// add folds e into its request's span. On the request's complete event it
+// returns the finished span and true, and forgets the request.
+func (a *assembler) add(e Event) (Span, bool) {
+	sp, ok := a.open[e.ReqID]
+	if !ok {
+		sp = newSpan(e.ReqID)
+	}
+	sp.observe(e)
+	if e.Phase != PhaseComplete {
+		a.open[e.ReqID] = sp
+		return Span{}, false
+	}
+	delete(a.open, e.ReqID)
+	return sp, true
+}
+
 // spanHeap is a min-heap in tail order (its top is the span the tail would
 // drop first), keeping the K slowest spans.
 type spanHeap []Span
@@ -214,8 +238,8 @@ func (h *spanHeap) Pop() any          { old := *h; n := len(old); s := old[n-1];
 // heap, so memory is O(K + in-flight), independent of run length. Its set
 // equals the first K of SortSlowestFirst over every completed span.
 type TailSampler struct {
+	assembler
 	k         int
-	open      map[uint64]Span
 	tail      spanHeap
 	completed uint64
 }
@@ -226,21 +250,15 @@ func NewTailSampler(k int) *TailSampler {
 	if k <= 0 {
 		panic("trace: tail sampler capacity must be positive")
 	}
-	return &TailSampler{k: k, open: make(map[uint64]Span)}
+	return &TailSampler{assembler: newAssembler(), k: k}
 }
 
 // Record implements Recorder.
 func (t *TailSampler) Record(e Event) {
-	sp, ok := t.open[e.ReqID]
-	if !ok {
-		sp = newSpan(e.ReqID)
-	}
-	sp.observe(e)
-	if e.Phase != PhaseComplete {
-		t.open[e.ReqID] = sp
+	sp, done := t.add(e)
+	if !done {
 		return
 	}
-	delete(t.open, e.ReqID)
 	t.completed++
 	if len(t.tail) < t.k {
 		heap.Push(&t.tail, sp)
@@ -267,26 +285,18 @@ func (t *TailSampler) Spans() []Span {
 // order — the export path behind JSONL trace dumps. Unlike TailSampler it
 // grows with the run; put it behind Sample on long runs.
 type Collector struct {
-	open map[uint64]Span
+	assembler
 	done []Span
 }
 
 // NewCollector returns an empty span collector.
-func NewCollector() *Collector { return &Collector{open: make(map[uint64]Span)} }
+func NewCollector() *Collector { return &Collector{assembler: newAssembler()} }
 
 // Record implements Recorder.
 func (c *Collector) Record(e Event) {
-	sp, ok := c.open[e.ReqID]
-	if !ok {
-		sp = newSpan(e.ReqID)
+	if sp, done := c.add(e); done {
+		c.done = append(c.done, sp)
 	}
-	sp.observe(e)
-	if e.Phase != PhaseComplete {
-		c.open[e.ReqID] = sp
-		return
-	}
-	delete(c.open, e.ReqID)
-	c.done = append(c.done, sp)
 }
 
 // Spans returns the completed spans in completion order (shared backing

@@ -137,7 +137,9 @@ const (
 	ModeSoftware = machine.ModeSoftware
 )
 
-// Params are the architectural parameters of the modeled server.
+// Params are the values of the modeled server a run varies: core and
+// backend counts, messaging domain, dispatch plan and threshold, and the
+// network round trip. The chip's calibrated costs are fixed (DESIGN.md §2).
 type Params = machine.Params
 
 // DispatchPlan declaratively describes the NI dispatch architecture: core
@@ -198,8 +200,8 @@ func PlanForMode(m Mode) (*DispatchPlan, error) { return machine.PlanForMode(m) 
 // n=2 matches the paper's default threshold.
 func JBSQ(n int) *DispatchPlan { return machine.PlanJBSQ(n) }
 
-// DefaultParams returns the paper-calibrated parameter set (Table 1 plus
-// the calibrated NI/core costs documented in DESIGN.md).
+// DefaultParams returns the paper's server: 16 cores, 4 NI backends, a
+// 200-node messaging domain, RPCValet 1×16 at threshold 2.
 func DefaultParams() Params { return machine.Defaults() }
 
 // Config describes one machine simulation.
