@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race bench loc profile perfbench live-smoke obs-smoke shard-smoke rack-smoke hier-smoke claims-smoke examples-smoke
+.PHONY: all build fmt vet lint test race bench loc profile perfbench bench-pairs live-smoke obs-smoke shard-smoke rack-smoke hier-smoke claims-smoke examples-smoke
 
 # Pinned so CI and local runs agree on what "clean" means.
 STATICCHECK_VERSION = 2025.1.1
@@ -122,3 +122,14 @@ ARGS ?=
 
 perfbench:
 	bash perfbench/run.sh $(ARGS)
+
+# bench-pairs A/Bs the benchmark: PARENT (any git revision) against the
+# working tree, in N alternating pairs of WORKLOAD runs, and prints each
+# end-to-end metric's medians and pair wins (scripts/bench_pairs.sh), e.g.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=node-herd N=10
+PARENT ?= HEAD
+WORKLOAD ?= node-herd
+N ?= 10
+
+bench-pairs:
+	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(N)

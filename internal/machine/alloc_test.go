@@ -82,6 +82,7 @@ func TestSteadyStateAllocsPerRequest(t *testing.T) {
 //   - the 200 per-source ring heads and lengths: 1.2 KB;
 //   - the credit rings, presized to 24 replenishes and 12 reply credits
 //     per backend: 1.7 KB;
+//   - the deferred-notice lists, one slot per core: 384 bytes;
 //   - the rest, about 7 KB: the Machine itself, 16 cores with their CQs,
 //     the RNG batches, the dispatchers, the metrics recorder and the
 //     receive table's first 16 entries.
@@ -130,32 +131,33 @@ func TestNodeSetupBytes(t *testing.T) {
 
 // TestEventsPerCompletion pins the engine events one completed request costs
 // on a node, at low load where few requests are in flight when the run
-// stops. On a hardware plan the eight are:
+// stops. On a hardware plan the six are:
 //  1. selfArrival: the open-loop generator injects the request;
 //  2. arrived: the backend has written the packets and the memory write has
 //     landed (the backend's own completion is folded into it, DESIGN.md §9);
 //  3. routeWire: the completion token reaches its dispatcher tile;
 //  4. routeSubmit: the dispatch stage has cycled the token;
 //  5. delivered: the dispatch lands in the core's private CQ;
-//  6. finish: the handler has run and the reply and replenish are posted;
-//  7. notifyWire: the core's completion notice reaches its dispatcher;
-//  8. notifyDone: the dispatcher has cycled the notice.
+//  6. finish: the handler has run and the reply and replenish are posted.
 //
 // The reply's send-slot credit and the sender's receive-slot replenish are
 // deferred credits, not events (DESIGN.md §9): they settle when a slot
 // table is next read, and fire only as wake events for a source with
-// requests waiting on them, which this load never has. The software plan
-// has no dispatcher: 3–5 and 7–8 give way to swEnqueue (the NI appends to
-// the shared queue) and lockDone (a core's dequeue critical section ends),
-// five in all.
+// requests waiting on them, which this load never has. The core's
+// completion notice to its dispatcher is deferred the same way: it becomes
+// its notifyWire and notifyDone events only while its dispatcher is
+// contended, a few in a thousand here. The software plan has no
+// dispatcher: 3–5 give way to swEnqueue (the NI appends to the shared
+// queue) and lockDone (a core's dequeue critical section ends), five in
+// all.
 func TestEventsPerCompletion(t *testing.T) {
 	for _, tc := range []struct {
 		mode Mode
 		want float64
 	}{
-		{ModeSingleQueue, 8},
-		{ModeGrouped, 8},
-		{ModePartitioned, 8},
+		{ModeSingleQueue, 6},
+		{ModeGrouped, 6},
+		{ModePartitioned, 6},
 		{ModeSoftware, 5},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {

@@ -54,6 +54,7 @@ func TestSlotOwnershipConservation(t *testing.T) {
 					m.blockedArrivals, m.replyStalls)
 			}
 			auditSlots(t, m)
+			auditNotices(t, m)
 		})
 	}
 }
@@ -218,6 +219,50 @@ func auditSlots(t *testing.T, m *Machine) {
 		len(m.reqs), admitted, parked, len(m.pool), m.credits[0].Len(), len(held))
 }
 
+// auditNotices checks each dispatcher of a stopped machine against its
+// completion notices (DESIGN.md §9). Every core's outstanding count is the
+// requests dispatched to it and not completed plus its notices not yet
+// applied, deferred or scheduled as events. No notice is deferred while the
+// CQ holds a request, and the deferred ones are in (at, seq) key order and
+// arrive after the latest route token leaves the dispatch stage.
+func auditNotices(t *testing.T, m *Machine) {
+	t.Helper()
+	if m.plan.software {
+		return // no dispatcher
+	}
+	// want counts each core's dispatched requests not completed, then its
+	// notices not yet applied.
+	want := make([]int, len(m.cores))
+	for _, req := range m.reqs {
+		if req.slot >= 0 && req.core != nil {
+			want[req.core.id]++
+		}
+	}
+	for g, d := range m.dispatchers {
+		q := &m.notices[g]
+		if d.QueueDepth() > 0 && len(q.pending) > 0 {
+			t.Fatalf("dispatcher %d defers %d notices with %d requests in its CQ", g, len(q.pending), d.QueueDepth())
+		}
+		for i, n := range q.pending {
+			if i > 0 {
+				if p := q.pending[i-1]; p.at > n.at || p.at == n.at && p.seq >= n.seq {
+					t.Fatalf("dispatcher %d notices out of key order: (%v, %d) before (%v, %d)", g, p.at, p.seq, n.at, n.seq)
+				}
+			}
+			if n.at <= q.routeEnd {
+				t.Fatalf("dispatcher %d defers a notice arriving at %v, by the route stage end %v", g, n.at, q.routeEnd)
+			}
+			want[n.core.id]++
+		}
+	}
+	for _, c := range m.cores {
+		want[c.id] += m.eng.PendingWith(c) // notices scheduled as events
+		if got := m.dispatchers[c.disp].Outstanding(c.id); got != want[c.id] {
+			t.Fatalf("core %d has %d outstanding, want %d: dispatched and not completed, or notices unapplied", c.id, got, want[c.id])
+		}
+	}
+}
+
 // fuzzPlans are the dispatch plans FuzzMachineConfig draws from: the four
 // canned ones, JBSQ at two bounds, and groupings under named policies.
 var fuzzPlans = []string{"1x16", "4x4", "16x1", "sw", "jbsq1", "jbsq3", "2x8:random2", "4x4:local", "1x16:round-robin", "8x2:first-available"}
@@ -241,19 +286,25 @@ func fuzzWorkload(i uint8) workload.Profile {
 
 // FuzzMachineConfig runs tiny flow-control-bound machines: every plan in
 // fuzzPlans, four workloads, 1–3 source nodes × 1–4 slots, a network round
-// trip up to 20 µs, 10–150% of capacity, and an optional slowdown or pause
-// fault, so that arrivals park on receive slots and cores stall on reply
-// credits. Each run stops on MaxSimTime, between events, short of its
-// completion target; a rerun must give an equal Result, and the stopped
-// machine must pass auditSlots.
+// trip up to 20 µs, 10–150% of capacity, an optional slowdown or pause
+// fault, and up to 2 µs of DispatchExtra on the dispatcher wires, so that
+// arrivals park on receive slots, cores stall on reply credits, and route
+// tokens and completion notices cross long wires together. Each run stops
+// on MaxSimTime, between events, short of its completion target; a rerun
+// must give an equal Result, and the stopped machine must pass auditSlots
+// and auditNotices.
 func FuzzMachineConfig(f *testing.F) {
-	// plan, wl, nodes, slots, rttNs, load (% of capacity), fault, seed.
-	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint16(5000), uint8(100), uint8(0), uint64(1))
-	f.Add(uint8(1), uint8(1), uint8(2), uint8(0), uint16(20000), uint8(140), uint8(1), uint64(2))
-	f.Add(uint8(2), uint8(2), uint8(0), uint8(2), uint16(0), uint8(80), uint8(2), uint64(3))
-	f.Add(uint8(3), uint8(3), uint8(2), uint8(3), uint16(12000), uint8(60), uint8(3), uint64(4))
-	f.Add(uint8(6), uint8(1), uint8(1), uint8(1), uint16(9000), uint8(120), uint8(0), uint64(5))
-	f.Fuzz(func(t *testing.T, plan, wl, nodes, slots uint8, rttNs uint16, load, fault uint8, seed uint64) {
+	// plan, wl, nodes, slots, rttNs, load (% of capacity), fault, seed,
+	// extraNs.
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint16(5000), uint8(100), uint8(0), uint64(1), uint16(0))
+	f.Add(uint8(1), uint8(1), uint8(2), uint8(0), uint16(20000), uint8(140), uint8(1), uint64(2), uint16(0))
+	f.Add(uint8(2), uint8(2), uint8(0), uint8(2), uint16(0), uint8(80), uint8(2), uint64(3), uint16(0))
+	f.Add(uint8(3), uint8(3), uint8(2), uint8(3), uint16(12000), uint8(60), uint8(3), uint64(4), uint16(0))
+	f.Add(uint8(6), uint8(1), uint8(1), uint8(1), uint16(9000), uint8(120), uint8(0), uint64(5), uint16(0))
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(3), uint16(2000), uint8(120), uint8(0), uint64(6), uint16(1500))
+	f.Add(uint8(1), uint8(2), uint8(2), uint8(3), uint16(1000), uint8(90), uint8(2), uint64(7), uint16(700))
+	f.Add(uint8(4), uint8(1), uint8(2), uint8(3), uint16(1000), uint8(130), uint8(0), uint64(8), uint16(2000))
+	f.Fuzz(func(t *testing.T, plan, wl, nodes, slots uint8, rttNs uint16, load, fault uint8, seed uint64, extraNs uint16) {
 		pl, err := ParsePlan(fuzzPlans[int(plan)%len(fuzzPlans)])
 		if err != nil {
 			t.Fatal(err)
@@ -263,6 +314,7 @@ func FuzzMachineConfig(f *testing.F) {
 		cfg.Params.Domain.Nodes = 1 + int(nodes%3)
 		cfg.Params.Domain.Slots = 1 + int(slots%4)
 		cfg.Params.NetRTT = sim.Duration(rttNs%20001) * sim.Nanosecond
+		cfg.Params.DispatchExtra = sim.Duration(extraNs%2001) * sim.Nanosecond
 		cfg.RateMRPS = float64(10+int(load)%141) / 100 * CapacityMRPS(cfg.Params, cfg.Workload)
 		// No core completes a request in under 200 ns of fixed overhead,
 		// so 16 cores finish at most 8,000 in the 100 µs cap.
@@ -296,5 +348,6 @@ func FuzzMachineConfig(f *testing.F) {
 			t.Fatalf("rerun differs:\n%v\n%v", res, again)
 		}
 		auditSlots(t, m)
+		auditNotices(t, m)
 	})
 }

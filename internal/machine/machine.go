@@ -76,6 +76,33 @@ const (
 	replyCreditRing = 12
 )
 
+// notice is one core's completion notice to its dispatcher, deferred like a
+// credit (DESIGN.md §9): it waits under the (at, seq) key its notifyWire
+// event would have had, and settleNotices applies it once that key has
+// passed, before the dispatch stage is next read. It becomes a notifyWire
+// event at its key while its dispatcher is contended (notify).
+type notice struct {
+	at   sim.Time
+	seq  uint64
+	core *core
+}
+
+// notices is one dispatcher's deferred completion notices, in (at, seq) key
+// order. The list is presized at build to the group's core count: on a 1x16
+// node it peaked at 15 under HERD at 0.8 of capacity, and at 12–17 over
+// HERD, synthetic-exp and Masstree at 0.5–0.95. Past it, it grows on demand.
+type notices struct {
+	pending  []notice
+	routeEnd sim.Time // stage end of the latest route token
+}
+
+// drop removes the first k deferred notices.
+func (q *notices) drop(k int) {
+	if k > 0 {
+		q.pending = q.pending[:copy(q.pending, q.pending[k:])]
+	}
+}
+
 // core is one serving core's state. Busy-time accounting lives in the
 // machine's metrics.Recorder, keyed by core ID. Its wires are fixed at
 // build: deliverWire carries a CQE from its dispatcher to its private CQ,
@@ -108,6 +135,7 @@ type Machine struct {
 	backends    []*sim.Server
 	dispatchers []*ni.Dispatcher
 	dispServer  []*sim.Server
+	notices     []notices      // per dispatcher: its deferred completion notices
 	toDisp      []sim.Duration // backend b → dispatcher g wire at [b*groups+g]
 
 	recvBuf  *sonuma.ReceiveBuffer
@@ -618,10 +646,12 @@ func (m *Machine) wireDispatchers() error {
 	m.dispatchers = ds
 	groups := len(ds)
 	m.toDisp = make([]sim.Duration, p.Backends*groups)
+	m.notices = make([]notices, groups)
 	per := p.Cores / groups
 	for g := range ds {
 		tile := p.groupTile(g, groups)
 		m.dispServer = append(m.dispServer, sim.NewServer(m.eng))
+		m.notices[g].pending = make([]notice, 0, per)
 		for b := range p.Backends {
 			m.toDisp[b*groups+g] = mesh.Latency(p.backendTile(b), tile, ctrlBytes) + p.DispatchExtra
 		}
@@ -823,19 +853,31 @@ func (m *Machine) routeCompletion(req *request, b int) {
 	m.eng.ScheduleArg(m.toDisp[b*m.plan.groups+di], m.fnRouteWire, req)
 }
 
-// routeWire runs when the completion token reaches its dispatcher tile.
+// routeWire runs when the completion token reaches its dispatcher tile. The
+// notices that arrived first take the dispatch stage ahead of it, and every
+// notice arriving before the token leaves the stage becomes an event: the
+// token may find the CQ non-empty, and then those notices may dispatch.
 func (m *Machine) routeWire(arg any) {
 	req := arg.(*request)
-	m.dispServer[req.disp].SubmitArg(dispatchCycle, m.fnRouteSubmit, req)
+	m.settleNotices(req.disp)
+	q := &m.notices[req.disp]
+	q.routeEnd = m.dispServer[req.disp].SubmitArg(dispatchCycle, m.fnRouteSubmit, req)
+	m.promote(q, q.routeEnd)
 }
 
 // routeSubmit runs when the dispatch stage has cycled the token: enqueue it
-// on the shared CQ and deliver any dispatch it triggers.
+// on the shared CQ and deliver any dispatch it triggers. A token left
+// waiting makes every deferred notice an event, since each may now
+// dispatch it.
 func (m *Machine) routeSubmit(arg any) {
 	req := arg.(*request)
 	msg := ni.Msg{Slot: req.slot, Src: req.src, Size: m.wl.RequestBytes, Tag: uint64(req.ref)}
-	if d, ok := m.dispatchers[req.disp].Enqueue(msg); ok {
+	disp := m.dispatchers[req.disp]
+	if d, ok := disp.Enqueue(msg); ok {
 		m.deliver(d)
+	}
+	if disp.QueueDepth() > 0 {
+		m.promote(&m.notices[req.disp], math.MaxInt64)
 	}
 }
 
@@ -974,11 +1016,9 @@ func (m *Machine) complete(req *request, replySlot int) {
 	req.core = nil
 	m.pool = append(m.pool, req)
 
-	// Tell the dispatcher this core finished one request. The argument is
-	// the core, not the request: by the time these events fire the request
-	// may already be recycled.
+	// Tell the dispatcher this core finished one request.
 	if !m.plan.software {
-		m.eng.ScheduleArg(c.notifyWire, m.fnNotifyWire, c)
+		m.notify(c, now)
 	}
 
 	// The core rolls onto queued work, or goes idle.
@@ -1014,9 +1054,67 @@ func (m *Machine) wakeArrival(arg any) {
 	}
 }
 
-// notifyWire runs when a core's replenish token reaches its dispatcher tile.
+// notify sends core c's completion notice, posted at now, toward its
+// dispatcher. The notice is deferred (DESIGN.md §9) unless the dispatcher is
+// contended: a request waits in its CQ, or the latest route token leaves
+// the stage at or after the notice arrives and may find one. A contended
+// notice is a notifyWire event at its key, its argument the core, not the
+// request, which is recycled by the time it fires.
+func (m *Machine) notify(c *core, now sim.Time) {
+	n := notice{at: now.Add(c.notifyWire), seq: m.eng.Reserve(), core: c}
+	q := &m.notices[c.disp]
+	if m.dispatchers[c.disp].QueueDepth() > 0 || q.routeEnd >= n.at {
+		m.eng.ScheduleArgAtSeq(n.at, n.seq, m.fnNotifyWire, c)
+		return
+	}
+	// Its seq is the newest, so it goes after every notice arriving no
+	// later than it.
+	i := len(q.pending)
+	q.pending = append(q.pending, n)
+	for ; i > 0 && n.at < q.pending[i-1].at; i-- {
+		q.pending[i] = q.pending[i-1]
+	}
+	q.pending[i] = n
+}
+
+// promote makes every pending notice of q arriving at or before until a
+// notifyWire event at its reserved key.
+func (m *Machine) promote(q *notices, until sim.Time) {
+	k := 0
+	for ; k < len(q.pending) && q.pending[k].at <= until; k++ {
+		n := q.pending[k]
+		m.eng.ScheduleArgAtSeq(n.at, n.seq, m.fnNotifyWire, n.core)
+	}
+	q.drop(k)
+}
+
+// settleNotices applies every deferred notice of dispatcher g whose key has
+// passed, in key order: it takes the dispatch stage as its notifyWire event
+// would have, so the stage's busy horizon reads as if it had, and lowers
+// its core's outstanding count at once, ahead of its stage end. Only a pick
+// reads the counts, while the CQ holds a request, and none can fall in
+// between: a route token leaving the stage first is ahead of the notice and
+// left before it arrived, or the notice would have been made an event, and
+// the CQ stays empty while a notice is deferred. So its decrement never
+// dispatches either (DESIGN.md §9).
+func (m *Machine) settleNotices(g int) {
+	q := &m.notices[g]
+	k := 0
+	for ; k < len(q.pending) && m.eng.Due(q.pending[k].at, q.pending[k].seq); k++ {
+		n := q.pending[k]
+		m.dispServer[g].OccupyAt(n.at, dispatchCycle)
+		if _, ok := m.dispatchers[g].Complete(n.core.id); ok {
+			panic(fmt.Sprintf("machine: deferred notice of core %d dispatched", n.core.id))
+		}
+	}
+	q.drop(k)
+}
+
+// notifyWire runs when a contended notice reaches its dispatcher tile,
+// behind the deferred notices that arrived first.
 func (m *Machine) notifyWire(arg any) {
 	c := arg.(*core)
+	m.settleNotices(int(c.disp))
 	m.dispServer[c.disp].SubmitArg(dispatchCycle, m.fnNotifyDone, c)
 }
 

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -252,6 +253,64 @@ func TestMasstreeClassSeparation(t *testing.T) {
 	// Scan interference: get p99 well above isolated get latency.
 	if res.Latency.P99 < 2000 {
 		t.Fatalf("get p99 %.0f suspiciously low given scan interference", res.Latency.P99)
+	}
+}
+
+// TestPromotedNoticeSettlesFirst pins a run in which a notice that is an
+// event (notifyWire) reaches the dispatch stage while a deferred notice that
+// arrived before it is still unsettled: jbsq1 under HERD at 0.9 of
+// capacity, seed 13. notifyWire must put the deferred notice on the stage
+// first; otherwise the stage's busy horizon slips a cycle and a few
+// requests' latencies with it. The pins were produced while every notice
+// was an event.
+func TestPromotedNoticeSettlesFirst(t *testing.T) {
+	pl, err := ParsePlan("jbsq1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(ModeSingleQueue, workload.HERD(), 0)
+	cfg.Params.Plan = pl
+	cfg.RateMRPS = 0.9 * CapacityMRPS(cfg.Params, cfg.Workload)
+	cfg.Warmup, cfg.Measure, cfg.Seed = 500, 20000, 13
+	res := mustRun(t, cfg)
+	for _, c := range []struct {
+		name string
+		got  float64
+		want string
+	}{
+		{"latency mean", res.Latency.Mean, "821.47005974999922"},
+		{"wait mean", res.Wait.Mean, "289.85047399999956"},
+	} {
+		if s := fmt.Sprintf("%.17g", c.got); s != c.want {
+			t.Errorf("%s = %s, pinned %s", c.name, s, c.want)
+		}
+	}
+}
+
+// TestClassLatencyMatchesRecorder: a Result's per-class summary equals the
+// recorder's selection of that class exactly, also where it reuses the
+// headline summary (one measured class: HERD, Masstree's gets) instead of
+// selecting again.
+func TestClassLatencyMatchesRecorder(t *testing.T) {
+	scansToo := workload.Masstree()
+	scansToo.Classes = append([]workload.Class(nil), scansToo.Classes...)
+	scansToo.Classes[1].Measured = true
+	for _, wl := range []workload.Profile{workload.HERD(), workload.Masstree(), scansToo} {
+		cfg := testConfig(ModeSingleQueue, wl, 2)
+		cfg.Warmup, cfg.Measure = 200, 3000
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cl := range wl.Classes {
+			if got, want := res.ClassLatency[cl.Name], m.rec.Class(i); got != want {
+				t.Errorf("%s class %s: ClassLatency %+v, recorder %+v", wl.Name, cl.Name, got, want)
+			}
+		}
 	}
 }
 

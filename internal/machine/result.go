@@ -68,7 +68,19 @@ func (m *Machine) result() Result {
 		ReplyStalls:      m.replyStalls,
 		Timeline:         m.rec.Timeline(),
 	}
+	measured := 0
+	for _, cl := range m.wl.Classes {
+		if cl.Measured {
+			measured++
+		}
+	}
 	for i, cl := range m.wl.Classes {
+		if cl.Measured && measured == 1 {
+			// The only measured class's latencies are the measured ones,
+			// in the same log order: Latency already summarized them.
+			r.ClassLatency[cl.Name] = r.Latency
+			continue
+		}
 		r.ClassLatency[cl.Name] = m.rec.Class(i)
 	}
 

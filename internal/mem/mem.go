@@ -9,11 +9,7 @@
 // to the NI and core models.
 package mem
 
-import (
-	"fmt"
-
-	"rpcvalet/internal/sim"
-)
+import "rpcvalet/internal/sim"
 
 // Hierarchy describes the chip's memory system costs.
 type Hierarchy struct {
@@ -38,9 +34,4 @@ func (h Hierarchy) cycles(n int) sim.Duration {
 // stay consistent).
 func (h Hierarchy) LLC(bankHops int, hopLatency sim.Duration) sim.Duration {
 	return h.cycles(h.LLCCycles) + sim.Duration(bankHops)*hopLatency
-}
-
-func (h Hierarchy) String() string {
-	return fmt.Sprintf("mem{L1=%dcy LLC=%dcy DRAM=%gns block=%dB @%gGHz}",
-		h.L1Cycles, h.LLCCycles, h.DRAMNanos, h.BlockBytes, h.FreqGHz)
 }

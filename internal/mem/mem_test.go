@@ -24,9 +24,3 @@ func TestLatencies(t *testing.T) {
 		t.Fatalf("LLC remote = %v, want 6ns", got)
 	}
 }
-
-func TestString(t *testing.T) {
-	if Default().String() == "" {
-		t.Fatal("empty string representation")
-	}
-}

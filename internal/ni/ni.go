@@ -223,6 +223,10 @@ func (d *Dispatcher) mustIndex(core int) int {
 // Threshold reports the per-core outstanding limit.
 func (d *Dispatcher) Threshold() int { return d.view.threshold }
 
+// Outstanding reports the requests dispatched to core and not yet
+// completed.
+func (d *Dispatcher) Outstanding(core int) int { return d.view.x.Depth(d.mustIndex(core)) }
+
 // QueueDepth reports the current shared-CQ depth.
 func (d *Dispatcher) QueueDepth() int { return d.queue.Len() }
 

@@ -7,9 +7,6 @@ import (
 	"rpcvalet/internal/rng"
 )
 
-// outstanding reads a core's outstanding count.
-func outstanding(d *Dispatcher, core int) int { return d.view.Outstanding(d.mustIndex(core)) }
-
 func mustDispatcher(t *testing.T, cores []int, threshold int, p Policy) *Dispatcher {
 	t.Helper()
 	d, err := NewDispatcher(cores, threshold, p)
@@ -37,8 +34,8 @@ func TestImmediateDispatchWhenIdle(t *testing.T) {
 	if !ok || dis.Core != 0 || dis.Msg.Slot != 7 {
 		t.Fatalf("dispatch = %+v ok=%v", dis, ok)
 	}
-	if outstanding(d, 0) != 1 {
-		t.Fatalf("outstanding = %d", outstanding(d, 0))
+	if d.Outstanding(0) != 1 {
+		t.Fatalf("outstanding = %d", d.Outstanding(0))
 	}
 }
 
@@ -51,8 +48,8 @@ func TestThresholdGate(t *testing.T) {
 			t.Fatalf("message %d not dispatched", i)
 		}
 	}
-	if outstanding(d, 0) != 2 || outstanding(d, 1) != 2 {
-		t.Fatalf("outstanding = %d,%d", outstanding(d, 0), outstanding(d, 1))
+	if d.Outstanding(0) != 2 || d.Outstanding(1) != 2 {
+		t.Fatalf("outstanding = %d,%d", d.Outstanding(0), d.Outstanding(1))
 	}
 	// The 5th queues.
 	if _, ok := d.Enqueue(Msg{Slot: 4}); ok {
@@ -138,8 +135,8 @@ func TestUnlimitedThresholdNeverQueues(t *testing.T) {
 			t.Fatalf("message %d queued under Unlimited threshold", i)
 		}
 	}
-	if outstanding(d, 3) != 1000 {
-		t.Fatalf("outstanding = %d", outstanding(d, 3))
+	if d.Outstanding(3) != 1000 {
+		t.Fatalf("outstanding = %d", d.Outstanding(3))
 	}
 	if d.QueueDepth() != 0 {
 		t.Fatal("queue should stay empty")
@@ -204,8 +201,8 @@ func TestLeastOutstandingRRPrefersIdle(t *testing.T) {
 	if !ok {
 		t.Fatal("fourth dispatch blocked below threshold")
 	}
-	if outstanding(d, fourth.Core) != 2 {
-		t.Fatalf("fourth core outstanding = %d", outstanding(d, fourth.Core))
+	if d.Outstanding(fourth.Core) != 2 {
+		t.Fatalf("fourth core outstanding = %d", d.Outstanding(fourth.Core))
 	}
 }
 

@@ -241,7 +241,7 @@ func runTwins(name string, ncores, thr int, seed uint64, ops []byte, wantClamped
 			return fmt.Errorf("step %d: %w", step, err)
 		}
 		for i, c := range g.Cores {
-			o := outstanding(d, c)
+			o := d.Outstanding(c)
 			if o != ref.outstanding[i] || o > thr {
 				return fmt.Errorf("step %d: core %d outstanding %d, reference %d, threshold %d", step, c, o, ref.outstanding[i], thr)
 			}

@@ -148,8 +148,8 @@ func TestDispatcherJBSQ1Bound(t *testing.T) {
 		t.Fatalf("dispatched %d of 6 with 3 cores at threshold 1", dispatched)
 	}
 	for _, c := range []int{0, 1, 2} {
-		if outstanding(d, c) != 1 {
-			t.Fatalf("core %d outstanding %d, want 1", c, outstanding(d, c))
+		if d.Outstanding(c) != 1 {
+			t.Fatalf("core %d outstanding %d, want 1", c, d.Outstanding(c))
 		}
 	}
 	if _, ok := d.Complete(0); !ok {

@@ -43,11 +43,18 @@ func (s *Server) SubmitArg(service Duration, done func(any), arg any) Time {
 // whose completion work is only "schedule the next stage a fixed delay
 // later" schedules that stage at the returned time directly, saving the
 // completion event (DESIGN.md §9, folding).
-func (s *Server) Occupy(service Duration) Time {
+func (s *Server) Occupy(service Duration) Time { return s.OccupyAt(s.eng.Now(), service) }
+
+// OccupyAt is Occupy for a job that arrived at t, at or before now, and is
+// applied late: the busy horizon moves exactly as Occupy called at time t
+// would have moved it, provided the server's jobs are applied in arrival
+// order. A job whose arrival is deferred rather than an event (DESIGN.md
+// §9) joins the FIFO here once a later job needs the horizon.
+func (s *Server) OccupyAt(t Time, service Duration) Time {
 	if service < 0 {
 		service = 0
 	}
-	start := s.eng.Now()
+	start := t
 	if s.busyUntil > start {
 		start = s.busyUntil
 	}

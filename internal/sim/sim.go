@@ -281,6 +281,19 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are scheduled but not yet executed.
 func (e *Engine) Pending() int { return len(e.heap) }
 
+// PendingWith reports how many pending events carry arg, which must be of a
+// comparable type. It scans every pending event, for audits of a stopped
+// run rather than the hot path.
+func (e *Engine) PendingWith(arg any) int {
+	n := 0
+	for _, x := range e.heap {
+		if e.calls[x.key&slotMask].arg == arg {
+			n++
+		}
+	}
+	return n
+}
+
 // Schedule runs fn after delay d (relative to the current time). A negative
 // delay is treated as zero.
 func (e *Engine) Schedule(d Duration, fn func()) {

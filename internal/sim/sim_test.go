@@ -550,6 +550,78 @@ func TestSequenceExhaustionPanics(t *testing.T) {
 	}
 }
 
+// TestServerOccupyAt: jobs whose arrivals are applied late through OccupyAt,
+// in arrival order and each before the next job submitted at its own time,
+// get the end times and leave the busy time that SubmitArg at their own
+// arrival times gives.
+func TestServerOccupyAt(t *testing.T) {
+	r := rng.New(9)
+	type job struct {
+		arrive, service Duration
+		late            bool
+	}
+	jobs := make([]job, 300)
+	var at Duration
+	for i := range jobs {
+		at += Duration(r.IntN(40)) * Nanosecond // some ties
+		jobs[i] = job{at, Duration(1+r.IntN(30)) * Nanosecond, r.IntN(3) > 0}
+	}
+	ends := func(lazy bool) ([]Time, Duration) {
+		e := New()
+		s := NewServer(e)
+		got := make([]Time, len(jobs))
+		next := 0 // the first job not yet on the server
+		// catchUp applies every late job before job i, in arrival order.
+		catchUp := func(i int) {
+			for ; next < i; next++ {
+				if jobs[next].late {
+					got[next] = s.OccupyAt(Time(jobs[next].arrive), jobs[next].service)
+				}
+			}
+		}
+		for i, j := range jobs {
+			if lazy && j.late {
+				continue
+			}
+			e.ScheduleAt(Time(j.arrive), func() {
+				catchUp(i)
+				got[i] = s.SubmitArg(j.service, func(any) {}, nil)
+				next = i + 1
+			})
+		}
+		e.Run()
+		catchUp(len(jobs))
+		return got, s.busy
+	}
+	wantEnds, wantBusy := ends(false)
+	gotEnds, gotBusy := ends(true)
+	if !slices.Equal(gotEnds, wantEnds) {
+		t.Fatalf("late OccupyAt end times differ from SubmitArg's:\n got %v\nwant %v", gotEnds, wantEnds)
+	}
+	if gotBusy != wantBusy {
+		t.Fatalf("busy time %v with late arrivals, %v with events", gotBusy, wantBusy)
+	}
+}
+
+// TestPendingWith: PendingWith counts the pending events carrying an
+// argument, however they were scheduled, and stops counting each once it
+// fires.
+func TestPendingWith(t *testing.T) {
+	e := New()
+	a, b := new(int), new(int)
+	noop := func(any) {}
+	e.ScheduleArg(1, noop, a)
+	e.ScheduleArg(2, noop, b)
+	e.ScheduleArgAtSeq(3, e.Reserve(), noop, a)
+	e.Schedule(4, func() {}) // a func() argument compares unequal to a pointer
+	for _, want := range []struct{ a, b int }{{2, 1}, {1, 1}, {1, 0}, {0, 0}} {
+		if got := [2]int{e.PendingWith(a), e.PendingWith(b)}; got != [2]int{want.a, want.b} {
+			t.Fatalf("at %v PendingWith(a, b) = %v, want %v", e.Now(), got, want)
+		}
+		e.Step()
+	}
+}
+
 // TestReservedKeyOrdersLikeEvent: a key reserved between two schedules at
 // the same time orders between them. Left as a key, Due turns true exactly
 // when the event before it has fired, and stays false before; scheduled,
