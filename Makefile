@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race bench loc profile perfbench bench-pairs live-smoke obs-smoke shard-smoke rack-smoke hier-smoke claims-smoke examples-smoke
+.PHONY: all build fmt vet lint test race bench loc profile perfbench bench-pairs live-smoke obs-smoke shard-smoke rack-smoke hier-smoke claims-smoke examples-smoke golden golden-check
 
 # Pinned so CI and local runs agree on what "clean" means.
 STATICCHECK_VERSION = 2025.1.1
@@ -94,6 +94,17 @@ examples-smoke:
 		d=$$(dirname $$f); echo "== $$d"; \
 		$(GO) run ./$$d >/dev/null; \
 	done
+
+# golden writes scripts/golden.sha256: one SHA-256 per deterministic output
+# (every non-live -quick figure in text and JSON, rpcvalet-sim and
+# rpcvalet-cluster runs with their trace captures, qtheory sweeps and every
+# example's stdout), wall times stripped. golden-check reruns them (about
+# 35 s on 2 cores) and fails on any digest that moved. See scripts/golden.sh.
+golden:
+	bash scripts/golden.sh write
+
+golden-check:
+	bash scripts/golden.sh check
 
 # obs-smoke proves the observability endpoints end to end: it starts
 # rpcvalet-live -dispatch 4x4 with -obs, scrapes /metrics and /healthz while the run is in

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -220,11 +221,14 @@ func auditSlots(t *testing.T, m *Machine) {
 }
 
 // auditNotices checks each dispatcher of a stopped machine against its
-// completion notices (DESIGN.md §9). Every core's outstanding count is the
-// requests dispatched to it and not completed plus its notices not yet
-// applied, deferred or scheduled as events. No notice is deferred while the
-// CQ holds a request, and the deferred ones are in (at, seq) key order and
-// arrive after the latest route token leaves the dispatch stage.
+// completion notices and its cores' folded starts (DESIGN.md §9). Every
+// core's outstanding count is the requests dispatched to it and not
+// completed plus its notices not yet applied, deferred or scheduled as
+// events. No notice is deferred while the CQ holds a request, and the
+// deferred ones are in (at, seq) key order and arrive after the latest
+// route token leaves the dispatch stage. The pending folded starts are in
+// key order, at most one per core, on a busy core serving a request
+// dispatched to it, with that start's finish still ahead.
 func auditNotices(t *testing.T, m *Machine) {
 	t.Helper()
 	if m.plan.software {
@@ -238,21 +242,48 @@ func auditNotices(t *testing.T, m *Machine) {
 			want[req.core.id]++
 		}
 	}
+	inKeyOrder := func(what string, l *sim.Deferred[*core]) {
+		t.Helper()
+		for i := 1; i < l.Len(); i++ {
+			if p, n := l.At(i-1), l.At(i); p.At > n.At || p.At == n.At && p.Seq >= n.Seq {
+				t.Fatalf("%s out of key order: (%v, %d) before (%v, %d)", what, p.At, p.Seq, n.At, n.Seq)
+			}
+		}
+	}
 	for g, d := range m.dispatchers {
 		q := &m.notices[g]
-		if d.QueueDepth() > 0 && len(q.pending) > 0 {
-			t.Fatalf("dispatcher %d defers %d notices with %d requests in its CQ", g, len(q.pending), d.QueueDepth())
+		if d.QueueDepth() > 0 && q.Len() > 0 {
+			t.Fatalf("dispatcher %d defers %d notices with %d requests in its CQ", g, q.Len(), d.QueueDepth())
 		}
-		for i, n := range q.pending {
-			if i > 0 {
-				if p := q.pending[i-1]; p.at > n.at || p.at == n.at && p.seq >= n.seq {
-					t.Fatalf("dispatcher %d notices out of key order: (%v, %d) before (%v, %d)", g, p.at, p.seq, n.at, n.seq)
-				}
+		inKeyOrder(fmt.Sprintf("dispatcher %d notices", g), &q.Deferred)
+		for i := range q.Len() {
+			n := q.At(i)
+			if n.At <= q.routeEnd {
+				t.Fatalf("dispatcher %d defers a notice arriving at %v, by the route stage end %v", g, n.At, q.routeEnd)
 			}
-			if n.at <= q.routeEnd {
-				t.Fatalf("dispatcher %d defers a notice arriving at %v, by the route stage end %v", g, n.at, q.routeEnd)
+			want[n.Val.id]++
+		}
+	}
+	inKeyOrder("folded starts", &m.starts)
+	started := make([]bool, len(m.cores))
+	for i := range m.starts.Len() {
+		s := m.starts.At(i)
+		c := s.Val
+		if started[c.id] {
+			t.Fatalf("core %d has two folded starts pending", c.id)
+		}
+		started[c.id] = true
+		if !c.busy || m.eng.Due(s.At, s.Seq) {
+			t.Fatalf("core %d: folded start at %v pending with busy %v, due %v", c.id, s.At, c.busy, m.eng.Due(s.At, s.Seq))
+		}
+		serving := 0
+		for _, req := range m.reqs {
+			if req.slot >= 0 && req.core == c && req.svcStart >= s.At && m.eng.PendingWith(req) == 1 {
+				serving++
 			}
-			want[n.core.id]++
+		}
+		if serving != 1 {
+			t.Fatalf("core %d: folded start at %v, %d requests started there with a finish pending, want 1", c.id, s.At, serving)
 		}
 	}
 	for _, c := range m.cores {
@@ -350,4 +381,89 @@ func FuzzMachineConfig(f *testing.F) {
 		auditSlots(t, m)
 		auditNotices(t, m)
 	})
+}
+
+// TestParkWakesFromMark: a source that starts waiting gets a wake event at
+// each of its credits from its wake mark on, and none below the mark, whose
+// credits already have theirs. In a run the credit at the mark itself never
+// exists: a reply credit's seq is always followed by its completion's
+// replenish, so two credits of one kind are never adjacent. The test
+// places one there.
+func TestParkWakesFromMark(t *testing.T) {
+	m, err := New(testConfig(ModeSingleQueue, workload.HERD(), 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = 3
+	below, mark, other := m.eng.Reserve(), m.eng.Reserve(), m.eng.Reserve()
+	w := &waiters{woke: mark}
+	ws := make([]*waiters, m.p.Domain.Nodes)
+	ws[src] = w
+	rings := make([]fifo.Queue[credit], 1)
+	rings[0].Push(credit{at: 100, seq: below, src: src})
+	rings[0].Push(credit{at: 200, seq: mark, src: src})
+	rings[0].Push(credit{at: 300, seq: other, src: src + 1})
+	m.park(&ws, src, m.getRequest(), rings, m.fnWakeArrival)
+	if got := m.eng.PendingWith(w); got != 1 || w.woke != mark+1 {
+		t.Fatalf("%d wake events scheduled, wake mark %d; want 1 (the credit at the mark %d) and mark %d",
+			got, w.woke, mark, mark+1)
+	}
+}
+
+// TestStopInsideStageCycle: a run stopped while a route token is inside its
+// dispatch stage cycle has not enqueued it, whether or not the token's
+// routeSubmit was folded (DESIGN.md §9). One source fills every core's
+// threshold on a 1x16 node and leaves two tokens in the CQ; two more
+// tokens then reach an idle stage with the CQ non-empty. Each run stops at
+// one deadline of a 250 ps grid over the first 200 ns, and the deepest CQ
+// seen so far is summed over the grid. The pin was produced while every
+// token was a routeSubmit event.
+func TestStopInsideStageCycle(t *testing.T) {
+	cfg := Config{Params: Defaults(), Workload: workload.SyntheticFixed(), Seed: 1}
+	cfg.Params.Domain.Nodes, cfg.Params.Domain.Slots = 1, 64
+	sum := 0
+	for d := sim.Time(0); d <= 200*sim.Time(sim.Nanosecond); d += 250 {
+		eng := sim.New()
+		m, err := NewShared(cfg, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		injectAt(eng, m, 0, 34)
+		injectAt(eng, m, 100000, 1)
+		injectAt(eng, m, 120000, 1)
+		eng.RunUntil(d)
+		sum += m.dispatchers[0].MaxQueueDepth()
+	}
+	if sum != 1998 {
+		t.Fatalf("deepest CQ summed over the stop grid = %d, pinned 1998", sum)
+	}
+}
+
+// TestFoldedStartCountsAsBusy: a core started without a delivered event
+// (DESIGN.md §9) is busy from the instant the CQE would have landed, in
+// the utilization and timeline a caller reads mid-run.
+func TestFoldedStartCountsAsBusy(t *testing.T) {
+	started := func() *Machine {
+		eng := sim.New()
+		m, err := NewShared(Config{Params: Defaults(), Workload: workload.SyntheticFixed(), Seed: 1}, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		injectAt(eng, m, 0, 1)
+		eng.RunUntil(100 * sim.Time(sim.Nanosecond)) // the CQE has landed; the handler runs on
+		if m.starts.Len() != 1 {
+			t.Fatalf("%d folded starts pending, want 1", m.starts.Len())
+		}
+		return m
+	}
+	if u := started().MeanCoreUtilization(); u == 0 {
+		t.Error("utilization is 0 with a core started")
+	}
+	busy := 0.0
+	for _, e := range started().Timeline().Epochs {
+		busy += e.Utilization
+	}
+	if busy == 0 {
+		t.Error("timeline shows no busy time with a core started")
+	}
 }

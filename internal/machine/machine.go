@@ -66,6 +66,18 @@ type waiters struct {
 	woke uint64
 }
 
+// unlimitedNotices presizes a deferred-notice list under an unlimited
+// threshold. A list under a finite one gets its group's core count: on a
+// 1x16 node it peaked at 15 under HERD at 0.8 of capacity, and at 12–17
+// over HERD, synthetic-exp and Masstree at 0.5–0.95. Under an unlimited
+// threshold a core's notices pile up between the route tokens that settle
+// them: a 16x1 core's one-core list peaked at 8–28 over the same loads.
+// It is presized to the smallest of those peaks, so a list at its largest
+// regrows twice, not five times; presized to 32, a 16x1 node cost 12 KB
+// more to build, and figures-quick's setup_mb rose 16%. Past its presize
+// a list grows on demand.
+const unlimitedNotices = 8
+
 // Credit-ring presizes, sized to the peaks measured on Defaults() nodes:
 // 21 replenishes in flight and at most 12 reply credits on one backend on a
 // 1x16 HERD node at 0.8 of capacity, 16 and 8 on a dc-1000-sharded node. A
@@ -76,31 +88,15 @@ const (
 	replyCreditRing = 12
 )
 
-// notice is one core's completion notice to its dispatcher, deferred like a
-// credit (DESIGN.md §9): it waits under the (at, seq) key its notifyWire
-// event would have had, and settleNotices applies it once that key has
-// passed, before the dispatch stage is next read. It becomes a notifyWire
-// event at its key while its dispatcher is contended (notify).
-type notice struct {
-	at   sim.Time
-	seq  uint64
-	core *core
-}
-
-// notices is one dispatcher's deferred completion notices, in (at, seq) key
-// order. The list is presized at build to the group's core count: on a 1x16
-// node it peaked at 15 under HERD at 0.8 of capacity, and at 12–17 over
-// HERD, synthetic-exp and Masstree at 0.5–0.95. Past it, it grows on demand.
+// notices is one dispatcher's deferred completion notices (DESIGN.md §9).
+// A core's notice to its dispatcher is deferred like a credit: it waits
+// under the (at, seq) key its notifyWire event would have had, and
+// settleNotices applies it once that key has passed, before the dispatch
+// stage is next read. It becomes a notifyWire event at its key while its
+// dispatcher is contended (notify).
 type notices struct {
-	pending  []notice
+	sim.Deferred[*core]
 	routeEnd sim.Time // stage end of the latest route token
-}
-
-// drop removes the first k deferred notices.
-func (q *notices) drop(k int) {
-	if k > 0 {
-		q.pending = q.pending[:copy(q.pending, q.pending[k:])]
-	}
 }
 
 // core is one serving core's state. Busy-time accounting lives in the
@@ -115,6 +111,9 @@ type core struct {
 	replyBackend int32
 	deliverWire  sim.Duration
 	notifyWire   sim.Duration
+	// startBusy is the busy span of a folded start whose busy record waits
+	// in Machine.starts (deliver); a core has at most one.
+	startBusy sim.Duration
 	// cq is the private completion queue: dispatched messages awaiting
 	// processing.
 	cq fifo.Queue[*request]
@@ -137,6 +136,10 @@ type Machine struct {
 	dispServer  []*sim.Server
 	notices     []notices      // per dispatcher: its deferred completion notices
 	toDisp      []sim.Duration // backend b → dispatcher g wire at [b*groups+g]
+	// starts holds the busy records of folded starts (deliver), each under
+	// the key of the delivered event it replaced, until settleStarts
+	// applies them.
+	starts sim.Deferred[*core]
 
 	recvBuf  *sonuma.ReceiveBuffer
 	replyBuf *sonuma.SendBuffer
@@ -647,11 +650,16 @@ func (m *Machine) wireDispatchers() error {
 	groups := len(ds)
 	m.toDisp = make([]sim.Duration, p.Backends*groups)
 	m.notices = make([]notices, groups)
+	m.starts.Grow(p.Cores)
 	per := p.Cores / groups
+	noticeCap := per
+	if m.plan.threshold == ni.Unlimited {
+		noticeCap = max(per, unlimitedNotices)
+	}
 	for g := range ds {
 		tile := p.groupTile(g, groups)
 		m.dispServer = append(m.dispServer, sim.NewServer(m.eng))
-		m.notices[g].pending = make([]notice, 0, per)
+		m.notices[g].Grow(noticeCap)
 		for b := range p.Backends {
 			m.toDisp[b*groups+g] = mesh.Latency(p.backendTile(b), tile, ctrlBytes) + p.DispatchExtra
 		}
@@ -665,14 +673,15 @@ func (m *Machine) wireDispatchers() error {
 	return nil
 }
 
-// record emits a lifecycle event to cfg.Trace. depth carries the queue-depth
+// record emits a lifecycle event at time at to cfg.Trace: now, or for a
+// folded stage the time its event would have run. depth carries the queue-depth
 // signal for arrive events (-1 elsewhere). With tracing off it returns
 // without constructing the event — zero allocations, zero side effects.
-func (m *Machine) record(id uint64, phase trace.Phase, core, depth int) {
+func (m *Machine) record(at sim.Time, id uint64, phase trace.Phase, core, depth int) {
 	if m.cfg.Trace == nil {
 		return
 	}
-	m.cfg.Trace.Record(trace.Event{ReqID: id, Phase: phase, At: m.eng.Now(), Core: core, Depth: depth})
+	m.cfg.Trace.Record(trace.Event{ReqID: id, Phase: phase, At: at, Core: core, Depth: depth})
 }
 
 // ctrlBytes is the size of control messages (completion tokens, CQEs,
@@ -754,6 +763,7 @@ func (m *Machine) DispatchLabel() string { return m.plan.label }
 // MeanCoreUtilization reports the average busy fraction across the serving
 // cores, measured against the engine's current clock.
 func (m *Machine) MeanCoreUtilization() float64 {
+	m.settleStarts()
 	return m.rec.MeanUtilization(m.eng.Now())
 }
 
@@ -761,7 +771,10 @@ func (m *Machine) MeanCoreUtilization() float64 {
 // per-epoch throughput, latency, queue depth, and core utilization over the
 // whole run (warmup included). For shared machines (internal/cluster) this
 // is the per-node view the owning simulation aggregates.
-func (m *Machine) Timeline() metrics.Timeline { return m.rec.Timeline() }
+func (m *Machine) Timeline() metrics.Timeline {
+	m.settleStarts()
+	return m.rec.Timeline()
+}
 
 // admit claims a receive slot and runs the message through an NI backend.
 // Slots are consumed FIFO, matching the ring the sender's send buffer keeps
@@ -807,7 +820,7 @@ func (m *Machine) admit(req *request) {
 				panic(fmt.Sprintf("machine: rendezvous descriptor: done=%v err=%v", done, err))
 			}
 			req.arrive = m.eng.Now()
-			m.record(req.id, trace.PhaseArrive, -1, m.inflightCount-1)
+			m.record(req.arrive, req.id, trace.PhaseArrive, -1, m.inflightCount-1)
 			m.eng.Schedule(m.p.NetRTT, func() {
 				pkts := m.p.Domain.RendezvousReadPackets(m.wl.RequestBytes)
 				m.backends[b].Submit(sim.Duration(pkts)*packetProc, func() {
@@ -836,7 +849,7 @@ func (m *Machine) arrived(arg any) {
 		}
 	}
 	req.arrive = m.eng.Now()
-	m.record(req.id, trace.PhaseArrive, -1, m.inflightCount-1)
+	m.record(req.arrive, req.id, trace.PhaseArrive, -1, m.inflightCount-1)
 	m.routeCompletion(req, req.backend)
 }
 
@@ -857,24 +870,39 @@ func (m *Machine) routeCompletion(req *request, b int) {
 // notices that arrived first take the dispatch stage ahead of it, and every
 // notice arriving before the token leaves the stage becomes an event: the
 // token may find the CQ non-empty, and then those notices may dispatch.
+//
+// An uncontended token, one that finds the stage idle (Server.Idle: its
+// last job ended before now, so no stage completion is pending) and the CQ
+// empty, is enqueued here as of its stage end, without a routeSubmit
+// event: nothing else reaches the dispatcher before then (DESIGN.md §9,
+// folding). A dispatcher's first token takes the event path, so a run
+// stopped inside its stage cycle still reports no queue depth.
 func (m *Machine) routeWire(arg any) {
 	req := arg.(*request)
 	m.settleNotices(req.disp)
 	q := &m.notices[req.disp]
-	q.routeEnd = m.dispServer[req.disp].SubmitArg(dispatchCycle, m.fnRouteSubmit, req)
+	stage, disp := m.dispServer[req.disp], m.dispatchers[req.disp]
+	if !stage.Idle() || disp.QueueDepth() > 0 || disp.MaxQueueDepth() == 0 {
+		q.routeEnd = stage.SubmitArg(dispatchCycle, m.fnRouteSubmit, req)
+		m.promote(q, q.routeEnd)
+		return
+	}
+	q.routeEnd = stage.Occupy(dispatchCycle)
 	m.promote(q, q.routeEnd)
+	m.enqueue(req, q.routeEnd)
 }
 
-// routeSubmit runs when the dispatch stage has cycled the token: enqueue it
-// on the shared CQ and deliver any dispatch it triggers. A token left
-// waiting makes every deferred notice an event, since each may now
-// dispatch it.
-func (m *Machine) routeSubmit(arg any) {
-	req := arg.(*request)
+// routeSubmit runs when the dispatch stage has cycled a contended token.
+func (m *Machine) routeSubmit(arg any) { m.enqueue(arg.(*request), m.eng.Now()) }
+
+// enqueue puts a token leaving the dispatch stage at time at on its shared
+// CQ and delivers any dispatch it triggers. A token left waiting makes
+// every deferred notice an event, since each may now dispatch it.
+func (m *Machine) enqueue(req *request, at sim.Time) {
 	msg := ni.Msg{Slot: req.slot, Src: req.src, Size: m.wl.RequestBytes, Tag: uint64(req.ref)}
 	disp := m.dispatchers[req.disp]
 	if d, ok := disp.Enqueue(msg); ok {
-		m.deliver(d)
+		m.deliver(d, at)
 	}
 	if disp.QueueDepth() > 0 {
 		m.promote(&m.notices[req.disp], math.MaxInt64)
@@ -895,20 +923,33 @@ func (m *Machine) dispatcherFor(req *request, b int) int {
 	return b * m.plan.groups / m.p.Backends
 }
 
-// deliver carries a dispatch decision to the chosen core's private CQ. The
-// message's Tag is the request's ref, and that request must still hold the
-// message's receive slot (unique among admitted requests — §4.2's N×S flow
-// control never reuses a slot before its replenish), so any slot-identity
-// violation fails loudly.
-func (m *Machine) deliver(d ni.Dispatch) {
+// deliver carries a dispatch decision made at time at to the chosen core's
+// private CQ. The message's Tag is the request's ref, and that request must
+// still hold the message's receive slot (unique among admitted requests —
+// §4.2's N×S flow control never reuses a slot before its replenish), so any
+// slot-identity violation fails loudly.
+//
+// A core with nothing else outstanding is idle with an empty CQ, and
+// nothing can reach it before this CQE lands, so it begins as of the
+// landing here, without a delivered event (DESIGN.md §9, folding). Its busy
+// record cannot go to the recorder ahead of time; it waits in m.starts
+// under the key the delivered event would have had.
+func (m *Machine) deliver(d ni.Dispatch, at sim.Time) {
 	if d.Msg.Tag >= uint64(len(m.reqs)) || m.reqs[d.Msg.Tag].slot != d.Msg.Slot {
 		panic(fmt.Sprintf("machine: dispatch of unknown request %d (slot %d)", d.Msg.Tag, d.Msg.Slot))
 	}
 	req := m.reqs[d.Msg.Tag]
 	c := m.cores[d.Core]
-	m.record(req.id, trace.PhaseDispatch, d.Core, -1)
+	m.record(at, req.id, trace.PhaseDispatch, d.Core, -1)
 	req.core = c
-	m.eng.ScheduleArg(c.deliverWire, m.fnDelivered, req)
+	at = at.Add(c.deliverWire)
+	if m.dispatchers[c.disp].Outstanding(c.id) > 1 {
+		m.eng.ScheduleArgAt(at, m.fnDelivered, req)
+		return
+	}
+	seq := m.eng.Reserve()
+	c.startBusy = m.start(c, req, at, pollDetect)
+	m.starts.Insert(at, seq, c)
 }
 
 // delivered lands a dispatched message in its core's private CQ; an idle
@@ -922,25 +963,43 @@ func (m *Machine) delivered(arg any) {
 	}
 }
 
-// begin starts processing the head of the core's private CQ. pollDelay is
-// the CQ-detection cost: nonzero when the core was idle-polling, zero when
-// it rolls directly from the previous request (the threshold-2 case that
-// eliminates the execution bubble, §4.3). Work beginning inside a configured
-// pause window stalls (still occupying the core) until the window ends.
+// begin starts processing the head of the core's private CQ now.
 func (m *Machine) begin(c *core, pollDelay sim.Duration) {
 	req, ok := c.cq.Pop()
 	if !ok {
 		panic(fmt.Sprintf("machine: core %d began with empty CQ", c.id))
 	}
-	c.busy = true
 	now := m.eng.Now()
-	stall := pauseStall(m.cfg.Fault.Pauses, now)
-	req.core = c
-	req.svcStart = now.Add(pollDelay + stall)
-	m.record(req.id, trace.PhaseStart, c.id, -1)
-	occupied := pollDelay + stall + coreOverhead + sim.FromNanos(req.svcNanos)
+	occupied := m.start(c, req, now, pollDelay)
+	m.settleStarts()
 	m.rec.Busy(now, c.id, occupied)
-	m.eng.ScheduleArg(occupied, m.fnFinish, req)
+}
+
+// start begins req on core c at time at and schedules its finish, returning
+// the span the core is busy. pollDelay is the CQ-detection cost: nonzero
+// when the core was idle-polling, zero when it rolls directly from the
+// previous request (the threshold-2 case that eliminates the execution
+// bubble, §4.3). Work beginning inside a configured pause window stalls
+// (still occupying the core) until the window ends.
+func (m *Machine) start(c *core, req *request, at sim.Time, pollDelay sim.Duration) sim.Duration {
+	c.busy = true
+	stall := pauseStall(m.cfg.Fault.Pauses, at)
+	req.core = c
+	req.svcStart = at.Add(pollDelay + stall)
+	m.record(at, req.id, trace.PhaseStart, c.id, -1)
+	occupied := pollDelay + stall + coreOverhead + sim.FromNanos(req.svcNanos)
+	m.eng.ScheduleArgAt(at.Add(occupied), m.fnFinish, req)
+	return occupied
+}
+
+// settleStarts applies the busy record of every folded start whose
+// delivered key has passed, in key order, before the recorder is next
+// written or read: it then holds what it would had each delivered been an
+// event, and never sees a time go backwards.
+func (m *Machine) settleStarts() {
+	for k, ok := m.starts.PopDue(m.eng); ok; k, ok = m.starts.PopDue(m.eng) {
+		m.rec.Busy(k.At, k.Val.id, k.Val.startBusy)
+	}
 }
 
 // finishReq unwraps the finish event's argument.
@@ -967,7 +1026,8 @@ func (m *Machine) finish(req *request) {
 func (m *Machine) complete(req *request, replySlot int) {
 	c := req.core
 	now := m.eng.Now()
-	m.record(req.id, trace.PhaseComplete, c.id, -1)
+	m.record(now, req.id, trace.PhaseComplete, c.id, -1)
+	m.settleStarts()
 
 	m.completed++
 	if req.onDoneFn != nil {
@@ -1061,31 +1121,24 @@ func (m *Machine) wakeArrival(arg any) {
 // notice is a notifyWire event at its key, its argument the core, not the
 // request, which is recycled by the time it fires.
 func (m *Machine) notify(c *core, now sim.Time) {
-	n := notice{at: now.Add(c.notifyWire), seq: m.eng.Reserve(), core: c}
+	at, seq := now.Add(c.notifyWire), m.eng.Reserve()
 	q := &m.notices[c.disp]
-	if m.dispatchers[c.disp].QueueDepth() > 0 || q.routeEnd >= n.at {
-		m.eng.ScheduleArgAtSeq(n.at, n.seq, m.fnNotifyWire, c)
+	if m.dispatchers[c.disp].QueueDepth() > 0 || q.routeEnd >= at {
+		m.eng.ScheduleArgAtSeq(at, seq, m.fnNotifyWire, c)
 		return
 	}
-	// Its seq is the newest, so it goes after every notice arriving no
-	// later than it.
-	i := len(q.pending)
-	q.pending = append(q.pending, n)
-	for ; i > 0 && n.at < q.pending[i-1].at; i-- {
-		q.pending[i] = q.pending[i-1]
-	}
-	q.pending[i] = n
+	// Settling it ahead of an equal-time notice instead of behind would
+	// change nothing: decrements commute, and OccupyAt at one arrival time
+	// reaches one horizon in either order.
+	q.Insert(at, seq, c)
 }
 
 // promote makes every pending notice of q arriving at or before until a
 // notifyWire event at its reserved key.
 func (m *Machine) promote(q *notices, until sim.Time) {
-	k := 0
-	for ; k < len(q.pending) && q.pending[k].at <= until; k++ {
-		n := q.pending[k]
-		m.eng.ScheduleArgAtSeq(n.at, n.seq, m.fnNotifyWire, n.core)
+	for n, ok := q.PopThrough(until); ok; n, ok = q.PopThrough(until) {
+		m.eng.ScheduleArgAtSeq(n.At, n.Seq, m.fnNotifyWire, n.Val)
 	}
-	q.drop(k)
 }
 
 // settleNotices applies every deferred notice of dispatcher g whose key has
@@ -1099,15 +1152,12 @@ func (m *Machine) promote(q *notices, until sim.Time) {
 // dispatches either (DESIGN.md §9).
 func (m *Machine) settleNotices(g int) {
 	q := &m.notices[g]
-	k := 0
-	for ; k < len(q.pending) && m.eng.Due(q.pending[k].at, q.pending[k].seq); k++ {
-		n := q.pending[k]
-		m.dispServer[g].OccupyAt(n.at, dispatchCycle)
-		if _, ok := m.dispatchers[g].Complete(n.core.id); ok {
-			panic(fmt.Sprintf("machine: deferred notice of core %d dispatched", n.core.id))
+	for n, ok := q.PopDue(m.eng); ok; n, ok = q.PopDue(m.eng) {
+		m.dispServer[g].OccupyAt(n.At, dispatchCycle)
+		if _, ok := m.dispatchers[g].Complete(n.Val.id); ok {
+			panic(fmt.Sprintf("machine: deferred notice of core %d dispatched", n.Val.id))
 		}
 	}
-	q.drop(k)
 }
 
 // notifyWire runs when a contended notice reaches its dispatcher tile,
@@ -1123,7 +1173,7 @@ func (m *Machine) notifyWire(arg any) {
 func (m *Machine) notifyDone(arg any) {
 	c := arg.(*core)
 	if d, ok := m.dispatchers[c.disp].Complete(c.id); ok {
-		m.deliver(d)
+		m.deliver(d, m.eng.Now())
 	}
 }
 
@@ -1165,7 +1215,7 @@ func (m *Machine) swTryPair() {
 		} else {
 			cost += lockUncontended
 		}
-		m.record(req.id, trace.PhaseDispatch, coreID, -1)
+		m.record(m.eng.Now(), req.id, trace.PhaseDispatch, coreID, -1)
 		req.core = c
 		m.lock.SubmitArg(cost, m.fnLockDone, req)
 	}

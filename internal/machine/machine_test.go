@@ -566,7 +566,7 @@ func TestDeliverRejectsUnknownRequest(t *testing.T) {
 	if held == nil {
 		t.Fatal("no admitted request left when the run stopped")
 	}
-	m.deliver(ni.Dispatch{Msg: ni.Msg{Slot: held.slot, Tag: uint64(held.ref)}})
+	m.deliver(ni.Dispatch{Msg: ni.Msg{Slot: held.slot, Tag: uint64(held.ref)}}, m.eng.Now())
 
 	for _, tc := range []struct {
 		name string
@@ -583,7 +583,7 @@ func TestDeliverRejectsUnknownRequest(t *testing.T) {
 					t.Fatalf("deliver(%+v) panicked with %q, want a dispatch of unknown request", tc.msg, msg)
 				}
 			}()
-			m.deliver(ni.Dispatch{Msg: tc.msg})
+			m.deliver(ni.Dispatch{Msg: tc.msg}, m.eng.Now())
 		})
 	}
 }
@@ -699,4 +699,53 @@ func TestArrivalWithoutRate(t *testing.T) {
 	if math.Abs(res.ThroughputMRPS-8)/8 > 0.05 {
 		t.Fatalf("throughput %v MRPS, want ~8", res.ThroughputMRPS)
 	}
+}
+
+// TestNoticeBehindBackloggedStage: a completion notice posted while route
+// tokens queue on the dispatch stage, arriving before the latest of them
+// leaves it, is an event from the start (notify's routeEnd test), even with
+// the CQ empty. Here one request occupies core 0, then a burst of 32 from
+// one source spreads over the four backends, whose tokens pile up on the
+// stage; core 0 finishes while they wait, and a token leaving after the
+// notice arrives finds every core at its threshold. Deferred instead, the notice would be
+// promoted only then, after its key had passed, which panics, or settled
+// ahead of picks that must not see it. The pins were produced while every
+// notice was an event.
+func TestNoticeBehindBackloggedStage(t *testing.T) {
+	cfg := Config{Params: Defaults(), Workload: workload.SyntheticFixed(), Seed: 1}
+	cfg.Params.Domain.Nodes, cfg.Params.Domain.Slots = 1, 64
+	var waitSum sim.Duration
+	started := 0
+	arrive := map[uint64]sim.Time{}
+	cfg.Trace = trace.Func(func(e trace.Event) {
+		switch e.Phase {
+		case trace.PhaseArrive:
+			arrive[e.ReqID] = e.At
+		case trace.PhaseStart:
+			waitSum += e.At.Sub(arrive[e.ReqID])
+			started++
+		}
+	})
+	eng := sim.New()
+	m, err := NewShared(cfg, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectAt(eng, m, 0, 1)
+	injectAt(eng, m, 792250, 32) // 792.25 ns
+	eng.Run()
+	if m.completed != 33 || started != 33 || waitSum != 13299500 {
+		t.Fatalf("%d completed, %d started, arrival-to-start total %d ps; pinned 33, 33, 13299500",
+			m.completed, started, waitSum)
+	}
+}
+
+// injectAt schedules n requests from one source into a shared machine at
+// time at, all in one event.
+func injectAt(eng *sim.Engine, m *Machine, at sim.Time, n int) {
+	eng.ScheduleAt(at, func() {
+		for range n {
+			m.InjectArg(nil, nil)
+		}
+	})
 }

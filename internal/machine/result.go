@@ -52,6 +52,7 @@ func (r Result) String() string {
 
 // result assembles the Result after the engine stops.
 func (m *Machine) result() Result {
+	m.settleStarts()
 	r := Result{
 		Dispatch:     m.plan.label,
 		Workload:     m.wl.Name,

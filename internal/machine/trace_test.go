@@ -120,7 +120,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.record(uint64(i), trace.PhaseArrive, -1, 3)
+			m.record(0, uint64(i), trace.PhaseArrive, -1, 3)
 		}
 	}
 	b.Run("disabled", func(b *testing.B) {
@@ -149,7 +149,7 @@ func TestRecordDisabledZeroAllocs(t *testing.T) {
 	}
 	id := uint64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		m.record(id, trace.PhaseArrive, -1, 3)
+		m.record(0, id, trace.PhaseArrive, -1, 3)
 		id++
 	})
 	if allocs != 0 {

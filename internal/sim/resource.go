@@ -64,6 +64,12 @@ func (s *Server) OccupyAt(t Time, service Duration) Time {
 	return end
 }
 
+// Idle reports whether the server's last job ended strictly before now. A
+// job submitted now then starts at once, and no earlier job's completion
+// event can still be pending at this instant. A job ending exactly now
+// does not count: Delay is zero, but its completion may not have fired yet.
+func (s *Server) Idle() bool { return s.busyUntil < s.eng.Now() }
+
 // Delay reports how long a job submitted now would wait before starting.
 func (s *Server) Delay() Duration {
 	if s.busyUntil <= s.eng.Now() {

@@ -353,6 +353,67 @@ func TestServerDelay(t *testing.T) {
 	}
 }
 
+// TestServerIdleIsStrict: a server whose last job ends exactly now is not
+// idle, though a job submitted now would not wait: the ending job's
+// completion event, scheduled at now, may still be pending. One picosecond
+// later it is idle.
+func TestServerIdleIsStrict(t *testing.T) {
+	e := New()
+	s := NewServer(e)
+	var idle []bool
+	probe := func() { idle = append(idle, s.Idle()) }
+	e.ScheduleAt(1, func() {
+		probe()
+		s.Submit(4, probe) // its completion at 5 is pending at the probe below
+	})
+	e.ScheduleAt(5, func() {
+		if s.Delay() != 0 {
+			t.Errorf("delay at the busy horizon = %v, want 0", s.Delay())
+		}
+		probe()
+	})
+	e.ScheduleAt(6, probe)
+	e.Run()
+	if want := []bool{true, false, false, true}; !slices.Equal(idle, want) {
+		t.Fatalf("Idle at 1, 5 (twice) and 6 = %v, want %v", idle, want)
+	}
+}
+
+// TestDeferredKeyOrder: Deferred pops in (at, seq) key order whatever the
+// insertion order of the times, PopDue stops at the first key not yet due,
+// and PopThrough at the first past its bound.
+func TestDeferredKeyOrder(t *testing.T) {
+	e := New()
+	var d Deferred[int]
+	d.Grow(2)
+	for i, at := range []Time{30, 10, 30, 20, 10} {
+		d.Insert(at, e.Reserve(), i)
+	}
+	want := []int{1, 4, 3, 0, 2}
+	for i := range d.Len() {
+		if got := d.At(i).Val; got != want[i] {
+			t.Fatalf("At(%d) = %d, want %d (order %v)", i, got, want[i], want)
+		}
+	}
+	var got []int
+	e.ScheduleAt(20, func() {
+		for k, ok := d.PopDue(e); ok; k, ok = d.PopDue(e) {
+			got = append(got, k.Val)
+		}
+	})
+	e.Run()
+	if !slices.Equal(got, want[:3]) {
+		t.Fatalf("PopDue at 20 popped %v, want %v", got, want[:3])
+	}
+	d.Insert(25, e.Reserve(), 5)
+	if k, ok := d.PopThrough(25); !ok || k.Val != 5 {
+		t.Fatalf("PopThrough(25) = %v, %v; want 5", k, ok)
+	}
+	if _, ok := d.PopThrough(29); ok || d.Len() != 2 {
+		t.Fatalf("PopThrough(29) popped, or %d left, want 2", d.Len())
+	}
+}
+
 func TestServerNegativeServiceClamped(t *testing.T) {
 	e := New()
 	s := NewServer(e)
