@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint test race bench loc profile perfbench bench-pairs live-smoke obs-smoke shard-smoke rack-smoke hier-smoke claims-smoke examples-smoke golden golden-check
+.PHONY: all build fmt vet lint test race bench loc profile perfbench bench-pairs live-smoke obs-smoke shard-smoke rack-smoke hier-smoke claims-smoke examples-smoke golden golden-check mutants
 
 # Pinned so CI and local runs agree on what "clean" means.
 STATICCHECK_VERSION = 2025.1.1
@@ -105,6 +105,14 @@ golden:
 
 golden-check:
 	bash scripts/golden.sh check
+
+# mutants applies every hand mutant scripts/mutants.tsv lists (the fold,
+# deferral and settle rules, on-demand timelines), one at a time in a copy
+# of the working tree, and fails if the tests it names for one still pass.
+# It takes about 2 minutes on 2 cores and is not a CI step. See
+# scripts/mutants.sh.
+mutants:
+	bash scripts/mutants.sh
 
 # obs-smoke proves the observability endpoints end to end: it starts
 # rpcvalet-live -dispatch 4x4 with -obs, scrapes /metrics and /healthz while the run is in

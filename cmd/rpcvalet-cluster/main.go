@@ -182,9 +182,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *timeline {
 			fmt.Fprintf(&out, "# timelines: policy %s at %.1f MRPS\n\n", curves[0].Label, cfg.RateMRPS)
-			fmt.Fprintf(&out, "%s\n\n", report.TimelineSpark(res.Timeline))
-			report.TimelineTable("aggregate timeline", res.Timeline).WriteText(&out)
-			for i, tl := range res.NodeTimelines {
+			tl := res.Timeline()
+			fmt.Fprintf(&out, "%s\n\n", report.TimelineSpark(tl))
+			report.TimelineTable("aggregate timeline", tl).WriteText(&out)
+			for i, tl := range res.NodeTimelines() {
 				fmt.Fprintf(&out, "\nnode %d (%s, %s): %s\n", i, res.NodeDispatch[i], res.NodeFaults[i], report.TimelineSpark(tl))
 			}
 		}

@@ -79,8 +79,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *format == "json" {
 		b, err := json.MarshalIndent(struct {
 			rpcvalet.Result
+			Timeline  rpcvalet.Timeline
 			TailSpans []rpcvalet.Span
-		}{res, tailSpans}, "", "  ")
+		}{res, res.Timeline(), tailSpans}, "", "  ")
 		return fs.Write(stdout, append(b, '\n'), err)
 	}
 
@@ -130,8 +131,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		report.SpanTable("slowest requests", tailSpans).WriteText(&out)
 	}
 	if *timeline {
-		fmt.Fprintf(&out, "\n%s\n\n", report.TimelineSpark(res.Timeline))
-		report.TimelineTable("timeline", res.Timeline).WriteText(&out)
+		tl := res.Timeline()
+		fmt.Fprintf(&out, "\n%s\n\n", report.TimelineSpark(tl))
+		report.TimelineTable("timeline", tl).WriteText(&out)
 	}
 	return fs.Write(stdout, out.Bytes(), nil)
 }

@@ -61,7 +61,7 @@ func main() {
 	for _, mode := range []rpcvalet.Mode{rpcvalet.ModeSingleQueue, rpcvalet.ModePartitioned} {
 		res := runPulse(mode)
 		fmt.Printf("%s  steady p99=%.0fns\n%s\n\n", res.Dispatch, res.Latency.P99,
-			report.TimelineSpark(res.Timeline))
+			report.TimelineSpark(res.Timeline()))
 	}
 
 	// --- 2. GC pause on a single machine --------------------------------
@@ -77,8 +77,8 @@ func main() {
 		Fault:    rpcvalet.Fault{Pauses: []rpcvalet.Pause{{Start: 400 * rpcvalet.Microsecond, Dur: 100 * rpcvalet.Microsecond}}},
 	}
 	paused := must(rpcvalet.Run(pausedCfg))
-	fmt.Printf("%s\n\n", report.TimelineSpark(paused.Timeline))
-	tl := paused.Timeline
+	tl := paused.Timeline()
+	fmt.Printf("%s\n\n", report.TimelineSpark(tl))
 	spike := tl.Epochs[tl.EpochIndex(500_000)]
 	fmt.Printf("   epoch at pause end: p99=%.0fns, max depth %d, utilization %.2f\n\n",
 		spike.Latency.P99, spike.MaxDepth, spike.Utilization)
@@ -93,7 +93,7 @@ func main() {
 		cfg.Epoch = 25 * rpcvalet.Microsecond
 		res := must(rpcvalet.RunCluster(cfg))
 		fmt.Printf("\n%s: cluster p99=%.0fns, node completions %v\n", polName, res.Latency.P99, res.NodeCompleted)
-		for i, ntl := range res.NodeTimelines {
+		for i, ntl := range res.NodeTimelines() {
 			util := 0.0
 			if n := len(ntl.Epochs); n > 0 {
 				for _, e := range ntl.Epochs {

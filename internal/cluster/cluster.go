@@ -310,13 +310,32 @@ type Result struct {
 	Completed int
 	TimedOut  bool
 
-	// Timeline is the balancer's epoch-sliced view of the whole run:
-	// per-epoch cluster throughput, end-to-end latency, and total
-	// outstanding RPCs. NodeTimelines are the per-node recorders' views
-	// (node-local latency, queue depth, core utilization), index-aligned
-	// with NodeCompleted.
-	Timeline      metrics.Timeline
-	NodeTimelines []metrics.Timeline
+	// rec and nodeRecs are the finished run's balancer recorder and each
+	// node's, which Timeline and NodeTimelines summarize.
+	rec      *metrics.Recorder
+	nodeRecs []*metrics.Recorder
+}
+
+// Timeline is the balancer's epoch-sliced view of the whole run: per-epoch
+// cluster throughput, end-to-end latency, and total outstanding RPCs. It is
+// summarized from the run's recorder on each call, so a run whose timeline
+// nobody reads pays nothing for it; calls may run concurrently.
+func (r Result) Timeline() metrics.Timeline {
+	if r.rec == nil {
+		return metrics.Timeline{}
+	}
+	return r.rec.Timeline()
+}
+
+// NodeTimelines are the per-node recorders' views (node-local latency,
+// queue depth, core utilization), index-aligned with NodeCompleted,
+// summarized on each call like Timeline.
+func (r Result) NodeTimelines() []metrics.Timeline {
+	tls := make([]metrics.Timeline, len(r.nodeRecs))
+	for i, rec := range r.nodeRecs {
+		tls[i] = rec.Timeline()
+	}
+	return tls
 }
 
 func (r Result) String() string {

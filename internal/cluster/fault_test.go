@@ -3,9 +3,11 @@ package cluster
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"rpcvalet/internal/machine"
+	"rpcvalet/internal/metrics"
 	"rpcvalet/internal/sim"
 )
 
@@ -153,21 +155,22 @@ func TestClusterTimelines(t *testing.T) {
 	cfg.Epoch = 20 * sim.Microsecond
 	res := run(t, cfg)
 
-	if len(res.Timeline.Epochs) == 0 {
+	agg, nodes := res.Timeline(), res.NodeTimelines()
+	if len(agg.Epochs) == 0 {
 		t.Fatal("aggregate timeline empty")
 	}
 	total := 0
-	for _, e := range res.Timeline.Epochs {
+	for _, e := range agg.Epochs {
 		total += e.Completions
 	}
 	if total != res.Completed {
 		t.Fatalf("aggregate timeline completions %d != %d", total, res.Completed)
 	}
-	if len(res.NodeTimelines) != 3 {
-		t.Fatalf("node timelines = %d", len(res.NodeTimelines))
+	if len(nodes) != 3 {
+		t.Fatalf("node timelines = %d", len(nodes))
 	}
 	nodeTotal := 0
-	for i, tl := range res.NodeTimelines {
+	for i, tl := range nodes {
 		if len(tl.Epochs) == 0 {
 			t.Fatalf("node %d timeline empty", i)
 		}
@@ -177,6 +180,39 @@ func TestClusterTimelines(t *testing.T) {
 	}
 	if nodeTotal != res.Completed {
 		t.Fatalf("node timeline completions %d != %d", nodeTotal, res.Completed)
+	}
+}
+
+// TestClusterTimelinesOnDemand: a two-tier sharded Result's timelines are
+// summarized from its recorders on each call and read the same on every
+// call and from two goroutines at once (run it under -race).
+func TestClusterTimelinesOnDemand(t *testing.T) {
+	cfg := hierConfig(4, 2, JSQ{D: FullScan}, JSQ{D: 2}, 0.6)
+	cfg.Shards = 2
+	cfg.Warmup, cfg.Measure = 200, 3000
+	res := run(t, cfg)
+	agg, nodes := res.Timeline(), res.NodeTimelines()
+	if len(agg.Epochs) == 0 || len(nodes) != cfg.Nodes {
+		t.Fatalf("%d aggregate epochs, %d node timelines", len(agg.Epochs), len(nodes))
+	}
+	type view struct {
+		agg   metrics.Timeline
+		nodes []metrics.Timeline
+	}
+	var views [2]view
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			views[i] = view{res.Timeline(), res.NodeTimelines()}
+		}()
+	}
+	wg.Wait()
+	for i, v := range append(views[:], view{res.Timeline(), res.NodeTimelines()}) {
+		if !reflect.DeepEqual(v, view{agg, nodes}) {
+			t.Fatalf("call %d summarizes different timelines", i)
+		}
 	}
 }
 
@@ -190,7 +226,8 @@ func TestPausedNodeVisibleInNodeTimeline(t *testing.T) {
 	res := run(t, cfg)
 
 	mid := pause.Start + pause.Dur/2
-	healthy, paused := res.NodeTimelines[0], res.NodeTimelines[1]
+	nodes := res.NodeTimelines()
+	healthy, paused := nodes[0], nodes[1]
 	hIdx, pIdx := healthy.EpochIndex(mid.Nanos()), paused.EpochIndex(mid.Nanos())
 	if hIdx < 0 || pIdx < 0 {
 		t.Fatal("pause window outside both timelines")

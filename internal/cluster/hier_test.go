@@ -61,7 +61,7 @@ func TestHierFlatEquivalence(t *testing.T) {
 					hier := mk()
 					hier.Racks = 1
 					hier.GlobalHop = 0
-					if !reflect.DeepEqual(flat, flatten(run(t, hier))) {
+					if !sameResult(flat, flatten(run(t, hier))) {
 						t.Fatal("one-rack/zero-global-hop run differs from the flat cluster")
 					}
 
@@ -71,7 +71,7 @@ func TestHierFlatEquivalence(t *testing.T) {
 					withPol.Racks = 1
 					withPol.GlobalHop = 0
 					withPol.GlobalPolicy = Random{}
-					if !reflect.DeepEqual(flat, flatten(run(t, withPol))) {
+					if !sameResult(flat, flatten(run(t, withPol))) {
 						t.Fatal("global policy RNG draws perturbed the one-rack run")
 					}
 				})
@@ -102,7 +102,7 @@ func TestHierDeterminism(t *testing.T) {
 	}
 	a, aev, atail := runTraced(1)
 	b, bev, btail := runTraced(1)
-	if !reflect.DeepEqual(a, b) {
+	if !sameResult(a, b) {
 		t.Fatalf("same seed diverged:\n%v\n%v", a, b)
 	}
 	if !reflect.DeepEqual(aev, bev) {
@@ -157,11 +157,11 @@ func TestHierShardAgreement(t *testing.T) {
 				c.GlobalPolicy = tc.global.Clone()
 				results[shards] = run(t, c)
 			}
-			if !reflect.DeepEqual(results[0], results[1]) {
+			if !sameResult(results[0], results[1]) {
 				t.Error("Shards=1 differs from the zero-value default")
 			}
 			for _, shards := range []int{tc.racks, 2 * tc.racks} {
-				if !reflect.DeepEqual(results[2], results[shards]) {
+				if !sameResult(results[2], results[shards]) {
 					t.Errorf("Shards=%d differs from Shards=2 (both map to one shard per rack)", shards)
 				}
 			}
@@ -203,7 +203,7 @@ func TestHierShardedDeterminism(t *testing.T) {
 	}
 	a, aev, atail := runTraced()
 	b, bev, btail := runTraced()
-	if !reflect.DeepEqual(a, b) {
+	if !sameResult(a, b) {
 		t.Fatalf("sharded hier run diverged:\n%v\n%v", a, b)
 	}
 	if !reflect.DeepEqual(aev, bev) {
@@ -333,7 +333,7 @@ func TestHierGlobalScrape(t *testing.T) {
 	scraped.Policy = base.Policy.Clone()
 	scraped.GlobalPolicy = base.GlobalPolicy.Clone()
 	b := run(t, scraped)
-	if !reflect.DeepEqual(a, b) {
+	if !sameResult(a, b) {
 		t.Fatal("scraping global view is nondeterministic")
 	}
 	if reflect.DeepEqual(a.NodeCompleted, live.NodeCompleted) && a.Latency == live.Latency {

@@ -516,7 +516,7 @@ func assemble(cfg Config, rec *metrics.Recorder,
 		NodeCompleted: nodeCompleted,
 		Completed:     completed,
 		TimedOut:      timedOut,
-		Timeline:      rec.Timeline(),
+		rec:           rec,
 	}
 	if cfg.Hierarchical() {
 		res.Racks = cfg.Racks
@@ -538,7 +538,7 @@ func assemble(cfg Config, rec *metrics.Recorder,
 		res.NodeUtilization = append(res.NodeUtilization, m.MeanCoreUtilization())
 		res.NodeDispatch = append(res.NodeDispatch, m.DispatchLabel())
 		res.NodeFaults = append(res.NodeFaults, faultByNode[i].String())
-		res.NodeTimelines = append(res.NodeTimelines, m.Timeline())
+		res.nodeRecs = append(res.nodeRecs, m.Recorder())
 	}
 
 	// SLO: absolute when the workload specifies one, otherwise the SLO

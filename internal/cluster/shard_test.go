@@ -70,11 +70,11 @@ func TestShardEquivalence(t *testing.T) {
 				c.Policy = cfg.Policy.Clone()
 				results[shards] = run(t, c)
 			}
-			if !reflect.DeepEqual(results[0], results[1]) {
+			if !sameResult(results[0], results[1]) {
 				t.Error("Shards=1 differs from the zero-value default")
 			}
 			for _, shards := range []int{4, 8} {
-				if !reflect.DeepEqual(results[2], results[shards]) {
+				if !sameResult(results[2], results[shards]) {
 					t.Errorf("Shards=%d result differs from Shards=2:\n  2: %v\n  %d: %v",
 						shards, results[2], shards, results[shards])
 				}
@@ -112,7 +112,7 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 	a, aev, atail := runTraced()
 	b, bev, btail := runTraced()
-	if !reflect.DeepEqual(a, b) {
+	if !sameResult(a, b) {
 		t.Fatalf("same (seed, shards) diverged:\n%v\n%v", a, b)
 	}
 	if !reflect.DeepEqual(aev, bev) {
@@ -149,8 +149,8 @@ func TestShardedFeaturesThread(t *testing.T) {
 	if res.NodeDispatch[5] == res.NodeDispatch[0] {
 		t.Errorf("per-node plan lost: %v", res.NodeDispatch)
 	}
-	if len(res.NodeTimelines) != cfg.Nodes {
-		t.Fatalf("%d node timelines for %d nodes", len(res.NodeTimelines), cfg.Nodes)
+	if n := len(res.NodeTimelines()); n != cfg.Nodes {
+		t.Fatalf("%d node timelines for %d nodes", n, cfg.Nodes)
 	}
 
 	// A tiny MaxSimTime must abort the sharded run, flagged TimedOut.
@@ -187,7 +187,7 @@ func TestShardValidation(t *testing.T) {
 	one.Warmup, one.Measure = 50, 500
 	base := baseConfig(1, Random{}, 0.5)
 	base.Warmup, base.Measure = 50, 500
-	if a, b := run(t, one), run(t, base); !reflect.DeepEqual(a, b) {
+	if a, b := run(t, one), run(t, base); !sameResult(a, b) {
 		t.Error("single-node sharded run differs from serial")
 	}
 }

@@ -122,7 +122,7 @@ func figTransient(o Options) (Figure, error) {
 	pulseEndNs := TransientPulseStart.Nanos() + TransientPulse.Nanos()
 
 	stepPlans := []string{"1x16", "16x1"}
-	stepRes, err := runPoints(len(stepPlans), o.Workers, func(i int) (machine.Result, error) {
+	stepTL, err := runPoints(len(stepPlans), o.Workers, func(i int) (metrics.Timeline, error) {
 		cfg := machineBase(o, wl, stepPlans[i])
 		cfg.RateMRPS = baseRate
 		cfg.Arrival = arrival.NewModulated(arrival.PoissonAtMRPS(baseRate), pulse)
@@ -131,15 +131,14 @@ func figTransient(o Options) (Figure, error) {
 		cfg.MaxSimTime = machineCapSimTime(cfg, baseRate)
 		res, err := machine.Run(cfg)
 		if err != nil {
-			return machine.Result{}, fmt.Errorf("transient step %s: %w", stepPlans[i], err)
+			return metrics.Timeline{}, fmt.Errorf("transient step %s: %w", stepPlans[i], err)
 		}
-		return res, nil
+		return res.Timeline(), nil
 	})
 	if err != nil {
 		return Figure{}, err
 	}
-	sqTL := stepRes[0].Timeline
-	ptTL := stepRes[1].Timeline
+	sqTL, ptTL := stepTL[0], stepTL[1]
 
 	// Degraded-node cluster: {random, jsq2} × {uniform, degraded}, paired
 	// seeds and loads, concurrently.

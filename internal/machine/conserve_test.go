@@ -375,7 +375,7 @@ func FuzzMachineConfig(f *testing.F) {
 		if !m.timedOut {
 			t.Fatalf("run stopped after %d completions without reaching MaxSimTime", m.completed)
 		}
-		if _, again := run(); !reflect.DeepEqual(res, again) {
+		if _, again := run(); !reflect.DeepEqual(res, again) || !reflect.DeepEqual(res.Timeline(), again.Timeline()) {
 			t.Fatalf("rerun differs:\n%v\n%v", res, again)
 		}
 		auditSlots(t, m)
@@ -460,7 +460,7 @@ func TestFoldedStartCountsAsBusy(t *testing.T) {
 		t.Error("utilization is 0 with a core started")
 	}
 	busy := 0.0
-	for _, e := range started().Timeline().Epochs {
+	for _, e := range started().Recorder().Timeline().Epochs {
 		busy += e.Utilization
 	}
 	if busy == 0 {

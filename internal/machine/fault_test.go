@@ -2,8 +2,10 @@ package machine
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
+	"rpcvalet/internal/metrics"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/workload"
 )
@@ -118,7 +120,7 @@ func TestPauseWindowBacklog(t *testing.T) {
 	if paused.Latency.P99 <= base.Latency.P99 {
 		t.Fatalf("pause did not raise p99: %v vs %v", paused.Latency.P99, base.Latency.P99)
 	}
-	tl := paused.Timeline
+	tl := paused.Timeline()
 	if len(tl.Epochs) == 0 {
 		t.Fatal("timeline empty")
 	}
@@ -146,7 +148,7 @@ func TestTimelinePopulated(t *testing.T) {
 	cfg := testConfig(ModeSingleQueue, workload.HERD(), 10)
 	cfg.Warmup, cfg.Measure = 300, 5000
 	res := mustRun(t, cfg)
-	tl := res.Timeline
+	tl := res.Timeline()
 	if tl.EpochNanos <= 0 || len(tl.Epochs) == 0 {
 		t.Fatalf("timeline unpopulated: %+v", tl)
 	}
@@ -165,16 +167,47 @@ func TestTimelinePopulated(t *testing.T) {
 	}
 }
 
+// TestTimelineOnDemand: a Result's timeline is summarized from its run's
+// recorder on each call, writes nothing there, and so reads the same on
+// every call and from two goroutines at once (run it under -race).
+func TestTimelineOnDemand(t *testing.T) {
+	cfg := testConfig(ModeSingleQueue, workload.HERD(), 10)
+	cfg.Warmup, cfg.Measure = 300, 5000
+	res := mustRun(t, cfg)
+	first := res.Timeline()
+	if len(first.Epochs) == 0 {
+		t.Fatal("timeline empty")
+	}
+	var tls [2]metrics.Timeline
+	var wg sync.WaitGroup
+	for i := range tls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tls[i] = res.Timeline()
+		}()
+	}
+	wg.Wait()
+	for i, tl := range append(tls[:], res.Timeline()) {
+		if !reflect.DeepEqual(first, tl) {
+			t.Fatalf("call %d summarizes a different timeline", i)
+		}
+	}
+	if tl := (Result{}).Timeline(); tl.EpochNanos != 0 || tl.Epochs != nil {
+		t.Fatalf("zero Result has timeline %+v", tl)
+	}
+}
+
 // TestTimelineDeterministic: identical configs produce identical timelines.
 func TestTimelineDeterministic(t *testing.T) {
 	cfg := testConfig(ModeGrouped, workload.SyntheticExp(), 9)
 	cfg.Warmup, cfg.Measure = 200, 3000
-	a, b := mustRun(t, cfg), mustRun(t, cfg)
-	if a.Timeline.EpochNanos != b.Timeline.EpochNanos || len(a.Timeline.Epochs) != len(b.Timeline.Epochs) {
+	a, b := mustRun(t, cfg).Timeline(), mustRun(t, cfg).Timeline()
+	if a.EpochNanos != b.EpochNanos || len(a.Epochs) != len(b.Epochs) {
 		t.Fatal("timeline shape nondeterministic")
 	}
-	for i := range a.Timeline.Epochs {
-		if a.Timeline.Epochs[i] != b.Timeline.Epochs[i] {
+	for i := range a.Epochs {
+		if a.Epochs[i] != b.Epochs[i] {
 			t.Fatalf("epoch %d differs between identical runs", i)
 		}
 	}

@@ -48,8 +48,9 @@ type request struct {
 // replenish returning pair slot slot to source src, or a reply send-slot
 // credit returning send slot slot toward src. It is not an event: it waits
 // in a credit ring under the (at, seq) key its event would have had, and
-// settle applies it once that key has passed, before any slot table is
-// read. It becomes a wake event only while src has requests waiting on it.
+// settleFree or settleReplies applies it once that key has passed, before
+// the slot table it returns to is read. It becomes a wake event only while
+// src has requests waiting on it.
 type credit struct {
 	at   sim.Time
 	seq  uint64
@@ -536,30 +537,37 @@ func (m *Machine) deferCredit(q *fifo.Queue[credit], ws []*waiters, at sim.Time,
 	}
 }
 
-// settle applies every credit whose key has passed, in key order within
-// each ring, so the free-slot rings and the reply send buffer read as they
-// would had every credit been an event. Replenishes only touch the
-// free-slot rings and reply credits only the send buffer, whose Acquire
-// takes the lowest free slot whatever the release order, so the rings need
-// no merge.
-func (m *Machine) settle() {
-	for r := range m.credits {
+// settleFree applies every replenish whose key has passed, in key order,
+// so the free-slot rings read as they would had every replenish been an
+// event. Replenishes only touch the free-slot rings and reply credits only
+// the send buffer, so each reader settles only its own rings: the free-slot
+// rings before an arrival claims a slot, the send buffer before a reply
+// does (settleReplies).
+func (m *Machine) settleFree() {
+	q := &m.credits[0]
+	for c, ok := q.Peek(); ok && m.eng.Due(c.at, c.seq); c, ok = q.Peek() {
+		q.Pop()
+		n, size := int(c.src), m.p.Domain.Slots
+		t := int(m.freeHead[n]) + int(m.freeLen[n])
+		if t >= size {
+			t -= size
+		}
+		m.freeSlots[n*size+t] = uint16(c.slot)
+		m.freeLen[n]++
+	}
+}
+
+// settleReplies applies every reply credit whose key has passed, in key
+// order within each backend's ring. The send buffer's Acquire takes the
+// lowest free slot whatever the release order, so the rings need no merge.
+func (m *Machine) settleReplies() {
+	for r := 1; r < len(m.credits); r++ {
 		q := &m.credits[r]
 		for c, ok := q.Peek(); ok && m.eng.Due(c.at, c.seq); c, ok = q.Peek() {
 			q.Pop()
-			if r > 0 {
-				if err := m.replyBuf.Release(sonuma.NodeID(c.src), int(c.slot)); err != nil {
-					panic(fmt.Sprintf("machine: reply credit return: %v", err))
-				}
-				continue
+			if err := m.replyBuf.Release(sonuma.NodeID(c.src), int(c.slot)); err != nil {
+				panic(fmt.Sprintf("machine: reply credit return: %v", err))
 			}
-			n, size := int(c.src), m.p.Domain.Slots
-			t := int(m.freeHead[n]) + int(m.freeLen[n])
-			if t >= size {
-				t -= size
-			}
-			m.freeSlots[n*size+t] = uint16(c.slot)
-			m.freeLen[n]++
 		}
 	}
 }
@@ -747,7 +755,7 @@ func (m *Machine) inject(onDoneFn func(arg any, class int, measured bool), onDon
 	}
 	m.nextID++
 	m.inflightCount++
-	m.settle()
+	m.settleFree()
 	if m.freeLen[src] == 0 {
 		m.blockedArrivals++
 		m.park(&m.pendingBySrc, src, req, m.credits[:1], m.fnWakeArrival)
@@ -767,13 +775,13 @@ func (m *Machine) MeanCoreUtilization() float64 {
 	return m.rec.MeanUtilization(m.eng.Now())
 }
 
-// Timeline renders the machine's epoch-sliced measurement timeline so far:
-// per-epoch throughput, latency, queue depth, and core utilization over the
-// whole run (warmup included). For shared machines (internal/cluster) this
-// is the per-node view the owning simulation aggregates.
-func (m *Machine) Timeline() metrics.Timeline {
+// Recorder returns the machine's metrics recorder as of the engine's
+// current clock, every due folded start applied: the per-node view an
+// owning simulation (internal/cluster) keeps for its Result once the run
+// has stopped.
+func (m *Machine) Recorder() *metrics.Recorder {
 	m.settleStarts()
-	return m.rec.Timeline()
+	return m.rec
 }
 
 // admit claims a receive slot and runs the message through an NI backend.
@@ -1009,7 +1017,7 @@ func (m *Machine) finishReq(arg any) { m.finish(arg.(*request)) }
 // send and replenish. The reply consumes a send slot toward the requester;
 // if none is free the core stalls (flow control) until a credit returns.
 func (m *Machine) finish(req *request) {
-	m.settle()
+	m.settleReplies()
 	slot, ok := m.replyBuf.Acquire(req.src, m.wl.ReplyBytes)
 	if !ok {
 		m.replyStalls++
@@ -1094,7 +1102,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 // stalled on reply flow control: the credit settles and the oldest stalled
 // core, if one is left, completes on the freed send slot.
 func (m *Machine) wakeStall(arg any) {
-	m.settle()
+	m.settleReplies()
 	if w, ok := arg.(*waiters).Pop(); ok {
 		s, ok := m.replyBuf.Acquire(w.src, m.wl.ReplyBytes)
 		if !ok {
@@ -1108,7 +1116,7 @@ func (m *Machine) wakeStall(arg any) {
 // arrivals: the credit settles and the oldest parked arrival, if one is
 // left, is admitted on the freed slot.
 func (m *Machine) wakeArrival(arg any) {
-	m.settle()
+	m.settleFree()
 	if next, ok := arg.(*waiters).Pop(); ok {
 		m.admit(next)
 	}

@@ -37,12 +37,22 @@ type Result struct {
 	Completed       int
 	TimedOut        bool
 
-	// Timeline is the epoch-sliced view of the whole run (warmup included):
-	// per-epoch throughput, latency and wait percentiles, queue depth, and
-	// core utilization. The summary fields above stay the steady-state
-	// window; the timeline is where transients — load steps, bursts, pause
-	// windows — become visible.
-	Timeline metrics.Timeline
+	// rec is the finished run's recorder, which Timeline summarizes.
+	rec *metrics.Recorder
+}
+
+// Timeline is the epoch-sliced view of the whole run (warmup included):
+// per-epoch throughput, latency and wait percentiles, queue depth, and core
+// utilization. The summary fields stay the steady-state window; the
+// timeline is where transients — load steps, bursts, pause windows — become
+// visible. It is summarized from the run's recorder on each call, so a run
+// whose timeline nobody reads pays nothing for it; calls may run
+// concurrently.
+func (r Result) Timeline() metrics.Timeline {
+	if r.rec == nil {
+		return metrics.Timeline{}
+	}
+	return r.rec.Timeline()
 }
 
 func (r Result) String() string {
@@ -67,7 +77,7 @@ func (m *Machine) result() Result {
 		Wait:             m.rec.Wait(),
 		BlockedArrivals:  m.blockedArrivals,
 		ReplyStalls:      m.replyStalls,
-		Timeline:         m.rec.Timeline(),
+		rec:              m.rec,
 	}
 	measured := 0
 	for _, cl := range m.wl.Classes {

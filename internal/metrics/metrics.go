@@ -29,9 +29,13 @@
 // epoch length doubles and adjacent epochs merge pairwise — their sums add
 // as stats.Moments.Merge adds them and every other range boundary is
 // dropped, so a doubling copies no observation. Each observation is stored
-// once, in the log; a summary selects its percentiles over a reused scratch
-// copy, so the log is never reordered and Timeline may be called at any
-// time. The whole layer is deterministic — it consumes no randomness and
+// once, in the log; a summary selects its percentiles over a scratch copy,
+// so the log is never reordered and Timeline may be called at any time.
+// Timeline summarizes on each call, over scratch of its own, and writes
+// nothing to the Recorder: once recording has stopped, any number of
+// goroutines may call it at once. The simulators keep a finished run's
+// Recorder in its Result and summarize its epochs only when a caller asks.
+// The whole layer is deterministic — it consumes no randomness and
 // allocates no state that depends on wall-clock time — so identical
 // simulations produce identical Timelines.
 package metrics
@@ -39,6 +43,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/stats"
@@ -150,7 +155,7 @@ type Recorder struct {
 	plain   int32
 	wait    []float64 // nil until the first wait, then presized
 	presize int       // the logs' first capacity
-	scratch []float64 // the copy summaries select over
+	scratch []float64 // the copy window summaries select over
 
 	// The summary window: a range of each log, open-ended while inWindow.
 	latLo, latHi     int
@@ -347,14 +352,14 @@ func (r *Recorder) MeanUtilization(now sim.Time) float64 {
 	return float64(busy) / float64(now) / float64(len(r.busyTotal))
 }
 
-// collect copies into the scratch slice the entries of log[lo:hi] whose
-// latency tag passes keep (every entry when keep is nil), and adds their
-// moments in log order.
-func (r *Recorder) collect(log []float64, lo, hi int, keep func(tag int32) bool) ([]float64, stats.Moments) {
-	if cap(r.scratch) < hi-lo {
-		r.scratch = make([]float64, 0, hi-lo)
+// collect copies into *scratch the entries of log[lo:hi] whose latency tag
+// passes keep (every entry when keep is nil), and adds their moments in log
+// order.
+func (r *Recorder) collect(scratch *[]float64, log []float64, lo, hi int, keep func(tag int32) bool) ([]float64, stats.Moments) {
+	if cap(*scratch) < hi-lo {
+		*scratch = make([]float64, 0, hi-lo)
 	}
-	v := r.scratch[:0]
+	v := (*scratch)[:0]
 	var m stats.Moments
 	for i := lo; i < hi; i++ {
 		if keep == nil || keep(r.tagAt(i)) {
@@ -381,7 +386,7 @@ func (r *Recorder) windowSummary(log []float64, lo, hi int, keep func(tag int32)
 	if r.inWindow {
 		hi = len(log)
 	}
-	return stats.Summarize(r.collect(log, lo, hi, keep))
+	return stats.Summarize(r.collect(&r.scratch, log, lo, hi, keep))
 }
 
 // --- Summary accessors ----------------------------------------------------
@@ -427,28 +432,37 @@ type Timeline struct {
 	Epochs     []EpochStats
 }
 
+// summarizedEpochs counts the epochs every Timeline call has summarized,
+// so a test can show that a run nobody reads the timeline of summarizes
+// none.
+var summarizedEpochs atomic.Int64
+
 // Timeline renders the recorder's epoch series. Trailing empty epochs are
 // trimmed; interior empty epochs (a stalled system) are kept, zero-valued,
-// so indices remain proportional to time.
+// so indices remain proportional to time. Each call summarizes afresh over
+// scratch of its own and writes nothing to r, so calls may run
+// concurrently with each other, though not with recording.
 func (r *Recorder) Timeline() Timeline {
-	last := -1
+	last, most := -1, 0 // most: the longest epoch range, the scratch size
 	for i := range r.epochs {
-		if e := &r.epochs[i]; e.completions > 0 || e.depthN > 0 || e.busy > 0 {
+		e := &r.epochs[i]
+		if e.completions > 0 || e.depthN > 0 || e.busy > 0 {
 			last = i
 		}
+		latHi, waitHi := r.epochEnd(i)
+		most = max(most, latHi-e.latLo, waitHi-e.waitLo)
 	}
 	tl := Timeline{EpochNanos: r.epochNanos}
 	if last < 0 {
 		return tl
 	}
+	summarizedEpochs.Add(int64(last + 1))
 	tl.Epochs = make([]EpochStats, last+1)
+	scratch := make([]float64, 0, most)
 	for i := 0; i <= last; i++ {
 		e := &r.epochs[i]
-		latHi, waitHi := len(r.lat), len(r.wait)
-		if i+1 < len(r.epochs) {
-			latHi, waitHi = r.epochs[i+1].latLo, r.epochs[i+1].waitLo
-		}
-		lat, lm := r.collect(r.lat, e.latLo, latHi, measured)
+		latHi, waitHi := r.epochEnd(i)
+		lat, lm := r.collect(&scratch, r.lat, e.latLo, latHi, measured)
 		lm.Sum, lm.SumSq = e.latSum, e.latSq
 		es := EpochStats{
 			StartNanos:     float64(i) * r.epochNanos,
@@ -458,7 +472,7 @@ func (r *Recorder) Timeline() Timeline {
 			Latency:        stats.Summarize(lat, lm),
 			MaxDepth:       e.depthMax,
 		}
-		wait, wm := r.collect(r.wait, e.waitLo, waitHi, nil)
+		wait, wm := r.collect(&scratch, r.wait, e.waitLo, waitHi, nil)
 		wm.Sum, wm.SumSq = e.waitSum, e.waitSq
 		es.Wait = stats.Summarize(wait, wm)
 		if e.depthN > 0 {
@@ -470,6 +484,15 @@ func (r *Recorder) Timeline() Timeline {
 		tl.Epochs[i] = es
 	}
 	return tl
+}
+
+// epochEnd returns where epoch i's entries end in the latency and wait logs:
+// where the next epoch's start, or at the logs' ends.
+func (r *Recorder) epochEnd(i int) (latHi, waitHi int) {
+	if i+1 < len(r.epochs) {
+		return r.epochs[i+1].latLo, r.epochs[i+1].waitLo
+	}
+	return len(r.lat), len(r.wait)
 }
 
 // EpochIndex returns the index of the epoch containing time ns, clamped to

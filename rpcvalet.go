@@ -61,9 +61,10 @@
 //
 // # Transients & faults
 //
-// Every Result carries a Timeline: the run sliced into fixed virtual-time
-// epochs, each with its own throughput, latency percentiles, queue depth,
-// and utilization — the time-resolved view that makes transients visible.
+// Every Result has a Timeline method: the run sliced into fixed
+// virtual-time epochs, each with its own throughput, latency percentiles,
+// queue depth, and utilization — the time-resolved view that makes
+// transients visible. It is summarized when called, not when the run ends.
 // Two scenario axes drive them: ArrivalModulated wraps any arrival process
 // with a rate Envelope (step, pulse, ramp or square wave), and degraded-node
 // injection (Config.Fault on a machine, Cluster.Faults per node or rack)
@@ -295,9 +296,9 @@ func EnvelopePulse(startNanos, durNanos, factor float64) Envelope {
 // time ("square@200us/50us:x2.5").
 func ParseEnvelope(spec string) (Envelope, error) { return arrival.ParseEnvelope(spec) }
 
-// Timeline is the epoch-sliced, time-resolved view every Result now carries:
-// per-epoch throughput, latency and wait percentiles, queue depth, and
-// utilization over the whole run.
+// Timeline is the epoch-sliced, time-resolved view a Result's Timeline
+// method summarizes: per-epoch throughput, latency and wait percentiles,
+// queue depth, and utilization over the whole run.
 type Timeline = metrics.Timeline
 
 // EpochStats is one Timeline slice.

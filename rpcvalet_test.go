@@ -297,11 +297,12 @@ func TestTransientAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Timeline.EpochNanos != 25000 || len(res.Timeline.Epochs) == 0 {
-		t.Fatalf("timeline not populated: %+v", res.Timeline)
+	tl := res.Timeline()
+	if tl.EpochNanos != 25000 || len(tl.Epochs) == 0 {
+		t.Fatalf("timeline not populated: %+v", tl)
 	}
 	total := 0
-	for _, e := range res.Timeline.Epochs {
+	for _, e := range tl.Epochs {
 		total += e.Completions
 	}
 	if total != res.Completed {
@@ -328,9 +329,9 @@ func TestTransientAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cres.Timeline.Epochs) == 0 || len(cres.NodeTimelines) != 2 {
+	if agg, nodes := cres.Timeline(), cres.NodeTimelines(); len(agg.Epochs) == 0 || len(nodes) != 2 {
 		t.Fatalf("cluster timelines missing: %d agg epochs, %d nodes",
-			len(cres.Timeline.Epochs), len(cres.NodeTimelines))
+			len(agg.Epochs), len(nodes))
 	}
 	if cres.NodeFaults[0] != "x1.5" || cres.NodeFaults[1] != "healthy" {
 		t.Fatalf("node fault labels = %v", cres.NodeFaults)

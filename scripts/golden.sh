@@ -80,6 +80,7 @@ outputs() {
 	digest cluster-default-json "$bin/rpcvalet-cluster" -format json
 	digest cluster-racks2 "$bin/rpcvalet-cluster" -racks 2
 	digest cluster-racks2-shards2 "$bin/rpcvalet-cluster" -racks 2 -shards 2
+	digest cluster-racks2-shards2-timeline "$bin/rpcvalet-cluster" -racks 2 -shards 2 -timeline
 	digest cluster-shards4 "$bin/rpcvalet-cluster" -shards 4
 	digest cluster-degraded "$bin/rpcvalet-cluster" -racks 2 -global-sample 1000 -sample 700 \
 		-degrade 'rack1:x1.5,pause@10us+5us;0:x2' -detail -timeline
