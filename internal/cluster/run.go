@@ -181,14 +181,15 @@ func Run(cfg Config) (Result, error) {
 	// cfg.Policy itself (the flat balancer's stream position), later racks
 	// run clones. Stale views refresh on the engine of the tier they serve.
 	var (
-		ft       *tier
-		home     = nodeShard // endpoint → the shard it runs on
-		racks    []*rack
-		frontHop = cfg.Hop
+		ft          *tier
+		home        = nodeShard // endpoint → the shard it runs on
+		racks       []*rack
+		frontHop    = cfg.Hop
+		frontSample = cfg.SampleEvery
+		scrape      func(r int) int // the front tier's depth source, nil flat
 	)
 	if !hier {
 		ft = newTier(cfg.Policy, polRNG[0], cfg.Nodes, cfg.SampleEvery == 0)
-		ft.scheduleRefresh(front.eng, cfg.SampleEvery, nil)
 	} else {
 		home = make([]*shard, cfg.Racks)
 		for r := range home {
@@ -198,12 +199,12 @@ func Run(cfg Config) (Result, error) {
 			}
 			home[r] = nodeShard[r*per]
 			rk := &rack{t: newTier(pol, polRNG[r], per, cfg.SampleEvery == 0), pauses: balPauses[r]}
-			rk.t.scheduleRefresh(home[r].eng, cfg.SampleEvery, nil)
+			rk.t.scheduleRefresh(home[r].eng, cfg.SampleEvery, nil, nil)
 			racks = append(racks, rk)
 		}
 		ft = newTier(cfg.GlobalPolicy, globalRNG, cfg.Racks, cfg.GlobalSampleEvery == 0)
-		ft.scheduleRefresh(front.eng, cfg.GlobalSampleEvery, func(r int) int { return racks[r].t.index.Total() })
-		frontHop = cfg.GlobalHop
+		frontHop, frontSample = cfg.GlobalHop, cfg.GlobalSampleEvery
+		scrape = func(r int) int { return racks[r].t.index.Total() }
 	}
 
 	var (
@@ -215,17 +216,15 @@ func Run(cfg Config) (Result, error) {
 		timedOut      bool
 		halt          bool
 		pool          []*request
+		// finished holds a sharded run's completions that have reached
+		// the front, each under the key its deliver event would have had,
+		// until settle applies them.
+		finished sim.Deferred[*request]
 	)
 	rec := metrics.NewRecorder(metrics.Config{EpochNanos: cfg.Epoch.Nanos(), Expect: cfg.Warmup + cfg.Measure})
 	stop := func() {
 		halt = true
 		front.eng.Stop()
-	}
-	if cfg.MaxSimTime > 0 {
-		front.eng.Schedule(cfg.MaxSimTime, func() {
-			timedOut = true
-			stop()
-		})
 	}
 
 	// complete is the front tier learning that q's handler finished at c.
@@ -253,6 +252,35 @@ func Run(cfg Config) (Result, error) {
 			rec.CloseWindow(c)
 			stop()
 		}
+	}
+
+	// settle applies, in key order, the finished completions whose keys
+	// have passed on the front engine (DESIGN.md §9), and reports whether
+	// the run goes on. It stops at the completion that reaches the target:
+	// the window closes at that completion's time, and the front event that
+	// settled it does nothing else, as if it had never fired. Every front
+	// event that reads what complete writes settles first: an arrival's
+	// pick and tracker, the timeout's count and a stale refresh's truth.
+	settle := func() bool {
+		for {
+			k, ok := finished.PopDue(front.eng)
+			if !ok {
+				return true
+			}
+			complete(k.At.Add(-frontHop), k.Val)
+			if halt {
+				return false
+			}
+		}
+	}
+	ft.scheduleRefresh(front.eng, frontSample, scrape, settle)
+	if cfg.MaxSimTime > 0 {
+		front.eng.Schedule(cfg.MaxSimTime, func() {
+			if settle() {
+				timedOut = true
+				stop()
+			}
+		})
 	}
 
 	// The per-request callbacks, bound once so the hot path allocates no
@@ -327,6 +355,9 @@ func Run(cfg Config) (Result, error) {
 	var seq uint64
 	var arrive func()
 	arrive = func() {
+		if !settle() {
+			return
+		}
 		id := seq
 		seq++
 		e := 0 // a one-rack run may have no global policy: no draw
@@ -375,11 +406,13 @@ func Run(cfg Config) (Result, error) {
 		front.eng.Run()
 	} else {
 		// A completion notification lands one front hop after its handler
-		// finished; stamping it back keeps latency and epoch slicing at the
-		// serial definitions.
-		runRounds(front, groups, frontHop, land, func(arg any) {
-			complete(front.eng.Now().Add(-frontHop), arg.(*request))
-		}, record, func() bool { return halt })
+		// finished; settle stamps it back, which keeps latency and epoch
+		// slicing at the serial definitions. finished holds the
+		// completions crossing the front hop, about rate × hop of them,
+		// as the front heap held their deliver events; presize that many,
+		// within metrics.MaxPresize.
+		finished.Grow(int(min(cfg.RateMRPS*frontHop.Nanos()/1e3, metrics.MaxPresize)))
+		runRounds(front, groups, frontHop, land, &finished, settle, record, func() bool { return halt })
 	}
 	for _, sh := range append([]*shard{front}, groups...) {
 		if sh.err != nil {
@@ -392,12 +425,13 @@ func Run(cfg Config) (Result, error) {
 // runRounds drives a sharded run: every shard advances one lookahead-wide
 // round on its own goroutine (internal/sim/pdes), then a single-threaded
 // exchange delivers the round's cross-shard messages merged by (At, request
-// id) — routed requests to land on their group, completions to deliver on
-// the front — and flushes its trace events to record sorted by (At, ReqID,
-// phase rank). Both keys are partition-independent, so the Result is the
-// same at every shard count ≥ 2.
-func runRounds(front *shard, groups []*shard, lookahead sim.Duration,
-	land, deliver func(any), record func(trace.Event), halted func() bool) {
+// id) — routed requests to land on their group, completions to finished
+// under the keys their deliver events would have had on the front — and
+// flushes its trace events to record sorted by (At, ReqID, phase rank).
+// Both keys are partition-independent, so the Result is the same at every
+// shard count ≥ 2.
+func runRounds(front *shard, groups []*shard, lookahead sim.Duration, land func(any),
+	finished *sim.Deferred[*request], settle func() bool, record func(trace.Event), halted func() bool) {
 	var (
 		msgs   []pdes.Msg[*request]
 		events []trace.Event
@@ -408,6 +442,12 @@ func runRounds(front *shard, groups []*shard, lookahead sim.Duration,
 	}
 	all := append([]*shard{front}, groups...)
 	exchange := func(sim.Time) bool {
+		// A front that ran its whole round has passed every key through
+		// the deadline. One that halted mid-round must not settle: its
+		// RunUntil marked those keys passed all the same.
+		if !halted() {
+			settle()
+		}
 		for _, sh := range groups {
 			msgs = pdes.Gather(msgs, &sh.in)
 			for _, m := range msgs {
@@ -416,7 +456,7 @@ func runRounds(front *shard, groups []*shard, lookahead sim.Duration,
 		}
 		msgs = pdes.Gather(msgs, dones...)
 		for _, m := range msgs {
-			front.eng.ScheduleArgAt(m.At, deliver, m.Payload)
+			finished.Insert(m.At, front.eng.Reserve(), m.Payload)
 		}
 		if record != nil {
 			events = events[:0]

@@ -74,8 +74,10 @@ func (t *tier) completed(i int) {
 // aggregate. Dispatches after a refresh count in the index at once, so the
 // tier never forgets its own in-flight decisions; what a scrape can miss is
 // requests still crossing the global hop, an undercount bounded by
-// rate × GlobalHop.
-func (t *tier) scheduleRefresh(eng *sim.Engine, every sim.Duration, scrape func(i int) int) {
+// rate × GlobalHop. A non-nil settle runs first at each refresh: it applies
+// the completions the tier is owed and reports whether the run goes on; a
+// refresh after the run's end does nothing.
+func (t *tier) scheduleRefresh(eng *sim.Engine, every sim.Duration, scrape func(i int) int, settle func() bool) {
 	if t.live {
 		return
 	}
@@ -85,6 +87,9 @@ func (t *tier) scheduleRefresh(eng *sim.Engine, every sim.Duration, scrape func(
 	}
 	var refresh func()
 	refresh = func() {
+		if settle != nil && !settle() {
+			return
+		}
 		t.index.Rebuild(scrape)
 		eng.Schedule(every, refresh)
 	}

@@ -123,6 +123,7 @@ type Msg[T any] struct {
 // synchronization.
 type Mailbox[T any] struct {
 	msgs []Msg[T]
+	next int // Gather's read position in msgs while it merges
 }
 
 // Send appends one message.
@@ -135,22 +136,79 @@ func (b *Mailbox[T]) Len() int { return len(b.msgs) }
 
 // Gather drains every mailbox into dst (reused; pass the previous round's
 // slice to avoid allocation) and returns the union sorted by (At, Seq) —
-// the deterministic merge order cross-shard delivery must use. Message
-// order within one mailbox is already nondecreasing in At (engines execute
-// in time order), but the merged order across senders is what keeps the
-// destination's event sequence independent of how the simulation was
-// partitioned.
+// the deterministic merge order cross-shard delivery must use, which keeps
+// the destination's event sequence independent of how the simulation was
+// partitioned. A mailbox is usually in order already: its sender runs in
+// time order, and only messages sent at one time may carry falling Seqs.
+// So Gather sorts only a mailbox that is out of order, then merges the
+// mailboxes through a min-heap of their head messages. The heap lives in
+// boxes itself, which Gather leaves reordered; it allocates nothing.
 func Gather[T any](dst []Msg[T], boxes ...*Mailbox[T]) []Msg[T] {
 	dst = dst[:0]
-	for _, b := range boxes {
-		dst = append(dst, b.msgs...)
+	// h is boxes[:len(h)]: the mailboxes with messages left to merge.
+	h := boxes[:0]
+	for i, b := range boxes {
+		if len(b.msgs) == 0 {
+			continue
+		}
+		if !slices.IsSortedFunc(b.msgs, compare[T]) {
+			slices.SortFunc(b.msgs, compare[T])
+		}
+		b.next = 0
+		boxes[i] = boxes[len(h)]
+		h = append(h, b)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 1 {
+		b := h[0]
+		dst = append(dst, b.msgs[b.next])
+		if b.next++; b.next == len(b.msgs) {
+			b.msgs = b.msgs[:0]
+			last := len(h) - 1
+			h[0], h[last] = h[last], b
+			h = h[:last]
+		}
+		siftDown(h, 0)
+	}
+	if len(h) == 1 {
+		b := h[0]
+		dst = append(dst, b.msgs[b.next:]...)
 		b.msgs = b.msgs[:0]
 	}
-	slices.SortFunc(dst, func(a, b Msg[T]) int {
-		if c := cmp.Compare(a.At, b.At); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
 	return dst
+}
+
+// compare orders messages by (At, Seq).
+func compare[T any](a, b Msg[T]) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
+// headBefore reports whether mailbox a's next message orders before b's.
+func headBefore[T any](a, b *Mailbox[T]) bool {
+	x, y := &a.msgs[a.next], &b.msgs[b.next]
+	return x.At < y.At || x.At == y.At && x.Seq < y.Seq
+}
+
+// siftDown moves h[i] down the binary min-heap h of mailbox heads until no
+// child's head orders before it.
+func siftDown[T any](h []*Mailbox[T], i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && headBefore(h[c+1], h[c]) {
+			c++
+		}
+		if !headBefore(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

@@ -3,6 +3,7 @@ package pdes
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,6 +61,68 @@ func TestGatherAllocs(t *testing.T) {
 			t.Fatalf("messages %d and %d out of (At, Seq) order: %+v, %+v", i-1, i, p, q)
 		}
 	}
+}
+
+// FuzzGather feeds Gather random mailboxes, some already in (At, Seq)
+// order and some not, with At ties within and across mailboxes, and checks
+// the merge against sorting the union, that every mailbox drains, and that
+// a Gather into a reused slice allocates nothing. Each message takes three
+// bytes: its mailbox, its At (one of 8 values, so ties are common) and the
+// high bits of its Seq; the low bits are its input index, so Seqs are
+// unique. The first byte sets the mailbox count, and bit i of the second
+// sorts mailbox i before Gather sees it.
+func FuzzGather(f *testing.F) {
+	f.Add([]byte{3, 0b010, 0, 5, 1, 1, 5, 0, 2, 3, 9, 0, 5, 0, 1, 2, 7, 1, 0, 3, 2, 3, 4})
+	f.Add([]byte{1, 0, 0, 7, 3, 0, 7, 1, 0, 6, 2, 0, 0, 0})
+	f.Add([]byte{9, 0xff, 8, 1, 1, 7, 1, 1, 6, 1, 0, 5, 2, 2, 4, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		boxes := make([]Mailbox[int], 1+int(data[0])%24)
+		sorted, data := data[1], data[2:]
+		var want []Msg[int]
+		for i := 0; i+3 <= len(data) && i/3 < 512; i += 3 {
+			m := Msg[int]{At: sim.Time(data[i+1] % 8), Seq: uint64(data[i+2])<<16 | uint64(i/3), Payload: i / 3}
+			b := &boxes[int(data[i])%len(boxes)]
+			b.msgs = append(b.msgs, m)
+			want = append(want, m)
+		}
+		for i := range boxes {
+			if i < 8 && sorted&(1<<i) != 0 {
+				slices.SortFunc(boxes[i].msgs, compare[int])
+			}
+		}
+		inputs := make([][]Msg[int], len(boxes))
+		ptrs := make([]*Mailbox[int], len(boxes))
+		for i := range boxes {
+			inputs[i] = slices.Clone(boxes[i].msgs)
+			ptrs[i] = &boxes[i]
+		}
+		slices.SortFunc(want, compare[int])
+
+		got := Gather(nil, ptrs...)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Gather = %v, want %v", got, want)
+		}
+		for i := range boxes {
+			if boxes[i].Len() != 0 {
+				t.Fatalf("mailbox %d kept %d messages", i, boxes[i].Len())
+			}
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			for i := range boxes {
+				boxes[i].msgs = append(boxes[i].msgs, inputs[i]...)
+			}
+			got = Gather(got, ptrs...)
+		})
+		if allocs != 0 {
+			t.Fatalf("Gather into a reused slice: %v allocs per call, want 0", allocs)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("Gather into a reused slice = %v, want %v", got, want)
+		}
+	})
 }
 
 // TestRunPingPong drives two shards that volley a counter through mailboxes

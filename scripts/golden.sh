@@ -82,6 +82,7 @@ outputs() {
 	digest cluster-racks2-shards2 "$bin/rpcvalet-cluster" -racks 2 -shards 2
 	digest cluster-racks2-shards2-timeline "$bin/rpcvalet-cluster" -racks 2 -shards 2 -timeline
 	digest cluster-shards4 "$bin/rpcvalet-cluster" -shards 4
+	digest cluster-shards4-sample "$bin/rpcvalet-cluster" -shards 4 -sample 700
 	digest cluster-degraded "$bin/rpcvalet-cluster" -racks 2 -global-sample 1000 -sample 700 \
 		-degrade 'rack1:x1.5,pause@10us+5us;0:x2' -detail -timeline
 	digest cluster-tail-trace "$bin/rpcvalet-cluster" -tail 10 -trace-jsonl cluster.jsonl -trace-sample 64
