@@ -99,7 +99,7 @@ func TestPolicyIndexEquivalence(t *testing.T) {
 					// refresh is the one event on eng; Step fires it.
 					eng := sim.New()
 					tr := newTier(nil, nil, nodes, live)
-					tr.scheduleRefresh(eng, 1, nil, nil)
+					tr.scheduleRefresh(eng, 1, nil)
 					v := tr.index
 					var inflight []int
 					for step := 0; step < 600; step++ {

@@ -181,15 +181,14 @@ func Run(cfg Config) (Result, error) {
 	// cfg.Policy itself (the flat balancer's stream position), later racks
 	// run clones. Stale views refresh on the engine of the tier they serve.
 	var (
-		ft          *tier
-		home        = nodeShard // endpoint → the shard it runs on
-		racks       []*rack
-		frontHop    = cfg.Hop
-		frontSample = cfg.SampleEvery
-		scrape      func(r int) int // the front tier's depth source, nil flat
+		ft       *tier
+		home     = nodeShard // endpoint → the shard it runs on
+		racks    []*rack
+		frontHop = cfg.Hop
 	)
 	if !hier {
 		ft = newTier(cfg.Policy, polRNG[0], cfg.Nodes, cfg.SampleEvery == 0)
+		ft.scheduleRefresh(front.eng, cfg.SampleEvery, nil)
 	} else {
 		home = make([]*shard, cfg.Racks)
 		for r := range home {
@@ -199,12 +198,12 @@ func Run(cfg Config) (Result, error) {
 			}
 			home[r] = nodeShard[r*per]
 			rk := &rack{t: newTier(pol, polRNG[r], per, cfg.SampleEvery == 0), pauses: balPauses[r]}
-			rk.t.scheduleRefresh(home[r].eng, cfg.SampleEvery, nil, nil)
+			rk.t.scheduleRefresh(home[r].eng, cfg.SampleEvery, nil)
 			racks = append(racks, rk)
 		}
 		ft = newTier(cfg.GlobalPolicy, globalRNG, cfg.Racks, cfg.GlobalSampleEvery == 0)
-		frontHop, frontSample = cfg.GlobalHop, cfg.GlobalSampleEvery
-		scrape = func(r int) int { return racks[r].t.index.Total() }
+		ft.scheduleRefresh(front.eng, cfg.GlobalSampleEvery, func(r int) int { return racks[r].t.index.Total() })
+		frontHop = cfg.GlobalHop
 	}
 
 	var (
@@ -254,13 +253,14 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	// settle applies, in key order, the finished completions whose keys
-	// have passed on the front engine (DESIGN.md §9), and reports whether
-	// the run goes on. It stops at the completion that reaches the target:
-	// the window closes at that completion's time, and the front event that
-	// settled it does nothing else, as if it had never fired. Every front
-	// event that reads what complete writes settles first: an arrival's
-	// pick and tracker, the timeout's count and a stale refresh's truth.
+	// settle applies, in key order, a sharded run's finished completions
+	// whose keys have passed on the front engine (DESIGN.md §9), and
+	// reports whether the run goes on. It stops at the completion that
+	// reaches the target: the window closes at that completion's time, and
+	// the front event that settled it does nothing else, as if it had never
+	// fired. Every front event that reads what complete writes settles
+	// first: an arrival's pick and tracker, the timeout's count and a stale
+	// refresh's truth. A serial run completes inline and never settles.
 	settle := func() bool {
 		for {
 			k, ok := finished.PopDue(front.eng)
@@ -273,13 +273,16 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 	}
-	ft.scheduleRefresh(front.eng, frontSample, scrape, settle)
+	if sharded {
+		ft.settle = settle
+	}
 	if cfg.MaxSimTime > 0 {
 		front.eng.Schedule(cfg.MaxSimTime, func() {
-			if settle() {
-				timedOut = true
-				stop()
+			if sharded && !settle() {
+				return
 			}
+			timedOut = true
+			stop()
 		})
 	}
 
@@ -355,7 +358,7 @@ func Run(cfg Config) (Result, error) {
 	var seq uint64
 	var arrive func()
 	arrive = func() {
-		if !settle() {
+		if sharded && !settle() {
 			return
 		}
 		id := seq

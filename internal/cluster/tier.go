@@ -29,13 +29,16 @@ import (
 // depth index it decides over — the only store of its endpoints' visible
 // depths. out holds the true outstanding per endpoint, copied into the index
 // at each refresh; it exists only on a stale tier that refreshes from its own
-// accounting rather than a scrape.
+// accounting rather than a scrape. settle is set only on a sharded run's
+// front tier: it applies the completions the tier is owed and reports
+// whether the run goes on, and each refresh runs it first.
 type tier struct {
-	pol   Policy
-	rng   *rng.Source
-	index depthIndex
-	live  bool
-	out   []int
+	pol    Policy
+	rng    *rng.Source
+	index  depthIndex
+	live   bool
+	out    []int
+	settle func() bool
 }
 
 // newTier builds a tier over `endpoints` endpoints. A nil policy is allowed
@@ -74,10 +77,8 @@ func (t *tier) completed(i int) {
 // aggregate. Dispatches after a refresh count in the index at once, so the
 // tier never forgets its own in-flight decisions; what a scrape can miss is
 // requests still crossing the global hop, an undercount bounded by
-// rate × GlobalHop. A non-nil settle runs first at each refresh: it applies
-// the completions the tier is owed and reports whether the run goes on; a
-// refresh after the run's end does nothing.
-func (t *tier) scheduleRefresh(eng *sim.Engine, every sim.Duration, scrape func(i int) int, settle func() bool) {
+// rate × GlobalHop. A refresh whose settle ends the run does nothing else.
+func (t *tier) scheduleRefresh(eng *sim.Engine, every sim.Duration, scrape func(i int) int) {
 	if t.live {
 		return
 	}
@@ -87,7 +88,7 @@ func (t *tier) scheduleRefresh(eng *sim.Engine, every sim.Duration, scrape func(
 	}
 	var refresh func()
 	refresh = func() {
-		if settle != nil && !settle() {
+		if t.settle != nil && !t.settle() {
 			return
 		}
 		t.index.Rebuild(scrape)

@@ -42,7 +42,7 @@ func TestStaleTierVisibility(t *testing.T) {
 	}
 
 	live, lp := build(true)
-	live.scheduleRefresh(sim.New(), every, nil, nil) // a no-op on a live tier
+	live.scheduleRefresh(sim.New(), every, nil) // a no-op on a live tier
 	live.dispatched(0)
 	live.dispatched(0)
 	live.dispatched(1)
@@ -52,7 +52,7 @@ func TestStaleTierVisibility(t *testing.T) {
 
 	eng := sim.New()
 	stale, sp := build(false)
-	stale.scheduleRefresh(eng, every, nil, nil)
+	stale.scheduleRefresh(eng, every, nil)
 	stale.dispatched(0)
 	stale.dispatched(0)
 	stale.dispatched(1)
@@ -71,7 +71,7 @@ func TestStaleTierVisibility(t *testing.T) {
 	eng = sim.New()
 	src := []int{5, 0, 3}
 	scraped, cp := build(false)
-	scraped.scheduleRefresh(eng, every, func(i int) int { return src[i] }, nil)
+	scraped.scheduleRefresh(eng, every, func(i int) int { return src[i] })
 	scraped.dispatched(1)
 	scraped.completed(1)
 	check("scraped before first scrape", scraped, cp, 0, 1, 0)
