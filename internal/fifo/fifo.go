@@ -7,9 +7,9 @@
 // outstanding threshold, the idle-core list), after which it never
 // reallocates. A queue bounded only by N×S flow control (§4.2–4.3) is left
 // to double up to the peak it reaches instead. The machine model's per-core
-// CQs, parking queues, deferred-credit rings, software queue and idle-core
-// list, the NI dispatcher's shared CQ, and the queueing model's stations
-// all use this one implementation.
+// CQs, parking queues, software queue and idle-core list, the NI
+// dispatcher's shared CQ, and the queueing model's stations all use this
+// one implementation.
 package fifo
 
 // minCap is the ring size the first Push of a zero-value queue allocates.
@@ -83,19 +83,6 @@ func (q *Queue[T]) Peek() (T, bool) {
 		return zero, false
 	}
 	return q.buf[q.head], true
-}
-
-// At returns the i-th queued element, counting from the head (0 is the
-// element Pop would return). It panics unless 0 <= i < Len().
-func (q *Queue[T]) At(i int) T {
-	if i < 0 || i >= q.n {
-		panic("fifo: At index out of range")
-	}
-	i += q.head
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	return q.buf[i]
 }
 
 // Len reports the number of queued elements.

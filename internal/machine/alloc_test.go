@@ -80,8 +80,8 @@ func TestSteadyStateAllocsPerRequest(t *testing.T) {
 //     rounding);
 //   - the 200 send-buffer valid-bit words: 1.6 KB;
 //   - the 200 per-source ring heads and lengths: 1.2 KB;
-//   - the credit rings, presized to 24 replenishes and 12 reply credits
-//     per backend: 1.7 KB;
+//   - the credit lists, presized to 24 replenishes and 48 reply credits:
+//     1.7 KB;
 //   - the deferred-notice list, one slot per core: 384 bytes;
 //   - the folded-start list, one slot per core: 384 bytes;
 //   - the rest, about 7 KB: the Machine itself, 16 cores with their CQs,

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"rpcvalet/internal/fifo"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/sonuma"
 	"rpcvalet/internal/workload"
@@ -23,10 +22,10 @@ import (
 //     (one whose slot is not -1), and that slot is the receive index of the
 //     request's source and pair slot;
 //   - for every source, its free-slot ring together with the pair slots of
-//     its admitted requests and of the replenishes still in the credit
-//     ring holds each of 0..S-1 exactly once;
-//   - every reply send slot in flight is held by exactly one credit in the
-//     reply credit rings, and every credit ring is in (at, seq) key order;
+//     its admitted requests and of the replenishes still pending holds
+//     each of 0..S-1 exactly once;
+//   - every reply send slot in flight is held by exactly one pending reply
+//     credit, and both credit lists are in (at, seq) key order;
 //   - every request ever allocated is exactly one of admitted, parked or
 //     pooled, and inflightCount counts the first two.
 //
@@ -122,26 +121,24 @@ func auditSlots(t *testing.T, m *Machine) {
 	// parked arrivals) or all its send slots are in flight (for stalled
 	// cores), and none of its credits of that kind has passed its key
 	// unapplied, since each would have fired as a wake.
-	passed := func(rings []fifo.Queue[credit], src int) bool {
-		for r := range rings {
-			for i := range rings[r].Len() {
-				if c := rings[r].At(i); int(c.src) == src && m.eng.Due(c.at, c.seq) {
-					return true
-				}
+	passed := func(list *sim.Deferred[credit], src int) bool {
+		for i := range list.Len() {
+			if k := list.At(i); int(k.Val.src) == src && m.eng.Due(k.At, k.Seq) {
+				return true
 			}
 		}
 		return false
 	}
 	for src, w := range m.replyWaiters {
 		if w != nil && w.Len() > 0 &&
-			(m.replyBuf.InFlight(sonuma.NodeID(src)) != dom.Slots || passed(m.credits[1:], src)) {
+			(m.replyBuf.InFlight(sonuma.NodeID(src)) != dom.Slots || passed(&m.replyCredits, src)) {
 			t.Fatalf("%d cores stall on node %d with %d of %d send slots in flight", w.Len(), src,
 				m.replyBuf.InFlight(sonuma.NodeID(src)), dom.Slots)
 		}
 	}
 	parked := 0
 	for src, w := range m.pendingBySrc {
-		if w != nil && w.Len() > 0 && (m.freeLen[src] != 0 || passed(m.credits[:1], src)) {
+		if w != nil && w.Len() > 0 && (m.freeLen[src] != 0 || passed(&m.replenishes, src)) {
 			t.Fatalf("%d arrivals park on node %d with %d free slots", w.Len(), src, m.freeLen[src])
 		}
 		for w != nil && w.Len() > 0 {
@@ -154,7 +151,7 @@ func auditSlots(t *testing.T, m *Machine) {
 		t.Fatalf("inflightCount %d, want %d admitted + %d parked", m.inflightCount, admitted, parked)
 	}
 
-	// A completed request's two credits wait in the credit rings until
+	// A completed request's two credits wait in the credit lists until
 	// settled: a replenish returns its pair slot to the source's ring, a
 	// reply credit frees its send slot.
 	type sendSlot struct {
@@ -162,13 +159,12 @@ func auditSlots(t *testing.T, m *Machine) {
 		slot int
 	}
 	held := map[sendSlot]bool{}
-	for r := range m.credits {
-		q := &m.credits[r]
-		for i := range q.Len() {
-			c := q.At(i)
+	for r, list := range []*sim.Deferred[credit]{&m.replenishes, &m.replyCredits} {
+		for i := range list.Len() {
+			k, c := list.At(i), list.At(i).Val
 			if i > 0 {
-				if p := q.At(i - 1); p.at > c.at || p.at == c.at && p.seq >= c.seq {
-					t.Fatalf("credit ring %d out of key order: (%v, %d) before (%v, %d)", r, p.at, p.seq, c.at, c.seq)
+				if p := list.At(i - 1); p.At > k.At || p.At == k.At && p.Seq >= k.Seq {
+					t.Fatalf("credit list %d out of key order: (%v, %d) before (%v, %d)", r, p.At, p.Seq, k.At, k.Seq)
 				}
 			}
 			if r == 0 {
@@ -217,7 +213,7 @@ func auditSlots(t *testing.T, m *Machine) {
 		}
 	}
 	t.Logf("%d requests allocated: %d admitted, %d parked, %d pooled; %d replenishes, %d reply credits pending",
-		len(m.reqs), admitted, parked, len(m.pool), m.credits[0].Len(), len(held))
+		len(m.reqs), admitted, parked, len(m.pool), m.replenishes.Len(), len(held))
 }
 
 // auditNotices checks each dispatcher of a stopped machine against its
@@ -388,25 +384,39 @@ func FuzzMachineConfig(f *testing.F) {
 // credits already have theirs. In a run the credit at the mark itself never
 // exists: a reply credit's seq is always followed by its completion's
 // replenish, so two credits of one kind are never adjacent. The test
-// places one there.
+// places one there. A second source's two credits sit in the reverse of
+// their seq order, as two backends' reply credits can: each is above the
+// mark taken before the scan, so each gets its wake.
 func TestParkWakesFromMark(t *testing.T) {
 	m, err := New(testConfig(ModeSingleQueue, workload.HERD(), 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const src = 3
-	below, mark, other := m.eng.Reserve(), m.eng.Reserve(), m.eng.Reserve()
-	w := &waiters{woke: mark}
+	const src, src2 = 3, 5
+	below, mark, other, lo, hi := m.eng.Reserve(), m.eng.Reserve(), m.eng.Reserve(), m.eng.Reserve(), m.eng.Reserve()
+	var list sim.Deferred[credit]
+	list.Insert(100, below, credit{src: src})
+	list.Insert(200, mark, credit{src: src})
+	list.Insert(300, other, credit{src: src + 1})
+	list.Insert(500, lo, credit{src: src2})
+	list.Insert(400, hi, credit{src: src2})
 	ws := make([]*waiters, m.p.Domain.Nodes)
-	ws[src] = w
-	rings := make([]fifo.Queue[credit], 1)
-	rings[0].Push(credit{at: 100, seq: below, src: src})
-	rings[0].Push(credit{at: 200, seq: mark, src: src})
-	rings[0].Push(credit{at: 300, seq: other, src: src + 1})
-	m.park(&ws, src, m.getRequest(), rings, m.fnWakeArrival)
-	if got := m.eng.PendingWith(w); got != 1 || w.woke != mark+1 {
-		t.Fatalf("%d wake events scheduled, wake mark %d; want 1 (the credit at the mark %d) and mark %d",
-			got, w.woke, mark, mark+1)
+	ws[src], ws[src2] = &waiters{woke: mark}, &waiters{woke: lo}
+	for _, tc := range []struct {
+		src         sonuma.NodeID
+		wakes       int
+		wantMark    uint64
+		description string
+	}{
+		{src, 1, mark + 1, "the credit at the mark"},
+		{src2, 2, hi + 1, "both credits above the mark"},
+	} {
+		w := ws[tc.src]
+		m.park(&ws, tc.src, m.getRequest(), &list, m.fnWakeArrival)
+		if got := m.eng.PendingWith(w); got != tc.wakes || w.woke != tc.wantMark {
+			t.Fatalf("source %d: %d wake events scheduled, wake mark %d; want %d (%s) and mark %d",
+				tc.src, got, w.woke, tc.wakes, tc.description, tc.wantMark)
+		}
 	}
 }
 

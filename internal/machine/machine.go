@@ -47,13 +47,11 @@ type request struct {
 // credit is one deferred flow-control credit (DESIGN.md §9): a receive-slot
 // replenish returning pair slot slot to source src, or a reply send-slot
 // credit returning send slot slot toward src. It is not an event: it waits
-// in a credit ring under the (at, seq) key its event would have had, and
+// in a sim.Deferred under the (at, seq) key its event would have had, and
 // settleFree or settleReplies applies it once that key has passed, before
 // the slot table it returns to is read. It becomes a wake event only while
 // src has requests waiting on it.
 type credit struct {
-	at   sim.Time
-	seq  uint64
 	src  int32
 	slot int32
 }
@@ -79,14 +77,16 @@ type waiters struct {
 // a list grows on demand.
 const unlimitedNotices = 8
 
-// Credit-ring presizes, sized to the peaks measured on Defaults() nodes:
-// 21 replenishes in flight and at most 12 reply credits on one backend on a
-// 1x16 HERD node at 0.8 of capacity, 16 and 8 on a dc-1000-sharded node. A
-// ring past its presize grows by doubling, like every unbounded ring
-// (DESIGN.md §10). Each slot is 24 bytes, paid by every node at build.
+// Credit-list presizes. The reply list holds every backend's reply
+// credits, and is presized to what the four per-backend rings it replaced
+// held together. On a 1x16 HERD node at 0.8 of capacity over 220,000
+// completions, 31 replenishes and 38 reply credits were pending at most;
+// on a dc-1000-sharded node, 16 and 8 per backend. A list past its
+// presize grows by append (DESIGN.md §10). Each entry is 24 bytes, paid by
+// every node at build.
 const (
-	replenishRing   = 24
-	replyCreditRing = 12
+	replenishPresize   = 24
+	replyCreditPresize = 48
 )
 
 // notices is one dispatcher's deferred completion notices (DESIGN.md §9).
@@ -165,11 +165,11 @@ type Machine struct {
 	// queue nil until that source's first park; most nodes never park.
 	pendingBySrc []*waiters
 
-	// Deferred credit rings, each in key order. credits[0] holds the
-	// replenishes, due NetRTT/2 after their completions; credits[1+b] holds
-	// NI backend b's reply credits, due a round trip after the backend's
-	// busy horizon, which only moves forward.
-	credits []fifo.Queue[credit]
+	// Deferred credits: the replenishes, due NetRTT/2 after their
+	// completions, and the reply credits, due a round trip after their
+	// backend's busy horizon.
+	replenishes  sim.Deferred[credit]
+	replyCredits sim.Deferred[credit]
 
 	// Software single-queue state.
 	swQueue    fifo.Queue[*request]
@@ -424,11 +424,8 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	for b := 0; b < p.Backends; b++ {
 		m.backends = append(m.backends, sim.NewServer(m.eng))
 	}
-	m.credits = make([]fifo.Queue[credit], 1+p.Backends)
-	m.credits[0].Grow(replenishRing)
-	for b := 1; b <= p.Backends; b++ {
-		m.credits[b].Grow(replyCreditRing)
-	}
+	m.replenishes.Grow(replenishPresize)
+	m.replyCredits.Grow(replyCreditPresize)
 
 	if m.recvBuf, err = sonuma.NewReceiveBuffer(p.Domain); err != nil {
 		return nil, err
@@ -496,9 +493,9 @@ func (m *Machine) getRequest() *request {
 
 // park appends req to the source's queue in *ws, allocating the per-source
 // array on the machine's first park and the queue on the source's first.
-// When the source starts waiting, each of its credits in rings without a
+// When the source starts waiting, each of its credits in list without a
 // wake event yet gets one at its reserved key, firing wake.
-func (m *Machine) park(ws *[]*waiters, src sonuma.NodeID, req *request, rings []fifo.Queue[credit], wake func(any)) {
+func (m *Machine) park(ws *[]*waiters, src sonuma.NodeID, req *request, list *sim.Deferred[credit], wake func(any)) {
 	if *ws == nil {
 		*ws = make([]*waiters, m.p.Domain.Nodes)
 	}
@@ -511,14 +508,13 @@ func (m *Machine) park(ws *[]*waiters, src sonuma.NodeID, req *request, rings []
 	if w.Len() > 1 {
 		return // every credit of a waiting source already has its wake
 	}
+	// Key order is not seq order, so every credit is tested against the
+	// mark as it was before the scan.
 	woke := w.woke
-	for r := range rings {
-		q := &rings[r]
-		for i := range q.Len() {
-			if c := q.At(i); c.src == int32(src) && c.seq >= woke {
-				m.eng.ScheduleArgAtSeq(c.at, c.seq, wake, w)
-				w.woke = max(w.woke, c.seq+1)
-			}
+	for i := range list.Len() {
+		if k := list.At(i); k.Val.src == int32(src) && k.Seq >= woke {
+			m.eng.ScheduleArgAtSeq(k.At, k.Seq, wake, w)
+			w.woke = max(w.woke, k.Seq+1)
 		}
 	}
 }
@@ -526,13 +522,13 @@ func (m *Machine) park(ws *[]*waiters, src sonuma.NodeID, req *request, rings []
 // deferCredit queues a credit returning slot to src at the key an event
 // scheduled now at time at would get. If src has requests waiting in ws,
 // the credit is also scheduled as a wake event at that key.
-func (m *Machine) deferCredit(q *fifo.Queue[credit], ws []*waiters, at sim.Time, src sonuma.NodeID, slot int, wake func(any)) {
-	c := credit{at: at, seq: m.eng.Reserve(), src: int32(src), slot: int32(slot)}
-	q.Push(c)
+func (m *Machine) deferCredit(list *sim.Deferred[credit], ws []*waiters, at sim.Time, src sonuma.NodeID, slot int, wake func(any)) {
+	seq := m.eng.Reserve()
+	list.Insert(at, seq, credit{src: int32(src), slot: int32(slot)})
 	if ws != nil {
 		if w := ws[src]; w != nil && w.Len() > 0 {
-			m.eng.ScheduleArgAtSeq(c.at, c.seq, wake, w)
-			w.woke = c.seq + 1
+			m.eng.ScheduleArgAtSeq(at, seq, wake, w)
+			w.woke = seq + 1
 		}
 	}
 }
@@ -540,13 +536,12 @@ func (m *Machine) deferCredit(q *fifo.Queue[credit], ws []*waiters, at sim.Time,
 // settleFree applies every replenish whose key has passed, in key order,
 // so the free-slot rings read as they would had every replenish been an
 // event. Replenishes only touch the free-slot rings and reply credits only
-// the send buffer, so each reader settles only its own rings: the free-slot
-// rings before an arrival claims a slot, the send buffer before a reply
-// does (settleReplies).
+// the send buffer, so each reader settles only its own list: the
+// replenishes before an arrival claims a slot, the reply credits before a
+// reply does (settleReplies).
 func (m *Machine) settleFree() {
-	q := &m.credits[0]
-	for c, ok := q.Peek(); ok && m.eng.Due(c.at, c.seq); c, ok = q.Peek() {
-		q.Pop()
+	for k, ok := m.replenishes.PopDue(m.eng); ok; k, ok = m.replenishes.PopDue(m.eng) {
+		c := k.Val
 		n, size := int(c.src), m.p.Domain.Slots
 		t := int(m.freeHead[n]) + int(m.freeLen[n])
 		if t >= size {
@@ -558,16 +553,11 @@ func (m *Machine) settleFree() {
 }
 
 // settleReplies applies every reply credit whose key has passed, in key
-// order within each backend's ring. The send buffer's Acquire takes the
-// lowest free slot whatever the release order, so the rings need no merge.
+// order.
 func (m *Machine) settleReplies() {
-	for r := 1; r < len(m.credits); r++ {
-		q := &m.credits[r]
-		for c, ok := q.Peek(); ok && m.eng.Due(c.at, c.seq); c, ok = q.Peek() {
-			q.Pop()
-			if err := m.replyBuf.Release(sonuma.NodeID(c.src), int(c.slot)); err != nil {
-				panic(fmt.Sprintf("machine: reply credit return: %v", err))
-			}
+	for k, ok := m.replyCredits.PopDue(m.eng); ok; k, ok = m.replyCredits.PopDue(m.eng) {
+		if err := m.replyBuf.Release(sonuma.NodeID(k.Val.src), int(k.Val.slot)); err != nil {
+			panic(fmt.Sprintf("machine: reply credit return: %v", err))
 		}
 	}
 }
@@ -758,7 +748,7 @@ func (m *Machine) inject(onDoneFn func(arg any, class int, measured bool), onDon
 	m.settleFree()
 	if m.freeLen[src] == 0 {
 		m.blockedArrivals++
-		m.park(&m.pendingBySrc, src, req, m.credits[:1], m.fnWakeArrival)
+		m.park(&m.pendingBySrc, src, req, &m.replenishes, m.fnWakeArrival)
 		return
 	}
 	m.admit(req)
@@ -1021,7 +1011,7 @@ func (m *Machine) finish(req *request) {
 	slot, ok := m.replyBuf.Acquire(req.src, m.wl.ReplyBytes)
 	if !ok {
 		m.replyStalls++
-		m.park(&m.replyWaiters, req.src, req, m.credits[1:], m.fnWakeStall)
+		m.park(&m.replyWaiters, req.src, req, &m.replyCredits, m.fnWakeStall)
 		return
 	}
 	m.complete(req, slot)
@@ -1066,7 +1056,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 	// consumes it and returns the send-slot credit a round trip after the
 	// packets leave the backend.
 	end := m.backends[c.replyBackend].Occupy(sim.Duration(m.replyPkts) * packetProc)
-	m.deferCredit(&m.credits[1+c.replyBackend], m.replyWaiters, end.Add(m.p.NetRTT), req.src, replySlot, m.fnWakeStall)
+	m.deferCredit(&m.replyCredits, m.replyWaiters, end.Add(m.p.NetRTT), req.src, replySlot, m.fnWakeStall)
 
 	// Replenish: free the receive slot now; the sender regains the credit
 	// after the replenish message crosses the network.
@@ -1075,7 +1065,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 	}
 	req.slot = -1
 	m.inflightCount--
-	m.deferCredit(&m.credits[0], m.pendingBySrc, now.Add(m.p.NetRTT/2), req.src, req.pairSlot, m.fnWakeArrival)
+	m.deferCredit(&m.replenishes, m.pendingBySrc, now.Add(m.p.NetRTT/2), req.src, req.pairSlot, m.fnWakeArrival)
 
 	// Pointer-shaped fields are cleared so a pooled request never pins its
 	// old callback or core.
