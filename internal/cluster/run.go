@@ -584,15 +584,7 @@ func assemble(cfg Config, rec *metrics.Recorder,
 		res.nodeRecs = append(res.nodeRecs, m.Recorder())
 	}
 
-	// SLO: absolute when the workload specifies one, otherwise the SLO
-	// factor applied to the estimated mean service time (handler mean plus
-	// fixed per-request core overhead) — the same S̄ CapacityMRPS uses.
-	wl := cfg.Node.Workload
-	if wl.SLONanos > 0 {
-		res.SLONanos = wl.SLONanos
-	} else {
-		res.SLONanos = wl.SLOFactor * (wl.MeanService() + machine.CoreOverheadNanos)
-	}
+	res.SLONanos = cfg.SLONanos()
 	res.MeetsSLO = !timedOut && res.Latency.Count > 0 && res.Latency.P99 <= res.SLONanos
 	return res
 }

@@ -325,6 +325,14 @@ func machineCapSimTime(cfg machine.Config, rate float64) sim.Duration {
 	return capSimTime(CapacityMRPS(cfg.Params, cfg.Workload), rate, cfg.Warmup+cfg.Measure)
 }
 
+// clusterCapSimTime is capSimTime for one cluster run, plus the hops and an
+// SLO: however few its completions, a run leaves room for the first one to
+// cross to its node, be served and come back.
+func clusterCapSimTime(cfg cluster.Config, rate float64) sim.Duration {
+	return capSimTime(ClusterCapacityMRPS(cfg), rate, cfg.Warmup+cfg.Measure) +
+		cfg.Hop + cfg.GlobalHop + sim.FromNanos(cfg.SLONanos())
+}
+
 // MachineSweep runs the machine at every rate (concurrently) and returns the
 // curve in rate order.
 func MachineSweep(base machine.Config, rates []float64, label string, workers int) (Curve, error) {
@@ -385,7 +393,7 @@ func clusterSeries(base cluster.Config, rates []float64, label string) series {
 			cfg.GlobalPolicy = base.GlobalPolicy.Clone()
 		}
 		if cfg.MaxSimTime == 0 {
-			cfg.MaxSimTime = capSimTime(ClusterCapacityMRPS(cfg), rate, cfg.Warmup+cfg.Measure)
+			cfg.MaxSimTime = clusterCapSimTime(cfg, rate)
 		}
 		res, err := cluster.Run(cfg)
 		if err != nil {

@@ -378,6 +378,28 @@ func TestClusterSweepDeterministic(t *testing.T) {
 	}
 }
 
+// TestShortClusterPointCompletes: a cluster point of two completions,
+// flat or two-tier, is capped late enough for its first request to cross
+// its hops both ways and be served, so it completes instead of timing out.
+func TestShortClusterPointCompletes(t *testing.T) {
+	for _, racks := range []int{0, 2} {
+		cfg := clusterBase(Options{Measure: 2, Seed: 1}, workload.SyntheticExp(), "1x16", cluster.JSQ{D: 2})
+		if racks > 0 {
+			cfg.Racks, cfg.GlobalPolicy, cfg.GlobalHop = racks, cluster.JSQ{D: 2}, HierGlobalHop
+		}
+		cfg.RateMRPS = 0.9 * ClusterCapacityMRPS(cfg)
+		cfg.MaxSimTime = clusterCapSimTime(cfg, cfg.RateMRPS)
+		res, err := cluster.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TimedOut || res.Completed != 2 || res.Latency.P99 == 0 {
+			t.Errorf("racks %d: timed out %v, %d completed, p99 %.0f ns; want 2 completed, a p99, no timeout",
+				racks, res.TimedOut, res.Completed, res.Latency.P99)
+		}
+	}
+}
+
 func TestClusterSweepPropagatesError(t *testing.T) {
 	o := tinyOptions()
 	base := clusterBase(o, workload.SyntheticExp(), "1x16", cluster.JSQ{D: 2})

@@ -64,9 +64,8 @@ func hierConfigAt(o Options, n int, global, rack string) (cluster.Config, error)
 		cfg.GlobalPolicy = gpol
 		cfg.GlobalHop = HierGlobalHop
 	}
-	capacity := ClusterCapacityMRPS(cfg)
-	cfg.RateMRPS = HierLoad * capacity
-	cfg.MaxSimTime = capSimTime(capacity, cfg.RateMRPS, cfg.Warmup+cfg.Measure)
+	cfg.RateMRPS = HierLoad * ClusterCapacityMRPS(cfg)
+	cfg.MaxSimTime = clusterCapSimTime(cfg, cfg.RateMRPS)
 	return cfg, nil
 }
 
