@@ -115,6 +115,9 @@ type core struct {
 	// startBusy is the busy span of a folded start whose busy record waits
 	// in Machine.starts (deliver); a core has at most one.
 	startBusy sim.Duration
+	// busyEnd is the end of the core's last recorded busy span, which may
+	// run past the time the run stops (busy).
+	busyEnd sim.Time
 	// cq is the private completion queue: dispatched messages awaiting
 	// processing.
 	cq fifo.Queue[*request]
@@ -762,7 +765,21 @@ func (m *Machine) DispatchLabel() string { return m.plan.label }
 // cores, measured against the engine's current clock.
 func (m *Machine) MeanCoreUtilization() float64 {
 	m.settleStarts()
-	return m.rec.MeanUtilization(m.eng.Now())
+	now := m.eng.Now()
+	if now == 0 {
+		return 0
+	}
+	var busy sim.Duration
+	for _, c := range m.cores {
+		busy += m.busy(c, now)
+	}
+	return float64(busy) / float64(now) / float64(len(m.cores))
+}
+
+// busy reports core c's busy time up to now: the recorder records a span
+// whole when it starts, so the part of the last one past now is cut.
+func (m *Machine) busy(c *core, now sim.Time) sim.Duration {
+	return m.rec.BusyTotal(c.id) - max(0, c.busyEnd.Sub(now))
 }
 
 // Recorder returns the machine's metrics recorder as of the engine's
@@ -971,6 +988,7 @@ func (m *Machine) begin(c *core, pollDelay sim.Duration) {
 	occupied := m.start(c, req, now, pollDelay)
 	m.settleStarts()
 	m.rec.Busy(now, c.id, occupied)
+	c.busyEnd = now.Add(occupied)
 }
 
 // start begins req on core c at time at and schedules its finish, returning
@@ -997,6 +1015,7 @@ func (m *Machine) start(c *core, req *request, at sim.Time, pollDelay sim.Durati
 func (m *Machine) settleStarts() {
 	for k, ok := m.starts.PopDue(m.eng); ok; k, ok = m.starts.PopDue(m.eng) {
 		m.rec.Busy(k.At, k.Val.id, k.Val.startBusy)
+		k.Val.busyEnd = k.At.Add(k.Val.startBusy)
 	}
 }
 

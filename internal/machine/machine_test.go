@@ -429,6 +429,50 @@ func TestUtilizationTracksLoad(t *testing.T) {
 	}
 }
 
+// TestUtilizationAtMostOne: a run that stops on its only completion leaves
+// other cores mid-span. Each core's busy fraction counts its spans only up
+// to the stop, so none exceeds 1 (core 8 read 2.357 when a span counted
+// whole).
+func TestUtilizationAtMostOne(t *testing.T) {
+	cfg := testConfig(ModeSingleQueue, workload.Masstree(), 5)
+	cfg.Warmup, cfg.Measure = 0, 1
+	res := mustRun(t, cfg)
+	for i, u := range res.CoreUtilization {
+		if u < 0 || u > 1 {
+			t.Errorf("core %d utilization %.4f, want within [0, 1]", i, u)
+		}
+	}
+}
+
+// TestUtilizationCutsAtNow: one request injected at 0 on an idle node
+// starts on one core at the instant s its CQE lands and runs 600 ns. Read
+// at 100 ns, that core has been busy 100 ns − s and the other 15 not at
+// all, so the mean busy fraction is (100 ns − s) / 100 ns / 16.
+func TestUtilizationCutsAtNow(t *testing.T) {
+	eng := sim.New()
+	var start sim.Time = -1
+	cfg := Config{Params: Defaults(), Workload: workload.SyntheticFixed(), Seed: 1}
+	cfg.Trace = trace.Func(func(e trace.Event) {
+		if e.Phase == trace.PhaseStart {
+			start = e.At
+		}
+	})
+	m, err := NewShared(cfg, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectAt(eng, m, 0, 1)
+	const now = 100 * sim.Time(sim.Nanosecond)
+	eng.RunUntil(now)
+	if start < 0 || start >= now {
+		t.Fatalf("request started at %v, want within [0, %v)", start, now)
+	}
+	want := float64(now-start) / float64(now) / 16
+	if got := m.MeanCoreUtilization(); got != want {
+		t.Fatalf("mean core utilization %v, want %v (one core busy since %v)", got, want, start)
+	}
+}
+
 // TestBalancedUtilization: the 1×16 dispatcher must spread load evenly —
 // no core should sit far from the mean.
 func TestBalancedUtilization(t *testing.T) {

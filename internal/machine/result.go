@@ -115,7 +115,7 @@ func (m *Machine) result() Result {
 	for _, c := range m.cores {
 		u := 0.0
 		if now > 0 {
-			u = float64(m.rec.BusyTotal(c.id)) / float64(now)
+			u = float64(m.busy(c, now)) / float64(now)
 		}
 		r.CoreUtilization = append(r.CoreUtilization, u)
 	}
