@@ -201,10 +201,8 @@ func ParseFaults(spec string) ([]NodeFault, error) {
 // (Racks >= 1) rather than the flat single-balancer cluster.
 func (c Config) Hierarchical() bool { return c.Racks > 0 }
 
-// SLONanos is the run's p99 SLO: absolute when the workload specifies one,
-// otherwise the SLO factor applied to the estimated mean service time
-// (handler mean plus fixed per-request core overhead), the same S̄
-// CapacityMRPS uses.
+// SLONanos is the run's p99 SLO: the workload's own, or its SLO factor
+// times the mean service time (handler plus core overhead) capacity uses.
 func (c Config) SLONanos() float64 {
 	wl := c.Node.Workload
 	if wl.SLONanos > 0 {

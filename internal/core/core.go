@@ -325,9 +325,8 @@ func machineCapSimTime(cfg machine.Config, rate float64) sim.Duration {
 	return capSimTime(CapacityMRPS(cfg.Params, cfg.Workload), rate, cfg.Warmup+cfg.Measure)
 }
 
-// clusterCapSimTime is capSimTime for one cluster run, plus the hops and an
-// SLO: however few its completions, a run leaves room for the first one to
-// cross to its node, be served and come back.
+// clusterCapSimTime is capSimTime for one cluster run plus its hops and SLO,
+// so even a run of a few completions has time to finish its first one.
 func clusterCapSimTime(cfg cluster.Config, rate float64) sim.Duration {
 	return capSimTime(ClusterCapacityMRPS(cfg), rate, cfg.Warmup+cfg.Measure) +
 		cfg.Hop + cfg.GlobalHop + sim.FromNanos(cfg.SLONanos())

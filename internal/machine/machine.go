@@ -77,13 +77,10 @@ type waiters struct {
 // a list grows on demand.
 const unlimitedNotices = 8
 
-// Credit-list presizes. The reply list holds every backend's reply
-// credits, and is presized to what the four per-backend rings it replaced
-// held together. On a 1x16 HERD node at 0.8 of capacity over 220,000
-// completions, 31 replenishes and 38 reply credits were pending at most;
-// on a dc-1000-sharded node, 16 and 8 per backend. A list past its
-// presize grows by append (DESIGN.md §10). Each entry is 24 bytes, paid by
-// every node at build.
+// Credit-list presizes, what the rings they replaced held (one replenish
+// ring, four 12-slot reply rings). A 1x16 HERD node at 0.8 of capacity
+// peaked at 31 and 38 over 220,000 completions; a list past its presize
+// grows by append (DESIGN.md §10). Each entry is 24 bytes, paid at build.
 const (
 	replenishPresize   = 24
 	replyCreditPresize = 48
@@ -115,8 +112,7 @@ type core struct {
 	// startBusy is the busy span of a folded start whose busy record waits
 	// in Machine.starts (deliver); a core has at most one.
 	startBusy sim.Duration
-	// busyEnd is the end of the core's last recorded busy span, which may
-	// run past the time the run stops (busy).
+	// busyEnd ends the last recorded busy span, which may pass the stop.
 	busyEnd sim.Time
 	// cq is the private completion queue: dispatched messages awaiting
 	// processing.
@@ -168,9 +164,8 @@ type Machine struct {
 	// queue nil until that source's first park; most nodes never park.
 	pendingBySrc []*waiters
 
-	// Deferred credits: the replenishes, due NetRTT/2 after their
-	// completions, and the reply credits, due a round trip after their
-	// backend's busy horizon.
+	// Deferred credits: replenishes, due NetRTT/2 after their completions,
+	// and reply credits, due a round trip after their backend's horizon.
 	replenishes  sim.Deferred[credit]
 	replyCredits sim.Deferred[credit]
 
@@ -544,19 +539,17 @@ func (m *Machine) deferCredit(list *sim.Deferred[credit], ws []*waiters, at sim.
 // reply does (settleReplies).
 func (m *Machine) settleFree() {
 	for k, ok := m.replenishes.PopDue(m.eng); ok; k, ok = m.replenishes.PopDue(m.eng) {
-		c := k.Val
-		n, size := int(c.src), m.p.Domain.Slots
+		n, size := int(k.Val.src), m.p.Domain.Slots
 		t := int(m.freeHead[n]) + int(m.freeLen[n])
 		if t >= size {
 			t -= size
 		}
-		m.freeSlots[n*size+t] = uint16(c.slot)
+		m.freeSlots[n*size+t] = uint16(k.Val.slot)
 		m.freeLen[n]++
 	}
 }
 
-// settleReplies applies every reply credit whose key has passed, in key
-// order.
+// settleReplies applies every reply credit whose key has passed, in order.
 func (m *Machine) settleReplies() {
 	for k, ok := m.replyCredits.PopDue(m.eng); ok; k, ok = m.replyCredits.PopDue(m.eng) {
 		if err := m.replyBuf.Release(sonuma.NodeID(k.Val.src), int(k.Val.slot)); err != nil {

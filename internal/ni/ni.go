@@ -230,10 +230,8 @@ func (d *Dispatcher) Outstanding(core int) int { return d.view.x.Depth(d.mustInd
 // QueueDepth reports the current shared-CQ depth.
 func (d *Dispatcher) QueueDepth() int { return d.queue.Len() }
 
-// MaxQueueDepth reports the highest shared-CQ depth observed. Enqueue takes
-// it after the push and before the dispatch, so it counts a message that
-// was dispatched at once: it is 1 on a dispatcher that received a message,
-// even if no message ever waited in its CQ.
+// MaxQueueDepth reports the highest shared-CQ depth observed, counting a
+// message Enqueue dispatched at once: 1 once any message has arrived.
 func (d *Dispatcher) MaxQueueDepth() int { return d.maxDepth }
 
 // Enqueue accepts a message-completion token into the shared CQ and returns
