@@ -202,7 +202,7 @@ func ParseFaults(spec string) ([]NodeFault, error) {
 func (c Config) Hierarchical() bool { return c.Racks > 0 }
 
 // SLONanos is the run's p99 SLO: the workload's own, or its SLO factor
-// times the mean service time (handler plus core overhead) capacity uses.
+// times the mean service time CapacityMRPS assumes (handler plus overhead).
 func (c Config) SLONanos() float64 {
 	wl := c.Node.Workload
 	if wl.SLONanos > 0 {

@@ -491,7 +491,7 @@ func (m *Machine) getRequest() *request {
 
 // park appends req to the source's queue in *ws, allocating the per-source
 // array on the machine's first park and the queue on the source's first.
-// When the source starts waiting, each of its credits in list without a
+// When the source starts waiting, each of its credits in the list without a
 // wake event yet gets one at its reserved key, firing wake.
 func (m *Machine) park(ws *[]*waiters, src sonuma.NodeID, req *request, list *sim.Deferred[credit], wake func(any)) {
 	if *ws == nil {
