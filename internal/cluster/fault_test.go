@@ -23,7 +23,7 @@ func TestParseFaults(t *testing.T) {
 	if fs[0].Node != 1 || fs[0].Slowdown != 2 || len(fs[0].Pauses) != 1 {
 		t.Fatalf("entry 0 = %+v", fs[0])
 	}
-	if fs[1].Node != 3 || len(fs[1].Pauses) != 1 || fs[1].Pauses[0].Start != sim.FromMicros(500) {
+	if fs[1].Node != 3 || len(fs[1].Pauses) != 1 || fs[1].Pauses[0].Start != 500*sim.Microsecond {
 		t.Fatalf("entry 1 = %+v", fs[1])
 	}
 	for _, bad := range []string{"x1.5", "a:x1.5", "-1:x2", "0:z9"} {
@@ -41,7 +41,7 @@ func TestParseFaultsRack(t *testing.T) {
 	if err != nil || len(fs) != 2 {
 		t.Fatalf("rack+node entries -> %+v, %v", fs, err)
 	}
-	if !fs[0].Rack || fs[0].Node != 0 || len(fs[0].Pauses) != 1 || fs[0].Pauses[0].Start != sim.FromMicros(1000) {
+	if !fs[0].Rack || fs[0].Node != 0 || len(fs[0].Pauses) != 1 || fs[0].Pauses[0].Start != 1000*sim.Microsecond {
 		t.Fatalf("rack entry = %+v", fs[0])
 	}
 	if fs[1].Rack || fs[1].Node != 2 || fs[1].Slowdown != 1.5 {

@@ -76,7 +76,9 @@ func equivPolicies(nodes int) []Policy {
 // decision, and both policy instances must leave their RNGs in identical
 // states (same draw count). The churn covers idle, steady-state, and
 // clamp-saturating loads (depths past the 63-deep bitmap rows) plus
-// stale-view snapshots mid-run.
+// stale-view snapshots mid-run. At every step the index's running total
+// must equal the sum of its depths, and on a live tier the requests in
+// flight.
 func TestPolicyIndexEquivalence(t *testing.T) {
 	type level struct {
 		name string
@@ -122,6 +124,14 @@ func TestPolicyIndexEquivalence(t *testing.T) {
 						}
 						if !live && churn.IntN(40) == 0 {
 							eng.Step()
+						}
+						sum := 0
+						for i := range nodes {
+							sum += v.Depth(i)
+						}
+						if v.Total() != sum || live && sum != len(inflight) {
+							t.Fatalf("%s nodes=%d level=%s live=%v step %d: index total %d, depths sum to %d, %d in flight",
+								pol, nodes, lv.name, live, step, v.Total(), sum, len(inflight))
 						}
 					}
 					// Same draws consumed: the streams must still be aligned.

@@ -243,33 +243,33 @@ func TestEngines(t *testing.T) {
 func TestShardedFrontStopsAtItsKey(t *testing.T) {
 	// Completed, TimedOut and resultDigest per config.
 	want := map[string]string{
-		"flat2/max=0/sample=0":       "1000 false 3b3826a1d93002955d91b861021a3c2678e9dec95fec5639879f24e685def858",
-		"flat2/max=0/sample=300":     "1000 false b79cfd49b6bb6224ee842401c4ab7167fdc1e3e0817af2f97bd2644ae2f14b71",
-		"flat2/max=3000/sample=0":    "100 true 6ce61290c8826923dec22b77416286d35bb8a7d577048f68955c701ccf30c8b7",
-		"flat2/max=3000/sample=300":  "100 true 0406fa2e41194b99d7fc5b25b8cea732441a124905aa7e467b771751f4487485",
-		"flat2/max=7250/sample=0":    "474 true 387cd7c7ea676af3aedba919f8875ee63d8aded440820b4b2e8f02363faca560",
-		"flat2/max=7250/sample=300":  "479 true 00e11b8613d14113eab3565097e85c412824df632b2b018852c464a71f3314ee",
-		"flat3/max=0/sample=0":       "1000 false 3b3826a1d93002955d91b861021a3c2678e9dec95fec5639879f24e685def858",
-		"flat3/max=0/sample=300":     "1000 false b79cfd49b6bb6224ee842401c4ab7167fdc1e3e0817af2f97bd2644ae2f14b71",
-		"flat3/max=3000/sample=0":    "100 true 6ce61290c8826923dec22b77416286d35bb8a7d577048f68955c701ccf30c8b7",
-		"flat3/max=3000/sample=300":  "100 true 0406fa2e41194b99d7fc5b25b8cea732441a124905aa7e467b771751f4487485",
-		"flat3/max=7250/sample=0":    "474 true 387cd7c7ea676af3aedba919f8875ee63d8aded440820b4b2e8f02363faca560",
-		"flat3/max=7250/sample=300":  "479 true 00e11b8613d14113eab3565097e85c412824df632b2b018852c464a71f3314ee",
-		"racks2/max=0/sample=0":      "1000 false 9275123af884f648024155d3ce98d61855c4a21c0bb7ef5836339e638657d79c",
-		"racks2/max=0/sample=300":    "1000 false f9bbcb2c85ffb2af3bf7119a9f651c5214b4e84b054a4135a03167cd2419971d",
-		"racks2/max=3000/sample=0":   "54 true 2c055036ccca4ff81d498e82004d7296856156257dfc216865658d74b41979b2",
-		"racks2/max=3000/sample=300": "54 true 42260637cb5e159a43463d8e21b264e7be94aada937b7eaa5e13469c080c05f9",
-		"racks2/max=7250/sample=0":   "433 true 93ed95aeae82acd0b25b127fb3d8f6894b9984666ebea500a98697a588a7cc5b",
-		"racks2/max=7250/sample=300": "431 true 45c46db1cdc124d00fea7793512d9d615537e05bacc85e86207a681b5fc121a2",
+		"flat2/max=0/sample=0":       "1000 false fef82a60ed8c9917ab9c63aadf7d6f1eca3659a510e3390b0c18d897716d9f6a",
+		"flat2/max=0/sample=300":     "1000 false ad272962bb095e01f9cfaee35dacf7abd3e71899a23ba8cabd28e5e0f728b158",
+		"flat2/max=3000/sample=0":    "100 true d4047faa233eb8a09489f8286777400bbc7d7f9f25a9af877e9ce078ce929971",
+		"flat2/max=3000/sample=300":  "100 true 5183213cf2469a896cb6783f824e9056ec3c7a305192ccb07cf1792cb5170135",
+		"flat2/max=7250/sample=0":    "474 true 0df70ab73b5474ce698541a5da373b713fd8250183821efa573d94522e77391c",
+		"flat2/max=7250/sample=300":  "479 true 06d813fdaa861ad3307887be7295671eaedebdf12bf1708b64ca36621acd68f5",
+		"flat3/max=0/sample=0":       "1000 false fef82a60ed8c9917ab9c63aadf7d6f1eca3659a510e3390b0c18d897716d9f6a",
+		"flat3/max=0/sample=300":     "1000 false ad272962bb095e01f9cfaee35dacf7abd3e71899a23ba8cabd28e5e0f728b158",
+		"flat3/max=3000/sample=0":    "100 true d4047faa233eb8a09489f8286777400bbc7d7f9f25a9af877e9ce078ce929971",
+		"flat3/max=3000/sample=300":  "100 true 5183213cf2469a896cb6783f824e9056ec3c7a305192ccb07cf1792cb5170135",
+		"flat3/max=7250/sample=0":    "474 true 0df70ab73b5474ce698541a5da373b713fd8250183821efa573d94522e77391c",
+		"flat3/max=7250/sample=300":  "479 true 06d813fdaa861ad3307887be7295671eaedebdf12bf1708b64ca36621acd68f5",
+		"racks2/max=0/sample=0":      "1000 false f5f91e5731366d8ce0886ea4113d3693a8391b3f0673cc15853e81d59706ee00",
+		"racks2/max=0/sample=300":    "1000 false aecf71239285dfd56679695d8d46241ecd8bb6277579180ffe6a4392dfb81546",
+		"racks2/max=3000/sample=0":   "54 true 074cd912337785d848027a42aefb1042bb89b0ae9d69dcaa125367f44d42f0eb",
+		"racks2/max=3000/sample=300": "54 true eb870279b8978f72e437c7e0bf31d078cdc09189a0403fc6b65f292759a53900",
+		"racks2/max=7250/sample=0":   "433 true ed827a99b5cd9b0aff2e025e776bec489249539798521e5e46af87a7d8c666f0",
+		"racks2/max=7250/sample=300": "431 true 00fc0ebb5ac64d5cd9262f8be813c26139ccef533fe0df47e7ff480b5c13293e",
 
-		"sparse/racks0/seed=1": "45 false 972e6979b2b26fa25f3645c08faef6c3c8395de32bcc4917c5c172612798ef4b",
-		"sparse/racks0/seed=2": "45 false bd2a10924f10439791b20ddfbbdae9a3208db2316774eee370dc7d2ef743661f",
-		"sparse/racks0/seed=3": "45 false 43d84c8f6acfb0f1a82d564151931005df2d56654538eb4cb646c19cc14a046d",
-		"sparse/racks0/seed=4": "45 false 21f97c0585b0c3cc06b9510bc62985076b1be1f852006a0084ff6d2ff5ccb471",
-		"sparse/racks2/seed=1": "45 false 45882c7ec195e6ae5dca5db3dfe498d15547cd0c644d20b54df273b5d89cc825",
-		"sparse/racks2/seed=2": "45 false e441e5d90040323b3ac152b84710780d8566aac76df9729d45682cd1bda35305",
-		"sparse/racks2/seed=3": "45 false 3ed29c6571cf658266a1f7dad5d42db55e80d3adeea1892a2c56a03d6d4e0da3",
-		"sparse/racks2/seed=4": "45 false c0e558de96dbd039341f115eaab7a30073e0b460c71b007fdaab2a1b8d269e6d",
+		"sparse/racks0/seed=1": "45 false 5c0c4ef66afc91e6e88b7fab120ebfc4f52a36f8dc7cef70d86c6b4425c216a3",
+		"sparse/racks0/seed=2": "45 false 6e635873bb7e768868c0be5e7103bd1249cf4785417d9862cdc3514f459777d5",
+		"sparse/racks0/seed=3": "45 false cf48eb0c8db170a613ca5a720b878c1fac0203e9ec6c0c9234ab6ad0d42ad402",
+		"sparse/racks0/seed=4": "45 false bdba4e0f50537e490d972de73810fb94d1fd5230ba27067f0d460d182b17c912",
+		"sparse/racks2/seed=1": "45 false 3e7344365238f94cfd953d3e6383b1d140e9b6df0e91e56a62ad726847c861f7",
+		"sparse/racks2/seed=2": "45 false b7faeeaf7483c755b556e5c8431adacee8869c190e3f60277c827bbd935c1334",
+		"sparse/racks2/seed=3": "45 false c679fc05268746cab85c2e665eae0e289c92920d949999a37ae769828a2f117c",
+		"sparse/racks2/seed=4": "45 false 129f35989b5b22ee892aad8446c17ac7cb220de2a41475c5f9fb22da2f19011a",
 	}
 	check := func(name string, cfg Config) {
 		res := run(t, cfg)

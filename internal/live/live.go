@@ -562,7 +562,9 @@ func assemble(cfg Config, shape string, em Emulation, scale, spinsNs float64,
 	recorder := metrics.NewRecorder(metrics.Config{Classes: classes, Servers: workers})
 
 	// Interleave the buffers into completion order: the recorder takes
-	// observations in nondecreasing time, as a simulation makes them.
+	// completions in nondecreasing time, as a simulation makes them, and
+	// each worker's spans in start order, since a worker serves one request
+	// at a time.
 	type wrec struct {
 		rec
 		worker int
@@ -593,7 +595,8 @@ func assemble(cfg Config, shape string, em Emulation, scale, spinsNs float64,
 			inWindow++
 			winEnd = r.atNs
 		}
-		recorder.Busy(t, r.worker, sim.FromNanos(r.svcNs))
+		start := at(r.atNs - r.svcNs)
+		recorder.Busy(start, r.worker, t.Sub(start))
 		recorder.Complete(t, metrics.Completion{
 			Class:     r.class,
 			Measured:  cfg.Workload.Classes[r.class].Measured,
@@ -604,6 +607,9 @@ func assemble(cfg Config, shape string, em Emulation, scale, spinsNs float64,
 		})
 	}
 	recorder.CloseWindow(at(winEnd))
+	if len(all) > 0 {
+		recorder.Settle(at(all[len(all)-1].atNs))
+	}
 
 	if cfg.Trace != nil {
 		// Replay every request's lifecycle in completion order: arrive =

@@ -83,7 +83,6 @@ func TestSteadyStateAllocsPerRequest(t *testing.T) {
 //   - the credit lists, presized to 24 replenishes and 48 reply credits:
 //     1.7 KB;
 //   - the deferred-notice list, one slot per core: 384 bytes;
-//   - the folded-start list, one slot per core: 384 bytes;
 //   - the rest, about 7 KB: the Machine itself, 16 cores with their CQs,
 //     the RNG batches, the dispatchers, the metrics recorder and the
 //     receive table's first 16 entries.

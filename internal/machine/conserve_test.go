@@ -1,7 +1,7 @@
 package machine
 
 import (
-	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -37,7 +37,7 @@ func TestSlotOwnershipConservation(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := flowBoundConfig(mode)
 			cfg.Warmup, cfg.Measure = 200, 20000
-			cfg.MaxSimTime = sim.FromMicros(5000)
+			cfg.MaxSimTime = 5000 * sim.Microsecond
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -66,7 +66,7 @@ func flowBoundConfig(mode Mode) Config {
 	cfg := testConfig(mode, workload.SyntheticFixed(), 0.2)
 	cfg.Params.Domain.Nodes = 2
 	cfg.Params.Domain.Slots = 2
-	cfg.Params.NetRTT = sim.FromMicros(20)
+	cfg.Params.NetRTT = 20 * sim.Microsecond
 	return cfg
 }
 
@@ -217,14 +217,11 @@ func auditSlots(t *testing.T, m *Machine) {
 }
 
 // auditNotices checks each dispatcher of a stopped machine against its
-// completion notices and its cores' folded starts (DESIGN.md §9). Every
-// core's outstanding count is the requests dispatched to it and not
-// completed plus its notices not yet applied, deferred or scheduled as
-// events. No notice is deferred while the CQ holds a request, and the
-// deferred ones are in (at, seq) key order and arrive after the latest
-// route token leaves the dispatch stage. The pending folded starts are in
-// key order, at most one per core, on a busy core serving a request
-// dispatched to it, with that start's finish still ahead.
+// completion notices (DESIGN.md §9). Every core's outstanding count is the
+// requests dispatched to it and not completed plus its notices not yet
+// applied, deferred or scheduled as events. No notice is deferred while
+// the CQ holds a request, and the deferred ones are in (at, seq) key order
+// and arrive after the latest route token leaves the dispatch stage.
 func auditNotices(t *testing.T, m *Machine) {
 	t.Helper()
 	if m.plan.software {
@@ -238,48 +235,22 @@ func auditNotices(t *testing.T, m *Machine) {
 			want[req.core.id]++
 		}
 	}
-	inKeyOrder := func(what string, l *sim.Deferred[*core]) {
-		t.Helper()
-		for i := 1; i < l.Len(); i++ {
-			if p, n := l.At(i-1), l.At(i); p.At > n.At || p.At == n.At && p.Seq >= n.Seq {
-				t.Fatalf("%s out of key order: (%v, %d) before (%v, %d)", what, p.At, p.Seq, n.At, n.Seq)
-			}
-		}
-	}
 	for g, d := range m.dispatchers {
 		q := &m.notices[g]
 		if d.QueueDepth() > 0 && q.Len() > 0 {
 			t.Fatalf("dispatcher %d defers %d notices with %d requests in its CQ", g, q.Len(), d.QueueDepth())
 		}
-		inKeyOrder(fmt.Sprintf("dispatcher %d notices", g), &q.Deferred)
+		for i := 1; i < q.Len(); i++ {
+			if p, n := q.At(i-1), q.At(i); p.At > n.At || p.At == n.At && p.Seq >= n.Seq {
+				t.Fatalf("dispatcher %d notices out of key order: (%v, %d) before (%v, %d)", g, p.At, p.Seq, n.At, n.Seq)
+			}
+		}
 		for i := range q.Len() {
 			n := q.At(i)
 			if n.At <= q.routeEnd {
 				t.Fatalf("dispatcher %d defers a notice arriving at %v, by the route stage end %v", g, n.At, q.routeEnd)
 			}
 			want[n.Val.id]++
-		}
-	}
-	inKeyOrder("folded starts", &m.starts)
-	started := make([]bool, len(m.cores))
-	for i := range m.starts.Len() {
-		s := m.starts.At(i)
-		c := s.Val
-		if started[c.id] {
-			t.Fatalf("core %d has two folded starts pending", c.id)
-		}
-		started[c.id] = true
-		if !c.busy || m.eng.Due(s.At, s.Seq) {
-			t.Fatalf("core %d: folded start at %v pending with busy %v, due %v", c.id, s.At, c.busy, m.eng.Due(s.At, s.Seq))
-		}
-		serving := 0
-		for _, req := range m.reqs {
-			if req.slot >= 0 && req.core == c && req.svcStart >= s.At && m.eng.PendingWith(req) == 1 {
-				serving++
-			}
-		}
-		if serving != 1 {
-			t.Fatalf("core %d: folded start at %v, %d requests started there with a finish pending, want 1", c.id, s.At, serving)
 		}
 	}
 	for _, c := range m.cores {
@@ -318,8 +289,9 @@ func fuzzWorkload(i uint8) workload.Profile {
 // arrivals park on receive slots, cores stall on reply credits, and route
 // tokens and completion notices cross long wires together. Each run stops
 // on MaxSimTime, between events, short of its completion target; a rerun
-// must give an equal Result, and the stopped machine must pass auditSlots
-// and auditNotices.
+// must give an equal Result, the stopped machine must pass auditSlots and
+// auditNotices, and its timeline must book the cores' busy time
+// (auditBusy).
 func FuzzMachineConfig(f *testing.F) {
 	// plan, wl, nodes, slots, rttNs, load (% of capacity), fault, seed,
 	// extraNs.
@@ -376,7 +348,31 @@ func FuzzMachineConfig(f *testing.F) {
 		}
 		auditSlots(t, m)
 		auditNotices(t, m)
+		auditBusy(t, res)
 	})
+}
+
+// auditBusy checks a result's timeline against its cores' busy totals: no
+// epoch's utilization exceeds 1, and the epochs' busy time adds up to the
+// cores' (to a float64 rounding of each epoch's share).
+func auditBusy(t *testing.T, res Result) {
+	t.Helper()
+	tl := res.Timeline()
+	cores := float64(len(res.CoreUtilization))
+	epochs := 0.0
+	for i, e := range tl.Epochs {
+		if e.Utilization > 1 {
+			t.Fatalf("epoch %d utilization %v, above 1", i, e.Utilization)
+		}
+		epochs += e.Utilization * tl.EpochNanos * cores
+	}
+	total := 0.0
+	for c := range res.CoreUtilization {
+		total += res.rec.BusyTotal(c).Nanos()
+	}
+	if math.Abs(epochs-total) > 1e-9*max(total, 1) {
+		t.Fatalf("epochs book %v ns of busy time, the cores %v ns", epochs, total)
+	}
 }
 
 // TestParkWakesFromMark: a source that starts waiting gets a wake event at
@@ -450,8 +446,9 @@ func TestStopInsideStageCycle(t *testing.T) {
 }
 
 // TestFoldedStartCountsAsBusy: a core started without a delivered event
-// (DESIGN.md §9) is busy from the instant the CQE would have landed, in
-// the utilization and timeline a caller reads mid-run.
+// (DESIGN.md §9) records its busy span ahead of the clock, and is busy
+// from the instant the CQE landed in the utilization and timeline a caller
+// reads mid-run.
 func TestFoldedStartCountsAsBusy(t *testing.T) {
 	started := func() *Machine {
 		eng := sim.New()
@@ -461,9 +458,6 @@ func TestFoldedStartCountsAsBusy(t *testing.T) {
 		}
 		injectAt(eng, m, 0, 1)
 		eng.RunUntil(100 * sim.Time(sim.Nanosecond)) // the CQE has landed; the handler runs on
-		if m.starts.Len() != 1 {
-			t.Fatalf("%d folded starts pending, want 1", m.starts.Len())
-		}
 		return m
 	}
 	if u := started().MeanCoreUtilization(); u == 0 {

@@ -19,7 +19,7 @@ func TestParseFault(t *testing.T) {
 	if err != nil || f.Slowdown != 0 || len(f.Pauses) != 1 {
 		t.Fatalf("pause -> %+v, %v", f, err)
 	}
-	if f.Pauses[0].Start != sim.FromMicros(200) || f.Pauses[0].Dur != sim.FromMicros(100) {
+	if f.Pauses[0].Start != 200*sim.Microsecond || f.Pauses[0].Dur != 100*sim.Microsecond {
 		t.Fatalf("pause window = %+v", f.Pauses[0])
 	}
 	f, err = ParseFault("x2,pause@50us+10us,pause@500us+10us")

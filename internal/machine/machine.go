@@ -109,11 +109,6 @@ type core struct {
 	replyBackend int32
 	deliverWire  sim.Duration
 	notifyWire   sim.Duration
-	// startBusy is the busy span of a folded start whose busy record waits
-	// in Machine.starts (deliver); a core has at most one.
-	startBusy sim.Duration
-	// busyEnd ends the last recorded busy span, which may pass the stop.
-	busyEnd sim.Time
 	// cq is the private completion queue: dispatched messages awaiting
 	// processing.
 	cq fifo.Queue[*request]
@@ -136,10 +131,6 @@ type Machine struct {
 	dispServer  []*sim.Server
 	notices     []notices      // per dispatcher: its deferred completion notices
 	toDisp      []sim.Duration // backend b → dispatcher g wire at [b*groups+g]
-	// starts holds the busy records of folded starts (deliver), each under
-	// the key of the delivered event it replaced, until settleStarts
-	// applies them.
-	starts sim.Deferred[*core]
 
 	recvBuf  *sonuma.ReceiveBuffer
 	replyBuf *sonuma.SendBuffer
@@ -644,7 +635,6 @@ func (m *Machine) wireDispatchers() error {
 	groups := len(ds)
 	m.toDisp = make([]sim.Duration, p.Backends*groups)
 	m.notices = make([]notices, groups)
-	m.starts.Grow(p.Cores)
 	per := p.Cores / groups
 	noticeCap := per
 	if m.plan.threshold == ni.Unlimited {
@@ -757,30 +747,23 @@ func (m *Machine) DispatchLabel() string { return m.plan.label }
 // MeanCoreUtilization reports the average busy fraction across the serving
 // cores, measured against the engine's current clock.
 func (m *Machine) MeanCoreUtilization() float64 {
-	m.settleStarts()
-	now := m.eng.Now()
+	now, rec := m.eng.Now(), m.Recorder()
 	if now == 0 {
 		return 0
 	}
 	var busy sim.Duration
 	for _, c := range m.cores {
-		busy += m.busy(c, now)
+		busy += rec.BusyTotal(c.id)
 	}
 	return float64(busy) / float64(now) / float64(len(m.cores))
 }
 
-// busy reports core c's busy time up to now: the recorder records a span
-// whole when it starts, so the part of the last one past now is cut.
-func (m *Machine) busy(c *core, now sim.Time) sim.Duration {
-	return m.rec.BusyTotal(c.id) - max(0, c.busyEnd.Sub(now))
-}
-
-// Recorder returns the machine's metrics recorder as of the engine's
-// current clock, every due folded start applied: the per-node view an
+// Recorder returns the machine's metrics recorder with every core's busy
+// time booked through the engine's current clock: the per-node view an
 // owning simulation (internal/cluster) keeps for its Result once the run
 // has stopped.
 func (m *Machine) Recorder() *metrics.Recorder {
-	m.settleStarts()
+	m.rec.Settle(m.eng.Now())
 	return m.rec
 }
 
@@ -939,9 +922,7 @@ func (m *Machine) dispatcherFor(req *request, b int) int {
 //
 // A core with nothing else outstanding is idle with an empty CQ, and
 // nothing can reach it before this CQE lands, so it begins as of the
-// landing here, without a delivered event (DESIGN.md §9, folding). Its busy
-// record cannot go to the recorder ahead of time; it waits in m.starts
-// under the key the delivered event would have had.
+// landing here, without a delivered event (DESIGN.md §9, folding).
 func (m *Machine) deliver(d ni.Dispatch, at sim.Time) {
 	if d.Msg.Tag >= uint64(len(m.reqs)) || m.reqs[d.Msg.Tag].slot != d.Msg.Slot {
 		panic(fmt.Sprintf("machine: dispatch of unknown request %d (slot %d)", d.Msg.Tag, d.Msg.Slot))
@@ -955,9 +936,7 @@ func (m *Machine) deliver(d ni.Dispatch, at sim.Time) {
 		m.eng.ScheduleArgAt(at, m.fnDelivered, req)
 		return
 	}
-	seq := m.eng.Reserve()
-	c.startBusy = m.start(c, req, at, pollDetect)
-	m.starts.Insert(at, seq, c)
+	m.start(c, req, at, pollDetect)
 }
 
 // delivered lands a dispatched message in its core's private CQ; an idle
@@ -977,20 +956,17 @@ func (m *Machine) begin(c *core, pollDelay sim.Duration) {
 	if !ok {
 		panic(fmt.Sprintf("machine: core %d began with empty CQ", c.id))
 	}
-	now := m.eng.Now()
-	occupied := m.start(c, req, now, pollDelay)
-	m.settleStarts()
-	m.rec.Busy(now, c.id, occupied)
-	c.busyEnd = now.Add(occupied)
+	m.start(c, req, m.eng.Now(), pollDelay)
 }
 
-// start begins req on core c at time at and schedules its finish, returning
-// the span the core is busy. pollDelay is the CQ-detection cost: nonzero
+// start begins req on core c at time at, schedules its finish and records
+// the span the core is busy, which may start ahead of the clock (the
+// recorder books it lazily). pollDelay is the CQ-detection cost: nonzero
 // when the core was idle-polling, zero when it rolls directly from the
 // previous request (the threshold-2 case that eliminates the execution
 // bubble, §4.3). Work beginning inside a configured pause window stalls
 // (still occupying the core) until the window ends.
-func (m *Machine) start(c *core, req *request, at sim.Time, pollDelay sim.Duration) sim.Duration {
+func (m *Machine) start(c *core, req *request, at sim.Time, pollDelay sim.Duration) {
 	c.busy = true
 	stall := pauseStall(m.cfg.Fault.Pauses, at)
 	req.core = c
@@ -998,18 +974,7 @@ func (m *Machine) start(c *core, req *request, at sim.Time, pollDelay sim.Durati
 	m.record(at, req.id, trace.PhaseStart, c.id, -1)
 	occupied := pollDelay + stall + coreOverhead + sim.FromNanos(req.svcNanos)
 	m.eng.ScheduleArgAt(at.Add(occupied), m.fnFinish, req)
-	return occupied
-}
-
-// settleStarts applies the busy record of every folded start whose
-// delivered key has passed, in key order, before the recorder is next
-// written or read: it then holds what it would had each delivered been an
-// event, and never sees a time go backwards.
-func (m *Machine) settleStarts() {
-	for k, ok := m.starts.PopDue(m.eng); ok; k, ok = m.starts.PopDue(m.eng) {
-		m.rec.Busy(k.At, k.Val.id, k.Val.startBusy)
-		k.Val.busyEnd = k.At.Add(k.Val.startBusy)
-	}
+	m.rec.Busy(at, c.id, occupied)
 }
 
 // finishReq unwraps the finish event's argument.
@@ -1037,7 +1002,6 @@ func (m *Machine) complete(req *request, replySlot int) {
 	c := req.core
 	now := m.eng.Now()
 	m.record(now, req.id, trace.PhaseComplete, c.id, -1)
-	m.settleStarts()
 
 	m.completed++
 	if req.onDoneFn != nil {

@@ -337,7 +337,7 @@ func TestReplyCreditStall(t *testing.T) {
 	cfg := testConfig(ModeSingleQueue, workload.SyntheticFixed(), 15)
 	cfg.Params.Domain.Nodes = 2
 	cfg.Params.Domain.Slots = 1
-	cfg.Params.NetRTT = sim.FromMicros(20)
+	cfg.Params.NetRTT = 20 * sim.Microsecond
 	cfg.Warmup, cfg.Measure = 100, 2000
 	res := mustRun(t, cfg)
 	if res.ReplyStalls == 0 {
@@ -400,7 +400,7 @@ func TestRSSByFlowSkew(t *testing.T) {
 
 func TestTimeout(t *testing.T) {
 	cfg := testConfig(ModeSingleQueue, workload.SyntheticFixed(), 0.001)
-	cfg.MaxSimTime = sim.FromMicros(100) // far too short for any completion
+	cfg.MaxSimTime = 100 * sim.Microsecond // far too short for any completion
 	res := mustRun(t, cfg)
 	if !res.TimedOut {
 		t.Fatal("expected timeout")
@@ -440,6 +440,26 @@ func TestUtilizationAtMostOne(t *testing.T) {
 	for i, u := range res.CoreUtilization {
 		if u < 0 || u > 1 {
 			t.Errorf("core %d utilization %.4f, want within [0, 1]", i, u)
+		}
+	}
+}
+
+// TestTimelineUtilizationAtMostOne: a core's busy span is booked into the
+// epochs it covers, and the last one only up to the stop, so no epoch of
+// the timeline reads above 1. A saturated Masstree run, and one that stops
+// on its only completion at 100 ns epochs, read 2.977 and 2.91 when a span
+// was booked whole into the epoch where it started.
+func TestTimelineUtilizationAtMostOne(t *testing.T) {
+	saturated := testConfig(ModeSingleQueue, workload.Masstree(), 12)
+	saturated.Warmup, saturated.Measure = 0, 3000
+	stopped := testConfig(ModeSingleQueue, workload.Masstree(), 5)
+	stopped.Warmup, stopped.Measure = 0, 1
+	stopped.Epoch = 100 * sim.Nanosecond
+	for _, cfg := range []Config{saturated, stopped} {
+		for i, e := range mustRun(t, cfg).Timeline().Epochs {
+			if e.Utilization > 1 {
+				t.Errorf("rate %v, %d completions: epoch %d utilization %.4f, above 1", cfg.RateMRPS, cfg.Measure, i, e.Utilization)
+			}
 		}
 	}
 }

@@ -62,22 +62,22 @@ func (r Result) String() string {
 
 // result assembles the Result after the engine stops.
 func (m *Machine) result() Result {
-	m.settleStarts()
+	rec := m.Recorder()
 	r := Result{
 		Dispatch:     m.plan.label,
 		Workload:     m.wl.Name,
 		RateMRPS:     m.cfg.RateMRPS,
 		Seed:         m.cfg.Seed,
-		Latency:      m.rec.Latency(),
+		Latency:      rec.Latency(),
 		ClassLatency: make(map[string]stats.Summary, len(m.wl.Classes)),
 		Completed:    m.completed,
 		TimedOut:     m.timedOut,
 
-		ServiceMeanNanos: m.rec.ServiceMean(),
-		Wait:             m.rec.Wait(),
+		ServiceMeanNanos: rec.ServiceMean(),
+		Wait:             rec.Wait(),
 		BlockedArrivals:  m.blockedArrivals,
 		ReplyStalls:      m.replyStalls,
-		rec:              m.rec,
+		rec:              rec,
 	}
 	measured := 0
 	for _, cl := range m.wl.Classes {
@@ -92,10 +92,10 @@ func (m *Machine) result() Result {
 			r.ClassLatency[cl.Name] = r.Latency
 			continue
 		}
-		r.ClassLatency[cl.Name] = m.rec.Class(i)
+		r.ClassLatency[cl.Name] = rec.Class(i)
 	}
 
-	if start, end := m.rec.Window(); end > start {
+	if start, end := rec.Window(); end > start {
 		// The window spans completion Warmup+1 through Warmup+Measure:
 		// measured−1 inter-completion intervals, the same convention the
 		// queueing and cluster models use.
@@ -115,7 +115,7 @@ func (m *Machine) result() Result {
 	for _, c := range m.cores {
 		u := 0.0
 		if now > 0 {
-			u = float64(m.busy(c, now)) / float64(now)
+			u = float64(rec.BusyTotal(c.id)) / float64(now)
 		}
 		r.CoreUtilization = append(r.CoreUtilization, u)
 	}

@@ -23,8 +23,13 @@
 //     timeline is what makes transients visible — a load step, a burst, a
 //     degraded node — which a single steady-state window averages away.
 //
-// An epoch is a contiguous range only because observations arrive in time
-// order: Complete and Busy panic on a time earlier than one already seen.
+// An epoch is a contiguous range only because completions arrive in time
+// order: Complete panics on a time earlier than one already seen. Busy
+// spans arrive per server in start order and may start ahead of the latest
+// completion; each is booked lazily, split at epoch edges, when its
+// server's next span starts after it or at a Settle, and only up to a time
+// the caller has reached, so booking never runs ahead of a later
+// completion.
 // The slice count is bounded: when a run outgrows MaxEpochs slices, the
 // epoch length doubles and adjacent epochs merge pairwise — their sums add
 // as stats.Moments.Merge adds them and every other range boundary is
@@ -32,12 +37,12 @@
 // once, in the log; a summary selects its percentiles over a scratch copy,
 // so the log is never reordered and Timeline may be called at any time.
 // Timeline summarizes on each call, over scratch of its own, and writes
-// nothing to the Recorder: once recording has stopped, any number of
-// goroutines may call it at once. The simulators keep a finished run's
-// Recorder in its Result and summarize its epochs only when a caller asks.
-// The whole layer is deterministic — it consumes no randomness and
-// allocates no state that depends on wall-clock time — so identical
-// simulations produce identical Timelines.
+// nothing to the Recorder: once recording has stopped and busy time is
+// settled, any number of goroutines may call it at once. The simulators
+// keep a finished run's Recorder in its Result and summarize its epochs
+// only when a caller asks. The whole layer is deterministic — it consumes
+// no randomness and allocates no state that depends on wall-clock time —
+// so identical simulations produce identical Timelines.
 package metrics
 
 import (
@@ -143,7 +148,7 @@ type Recorder struct {
 	cfg        Config
 	epochNanos float64
 	epochs     []epoch
-	last       sim.Time // the latest Complete or Busy time
+	last       sim.Time // the latest Complete time or booked busy end
 
 	// The run log. lat holds every observed latency that is measured or
 	// belongs to a configured class; tag holds each one's class<<1 |
@@ -162,9 +167,17 @@ type Recorder struct {
 	waitLo, waitHi   int
 	svcSum           float64
 	svcN             int
-	busyTotal        []sim.Duration
 	winStart, winEnd sim.Time
 	inWindow         bool
+
+	servers []server // busy time, per serving unit
+}
+
+// server is one serving unit's busy time: booked through from, and busy up
+// to end, the end of its latest span.
+type server struct {
+	from, end sim.Time
+	booked    sim.Duration
 }
 
 // NewRecorder builds a Recorder for one run.
@@ -183,7 +196,10 @@ func NewRecorder(cfg Config) *Recorder {
 		epochNanos: cfg.EpochNanos,
 		last:       math.MinInt64,
 		plain:      -1, // measured, no class
-		busyTotal:  make([]sim.Duration, cfg.Servers),
+		servers:    make([]server, cfg.Servers),
+	}
+	for i := range r.servers {
+		r.servers[i] = server{from: math.MinInt64, end: math.MinInt64}
 	}
 	if len(cfg.Classes) == 1 {
 		r.plain = 1 // measured, class 0
@@ -219,19 +235,11 @@ func (r *Recorder) CloseWindow(t sim.Time) {
 // Window returns the summary window's bounds (zero until opened/closed).
 func (r *Recorder) Window() (start, end sim.Time) { return r.winStart, r.winEnd }
 
-// epochAt returns the slice covering time t, doubling the epoch length (and
-// pairwise-merging existing slices) whenever t falls beyond MaxEpochs. It
-// panics when t precedes an earlier observation: the slices could then no
-// longer be contiguous log ranges.
-func (r *Recorder) epochAt(t sim.Time) *epoch {
-	if t < r.last {
-		panic(fmt.Sprintf("metrics: observation at %v precedes one at %v; Complete and Busy times must not decrease", t, r.last))
-	}
-	r.last = t
-	ns := t.Nanos()
-	if ns < 0 {
-		ns = 0
-	}
+// epochAt returns the index of the slice covering time t, doubling the
+// epoch length (and pairwise-merging existing slices) whenever t falls
+// beyond MaxEpochs.
+func (r *Recorder) epochAt(t sim.Time) int {
+	ns := max(t.Nanos(), 0)
 	idx := int(ns / r.epochNanos)
 	for idx >= r.cfg.MaxEpochs {
 		r.double()
@@ -243,7 +251,7 @@ func (r *Recorder) epochAt(t sim.Time) *epoch {
 	for len(r.epochs) <= idx {
 		r.epochs = append(r.epochs, epoch{latLo: len(r.lat), waitLo: len(r.wait)})
 	}
-	return &r.epochs[idx]
+	return idx
 }
 
 // double doubles the epoch length and merges adjacent slices pairwise, in
@@ -262,11 +270,17 @@ func (r *Recorder) double() {
 }
 
 // Complete records one finished request at virtual time t, which must not
-// precede an earlier Complete or Busy time. The log and the timeline always
-// record it; the summaries see it only if it falls inside the measurement
-// window — the exact gating the simulators historically applied inline.
+// precede an earlier Complete or the end of booked busy time: it panics
+// otherwise, since the slices could then no longer be contiguous log
+// ranges. The log and the timeline always record it; the summaries see it
+// only if it falls inside the measurement window — the exact gating the
+// simulators historically applied inline.
 func (r *Recorder) Complete(t sim.Time, c Completion) {
-	e := r.epochAt(t)
+	if t < r.last {
+		panic(fmt.Sprintf("metrics: completion at %v precedes an observation at %v; Complete times must not decrease", t, r.last))
+	}
+	r.last = t
+	e := &r.epochs[r.epochAt(t)]
 	e.completions++
 	if c.LatencyNs >= 0 {
 		tag := int32(-2) // no class, unmeasured: it feeds no summary
@@ -318,38 +332,55 @@ func (r *Recorder) logLatency(v float64, tag int32) {
 	r.lat = append(r.lat, v)
 }
 
-// Busy attributes d of busy time on serving unit `server` to the epoch
-// containing t (by convention the time the busy span was committed), which
-// must not precede an earlier Complete or Busy time. Spans are not split
-// across epoch boundaries, so an epoch's utilization is a first-order
-// attribution, not an integral; with epochs much longer than a single span
-// the distinction is negligible.
+// Busy records that serving unit server is busy over [t, t+d). A server's
+// spans arrive in start order and may start ahead of the latest Complete,
+// but a span that starts after the server's previous one ended arrives
+// only once the caller's clock has passed that end: the previous span is
+// booked then, split at epoch edges. A span that overlaps or adjoins the
+// previous one extends it, so overlapping time is booked once; the rest
+// waits for the next such span or a Settle.
 func (r *Recorder) Busy(t sim.Time, server int, d sim.Duration) {
-	if server >= 0 && server < len(r.busyTotal) {
-		r.busyTotal[server] += d
+	s := &r.servers[server]
+	if t > s.end {
+		r.book(s, s.end)
+		s.from = t
 	}
-	r.epochAt(t).busy += d
+	s.end = max(s.end, t.Add(d))
 }
 
-// BusyTotal reports the cumulative busy time recorded for one serving unit.
+// Settle books every server's busy time through now. A caller settles
+// before it reads busy time, at a time no later Complete precedes.
+func (r *Recorder) Settle(now sim.Time) {
+	for i := range r.servers {
+		s := &r.servers[i]
+		r.book(s, min(s.end, now))
+	}
+}
+
+// book books s's busy time from s.from up to to, split at epoch edges.
+// An edge is recomputed on each step, since booking may double the epoch
+// length, and kept past s.from, since an edge rounds to the picosecond.
+func (r *Recorder) book(s *server, to sim.Time) {
+	if s.from >= to {
+		return
+	}
+	r.last = max(r.last, to)
+	for s.from < to {
+		i := r.epochAt(s.from)
+		edge := sim.Time(sim.FromNanos(float64(i+1) * r.epochNanos))
+		edge = min(max(edge, s.from+1), to)
+		r.epochs[i].busy += edge.Sub(s.from)
+		s.booked += edge.Sub(s.from)
+		s.from = edge
+	}
+}
+
+// BusyTotal reports the busy time booked for one serving unit.
 func (r *Recorder) BusyTotal(server int) sim.Duration {
-	if server < 0 || server >= len(r.busyTotal) {
+	if server < 0 || server >= len(r.servers) {
 		return 0
 	}
-	return r.busyTotal[server]
-}
-
-// MeanUtilization reports the average busy fraction across all serving
-// units, measured against the clock value now.
-func (r *Recorder) MeanUtilization(now sim.Time) float64 {
-	if now == 0 || len(r.busyTotal) == 0 {
-		return 0
-	}
-	var busy sim.Duration
-	for _, b := range r.busyTotal {
-		busy += b
-	}
-	return float64(busy) / float64(now) / float64(len(r.busyTotal))
+	return r.servers[server].booked
 }
 
 // collect copies into *scratch the entries of log[lo:hi] whose latency tag

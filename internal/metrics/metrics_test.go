@@ -140,30 +140,31 @@ func TestEpochDoubling(t *testing.T) {
 	}
 }
 
+// TestBusyAndUtilization: spans are booked split at epoch edges, and
+// Settle books the unfinished one only through its time. Server 0 is busy
+// over [50, 90) and [150, 250), server 1 over [60, 120); settled at 200 ns,
+// epoch 0 holds 40 + 40 ns and epoch 1 holds 50 + 20 ns of 2×100 ns.
 func TestBusyAndUtilization(t *testing.T) {
 	r := NewRecorder(Config{EpochNanos: 100, MaxEpochs: 8, Servers: 2})
 	r.Busy(at(50), 0, sim.FromNanos(40))
 	r.Busy(at(60), 1, sim.FromNanos(60))
 	r.Busy(at(150), 0, sim.FromNanos(100))
-	if got := r.BusyTotal(0); got != sim.FromNanos(140) {
+	r.Settle(at(200))
+	if got := r.BusyTotal(0); got != sim.FromNanos(90) {
 		t.Fatalf("busy[0] = %v", got)
 	}
 	if got := r.BusyTotal(1); got != sim.FromNanos(60) {
 		t.Fatalf("busy[1] = %v", got)
 	}
 	tl := r.Timeline()
-	// Epoch 0: 100 ns busy over 2×100 ns capacity = 0.5.
-	if u := tl.Epochs[0].Utilization; u != 0.5 {
-		t.Fatalf("epoch 0 utilization = %v", u)
+	if len(tl.Epochs) != 2 {
+		t.Fatalf("%d epochs, want 2", len(tl.Epochs))
 	}
-	if u := tl.Epochs[1].Utilization; u != 0.5 {
-		t.Fatalf("epoch 1 utilization = %v", u)
+	if u := tl.Epochs[0].Utilization; u != 0.4 {
+		t.Fatalf("epoch 0 utilization = %v, want 0.4", u)
 	}
-	if got := r.MeanUtilization(at(200)); got != 0.5 {
-		t.Fatalf("mean utilization = %v", got)
-	}
-	if got := r.MeanUtilization(0); got != 0 {
-		t.Fatal("mean utilization at t=0 must be 0")
+	if u := tl.Epochs[1].Utilization; u != 0.35 {
+		t.Fatalf("epoch 1 utilization = %v, want 0.35", u)
 	}
 }
 

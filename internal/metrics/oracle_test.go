@@ -10,19 +10,22 @@ import (
 	"rpcvalet/internal/stats"
 )
 
-// streamOp is one call of a recorded stream: a completion, a busy span,
-// or a window toggle (open when closed, close when open).
+// streamOp is one call of a recorded stream: a completion, a busy span
+// starting at start, a Settle, or a window toggle (open when closed, close
+// when open). t is the stream's clock, the time of every call but Busy.
 type streamOp struct {
-	kind   int // opComplete, opBusy, opWindow
+	kind   int // opComplete, opBusy, opSettle, opWindow
 	t      sim.Time
 	c      Completion
 	server int
+	start  sim.Time
 	d      sim.Duration
 }
 
 const (
 	opComplete = iota
 	opBusy
+	opSettle
 	opWindow
 )
 
@@ -44,14 +47,20 @@ func (b *byteReader) next() int {
 	return int(v)
 }
 
-// decodeStream turns bytes into a stream in nondecreasing time. Five
-// header bytes pick MaxEpochs (2–4), 0–3 classes with one (or none)
-// unmeasured, the epoch length, the server count and a negative or zero
-// start time; then every seven bytes are one call. Latencies, waits and
-// services are multiples of 1/8 of at most a few hundred, with negative
-// values (not observed) among them: every sum of them is exact in float64
-// in any order, so the brute-force reference's moments can match epochs
-// merged in another order.
+// decodeStream turns bytes into a stream whose clock does not decrease and
+// that ends with a Settle at the clock. Five header bytes pick MaxEpochs
+// (2–4), 0–3 classes with one (or none) unmeasured, the epoch length, the
+// server count and a negative or zero start time; then every seven bytes
+// are one call. Latencies, waits and services are multiples of 1/8 of at
+// most a few hundred, with negative values (not observed) among them:
+// every sum of them is exact in float64 in any order, so the brute-force
+// reference's moments can match epochs merged in another order.
+//
+// Each server's busy spans come in start order, as Busy requires, and are
+// multiples of 0.5 ns long, so they end inside epochs. A span overlaps or
+// adjoins its server's previous one, or, once the clock has passed that
+// one's end, starts after it: behind the clock, or ahead of it as a
+// folded start does.
 func decodeStream(data []byte) stream {
 	b := byteReader(data)
 	h0, h1, h2, h3, h4 := b.next(), b.next(), b.next(), b.next(), b.next()
@@ -69,6 +78,13 @@ func decodeStream(data []byte) stream {
 	if h4&1 == 1 {
 		t = sim.Time(-50 * sim.Nanosecond)
 	}
+	// Each server's latest span start and its spans' end.
+	type span struct{ start, end sim.Time }
+	last := make([]span, s.cfg.Servers)
+	for i := range last {
+		last[i] = span{math.MinInt64, math.MinInt64}
+	}
+	const half = sim.Nanosecond / 2
 	for len(b) > 0 {
 		k, gap, v1, v2, v3, v4, v5 := b.next(), b.next(), b.next(), b.next(), b.next(), b.next(), b.next()
 		if gap >= 64 {
@@ -91,15 +107,31 @@ func decodeStream(data []byte) stream {
 				ServiceNs: float64(v5-8) / 2,
 				Depth:     v4 - 8,
 			}
-		case k < 240:
+		case k < 230 && s.cfg.Servers > 0:
 			op.kind = opBusy
-			op.server = v1%(s.cfg.Servers+2) - 1
-			op.d = sim.Duration(v2) * sim.Nanosecond
+			op.server = v1 % s.cfg.Servers
+			op.d = sim.Duration(v2) * half
+			p := &last[op.server]
+			switch {
+			case p.end > t || v3%3 == 0 && p.end > math.MinInt64:
+				// Overlapping or adjoining the previous span.
+				op.start = min(p.start+sim.Time(v4)*sim.Time(half), p.end)
+			case v3%3 == 1:
+				// Behind the clock, after the previous span.
+				op.start = max(p.end, t-sim.Time(v4)*sim.Time(half))
+			default:
+				// Ahead of the clock.
+				op.start = t + sim.Time(v4)*sim.Time(half)
+			}
+			p.start, p.end = op.start, max(p.end, op.start.Add(op.d))
+		case k < 245:
+			op.kind = opSettle
 		default:
 			op.kind = opWindow
 		}
 		s.ops = append(s.ops, op)
 	}
+	s.ops = append(s.ops, streamOp{kind: opSettle, t: t})
 	return s
 }
 
@@ -111,6 +143,43 @@ type refEpoch struct {
 	depthN      int
 	depthMax    int
 	busy        sim.Duration
+}
+
+// refBusy integrates each server's spans up to the stream's final Settle
+// over the edges of epochs len picoseconds long: each server's busy set is
+// the union of its spans, every instant before len lies in epoch 0, and
+// every other one in the epoch its picosecond count divided by len names.
+// It returns the busy time per epoch and per server.
+func refBusy(s stream, length sim.Time) (epochs []sim.Duration, servers []sim.Duration) {
+	servers = make([]sim.Duration, s.cfg.Servers)
+	add := func(server int, from, to sim.Time) {
+		for from < to {
+			i := int(max(from, 0) / length)
+			edge := min(sim.Time(i+1)*length, to)
+			for len(epochs) <= i {
+				epochs = append(epochs, 0)
+			}
+			epochs[i] += edge.Sub(from)
+			servers[server] += edge.Sub(from)
+			from = edge
+		}
+	}
+	settle := s.ops[len(s.ops)-1].t
+	for server := range servers {
+		from, end := sim.Time(math.MinInt64), sim.Time(math.MinInt64)
+		for _, op := range s.ops {
+			if op.kind != opBusy || op.server != server {
+				continue
+			}
+			if op.start > end {
+				add(server, from, end)
+				from = op.start
+			}
+			end = max(end, op.start.Add(op.d))
+		}
+		add(server, from, min(end, settle))
+	}
+	return epochs, servers
 }
 
 // checkStream feeds s to a Recorder, reading its summaries and timeline
@@ -151,7 +220,9 @@ func checkStream(t *testing.T, s stream) {
 				svc.Add(c.ServiceNs)
 			}
 		case opBusy:
-			r.Busy(op.t, op.server, op.d)
+			r.Busy(op.start, op.server, op.d)
+		case opSettle:
+			r.Settle(op.t)
 		case opWindow:
 			if open {
 				r.CloseWindow(op.t)
@@ -206,8 +277,15 @@ func checkStream(t *testing.T, s stream) {
 				e.depthN++
 				e.depthMax = max(e.depthMax, c.Depth)
 			}
-		case opBusy:
-			at(op.t).busy += op.d
+		}
+	}
+	busy, servers := refBusy(s, sim.Time(sim.FromNanos(tl.EpochNanos)))
+	for i, b := range busy {
+		at(sim.Time(i) * sim.Time(sim.FromNanos(tl.EpochNanos))).busy = b
+	}
+	for i, want := range servers {
+		if got := r.BusyTotal(i); got != want {
+			t.Errorf("server %d busy total %v, want %v", i, got, want)
 		}
 	}
 	last := -1
@@ -290,20 +368,25 @@ func FuzzRecorder(f *testing.F) {
 }
 
 // TestRecorderRejectsDecreasingTime: an epoch is a contiguous log range
-// only while observation times never decrease, so a Complete or Busy
-// earlier than one already seen panics.
+// only while completion times never decrease, so a Complete earlier than
+// one already seen panics, and so does one earlier than booked busy time.
+// A busy span may start behind the latest completion.
 func TestRecorderRejectsDecreasingTime(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		call func(r *Recorder)
 	}{
 		{"complete", func(r *Recorder) { r.Complete(at(99), Completion{Measured: true, LatencyNs: 1}) }},
-		{"busy", func(r *Recorder) { r.Busy(at(99), 0, sim.Nanosecond) }},
+		{"busy", func(r *Recorder) {
+			r.Settle(at(101))
+			r.Complete(at(100.5), Completion{Measured: true, LatencyNs: 1})
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewRecorder(Config{Servers: 1})
+			r := NewRecorder(Config{Servers: 2})
 			r.Busy(at(100), 0, sim.Nanosecond)
 			r.Complete(at(100), Completion{Measured: true, LatencyNs: 5})
+			r.Busy(at(99), 1, sim.Nanosecond)
 			defer func() {
 				msg, _ := recover().(string)
 				if !strings.Contains(msg, "must not decrease") {

@@ -56,9 +56,6 @@ func FromNanos(ns float64) Duration {
 	return Duration(ns*float64(Nanosecond) + 0.5)
 }
 
-// FromMicros converts a duration expressed in microseconds to a Duration.
-func FromMicros(us float64) Duration { return FromNanos(us * 1e3) }
-
 // maxSpan is the longest span ParseDuration accepts. Below 2^50 ps, a span
 // written back by FormatSpan in ns or µs (as the fault and envelope specs'
 // String methods do) parses to the same picosecond count; past it, that
@@ -437,6 +434,3 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.now, e.done = deadline, e.seq
 	}
 }
-
-// RunFor executes events for a span d of virtual time starting now.
-func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }

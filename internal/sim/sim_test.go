@@ -24,9 +24,6 @@ func TestUnits(t *testing.T) {
 	if got := FromNanos(-3); got != 0 {
 		t.Fatalf("FromNanos(-3) = %d, want 0", got)
 	}
-	if got := FromMicros(2); got != 2*Microsecond {
-		t.Fatalf("FromMicros(2) = %d", got)
-	}
 	if d := (1500 * Picosecond).Nanos(); d != 1.5 {
 		t.Fatalf("Nanos() = %v", d)
 	}
@@ -230,28 +227,22 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 10 {
 		t.Fatalf("clock = %v, want 10", e.Now())
 	}
+	// A deadline short of the next event still moves the clock to it.
+	e.RunUntil(13)
+	if len(fired) != 2 || e.Now() != 13 {
+		t.Fatalf("RunUntil(13): %d fired, clock %v; want 2 and 13", len(fired), e.Now())
+	}
+	// The next deadline passes the event due at 15, which fires.
+	e.RunUntil(16)
+	if len(fired) != 3 || fired[2] != 15 || e.Now() != 16 {
+		t.Fatalf("RunUntil(16): fired %v, clock %v; want the event at 15 and 16", fired, e.Now())
+	}
 	e.RunUntil(100)
 	if len(fired) != 4 {
 		t.Fatalf("total fired = %d, want 4", len(fired))
 	}
 	if e.Now() != 100 {
 		t.Fatalf("clock advanced to %v, want 100", e.Now())
-	}
-}
-
-func TestRunFor(t *testing.T) {
-	e := New()
-	e.Schedule(5, func() {})
-	e.RunFor(3)
-	if e.Now() != 3 {
-		t.Fatalf("clock = %v, want 3", e.Now())
-	}
-	e.RunFor(3)
-	if e.Now() != 6 {
-		t.Fatalf("clock = %v, want 6", e.Now())
-	}
-	if e.Pending() != 0 {
-		t.Fatal("event at t=5 did not fire")
 	}
 }
 

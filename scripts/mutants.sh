@@ -12,7 +12,7 @@
 # Then, one entry at a time, it applies the mutant, runs its tests, and
 # restores the file. It prints "killed" or "SURVIVED" per entry and exits
 # 1 if a mutant survived, an old text does not occur exactly once, or a
-# mutant does not build. The 32 entries take about 3 minutes on 2 cores.
+# mutant does not build. The 30 entries take about 3 minutes on 2 cores.
 set -euo pipefail
 set -f # the go test arguments hold regexps, not globs
 
