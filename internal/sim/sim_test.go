@@ -227,22 +227,31 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 10 {
 		t.Fatalf("clock = %v, want 10", e.Now())
 	}
-	// A deadline short of the next event still moves the clock to it.
-	e.RunUntil(13)
-	if len(fired) != 2 || e.Now() != 13 {
-		t.Fatalf("RunUntil(13): %d fired, clock %v; want 2 and 13", len(fired), e.Now())
-	}
-	// The next deadline passes the event due at 15, which fires.
-	e.RunUntil(16)
-	if len(fired) != 3 || fired[2] != 15 || e.Now() != 16 {
-		t.Fatalf("RunUntil(16): fired %v, clock %v; want the event at 15 and 16", fired, e.Now())
-	}
 	e.RunUntil(100)
 	if len(fired) != 4 {
 		t.Fatalf("total fired = %d, want 4", len(fired))
 	}
 	if e.Now() != 100 {
 		t.Fatalf("clock advanced to %v, want 100", e.Now())
+	}
+}
+
+// Running for a span d is RunUntil(Now()+d): a deadline short of the next
+// event still moves the clock to it, and the next span fires the due event.
+func TestRunFor(t *testing.T) {
+	e := New()
+	fired := Time(-1)
+	e.Schedule(5, func() { fired = e.Now() })
+	e.RunUntil(e.Now().Add(3))
+	if e.Now() != 3 {
+		t.Fatalf("clock = %v, want 3", e.Now())
+	}
+	e.RunUntil(e.Now().Add(3))
+	if e.Now() != 6 {
+		t.Fatalf("clock = %v, want 6", e.Now())
+	}
+	if e.Pending() != 0 || fired != 5 {
+		t.Fatalf("event due at t=5 fired at %v, pending %d", fired, e.Pending())
 	}
 }
 
